@@ -252,9 +252,9 @@ def test_engine_speed_smoke():
     )
     report = {
         "engine_mix": engines,
-        "stack_one_way_1L_1G_1MB": point,
-        "stack_one_way_1L_1G_1MB_fastpath": point_ff,
-        "fastpath_speedup_one_way_1MB": round(
+        "stack_one-way_1L_1G_1MB": point,
+        "stack_one-way_1L_1G_1MB_fastpath": point_ff,
+        "fastpath_speedup_one-way_1MB": round(
             point["wall_s"] / point_ff["wall_s"], 3
         ) if point_ff["wall_s"] > 0 else None,
     }
@@ -291,7 +291,7 @@ def test_engine_speed_full():
     seed = _time_seed_tree_point("1L-1G", "one-way", 1_048_576)
     if seed is not None:
         speedup = seed["wall_s"] / current["wall_s"]
-        report["seed_tree_one_way_1L_1G_1MB"] = seed
+        report["seed_tree_one-way_1L_1G_1MB"] = seed
         report["stack_speedup_vs_seed"] = round(speedup, 3)
         # Effective events/sec: both trees charged with the seed event count.
         report["effective_events_per_sec"] = {

@@ -17,7 +17,12 @@ import numpy as np
 
 from repro.bench import Table, make_cluster
 from repro.bench.micro import run_one_way
+from repro.fabric import LeafSpineSpec
 from repro.mp import MpWorld, allreduce, barrier
+
+# One spine, one uplink per leaf: cross-leaf traffic is oversubscribed
+# hosts_per_leaf : 1.
+TWO_LEAVES = LeafSpineSpec(leaves=2, spines=1, hosts_per_leaf=4)
 
 
 def _p2p_transfer(cluster, i, j, size):
@@ -95,9 +100,9 @@ def run_experiment():
     size = 262144
     flat = make_cluster("1L-1G", nodes=8)
     t_flat = _p2p_transfer(flat, 0, 5, size)
-    ls = make_cluster("1L-1G", nodes=8, leaf_switches=2)
+    ls = make_cluster("1L-1G", nodes=8, fabric=TWO_LEAVES)
     t_same = _p2p_transfer(ls, 0, 1, size)
-    ls2 = make_cluster("1L-1G", nodes=8, leaf_switches=2)
+    ls2 = make_cluster("1L-1G", nodes=8, fabric=TWO_LEAVES)
     t_cross = _p2p_transfer(ls2, 0, 5, size)
     out["fabric"] = [
         ("flat 8-node", size / (t_flat / 1e9) / 1e6),
@@ -106,7 +111,7 @@ def run_experiment():
     ]
 
     # Oversubscription: 4 simultaneous cross-leaf flows on 1 uplink.
-    over = make_cluster("1L-1G", nodes=8, leaf_switches=2)
+    over = make_cluster("1L-1G", nodes=8, fabric=TWO_LEAVES)
     flows = 4
     procs = []
     for i in range(flows):
@@ -126,7 +131,10 @@ def run_experiment():
     out["oversubscription"] = agg
 
     # 32-node fabric barrier cost (beyond the paper's 16 nodes).
-    big = make_cluster("1L-1G", nodes=32, leaf_switches=4)
+    big = make_cluster(
+        "1L-1G", nodes=32,
+        fabric=LeafSpineSpec(leaves=4, spines=1, hosts_per_leaf=8),
+    )
     world = MpWorld(big)
     state = {}
 

@@ -259,7 +259,7 @@ def test_gray_fuzz_smoke():
         for k in res.gray_kinds:
             kinds[k] = kinds.get(k, 0) + 1
         if not res.ok:
-            failures.append((seed, res.gray_kinds, res.violations[:2]))
+            failures.append((seed, res.gray_kinds, res.result.violations[:2]))
     _merge_bench_json(
         {
             "fuzz": {

@@ -134,7 +134,7 @@ class ClusterSummary:
     serve_p99_ns: int = 0
     serve_p999_ns: int = 0
     serve_shed_fraction: float = 0.0
-    # Tail tolerance (repro.serve.tail; all zero without a TailSpec).
+    # Tail tolerance (repro.serve.tail; all zero with tail=None).
     hedges_sent: int = 0
     hedges_won: int = 0
     retries_shed: int = 0  # shed responses retried on another server
@@ -337,16 +337,13 @@ def summarize_cluster(
             "serve_p99_by_server": {
                 s: h.p99 for s, h in serve.hist_by_server.items()
             },
+            "hedges_sent": serve.tail.hedges_sent,
+            "hedges_won": serve.tail.hedges_won,
+            "retries_shed": serve.tail.retries_sent,
+            "retries_denied": serve.tail.budget.denied,
+            "breaker_opens": serve.tail.breaker_opens,
+            "ejections": serve.tail.ejections,
         }
-        if serve.tail is not None:
-            serve_fields.update(
-                hedges_sent=serve.tail.hedges_sent,
-                hedges_won=serve.tail.hedges_won,
-                retries_shed=serve.tail.retries_sent,
-                retries_denied=serve.tail.budget.denied,
-                breaker_opens=serve.tail.breaker_opens,
-                ejections=serve.tail.ejections,
-            )
     manager = getattr(cluster, "fastpath", None)
     ff = manager.stats if manager is not None else None
     n = len(cluster.stacks)

@@ -40,17 +40,11 @@ __all__ = ["ClusterConfig", "Cluster", "CONFIG_NAMES", "make_cluster"]
 class ClusterConfig:
     """Everything needed to stand up one experimental setup.
 
-    ``leaf_switches > 1`` builds the multi-switch topology the paper's §6
-    names as future work: nodes are spread over that many leaf switches
-    per rail, each leaf connected to one spine switch by a single uplink
-    (``uplink_speed_bps``, default the node link speed — i.e. the fabric
-    is oversubscribed ``nodes_per_leaf : 1`` for cross-leaf traffic).
-
-    ``fabric`` selects the full datacenter fabric subsystem instead: a
-    :class:`~repro.fabric.LeafSpineSpec` or
-    :class:`~repro.fabric.FatTreeSpec` builds one ECMP-routed multi-switch
-    fabric per rail (see :mod:`repro.fabric`).  ``None`` — the default —
-    keeps the classic wiring byte-identical.
+    ``fabric`` selects the multi-switch topology the paper's §6 names as
+    future work: a :class:`~repro.fabric.LeafSpineSpec` or
+    :class:`~repro.fabric.FatTreeSpec` builds one ECMP-routed fabric per
+    rail (see :mod:`repro.fabric`).  ``None`` — the default — wires
+    every node to one switch per rail.
     """
 
     name: str
@@ -62,9 +56,7 @@ class ClusterConfig:
     host: HostParams = field(default_factory=HostParams)
     protocol: ProtocolParams = field(default_factory=ProtocolParams)
     seed: int = 0
-    leaf_switches: int = 1
-    uplink_speed_bps: Optional[float] = None
-    # Multi-switch fabric spec (repro.fabric); None = classic wiring.
+    # Multi-switch fabric spec (repro.fabric); None = one switch per rail.
     fabric: Optional[object] = None
     # Hybrid-fidelity fast path (repro.fastpath): fast-forward flows in
     # analytic steady state instead of simulating every frame.  Off by
@@ -76,20 +68,11 @@ class ClusterConfig:
             raise ValueError("a cluster needs at least 1 node")
         if self.rails < 1:
             raise ValueError("rails must be >= 1")
-        if self.leaf_switches < 1:
-            raise ValueError("leaf_switches must be >= 1")
-        if self.leaf_switches > 1 and self.nodes < self.leaf_switches:
-            raise ValueError("need at least one node per leaf switch")
-        if self.fabric is not None:
-            if self.leaf_switches > 1:
-                raise ValueError(
-                    "fabric and leaf_switches are mutually exclusive"
-                )
-            if self.nodes > self.fabric.capacity:
-                raise ValueError(
-                    f"{self.nodes} nodes exceed the fabric's capacity "
-                    f"of {self.fabric.capacity} hosts"
-                )
+        if self.fabric is not None and self.nodes > self.fabric.capacity:
+            raise ValueError(
+                f"{self.nodes} nodes exceed the fabric's capacity "
+                f"of {self.fabric.capacity} hosts"
+            )
 
 
 def _config_1l_1g(nodes: int = 16) -> ClusterConfig:
@@ -200,18 +183,14 @@ class Cluster:
             self.stacks.append(MultiEdgeStack(node, config.protocol))
 
         self.switches: list[Switch] = []  # flat per-rail switches
-        self.spines: list[Switch] = []  # per-rail spine (multi-leaf only)
-        self.leaves: list[list[Switch]] = []  # per-rail leaf switches
         self.fabrics: list = []  # per-rail repro.fabric.Fabric
         # (node_id, rail) -> the full-duplex cable to that NIC's switch
         # port.  The fault driver and repair paths need both directions.
         self._cables: dict[tuple[int, int], Cable] = {}
         if config.fabric is not None:
             self._wire_fabric(nodes)
-        elif config.leaf_switches <= 1:
-            self._wire_flat(nodes)
         else:
-            self._wire_leaf_spine(nodes)
+            self._wire_flat(nodes)
 
         self.tracer = Tracer(self.sim)
         self._connections: dict[tuple[int, int], tuple[ConnectionHandle, ConnectionHandle]] = {}
@@ -272,77 +251,11 @@ class Cluster:
             fabric.program_routes()
             self.fabrics.append(fabric)
 
-    def _wire_leaf_spine(self, nodes) -> None:
-        """Two-level fabric: leaves hold nodes, one spine joins leaves."""
-        config = self.config
-        n_leaves = config.leaf_switches
-        per_leaf = (config.nodes + n_leaves - 1) // n_leaves
-        uplink_speed = config.uplink_speed_bps or config.link.speed_bps
-        uplink_params = LinkParams(
-            speed_bps=uplink_speed,
-            propagation_ns=config.link.propagation_ns,
-            bit_error_rate=config.link.bit_error_rate,
-        )
-        for rail in range(config.rails):
-            leaf_cfg = SwitchParams(
-                ports=per_leaf + 1,
-                forwarding_latency_ns=config.switch.forwarding_latency_ns,
-                output_queue_frames=config.switch.output_queue_frames,
-            )
-            spine_cfg = SwitchParams(
-                ports=max(2, n_leaves),
-                forwarding_latency_ns=config.switch.forwarding_latency_ns,
-                output_queue_frames=config.switch.output_queue_frames,
-            )
-            spine = Switch(self.sim, spine_cfg, name=f"spine{rail}")
-            leaves = [
-                Switch(self.sim, leaf_cfg, name=f"leaf{rail}.{l}")
-                for l in range(n_leaves)
-            ]
-            for l, leaf in enumerate(leaves):
-                # Uplink: last leaf port <-> spine port l.
-                up_port = leaf.port(per_leaf)
-                spine_port = spine.port(l)
-                cable = Cable(
-                    self.sim, up_port, spine_port, uplink_params, self.rng,
-                    name=f"uplink{rail}.{l}",
-                )
-                up_port.attach_link(cable.link_from(up_port), uplink_speed)
-                spine_port.attach_link(
-                    cable.link_from(spine_port), uplink_speed
-                )
-            for node in nodes:
-                leaf_index = node.node_id // per_leaf
-                local_port = node.node_id % per_leaf
-                self._cables[(node.node_id, rail)] = connect_nic_to_switch(
-                    self.sim,
-                    node.nics[rail],
-                    leaves[leaf_index],
-                    port_index=local_port,
-                    link_params=config.link,
-                    rng=self.rng,
-                )
-                # Teach the fabric where every MAC lives so measurements
-                # don't start with a flood storm.
-                mac = node.nics[rail].mac
-                spine.learn(mac, leaf_index)
-                for other_index, other_leaf in enumerate(leaves):
-                    if other_index != leaf_index:
-                        other_leaf.learn(mac, per_leaf)  # via the uplink
-            self.spines.append(spine)
-            self.leaves.append(leaves)
-            self.switches.append(spine)  # stats: count spine in switches
-
     @property
     def all_switches(self) -> list[Switch]:
         if self.fabrics:
             return [sw for fabric in self.fabrics for sw in fabric.switches]
-        out = list(self.spines)
-        for rail_leaves in self.leaves:
-            out.extend(rail_leaves)
-        if not out:
-            out = list(self.switches)
-        return out
+        return list(self.switches)
 
     @property
     def nodes(self) -> list[Node]:

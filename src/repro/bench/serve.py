@@ -75,7 +75,7 @@ class ServeResult:
     # Fault interplay.
     crashes: int = 0
     reconnects: int = 0
-    # Tail tolerance (all zero when the run has no TailSpec).
+    # Tail tolerance (all zero with tail=None).
     hedges_sent: int = 0
     hedges_won: int = 0
     retries_sent: int = 0
@@ -311,12 +311,12 @@ class ServeRun:
             windows=rt.window_reports(),
             crashes=self.recovery.crashes if self.recovery else 0,
             reconnects=self.recovery.reconnects if self.recovery else 0,
-            hedges_sent=rt.tail.hedges_sent if rt.tail else 0,
-            hedges_won=rt.tail.hedges_won if rt.tail else 0,
-            retries_sent=rt.tail.retries_sent if rt.tail else 0,
-            retries_denied=rt.tail.budget.denied if rt.tail else 0,
-            breaker_opens=rt.tail.breaker_opens if rt.tail else 0,
-            ejections=rt.tail.ejections if rt.tail else 0,
+            hedges_sent=rt.tail.hedges_sent,
+            hedges_won=rt.tail.hedges_won,
+            retries_sent=rt.tail.retries_sent,
+            retries_denied=rt.tail.budget.denied,
+            breaker_opens=rt.tail.breaker_opens,
+            ejections=rt.tail.ejections,
             p99_by_server={s: h.p99 for s, h in rt.hist_by_server.items()},
             violations=tuple(violations),
             fingerprint=fingerprint(self.cluster),

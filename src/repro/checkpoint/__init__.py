@@ -84,29 +84,35 @@ def _capture(run) -> tuple[dict, str]:
     return st, state_fingerprint(st)
 
 
-def take_checkpoint(run) -> Checkpoint:
-    """Snapshot a paused run (:class:`~repro.verify.fuzz.ScenarioRun`,
-    :class:`~repro.bench.crash.CrashRun`, or
-    :class:`~repro.verify.fuzz.FabricRun`)."""
+def _run_classes() -> dict:
+    """Checkpoint ``kind`` -> the run class whose ``recipe`` rebuilds it."""
     from ..bench.crash import CrashRun
     from ..bench.serve import ServeRun
     from ..verify.fuzz import FabricRun, ScenarioRun
 
-    if isinstance(run, ScenarioRun):
-        kind, recipe = "fuzz", {"sc": run.sc, **run.opts}
-    elif isinstance(run, CrashRun):
-        kind, recipe = "crash", dict(run.recipe)
-    elif isinstance(run, FabricRun):
-        kind, recipe = "fabric", {"seed": run.sc.seed}
-    elif isinstance(run, ServeRun):
-        kind, recipe = "serve", dict(run.recipe)
+    return {
+        "fuzz": ScenarioRun,
+        "crash": CrashRun,
+        "fabric": FabricRun,
+        "serve": ServeRun,
+    }
+
+
+def take_checkpoint(run) -> Checkpoint:
+    """Snapshot a paused run (:class:`~repro.verify.fuzz.ScenarioRun`,
+    :class:`~repro.bench.crash.CrashRun`,
+    :class:`~repro.verify.fuzz.FabricRun`, or
+    :class:`~repro.bench.serve.ServeRun`)."""
+    for kind, cls in _run_classes().items():
+        if isinstance(run, cls):
+            break
     else:
         raise TypeError(f"cannot checkpoint {type(run).__name__}")
     state, fp = _capture(run)
     return Checkpoint(
         format_version=FORMAT_VERSION,
         kind=kind,
-        recipe=recipe,
+        recipe=dict(run.recipe),
         time_ns=run.cluster.sim.now,
         fingerprint=fp,
         state=state,
@@ -124,28 +130,17 @@ def restore(ck: Checkpoint, verify: bool = True, **overrides):
     ``trace=True`` for a rewind-to-violation debug replay — tracing is
     record-only but changes the capture, so it forces ``verify=False``).
     """
-    from ..bench.crash import CrashRun
-    from ..bench.serve import ServeRun
-    from ..verify.fuzz import FabricRun, ScenarioRun
-
     if ck.format_version != FORMAT_VERSION:
         raise ValueError(
             f"checkpoint format v{ck.format_version} != "
             f"supported v{FORMAT_VERSION}"
         )
-    recipe = {**ck.recipe, **overrides}
+    cls = _run_classes().get(ck.kind)
+    if cls is None:
+        raise ValueError(f"unknown checkpoint kind {ck.kind!r}")
     if overrides:
         verify = False
-    if ck.kind == "fuzz":
-        run = ScenarioRun(**recipe)
-    elif ck.kind == "crash":
-        run = CrashRun(**recipe)
-    elif ck.kind == "fabric":
-        run = FabricRun(**recipe)
-    elif ck.kind == "serve":
-        run = ServeRun(**recipe)
-    else:
-        raise ValueError(f"unknown checkpoint kind {ck.kind!r}")
+    run = cls(**{**ck.recipe, **overrides})
     run.run_to(ck.time_ns)
     if verify:
         state, fp = _capture(run)

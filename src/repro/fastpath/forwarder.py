@@ -521,8 +521,6 @@ class FastpathManager:
             # ``cluster.switches`` is empty, so every check below would
             # be looking at the wrong topology anyway.
             return "multi-hop-fabric"
-        if config.leaf_switches > 1:
-            return "multi-hop-fabric"
         if config.link.bit_error_rate > 0.0:
             return "lossy-link"
         for rail in range(len(conn.nics)):

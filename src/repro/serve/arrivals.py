@@ -46,10 +46,7 @@ class Request:
     req_bytes: int
     resp_bytes: int
     deadline_ns: int  # 0 = no deadline
-    server: int = -1  # most recent dispatch target
-    t_dispatch: int = 0  # when the client outbox handed it to mp
     attempts: int = 0  # dispatch attempts (> 1 after replay/hedge/retry)
-    # -- tail-tolerance state (repro.serve.tail) --------------------------
     # Servers with an attempt currently in flight (one normally; more
     # while a hedge is racing the primary).
     pending_servers: set = field(default_factory=set)

@@ -15,9 +15,8 @@ Three policies, all deterministic:
 * ``leaf-affinity`` — prefer servers on the same leaf switch as the
   requesting client (fewer fabric hops, no oversubscribed trunk);
   within the preferred set, fall back to least-outstanding.  Uses
-  :mod:`repro.fabric` topology when the cluster has one, the classic
-  ``leaf_switches`` partition otherwise, and degrades to plain
-  least-outstanding on single-switch wiring.
+  :mod:`repro.fabric` topology when the cluster has one and degrades
+  to plain least-outstanding on single-switch wiring.
 """
 
 from __future__ import annotations
@@ -37,13 +36,9 @@ __all__ = [
 
 def leaf_of(cluster, node_id: int) -> int:
     """Which leaf switch a node hangs off (0 on single-switch wiring)."""
-    config = cluster.config
-    spec = config.fabric
+    spec = cluster.config.fabric
     if spec is not None and hasattr(spec, "hosts_per_leaf"):
         return node_id // spec.hosts_per_leaf
-    if config.leaf_switches > 1:
-        per_leaf = (config.nodes + config.leaf_switches - 1) // config.leaf_switches
-        return node_id // per_leaf
     return 0
 
 

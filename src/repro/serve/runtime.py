@@ -56,6 +56,10 @@ __all__ = ["ServeConfig", "ServeRuntime", "enable_serving"]
 # Client ranks get disjoint request-id spaces.
 _REQ_ID_STRIDE = 1 << 40
 
+# What ``ServeConfig.tail=None`` runs: attempts are still tracked (crash
+# replay needs that), but nothing ever sends an extra one.
+_NO_TAIL = TailSpec(hedge=False, retry_sheds=False, breaker=False, eject=False)
+
 
 @dataclass(frozen=True)
 class ServeConfig:
@@ -70,8 +74,8 @@ class ServeConfig:
     window_ns: int = 0  # 0 = no windowed attainment tracking
     outbox_cap: int = 0  # 0 = unbounded client outboxes
     slo: Optional[SloSpec] = None
-    # Tail-tolerant client machinery (repro.serve.tail); None keeps the
-    # classic dispatch-once path byte-identical.
+    # Tail-tolerant client machinery (repro.serve.tail); None means a
+    # TailSpec with every mechanism off.
     tail: Optional[TailSpec] = None
 
     def __post_init__(self) -> None:
@@ -121,7 +125,6 @@ class _Outbox:
                 continue
             payload, tag, req = self.entries.popleft()
             if req is not None:
-                req.t_dispatch = self.sim.now
                 req.dispatch_ns[self.dst] = self.sim.now
             try:
                 yield from self.ep.send(self.dst, payload, tag=tag)
@@ -186,11 +189,7 @@ class ServeRuntime:
         # the balancer's outstanding counts honest under hedging.
         self._absorbing: dict[int, set] = {}
         # Tail tolerance: hedging, retry budget, breakers, ejection.
-        self.tail: Optional[TailController] = (
-            TailController(config.tail, config.servers)
-            if config.tail is not None
-            else None
-        )
+        self.tail = TailController(config.tail or _NO_TAIL, config.servers)
         # -- conservation counters (client-side view) ----------------------
         self.generated = 0
         self.completed = 0  # served responses seen by clients
@@ -259,15 +258,14 @@ class ServeRuntime:
 
     def _on_arrival(self, req: Request) -> None:
         self.generated += 1
-        if self.tail is not None:
-            self.tail.budget.on_fresh()
+        self.tail.on_fresh()
         self._window(req.t_arrival)["generated"] += 1
         self._dispatch(req)
 
     def _dispatch(self, req: Request) -> None:
-        candidates = self.reachable[req.client]
-        if self.tail is not None:
-            candidates = self.tail.filter_candidates(candidates, self.sim.now)
+        candidates = self.tail.filter_candidates(
+            self.reachable[req.client], self.sim.now
+        )
         server = self.balancer.choose(req, candidates=candidates)
         if server is None:
             self.holding.append(req)
@@ -283,15 +281,13 @@ class ServeRuntime:
     def _send_attempt(self, req: Request, server: int,
                       outbox: Optional[_Outbox] = None) -> None:
         """Put one attempt for ``req`` on the wire toward ``server``."""
-        req.server = server
         req.attempts += 1
         req.pending_servers.add(server)
         # Placeholder keeps dispatch order (first key = primary attempt);
         # the outbox overwrites the value with the real drain time.
         req.dispatch_ns.setdefault(server, self.sim.now)
         self.balancer.note_dispatch(server)
-        if self.tail is not None:
-            self.tail.on_dispatch(server, self.sim.now)
+        self.tail.on_dispatch(server, self.sim.now)
         self.outstanding[req.req_id] = req
         payload = pack_request(req.req_id, req.client, 0, req.resp_bytes,
                                req.req_bytes)
@@ -301,8 +297,6 @@ class ServeRuntime:
 
     def _arm_hedge(self, req: Request) -> None:
         tail = self.tail
-        if tail is None:
-            return
         if (req.hedges >= tail.spec.max_hedges
                 or req.attempts >= tail.spec.max_attempts):
             return
@@ -314,7 +308,7 @@ class ServeRuntime:
     def _maybe_hedge(self, req_id: int, attempts_snapshot: int) -> None:
         tail = self.tail
         req = self.outstanding.get(req_id)
-        if tail is None or req is None:
+        if req is None:
             return  # answered (or failed) before the hedge delay elapsed
         if req.attempts != attempts_snapshot:
             return  # a replay or retry superseded this timer
@@ -362,13 +356,6 @@ class ServeRuntime:
             req_id, server, flags, t_rx, t_start, t_end = unpack_response(
                 msg.data
             )
-            if self.tail is None:
-                # Classic single-attempt path, byte-identical to the
-                # pre-tail runtime (pinned fuzz fingerprints depend on it).
-                self._legacy_on_response(
-                    req_id, server, flags, t_rx, t_start, t_end
-                )
-                continue
             now = self.sim.now
             req = self.outstanding.get(req_id)
             if req is None:
@@ -381,39 +368,6 @@ class ServeRuntime:
                 self._on_shed_response(req, server, now)
                 continue
             self._complete(req, server, flags, t_rx, t_start, t_end, now)
-
-    def _legacy_on_response(self, req_id: int, server: int, flags: int,
-                            t_rx: int, t_start: int, t_end: int) -> None:
-        req = self.outstanding.pop(req_id, None)
-        if req is None:
-            # A crash replay raced a response that was already on the
-            # wire; the request was answered once already.
-            self.duplicate_responses += 1
-            return
-        self.balancer.note_done(req.server)
-        req.pending_servers.clear()
-        now = self.sim.now
-        win = self._window(now)
-        if flags & FLAG_SHED:
-            self.shed += 1
-            win["shed"] += 1
-            return
-        total = now - req.t_arrival
-        queueing = (req.t_dispatch - req.t_arrival) + (t_start - t_rx)
-        service = t_end - t_start
-        network = max(0, total - queueing - service)
-        self.completed += 1
-        self.hist_by_server[server].record(total)
-        self.hist_queueing.record(queueing)
-        self.hist_service.record(service)
-        self.hist_network.record(network)
-        win["completed"] += 1
-        win["hist"].record(total)
-        if req.deadline_ns and total > req.deadline_ns:
-            self.deadline_missed += 1
-        # A parked request may now have an eligible server again.
-        if self.holding and self.balancer.alive:
-            self._drain_holding()
 
     def _complete(self, req: Request, server: int, flags: int, t_rx: int,
                   t_start: int, t_end: int, now: int) -> None:
@@ -429,8 +383,7 @@ class ServeRuntime:
             req.pending_servers.clear()
         win = self._window(now)
         total = now - req.t_arrival
-        dispatch = req.dispatch_ns.get(server, req.t_dispatch)
-        queueing = (dispatch - req.t_arrival) + (t_start - t_rx)
+        queueing = (req.dispatch_ns[server] - req.t_arrival) + (t_start - t_rx)
         service = t_end - t_start
         network = max(0, total - queueing - service)
         self.completed += 1
@@ -442,11 +395,10 @@ class ServeRuntime:
         win["hist"].record(total)
         if req.deadline_ns and total > req.deadline_ns:
             self.deadline_missed += 1
-        if self.tail is not None:
-            self.tail.on_success(server, total, now)
-            if req.hedges and server != next(iter(req.dispatch_ns), server):
-                # Answered by other than the primary attempt's server.
-                self.tail.hedges_won += 1
+        self.tail.on_success(server, total, now)
+        if req.hedges and server != next(iter(req.dispatch_ns), server):
+            # Answered by other than the primary attempt's server.
+            self.tail.hedges_won += 1
         # A parked request may now have an eligible server again.
         if self.holding and self.balancer.alive:
             self._drain_holding()
@@ -456,15 +408,10 @@ class ServeRuntime:
         if server in req.pending_servers:
             req.pending_servers.discard(server)
             self.balancer.note_done(server)
-        if tail is not None:
-            tail.on_shed(server, now)
+        tail.on_shed(server, now)
         if req.pending_servers:
             return  # a hedge attempt is still racing; let it decide
-        if (
-            tail is not None
-            and tail.spec.retry_sheds
-            and req.attempts < tail.spec.max_attempts
-        ):
+        if tail.spec.retry_sheds and req.attempts < tail.spec.max_attempts:
             candidates = {
                 s for s in self.reachable[req.client] if s != server
             }
@@ -505,23 +452,6 @@ class ServeRuntime:
         self.servers[node_id].on_crash()
         for client in self.config.clients:
             self.reachable[client].discard(node_id)
-        if self.tail is None:
-            # Classic collect-then-replay (kept byte-identical for pinned
-            # fingerprints): a request both queued in an outbox toward the
-            # dead server and journaled appears in the list twice and is
-            # re-dispatched twice, exactly as before the tail machinery.
-            to_replay: list[Request] = []
-            for (src, dst), outbox in self.outboxes.items():
-                if dst == node_id:
-                    to_replay.extend(outbox.purge_requests())
-                if src == node_id:
-                    outbox.entries.clear()  # dead server's unsent responses
-            for req in list(self.outstanding.values()):
-                if req.server == node_id:
-                    to_replay.append(req)
-            for req in to_replay:
-                self._legacy_replay(req)
-            return
         # Requests parked in outboxes toward the dead server never left
         # the client; abandon those attempts with everything in flight.
         for (src, dst), outbox in self.outboxes.items():
@@ -548,22 +478,9 @@ class ServeRuntime:
         failed sender process resumes; only act here if the request is
         still journaled *and* still has an attempt toward the dead leg.
         """
-        if self.tail is None:
-            if (self.outstanding.get(req.req_id) is req
-                    and req.server == failed_dst):
-                self._legacy_replay(req)
-            return
         if (self.outstanding.get(req.req_id) is req
                 and failed_dst in req.pending_servers):
             self._abandon_attempt(req, failed_dst)
-
-    def _legacy_replay(self, req: Request) -> None:
-        self.outstanding.pop(req.req_id, None)
-        self.balancer.note_done(req.server)
-        req.pending_servers.clear()
-        req.server = -1
-        self.replayed += 1
-        self._dispatch(req)
 
     def _abandon_attempt(self, req: Request, server: int) -> None:
         """One attempt died with its server; replay when none survive."""
@@ -575,7 +492,6 @@ class ServeRuntime:
         if self.outstanding.get(req.req_id) is not req:
             return  # already answered or already failed
         self.outstanding.pop(req.req_id)
-        req.server = -1
         self.replayed += 1
         self._dispatch(req)
 
@@ -678,23 +594,15 @@ class ServeRuntime:
         answered become typed failures instead of dangling pending.
         """
         failed = 0
-        if self.tail is None:
-            for req in list(self.outstanding.values()):
-                if req.server not in self.balancer.alive:
-                    self.outstanding.pop(req.req_id, None)
-                    self.balancer.note_done(req.server)
-                    req.pending_servers.clear()
-                    failed += 1
-        else:
-            for req in list(self.outstanding.values()):
-                dead = [s for s in req.pending_servers
-                        if s not in self.balancer.alive]
-                for s in dead:
-                    req.pending_servers.discard(s)
-                    self.balancer.note_done(s)
-                if not req.pending_servers:
-                    self.outstanding.pop(req.req_id, None)
-                    failed += 1
+        for req in list(self.outstanding.values()):
+            dead = [s for s in req.pending_servers
+                    if s not in self.balancer.alive]
+            for s in dead:
+                req.pending_servers.discard(s)
+                self.balancer.note_done(s)
+            if not req.pending_servers:
+                self.outstanding.pop(req.req_id, None)
+                failed += 1
         still_holding = deque()
         for req in self.holding:
             if self.balancer.choose(req, self.reachable[req.client]) is None:
@@ -744,26 +652,16 @@ class ServeRuntime:
                     f"{hist.total} samples for {self.completed} completions"
                 )
         tracked = sum(self.balancer.outstanding.values())
-        if self.tail is None:
-            # Classic accounting: one attempt per journaled request.
-            if tracked != len(self.outstanding):
-                problems.append(
-                    f"balancer-accounting: balancer tracks {tracked} "
-                    f"outstanding but the journal holds "
-                    f"{len(self.outstanding)}"
-                )
-        else:
-            attempts = sum(
-                len(r.pending_servers) for r in self.outstanding.values()
-            ) + sum(len(s) for s in self._absorbing.values())
-            if tracked != attempts:
-                problems.append(
-                    f"balancer-accounting: balancer tracks {tracked} "
-                    f"outstanding but {attempts} attempts are in flight "
-                    f"({len(self.outstanding)} journaled, "
-                    f"{sum(len(s) for s in self._absorbing.values())} "
-                    "absorbing)"
-                )
+        absorbing = sum(len(s) for s in self._absorbing.values())
+        attempts = absorbing + sum(
+            len(r.pending_servers) for r in self.outstanding.values()
+        )
+        if tracked != attempts:
+            problems.append(
+                f"balancer-accounting: balancer tracks {tracked} "
+                f"outstanding but {attempts} attempts are in flight "
+                f"({len(self.outstanding)} journaled, {absorbing} absorbing)"
+            )
         src_generated = sum(s.generated for s in self.sources.values())
         if src_generated != self.generated:
             problems.append(
@@ -772,31 +670,29 @@ class ServeRuntime:
             )
         # -- tail-tolerance invariants ------------------------------------
         tail = self.tail
-        hedges_sent = tail.hedges_sent if tail is not None else 0
-        if self.duplicate_responses > hedges_sent + self.replayed:
+        if self.duplicate_responses > tail.hedges_sent + self.replayed:
             problems.append(
                 "hedge-duplicate-conservation: "
                 f"{self.duplicate_responses} duplicate responses exceed "
-                f"{hedges_sent} hedges + {self.replayed} replays"
+                f"{tail.hedges_sent} hedges + {self.replayed} replays"
             )
-        if tail is not None:
-            budget = tail.budget
-            cap = budget.burst + budget.ratio * budget.earned
-            if budget.spent > cap + 1e-9:
-                problems.append(
-                    f"retry-budget-bound: {budget.spent} extra attempts "
-                    f"exceed the budget cap {cap:.1f} "
-                    f"({budget.burst} burst + {budget.ratio} x "
-                    f"{budget.earned} fresh)"
-                )
-            if tail.hedges_sent + tail.retries_sent != budget.spent:
-                problems.append(
-                    f"retry-budget-accounting: {tail.hedges_sent} hedges + "
-                    f"{tail.retries_sent} retries != {budget.spent} tokens "
-                    "spent"
-                )
-            for issue in tail.illegal_breaker_transitions():
-                problems.append(f"breaker-state-machine: {issue}")
+        budget = tail.budget
+        cap = budget.burst + budget.ratio * budget.earned
+        if budget.spent > cap + 1e-9:
+            problems.append(
+                f"retry-budget-bound: {budget.spent} extra attempts "
+                f"exceed the budget cap {cap:.1f} "
+                f"({budget.burst} burst + {budget.ratio} x "
+                f"{budget.earned} fresh)"
+            )
+        if tail.hedges_sent + tail.retries_sent != budget.spent:
+            problems.append(
+                f"retry-budget-accounting: {tail.hedges_sent} hedges + "
+                f"{tail.retries_sent} retries != {budget.spent} tokens "
+                "spent"
+            )
+        for issue in tail.illegal_breaker_transitions():
+            problems.append(f"breaker-state-machine: {issue}")
         return problems
 
 

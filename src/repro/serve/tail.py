@@ -320,11 +320,18 @@ class TailController:
         self.retries_sent = 0  # shed responses retried elsewhere
         self.fail_open = 0  # times filtering would have emptied the pool
 
+    def on_fresh(self) -> None:
+        """A fresh request arrived; it earns retry-budget tokens."""
+        if self.spec.hedge or self.spec.retry_sheds:
+            self.budget.on_fresh()
+
     # -- dispatch-time filtering ------------------------------------------
 
     def filter_candidates(self, candidates: set, now: int) -> set:
         """Drop open-breaker and ejected servers; fail open if empty."""
         spec = self.spec
+        if not (spec.breaker or spec.eject):
+            return candidates
         filtered = set()
         for s in sorted(candidates):
             if spec.breaker and not self.breakers[s].allow(now):
@@ -345,7 +352,8 @@ class TailController:
     # -- response-time signals --------------------------------------------
 
     def on_success(self, server: int, latency_ns: int, now: int) -> None:
-        self.quantiles.record(latency_ns)
+        if self.spec.hedge:
+            self.quantiles.record(latency_ns)
         if self.spec.breaker:
             self.breakers[server].on_success(now)
         if self.spec.eject:

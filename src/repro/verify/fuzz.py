@@ -26,7 +26,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, fields as dataclass_fields, replace
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from ..bench.cluster import Cluster, make_cluster
 from ..control import (
@@ -43,6 +43,9 @@ from ..ethernet import OpFlags
 from ..host import myri10g_params, tigon3_params
 from ..sim import SimulationError
 from .monitor import InvariantMonitor, InvariantViolation
+
+if TYPE_CHECKING:
+    from ..bench.serve import ServeResult
 
 __all__ = [
     "OpSpec",
@@ -62,7 +65,6 @@ __all__ = [
     "fabric_scenario_from_seed",
     "run_fabric_scenario",
     "ServeFuzzResult",
-    "GrayFuzzResult",
     "run_gray_scenario",
     "run_serve_scenario",
 ]
@@ -415,8 +417,9 @@ class ScenarioRun:
     ) -> None:
         self.sc = sc
         self.trace = trace
-        # Rebuild recipe for repro.checkpoint (sc rides separately).
-        self.opts = {
+        # Rebuild recipe for repro.checkpoint.
+        self.recipe = {
+            "sc": sc,
             "use_monitor": use_monitor,
             "collect": collect,
             "trace": trace,
@@ -844,6 +847,7 @@ class FabricRun:
             TrafficRun,
         )
 
+        self.recipe = {"seed": seed}  # rebuild recipe for repro.checkpoint
         sc = self.sc = fabric_scenario_from_seed(seed)
         if sc.topology == "leaf-spine":
             spec = LeafSpineSpec(
@@ -931,30 +935,24 @@ def run_fabric_scenario(seed: int) -> FabricFuzzResult:
 
 @dataclass(frozen=True)
 class ServeFuzzResult:
-    """Outcome of one :func:`run_serve_scenario` run."""
+    """The axes one serve or gray fuzz seed drew, and what the run measured."""
 
     seed: int
-    config: str
-    policy: str
-    arrival_kind: str
-    fault_profile: str
-    generated: int
-    completed: int
-    shed: int  # server-side sheds + client-side outbox rejects
-    failed: int
-    replayed: int
-    violations: tuple[str, ...]
-    fingerprint: str
+    fault_profile: str  # "none" | "crash"
+    result: ServeResult
+    gray_kinds: tuple = ()  # class names of the injected gray events
+    mitigated: bool = False  # a TailSpec was armed
+    detected: bool = False  # the differential gray scorer was armed
 
     @property
     def ok(self) -> bool:
         """Request conservation (and every other serve invariant) held.
 
-        Conservation itself — ``generated == completed + shed + failed``
-        with nothing left pending — is one of the ``check_invariants``
-        clauses folded into ``violations``; an empty tuple asserts it.
+        Conservation itself — ``generated == completed + shed +
+        shed_client + failed`` with nothing left pending — is one of the
+        ``check_invariants`` clauses folded into ``result.violations``.
         """
-        return self.generated > 0 and not self.violations
+        return self.result.generated > 0 and self.result.ok
 
 
 def run_serve_scenario(seed: int) -> ServeFuzzResult:
@@ -1017,20 +1015,7 @@ def run_serve_scenario(seed: int) -> ServeFuzzResult:
         use_monitor=True,
         **kwargs,
     )
-    return ServeFuzzResult(
-        seed=seed,
-        config=config,
-        policy=policy,
-        arrival_kind=arrival_kind,
-        fault_profile=fault_profile,
-        generated=res.generated,
-        completed=res.completed,
-        shed=res.shed + res.shed_client,
-        failed=res.failed,
-        replayed=res.replayed,
-        violations=res.violations,
-        fingerprint=res.fingerprint,
-    )
+    return ServeFuzzResult(seed=seed, fault_profile=fault_profile, result=res)
 
 
 # ---------------------------------------------------------------------------
@@ -1038,33 +1023,7 @@ def run_serve_scenario(seed: int) -> ServeFuzzResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class GrayFuzzResult:
-    """Outcome of one :func:`run_gray_scenario` run."""
-
-    seed: int
-    config: str
-    policy: str
-    gray_kinds: tuple  # class names of the injected gray events
-    mitigated: bool  # a TailSpec was armed
-    detected: bool  # the differential gray scorer was armed
-    generated: int
-    completed: int
-    shed: int
-    failed: int
-    replayed: int
-    hedges_sent: int
-    retries_sent: int
-    duplicate_responses: int
-    violations: tuple
-    fingerprint: str
-
-    @property
-    def ok(self) -> bool:
-        return self.generated > 0 and not self.violations
-
-
-def run_gray_scenario(seed: int) -> GrayFuzzResult:
+def run_gray_scenario(seed: int) -> ServeFuzzResult:
     """One randomized serving run under gray (degraded-mode) faults.
 
     Parameters come from their own ``multiedge-fuzz-gray:<seed>`` RNG
@@ -1108,7 +1067,8 @@ def run_gray_scenario(seed: int) -> GrayFuzzResult:
         service=rng.choice((("fixed", 20_000), ("exp", 30_000))),
     )
     tail = None
-    if rng.random() < 0.7:
+    mitigated = rng.random() < 0.7
+    if mitigated:
         tail = TailSpec(
             hedge=rng.random() < 0.8,
             retry_budget=rng.choice((0.05, 0.1, 0.2)),
@@ -1183,23 +1143,13 @@ def run_gray_scenario(seed: int) -> GrayFuzzResult:
         gray_detection=detected,
         **kwargs,
     )
-    return GrayFuzzResult(
+    return ServeFuzzResult(
         seed=seed,
-        config=config,
-        policy=policy,
+        fault_profile="crash" if kwargs else "none",
+        result=res,
         gray_kinds=tuple(type(ev).__name__ for ev in faults),
-        mitigated=tail is not None,
+        mitigated=mitigated,
         detected=detected,
-        generated=res.generated,
-        completed=res.completed,
-        shed=res.shed + res.shed_client,
-        failed=res.failed,
-        replayed=res.replayed,
-        hedges_sent=res.hedges_sent,
-        retries_sent=res.retries_sent,
-        duplicate_responses=res.duplicate_responses,
-        violations=res.violations,
-        fingerprint=res.fingerprint,
     )
 
 

@@ -1,34 +1,57 @@
-"""Tests for the leaf-spine multi-switch topology (paper §6 future work)."""
+"""Tests for the two-tier single-spine topology (paper §6 future work)."""
 
 import pytest
 
 from repro.bench import make_cluster
 from repro.bench.micro import run_one_way
+from repro.fabric import LeafSpineSpec
+
+# 8 nodes over 2 leaves joined by one spine: cross-leaf traffic shares a
+# single uplink per leaf (4:1 oversubscribed at equal link speeds).
+TWO_LEAVES = LeafSpineSpec(leaves=2, spines=1, hosts_per_leaf=4)
+
+# Virtual time at which 8 sequential 256 KiB rdma_writes from node 0 to
+# node 7 finish on TWO_LEAVES (1 488 frames through the spine).
+CROSS_LEAF_8X256K_NS = 20_313_229
+
+
+def _tiers(cluster):
+    """(spines, leaves) of rail 0's fabric."""
+    switches = cluster.fabrics[0].switches
+    return (
+        [sw for sw in switches if sw.tier == "spine"],
+        [sw for sw in switches if sw.tier == "leaf"],
+    )
 
 
 def test_leaf_spine_builds():
-    cluster = make_cluster("1L-1G", nodes=8, leaf_switches=2)
-    assert len(cluster.leaves[0]) == 2
-    assert len(cluster.spines) == 1
-    assert cluster.config.leaf_switches == 2
+    cluster = make_cluster("1L-1G", nodes=8, fabric=TWO_LEAVES)
+    spines, leaves = _tiers(cluster)
+    assert len(leaves) == 2
+    assert len(spines) == 1
+    assert cluster.config.fabric.leaves == 2
 
 
 def test_validation():
     with pytest.raises(ValueError):
-        make_cluster("1L-1G", nodes=2, leaf_switches=0)
+        LeafSpineSpec(leaves=0, spines=1, hosts_per_leaf=1)
     with pytest.raises(ValueError):
-        make_cluster("1L-1G", nodes=2, leaf_switches=4)
+        make_cluster(
+            "1L-1G", nodes=5,
+            fabric=LeafSpineSpec(leaves=4, spines=1, hosts_per_leaf=1),
+        )
 
 
 def test_same_leaf_traffic_avoids_spine():
-    cluster = make_cluster("1L-1G", nodes=8, leaf_switches=2)
+    cluster = make_cluster("1L-1G", nodes=8, fabric=TWO_LEAVES)
     run_one_way(cluster, 65536)  # nodes 0 and 1: both on leaf 0
-    assert cluster.spines[0].forwarded == 0
-    assert cluster.leaves[0][0].forwarded > 0
+    spines, leaves = _tiers(cluster)
+    assert spines[0].forwarded == 0
+    assert leaves[0].forwarded > 0
 
 
 def test_cross_leaf_traffic_uses_spine():
-    cluster = make_cluster("1L-1G", nodes=8, leaf_switches=2)
+    cluster = make_cluster("1L-1G", nodes=8, fabric=TWO_LEAVES)
     a, b = cluster.connect(0, 5)
     size = 65536
     src = a.node.memory.alloc(size)
@@ -43,12 +66,33 @@ def test_cross_leaf_traffic_uses_spine():
     proc = cluster.sim.process(app())
     cluster.sim.run_until_done(proc, limit=60_000_000_000)
     assert b.node.memory.read(dst, size) == payload
-    assert cluster.spines[0].forwarded > 0
+    assert _tiers(cluster)[0][0].forwarded > 0
+
+
+def test_cross_leaf_transfer_time_pinned():
+    cluster = make_cluster("1L-1G", nodes=8, fabric=TWO_LEAVES)
+    a, b = cluster.connect(0, 7)
+    size = 256 * 1024
+    src = a.node.memory.alloc(size)
+    dst = b.node.memory.alloc(size)
+    a.node.memory.write(src, b"x" * size)
+
+    def app():
+        for _ in range(8):
+            h = yield from a.rdma_write(src, dst, size)
+            yield from h.wait()
+
+    proc = cluster.sim.process(app())
+    cluster.sim.run_until_done(proc, limit=60_000_000_000)
+    assert cluster.sim.now == CROSS_LEAF_8X256K_NS
+    spines, leaves = _tiers(cluster)
+    assert [sw.forwarded for sw in spines + leaves] == [1488, 1488, 1488]
+    assert sum(sw.dropped_total for sw in cluster.all_switches) == 0
 
 
 def test_cross_leaf_latency_higher_than_same_leaf():
     def small_latency(i, j):
-        cluster = make_cluster("1L-1G", nodes=8, leaf_switches=2)
+        cluster = make_cluster("1L-1G", nodes=8, fabric=TWO_LEAVES)
         from repro.ethernet import OpFlags
 
         a, b = cluster.connect(i, j)
@@ -73,7 +117,7 @@ def test_cross_leaf_latency_higher_than_same_leaf():
 
 def test_oversubscribed_uplink_congests():
     """Many cross-leaf senders share one uplink: it must bottleneck."""
-    cluster = make_cluster("1L-1G", nodes=8, leaf_switches=2)
+    cluster = make_cluster("1L-1G", nodes=8, fabric=TWO_LEAVES)
     size = 200_000
     procs = []
     # Nodes 0-3 (leaf 0) all send to nodes 4-7 (leaf 1): 4 flows, 1 uplink.
@@ -100,7 +144,10 @@ def test_oversubscribed_uplink_congests():
 
 def test_fat_uplink_removes_bottleneck():
     cluster = make_cluster(
-        "1L-1G", nodes=8, leaf_switches=2, uplink_speed_bps=10e9
+        "1L-1G", nodes=8,
+        fabric=LeafSpineSpec(
+            leaves=2, spines=1, hosts_per_leaf=4, trunk_speed_bps=10e9
+        ),
     )
     size = 200_000
     procs = []
@@ -126,13 +173,16 @@ def test_fat_uplink_removes_bottleneck():
 def test_dsm_app_runs_on_leaf_spine():
     from repro.apps import FftApp, run_app
 
-    result = run_app(FftApp(m=32), nodes=8, leaf_switches=2)
+    result = run_app(FftApp(m=32), nodes=8, fabric=TWO_LEAVES)
     assert result.verified
 
 
 def test_thirtytwo_node_cluster():
     """Beyond the paper's 16 nodes: a 32-node, 4-leaf fabric works."""
-    cluster = make_cluster("1L-1G", nodes=32, leaf_switches=4)
+    cluster = make_cluster(
+        "1L-1G", nodes=32,
+        fabric=LeafSpineSpec(leaves=4, spines=1, hosts_per_leaf=8),
+    )
     a, b = cluster.connect(0, 31)
     src = a.node.memory.alloc(4096)
     dst = b.node.memory.alloc(4096)

@@ -180,13 +180,6 @@ class TestClusterIntegration:
                 fabric=LeafSpineSpec(leaves=2, spines=2, hosts_per_leaf=2),
             )
 
-    def test_fabric_excludes_leaf_switches(self):
-        with pytest.raises(ValueError):
-            make_cluster(
-                "2L-1G", nodes=2, seed=0, leaf_switches=2,
-                fabric=LeafSpineSpec(),
-            )
-
     def test_all_switches_reports_fabric_switches(self):
         cluster = make_cluster(
             "1L-1G", nodes=4, seed=0, synthetic_payloads=True,

@@ -165,7 +165,12 @@ def test_nic_rx_pending_refuses():
 
 
 def test_multi_hop_fabric_refuses():
-    cluster = make_cluster("1L-1G", nodes=4, fastpath=True, leaf_switches=2)
+    from repro.fabric import LeafSpineSpec
+
+    cluster = make_cluster(
+        "1L-1G", nodes=4, fastpath=True,
+        fabric=LeafSpineSpec(leaves=2, spines=1, hosts_per_leaf=2),
+    )
     a, _ = cluster.connect(0, 1)
     assert _reason(a.conn) == "multi-hop-fabric"
 

@@ -89,24 +89,24 @@ def test_leaf_affinity_balances_within_leaf():
     assert lb.choose(_req()) == 2
 
 
-def test_leaf_of_fabric_and_classic_and_single():
+def test_leaf_of_fabric_and_single_spine_and_single():
     fabric_cluster = SimpleNamespace(
         config=SimpleNamespace(
             fabric=LeafSpineSpec(leaves=2, spines=2, hosts_per_leaf=3),
-            leaf_switches=1,
             nodes=6,
         )
     )
     assert [leaf_of(fabric_cluster, n) for n in range(6)] == [0, 0, 0, 1, 1, 1]
 
-    classic = SimpleNamespace(
-        config=SimpleNamespace(fabric=None, leaf_switches=2, nodes=4)
+    single_spine = SimpleNamespace(
+        config=SimpleNamespace(
+            fabric=LeafSpineSpec(leaves=2, spines=1, hosts_per_leaf=2),
+            nodes=4,
+        )
     )
-    assert [leaf_of(classic, n) for n in range(4)] == [0, 0, 1, 1]
+    assert [leaf_of(single_spine, n) for n in range(4)] == [0, 0, 1, 1]
 
-    single = SimpleNamespace(
-        config=SimpleNamespace(fabric=None, leaf_switches=1, nodes=4)
-    )
+    single = SimpleNamespace(config=SimpleNamespace(fabric=None, nodes=4))
     assert [leaf_of(single, n) for n in range(4)] == [0, 0, 0, 0]
 
 

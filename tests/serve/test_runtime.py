@@ -5,12 +5,16 @@ the request-conservation invariant, and the fault scenarios exercise
 the client-side journal replay across server crash + reconnect.
 """
 
+from collections import Counter
+
 import pytest
 
 from repro.analysis import SloSpec, summarize_cluster
 from repro.bench.cluster import make_cluster
 from repro.bench.serve import ServeRun, run_serve
 from repro.serve import ArrivalSpec, ServeConfig, ServerSpec
+from repro.serve.runtime import ServeRuntime
+from repro.serve.tail import QuantileTracker
 
 _MS = 1_000_000
 
@@ -167,6 +171,90 @@ def test_crash_replays_journal_and_recovers():
     # The crashed server served again after reconnect: its share of the
     # completions exceeds what it served before dying.
     assert r.server_served[3] > 0
+
+
+def test_crash_with_backed_up_outbox_replays_each_request_once(monkeypatch):
+    """A request that is both journaled and still queued in the outbox
+    toward the dead server is one abandoned attempt, not two."""
+    dispatched = Counter()
+    real_dispatch = ServeRuntime._dispatch
+
+    def counting_dispatch(self, req):
+        dispatched[req.req_id] += 1
+        real_dispatch(self, req)
+
+    monkeypatch.setattr(ServeRuntime, "_dispatch", counting_dispatch)
+    crash_ns = 2_054_649
+    run = ServeRun(
+        config="1L-10G",
+        n_clients=1,
+        n_servers=3,
+        arrival=ArrivalSpec(
+            kind="bursty",
+            rate_rps=60_000,
+            request_bytes=("uniform", 32, 1_024),
+            response_bytes=("uniform", 64, 2_048),
+            batch=64,
+        ),
+        server=ServerSpec(queue_cap=4, workers=4, service=("fixed", 20_000)),
+        duration_ns=7_252_214,
+        seed=91,
+        outbox_cap=64,
+        crash_server=2,
+        crash_ns=crash_ns,
+        restart_delay_ns=1_745_427,
+    )
+    backlog = []
+    run.cluster.sim.at(
+        crash_ns - 1,
+        lambda: backlog.append(len(run.runtime.outboxes[(0, 2)].entries)),
+    )
+    r = run.finish()
+    assert backlog[0] > 0, "the outbox toward the crashed server was empty"
+    assert r.ok, r.violations
+    # Two servers survive, so nothing parks: a request is dispatched once
+    # on arrival and once more if its only attempt died with server 2.
+    abandoned = [req_id for req_id, n in dispatched.items() if n > 1]
+    assert max(dispatched.values()) == 2
+    assert r.replayed == len(abandoned) > 0
+    assert r.duplicate_responses <= r.replayed
+
+
+def test_tail_none_does_no_tail_work(monkeypatch):
+    """``tail=None`` on the serve_poisson_10g benchmark parameters: no
+    hedge timer is ever armed and the hedge quantile is never fed."""
+    calls = Counter()
+    monkeypatch.setattr(
+        ServeRuntime, "_maybe_hedge",
+        lambda self, *args: calls.update(["hedge-timer"]),
+    )
+    monkeypatch.setattr(
+        QuantileTracker, "record",
+        lambda self, latency_ns: calls.update(["quantile-record"]),
+    )
+    run = ServeRun(
+        "1L-10G",
+        n_clients=2,
+        n_servers=2,
+        policy="least-outstanding",
+        arrival=ArrivalSpec(
+            kind="poisson",
+            rate_rps=110_000.0,
+            request_bytes=("fixed", 96),
+            response_bytes=("fixed", 128),
+            batch=1024,
+        ),
+        server=ServerSpec(queue_cap=512, workers=8, service=("fixed", 2000)),
+        duration_ns=6 * _MS,
+        seed=0,
+    )
+    r = run.finish()
+    assert r.ok and r.completed > 500
+    assert not calls
+    tail = run.runtime.tail
+    assert tail.budget.earned == tail.budget.spent == 0
+    assert not any(b.transitions for b in tail.breakers.values())
+    assert not any(tail.ejector.samples.values())
 
 
 def test_single_server_crash_parks_then_drains():

@@ -146,38 +146,52 @@ class TestFabricFuzz:
 class TestServeFuzz:
     """Randomized serving scenarios: conservation + invariants, pinned."""
 
-    # seed -> fingerprint at the PR that introduced repro.serve.
+    # seed -> fingerprint.  Seed 0 dates from the PR that introduced
+    # repro.serve; the crash seeds 1 and 5 were re-pinned when the
+    # double-replay path was removed (DESIGN.md, "Re-pinning fingerprints").
     PINNED = {
         0: "3284f4b7f2089d687071cc62309a0a478dd1801d43a2a05f808bce9f1f37e848",
-        1: "120bc9d1f3e8bc575b1b52b488ca3e830ce24f6bf30e3735a72518238d95a0af",
-        5: "a553532c5f7e49ecaaccd6bf860f83ed0a447d41d657d453fd0765c9123e58dc",
+        1: "468a73db56f119b7de257426826bbb5c7fc8f6fb9657b6733f6a48b11bebe3e6",
+        5: "a89f6b60d1723667722c4d2db7b166434f97c413cd63b3fb3a0f5a852957aaf2",
     }
 
     def test_request_conservation_across_seeds(self):
         from repro.verify.fuzz import run_serve_scenario
 
         for seed in range(4):
-            res = run_serve_scenario(seed)
-            assert res.ok, f"seed {seed}: {res.violations}"
+            run = run_serve_scenario(seed)
+            res = run.result
+            assert run.ok, f"seed {seed}: {res.violations}"
             assert res.generated == (
-                res.completed + res.shed + res.failed
+                res.completed + res.shed + res.shed_client + res.failed
             ), f"seed {seed} lost requests"
 
     def test_crash_seed_replays(self):
         """Seed 1 draws a crash profile; the journal must replay."""
         from repro.verify.fuzz import run_serve_scenario
 
-        res = run_serve_scenario(1)
-        assert res.fault_profile == "crash", (
+        run = run_serve_scenario(1)
+        assert run.fault_profile == "crash", (
             "seed 1 no longer draws a crash profile"
         )
-        assert res.ok and res.replayed > 0
+        assert run.ok and run.result.replayed > 0
+
+    def test_backed_up_outbox_crash_seeds_conserve(self):
+        """Seeds 31 and 91 crash a server while a bounded client outbox
+        toward it holds journaled requests; each must be replayed once,
+        or a request ends up both shed at the client and completed."""
+        from repro.verify.fuzz import run_serve_scenario
+
+        for seed in (31, 91):
+            run = run_serve_scenario(seed)
+            assert run.fault_profile == "crash"
+            assert run.ok, f"seed {seed}: {run.result.violations}"
 
     def test_serve_fingerprints_unchanged(self):
         from repro.verify.fuzz import run_serve_scenario
 
         for seed, expected in self.PINNED.items():
-            res = run_serve_scenario(seed)
+            res = run_serve_scenario(seed).result
             assert res.fingerprint == expected, (
                 f"serve fuzz seed {seed} drifted: {res.fingerprint}"
             )

@@ -7,27 +7,28 @@ grid only means something if (a) a seed is perfectly reproducible and
 (b) a modest seed range actually exercises the space.
 """
 
-from repro.verify.fuzz import GrayFuzzResult, run_gray_scenario
+from repro.verify.fuzz import ServeFuzzResult, run_gray_scenario
 
 
 def test_gray_scenario_is_deterministic():
     first = run_gray_scenario(3)
     second = run_gray_scenario(3)
-    assert isinstance(first, GrayFuzzResult)
-    assert first.fingerprint == second.fingerprint
+    assert isinstance(first, ServeFuzzResult)
     assert first.gray_kinds == second.gray_kinds
-    assert first.generated == second.generated
-    assert first.completed == second.completed
-    assert first.hedges_sent == second.hedges_sent
+    assert first.result.fingerprint == second.result.fingerprint
+    assert first.result.generated == second.result.generated
+    assert first.result.completed == second.result.completed
+    assert first.result.hedges_sent == second.result.hedges_sent
 
 
 def test_gray_scenarios_hold_invariants():
     for seed in range(10):
-        res = run_gray_scenario(seed)
-        assert res.ok, (seed, res.violations[:3])
+        run = run_gray_scenario(seed)
+        res = run.result
+        assert run.ok, (seed, res.violations[:3])
         assert res.generated > 0
         assert res.generated == (
-            res.completed + res.shed + res.failed
+            res.completed + res.shed + res.shed_client + res.failed
         ), seed
 
 
@@ -39,4 +40,4 @@ def test_gray_grid_covers_the_space():
     assert any(not r.mitigated for r in results)
     assert any(r.detected for r in results)
     assert any(not r.detected for r in results)
-    assert any(r.hedges_sent > 0 for r in results)
+    assert any(r.result.hedges_sent > 0 for r in results)

@@ -39,6 +39,7 @@ import time
 from pathlib import Path
 
 import pytest
+from conftest import tree_commit
 
 from repro.bench.cluster import make_cluster
 from repro.bench.micro import run_micro
@@ -162,6 +163,7 @@ def _time_stack_point(
             }
             if fastpath and cluster.fastpath is not None:
                 best["fastpath"] = cluster.fastpath.stats.to_dict()
+    best["commit"] = tree_commit()
     return best
 
 

@@ -15,7 +15,8 @@ Invocations:
 * full —
   ``PYTHONPATH=src python -m pytest benchmarks/bench_fastpath.py -m slow``
   measures all four configurations and rewrites ``BENCH_fastpath.json``
-  (acceptance: >= 10x on every configuration where a jump fires).
+  (acceptance: >= 10x on every configuration where a jump fires; the
+  single-rail ones, planned in closed form, sit two orders above that).
 """
 
 import json
@@ -23,6 +24,7 @@ import time
 from pathlib import Path
 
 import pytest
+from conftest import tree_commit
 
 from repro.bench.cluster import CONFIG_NAMES, make_cluster
 from repro.bench.micro import run_one_way
@@ -32,10 +34,12 @@ BENCH_JSON = REPO_ROOT / "BENCH_fastpath.json"
 
 SIZE = 1 << 20  # the 1 MB point the paper's Figure 2 peaks at
 
-# CI floor: measured speedups are 10-14x on a quiet box; 4x only trips on
-# a real regression (e.g. the detector refusing to arm), not shared-runner
-# noise.
-MIN_SMOKE_SPEEDUP = 4.0
+# CI floor: with run-length descriptors and the closed-form run advance
+# the 1L-1G point measures 220-310x here (the jump costs O(ops), ~1 ms);
+# 80x keeps the 2.5x margin the old 4x floor had under 10-14x, so it only
+# trips on a real regression (the detector refusing to arm, planning gone
+# per-frame again), not shared-runner noise.
+MIN_SMOKE_SPEEDUP = 80.0
 MAX_DIVERGENCE = 0.01
 
 
@@ -45,7 +49,7 @@ def _run(config: str, fastpath: bool) -> dict:
     result = run_one_way(cluster, SIZE)
     wall = time.perf_counter() - start
     out = {
-        "wall_s": round(wall, 4),
+        "wall_s": round(wall, 5),  # the fast-forwarded run takes ~1 ms
         "goodput_mb_s": round(result.throughput_mbps, 2),
         "elapsed_virtual_ns": result.elapsed_ns,
         "data_frames": result.data_frames,
@@ -81,6 +85,7 @@ def measure_point(config: str, repeats: int = 3) -> dict:
                     4,
                 ),
             }
+    best["commit"] = tree_commit()
     return best
 
 

@@ -4,11 +4,13 @@ One :class:`Connection` object lives at each endpoint of a point-to-point
 channel.  It owns:
 
 **Send side**
-  * operation submission: RDMA writes fragment into frame descriptors; RDMA
-    reads become a single READ_REQ frame,
+  * operation submission: an RDMA write queues run-length fragment
+    descriptors (N full-MTU fragments plus at most one tail), an RDMA
+    read a single READ_REQ fragment,
   * the sliding :class:`~repro.core.window.SendWindow`,
-  * the *pump*: the CPU-charged loop that moves frame descriptors into NIC
-    TX rings, choosing a rail per frame via the striping policy, assigning
+  * the *pump*: the CPU-charged loop that peels one frame at a time off
+    the head run into NIC TX rings, choosing a rail per frame via the
+    striping policy, assigning
     sequence numbers in actual transmission order, and piggy-backing the
     current cumulative ack on every frame,
   * forward-fence enforcement (later operations are withheld until the
@@ -162,20 +164,32 @@ class Notification:
     delivered_at: int
 
 
-@dataclass(slots=True)
-class _FrameDesc:
-    """A not-yet-transmitted fragment of an operation.
+class _FragmentRun:
+    """``count`` not-yet-transmitted, equally sized fragments of one operation.
 
-    ``payload_len`` is authoritative for frame sizing; ``payload`` holds
-    the actual bytes, or None for READ_REQs and synthetic-payload mode.
+    Fragment ``k`` carries ``payload_len`` bytes for ``remote_address +
+    k * payload_len``, sliced from ``data`` at ``offset + k * payload_len``
+    only when it goes to a NIC.  ``data`` is None for READ_REQs and in
+    synthetic-payload mode.  A run in ``Connection.unsent`` is never empty.
     """
 
-    op: Operation
-    payload: Optional[bytes]
-    remote_address: int
-    payload_len: int = 0
-    is_read_req: bool = False
-    read_dest_address: int = 0  # READ_REQ: requester's local buffer
+    __slots__ = ("op", "remote_address", "payload_len", "count", "data", "offset")
+
+    def __init__(
+        self,
+        op: Operation,
+        remote_address: int,
+        payload_len: int,
+        count: int = 1,
+        data: Optional[bytes] = None,
+        offset: int = 0,
+    ) -> None:
+        self.op = op
+        self.remote_address = remote_address
+        self.payload_len = payload_len
+        self.count = count
+        self.data = data
+        self.offset = offset
 
 
 class Connection:
@@ -206,7 +220,10 @@ class Connection:
 
         # ---- send state ----
         self.window = SendWindow(self.params.window_frames)
-        self.unsent: Deque[_FrameDesc] = deque()
+        # Unsent fragments, run-length encoded; unsent_frames is the number
+        # of frames they stand for (len(self.unsent) counts runs).
+        self.unsent: Deque[_FragmentRun] = deque()
+        self.unsent_frames = 0
         self._retransmit_q: Deque[int] = deque()  # seqs to retransmit
         self._frame_op: dict[int, Operation] = {}  # seq -> op
         self.striping = make_striping_policy(self.params.striping, self.nics)
@@ -276,6 +293,26 @@ class Connection:
     # Operation submission (runs in the caller's CPU context)
     # ------------------------------------------------------------------
 
+    def _fragment(
+        self, op: Operation, data: Optional[bytes]
+    ) -> list[_FragmentRun]:
+        """``op.length`` bytes bound for ``op.remote_address`` as a run of
+        full-MTU fragments plus at most one tail; O(1) in the frame count."""
+        mtu = max_payload_per_frame()
+        full, tail = divmod(op.length, mtu)
+        runs = []
+        if full:
+            runs.append(_FragmentRun(op, op.remote_address, mtu, full, data))
+        if tail:
+            runs.append(
+                _FragmentRun(
+                    op, op.remote_address + full * mtu, tail, 1, data, full * mtu
+                )
+            )
+        op.frames_total = full + (1 if tail else 0)
+        self.unsent_frames += op.frames_total
+        return runs
+
     def submit_write(
         self,
         local_address: int,
@@ -283,7 +320,7 @@ class Connection:
         length: int,
         flags: int = 0,
     ) -> Operation:
-        """Fragment an RDMA write into frame descriptors and queue them.
+        """Queue an RDMA write as run-length fragment descriptors.
 
         Pure bookkeeping — the caller charges CPU and then drives
         :meth:`pump`.  The data is copied out of user memory here (the
@@ -303,22 +340,12 @@ class Connection:
             length=length,
         )
         self._next_op_seq += 1
-        synthetic = self.params.synthetic_payloads
-        data = None if synthetic else self.node.memory.read(local_address, length)
-        mtu = max_payload_per_frame()
-        offset = 0
-        while offset < length:
-            n = min(mtu, length - offset)
-            self.unsent.append(
-                _FrameDesc(
-                    op=op,
-                    payload=None if synthetic else data[offset : offset + n],
-                    remote_address=remote_address + offset,
-                    payload_len=n,
-                )
-            )
-            op.frames_total += 1
-            offset += n
+        data = (
+            None
+            if self.params.synthetic_payloads
+            else self.node.memory.read(local_address, length)
+        )
+        self.unsent.extend(self._fragment(op, data))
         if op.forward_fenced:
             self._forward_fences.append(op)
         self.stats.ops_submitted += 1
@@ -361,13 +388,9 @@ class Connection:
             nonlocal frame_segs, frame_bytes
             payload = encode_scatter_records(frame_segs)
             self.unsent.append(
-                _FrameDesc(
-                    op=op,
-                    payload=payload,
-                    remote_address=segments[0][0],
-                    payload_len=len(payload),
-                )
+                _FragmentRun(op, segments[0][0], len(payload), data=payload)
             )
+            self.unsent_frames += 1
             op.frames_total += 1
             op.length += len(payload)
             frame_segs, frame_bytes = [], 0
@@ -415,15 +438,8 @@ class Connection:
         )
         self._next_op_seq += 1
         op.frames_total = 1
-        self.unsent.append(
-            _FrameDesc(
-                op=op,
-                payload=None,
-                remote_address=remote_address,
-                is_read_req=True,
-                read_dest_address=local_address,
-            )
-        )
+        self.unsent.append(_FragmentRun(op, remote_address, 0))
+        self.unsent_frames += 1
         self._pending_reads[op.op_id] = op
         if op.forward_fenced:
             self._forward_fences.append(op)
@@ -448,26 +464,15 @@ class Connection:
             length=length,
         )
         self._next_op_seq += 1
-        synthetic = self.params.synthetic_payloads
-        data = None if synthetic else self.node.memory.read(source, length)
-        mtu = max_payload_per_frame()
-        descs = []
-        offset = 0
-        while offset < length:
-            n = min(mtu, length - offset)
-            descs.append(
-                _FrameDesc(
-                    op=op,
-                    payload=None if synthetic else data[offset : offset + n],
-                    remote_address=op.remote_address + offset,
-                    payload_len=n,
-                )
-            )
-            op.frames_total += 1
-            offset += n
+        data = (
+            None
+            if self.params.synthetic_payloads
+            else self.node.memory.read(source, length)
+        )
+        runs = self._fragment(op, data)
         # Responses bypass forward fences (see _fence_blocked), so they
-        # must not queue behind descriptors a fence is withholding: slot
-        # them ahead of the first fence-blocked descriptor.
+        # must not queue behind fragments a fence is withholding: slot
+        # them ahead of the first fence-blocked run.
         idx = len(self.unsent)
         if self._forward_fences:
             barrier = self._forward_fences[0].op_seq
@@ -478,8 +483,8 @@ class Connection:
                 ):
                     idx = k
                     break
-        for k, desc in enumerate(descs):
-            self.unsent.insert(idx + k, desc)
+        for k, run in enumerate(runs):
+            self.unsent.insert(idx + k, run)
         if self.monitor is not None:
             self.monitor.on_op_submitted(self, op)
 
@@ -549,7 +554,7 @@ class Connection:
     def _sendable_now(self) -> int:
         n = len(self._retransmit_q)
         if self.unsent and not self._fence_blocked():
-            n += min(len(self.unsent), self.window.available)
+            n += min(self.unsent_frames, self.window.available)
         return n
 
     def _send_one(self) -> bool:
@@ -593,28 +598,40 @@ class Connection:
         window = self.window
         if not unsent or not window.can_send or self._fence_blocked():
             return False
-        next_bytes = unsent[0].payload_len or 64
-        rail = self.striping.next_rail(next_bytes)
+        run = unsent[0]
+        plen = run.payload_len
+        rail = self.striping.next_rail(plen or 64)
         if rail is None:
             return False
-        desc = unsent.popleft()
+        # Peel one frame off the head run.
+        op = run.op
+        address = run.remote_address
+        data = run.data
+        payload = None if data is None else data[run.offset : run.offset + plen]
+        if run.count == 1:
+            unsent.popleft()
+        else:
+            run.count -= 1
+            run.remote_address = address + plen
+            run.offset += plen
+        self.unsent_frames -= 1
         seq = window.allocate_seq()
         cum_ack = self.tracker.cum_ack
         nic = self.nics[rail]
-        if desc.is_read_req:
+        if op.kind == Operation.READ:
             frame = make_read_req_frame(
                 src_mac=nic.mac,
                 dst_mac=self.peer_macs[rail],
                 connection_id=self.conn_id,
                 seq=seq,
                 ack=cum_ack,
-                op_id=desc.op.op_id,
-                op_seq=desc.op.op_seq,
-                op_flags=desc.op.flags,
-                remote_address=desc.remote_address,
-                op_length=desc.op.length,
+                op_id=op.op_id,
+                op_seq=op.op_seq,
+                op_flags=op.flags,
+                remote_address=address,
+                op_length=op.length,
             )
-            frame.control = desc.read_dest_address
+            frame.control = op.local_address  # requester's buffer
         else:
             frame = make_data_frame(
                 src_mac=nic.mac,
@@ -622,22 +639,22 @@ class Connection:
                 connection_id=self.conn_id,
                 seq=seq,
                 ack=cum_ack,
-                op_id=desc.op.op_id,
-                op_seq=desc.op.op_seq,
-                op_flags=desc.op.flags,
-                remote_address=desc.remote_address,
-                op_length=desc.op.length,
-                payload=desc.payload,
-                read_response=desc.op.kind == Operation.READ_RESP,
-                payload_length=desc.payload_len,
+                op_id=op.op_id,
+                op_seq=op.op_seq,
+                op_flags=op.flags,
+                remote_address=address,
+                op_length=op.length,
+                payload=payload,
+                read_response=op.kind == Operation.READ_RESP,
+                payload_length=plen,
             )
         if self.ack_policy.echo_pending:
             frame.header.flags |= ECN_ECHO
             self.ecn_echoes_sent += 1
         if self.recovery is not None:
             frame.incarnation = self.local_incarnation
-        window.register(frame, desc.op.op_id, self.sim.now, rail=rail)
-        self._frame_op[seq] = desc.op
+        window.register(frame, op.op_id, self.sim.now, rail=rail)
+        self._frame_op[seq] = op
         nic.transmit(frame)
         stats = self.stats
         stats.data_frames_sent += 1
@@ -941,8 +958,8 @@ class Connection:
         pending: dict[int, Operation] = {}
         for op in self._frame_op.values():
             pending[id(op)] = op
-        for desc in self.unsent:
-            pending[id(desc.op)] = desc.op
+        for run in self.unsent:
+            pending[id(run.op)] = run.op
         for op in self._pending_reads.values():
             pending[id(op)] = op
         for op in self._forward_fences:
@@ -981,6 +998,7 @@ class Connection:
         self._cancel_delayed_ack()
         self._cancel_nack_timer()
         self.unsent.clear()
+        self.unsent_frames = 0
         self._retransmit_q.clear()
         self.window.inflight.clear()
         self._frame_op.clear()

@@ -242,7 +242,7 @@ def close_connection(
     sim = stack.node.sim
     # Drain: wait until everything sent has been acknowledged.
     waited = 0
-    while conn.window.in_flight_count or conn.unsent:
+    while conn.window.in_flight_count or conn.unsent_frames:
         yield 200_000
         waited += 1
         if waited > 10_000:

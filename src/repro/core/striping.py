@@ -40,6 +40,11 @@ __all__ = [
 class StripingPolicy:
     """Chooses the rail for the next frame."""
 
+    # True when, with one unmasked rail, next_rail() only reads that
+    # rail's TX ring and mutates nothing, so a caller placing a run of
+    # frames may ask once for the whole run.
+    stateless_on_one_rail = False
+
     def __init__(self, nics: Sequence[Nic]) -> None:
         if not nics:
             raise ValueError("striping policy needs at least one rail")
@@ -122,6 +127,8 @@ class RoundRobinStriping(StripingPolicy):
     while preserving the paper's policy for the full-frame common case.
     """
 
+    stateless_on_one_rail = True
+
     def __init__(self, nics: Sequence[Nic]) -> None:
         super().__init__(nics)
         self._cursor = 0
@@ -183,6 +190,8 @@ class RoundRobinStriping(StripingPolicy):
 class ShortestQueueStriping(StripingPolicy):
     """Adaptive: send on the rail with the most free TX descriptors."""
 
+    stateless_on_one_rail = True
+
     def next_rail(self, wire_bytes: int = 0) -> Optional[int]:
         best, best_free = None, 0
         masked = self.masked
@@ -198,6 +207,8 @@ class ShortestQueueStriping(StripingPolicy):
 class SingleRailStriping(StripingPolicy):
     """Always rail 0 (baseline).  Falls over to the lowest active rail if
     the control plane masks rail 0."""
+
+    stateless_on_one_rail = True
 
     def next_rail(self, wire_bytes: int = 0) -> Optional[int]:
         masked = self.masked

@@ -111,11 +111,16 @@ class SendWindow:
         Returns the freed records (the connection completes ops from them).
         Stale acks free nothing.
         """
-        if not self.inflight:
-            return []
-        freed = [rec for seq, rec in self.inflight.items() if seq < cum_ack]
+        inflight = self.inflight
+        freed: list[InflightFrame] = []
+        # Records sit in seq order (registered in allocate_seq order, and a
+        # retransmission never re-registers), so the freed ones are a prefix.
+        for seq, rec in inflight.items():
+            if seq >= cum_ack:
+                break
+            freed.append(rec)
         for rec in freed:
-            del self.inflight[rec.frame.header.seq]
+            del inflight[rec.frame.header.seq]
         return freed
 
     def get_for_retransmit(self, seq: int) -> Optional[InflightFrame]:

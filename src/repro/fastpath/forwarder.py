@@ -2,13 +2,15 @@
 
 A :class:`FlowForwarder` sits on ``connection.fastpath`` and intercepts
 the pump.  When the steady-state detector clears the flow, the forwarder
-*plans* every queued frame descriptor through the :class:`PathModel` —
-walking the striping policy per frame so per-rail byte deficits advance
-exactly as the frame path would — and schedules **one** cancellable
-engine event per operation at the instant the receiver would finish
-processing its last frame.  Descriptors stay in ``conn.unsent`` until
-that event fires, so an abort rewinds an unfinished operation wholesale
-to its pre-jump state.
+*plans* every queued fragment run through the :class:`PathModel` and
+schedules **one** cancellable engine event per operation at the instant
+the receiver would finish processing its last frame.  A run that stays
+on one rail advances the model in closed form (:meth:`_advance`), so
+planning costs O(operations); a striped run walks the striping policy
+per frame so per-rail byte deficits advance exactly as the frame path
+would.  Runs stay in ``conn.unsent``, untouched, until that event fires,
+so an abort rewinds an unfinished operation wholesale to its pre-jump
+state.
 
 At each op event the forwarder synthesizes, atomically, every side
 effect the frame cascade would have produced: sequence/window advance,
@@ -39,18 +41,18 @@ class _PlannedOp:
     """One operation's analytically computed completion."""
 
     __slots__ = (
-        "op", "n_frames", "payload_bytes", "t_event", "entry", "rail_tx",
-        "writes", "memcpy_total", "n_irqs", "base_address", "strip_snapshot",
+        "op", "n_runs", "n_frames", "payload_bytes", "t_event", "entry",
+        "rail_tx", "memcpy_total", "n_irqs", "base_address", "strip_snapshot",
     )
 
     def __init__(self, op) -> None:
         self.op = op
+        self.n_runs = 0  # runs at the head of unsent this op will consume
         self.n_frames = 0
         self.payload_bytes = 0
         self.t_event = 0
         self.entry = None
         self.rail_tx: dict[int, list[int]] = {}  # rail -> [frames, wire_bytes]
-        self.writes: list[tuple[int, bytes]] = []
         self.memcpy_total = 0
         self.n_irqs = 0
         self.base_address = 1 << 62
@@ -75,6 +77,15 @@ def _restore_striping(striping, snapshot) -> None:
         striping._assigned_bytes[:] = assigned
 
 
+def _count_tx(rail_tx: dict, rail: int, frames: int, wire_bytes: int) -> None:
+    tx = rail_tx.get(rail)
+    if tx is None:
+        rail_tx[rail] = [frames, wire_bytes]
+    else:
+        tx[0] += frames
+        tx[1] += wire_bytes
+
+
 class FlowForwarder:
     """Per-endpoint fast-forward state for one connection direction."""
 
@@ -86,7 +97,7 @@ class FlowForwarder:
         self.model = PathModel(conn, peer, manager.cluster)
         self.active = False
         self._pending: deque[_PlannedOp] = deque()
-        self._planned_descs = 0  # descs at the head of unsent already planned
+        self._planned_runs = 0  # runs at the head of unsent already planned
         # Fluid timeline (absolute ns), valid while active.
         self._rail_free: list[int] = []
         self._sw_free: list[int] = []
@@ -150,10 +161,10 @@ class FlowForwarder:
         self._tx_irq_free_frames = self.conn.window.limit
 
     def _plan_new(self) -> bool:
-        """Plan unplanned descriptors; False on an unsupported shape."""
+        """Plan unplanned runs; False on an unsupported shape."""
         conn = self.conn
         unsent = conn.unsent
-        start = self._planned_descs
+        start = self._planned_runs
         if start >= len(unsent):
             return True
         m = self.model
@@ -164,71 +175,100 @@ class FlowForwarder:
             self._tx_cpu_free = now
         if self._rx_cpu_free < now:
             self._rx_cpu_free = now
-        rail_free = self._rail_free
-        sw_free = self._sw_free
+        # With one unmasked rail every frame of a run takes rail 0 and
+        # choosing it mutates nothing, so one call places the whole run.
+        one_rail = (
+            len(conn.nics) == 1
+            and not striping.masked
+            and striping.stateless_on_one_rail
+        )
+        tx_busy = m.tx_busy_ns
+        tx_busy_irq_free = tx_busy - m.tx_irq_amortized_ns
         rec: Optional[_PlannedOp] = None
-        t_deliver = self._rx_cpu_free
         for i in range(start, len(unsent)):
-            desc = unsent[i]
-            op = desc.op
-            if (
-                desc.is_read_req
-                or op.kind != Operation.WRITE
-                or op.flags & UNSUPPORTED_OP_FLAGS
-            ):
+            run = unsent[i]
+            op = run.op
+            if op.kind != Operation.WRITE or op.flags & UNSUPPORTED_OP_FLAGS:
+                if rec is not None:
+                    _restore_striping(striping, rec.strip_snapshot)
                 return False
             if rec is None or rec.op is not op:
                 if rec is not None:
-                    self._commit_planned(rec, t_deliver, sim)
+                    self._commit_planned(rec, sim)
                 rec = _PlannedOp(op)
                 rec.strip_snapshot = _snapshot_striping(striping)
-            plen = desc.payload_len
-            _, wire = frame_sizes(plen)
-            rail = striping.next_rail(plen or 64)
-            if rail is None:
-                return False
+            n = run.count
+            plen = run.payload_len
+            wire = frame_sizes(plen)[1]
             wt = m.wire_ns(wire)
-            tx_cost = m.tx_busy_ns
-            if self._tx_irq_free_frames > 0:
-                tx_cost -= m.tx_irq_amortized_ns
-                self._tx_irq_free_frames -= 1
-            self._tx_cpu_free += tx_cost
-            depart = max(
-                self._tx_cpu_free + m.tx_dma_ns + m.jitter_mean_ns,
-                rail_free[rail],
-            ) + wt
-            rail_free[rail] = depart
-            out = max(depart + m.prop_ns + m.fwd_ns, sw_free[rail]) + wt
-            sw_free[rail] = out
-            visible = out + m.prop_ns + m.rx_dma_ns
-            cost = m.per_frame_recv_ns + m.memcpy_ns(plen)
-            t_deliver = (
-                max(visible + m.irq_latency_ns, self._rx_cpu_free)
-                + cost
-                + m.irq_amortized_ns
-            )
-            self._rx_cpu_free = t_deliver
-            rec.n_frames += 1
-            rec.payload_bytes += plen
-            rec.memcpy_total += m.memcpy_ns(plen)
-            if desc.remote_address < rec.base_address:
-                rec.base_address = desc.remote_address
-            tx = rec.rail_tx.get(rail)
-            if tx is None:
-                rec.rail_tx[rail] = [1, wire]
+            copy_ns = m.memcpy_ns(plen)
+            rx_cost = m.per_frame_recv_ns + copy_ns + m.irq_amortized_ns
+            if one_rail:
+                if striping.next_rail(plen or 64) is None:
+                    return False
+                # Split once where the free TX-completion interrupts run out.
+                free = min(n, self._tx_irq_free_frames)
+                self._tx_irq_free_frames -= free
+                if free:
+                    self._advance(0, free, tx_busy_irq_free, wt, rx_cost)
+                if n > free:
+                    self._advance(0, n - free, tx_busy, wt, rx_cost)
+                _count_tx(rec.rail_tx, 0, n, n * wire)
             else:
-                tx[0] += 1
-                tx[1] += wire
-            if desc.payload is not None:
-                rec.writes.append((desc.remote_address, desc.payload))
-            self._planned_descs += 1
+                for _ in range(n):
+                    rail = striping.next_rail(plen or 64)
+                    if rail is None:
+                        _restore_striping(striping, rec.strip_snapshot)
+                        return False
+                    tx_cost = tx_busy
+                    if self._tx_irq_free_frames > 0:
+                        self._tx_irq_free_frames -= 1
+                        tx_cost = tx_busy_irq_free
+                    self._advance(rail, 1, tx_cost, wt, rx_cost)
+                    _count_tx(rec.rail_tx, rail, 1, wire)
+            rec.n_runs += 1
+            rec.n_frames += n
+            rec.payload_bytes += n * plen
+            rec.memcpy_total += n * copy_ns
+            if run.remote_address < rec.base_address:
+                rec.base_address = run.remote_address
+            self._planned_runs += 1
         if rec is not None:
-            self._commit_planned(rec, t_deliver, sim)
+            self._commit_planned(rec, sim)
         return True
 
-    def _commit_planned(self, rec: _PlannedOp, t_deliver: int, sim) -> None:
+    def _advance(self, rail: int, n: int, tx_cost: int, wt: int, rx_cost: int) -> None:
+        """Move the fluid timeline past ``n`` equal frames on ``rail``.
+
+        TX CPU, rail, switch egress and RX CPU each serve frame ``i`` at
+        ``x_i = max(a_i, x_{i-1}) + c`` where ``a_i`` is the previous
+        stage's output plus a constant.  Unrolled, ``x_n = max(x_0 + n*c,
+        max_k(a_k + (n-k+1)*c))``; the TX CPU's output is linear in ``i``
+        and every later stage's is a max of linear terms, so ``a_k`` is
+        convex, the inner max sits at ``k = 1`` or ``k = n``, and
+        ``x_n = max(x_1 + (n-1)*c, a_n + c)`` — exact in integers, and the
+        recurrence itself for ``n = 1``.
+        """
+        m = self.model
+        more = n - 1
+        t1 = self._tx_cpu_free + tx_cost
+        tn = t1 + more * tx_cost
+        self._tx_cpu_free = tn
+        lead = m.tx_dma_ns + m.jitter_mean_ns
+        d1 = max(t1 + lead, self._rail_free[rail]) + wt
+        dn = max(d1 + more * wt, tn + lead + wt)
+        self._rail_free[rail] = dn
+        hop = m.prop_ns + m.fwd_ns
+        o1 = max(d1 + hop, self._sw_free[rail]) + wt
+        on = max(o1 + more * wt, dn + hop + wt)
+        self._sw_free[rail] = on
+        seen = m.prop_ns + m.rx_dma_ns + m.irq_latency_ns
+        r1 = max(o1 + seen, self._rx_cpu_free) + rx_cost
+        self._rx_cpu_free = max(r1 + more * rx_cost, on + seen + rx_cost)
+
+    def _commit_planned(self, rec: _PlannedOp, sim) -> None:
         rec.n_irqs = -(-rec.n_frames // self.model.frames_per_irq)
-        rec.t_event = max(t_deliver, sim.now + 1)
+        rec.t_event = max(self._rx_cpu_free, sim.now + 1)
         rec.entry = sim.schedule_cancellable(
             rec.t_event - sim.now, self._fire, rec
         )
@@ -248,12 +288,12 @@ class FlowForwarder:
         op = rec.op
         n = rec.n_frames
 
-        # Sender: consume the descriptors and advance the send window as
-        # if every frame had been transmitted and cumulatively acked.
+        # Sender: consume the runs and advance the send window as if
+        # every frame had been transmitted and cumulatively acked.
         unsent = conn.unsent
-        for _ in range(n):
-            unsent.popleft()
-        self._planned_descs -= n
+        runs = [unsent.popleft() for _ in range(rec.n_runs)]
+        conn.unsent_frames -= n
+        self._planned_runs -= rec.n_runs
         conn.window.next_seq += n
         cs = conn.stats
         cs.data_frames_sent += n
@@ -283,10 +323,15 @@ class FlowForwarder:
         if rec.base_address < rx.base_address:
             rx.base_address = rec.base_address
         rx.bytes_applied += rec.payload_bytes
-        if rec.writes:
-            memory = peer.node.memory
-            for address, data in rec.writes:
-                memory.write(address, data)
+        memory = peer.node.memory
+        for run in runs:
+            if run.data is not None:
+                memory.write(
+                    run.remote_address,
+                    memoryview(run.data)[
+                        run.offset : run.offset + run.count * run.payload_len
+                    ],
+                )
         if rx.bytes_applied >= rx.length and not rx.complete:
             rx.complete = True
             rx.src_node = peer.peer_node_id
@@ -441,7 +486,7 @@ class FlowForwarder:
         if first is not None:
             _restore_striping(self.conn.striping, first.strip_snapshot)
         self._pending.clear()
-        self._planned_descs = 0
+        self._planned_runs = 0
         if note:
             self.stats.note_abort(reason)
 

@@ -24,7 +24,7 @@ Checked invariants (see docs/PROTOCOL.md "Protocol invariants"):
     never silently kept),
   * the seq → operation map matches the in-flight set exactly,
   * per operation: ``frames_acked <= frames_total``; frame conservation
-    over all submitted operations vs. unsent descriptors + consumed seqs.
+    over all submitted operations vs. unsent frames + consumed seqs.
 
 **Receive side**
   * the cumulative ack (``tracker.expected``) is monotone,
@@ -115,7 +115,7 @@ class ConnectionMonitor:
         self.ops: list[Operation] = []  # every op submitted since attach
         # Frame conservation over tracked ops is only sound if no unsent
         # descriptors from *untracked* (pre-attach) ops remain queued.
-        self._ops_check = not conn.unsent
+        self._ops_check = not conn.unsent_frames
         self._seq0 = conn.window.next_seq
         self._inflight0 = len(conn.window.inflight)
         # Wire-tap counters (fed by the NIC hook, routed by connection id).
@@ -297,11 +297,11 @@ class ConnectionMonitor:
                 )
         if self._ops_check:
             consumed = window.next_seq - self._seq0
-            if frames_total != consumed + len(conn.unsent):
+            if frames_total != consumed + conn.unsent_frames:
                 fail(
                     "op-frame-conservation",
                     f"sum(frames_total) {frames_total} != seqs consumed "
-                    f"{consumed} + unsent {len(conn.unsent)}",
+                    f"{consumed} + unsent {conn.unsent_frames}",
                 )
 
         # -- receive side --

@@ -1,5 +1,7 @@
 """Unit tests for the sliding window and receive tracker."""
 
+import random
+
 import pytest
 
 from repro.core import ReceiveTracker, SendWindow
@@ -45,6 +47,31 @@ class TestSendWindow:
         # Stale ack frees nothing.
         assert w.on_ack(3) == []
         assert w.on_ack(2) == []
+
+    def test_on_ack_prefix_walk_equals_full_scan(self):
+        """on_ack stops at the first seq >= cum_ack; with holes in the
+        window and retransmitted (never re-registered) records it must
+        still free what a scan of the whole window frees, in that order."""
+        rng = random.Random(13)
+        for _ in range(200):
+            w = SendWindow(64)
+            for _ in range(rng.randint(0, 64)):
+                s = w.allocate_seq()
+                w.register(seq_frame(s), op_id=1, now=0)
+            for s in rng.sample(sorted(w.inflight), len(w.inflight) // 4):
+                del w.inflight[s]  # hole left by an out-of-order free
+            for s in rng.sample(sorted(w.inflight), len(w.inflight) // 3):
+                rec = w.get_for_retransmit(s)
+                rec.retransmits += 1
+                rec.last_sent_at = 5
+            while w.inflight:
+                cum_ack = rng.randint(0, w.next_seq + 1)
+                expected = [r for s, r in w.inflight.items() if s < cum_ack]
+                left = [s for s in w.inflight if s >= cum_ack]
+                freed = w.on_ack(cum_ack)
+                assert len(freed) == len(expected)
+                assert all(a is b for a, b in zip(freed, expected))
+                assert list(w.inflight) == left
 
     def test_get_for_retransmit(self):
         w = SendWindow(8)

@@ -80,6 +80,11 @@ class ClusterSummary:
     crc_drops: int
     # Host layer.
     protocol_cpu_fraction_mean: float
+    # Node memory summed over nodes (repro.host.VirtualMemory): address
+    # space reserved by alloc() and the part backed by a buffer, which is
+    # what node memory contributes to the process's RSS.
+    memory_reserved_bytes: int = 0
+    memory_resident_bytes: int = 0
     # Event-loop behaviour (see repro.sim.core.Simulator).  Regressions in
     # scheduling structure show up here before they show up as wall time.
     events_processed: int = 0
@@ -370,6 +375,12 @@ def summarize_cluster(
         nic_ring_drops=ring,
         crc_drops=crc,
         protocol_cpu_fraction_mean=proto_frac,
+        memory_reserved_bytes=sum(
+            node.memory.allocated_bytes for node in cluster.nodes
+        ),
+        memory_resident_bytes=sum(
+            node.memory.resident_bytes for node in cluster.nodes
+        ),
         events_processed=cluster.sim.events_processed,
         heap_pushes=getattr(cluster.sim, "heap_pushes", 0),
         fastlane_hits=getattr(cluster.sim, "fastlane_hits", 0),

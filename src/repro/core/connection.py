@@ -448,7 +448,7 @@ class Connection:
             self.monitor.on_op_submitted(self, op)
         return op
 
-    def _submit_read_response(self, rx_op: RxOpState, req_frame: Frame) -> None:
+    def _submit_read_response(self, req_frame: Frame) -> None:
         """Responder side: turn an applied READ_REQ into a data send."""
         length = req_frame.header.op_length
         source = req_frame.header.remote_address
@@ -785,10 +785,9 @@ class Connection:
         h = frame.header
         if h.frame_type == FrameType.READ_REQ:
             # Perform the read: snapshot memory into a response operation.
-            rx_op = self.ordering.ops[h.op_seq]
             cost = self.node.params.memcpy_ns(h.op_length)
             yield from cpu.run(cost, "protocol.recv")
-            self._submit_read_response(rx_op, frame)
+            self._submit_read_response(frame)
             return
         if h.payload_length > 0:
             # Copy-to-user cost is a function of length alone; it is charged

@@ -20,14 +20,23 @@ requested) fire.
 
 The manager assumes the caller applies every frame it returns, immediately
 and in order — true for the kernel-thread receive path that drives it.
+
+Receive-op state is kept only while an operation is live: ``ops`` holds
+the operations at or beyond the watermark, and an entry is retired as the
+watermark passes it.  The receive tracker deduplicates by sequence number
+before frames reach the manager, so no frame of a retired operation can
+arrive and resurrect it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from ..ethernet import Frame, FrameType, OpFlags
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .connection import Operation
 
 __all__ = ["RxOpState", "OrderingManager", "InOrderDelivery", "FenceDelivery"]
 
@@ -56,8 +65,14 @@ class OrderingManager:
     """Base class: operation bookkeeping shared by both delivery modes."""
 
     def __init__(self) -> None:
-        self.ops: dict[int, RxOpState] = {}  # op_seq -> state
-        self.watermark = 0  # every op_seq < watermark is complete
+        self.ops: dict[int, RxOpState] = {}  # op_seq -> state, live ops only
+        self.watermark = 0  # every op_seq < watermark is complete and retired
+        # Payload bytes applied over every operation, live or retired.
+        self.bytes_applied = 0
+        # Bytes retired write operations applied beyond their declared
+        # length.  Stays 0; InvariantMonitor checks it here because it can
+        # no longer inspect an operation once it is retired.
+        self.retired_overrun = 0
 
     def _op_for(self, frame: Frame) -> RxOpState:
         h = frame.header
@@ -78,7 +93,9 @@ class OrderingManager:
     def _apply_bookkeeping(self, frame: Frame) -> Optional[RxOpState]:
         """Record a frame as applied; returns the op if it just completed."""
         op = self._op_for(frame)
-        op.bytes_applied += frame.header.payload_length
+        n = frame.header.payload_length
+        op.bytes_applied += n
+        self.bytes_applied += n
         done = (
             op.is_read_request or op.bytes_applied >= op.length
         ) and not op.complete
@@ -89,11 +106,45 @@ class OrderingManager:
         return None
 
     def _advance_watermark(self) -> None:
+        ops = self.ops
         while True:
-            op = self.ops.get(self.watermark)
+            op = ops.get(self.watermark)
             if op is None or not op.complete:
                 return
+            del ops[self.watermark]
+            if not op.is_read_request:
+                self.retired_overrun += op.bytes_applied - op.length
             self.watermark += 1
+
+    def apply_run(
+        self, tx_op: "Operation", base_address: int, n_frames: int,
+        payload_bytes: int,
+    ) -> Optional[RxOpState]:
+        """Account ``n_frames`` in-sequence frames of write ``tx_op`` as applied.
+
+        The fast-forward path (:mod:`repro.fastpath`) delivers whole runs
+        of an operation without materialising frames; this is its
+        equivalent of feeding them to :meth:`on_frame` one by one.
+        Returns the receive-side operation if the run completed it.
+        """
+        op = self.ops.get(tx_op.op_seq)
+        if op is None:
+            op = RxOpState(
+                op_id=tx_op.op_id,
+                op_seq=tx_op.op_seq,
+                flags=int(tx_op.flags),
+                length=tx_op.length,
+            )
+            self.ops[tx_op.op_seq] = op
+        if base_address < op.base_address:
+            op.base_address = base_address
+        op.bytes_applied += payload_bytes
+        self.bytes_applied += payload_bytes
+        if op.bytes_applied < op.length or op.complete:
+            return None
+        op.complete = True
+        self._advance_watermark()
+        return op
 
     # Subclass interface -------------------------------------------------
 
@@ -122,6 +173,13 @@ class InOrderDelivery(OrderingManager):
     @property
     def buffered(self) -> int:
         return len(self._buffer)
+
+    def apply_run(
+        self, tx_op: "Operation", base_address: int, n_frames: int,
+        payload_bytes: int,
+    ) -> Optional[RxOpState]:
+        self._next_apply += n_frames
+        return super().apply_run(tx_op, base_address, n_frames, payload_bytes)
 
     def on_frame(self, frame: Frame) -> tuple[list[Frame], list[RxOpState]]:
         self._op_for(frame)

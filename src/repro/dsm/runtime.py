@@ -73,6 +73,8 @@ class _PeerMailbox:
     my_inbox_base: int = 0
     my_staging_base: int = 0
     my_credit_cell: int = 0
+    # RDMA source of our credit updates to the peer, reused for each one.
+    send_credit: int = 0
     # Flow control.
     send_seq: int = 0
     peer_consumed: int = 0
@@ -307,6 +309,7 @@ class DsmNode:
             mb.my_inbox_base = memory.alloc(INBOX_SLOTS * MSG_SLOT_BYTES)
             mb.my_staging_base = memory.alloc(INBOX_SLOTS * NOTICE_SEG_BYTES)
             mb.my_credit_cell = memory.alloc(8)
+            mb.send_credit = memory.alloc(8)
             # Tell the peer where to write (control-plane setup).
             peer_node = self.runtime.nodes[peer]
             peer_mb = peer_node._mail.setdefault(self.rank, _PeerMailbox())
@@ -382,6 +385,11 @@ class DsmNode:
 
     def _sender(self) -> Generator:
         memory = self.stack.node.memory
+        # One message slot and one notice segment serve every send: this
+        # is the node's only sender, and Connection.submit_write copies
+        # the source bytes out when each write is submitted.
+        scratch_msg = memory.alloc(MSG_SLOT_BYTES)
+        scratch_notices = memory.alloc(NOTICE_SEG_BYTES)
         while True:
             peer, msg, notices = yield self._out.get()
             mb = self._mail[peer]
@@ -392,15 +400,13 @@ class DsmNode:
             slot = mb.send_seq % INBOX_SLOTS
             if notices:
                 blob = encode_notices(notices)
-                scratch = memory.alloc(len(blob))
-                memory.write(scratch, blob)
+                memory.write(scratch_notices, blob)
                 yield from conn.rdma_write(
-                    scratch,
+                    scratch_notices,
                     mb.peer_staging_base + slot * NOTICE_SEG_BYTES,
                     len(blob),
                     cpu=self.service_cpu,
                 )
-            scratch_msg = memory.alloc(MSG_SLOT_BYTES)
             memory.write(scratch_msg, msg.encode())
             yield from conn.rdma_write(
                 scratch_msg,
@@ -450,11 +456,12 @@ class DsmNode:
             self._dispatch(peer, msg, notices)
 
     def _send_credit(self, peer: int, mb: _PeerMailbox) -> Generator:
-        memory = self.stack.node.memory
-        scratch = memory.alloc(8)
-        memory.write(scratch, mb.recv_seq.to_bytes(8, "big"))
+        # Only this peer's listener sends its credits, one at a time.
+        self.stack.node.memory.write(
+            mb.send_credit, mb.recv_seq.to_bytes(8, "big")
+        )
         yield from self.conns[peer].rdma_write(
-            scratch, mb.peer_credit_cell, 8, flags=OpFlags.NOTIFY,
+            mb.send_credit, mb.peer_credit_cell, 8, flags=OpFlags.NOTIFY,
             cpu=self.service_cpu,
         )
 

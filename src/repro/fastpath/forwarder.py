@@ -28,7 +28,6 @@ from collections import deque
 from typing import Optional
 
 from ..core.connection import Notification, Operation
-from ..core.ordering import InOrderDelivery, RxOpState
 from ..ethernet.frame import OpFlags, frame_sizes
 from .detector import UNSUPPORTED_OP_FLAGS, disqualify_reason
 from .model import PathModel
@@ -305,24 +304,9 @@ class FlowForwarder:
 
         # Receiver: deliver the operation in sequence.
         peer.tracker.expected += n
-        ordering = peer.ordering
-        if isinstance(ordering, InOrderDelivery):
-            ordering._next_apply += n
         ps = peer.stats
         ps.data_frames_received += n
         ps.data_bytes_received += rec.payload_bytes
-        rx = ordering.ops.get(op.op_seq)
-        if rx is None:
-            rx = RxOpState(
-                op_id=op.op_id,
-                op_seq=op.op_seq,
-                flags=int(op.flags),
-                length=op.length,
-            )
-            ordering.ops[op.op_seq] = rx
-        if rec.base_address < rx.base_address:
-            rx.base_address = rec.base_address
-        rx.bytes_applied += rec.payload_bytes
         memory = peer.node.memory
         for run in runs:
             if run.data is not None:
@@ -332,10 +316,9 @@ class FlowForwarder:
                         run.offset : run.offset + run.count * run.payload_len
                     ],
                 )
-        if rx.bytes_applied >= rx.length and not rx.complete:
-            rx.complete = True
+        rx = peer.ordering.apply_run(op, rec.base_address, n, rec.payload_bytes)
+        if rx is not None:
             rx.src_node = peer.peer_node_id
-            ordering._advance_watermark()
             if rx.wants_notification() and not rx.is_read_request:
                 peer.notifications.put(
                     Notification(

@@ -10,11 +10,19 @@ bytes at the right addresses.
 Allocations come from a bump allocator; reads and writes may span any range
 inside a single allocation (cross-allocation accesses are a programming
 error and raise).
+
+Backing is **demand-zero**: ``alloc`` only reserves an address range, and
+an allocation gets its zero-filled numpy buffer — whole, so views stay
+contiguous — the first time it is written or viewed.  Reading a range
+that was never backed returns zeros without backing it, so the host
+memory a simulation holds follows what it touched, not what it reserved.
 """
 
 from __future__ import annotations
 
 import bisect
+import operator
+from typing import Optional
 
 import numpy as np
 
@@ -34,46 +42,80 @@ class VirtualMemory:
 
     def __init__(self, base: int = 0x1000_0000) -> None:
         self._next = base
+        # Parallel per-allocation lists, ascending by address.
         self._starts: list[int] = []
-        self._regions: list[tuple[int, int, np.ndarray]] = []  # (start, end, buf)
+        self._ends: list[int] = []
+        self._bufs: list[Optional[np.ndarray]] = []  # None until first touched
+        self._reserved = 0
+        self._resident = 0
 
     def alloc(self, size: int) -> int:
-        """Allocate ``size`` bytes; returns the virtual base address."""
+        """Reserve ``size`` bytes; returns the virtual base address."""
+        size = operator.index(size)  # TypeError for a float, str, None
         if size <= 0:
             raise ValueError(f"allocation size must be positive, got {size}")
         addr = self._next
-        buf = np.zeros(size, dtype=np.uint8)
-        self._regions.append((addr, addr + size, buf))
         self._starts.append(addr)
+        self._ends.append(addr + size)
+        self._bufs.append(None)
+        self._reserved += size
         self._next = addr + size + self._GUARD
         return addr
 
-    def _find(self, addr: int, size: int) -> tuple[np.ndarray, int]:
+    def _find(self, addr: int, size: int) -> int:
+        """Index of the allocation containing ``[addr, addr + size)``."""
         i = bisect.bisect_right(self._starts, addr) - 1
-        if i >= 0:
-            start, end, buf = self._regions[i]
-            if addr >= start and addr + size <= end:
-                return buf, addr - start
+        if i >= 0 and 0 <= size and addr + size <= self._ends[i]:
+            return i
         raise MemoryFault(
             f"access [{addr:#x}, {addr + size:#x}) outside any allocation"
         )
 
+    def _back(self, i: int) -> np.ndarray:
+        """First touch of allocation ``i``: give it its zero-filled buffer."""
+        buf = np.zeros(self._ends[i] - self._starts[i], dtype=np.uint8)
+        self._bufs[i] = buf
+        self._resident += buf.size
+        return buf
+
     def write(self, addr: int, data: bytes | np.ndarray) -> None:
-        """Store ``data`` at virtual address ``addr``."""
-        view = np.frombuffer(data, dtype=np.uint8) if isinstance(
-            data, (bytes, bytearray, memoryview)
-        ) else data
-        buf, off = self._find(addr, len(view))
-        buf[off : off + len(view)] = view
+        """Store the bytes of ``data`` at virtual address ``addr``.
+
+        An array of any dtype is stored as its in-memory bytes, never
+        cast element by element.
+        """
+        if isinstance(data, (bytes, bytearray, memoryview)):
+            view = np.frombuffer(data, dtype=np.uint8)
+        else:
+            view = np.ascontiguousarray(data).view(np.uint8).reshape(-1)
+        n = len(view)
+        i = self._find(addr, n)
+        buf = self._bufs[i]
+        if buf is None:
+            buf = self._back(i)
+        off = addr - self._starts[i]
+        buf[off : off + n] = view
 
     def read(self, addr: int, size: int) -> bytes:
-        """Load ``size`` bytes from virtual address ``addr``."""
-        buf, off = self._find(addr, size)
+        """Load ``size`` bytes from virtual address ``addr``.
+
+        A never-touched allocation reads as zeros and stays unbacked:
+        polling a credit cell or an inbox slot materialises nothing.
+        """
+        i = self._find(addr, size)
+        buf = self._bufs[i]
+        if buf is None:
+            return bytes(size)
+        off = addr - self._starts[i]
         return buf[off : off + size].tobytes()
 
     def view(self, addr: int, size: int) -> np.ndarray:
         """Zero-copy uint8 view of an allocated range (for applications)."""
-        buf, off = self._find(addr, size)
+        i = self._find(addr, size)
+        buf = self._bufs[i]
+        if buf is None:
+            buf = self._back(i)
+        off = addr - self._starts[i]
         return buf[off : off + size]
 
     def ndarray(self, addr: int, shape: tuple[int, ...], dtype) -> np.ndarray:
@@ -83,4 +125,15 @@ class VirtualMemory:
 
     @property
     def allocated_bytes(self) -> int:
-        return sum(end - start for start, end, _ in self._regions)
+        """Bytes reserved by :meth:`alloc` (guard gaps excluded)."""
+        return self._reserved
+
+    @property
+    def resident_bytes(self) -> int:
+        """Bytes of the allocations that have been backed by a buffer."""
+        return self._resident
+
+    @property
+    def region_count(self) -> int:
+        """Number of allocations made so far."""
+        return len(self._starts)

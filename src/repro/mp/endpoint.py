@@ -75,6 +75,10 @@ class _PeerState:
     # the peer's inbox we write into
     peer_ring_base: int = 0
     peer_credit_cell: int = 0
+    # our send scratch for this peer: RDMA source of one eager slot and of
+    # one credit update (see MpEndpoint._alloc_peer_buffers)
+    send_slot: int = 0
+    send_credit: int = 0
     send_seq: int = 0
     peer_consumed: int = 0
     recv_seq: int = 0
@@ -114,6 +118,8 @@ class MpEndpoint:
         self._posted_rdv: list[tuple[int, int, int, int, Event]] = []
         #   entries: (source, tag, dest_addr, max_size, event)
         self._rdv_out: dict[int, _PendingRendezvous] = {}
+        # Free rendezvous send scratch as (address, capacity), grow-only.
+        self._rdv_scratch: Optional[tuple[int, int]] = None
         self._next_msg_id = 1
         # Messages that arrived as RTS and wait for a matching recv.
         self._pending_rts: list[tuple[int, int, int, int]] = []
@@ -123,16 +129,31 @@ class MpEndpoint:
 
     # -- wiring ------------------------------------------------------------
 
-    def _wire(self) -> None:
+    def _alloc_peer_buffers(self, ps: _PeerState) -> None:
+        """Reserve the inbox the peer writes into and our send scratch.
+
+        The scratch is reused for every message to this peer.  That is
+        safe because ``Connection.submit_write`` copies the source bytes
+        out of memory when the operation is submitted, and the next use
+        cannot start before that: slot writes to one peer are serialised
+        by the caller (``send_seq`` only advances after the write is
+        issued, so overlapping ones would already collide on the peer's
+        ring slot), and credits come from the peer's one listener.
+        """
         memory = self.stack.node.memory
+        ps.my_ring_base = memory.alloc(RING_SLOTS * SLOT_BYTES)
+        ps.my_credit_cell = memory.alloc(8)
+        ps.send_slot = memory.alloc(SLOT_BYTES)
+        ps.send_credit = memory.alloc(8)
+
+    def _wire(self) -> None:
         for peer in range(self.size):
             if peer == self.rank:
                 continue
             here, _ = self.world.cluster.connect(self.rank, peer)
             ps = self._peers.setdefault(peer, _PeerState(conn=here))
             ps.conn = here
-            ps.my_ring_base = memory.alloc(RING_SLOTS * SLOT_BYTES)
-            ps.my_credit_cell = memory.alloc(8)
+            self._alloc_peer_buffers(ps)
             other = self.world.endpoints[peer]._peers.setdefault(
                 self.rank, _PeerState(conn=None)  # conn fixed when peer wires
             )
@@ -172,12 +193,10 @@ class MpEndpoint:
             if isinstance(got, PeerCrashed):
                 raise got
         slot = ps.send_seq % RING_SLOTS
-        memory = self.stack.node.memory
         blob = envelope + payload
-        scratch = memory.alloc(len(blob))
-        memory.write(scratch, blob)
+        self.stack.node.memory.write(ps.send_slot, blob)
         yield from ps.conn.rdma_write(
-            scratch,
+            ps.send_slot,
             ps.peer_ring_base + slot * SLOT_BYTES,
             len(blob),
             flags=OpFlags.NOTIFY | OpFlags.FENCE_BACKWARD,
@@ -336,22 +355,32 @@ class MpEndpoint:
         self, ps: _PeerState, dest_addr: int, pending: _PendingRendezvous
     ) -> Generator:
         memory = self.stack.node.memory
-        scratch = memory.alloc(len(pending.data))
+        size = len(pending.data)
+        # Take the scratch while the write is being issued: pushes for two
+        # outstanding rendezvous sends may overlap, and one that finds it
+        # taken (or too small) reserves its own.
+        scratch, capacity = self._rdv_scratch or (0, 0)
+        self._rdv_scratch = None
+        if capacity < size:
+            capacity = max(size, 2 * capacity)
+            scratch = memory.alloc(capacity)
         memory.write(scratch, pending.data)
         cpu = self.stack.node.protocol_cpu
         h = yield from ps.conn.rdma_write(
-            scratch, dest_addr, len(pending.data),
-            flags=OpFlags.NOTIFY, cpu=cpu,
+            scratch, dest_addr, size, flags=OpFlags.NOTIFY, cpu=cpu,
         )
+        # Submitted, hence copied out: the scratch is free again.
+        if self._rdv_scratch is None or self._rdv_scratch[1] < capacity:
+            self._rdv_scratch = (scratch, capacity)
         yield from h.wait()
         pending.done.trigger()
 
     def _send_credit(self, ps: _PeerState) -> Generator:
-        memory = self.stack.node.memory
-        scratch = memory.alloc(8)
-        memory.write(scratch, ps.recv_seq.to_bytes(8, "big"))
+        self.stack.node.memory.write(
+            ps.send_credit, ps.recv_seq.to_bytes(8, "big")
+        )
         yield from ps.conn.rdma_write(
-            scratch, ps.peer_credit_cell, 8, flags=OpFlags.NOTIFY,
+            ps.send_credit, ps.peer_credit_cell, 8, flags=OpFlags.NOTIFY,
             cpu=self.stack.node.protocol_cpu,
         )
 
@@ -447,10 +476,8 @@ class MpWorld:
         for rank, peer in ((i, j), (j, i)):
             ep = self.endpoints[rank]
             here, _ = self.cluster.connect(rank, peer)
-            memory = ep.stack.node.memory
             ps = _PeerState(conn=here)
-            ps.my_ring_base = memory.alloc(RING_SLOTS * SLOT_BYTES)
-            ps.my_credit_cell = memory.alloc(8)
+            ep._alloc_peer_buffers(ps)
             ep._peers[peer] = ps
         self.endpoints[j]._peers[i].peer_ring_base = (
             self.endpoints[i]._peers[j].my_ring_base

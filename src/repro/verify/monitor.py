@@ -33,8 +33,10 @@ Checked invariants (see docs/PROTOCOL.md "Protocol invariants"):
     in lockstep with the tracker; fence-blocked frames are genuinely
     fence-blocked,
   * per receive operation: ``bytes_applied <= length``; completion implies
-    all bytes applied; byte conservation: applied + still-buffered payload
-    bytes equals ``data_bytes_received``.
+    all bytes applied (for retired operations through the manager's
+    ``retired_overrun``); no operation below the watermark is live; byte
+    conservation: applied + still-buffered payload bytes equals
+    ``data_bytes_received``.
 
 **Striping**
   * byte-deficit counters are non-negative and renormalised (bounded),
@@ -149,7 +151,7 @@ class ConnectionMonitor:
 
     def _applied_plus_buffered(self) -> int:
         ordering = self.conn.ordering
-        applied = sum(op.bytes_applied for op in ordering.ops.values())
+        applied = ordering.bytes_applied
         buffered = 0
         buf = getattr(ordering, "_buffer", None)
         if buf is not None:  # InOrderDelivery
@@ -353,7 +355,18 @@ class ConnectionMonitor:
                         f"op {op_seq} still blocked at watermark "
                         f"{ordering.watermark}",
                     )
+        if ordering.retired_overrun:
+            fail(
+                "rx-byte-overrun",
+                f"retired rx ops applied {ordering.retired_overrun} bytes "
+                "beyond their lengths",
+            )
         for op_seq, rx_op in ordering.ops.items():
+            if op_seq < ordering.watermark:
+                fail(
+                    "rx-op-resurrected",
+                    f"rx op {op_seq} live below watermark {ordering.watermark}",
+                )
             if rx_op.bytes_applied > rx_op.length:
                 fail(
                     "rx-byte-overrun",

@@ -98,3 +98,128 @@ def test_many_allocations_lookup():
         vm.write(addr, bytes([i % 256] * 4))
     for i, addr in enumerate(addrs):
         assert vm.read(addr, 4) == bytes([i % 256] * 4)
+
+
+# -- demand-zero backing ---------------------------------------------------
+
+
+def test_alloc_reserves_without_backing():
+    vm = VirtualMemory()
+    vm.alloc(1 << 20)
+    vm.alloc(100)
+    assert vm.allocated_bytes == (1 << 20) + 100
+    assert vm.resident_bytes == 0
+    assert vm.region_count == 2
+
+
+def test_unbacked_read_is_zeros_and_backs_nothing():
+    vm = VirtualMemory()
+    addr = vm.alloc(4096)
+    assert vm.read(addr, 4096) == bytes(4096)
+    assert vm.read(addr + 100, 8) == bytes(8)
+    assert vm.resident_bytes == 0
+
+
+@pytest.mark.parametrize(
+    "touch",
+    [
+        lambda vm, a: vm.write(a + 10, b"x"),
+        lambda vm, a: vm.view(a, 4),
+        lambda vm, a: vm.ndarray(a, (2,), np.float64),
+    ],
+    ids=["write", "view", "ndarray"],
+)
+def test_touch_backs_exactly_that_allocation(touch):
+    vm = VirtualMemory()
+    before = vm.alloc(1000)
+    addr = vm.alloc(300)
+    after = vm.alloc(2000)
+    touch(vm, addr)
+    assert vm.resident_bytes == 300
+    assert vm.allocated_bytes == 3300
+    # The neighbours still read as zeros and stay unbacked.
+    assert vm.read(before, 1000) == bytes(1000)
+    assert vm.read(after, 2000) == bytes(2000)
+    assert vm.resident_bytes == 300
+
+
+def test_views_of_one_allocation_share_its_buffer():
+    vm = VirtualMemory()
+    addr = vm.alloc(64)
+    first = vm.view(addr, 64)
+    vm.write(addr + 8, b"\x07")
+    second = vm.view(addr + 8, 8)
+    assert first[8] == 7
+    second[0] = 9
+    assert first[8] == 9 and vm.read(addr + 8, 1) == b"\x09"
+    assert vm.resident_bytes == 64
+
+
+@pytest.mark.parametrize("backed", [False, True], ids=["unbacked", "backed"])
+def test_faults_and_guard_gap_do_not_depend_on_backing(backed):
+    vm = VirtualMemory()
+    a = vm.alloc(10)
+    b = vm.alloc(10)
+    if backed:
+        vm.write(a, b"\x01")
+        vm.write(b, b"\x01")
+    for access in (
+        lambda: vm.read(a + 10, 1),  # first guard byte
+        lambda: vm.read(b - 1, 1),  # last guard byte
+        lambda: vm.read(a + 8, 4),  # runs off the end
+        lambda: vm.write(a + 8, b"abcd"),
+        lambda: vm.view(a + 8, 4),
+        lambda: vm.read(a - 1, 1),  # below the first allocation
+        lambda: vm.read(b + 10 + 4096, 1),  # beyond the last one
+        lambda: vm.read(a, -1),
+    ):
+        with pytest.raises(MemoryFault):
+            access()
+    assert vm.resident_bytes == (20 if backed else 0)
+
+
+@pytest.mark.parametrize("size", [-1, -4096])
+def test_alloc_rejects_non_positive_size_at_alloc(size):
+    vm = VirtualMemory()
+    with pytest.raises(ValueError):
+        vm.alloc(size)
+    assert vm.region_count == 0
+
+
+@pytest.mark.parametrize("size", [2.5, 8.0, "8", None])
+def test_alloc_rejects_non_int_size_at_alloc(size):
+    vm = VirtualMemory()
+    with pytest.raises(TypeError):
+        vm.alloc(size)
+    assert vm.region_count == 0
+
+
+def test_alloc_accepts_numpy_integer_size():
+    vm = VirtualMemory()
+    addr = vm.alloc(np.int64(16))
+    vm.write(addr + 15, b"\x01")
+    assert vm.allocated_bytes == 16 and isinstance(vm.allocated_bytes, int)
+
+
+def test_write_stores_the_bytes_of_a_non_uint8_array():
+    vm = VirtualMemory()
+    values = np.array([1.5, 2.5])
+    addr = vm.alloc(values.nbytes)
+    vm.write(addr, values)
+    assert vm.read(addr, values.nbytes) == values.tobytes()
+    assert np.array_equal(vm.ndarray(addr, (2,), np.float64), values)
+
+
+def test_write_of_a_wide_array_is_bounds_checked_in_bytes():
+    vm = VirtualMemory()
+    addr = vm.alloc(8)
+    with pytest.raises(MemoryFault):
+        vm.write(addr, np.arange(2, dtype=np.int64))  # 16 bytes into 8
+
+
+def test_write_flattens_non_contiguous_arrays():
+    vm = VirtualMemory()
+    grid = np.arange(16, dtype=np.uint16).reshape(4, 4)[:, ::2]
+    addr = vm.alloc(grid.nbytes)
+    vm.write(addr, grid)
+    assert vm.read(addr, grid.nbytes) == np.ascontiguousarray(grid).tobytes()

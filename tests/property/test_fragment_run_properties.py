@@ -116,7 +116,7 @@ def test_emitted_frames_equal_per_frame_fragmentation(writes, synthetic, respons
             remote_address=src, op_length=resp_len,
         )
         req.control = RESPONSE_DEST
-        conn._submit_read_response(None, req)
+        conn._submit_read_response(req)
         key = ("resp", None, False, RESPONSE_OP_ID, 0)
         resp = _fragments(
             key, RESPONSE_DEST, resp_len, None if data is None else data[:resp_len]

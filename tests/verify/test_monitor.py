@@ -134,6 +134,23 @@ class TestPlantedCorruptions:
         with pytest.raises(InvariantViolation):
             mon.final_check()
 
+    def test_catches_rx_op_live_below_the_watermark(self):
+        from repro.core import RxOpState
+
+        c, _, mon = self._completed_run()
+        rx = c.connect(0, 1)[1].conn.ordering
+        assert rx.ops == {} and rx.watermark == 1
+        rx.ops[0] = RxOpState(op_id=1, op_seq=0, flags=0, length=8192)
+        with pytest.raises(InvariantViolation, match="rx-op-resurrected"):
+            mon.final_check()
+
+    def test_catches_overrun_of_a_retired_rx_op(self):
+        c, _, mon = self._completed_run()
+        rx = c.connect(0, 1)[1].conn.ordering
+        rx.retired_overrun += 3
+        with pytest.raises(InvariantViolation, match="rx-byte-overrun"):
+            mon.final_check()
+
     def test_catches_illegal_edge_transition(self):
         from repro.control.detector import EdgeState
 

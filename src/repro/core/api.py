@@ -151,8 +151,7 @@ class ConnectionHandle:
 
     def wait_notification(self, cpu=None) -> Generator[Any, Any, Notification]:
         """Block until a completion notification arrives from the peer."""
-        ev = self.conn.notifications.get()
-        note = yield ev
+        note = yield self.conn.notifications
         yield from self._wakeup_cost(cpu)
         return note
 

@@ -277,8 +277,9 @@ class Connection:
             InOrderDelivery() if self.params.in_order_delivery else FenceDelivery()
         )
         self.ack_policy = AckPolicy(self.params.ack)
-        self._delayed_ack_timer: Optional[Timer] = None
-        self._nack_timer: Optional[Timer] = None
+        # One timer object each for the life of the connection, re-armed.
+        self._delayed_ack_timer = Timer(self.sim, None, self._delayed_ack_fired)
+        self._nack_timer = Timer(self.sim, None, self._nack_fired)
         # Sequences that were already missing when the NACK timer was armed;
         # only gaps that *persist* across the whole delay are NACKed, so
         # transient striping reorder never triggers spurious retransmits.
@@ -661,7 +662,7 @@ class Connection:
         stats.data_bytes_sent += frame.header.payload_length
         stats.piggybacked_acks += 1
         self.ack_policy.on_ack_emitted(cum_ack, piggybacked=True)
-        self._cancel_delayed_ack()
+        self._delayed_ack_timer.cancel()
         self.retransmit_timer.arm()
         return True
 
@@ -704,7 +705,7 @@ class Connection:
                 res._busy_since = now
                 res.in_use += 1
             else:
-                yield res.acquire()
+                yield res
             yield duration
             if res._waiters:
                 res.release()
@@ -760,7 +761,7 @@ class Connection:
                 if tracker._beyond:
                     self._arm_nack_timer()
                 else:
-                    self._cancel_nack_timer()
+                    self._nack_timer.cancel()
 
                 apply_now, completed = self.ordering.on_frame(frame)
                 if not apply_now:
@@ -802,7 +803,7 @@ class Connection:
                     res._busy_since = now
                     res.in_use += 1
                 else:
-                    yield res.acquire()
+                    yield res
                 yield cost
                 if res._waiters:
                     res.release()
@@ -994,8 +995,8 @@ class Connection:
         self.closed = True
         self.retransmit_timer.cancel()
         self.retransmit_timer.exhausted = True  # never re-arm
-        self._cancel_delayed_ack()
-        self._cancel_nack_timer()
+        self._delayed_ack_timer.cancel()
+        self._nack_timer.cancel()
         self.unsent.clear()
         self.unsent_frames = 0
         self._retransmit_q.clear()
@@ -1110,7 +1111,7 @@ class Connection:
         if ece:
             self.ecn_echoes_sent += 1
         self.ack_policy.on_ack_emitted(cum, piggybacked=False)
-        self._cancel_delayed_ack()
+        self._delayed_ack_timer.cancel()
 
     def _send_nack(self) -> None:
         still_missing = set(self.tracker.missing(self.params.ack.nack_max_entries))
@@ -1155,37 +1156,23 @@ class Connection:
     # ------------------------------------------------------------------
 
     def _arm_delayed_ack(self) -> None:
-        if self._delayed_ack_timer is None or not self._delayed_ack_timer.active:
-            self._delayed_ack_timer = self.sim.timer(
-                self.params.ack.ack_delay_ns, self._delayed_ack_fired
-            )
-
-    def _cancel_delayed_ack(self) -> None:
-        if self._delayed_ack_timer is not None:
-            self._delayed_ack_timer.cancel()
-            self._delayed_ack_timer = None
+        timer = self._delayed_ack_timer
+        if not timer.active:
+            timer.restart(self.params.ack.ack_delay_ns)
 
     def _delayed_ack_fired(self) -> None:
-        self._delayed_ack_timer = None
         if self.ack_policy.needs_delayed_ack(self.tracker.cum_ack):
             self.sim.process(self._timer_work(self._send_explicit_ack))
 
     def _arm_nack_timer(self) -> None:
-        if self._nack_timer is None or not self._nack_timer.active:
+        timer = self._nack_timer
+        if not timer.active:
             self._nack_snapshot = set(
                 self.tracker.missing(self.params.ack.nack_max_entries)
             )
-            self._nack_timer = self.sim.timer(
-                self.params.ack.nack_delay_ns, self._nack_fired
-            )
-
-    def _cancel_nack_timer(self) -> None:
-        if self._nack_timer is not None:
-            self._nack_timer.cancel()
-            self._nack_timer = None
+            timer.restart(self.params.ack.nack_delay_ns)
 
     def _nack_fired(self) -> None:
-        self._nack_timer = None
         if self.tracker.has_gap():
             self.sim.process(self._timer_work(self._send_nack))
             self._arm_nack_timer()  # keep nagging until the gap closes

@@ -103,7 +103,7 @@ class RetransmitTimer:
         self.params = params
         self.on_timeout = on_timeout
         self.on_dead = on_dead
-        self._timer: Optional[Timer] = None
+        self._timer = Timer(sim, None, self._fire)  # one, re-armed for life
         self._current_timeout = params.coarse_timeout_ns
         self._consecutive = 0
         self.timeouts_fired = 0
@@ -111,7 +111,7 @@ class RetransmitTimer:
 
     @property
     def armed(self) -> bool:
-        return self._timer is not None and self._timer.active
+        return self._timer.active
 
     @property
     def consecutive_timeouts(self) -> int:
@@ -133,23 +133,21 @@ class RetransmitTimer:
         """
         if self.exhausted:
             return
-        if not self.armed:
-            self._timer = self.sim.timer(self._current_timeout, self._fire)
+        timer = self._timer
+        if not timer.active:
+            timer.restart(self._current_timeout)
 
     def on_progress(self) -> None:
         """Positive ack progress: reset backoff and restart the clock."""
         self._consecutive = 0
         self._current_timeout = self.params.coarse_timeout_ns
         self.exhausted = False
-        self.cancel()
+        self._timer.cancel()
 
     def cancel(self) -> None:
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
+        self._timer.cancel()
 
     def _fire(self) -> None:
-        self._timer = None
         self.timeouts_fired += 1
         self._consecutive += 1
         if self._consecutive > self.params.max_retries:

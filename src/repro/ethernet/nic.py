@@ -147,7 +147,8 @@ class Nic:
 
         # RX coalescing state.
         self._rx_since_irq = 0
-        self._coalesce_timer: Optional[Timer] = None
+        # One timer object for the life of the NIC, re-armed.
+        self._coalesce_timer = Timer(sim, None, self._coalesce_expired)
         # TX completion interrupt state.
         self._tx_since_irq = 0
 
@@ -351,10 +352,8 @@ class Nic:
             return
         if self._rx_since_irq >= self.params.coalesce_frames:
             self._fire_rx_irq()
-        elif self._coalesce_timer is None or not self._coalesce_timer.active:
-            self._coalesce_timer = self.sim.timer(
-                self.params.coalesce_timeout_ns, self._coalesce_expired
-            )
+        elif not self._coalesce_timer.active:
+            self._coalesce_timer.restart(self.params.coalesce_timeout_ns)
 
     def _coalesce_expired(self) -> None:
         if self._rx_since_irq > 0 and self.interrupts_enabled:
@@ -362,9 +361,7 @@ class Nic:
 
     def _fire_rx_irq(self) -> None:
         self._rx_since_irq = 0
-        if self._coalesce_timer is not None:
-            self._coalesce_timer.cancel()
-            self._coalesce_timer = None
+        self._coalesce_timer.cancel()
         self._raise_irq(tx=False)
 
     def _raise_irq(self, tx: bool) -> None:
@@ -397,9 +394,7 @@ class Nic:
         self._rx_since_irq = 0
         self._tx_since_irq = 0
         self._line_free_at = 0
-        if self._coalesce_timer is not None:
-            self._coalesce_timer.cancel()
-            self._coalesce_timer = None
+        self._coalesce_timer.cancel()
         self.pacer = None
 
     def power_on(self) -> None:

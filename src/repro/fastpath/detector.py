@@ -29,10 +29,6 @@ UNSUPPORTED_OP_FLAGS = (
 )
 
 
-def _timer_active(timer) -> bool:
-    return timer is not None and timer.active
-
-
 def disqualify_reason(fwd):
     """``None`` if ``fwd.conn`` may arm, else the disqualifying reason."""
     conn = fwd.conn
@@ -74,11 +70,9 @@ def disqualify_reason(fwd):
     # delayed-ack/NACK timers whose firing the jump would have to model.
     if conn.ack_policy._unacked_frames or peer.ack_policy._unacked_frames:
         return "unacked-frames"
-    if _timer_active(conn._delayed_ack_timer) or _timer_active(
-        peer._delayed_ack_timer
-    ):
+    if conn._delayed_ack_timer.active or peer._delayed_ack_timer.active:
         return "delayed-ack-armed"
-    if _timer_active(conn._nack_timer) or _timer_active(peer._nack_timer):
+    if conn._nack_timer.active or peer._nack_timer.active:
         return "nack-timer-armed"
 
     if conn._forward_fences or peer._forward_fences:

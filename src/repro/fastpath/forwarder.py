@@ -300,7 +300,7 @@ class FlowForwarder:
         cs.piggybacked_acks += n
         cs.pump_charged_ns += n * m.per_frame_send_ns
         conn.ack_policy.on_ack_emitted(conn.tracker.cum_ack, piggybacked=True)
-        conn._cancel_delayed_ack()
+        conn._delayed_ack_timer.cancel()
 
         # Receiver: deliver the operation in sequence.
         peer.tracker.expected += n

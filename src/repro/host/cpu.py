@@ -89,7 +89,8 @@ class Cpu:
         Use as ``yield from cpu.run(1000, "protocol.recv")`` inside a
         simulation process.  Zero-duration runs return immediately without
         touching the resource.  When the core is idle the grant is taken
-        synchronously, skipping the acquire-event round trip.
+        synchronously, skipping the fast-lane hop; when it is busy the
+        process parks in the resource's waiter queue (no ``Event``).
         """
         if duration <= 0:
             return
@@ -103,7 +104,7 @@ class Cpu:
             res._busy_since = now
             res.in_use += 1
         else:
-            yield res.acquire()
+            yield res
         yield duration
         if res._waiters:
             res.release()

@@ -84,14 +84,35 @@ class Kernel:
 
     # -- interrupt path ----------------------------------------------------
 
+    # The low-level handler is three plain callbacks, not a process per
+    # interrupt: enter (one zero-delay hop after the NIC raised it), hold
+    # (granted the protocol CPU after queueing for it), exit.
+
     def _on_irq(self, nic: Nic) -> None:
         # Hardware masking is immediate; the handler cost is charged async.
         nic.disable_interrupts()
         self.irqs_handled += 1
-        self.sim.process(self._irq_handler(), name=f"{self.name}.irq")
+        self.sim.schedule(0, self._irq_enter)
 
-    def _irq_handler(self) -> Generator[Any, Any, None]:
-        yield from self.protocol_cpu.run(self.params.interrupt_ns, "interrupt")
+    def _irq_enter(self) -> None:
+        if self.params.interrupt_ns <= 0:
+            self._work.open()
+            return
+        res = self.protocol_cpu.resource
+        if res.try_acquire():
+            self._irq_hold(res)
+        else:
+            # The kthread holds the CPU: queue behind it like any waiter.
+            res.park(self._irq_hold)
+
+    def _irq_hold(self, _granted: Any) -> None:
+        held = int(self.params.interrupt_ns)
+        self.sim.schedule(held, self._irq_exit, held)
+
+    def _irq_exit(self, held: int) -> None:
+        cpu = self.protocol_cpu
+        cpu.resource.release()
+        cpu.accounting.charge("interrupt", held)
         self._work.open()
 
     # -- protocol kernel thread ---------------------------------------------
@@ -101,7 +122,7 @@ class Kernel:
         work = self._work
         while True:
             if not work.is_open:
-                yield work.wait()
+                yield work
             work.close()
             self.kthread_active = True
             self.kthread_wakeups += 1

@@ -6,8 +6,8 @@ SimPy, specialised for the needs of the MultiEdge reproduction:
 * integer nanosecond clock (no floating-point time drift),
 * generator-based *processes* that ``yield`` timeouts, events, or other
   processes,
-* cancellable :class:`Timer` objects (used for retransmission and
-  delayed-acknowledgement timers),
+* cancellable, re-armable :class:`Timer` objects (used for retransmission
+  and delayed-acknowledgement timers),
 * deterministic FIFO ordering for simultaneous events (events scheduled at
   the same timestamp fire in scheduling order).
 
@@ -18,23 +18,31 @@ wall-second, so structure follows cost):
   protocol run is ``delay == 0`` — event triggers, process wake-ups, resource
   hand-offs.  Those bypass the heap entirely and ride a FIFO ``deque`` of
   bare ``(callback, args)`` pairs.  Correct merge order with the heap follows
-  from an invariant rather than per-event comparisons: heap entries are only
-  ever pushed with ``delay > 0``, so every heap entry due at time ``T`` was
-  scheduled *before* the clock reached ``T`` and therefore precedes (in
-  seed-engine sequence order) every fast-lane entry created at ``T``.  The
-  run loop drains same-``now`` heap entries first, then the fast lane, and
-  only then advances time — an order *bit-identical* to the single-heap seed
-  engine (property-tested against :mod:`repro.sim.reference`).
+  from an invariant rather than per-event comparisons: every heap entry due
+  at time ``T`` carries a ``seq`` drawn *before* the clock reached ``T``, so
+  it precedes (in seed-engine sequence order) every fast-lane entry created
+  at ``T``.  Scheduling with ``delay > 0`` draws its ``seq`` on the spot; a
+  re-armed :class:`Timer` whose queued entry pops early re-pushes it under
+  the ``seq`` drawn when it was armed — possibly due *now*, still older than
+  anything the fast lane holds.  The run loop drains same-``now`` heap
+  entries first, then the fast lane, and only then advances time — an order
+  *bit-identical* to the single-heap seed engine (property-tested against
+  :mod:`repro.sim.reference`).
 * **Lazy-deleted timers.**  Retransmission and delayed-ack timers are almost
   always cancelled before firing.  Cancellation marks the queue entry dead in
-  O(1); dead entries are skipped on pop without invoking anything, and when
-  they outnumber live heap entries the heap is compacted in one in-place
-  pass.  Counters (:attr:`Simulator.heap_pushes`,
+  O(1); dead entries are skipped on pop without invoking anything (so a
+  cancelled timer never moves the clock), and when they outnumber live heap
+  entries the heap is compacted in one in-place pass.  A timer that is armed
+  again while its dead entry is still queued *revives* that entry instead of
+  pushing another, so the per-frame timers each keep one entry in the heap
+  for their whole life.  Counters (:attr:`Simulator.heap_pushes`,
   :attr:`Simulator.fastlane_hits`, :attr:`Simulator.cancelled_popped`)
   expose the event-loop behaviour to
   :func:`repro.analysis.summary.summarize_cluster`.
 * Heap entries are ``[time, seq, callback, args]`` *lists* (mutable so a
-  cancel can null the callback in place); fast-lane entries are
+  cancel can null the callback in place; ``args`` is ``()`` while a dead
+  entry is still queued and ``None`` once the engine has discarded it);
+  fast-lane entries are
   ``(callback, args)`` tuples, or 2-element lists for the rare cancellable
   zero-delay timer.
 """
@@ -126,49 +134,117 @@ class Event:
 
 
 class Timer:
-    """A cancellable one-shot timer.
+    """A cancellable timer that can be armed again and again.
 
-    ``Timer(sim, delay, callback)`` arms the timer; :meth:`cancel` disarms it
-    if it has not fired yet.  Cancellation is O(1): the queue entry is nulled
-    in place and reclaimed either when popped or by the next heap compaction,
-    so cancelled timers do not rot in the queue.
+    ``Timer(sim, delay, callback)`` arms the timer; ``delay=None`` creates it
+    idle, for an owner that keeps one timer for its whole life and arms it
+    with :meth:`restart`.  :meth:`cancel` disarms it.  Cancellation is O(1):
+    the queue entry is nulled in place and reclaimed either when popped or by
+    the next heap compaction, so cancelled timers do not rot in the queue.
+
+    A timer owns at most one live heap entry.  Every arm draws ``sim._seq``
+    exactly where a fresh ``Timer`` would, so the callback runs at the same
+    position in the global (time, seq) order as under cancel-and-recreate;
+    but when the entry of an earlier arm is still queued (cancelled, not yet
+    discarded by the engine) and due no later than the new deadline, the arm
+    revives it instead of pushing another.  A revived entry pops at its old
+    position, sees that it is early, and re-pushes itself as
+    ``[deadline, seq_drawn_at_arm]``.  An entry due *after* the new deadline
+    cannot be reused (a heap key cannot shrink in place) and is left dead.
     """
 
-    __slots__ = ("_sim", "_callback", "_args", "deadline", "_fired", "_cancelled", "_entry")
+    __slots__ = (
+        "_sim", "_callback", "_args", "deadline", "active", "_seq", "_entry", "_pop_cb",
+    )
 
     def __init__(
         self,
         sim: "Simulator",
-        delay: int,
+        delay: Optional[int],
         callback: Callable[..., None],
         *args: Any,
     ) -> None:
-        if delay < 0:
-            raise ValueError(f"timer delay must be >= 0, got {delay}")
         self._sim = sim
         self._callback = callback
         self._args = args
-        self.deadline = sim.now + int(delay)
-        self._fired = False
-        self._cancelled = False
-        self._entry = sim.schedule_cancellable(delay, self._fire)
+        self.deadline = sim.now  # of the latest arm
+        #: True while armed: neither fired nor cancelled since the last arm.
+        self.active = False
+        self._seq = 0  # drawn by the latest arm; 0 for a zero-delay one
+        # The queue entry of the latest arm: live, or dead but possibly
+        # still queued (``entry[3] is None`` once the engine discarded it).
+        self._entry: Optional[list] = None
+        self._pop_cb = self._pop  # one bound method, reused for every arm
+        if delay is not None:
+            self.restart(delay)
 
-    def _fire(self) -> None:
-        self._fired = True
+    def restart(self, delay: int) -> None:
+        """Arm the timer to fire ``delay`` ns from now.
+
+        Equivalent to :meth:`cancel` followed by a fresh ``Timer`` with the
+        same callback — same firing time, same place among simultaneous
+        events — without the new object or, usually, the new heap entry.
+        """
+        if delay < 0:
+            raise ValueError(f"timer delay must be >= 0, got {delay}")
+        if self.active:
+            self.cancel()
+        sim = self._sim
+        delay = int(delay)
+        self.active = True
+        self.deadline = deadline = sim.now + delay
+        if not delay:
+            self._seq = 0  # no seq drawn: this arm rides the fast lane
+            self._entry = sim.schedule_cancellable(0, self._fire)
+            return
+        sim._seq += 1
+        self._seq = sim._seq
+        entry = self._entry
+        if entry is not None and entry[3] is not None and entry[0] <= deadline:
+            entry[2] = self._pop_cb  # revive: still queued, not due too late
+            sim._dead -= 1
+        else:
+            self._entry = entry = [deadline, sim._seq, self._pop_cb, ()]
+            sim.heap_pushes += 1
+            _heappush(sim._queue, entry)
+
+    def _pop(self) -> None:
+        entry = self._entry
+        if entry[1] != self._seq:
+            # Queued by an earlier arm: move to the current arm's position.
+            entry[0] = self.deadline
+            entry[1] = self._seq
+            sim = self._sim
+            sim.heap_pushes += 1
+            _heappush(sim._queue, entry)
+            return
+        self._entry = None
+        self.active = False
+        self._callback(*self._args)
+
+    def _fire(self) -> None:  # zero-delay arm, off the fast lane
+        self._entry = None
+        self.active = False
         self._callback(*self._args)
 
     def cancel(self) -> None:
         """Disarm the timer.  Cancelling a fired or cancelled timer is a no-op."""
-        if self._fired or self._cancelled:
+        if not self.active:
             return
-        self._cancelled = True
-        self._sim.cancel_scheduled(self._entry)
-        self._entry = None
-
-    @property
-    def active(self) -> bool:
-        """True while the timer is armed and has neither fired nor been cancelled."""
-        return not self._fired and not self._cancelled
+        self.active = False
+        sim = self._sim
+        entry = self._entry
+        if self._seq:
+            # Simulator.cancel_scheduled for a heap entry, in place: this
+            # runs on every acknowledged frame.  The dead entry stays ours
+            # to revive until the engine discards it.
+            entry[2] = None
+            sim._dead += 1
+            if sim._dead > _COMPACT_MIN_DEAD and sim._dead * 2 > len(sim._queue):
+                sim._compact()
+        else:
+            sim.cancel_scheduled(entry)
+            self._entry = None  # fast-lane entries are never revived
 
 
 class Process:
@@ -180,7 +256,10 @@ class Process:
     * an :class:`Event` — wait until it triggers; the trigger value becomes
       the result of the ``yield`` expression,
     * another :class:`Process` — wait for it to finish; its return value
-      becomes the result of the ``yield`` expression.
+      becomes the result of the ``yield`` expression,
+    * a :class:`~repro.sim.resources.Resource`, ``Gate`` or ``Store`` — park
+      in its waiter queue until granted a unit / the gate is open / an item
+      arrives (the item becomes the result of the ``yield`` expression).
 
     When the generator returns, the process's :attr:`done` event triggers
     with the generator's return value.
@@ -247,7 +326,17 @@ class Process:
             target.add_callback(self._resume_cb)
         elif cls is Process:
             target.done.add_callback(self._resume_cb)
-        elif cls is float:
+        else:
+            try:
+                park = target.park  # a Resource, Gate or Store
+            except AttributeError:
+                self._wait_on_other(target)
+            else:
+                park(self._resume_cb)
+
+    def _wait_on_other(self, target: Any) -> None:
+        """The rare yield targets: floats and subclasses of the usual ones."""
+        if isinstance(target, float):
             # Accept floats from arithmetic but keep the clock integral.
             self._sim.schedule(int(round(target)), self._resume_cb, None)
         elif isinstance(target, int):
@@ -268,10 +357,11 @@ class Simulator:
     Events scheduled for the same timestamp run in the order they were
     scheduled, which makes simulations fully deterministic.  ``delay == 0``
     events ride a FIFO fast lane; everything else goes through the heap.
-    Because heap entries always carry a strictly positive delay, same-``now``
-    heap entries are older than any fast-lane entry, so running "due heap
-    entries, then the fast lane, then advance time" reproduces the seed
-    engine's global scheduling order exactly.
+    Because every heap entry due at ``T`` carries a sequence number drawn
+    before the clock reached ``T``, same-``now`` heap entries are older than
+    any fast-lane entry, so running "due heap entries, then the fast lane,
+    then advance time" reproduces the seed engine's global scheduling order
+    exactly.
     """
 
     __slots__ = (
@@ -360,7 +450,9 @@ class Simulator:
 
         The entry is nulled in place; the run loop discards it when popped.
         When dead entries outnumber live ones the heap is compacted.  Must
-        not be called for an entry that has already executed.
+        not be called for an entry that has already executed.  Until the
+        engine discards it (``entry[3]`` becomes ``None``) a dead heap entry
+        may be revived by the :class:`Timer` that owns it.
         """
         if len(entry) == 2:  # zero-delay entry riding the fast lane
             if entry[0] is not None:
@@ -372,15 +464,37 @@ class Simulator:
         entry[2] = None
         entry[3] = ()  # drop argument references early
         self._dead += 1
+        if self._dead > _COMPACT_MIN_DEAD and self._dead * 2 > len(self._queue):
+            self._compact()
+
+    def _compact(self) -> None:
+        """Drop every dead entry from the heap in one pass, marking each *gone*."""
         queue = self._queue
-        if self._dead > _COMPACT_MIN_DEAD and self._dead * 2 > len(queue):
-            # In-place: the run loops hold an alias to this list, so the
-            # object identity must survive compaction.
-            queue[:] = [e for e in queue if e[2] is not None]
-            heapq.heapify(queue)
-            self.cancelled_popped += self._dead
-            self._dead = 0
-            self.heap_compactions += 1
+        live = []
+        for e in queue:
+            if e[2] is None:
+                e[3] = None  # gone: its timer must not revive it
+            else:
+                live.append(e)
+        # In-place: the run loops hold an alias to this list, so the
+        # object identity must survive compaction.
+        queue[:] = live
+        heapq.heapify(queue)
+        self.cancelled_popped += self._dead
+        self._dead = 0
+        self.heap_compactions += 1
+
+    def _drop_dead_head(self) -> None:
+        """Discard the cancelled entry at the head of the heap.
+
+        Marks it *gone* (``args`` slot ``None``): its :class:`Timer` may
+        still hold it, and an entry that has left the heap must never be
+        revived.
+        """
+        entry = _heappop(self._queue)
+        entry[3] = None
+        self._dead -= 1
+        self.cancelled_popped += 1
 
     def next_event_time(self) -> Optional[int]:
         """Timestamp of the next live event, or None when idle.
@@ -400,9 +514,7 @@ class Simulator:
         while queue:
             head = queue[0]
             if head[2] is None:
-                _heappop(queue)
-                self._dead -= 1
-                self.cancelled_popped += 1
+                self._drop_dead_head()
                 continue
             return head[0]
         return None
@@ -450,9 +562,7 @@ class Simulator:
             if queue and (not fast or queue[0][0] == self.now):
                 entry = queue[0]
                 if entry[2] is None:  # lazily-cancelled timer
-                    _heappop(queue)
-                    self._dead -= 1
-                    self.cancelled_popped += 1
+                    self._drop_dead_head()
                     continue
                 if entry[0] > bound:
                     self.now = until
@@ -464,7 +574,8 @@ class Simulator:
             elif fast:
                 # Drain the fast lane completely: every entry is due at the
                 # current time, and no heap entry can become due until the
-                # clock advances (heap pushes carry strictly positive delay).
+                # clock advances (whatever a fast-lane callback schedules or
+                # arms with a positive delay is due later than now).
                 while fast:
                     cb, args = fast.popleft()
                     if cb is None:  # cancelled zero-delay timer
@@ -507,9 +618,7 @@ class Simulator:
             if queue and (not fast or queue[0][0] == self.now):
                 entry = queue[0]
                 if entry[2] is None:  # lazily-cancelled timer
-                    _heappop(queue)
-                    self._dead -= 1
-                    self.cancelled_popped += 1
+                    self._drop_dead_head()
                     continue
                 if entry[0] > until:
                     break
@@ -564,9 +673,7 @@ class Simulator:
         fast = self._fast
         if limit is not None and self.now > limit and not process._finished:
             while queue and queue[0][2] is None:
-                _heappop(queue)
-                self._dead -= 1
-                self.cancelled_popped += 1
+                self._drop_dead_head()
             if not (queue or fast):
                 raise SimulationError(
                     f"deadlock: process {process.name!r} is waiting but "
@@ -582,9 +689,7 @@ class Simulator:
                 if queue and (not fast or queue[0][0] == self.now):
                     entry = queue[0]
                     if entry[2] is None:
-                        _heappop(queue)
-                        self._dead -= 1
-                        self.cancelled_popped += 1
+                        self._drop_dead_head()
                         continue
                     if entry[0] > bound:
                         raise SimulationError(

@@ -1,22 +1,45 @@
 """Shared-resource primitives built on the event core.
 
-Two primitives cover everything the MultiEdge stack needs:
+Three primitives cover everything the MultiEdge stack needs:
 
 * :class:`Resource` — a counted resource with FIFO queuing; CPUs are modelled
   as capacity-1 resources, and busy-time accounting lives here so that CPU
   utilization figures (paper Figure 2c, 3c) fall out for free.
 * :class:`Store` — an unbounded (or bounded) FIFO of items with blocking
   ``get``; NIC rings and kernel work queues are Stores.
+* :class:`Gate` — a level-triggered "work available" signal.
+
+Each has one FIFO waiter queue holding two kinds of waiter.  ``acquire()``
+/ ``get()`` / ``wait()`` queue an :class:`Event` the caller may hold, pass
+around or combine with ``any_of``.  A process that yields the primitive
+itself (``yield cpu_resource``) *parks* its bare resume callback there
+instead: no ``Event`` is built, and the grant — immediate or later — resumes
+the process through the same single fast-lane hop a triggered ``Event``
+makes, so both kinds are served in one strict FIFO order at identical
+timestamps.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Generator, Optional
+from typing import Any, Callable, Deque, Generator, Optional, Union
 
 from .core import Event, SimulationError, Simulator
 
 __all__ = ["Resource", "Store", "Gate"]
+
+# What a waiter queue holds: an Event from acquire()/get()/wait(), or the
+# resume callback of a parked process (called with the granted value).
+Waiter = Union[Event, Callable[[Any], None]]
+
+
+def _grant(sim: Simulator, waiter: Waiter, value: Any) -> None:
+    """Hand ``value`` to a queued waiter: one fast-lane hop either way."""
+    if waiter.__class__ is Event:
+        waiter.trigger(value)
+    else:
+        sim._fast.append((waiter, (value,)))
+        sim.fastlane_hits += 1
 
 
 class Resource:
@@ -24,12 +47,13 @@ class Resource:
 
     Usage from a process::
 
-        yield cpu.acquire()
+        yield cpu            # or: yield cpu.acquire()
         ... hold the resource ...
         cpu.release()
 
     :meth:`acquire` returns an :class:`Event` that triggers when a unit is
-    granted.  Units are granted strictly in request order.
+    granted; yielding the resource itself waits the same way without one.
+    Units are granted strictly in request order.
     """
 
     __slots__ = ("_sim", "capacity", "in_use", "_waiters", "busy_time", "_busy_since")
@@ -40,7 +64,7 @@ class Resource:
         self._sim = sim
         self.capacity = capacity
         self.in_use = 0
-        self._waiters: Deque[Event] = deque()
+        self._waiters: Deque[Waiter] = deque()
         # Accumulated unit-nanoseconds of busy time (integral of in_use dt).
         self.busy_time = 0
         self._busy_since = sim.now
@@ -53,13 +77,26 @@ class Resource:
     def acquire(self) -> Event:
         """Request one unit; the returned event triggers when granted."""
         ev = Event(self._sim)
-        if self.in_use < self.capacity and not self._waiters:
-            self._account()
-            self.in_use += 1
+        if self.try_acquire():
             ev.trigger(self)
         else:
             self._waiters.append(ev)
         return ev
+
+    def try_acquire(self) -> bool:
+        """Claim a unit in place if one is free and nobody queues for it."""
+        if self.in_use < self.capacity and not self._waiters:
+            self._account()
+            self.in_use += 1
+            return True
+        return False
+
+    def park(self, resume: Callable[[Any], None]) -> None:
+        """Call ``resume(self)`` once a unit is granted (``yield resource``)."""
+        if self.try_acquire():
+            _grant(self._sim, resume, self)
+        else:
+            self._waiters.append(resume)
 
     def release(self) -> None:
         """Return one unit, handing it to the oldest waiter if any."""
@@ -67,8 +104,7 @@ class Resource:
             raise SimulationError("release() without matching acquire()")
         if self._waiters:
             # Hand the unit over directly: in_use stays constant.
-            ev = self._waiters.popleft()
-            ev.trigger(self)
+            _grant(self._sim, self._waiters.popleft(), self)
         else:
             self._account()
             self.in_use -= 1
@@ -101,7 +137,8 @@ class Store:
     ``put`` is non-blocking; when the store is bounded and full, ``put``
     returns ``False`` and drops the item (matching finite NIC/switch queues,
     where the caller decides whether a drop is an error).  ``get`` returns an
-    :class:`Event` that triggers with the next item.
+    :class:`Event` that triggers with the next item; ``item = yield store``
+    waits for it without one.
     """
 
     __slots__ = ("_sim", "capacity", "_items", "_getters", "drops", "puts")
@@ -112,7 +149,7 @@ class Store:
         self._sim = sim
         self.capacity = capacity
         self._items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
+        self._getters: Deque[Waiter] = deque()
         self.drops = 0
         self.puts = 0
 
@@ -120,7 +157,7 @@ class Store:
         """Append ``item``; returns False (and counts a drop) if full."""
         if self._getters:
             self.puts += 1
-            self._getters.popleft().trigger(item)
+            _grant(self._sim, self._getters.popleft(), item)
             return True
         if self.capacity is not None and len(self._items) >= self.capacity:
             self.drops += 1
@@ -137,6 +174,13 @@ class Store:
         else:
             self._getters.append(ev)
         return ev
+
+    def park(self, resume: Callable[[Any], None]) -> None:
+        """Call ``resume(item)`` with the next item (``yield store``)."""
+        if self._items:
+            _grant(self._sim, resume, self._items.popleft())
+        else:
+            self._getters.append(resume)
 
     def try_get(self) -> tuple[bool, Any]:
         """Non-blocking get: ``(True, item)`` or ``(False, None)``."""
@@ -165,7 +209,7 @@ class Gate:
     def __init__(self, sim: Simulator, open: bool = False) -> None:
         self._sim = sim
         self._open = open
-        self._waiters: Deque[Event] = deque()
+        self._waiters: Deque[Waiter] = deque()
 
     @property
     def is_open(self) -> bool:
@@ -175,7 +219,7 @@ class Gate:
         """Open the gate, releasing all current waiters."""
         self._open = True
         while self._waiters:
-            self._waiters.popleft().trigger(None)
+            _grant(self._sim, self._waiters.popleft(), None)
 
     def close(self) -> None:
         """Close the gate; subsequent waits block until reopened."""
@@ -189,6 +233,13 @@ class Gate:
         else:
             self._waiters.append(ev)
         return ev
+
+    def park(self, resume: Callable[[Any], None]) -> None:
+        """Call ``resume(None)`` as soon as the gate is open (``yield gate``)."""
+        if self._open:
+            _grant(self._sim, resume, None)
+        else:
+            self._waiters.append(resume)
 
 
 def hold(resource: Resource, duration: int) -> Generator[Any, Any, None]:

@@ -86,3 +86,45 @@ class TestOverrides:
         res = traced.finish()
         # The traced replay sees the identical frame sequence.
         assert res.fingerprint == reference.fingerprint
+
+
+class TestTimerStates:
+    """A checkpoint taken while per-frame timers sit in every state a
+    re-armable timer can be in — armed on a fresh entry, armed on a revived
+    entry that has yet to pop, cancelled with the dead entry still queued —
+    restores (fingerprint-verified replay) and finishes like the
+    uninterrupted run."""
+
+    @staticmethod
+    def _timer_states(cluster):
+        states = set()
+        for stack in cluster.stacks:
+            timers = [nic._coalesce_timer for nic in stack.node.nics]
+            for conn in stack.protocol.connections.values():
+                timers += [
+                    conn.retransmit_timer._timer,
+                    conn._delayed_ack_timer,
+                    conn._nack_timer,
+                ]
+            for t in timers:
+                entry = t._entry
+                if entry is None or len(entry) != 4:
+                    continue
+                if t.active:
+                    states.add("revived" if entry[1] != t._seq else "fresh")
+                elif entry[3] is not None:
+                    states.add("dead-queued")
+        return states
+
+    def test_restore_with_armed_cancelled_and_revived_timers(self):
+        sc = scenario_from_seed(9, "mixed", "outage")
+        reference = run_scenario(sc)
+        paused = _paused(sc, 1_500_000)
+        assert self._timer_states(paused.cluster) >= {"revived", "dead-queued"}
+        ck = take_checkpoint(paused)
+        restored = restore(ck)
+        assert self._timer_states(restored.cluster) == self._timer_states(
+            paused.cluster
+        )
+        assert restored.finish() == reference
+        assert paused.finish() == reference

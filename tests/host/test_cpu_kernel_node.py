@@ -198,3 +198,83 @@ def test_interrupts_reenabled_after_drain():
     a.nics[0].transmit(frame_to(b, seq=1))
     sim.run()
     assert b.nics[0].interrupts_enabled
+
+
+# -- interrupt handler as callbacks -------------------------------------------
+#
+# The numbers below were recorded at the parent commit (b9af88d), where every
+# interrupt spawned a Process running ``cpu.run(interrupt_ns, "interrupt")``.
+
+
+def test_irq_while_kthread_holds_cpu_is_charged_at_the_parents_instants():
+    sim = Simulator()
+    a, b = make_wired_pair(sim)
+    b.kernel.attach_client(RecordingClient(cost=300))
+    a.kernel.attach_client(RecordingClient(cost=0))
+    charges = []
+    charge = b.accounting.charge
+
+    def recording(tag, duration):
+        charges.append((sim.now, tag, duration))
+        charge(tag, duration)
+
+    b.accounting.charge = recording
+    # A frame lands at 1 281 ns and its coalescing timeout raises the
+    # interrupt at 6 281 ns — in the middle of the wake-up cost (3 000 to
+    # 8 500 ns) of a kthread that was kicked awake, so the NIC is unmasked
+    # and the protocol CPU is taken.  The handler queues for the CPU, gets it
+    # when the kthread lets go, and opens the work gate when it is done: a
+    # second wake-up follows.  Uncontended it would have been charged at 8 781.
+    a.nics[0].transmit(frame_to(b, seq=0))
+    sim.schedule(3_000, b.kernel.kick)
+    sim.schedule(40_000, a.nics[0].transmit, frame_to(b, seq=1))
+    sim.run()
+    assert charges == [
+        (8_500, "protocol.wakeup", 5_500),
+        (11_000, "interrupt", 2_500),
+        (11_300, "protocol.recv", 300),
+        (16_800, "protocol.wakeup", 5_500),
+        (50_281, "interrupt", 2_500),
+        (55_781, "protocol.wakeup", 5_500),
+        (56_081, "protocol.recv", 300),
+    ]
+    assert sim.now == 56_081
+    assert (b.kernel.irqs_handled, b.kernel.kthread_wakeups) == (2, 3)
+    assert b.protocol_cpu.resource.busy_time == 22_100
+    assert b.protocol_cpu.resource.in_use == 0
+
+
+def test_zero_cost_interrupt_still_wakes_the_kthread():
+    sim = Simulator()
+    rng = RngRegistry(0)
+    a = Node(sim, 0, rng=rng, name="a")
+    b = Node(sim, 1, host_params=HostParams(interrupt_ns=0), rng=rng, name="b")
+    connect_back_to_back(sim, a.nics[0], b.nics[0], LinkParams(propagation_ns=100), rng)
+    client = RecordingClient(cost=0)
+    b.kernel.attach_client(client)
+    a.nics[0].transmit(frame_to(b))
+    sim.run()
+    assert len(client.frames) == 1
+    assert b.kernel.irqs_handled == 1 and b.kernel.kthread_wakeups == 1
+    assert "interrupt" not in b.accounting.by_tag
+
+
+def test_pingpong_interrupt_accounting_equals_the_parents():
+    from repro.bench.cluster import make_cluster
+    from repro.bench.micro import run_micro
+
+    cluster = make_cluster("1L-10G", nodes=2, seed=0, synthetic_payloads=True)
+    result = run_micro("ping-pong", cluster, 64, iterations=2_000, warmup=5)
+    cluster.sim.run()
+    assert result.elapsed_ns == 110_908_117
+    assert cluster.sim.now == 111_608_739
+    for stack in cluster.stacks:
+        node = stack.node
+        assert node.accounting.by_tag["interrupt"] == 10_027_500
+        assert node.accounting.by_tag["protocol.wakeup"] == 22_060_500
+        assert node.kernel.irqs_handled == 4_011
+        assert node.kernel.kthread_wakeups == 4_011
+    # Same sequence numbers drawn, same fast-lane hops: only what sits dead
+    # in the heap changed.
+    assert cluster.sim._seq == 72_192
+    assert cluster.sim.fastlane_hits == 20_059

@@ -1,0 +1,260 @@
+"""Parking equivalence: ``yield resource`` is ``yield resource.acquire()``.
+
+A process may wait on a :class:`Resource`, :class:`Gate` or :class:`Store`
+either through the ``Event`` that ``acquire()`` / ``wait()`` / ``get()``
+returns or by yielding the primitive itself, which parks the process's
+resume callback in the same FIFO waiter queue.  Both are granted in strict
+request order through exactly one fast-lane hop, so every timestamp, every
+interleaving with other same-instant work and the engine's own counters are
+the same whichever way each waiter waits.
+
+The expected values below were recorded at the parent commit (b9af88d),
+where only the ``Event`` form existed, by running these same scenarios with
+every waiter on ``"event"``.
+"""
+
+import pytest
+
+from repro.sim import Gate, Resource, Simulator, Store
+
+KINDS = {
+    "all-event": ["event"] * 6,
+    "all-parked": ["park"] * 6,
+    "mixed": ["event", "park", "park", "event", "park", "event"],
+    "mixed-inverse": ["park", "event", "event", "park", "event", "park"],
+}
+
+
+def _wait(kind, primitive):
+    """What a process yields to wait on ``primitive`` the ``kind`` way."""
+    if kind == "park":
+        return primitive
+    for name in ("acquire", "wait", "get"):
+        if hasattr(primitive, name):
+            return getattr(primitive, name)()
+    raise AssertionError(primitive)
+
+
+def _summary(sim, log):
+    """(log, final clock, events, fast-lane hits, heap pushes)."""
+    return log, sim.now, sim.events_processed, sim.fastlane_hits, sim.heap_pushes
+
+
+# -- Resource ------------------------------------------------------------------
+
+# (start, hold): two arrive together at 0, three pile up while the first
+# holds the unit, one arrives after the queue drained (uncontended again).
+# Even an uncontended grant lands one hop later: "same-instant-after" work
+# queued before the wait runs first.
+_RESOURCE_JOBS = [(0, 40), (0, 10), (5, 25), (5, 5), (30, 15), (200, 10)]
+
+RESOURCE_AT_PARENT = (
+    [
+        (0, "same-instant-before:0"),
+        (0, "same-instant-before:1"),
+        (0, "same-instant-after:0"),
+        (0, "granted:0"),
+        (0, "same-instant-after:1"),
+        (5, "same-instant-before:2"),
+        (5, "same-instant-before:3"),
+        (5, "same-instant-after:2"),
+        (5, "same-instant-after:3"),
+        (30, "same-instant-before:4"),
+        (30, "same-instant-after:4"),
+        (40, "released:0"),
+        (40, "granted:1"),
+        (50, "released:1"),
+        (50, "granted:2"),
+        (75, "released:2"),
+        (75, "granted:3"),
+        (80, "released:3"),
+        (80, "granted:4"),
+        (95, "released:4"),
+        (200, "same-instant-before:5"),
+        (200, "same-instant-after:5"),
+        (200, "granted:5"),
+        (210, "released:5"),
+    ],
+    210,
+    30,
+    20,
+    10,
+)
+
+
+def _resource_scenario(kinds):
+    sim = Simulator()
+    res = Resource(sim)
+    log = []
+
+    def note(what):
+        log.append((sim.now, what))
+
+    def job(i, start, hold):
+        yield start
+        # Work queued in this instant before and after the wait: the grant
+        # must land between them exactly as a triggered Event's would.
+        note(f"same-instant-before:{i}")
+        sim.schedule(0, note, f"same-instant-after:{i}")
+        yield _wait(kinds[i], res)
+        note(f"granted:{i}")
+        yield hold
+        res.release()
+        note(f"released:{i}")
+
+    for i, (start, hold) in enumerate(_RESOURCE_JOBS):
+        sim.process(job(i, start, hold))
+    sim.run()
+    assert res.in_use == 0 and res.queue_length == 0
+    assert res.busy_time == sum(hold for _, hold in _RESOURCE_JOBS)
+    return _summary(sim, log)
+
+
+@pytest.mark.parametrize("kinds", KINDS.values(), ids=KINDS.keys())
+def test_resource_waiters_are_granted_fifo_at_the_parents_instants(kinds):
+    assert _resource_scenario(kinds) == RESOURCE_AT_PARENT
+
+
+def test_resource_try_acquire_claims_only_a_free_unqueued_unit():
+    sim = Simulator()
+    res = Resource(sim)
+    assert res.try_acquire() and res.in_use == 1
+    assert not res.try_acquire()  # busy
+    granted = []
+    res.park(granted.append)
+    res.release()  # handed straight to the parked waiter
+    assert res.in_use == 1 and granted == []  # ... one hop later
+    sim.run()
+    assert granted == [res]
+    res.release()
+    assert res.in_use == 0
+
+
+# -- Gate ------------------------------------------------------------------------
+
+GATE_AT_PARENT = (
+    [
+        (50, "through:0"),
+        (50, "through:1"),
+        (50, "through:2"),
+        (60, "queued-first"),
+        (60, "through:3"),
+        (70, "through:4"),
+        (90, "through:5"),
+    ],
+    90,
+    24,
+    14,
+    10,
+)
+
+
+def _gate_scenario(kinds):
+    sim = Simulator()
+    gate = Gate(sim)
+    log = []
+
+    def note(what):
+        log.append((sim.now, what))
+
+    def waiter(i, start):
+        yield start
+        if i == 3:
+            # The gate is already open here: still one hop, not zero.
+            sim.schedule(0, note, "queued-first")
+        yield _wait(kinds[i], gate)
+        note(f"through:{i}")
+
+    # 0-2 block until the gate opens at 50; 3 finds it open; 4 arrives after
+    # it closed again at 65 and waits for the reopening at 70... which is
+    # when it arrives, so it queues first and is released in the same instant.
+    for i, start in enumerate([0, 10, 10, 60, 70, 80]):
+        sim.process(waiter(i, start))
+    sim.schedule(50, gate.open)
+    sim.schedule(65, gate.close)
+    sim.schedule(70, gate.open)
+    sim.schedule(75, gate.close)
+    sim.schedule(90, gate.open)
+    sim.run()
+    return _summary(sim, log)
+
+
+@pytest.mark.parametrize("kinds", KINDS.values(), ids=KINDS.keys())
+def test_gate_waiters_pass_at_the_parents_instants(kinds):
+    assert _gate_scenario(kinds) == GATE_AT_PARENT
+
+
+# -- Store -----------------------------------------------------------------------
+
+STORE_AT_PARENT = (
+    [
+        (20, "got:0:a"),
+        (20, "got:1:b"),
+        (40, "got:2:c"),
+        (60, "queued-first"),
+        (60, "got:3:d"),
+        (60, "got:4:e"),
+        (100, "got:5:f"),
+    ],
+    100,
+    23,
+    15,
+    8,
+)
+
+
+def _store_scenario(kinds):
+    sim = Simulator()
+    store = Store(sim)
+    log = []
+
+    def note(what):
+        log.append((sim.now, what))
+
+    def getter(i, start):
+        yield start
+        if i == 3:
+            # Items are ready here: still one hop, not zero.
+            sim.schedule(0, note, "queued-first")
+        item = yield _wait(kinds[i], store)
+        note(f"got:{i}:{item}")
+
+    def put(*items):
+        for item in items:
+            store.put(item)
+
+    # 0-2 block; "a" and "b" arrive together at 20, "c" at 40; "d" and "e"
+    # are stocked at 50 for getters 3 and 4, who arrive at 60; 5 blocks.
+    for i, start in enumerate([0, 0, 10, 60, 60, 70]):
+        sim.process(getter(i, start))
+    sim.schedule(20, put, "a", "b")
+    sim.schedule(40, put, "c")
+    sim.schedule(50, put, "d", "e")
+    sim.schedule(100, put, "f")
+    sim.run()
+    assert len(store) == 0 and store.waiting_getters == 0 and store.puts == 6
+    return _summary(sim, log)
+
+
+@pytest.mark.parametrize("kinds", KINDS.values(), ids=KINDS.keys())
+def test_store_getters_are_served_fifo_at_the_parents_instants(kinds):
+    assert _store_scenario(kinds) == STORE_AT_PARENT
+
+
+def test_parking_builds_no_event(monkeypatch):
+    """The point of parking: a wait allocates nothing."""
+    from repro.sim import core
+
+    built = []
+    original = core.Event.__init__
+
+    def counting(self, sim):
+        built.append(self)
+        original(self, sim)
+
+    monkeypatch.setattr(core.Event, "__init__", counting)
+    _resource_scenario(KINDS["all-parked"])
+    _gate_scenario(KINDS["all-parked"])
+    _store_scenario(KINDS["all-parked"])
+    # One `done` Event per process (6 per scenario), none per wait.
+    assert len(built) == 18

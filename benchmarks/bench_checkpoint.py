@@ -25,9 +25,9 @@ Invocations:
 import json
 import time
 from dataclasses import replace
-from pathlib import Path
 
 import pytest
+from conftest import record
 
 from repro.bench.parallel import warm_micro_sweep
 from repro.checkpoint import restore, take_checkpoint
@@ -42,8 +42,6 @@ from repro.verify.fuzz import (
     shrink_scenario,
 )
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-BENCH_JSON = REPO_ROOT / "BENCH_checkpoint.json"
 
 MS = 1_000_000
 
@@ -54,18 +52,6 @@ MIN_WARM_SPEEDUP = 1.05
 MIN_SHRINK_SPEEDUP = 1.5
 
 WARM_SIZES = (1024, 4096, 16384, 65536, 262144, 1048576)
-
-
-def _merge_bench_json(update: dict) -> dict:
-    data = {}
-    if BENCH_JSON.exists():
-        try:
-            data = json.loads(BENCH_JSON.read_text())
-        except json.JSONDecodeError:
-            data = {}
-    data.update(update)
-    BENCH_JSON.write_text(json.dumps(data, indent=2) + "\n")
-    return data
 
 
 def _prefix_heavy_failing_scenario():
@@ -134,7 +120,7 @@ def test_snapshot_restore_cost_smoke():
             "verified_restore_ms": round(restore_ms, 2),
         }
     }
-    _merge_bench_json(report)
+    record("checkpoint", report)
     print(json.dumps(report, indent=2))
 
 
@@ -169,7 +155,7 @@ def test_warm_sweep_smoke():
             "bit_identical": True,
         }
     }
-    _merge_bench_json(report)
+    record("checkpoint", report)
     print(json.dumps(report, indent=2))
     assert speedup >= MIN_WARM_SPEEDUP, (
         f"warm sweep {warm_s:.3f}s vs cold {cold_s:.3f}s "
@@ -206,7 +192,7 @@ def test_shrinker_savings_smoke():
             "speedup": round(speedup, 2),
         }
     }
-    _merge_bench_json(report)
+    record("checkpoint", report)
     print(json.dumps(report, indent=2))
     assert speedup >= MIN_SHRINK_SPEEDUP, (
         f"checkpointed shrink {fast_s:.3f}s vs cold {cold_s:.3f}s "

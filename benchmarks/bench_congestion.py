@@ -26,15 +26,13 @@ Invocations:
 
 import dataclasses
 import json
-from pathlib import Path
 
 import pytest
+from conftest import record
 
 from repro.bench.incast import run_incast
 from repro.congestion import CongestionParams
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-BENCH_JSON = REPO_ROOT / "BENCH_congestion.json"
 
 # Acceptance floors (ISSUE acceptance criteria).
 MIN_DROP_REDUCTION = 0.50  # adaptive controllers halve tail drops at 16:1
@@ -46,18 +44,6 @@ VARIANTS = (
     ("aimd", "aimd", None),
     ("dctcp", "dctcp", ECN_THRESHOLD),
 )
-
-
-def _merge_bench_json(update: dict) -> dict:
-    data = {}
-    if BENCH_JSON.exists():
-        try:
-            data = json.loads(BENCH_JSON.read_text())
-        except json.JSONDecodeError:
-            data = {}
-    data.update(update)
-    BENCH_JSON.write_text(json.dumps(data, indent=2) + "\n")
-    return data
 
 
 def _point(
@@ -155,7 +141,7 @@ def test_congestion_smoke():
             label: r.elapsed_ns for label, r in single.items()
         },
     }
-    _merge_bench_json(report)
+    record("congestion", report)
     print(json.dumps(report, indent=2))
 
 
@@ -194,5 +180,5 @@ def test_congestion_full():
     assert r.data_intact, "receiver memory corrupted under incast"
     report["integrity_16_dctcp"] = {"data_intact": r.data_intact}
 
-    _merge_bench_json(report)
+    record("congestion", report)
     print(json.dumps(report, indent=2))

@@ -22,36 +22,24 @@ Invocations:
   (seconds; asserts the acceptance floors on 2Lu-1G);
 * full —
   ``PYTHONPATH=src python -m pytest benchmarks/bench_crash.py -m slow``
-  (adds 2L-1G in-order, a long boot delay, and a double-crash run).
+  (adds a long boot delay).  2L-1G is not measured: this paced stream of
+  small messages is insensitive to delivery order and gives the 2Lu-1G
+  numbers exactly (EXPERIMENTS.md).
 """
 
 import json
-from pathlib import Path
 
 import pytest
+from conftest import record
 
 from repro.bench.crash import run_crash
 from repro.verify.fuzz import run_crash_scenario, run_incarnation_scenario
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-BENCH_JSON = REPO_ROOT / "BENCH_crash.json"
 
 MS = 1_000_000
 
 # Acceptance floors (ISSUE acceptance criteria).
 MIN_RECOVERED_FRACTION = 0.95
-
-
-def _merge_bench_json(update: dict) -> dict:
-    data = {}
-    if BENCH_JSON.exists():
-        try:
-            data = json.loads(BENCH_JSON.read_text())
-        except json.JSONDecodeError:
-            data = {}
-    data.update(update)
-    BENCH_JSON.write_text(json.dumps(data, indent=2) + "\n")
-    return data
 
 
 def _point(config: str, restart_delay_ns: int = 5 * MS, **kw) -> dict:
@@ -85,7 +73,7 @@ def test_crash_smoke():
     """Acceptance floors on the out-of-order two-rail configuration."""
     point = _point("2Lu-1G")
     report = {"crash_2Lu_1G": point}
-    _merge_bench_json(report)
+    record("crash", report)
     print(json.dumps(report, indent=2))
     assert point["reconnect_latency_ns"] <= point["reconnect_bound_ns"], (
         f"reconnect took {point['reconnect_latency_ns']} ns, "
@@ -130,7 +118,8 @@ def test_crash_fuzz():
     assert redeliveries > 0, "no crash scenario redelivered anything"
     assert dups > 0, "duplicate suppression never triggered"
     assert incarnation_stale > 0, "stale-incarnation rejection never triggered"
-    _merge_bench_json(
+    record(
+        "crash",
         {
             "crash_fuzz": {
                 "crash_scenarios": 150,
@@ -146,14 +135,8 @@ def test_crash_fuzz():
 
 @pytest.mark.slow
 def test_crash_full():
-    """All two-rail variants plus a slow-boot run."""
+    """A slow-boot run."""
     report = {}
-    for config in ("2Lu-1G", "2L-1G"):
-        point = _point(config)
-        report[f"crash_{config.replace('-', '_')}"] = point
-        assert point["reconnect_latency_ns"] <= point["reconnect_bound_ns"]
-        assert point["recovered_fraction"] >= MIN_RECOVERED_FRACTION, config
-
     # Long boot: the reconnect dial must ride its backoff until the peer
     # is actually listening again.
     slow_boot = _point("2Lu-1G", restart_delay_ns=20 * MS, run_ns=80 * MS)
@@ -161,5 +144,5 @@ def test_crash_full():
     assert slow_boot["reconnect_latency_ns"] <= slow_boot["reconnect_bound_ns"]
     assert slow_boot["recovered_fraction"] >= MIN_RECOVERED_FRACTION
 
-    _merge_bench_json(report)
+    record("crash", report)
     print(json.dumps(report, indent=2))

@@ -33,9 +33,9 @@ Invocations:
 
 import dataclasses
 import json
-from pathlib import Path
 
 import pytest
+from conftest import record
 
 from repro.bench.fabric import run_ecmp_evenness, run_fabric_incast
 from repro.fabric import AllToAll, FatTreeSpec, run_traffic
@@ -46,8 +46,6 @@ from repro.verify.fuzz import (
     scenario_from_seed,
 )
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-BENCH_JSON = REPO_ROOT / "BENCH_fabric.json"
 
 # Acceptance floors (ISSUE acceptance criteria).
 MIN_DROP_REDUCTION = 0.50  # adaptive controllers halve drops at 16:1
@@ -72,18 +70,6 @@ PINNED_FINGERPRINTS = {
     42: "54c8bf57395628440066e52fa19dc508abb7d9180530e7c1ab85d0bfff4ca7c4",
     123: "8e62a7d62f364e104b71b44a396848168507bac1306179dbe03f2a1a9440fea0",
 }
-
-
-def _merge_bench_json(update: dict) -> dict:
-    data = {}
-    if BENCH_JSON.exists():
-        try:
-            data = json.loads(BENCH_JSON.read_text())
-        except json.JSONDecodeError:
-            data = {}
-    data.update(update)
-    BENCH_JSON.write_text(json.dumps(data, indent=2) + "\n")
-    return data
 
 
 def _point(congestion: str, ecn: int | None, **kw) -> dict:
@@ -191,7 +177,7 @@ def test_fabric_smoke():
         ],
         "single_switch_fingerprints_stable": sorted(PINNED_FINGERPRINTS),
     }
-    _merge_bench_json(report)
+    record("fabric", report)
     print(json.dumps(report, indent=2))
 
 
@@ -251,5 +237,5 @@ def test_fabric_full():
         "total_repins": sum(r3.repins for r3 in fuzz),
     }
 
-    _merge_bench_json(report)
+    record("fabric", report)
     print(json.dumps(report, indent=2))

@@ -19,18 +19,13 @@ Invocations:
   single-rail ones, planned in closed form, sit two orders above that).
 """
 
-import json
 import time
-from pathlib import Path
 
 import pytest
-from conftest import tree_commit
+from conftest import record
 
 from repro.bench.cluster import CONFIG_NAMES, make_cluster
 from repro.bench.micro import run_one_way
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-BENCH_JSON = REPO_ROOT / "BENCH_fastpath.json"
 
 SIZE = 1 << 20  # the 1 MB point the paper's Figure 2 peaks at
 
@@ -85,17 +80,7 @@ def measure_point(config: str, repeats: int = 3) -> dict:
                     4,
                 ),
             }
-    best["commit"] = tree_commit()
     return best
-
-
-def _load() -> dict:
-    if BENCH_JSON.exists():
-        return json.loads(BENCH_JSON.read_text())
-    return {}
-
-def _store(data: dict) -> None:
-    BENCH_JSON.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def test_fastpath_smoke():
@@ -104,18 +89,16 @@ def test_fastpath_smoke():
     assert cov["jumps"] >= 1, point["on"]
     assert point["goodput_divergence_pct"] < MAX_DIVERGENCE * 100, point
     assert point["speedup_wall"] >= MIN_SMOKE_SPEEDUP, point
-    data = _load()
-    data["one_way_1MB_1L-1G"] = point
-    _store(data)
+    record("fastpath", {"one_way_1MB_1L-1G": point})
 
 
 @pytest.mark.slow
 def test_fastpath_full():
-    data = _load()
+    report = {}
     for config in CONFIG_NAMES:
         point = measure_point(config)
         cov = point["on"]["coverage"]
         assert cov["jumps"] >= 1, (config, point["on"])
         assert point["goodput_divergence_pct"] < MAX_DIVERGENCE * 100, point
-        data[f"one_way_1MB_{config}"] = point
-    _store(data)
+        report[f"one_way_1MB_{config}"] = point
+    record("fastpath", report)

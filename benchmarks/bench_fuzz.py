@@ -16,10 +16,8 @@ Invocations:
   (1000 unconstrained seeds).
 """
 
-import json
-from pathlib import Path
-
 import pytest
+from conftest import record
 
 from repro.verify.fuzz import (
     FAULT_PROFILES,
@@ -27,9 +25,6 @@ from repro.verify.fuzz import (
     run_scenario,
     scenario_from_seed,
 )
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-BENCH_JSON = REPO_ROOT / "BENCH_fuzz.json"
 
 SEEDS_PER_CELL = 8  # x 5 workloads x 5 fault profiles = 200 scenarios
 
@@ -57,22 +52,19 @@ def test_fuzz_smoke():
     # Each scenario must actually exercise the monitor, not skip it.
     assert checks > 20 * scenarios, f"only {checks} checks in {scenarios} runs"
 
-    BENCH_JSON.write_text(
-        json.dumps(
-            {
-                "scenarios": scenarios,
-                "invariant_checks": checks,
-                "violations": 0,
-                "simulated_ns_total": sim_ns,
-                "grid": {
-                    "workloads": list(WORKLOADS),
-                    "fault_profiles": list(FAULT_PROFILES),
-                    "seeds_per_cell": SEEDS_PER_CELL,
-                },
+    record(
+        "fuzz",
+        {
+            "scenarios": scenarios,
+            "invariant_checks": checks,
+            "violations": 0,
+            "simulated_ns_total": sim_ns,
+            "grid": {
+                "workloads": list(WORKLOADS),
+                "fault_profiles": list(FAULT_PROFILES),
+                "seeds_per_cell": SEEDS_PER_CELL,
             },
-            indent=2,
-        )
-        + "\n"
+        },
     )
 
 

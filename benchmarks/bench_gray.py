@@ -32,18 +32,14 @@ Invocations:
   ``PYTHONPATH=src python -m pytest benchmarks/bench_gray.py -m slow``.
 """
 
-import json
-from pathlib import Path
-
 import pytest
+from conftest import record
 
 from repro.bench.serve import ServeRun, run_serve
 from repro.control import SlowNic, SlowNode
 from repro.serve import ArrivalSpec, ServerSpec, TailSpec
 from repro.verify.fuzz import run_gray_scenario
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-BENCH_JSON = REPO_ROOT / "BENCH_gray.json"
 
 _MS = 1_000_000
 
@@ -51,18 +47,6 @@ _MS = 1_000_000
 MIN_P99_RECOVERY = 0.80  # hedging+ejection vs one 10x-slow replica
 MAX_RETRY_AMPLIFICATION = 1.10  # attempts / fresh load at 2x overload
 FUZZ_SMOKE_SEEDS = 200
-
-
-def _merge_bench_json(update: dict) -> dict:
-    data = {}
-    if BENCH_JSON.exists():
-        try:
-            data = json.loads(BENCH_JSON.read_text())
-        except json.JSONDecodeError:
-            data = {}
-    data.update(update)
-    BENCH_JSON.write_text(json.dumps(data, indent=2) + "\n")
-    return data
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +113,8 @@ def test_gray_mitigation_smoke():
     regression = unmit.p99_ns - base.p99_ns
     assert regression > 0, "the slow replica must actually hurt the p99"
     recovery = (unmit.p99_ns - mit.p99_ns) / regression
-    _merge_bench_json(
+    record(
+        "gray",
         {
             "mitigation": {
                 "servers": _N_SERVERS,
@@ -178,7 +163,8 @@ def test_gray_retry_amplification_smoke():
     assert not res.violations, res.violations
     budget = run.runtime.tail.budget
     amplification = 1 + budget.spent / res.generated
-    _merge_bench_json(
+    record(
+        "gray",
         {
             "amplification": {
                 "generated": res.generated,
@@ -234,7 +220,8 @@ def test_gray_detection_smoke():
     assert not any(t.new.value == "down" for t in history), (
         "a gray fault must not escalate to DOWN"
     )
-    _merge_bench_json(
+    record(
+        "gray",
         {
             "detection": {
                 "checks": scorer.checks,
@@ -260,7 +247,8 @@ def test_gray_fuzz_smoke():
             kinds[k] = kinds.get(k, 0) + 1
         if not res.ok:
             failures.append((seed, res.gray_kinds, res.result.violations[:2]))
-    _merge_bench_json(
+    record(
+        "gray",
         {
             "fuzz": {
                 "seeds": FUZZ_SMOKE_SEEDS,

@@ -35,17 +35,15 @@ Invocations:
 
 import dataclasses
 import json
-from pathlib import Path
 
 import pytest
+from conftest import record
 
 from repro.analysis import SloSpec
 from repro.bench.serve import run_serve
 from repro.fabric import LeafSpineSpec
 from repro.serve import POLICIES, ArrivalSpec, ServerSpec
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-BENCH_JSON = REPO_ROOT / "BENCH_serve.json"
 
 _MS = 1_000_000
 
@@ -54,18 +52,6 @@ MIN_OVERLOAD_SHED_FRACTION = 0.10  # bounded queues must actually shed
 VOLUME_MIN_REQUESTS = 100_000  # open-loop volume point (slow tier)
 
 STEADY_SLO = SloSpec(p50_ms=1.0, p99_ms=5.0, p999_ms=20.0)
-
-
-def _merge_bench_json(update: dict) -> dict:
-    data = {}
-    if BENCH_JSON.exists():
-        try:
-            data = json.loads(BENCH_JSON.read_text())
-        except json.JSONDecodeError:
-            data = {}
-    data.update(update)
-    BENCH_JSON.write_text(json.dumps(data, indent=2) + "\n")
-    return data
 
 
 def _point(r) -> dict:
@@ -246,7 +232,7 @@ def test_serve_smoke():
         "identical serving configurations diverged"
     )
 
-    _merge_bench_json(report)
+    record("serve", report)
     print(json.dumps(report, indent=2))
 
 
@@ -275,7 +261,7 @@ def test_serve_volume_full():
         f"(floor {VOLUME_MIN_REQUESTS})"
     )
     assert r.completed == r.generated
-    _merge_bench_json({"volume_1L_10G": _point(r)})
+    record("serve", {"volume_1L_10G": _point(r)})
 
 
 @pytest.mark.slow
@@ -308,4 +294,4 @@ def test_serve_spike_failover_full():
     assert r.crashes == 1 and r.reconnects >= 1
     assert r.failed == 0, "failover lost requests"
     assert r.generated == r.completed + r.shed + r.shed_client
-    _merge_bench_json({"spike_failover_leaf_spine_3to1": _point(r)})
+    record("serve", {"spike_failover_leaf_spine_3to1": _point(r)})

@@ -6,8 +6,11 @@ adds no statistical information, so every benchmark uses
 caches results so related figures share their underlying runs.
 """
 
+import json
 import subprocess
 from pathlib import Path
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 # Sweep used by the Figure-2 benchmarks (paper sweeps 64 B .. 1 MB).
 FIG2_SIZES = (64, 1024, 16384, 262144, 1048576)
@@ -20,17 +23,39 @@ def tree_commit() -> str | None:
     Stamped on recorded wall-time rows so a number can be traced to the
     code that produced it; None outside a git checkout.
     """
-    root = Path(__file__).resolve().parent.parent
     try:
         head = subprocess.run(
-            ["git", "-C", str(root), "rev-parse", "--short=12", "HEAD"],
+            ["git", "-C", str(REPO_ROOT), "rev-parse", "--short=12", "HEAD"],
             capture_output=True, text=True, check=True,
         ).stdout.strip()
         dirty = subprocess.run(
-            ["git", "-C", str(root), "status", "--porcelain",
+            ["git", "-C", str(REPO_ROOT), "status", "--porcelain",
              "--untracked-files=no"],
             capture_output=True, text=True, check=True,
         ).stdout.strip()
     except (subprocess.CalledProcessError, FileNotFoundError):
         return None
     return head + ("+dirty" if dirty else "")
+
+
+def record(name: str, update: dict) -> dict:
+    """Merge ``update`` into ``BENCH_<name>.json`` at the repo root.
+
+    The one writer of every ``BENCH_*.json``: several tests of a bench
+    (smoke, full) each contribute keys to the same file.  What is written is
+    stamped with :func:`tree_commit` — each row when ``update`` is a set of
+    named rows (all values dicts), the update itself otherwise.  Returns
+    the merged contents.
+    """
+    path = REPO_ROOT / f"BENCH_{name}.json"
+    try:
+        data = json.loads(path.read_text())
+    except (FileNotFoundError, json.JSONDecodeError):
+        data = {}
+    commit = tree_commit()
+    rows = list(update.values())
+    for row in rows if all(isinstance(r, dict) for r in rows) else [update]:
+        row["commit"] = commit
+    data.update(update)
+    path.write_text(json.dumps(data, indent=2) + "\n")
+    return data

@@ -206,7 +206,6 @@ class SloSpec:
     p99_ms: Optional[float] = None
     p999_ms: Optional[float] = None
     max_shed_fraction: Optional[float] = None
-    max_deadline_miss_fraction: Optional[float] = None
 
     def evaluate(
         self,
@@ -224,10 +223,6 @@ class SloSpec:
                 clauses[name] = hist.percentile(pct) < bound_ms * 1e6
         if self.max_shed_fraction is not None:
             clauses["shed"] = shed_fraction <= self.max_shed_fraction
-        if self.max_deadline_miss_fraction is not None:
-            clauses["deadline"] = (
-                deadline_miss_fraction <= self.max_deadline_miss_fraction
-            )
         return SloReport(
             spec=self,
             attained=all(clauses.values()),

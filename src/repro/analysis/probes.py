@@ -165,13 +165,13 @@ class MarkedFractionProbe(_Probe):
         self, sim: Simulator, connection: Connection, interval_ns: int = 1_000_000
     ) -> None:
         self._conn = connection
-        self._last_ce = connection.ce_frames_received
+        self._last_ce = connection.stats.ce_frames_received
         self._last_rx = connection.stats.data_frames_received
         super().__init__(sim, interval_ns)
 
     def _read(self) -> float:
         conn = self._conn
-        ce = conn.ce_frames_received
+        ce = conn.stats.ce_frames_received
         rx = conn.stats.data_frames_received
         d_ce = ce - self._last_ce
         d_rx = rx - self._last_rx
@@ -210,7 +210,7 @@ class FastForwardProbe(_Probe):
     """
 
     def __init__(self, sim: Simulator, cluster, interval_ns: int = 1_000_000) -> None:
-        manager = getattr(cluster, "fastpath", None)
+        manager = cluster.fastpath
         self._stats = manager.stats if manager is not None else None
         self._base_ns = self._stats.ff_virtual_ns if self._stats else 0
         self._start_ns = sim.now

@@ -12,7 +12,6 @@ from typing import Optional
 
 from ..bench.cluster import Cluster
 from ..core import merge_stats
-from ..core.stats import ConnectionStats
 
 __all__ = [
     "ClusterSummary",
@@ -205,7 +204,11 @@ class ClusterSummary:
 def summarize_cluster(
     cluster: Cluster, elapsed_ns: Optional[int] = None
 ) -> ClusterSummary:
-    """Roll up every counter in the cluster into one summary."""
+    """Roll up every counter in the cluster into one summary.
+
+    The one place connection counters are summed: result types read the
+    summary instead of walking the connections again.
+    """
     stats = merge_stats(
         [s.protocol.total_stats() for s in cluster.stacks]
     )
@@ -233,7 +236,7 @@ def summarize_cluster(
         switch_counters.append(
             SwitchCounters(
                 name=sw.name,
-                tier=getattr(sw, "tier", ""),
+                tier=sw.tier,
                 forwarded=sw.forwarded,
                 dropped_total=sw.dropped_total,
                 dropped_queue_full=q_drops,
@@ -241,18 +244,14 @@ def summarize_cluster(
                 peak_queue_depth=peak,
                 tx_frames=tx_f,
                 tx_bytes=tx_b,
-                ecmp_routed=getattr(sw, "ecmp_routed", 0),
-                repins=getattr(sw, "repins", 0),
+                ecmp_routed=sw.ecmp_routed,
+                repins=sw.repins,
             )
         )
-    ce_received = echoes_sent = echoes_received = 0
     controllers: set[str] = set()
     cwnd_finals: list[int] = []
     for stack in cluster.stacks:
         for conn in stack.protocol.connections.values():
-            ce_received += conn.ce_frames_received
-            echoes_sent += conn.ecn_echoes_sent
-            echoes_received += conn.ecn_echoes_received
             cc = conn.congestion
             controllers.add(cc.name)
             if cc.active:
@@ -274,30 +273,30 @@ def summarize_cluster(
                 ring_drops=ring_d, crc_drops=crc_d, irqs=rail_irqs,
             )
         )
-    stale_rejected = dup_suppressed = 0
-    for stack in cluster.stacks:
-        for conn in stack.protocol.connections.values():
-            stale_rejected += conn.stale_frames_rejected
-            dup_suppressed += conn.duplicate_msgs_suppressed
-    recovery = getattr(cluster, "recovery", None)
-    crashes = restarts = peer_down = reconnects = reconnects_failed = 0
-    rc_mean = 0.0
-    rc_max = 0
-    journaled = redelivered = 0
+    # Incarnation-guard and dedup counts outlive their endpoint: a crash
+    # destroys connections, and what they had counted is kept by the
+    # recovery coordinator.  (Traffic counters describe live endpoints.)
+    stale_rejected = stats.stale_frames_rejected
+    dup_suppressed = stats.duplicate_msgs_suppressed
+    recovery = cluster.recovery
+    recovery_fields: dict = {}
     if recovery is not None:
-        crashes = recovery.crashes
-        restarts = recovery.restarts
-        peer_down = recovery.peer_down_events
-        reconnects = recovery.reconnects
-        reconnects_failed = recovery.reconnects_failed
-        stale_rejected += recovery.stale_frames_rejected_destroyed
-        dup_suppressed += recovery.duplicate_msgs_suppressed_destroyed
+        stale_rejected += recovery.destroyed_stats.stale_frames_rejected
+        dup_suppressed += recovery.destroyed_stats.duplicate_msgs_suppressed
         latencies = [ns for _, ns in recovery.reconnect_latencies]
-        if latencies:
-            rc_mean = sum(latencies) / len(latencies)
-            rc_max = max(latencies)
-        journaled = sum(ch.messages_sent for ch in recovery.channels)
-        redelivered = sum(ch.redeliveries for ch in recovery.channels)
+        recovery_fields = {
+            "node_crashes": recovery.crashes,
+            "node_restarts": recovery.restarts,
+            "peer_down_events": recovery.peer_down_events,
+            "reconnects": recovery.reconnects,
+            "reconnects_failed": recovery.reconnects_failed,
+            "reconnect_latency_mean_ns": (
+                sum(latencies) / len(latencies) if latencies else 0.0
+            ),
+            "reconnect_latency_max_ns": max(latencies, default=0),
+            "messages_journaled": sum(ch.messages_sent for ch in recovery.channels),
+            "messages_redelivered": sum(ch.redeliveries for ch in recovery.channels),
+        }
     edge_history = sorted(
         (t for mgr in cluster.control_planes.values() for t in mgr.history),
         key=lambda t: (t.time_ns, t.rail),
@@ -315,7 +314,7 @@ def summarize_cluster(
         for det in mgr.detectors:
             for st, ns in det.finalize_state_time(elapsed).items():
                 state_time[st.value] = state_time.get(st.value, 0) + ns
-    scorer = getattr(cluster, "gray_scorer", None)
+    scorer = cluster.gray_scorer
     gray_fields: dict = {}
     if scorer is not None:
         gray_fields = {
@@ -324,7 +323,7 @@ def summarize_cluster(
             "gray_degrade_clears": scorer.degrade_clears,
             "gray_flagged_edges": len(scorer.flagged),
         }
-    serve = getattr(cluster, "serve", None)
+    serve = cluster.serve
     serve_fields: dict = {}
     if serve is not None:
         merged = serve.merged_histogram()
@@ -349,8 +348,7 @@ def summarize_cluster(
             "breaker_opens": serve.tail.breaker_opens,
             "ejections": serve.tail.ejections,
         }
-    manager = getattr(cluster, "fastpath", None)
-    ff = manager.stats if manager is not None else None
+    ff = cluster.fastpath.stats if cluster.fastpath is not None else None
     n = len(cluster.stacks)
     proto_frac = (
         sum(s.node.protocol_cpu_time() / elapsed for s in cluster.stacks) / n
@@ -382,13 +380,13 @@ def summarize_cluster(
             node.memory.resident_bytes for node in cluster.nodes
         ),
         events_processed=cluster.sim.events_processed,
-        heap_pushes=getattr(cluster.sim, "heap_pushes", 0),
-        fastlane_hits=getattr(cluster.sim, "fastlane_hits", 0),
-        cancelled_popped=getattr(cluster.sim, "cancelled_popped", 0),
+        heap_pushes=cluster.sim.heap_pushes,
+        fastlane_hits=cluster.sim.fastlane_hits,
+        cancelled_popped=cluster.sim.cancelled_popped,
         ce_marked=ce_marked,
-        ce_received=ce_received,
-        ecn_echoes_sent=echoes_sent,
-        ecn_echoes_received=echoes_received,
+        ce_received=stats.ce_frames_received,
+        ecn_echoes_sent=stats.ecn_echoes_sent,
+        ecn_echoes_received=stats.ecn_echoes_received,
         pacing_stall_ns=pacing_stall,
         congestion_controllers=sorted(controllers),
         cwnd_final_mean=(
@@ -405,19 +403,11 @@ def summarize_cluster(
         edges_failed=edges_failed,
         edges_recovered=edges_recovered,
         frames_migrated=stats.migrated_frames,
-        node_crashes=crashes,
-        node_restarts=restarts,
-        peer_down_events=peer_down,
-        reconnects=reconnects,
-        reconnects_failed=reconnects_failed,
-        reconnect_latency_mean_ns=rc_mean,
-        reconnect_latency_max_ns=rc_max,
         stale_frames_rejected=stale_rejected,
         duplicate_msgs_suppressed=dup_suppressed,
-        messages_journaled=journaled,
-        messages_redelivered=redelivered,
         switches=switch_counters,
         edge_state_time_ns=state_time,
+        **recovery_fields,
         **gray_fields,
         **serve_fields,
     )

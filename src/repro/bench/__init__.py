@@ -1,6 +1,6 @@
 """Benchmark harness: cluster builders, micro-benchmarks, runners, reports."""
 
-from .cluster import CONFIG_NAMES, Cluster, ClusterConfig, make_cluster
+from .cluster import CONFIG_NAMES, Cluster, ClusterConfig, make_cluster, named_config
 from .crash import CrashResult, run_crash
 from .fabric import leaf_spine_3to1, run_ecmp_evenness, run_fabric_incast
 from .failover import FailoverResult, run_failover
@@ -21,6 +21,7 @@ __all__ = [
     "Cluster",
     "ClusterConfig",
     "make_cluster",
+    "named_config",
     "CONFIG_NAMES",
     "CrashResult",
     "run_crash",

@@ -17,6 +17,7 @@ ask for node pairs without re-wiring anything.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, Optional
 
 from ..control import DetectorParams, EdgeLifecycleManager, HealthParams
@@ -33,7 +34,9 @@ from ..host import HostParams, Node, myri10g_params, tigon3_params
 from ..sim import RngRegistry, Simulator
 from ..sim.trace import Tracer
 
-__all__ = ["ClusterConfig", "Cluster", "CONFIG_NAMES", "make_cluster"]
+__all__ = [
+    "ClusterConfig", "Cluster", "CONFIG_NAMES", "named_config", "make_cluster",
+]
 
 
 @dataclass
@@ -101,45 +104,38 @@ def _config_1l_10g(nodes: int = 4) -> ClusterConfig:
     )
 
 
-def _config_2l_1g(nodes: int = 16) -> ClusterConfig:
-    cfg = _config_1l_1g(nodes)
+def _config_2rail_1g(name: str, in_order: bool, nodes: int = 16) -> ClusterConfig:
     return replace(
-        cfg,
-        name="2L-1G",
+        _config_1l_1g(nodes),
+        name=name,
         rails=2,
-        protocol=ProtocolParams(in_order_delivery=True),
-    )
-
-
-def _config_2lu_1g(nodes: int = 16) -> ClusterConfig:
-    cfg = _config_1l_1g(nodes)
-    return replace(
-        cfg,
-        name="2Lu-1G",
-        rails=2,
-        protocol=ProtocolParams(in_order_delivery=False),
+        protocol=ProtocolParams(in_order_delivery=in_order),
     )
 
 
 _CONFIG_FACTORIES = {
     "1L-1G": _config_1l_1g,
     "1L-10G": _config_1l_10g,
-    "2L-1G": _config_2l_1g,
-    "2Lu-1G": _config_2lu_1g,
+    "2L-1G": partial(_config_2rail_1g, "2L-1G", True),
+    "2Lu-1G": partial(_config_2rail_1g, "2Lu-1G", False),
 }
 
 CONFIG_NAMES = tuple(_CONFIG_FACTORIES)
 
 
-def make_cluster(
+def named_config(
     config: str,
     nodes: Optional[int] = None,
     seed: int = 0,
     synthetic_payloads: bool = False,
     **overrides,
-) -> "Cluster":
-    """Build a cluster by configuration name, optionally resized/reseeded.
+) -> ClusterConfig:
+    """The :class:`ClusterConfig` of a paper configuration, by name,
+    optionally resized, reseeded, or with fields replaced by ``overrides``.
 
+    To change nested parameters (say the protocol's congestion controller)
+    ``replace`` them on the result and *then* construct ``Cluster(cfg)``:
+    every stack copies its parameters at construction.
     ``synthetic_payloads=True`` switches the protocol layer to length-only
     frames (no payload bytes are allocated or copied); timing and results
     are identical, so benchmark harnesses use it to cut wall time.
@@ -157,8 +153,20 @@ def make_cluster(
         cfg = replace(
             cfg, protocol=replace(cfg.protocol, synthetic_payloads=True)
         )
-    cfg = replace(cfg, seed=seed)
-    return Cluster(cfg)
+    return replace(cfg, seed=seed)
+
+
+def make_cluster(
+    config: str,
+    nodes: Optional[int] = None,
+    seed: int = 0,
+    synthetic_payloads: bool = False,
+    **overrides,
+) -> "Cluster":
+    """Build a cluster by configuration name (see :func:`named_config`)."""
+    return Cluster(
+        named_config(config, nodes, seed, synthetic_payloads, **overrides)
+    )
 
 
 class Cluster:
@@ -206,6 +214,8 @@ class Cluster:
         # Flow-level fast-forward manager (repro.fastpath); None keeps
         # every connection on the exact frame-level path.
         self.fastpath = None
+        # Serving runtime (repro.serve); None until enable_serving().
+        self.serve = None
         if config.fastpath:
             self.enable_fastpath()
 

@@ -174,12 +174,9 @@ class CrashRun:
         return self._report()
 
     def _report(self) -> CrashResult:
-        cluster = self.cluster
         recovery = self.recovery
         channel = self.channel
         monitor = self.monitor
-        config = self.config
-        message_bytes = self.message_bytes
         crash_ns = self.crash_ns
         restart_delay_ns = self.restart_delay_ns
         detected_ns = reconnected_ns = None
@@ -224,13 +221,9 @@ class CrashRun:
             monitor.final_check()
             violations = tuple(str(v) for v in monitor.violations)
 
-        dup_suppressed = recovery.duplicate_msgs_suppressed_destroyed
-        stale_rejected = recovery.stale_frames_rejected_destroyed
-        for stack in cluster.stacks:
-            for conn in stack.protocol.connections.values():
-                dup_suppressed += conn.duplicate_msgs_suppressed
-                stale_rejected += conn.stale_frames_rejected
+        from ..analysis.summary import summarize_cluster
 
+        summary = summarize_cluster(self.cluster)
         params = recovery.params
         timeline = [("crash", crash_ns), ("restart", crash_ns + restart_delay_ns)]
         if detected_ns is not None:
@@ -239,13 +232,13 @@ class CrashRun:
             timeline.append(("reconnected", reconnected_ns))
         timeline.sort(key=lambda kv: kv[1])
         return CrashResult(
-            config=config,
-            message_bytes=message_bytes,
+            config=self.config,
+            message_bytes=self.message_bytes,
             messages_sent=channel.messages_sent,
             messages_delivered=len(delivered),
             redeliveries=channel.redeliveries,
-            duplicates_suppressed=dup_suppressed,
-            stale_frames_rejected=stale_rejected,
+            duplicates_suppressed=summary.duplicate_msgs_suppressed,
+            stale_frames_rejected=summary.stale_frames_rejected,
             crash_ns=crash_ns,
             restart_delay_ns=restart_delay_ns,
             detected_ns=detected_ns,

@@ -30,7 +30,7 @@ from ..control import (
     PermanentFailure,
     Repair,
 )
-from .cluster import make_cluster
+from .cluster import Cluster, named_config
 
 __all__ = ["FailoverResult", "run_failover"]
 
@@ -93,13 +93,10 @@ def run_failover(
     config's policy (e.g. ``"adaptive"``).  ``repair_ns=None`` leaves the
     rail dead for good.
     """
-    cluster = make_cluster(config, nodes=2, seed=seed)
+    cfg = named_config(config, nodes=2, seed=seed)
     if striping is not None:
-        # Connections are established lazily, so swapping the protocol
-        # params before the first connect() retargets the striping policy.
-        cluster.config.protocol = replace(
-            cluster.config.protocol, striping=striping
-        )
+        cfg = replace(cfg, protocol=replace(cfg.protocol, striping=striping))
+    cluster = Cluster(cfg)
     a, b = cluster.connect(0, 1)
     mgr_a, _mgr_b = cluster.enable_edge_control(
         0, 1, detector_params=detector_params

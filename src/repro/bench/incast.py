@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from ..congestion import CongestionParams
-from .cluster import make_cluster
+from .cluster import Cluster, named_config
 
 __all__ = ["IncastResult", "run_incast"]
 
@@ -109,17 +109,22 @@ def run_incast(
         synthetic_payloads = False
     n_nodes = senders + 1
     receiver = senders
-    cluster = make_cluster(
+    cfg = named_config(
         config,
         nodes=n_nodes,
         seed=seed,
         synthetic_payloads=synthetic_payloads,
-        **({"fabric": fabric} if fabric is not None else {}),
+        fabric=fabric,
     )
-    cluster.config.protocol = replace(
-        cluster.config.protocol,
-        congestion=congestion,
-        congestion_params=congestion_params,
+    cluster = Cluster(
+        replace(
+            cfg,
+            protocol=replace(
+                cfg.protocol,
+                congestion=congestion,
+                congestion_params=congestion_params,
+            ),
+        )
     )
     if ecn_threshold_frames is not None:
         cluster.set_ecn_threshold(ecn_threshold_frames)
@@ -161,39 +166,20 @@ def run_incast(
             if rx_node.memory.read(dst, chunk_bytes) != payloads[s]:
                 intact = False
 
-    drops = paused = peak = marked = 0
-    per_switch_drops: dict = {}
-    for sw in cluster.all_switches:
-        sw_drops = 0
-        for port in sw.ports:
-            sw_drops += port.dropped_queue_full
-            paused += port.paused_frames
-            peak = max(peak, port.peak_queue_depth)
-            marked += port.ce_marked
-        drops += sw_drops
-        if fabric is not None:
-            per_switch_drops[sw.name] = sw_drops
-    violations = [
-        v for fab in cluster.fabrics for v in fab.routing_invariants()
-    ]
+    from ..analysis.summary import summarize_cluster
 
-    retrans = t_retrans = n_retrans = 0
-    ce_rx = echoes_tx = echoes_rx = pacing_stall = 0
+    summary = summarize_cluster(cluster, elapsed)
+    paused = sum(
+        port.paused_frames for sw in cluster.all_switches for port in sw.ports
+    )
+    t_retrans = n_retrans = 0
     cwnds = []
     for stack in cluster.stacks:
         for conn in stack.protocol.connections.values():
-            s = conn.stats
-            retrans += s.retransmitted_frames
-            t_retrans += s.timeout_retransmits
-            n_retrans += s.nack_retransmits
-            ce_rx += conn.ce_frames_received
-            echoes_tx += conn.ecn_echoes_sent
-            echoes_rx += conn.ecn_echoes_received
+            t_retrans += conn.stats.timeout_retransmits
+            n_retrans += conn.stats.nack_retransmits
             if conn.congestion.active and conn.node.node_id != receiver:
                 cwnds.append(conn.congestion.cwnd_frames)
-    for node in cluster.nodes:
-        for nic in node.nics:
-            pacing_stall += nic.counters.pacing_stall_ns
 
     return IncastResult(
         config=config,
@@ -204,19 +190,25 @@ def run_incast(
         chunks_per_sender=chunks_per_sender,
         elapsed_ns=elapsed,
         data_intact=intact,
-        dropped_queue_full=drops,
+        dropped_queue_full=sum(sw.dropped_queue_full for sw in summary.switches),
         paused_frames=paused,
-        peak_queue_depth=peak,
-        retransmissions=retrans,
+        peak_queue_depth=max(sw.peak_queue_depth for sw in summary.switches),
+        retransmissions=summary.retransmissions,
         timeout_retransmits=t_retrans,
         nack_retransmits=n_retrans,
-        ce_marked=marked,
-        ce_received=ce_rx,
-        ecn_echoes_sent=echoes_tx,
-        ecn_echoes_received=echoes_rx,
-        pacing_stall_ns=pacing_stall,
+        ce_marked=summary.ce_marked,
+        ce_received=summary.ce_received,
+        ecn_echoes_sent=summary.ecn_echoes_sent,
+        ecn_echoes_received=summary.ecn_echoes_received,
+        pacing_stall_ns=summary.pacing_stall_ns,
         final_cwnd_frames=cwnds,
         fabric=type(fabric).__name__ if fabric is not None else None,
-        per_switch_drops=per_switch_drops,
-        routing_violations=violations,
+        per_switch_drops=(
+            {sw.name: sw.dropped_queue_full for sw in summary.switches}
+            if fabric is not None
+            else {}
+        ),
+        routing_violations=[
+            v for fab in cluster.fabrics for v in fab.routing_invariants()
+        ],
     )

@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 from ..control import Crash, DetectorParams, FaultSchedule, Restart
 from ..serve import ArrivalSpec, ServeConfig, ServerSpec, TailSpec, enable_serving
 from ..serve.runtime import ServeRuntime
-from .cluster import make_cluster
+from .cluster import Cluster, named_config
 
 __all__ = ["ServeResult", "ServeRun", "run_serve"]
 
@@ -172,15 +172,9 @@ class ServeRun:
                 )
             )
         has_crash = any(isinstance(ev, Crash) for ev in fault_events)
-        cluster = self.cluster = make_cluster(
-            config,
-            nodes=n_nodes,
-            seed=seed,
-            synthetic_payloads=False,
-            **({"fabric": fabric} if fabric is not None else {}),
-        )
-        cluster.config.protocol = replace(
-            cluster.config.protocol, congestion=congestion
+        cfg = named_config(config, nodes=n_nodes, seed=seed, fabric=fabric)
+        cluster = self.cluster = Cluster(
+            replace(cfg, protocol=replace(cfg.protocol, congestion=congestion))
         )
         if ecn_threshold_frames is not None:
             cluster.set_ecn_threshold(ecn_threshold_frames)
@@ -240,10 +234,6 @@ class ServeRun:
             "recovery": self.recovery,
             "monitor": self.monitor,
         }
-
-    @property
-    def traffic_done(self) -> bool:
-        return not self.runtime.active
 
     def run_to(self, time_ns: int) -> None:
         """Execute every event due at or before ``time_ns``, then pause."""

@@ -32,12 +32,6 @@ class AdaptiveStriping(StripingPolicy):
         self._charged = [0.0] * len(nics)  # score-scaled assigned bytes
         self._scores = [1.0] * len(nics)
 
-    def add_rail(self, nic: Nic) -> int:
-        rail = super().add_rail(nic)
-        self._charged.append(min(self._charged) if self._charged else 0.0)
-        self._scores.append(1.0)
-        return rail
-
     def enable_rail(self, rail: int) -> None:
         super().enable_rail(rail)
         # Same catch-up hazard as round-robin: rejoin at the low-water

@@ -144,7 +144,7 @@ class EdgeLifecycleManager:
         self, rail: int, old: EdgeState, new: EdgeState, now: int, reason: str
     ) -> None:
         self.history.append(EdgeTransition(now, rail, old, new, reason))
-        fastpath = getattr(self.conn, "fastpath", None)
+        fastpath = self.conn.fastpath
         if fastpath is not None:
             # Any heartbeat-driven edge state change is a discontinuity for
             # the flow-level fast-forward model.

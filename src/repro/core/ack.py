@@ -47,28 +47,24 @@ class AckPolicy:
         self.params = params or AckPolicyParams()
         self._unacked_frames = 0
         self._last_acked_value = 0
-        # Congestion-Experienced frames seen since the last ack left this
-        # node; while non-zero, outgoing acks carry the ECN-echo bit.
-        self._ce_since_ack = 0
+        #: True while an ECN echo is owed to the sender: a Congestion-
+        #: Experienced frame arrived since the last ack left this node, so
+        #: outgoing acks carry the ECN-echo bit.
+        self.echo_pending = False
 
     @property
     def frames_pending_ack(self) -> int:
         return self._unacked_frames
 
-    @property
-    def echo_pending(self) -> bool:
-        """True while an ECN echo is owed to the sender."""
-        return self._ce_since_ack > 0
-
     def note_ce(self) -> None:
         """A received sequenced frame carried the CE mark (new or dup)."""
-        self._ce_since_ack += 1
+        self.echo_pending = True
 
     def note_echo_sent(self) -> None:
         """An ECN echo left on a frame that is not an acknowledgement for
         delayed-ack purposes (a NACK or a retransmission): clear only the
         CE debt, leaving the unacked-frame count untouched."""
-        self._ce_since_ack = 0
+        self.echo_pending = False
 
     def on_data_frame(self) -> bool:
         """Register a received data frame; True if an explicit ack is due now."""
@@ -90,9 +86,4 @@ class AckPolicy:
         """
         self._unacked_frames = 0
         self._last_acked_value = cum_ack
-        self._ce_since_ack = 0
-
-    def on_duplicate(self) -> bool:
-        """Duplicates mean the peer is retransmitting: re-ack immediately so
-        it can advance (its ack may have been lost)."""
-        return True
+        self.echo_pending = False

@@ -217,6 +217,9 @@ class Connection:
         # rejects new operations and ignores stray data frames.
         self.closed = False
         self.frames_after_close = 0
+        self.fin_sent = False
+        self.fin_received = False
+        self._fin_event: Optional[Event] = None  # close() waiting for the FIN
 
         # ---- send state ----
         self.window = SendWindow(self.params.window_frames)
@@ -225,7 +228,6 @@ class Connection:
         self.unsent: Deque[_FragmentRun] = deque()
         self.unsent_frames = 0
         self._retransmit_q: Deque[int] = deque()  # seqs to retransmit
-        self._frame_op: dict[int, Operation] = {}  # seq -> op
         self.striping = make_striping_policy(self.params.striping, self.nics)
         # Congestion control (repro.congestion).  The fast-path guard _cc
         # is None for the static policy — the same single-attribute-test
@@ -237,21 +239,12 @@ class Connection:
         self._pacing_on = (
             self._cc is not None and self.congestion.params.pacing
         )
-        # ECN accounting.  Deliberately *not* in ConnectionStats: stats
-        # fields feed the fuzz fingerprints, which must stay bit-identical
-        # for pre-ECN scenarios.
-        self.ce_frames_received = 0
-        self.ecn_echoes_sent = 0
-        self.ecn_echoes_received = 0
         # Crash recovery (repro.recovery).  ``recovery`` is None unless the
         # cluster enabled whole-node crash faults; the incarnation pair then
-        # fences off frames from dead incarnations of the peer.  Counters
-        # are plain attributes for the same fingerprint reason as ECN.
+        # fences off frames from dead incarnations of the peer.
         self.recovery: Optional[Any] = None
         self.local_incarnation = 0
         self.peer_incarnation = 0
-        self.stale_frames_rejected = 0
-        self.duplicate_msgs_suppressed = 0
         self._next_op_seq = 0
         self._forward_fences: Deque[Operation] = deque()
         self._pending_reads: dict[int, Operation] = {}  # op_id -> read op
@@ -581,12 +574,10 @@ class Connection:
             frame.header.ack = self.tracker.cum_ack
             # Re-evaluate the ECN echo: the bit a previous copy carried is
             # stale, and a pending CE debt may ride out with this copy.
-            if self.ack_policy.echo_pending:
-                frame.header.flags |= ECN_ECHO
-                self.ecn_echoes_sent += 1
+            echo = self._echo()
+            frame.header.flags = frame.header.flags & ~ECN_ECHO | echo
+            if echo:
                 self.ack_policy.note_echo_sent()
-            else:
-                frame.header.flags &= ~ECN_ECHO
             rec.last_sent_at = self.sim.now
             rec.last_rail = rail
             if self.recovery is not None:
@@ -650,12 +641,10 @@ class Connection:
                 payload_length=plen,
             )
         if self.ack_policy.echo_pending:
-            frame.header.flags |= ECN_ECHO
-            self.ecn_echoes_sent += 1
+            frame.header.flags |= self._echo()
         if self.recovery is not None:
             frame.incarnation = self.local_incarnation
-        window.register(frame, op.op_id, self.sim.now, rail=rail)
-        self._frame_op[seq] = op
+        window.register(frame, op, self.sim.now, rail=rail)
         nic.transmit(frame)
         stats = self.stats
         stats.data_frames_sent += 1
@@ -681,7 +670,7 @@ class Connection:
         if self.recovery is not None and frame.incarnation != self.peer_incarnation:
             # Frame (or ack) from a dead incarnation of the peer: reject it
             # before it can corrupt the resurrected connection's windows.
-            self.stale_frames_rejected += 1
+            self.stats.stale_frames_rejected += 1
             return
         if self.monitor is not None:
             # No-stale-frame-accepted invariant: every frame that passes
@@ -739,7 +728,7 @@ class Connection:
             # a duplicate), then the piggy-backed ack, then delivery.
             flags = h.flags
             if flags & ECN_CE:
-                self.ce_frames_received += 1
+                self.stats.ce_frames_received += 1
                 self.ack_policy.note_ce()
             self._process_ack_value(h.ack, bool(flags & ECN_ECHO))
             stats = self.stats
@@ -837,7 +826,7 @@ class Connection:
         ):
             # Journal replay re-sent a message this node already delivered
             # (same peer incarnation + journal seq): suppress the duplicate.
-            self.duplicate_msgs_suppressed += 1
+            self.stats.duplicate_msgs_suppressed += 1
             return
         if rx_op.wants_notification() and not rx_op.is_read_request:
             self.notifications.put(
@@ -920,18 +909,6 @@ class Connection:
         if self.has_send_work():
             self.sim.process(self._timer_pump())
 
-    def attach_rail(self, nic: "Any", peer_mac: int) -> int:
-        """Extend a live connection with a brand-new rail; returns its index.
-
-        The NIC must already be wired into the fabric; the peer must
-        symmetrically attach its own end for traffic to flow both ways.
-        """
-        self.nics.append(nic)
-        self.peer_macs.append(peer_mac)
-        rail = self.striping.add_rail(nic)
-        self.stats.edges_added += 1
-        return rail
-
     @property
     def active_rails(self) -> list[int]:
         return self.striping.active_rails
@@ -956,8 +933,8 @@ class Connection:
         ops failed.
         """
         pending: dict[int, Operation] = {}
-        for op in self._frame_op.values():
-            pending[id(op)] = op
+        for rec in self.window.inflight.values():
+            pending[id(rec.op)] = rec.op
         for run in self.unsent:
             pending[id(run.op)] = run.op
         for op in self._pending_reads.values():
@@ -1001,7 +978,6 @@ class Connection:
         self.unsent_frames = 0
         self._retransmit_q.clear()
         self.window.inflight.clear()
-        self._frame_op.clear()
         self._pending_reads.clear()
         self._forward_fences.clear()
         if self.protocol.connections.get(self.conn_id) is self:
@@ -1030,7 +1006,7 @@ class Connection:
     def _process_ack_value(self, cum_ack: int, ece: bool = False) -> None:
         freed = self.window.on_ack(cum_ack)
         if ece:
-            self.ecn_echoes_received += 1
+            self.stats.ecn_echoes_received += 1
         if self.monitor is not None:
             self.monitor.on_ack(self, cum_ack, freed)
         if not freed:
@@ -1048,10 +1024,7 @@ class Connection:
         if self.window.inflight:
             self.retransmit_timer.arm()
         for rec in freed:
-            seq = rec.frame.header.seq
-            op = self._frame_op.pop(seq, None)
-            if op is None:
-                continue
+            op = rec.op
             op.frames_acked += 1
             if op.frames_acked >= op.frames_total and not op.completed:
                 if op.kind == Operation.READ:
@@ -1093,6 +1066,14 @@ class Connection:
                 if self._pacing_on:
                     self._sync_pacing()
 
+    def _echo(self) -> int:
+        """``ECN_ECHO`` when the frame being built must carry the echo (CE
+        marks arrived since the last ack left), counting it; else 0."""
+        if self.ack_policy.echo_pending:
+            self.stats.ecn_echoes_sent += 1
+            return ECN_ECHO
+        return 0
+
     def _send_explicit_ack(self) -> None:
         # Control frames ride a separate rotation: they must not charge the
         # data-plane byte-deficit counters or advance its cursor.
@@ -1100,7 +1081,7 @@ class Connection:
         if rail is None:
             return  # rings full; the delayed-ack timer will try again
         cum = self.tracker.cum_ack
-        ece = self.ack_policy.echo_pending
+        ece = self._echo()
         frame = make_ack_frame(
             self.nics[rail].mac, self.peer_macs[rail], self.conn_id, cum, ece
         )
@@ -1108,8 +1089,6 @@ class Connection:
             frame.incarnation = self.local_incarnation
         self.nics[rail].transmit(frame)
         self.stats.explicit_acks_sent += 1
-        if ece:
-            self.ecn_echoes_sent += 1
         self.ack_policy.on_ack_emitted(cum, piggybacked=False)
         self._delayed_ack_timer.cancel()
 
@@ -1127,7 +1106,7 @@ class Connection:
         rail = self.striping.control_rail()
         if rail is None:
             return
-        ece = self.ack_policy.echo_pending
+        ece = self._echo()
         frame = make_nack_frame(
             self.nics[rail].mac,
             self.peer_macs[rail],
@@ -1141,7 +1120,6 @@ class Connection:
         self.nics[rail].transmit(frame)
         self.stats.nacks_sent += 1
         if ece:
-            self.ecn_echoes_sent += 1
             self.ack_policy.note_echo_sent()
         for seq in missing:
             self._nacked_at[seq] = now

@@ -15,20 +15,24 @@ protocol the frame types SYN / SYN_ACK / FIN exist for:
   retransmits its FIN until it sees the peer's); a closed connection
   rejects new operations and drops stray frames.
 
+The procedures a process runs (``dial``, ``close_connection``) live here;
+what a stack does on *receiving* SYN / SYN_ACK / FIN is part of
+:class:`~repro.core.protocol.MultiEdgeProtocol`'s frame dispatch, and the
+state both halves share is declared there and on the connection.
+
 Address resolution is deterministic in the simulated world — node id n,
 rail r always owns MAC ``mac_address(n, r)`` — standing in for ARP.
 """
 
 from __future__ import annotations
 
-import random
 from typing import Any, Generator, Optional
 
-from ..ethernet import FrameType, mac_address
-from ..sim import Event
+from ..ethernet import mac_address
+from ..sim import Event, any_of
 from .api import ConnectionHandle, MultiEdgeStack
-from .connection import Connection, ProtocolParams
-from .messages import make_syn_ack_frame, make_syn_frame
+from .connection import ProtocolParams
+from .messages import make_syn_frame
 from .retransmit import BackoffPolicy
 
 __all__ = ["dial", "enable_listener", "close_connection", "HandshakeError"]
@@ -49,15 +53,6 @@ HANDSHAKE_BACKOFF = BackoffPolicy(
 )
 
 
-def _handshake_rng(protocol) -> random.Random:
-    """Per-stack jitter stream, seeded by node id for determinism."""
-    rng = getattr(protocol, "_handshake_rng", None)
-    if rng is None:
-        rng = random.Random(f"multiedge-handshake:{protocol.node.node_id}")
-        protocol._handshake_rng = rng
-    return rng
-
-
 class HandshakeError(RuntimeError):
     """Connection setup or teardown failed permanently."""
 
@@ -68,84 +63,18 @@ def _conn_id_for(initiator: int, counter: int) -> int:
 
 
 def enable_listener(stack: MultiEdgeStack) -> None:
-    """Accept incoming SYNs on this stack (idempotent)."""
-    protocol = stack.protocol
-    if getattr(protocol, "_listener_enabled", False):
-        return
-    protocol._listener_enabled = True
-    protocol._pending_dials = getattr(protocol, "_pending_dials", {})
-
-    original_handle = protocol.handle_frame
-
-    def handle_frame(frame, cpu):
-        h = frame.header
-        if h.frame_type == FrameType.SYN:
-            yield from cpu.run(stack.node.params.per_frame_recv_ns, "protocol.recv")
-            _accept(stack, h.connection_id, peer_node=h.op_id,
-                    peer_rails=h.op_length,
-                    peer_incarnation=h.remote_address)
-            return
-        if h.frame_type == FrameType.SYN_ACK:
-            yield from cpu.run(stack.node.params.per_frame_recv_ns, "protocol.recv")
-            pending = protocol._pending_dials.pop(h.connection_id, None)
-            if pending is not None and not pending["event"].triggered:
-                pending["peer_rails"] = h.op_length
-                pending["peer_incarnation"] = h.remote_address
-                pending["event"].trigger(h.op_length)
-            return
-        if h.frame_type == FrameType.FIN:
-            yield from cpu.run(stack.node.params.per_frame_recv_ns, "protocol.recv")
-            conn = protocol.connections.get(h.connection_id)
-            if conn is not None:
-                _on_fin(stack, conn)
-            return
-        yield from original_handle(frame, cpu)
-
-    protocol.handle_frame = handle_frame  # type: ignore[method-assign]
+    """Accept incoming SYNs (and SYN_ACKs, FINs) on this stack (idempotent)."""
+    stack.protocol.listening = True
 
 
-def _rails_between(stack: MultiEdgeStack, peer_rails: int) -> int:
-    return max(1, min(len(stack.node.nics), peer_rails))
-
-
-def _accept(
-    stack: MultiEdgeStack,
-    conn_id: int,
-    peer_node: int,
-    peer_rails: int,
-    peer_incarnation: int = 0,
-) -> None:
-    protocol = stack.protocol
-    rails = _rails_between(stack, peer_rails)
-    existing = protocol.connections.get(conn_id)
-    if existing is not None and existing.peer_incarnation != peer_incarnation:
-        # A new incarnation of the peer is re-dialing a connection id we
-        # still hold: the old endpoint belongs to a dead incarnation and
-        # must not absorb the fresh handshake.  Route the destruction
-        # through the recovery layer when present so monitors detach and
-        # counters are salvaged.
-        recovery = getattr(protocol, "recovery", None)
-        if recovery is not None:
-            from .errors import PeerCrashed
-
-            recovery._teardown_connection(
-                existing, PeerCrashed(conn_id, peer_node)
-            )
-        else:
-            existing.destroy()
-        existing = None
-    if existing is None:
-        peer_macs = [mac_address(peer_node, r) for r in range(rails)]
-        conn = protocol.create_connection(conn_id, peer_node, peer_macs)
-        conn.peer_incarnation = peer_incarnation
-    # Always answer — duplicate SYNs mean our previous SYN_ACK was lost.
-    nic = stack.node.nics[0]
-    reply = make_syn_ack_frame(
-        nic.mac, mac_address(peer_node, 0), conn_id, stack.node_id
-    )
-    reply.header.op_length = len(stack.node.nics)
-    reply.header.remote_address = getattr(protocol, "incarnation", 0)
-    nic.transmit(reply)
+def _wait(sim, event: Event, delay_ns: int) -> Generator[Any, Any, bool]:
+    """Wait for ``event``, at most ``delay_ns``; True if it triggered."""
+    timeout = Event(sim)
+    timer = sim.timer(delay_ns, timeout.trigger)
+    index, _ = yield any_of(sim, [event, timeout])
+    if index == 0:
+        timer.cancel()
+    return index == 0
 
 
 def dial(
@@ -163,17 +92,12 @@ def dial(
     """
     enable_listener(stack)  # to receive the SYN_ACK and future FINs
     protocol = stack.protocol
-    counter = getattr(protocol, "_dial_counter", 0)
-    protocol._dial_counter = counter + 1
-    conn_id = _conn_id_for(stack.node_id, counter)
+    conn_id = _conn_id_for(stack.node_id, protocol._dial_counter)
+    protocol._dial_counter += 1
     sim = stack.node.sim
     policy = backoff or HANDSHAKE_BACKOFF
-    rng = _handshake_rng(protocol)
-    incarnation = getattr(protocol, "incarnation", 0)
-
-    done = Event(sim)
-    pending = {"event": done, "peer_rails": 0, "peer_incarnation": 0}
-    protocol._pending_dials[conn_id] = pending
+    rng = protocol.handshake_rng()
+    done = protocol._pending_dials[conn_id] = Event(sim)
 
     nic = stack.node.nics[0]
     for attempt in range(policy.max_attempts):
@@ -181,56 +105,22 @@ def dial(
             nic.mac, mac_address(peer_node_id, 0), conn_id, stack.node_id
         )
         syn.header.op_length = len(stack.node.nics)
-        syn.header.remote_address = incarnation
+        syn.header.remote_address = protocol.incarnation
         nic.transmit(syn)
-        timeout = Event(sim)
-        timer = sim.timer(policy.delay_ns(attempt, rng), timeout.trigger)
-        from ..sim import any_of
-
-        winner = yield any_of(sim, [done, timeout])
-        if winner[0] == 0:  # SYN_ACK arrived
-            timer.cancel()
-            break
+        if (yield from _wait(sim, done, policy.delay_ns(attempt, rng))):
+            break  # SYN_ACK arrived
     else:
         protocol._pending_dials.pop(conn_id, None)
         raise HandshakeError(
             f"node {stack.node_id}: no SYN_ACK from node {peer_node_id} "
             f"after {policy.max_attempts} attempts"
         )
-    peer_rails = done.value
-    rails = _rails_between(stack, peer_rails)
+    peer_rails, peer_incarnation = done.value
+    rails = protocol.negotiated_rails(peer_rails)
     peer_macs = [mac_address(peer_node_id, r) for r in range(rails)]
     conn = protocol.create_connection(conn_id, peer_node_id, peer_macs, params)
-    conn.peer_incarnation = pending["peer_incarnation"]
+    conn.peer_incarnation = peer_incarnation
     return ConnectionHandle(conn, stack.node)
-
-
-# ---------------------------------------------------------------------------
-# Teardown
-# ---------------------------------------------------------------------------
-
-def _send_fin(stack: MultiEdgeStack, conn: Connection) -> None:
-    from ..ethernet import Frame, FrameType as FT, MultiEdgeHeader as Hdr
-
-    nic = stack.node.nics[0]
-    header = Hdr(frame_type=FT.FIN, connection_id=conn.conn_id,
-                 op_id=stack.node_id)
-    nic.transmit(
-        Frame(src_mac=nic.mac, dst_mac=conn.peer_macs[0], header=header)
-    )
-
-
-def _on_fin(stack: MultiEdgeStack, conn: Connection) -> None:
-    first_time = not getattr(conn, "fin_received", False)
-    conn.fin_received = True
-    conn.closed = True
-    if first_time or not getattr(conn, "fin_sent", False):
-        # Echo a FIN so the peer's close() completes even if ours raced.
-        conn.fin_sent = True
-        _send_fin(stack, conn)
-    ev = getattr(conn, "_fin_event", None)
-    if ev is not None and not ev.triggered:
-        ev.trigger()
 
 
 def close_connection(
@@ -247,20 +137,15 @@ def close_connection(
         waited += 1
         if waited > 10_000:
             raise HandshakeError("close(): send window never drained")
-    conn._fin_event = getattr(conn, "_fin_event", None) or Event(sim)
+    if conn._fin_event is None:
+        conn._fin_event = Event(sim)
     conn.fin_sent = True
     policy = HANDSHAKE_BACKOFF
-    rng = _handshake_rng(stack.protocol)
+    rng = stack.protocol.handshake_rng()
     for attempt in range(policy.max_attempts):
-        _send_fin(stack, conn)
-        if getattr(conn, "fin_received", False):
+        stack.protocol.send_fin(conn)
+        if conn.fin_received:
             break
-        timeout = Event(sim)
-        timer = sim.timer(policy.delay_ns(attempt, rng), timeout.trigger)
-        from ..sim import any_of
-
-        winner = yield any_of(sim, [conn._fin_event, timeout])
-        if winner[0] == 0:
-            timer.cancel()
+        if (yield from _wait(sim, conn._fin_event, policy.delay_ns(attempt, rng))):
             break
     conn.closed = True

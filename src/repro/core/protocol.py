@@ -2,20 +2,30 @@
 
 :class:`MultiEdgeProtocol` is the kernel-level MultiEdge layer of one node
 (paper Figure 1, middle box).  It owns every connection terminating at the
-node, dispatches received frames to them, reacts to TX-ring completions by
-re-pumping stalled connections, and provides the op-id namespace.
+node, dispatches received frames to them, answers the connection-management
+frames (SYN / SYN_ACK / FIN — the passive half of :mod:`repro.core.handshake`),
+reacts to TX-ring completions by re-pumping stalled connections, and
+provides the op-id namespace.
 """
 
 from __future__ import annotations
 
+import random
 from typing import Any, Generator, Optional
 
-from ..ethernet import Frame, Nic
+from ..ethernet import Frame, FrameType, MultiEdgeHeader, Nic, mac_address
 from ..host import Node
 from .connection import Connection, ProtocolParams
+from .errors import PeerCrashed
+from .messages import make_syn_ack_frame
 from .stats import ConnectionStats, merge_stats
 
 __all__ = ["MultiEdgeProtocol"]
+
+# Connection-management frame types are contiguous: one range test.
+_SYN = int(FrameType.SYN)
+_FIN = int(FrameType.FIN)
+assert _SYN < FrameType.SYN_ACK < _FIN == _SYN + 2
 
 
 class MultiEdgeProtocol:
@@ -33,7 +43,30 @@ class MultiEdgeProtocol:
         # modelled — the default path must not change).
         self.incarnation = 0
         self.recovery: Optional[Any] = None
+        # Connection management (repro.core.handshake).  A stack that never
+        # enabled its listener counts and drops SYN / SYN_ACK / FIN frames.
+        self.listening = False
+        self.handshake_frames_dropped = 0
+        self.reset_handshake()
         node.kernel.attach_client(self)
+
+    def reset_handshake(self) -> None:
+        """Forget the volatile dial state (at construction, and in a crash:
+        a reborn node restarts its dial counter, which is why connection ids
+        can collide across incarnations and the incarnation check exists)."""
+        # conn_id -> Event a dial waits on; a SYN_ACK triggers it with the
+        # peer's (rail count, incarnation).
+        self._pending_dials: dict[int, Any] = {}
+        self._dial_counter = 0
+        self._handshake_rng: Optional[random.Random] = None
+
+    def handshake_rng(self) -> random.Random:
+        """Per-stack retry-jitter stream, seeded by node id for determinism."""
+        if self._handshake_rng is None:
+            self._handshake_rng = random.Random(
+                f"multiedge-handshake:{self.node.node_id}"
+            )
+        return self._handshake_rng
 
     # -- connection management -------------------------------------------
 
@@ -66,11 +99,89 @@ class MultiEdgeProtocol:
         # Not a generator function: returning the connection's generator
         # directly keeps it out of the per-resume delegation chain (the
         # kernel thread drives one of these per received frame).
-        conn = self.connections.get(frame.header.connection_id)
+        h = frame.header
+        if _SYN <= h.frame_type <= _FIN:
+            return self._handle_handshake(h, cpu)
+        conn = self.connections.get(h.connection_id)
         if conn is None:
             self.unknown_connection_frames += 1
             return iter(())
         return conn.handle_rx_frame(frame, cpu)
+
+    # -- connection management (passive side of repro.core.handshake) ------
+
+    def _handle_handshake(
+        self, h: MultiEdgeHeader, cpu
+    ) -> Generator[Any, Any, None]:
+        if not self.listening:
+            self.handshake_frames_dropped += 1
+            return
+        yield from cpu.run(self.node.params.per_frame_recv_ns, "protocol.recv")
+        if h.frame_type == FrameType.SYN:
+            self._accept(h)
+        elif h.frame_type == FrameType.SYN_ACK:
+            pending = self._pending_dials.pop(h.connection_id, None)
+            if pending is not None and not pending.triggered:
+                pending.trigger((h.op_length, h.remote_address))
+        else:
+            conn = self.connections.get(h.connection_id)
+            if conn is not None:
+                self._on_fin(conn)
+
+    def negotiated_rails(self, peer_rails: int) -> int:
+        return max(1, min(len(self.node.nics), peer_rails))
+
+    def _accept(self, syn: MultiEdgeHeader) -> None:
+        conn_id, peer_node, peer_incarnation = (
+            syn.connection_id, syn.op_id, syn.remote_address
+        )
+        existing = self.connections.get(conn_id)
+        if existing is not None and existing.peer_incarnation != peer_incarnation:
+            # A new incarnation of the peer is re-dialing a connection id we
+            # still hold: the old endpoint belongs to a dead incarnation and
+            # must not absorb the fresh handshake.  Route the destruction
+            # through the recovery layer when present so monitors detach and
+            # counters are salvaged.
+            if self.recovery is not None:
+                self.recovery._teardown_connection(
+                    existing, PeerCrashed(conn_id, peer_node)
+                )
+            else:
+                existing.destroy()
+            existing = None
+        if existing is None:
+            rails = self.negotiated_rails(syn.op_length)
+            peer_macs = [mac_address(peer_node, r) for r in range(rails)]
+            conn = self.create_connection(conn_id, peer_node, peer_macs)
+            conn.peer_incarnation = peer_incarnation
+        # Always answer — duplicate SYNs mean our previous SYN_ACK was lost.
+        nic = self.node.nics[0]
+        reply = make_syn_ack_frame(
+            nic.mac, mac_address(peer_node, 0), conn_id, self.node.node_id
+        )
+        reply.header.op_length = len(self.node.nics)
+        reply.header.remote_address = self.incarnation
+        nic.transmit(reply)
+
+    def send_fin(self, conn: Connection) -> None:
+        nic = self.node.nics[0]
+        header = MultiEdgeHeader(
+            frame_type=FrameType.FIN,
+            connection_id=conn.conn_id,
+            op_id=self.node.node_id,
+        )
+        nic.transmit(Frame(nic.mac, conn.peer_macs[0], header))
+
+    def _on_fin(self, conn: Connection) -> None:
+        first_time = not conn.fin_received
+        conn.fin_received = True
+        conn.closed = True
+        if first_time or not conn.fin_sent:
+            # Echo a FIN so the peer's close() completes even if ours raced.
+            conn.fin_sent = True
+            self.send_fin(conn)
+        if conn._fin_event is not None and not conn._fin_event.triggered:
+            conn._fin_event.trigger()
 
     def handle_tx_completions(
         self, nic: Nic, count: int, cpu

@@ -17,7 +17,7 @@ the raw material for the paper's network-level analysis:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 __all__ = ["ConnectionStats", "merge_stats"]
 
@@ -65,6 +65,17 @@ class ConnectionStats:
     nacks_received: int = 0
     notifications_delivered: int = 0
 
+    # ECN (repro.congestion): CE-marked sequenced frames seen, and frames
+    # (data, ack or nack) that carried the echo bit out / in.
+    ce_frames_received: int = 0
+    ecn_echoes_sent: int = 0
+    ecn_echoes_received: int = 0
+
+    # Crash recovery (repro.recovery): frames from a dead incarnation of
+    # the peer dropped by the guard, and journal redeliveries deduplicated.
+    stale_frames_rejected: int = 0
+    duplicate_msgs_suppressed: int = 0
+
     def record_reorder(self, distance: int) -> None:
         self.reorder_events += 1
         self.reorder_distance_total += distance
@@ -101,43 +112,24 @@ class ConnectionStats:
 
 
 def merge_stats(stats_list: list[ConnectionStats]) -> ConnectionStats:
-    """Sum counters across connections (node- or cluster-level view)."""
+    """Combine counters across connections (node- or cluster-level view).
+
+    Driven by the dataclass fields, so a new counter merges without being
+    named here: ``max_*`` fields take the maximum, list fields (the
+    histogram) add element-wise, every other counter adds.
+    """
     total = ConnectionStats()
     for s in stats_list:
-        for f in (
-            "ops_submitted",
-            "ops_completed",
-            "data_frames_sent",
-            "data_bytes_sent",
-            "retransmitted_frames",
-            "explicit_acks_sent",
-            "nacks_sent",
-            "piggybacked_acks",
-            "timeout_retransmits",
-            "nack_retransmits",
-            "pump_charged_ns",
-            "pump_stalled_ns",
-            "edges_removed",
-            "edges_added",
-            "migrated_frames",
-            "probes_sent",
-            "probes_answered",
-            "data_frames_received",
-            "data_bytes_received",
-            "duplicate_frames",
-            "out_of_order_frames",
-            "buffered_frames",
-            "reorder_distance_total",
-            "reorder_events",
-            "explicit_acks_received",
-            "nacks_received",
-            "notifications_delivered",
-        ):
-            setattr(total, f, getattr(total, f) + getattr(s, f))
-        total.max_buffered_frames = max(
-            total.max_buffered_frames, s.max_buffered_frames
-        )
-        total.reorder_histogram = [
-            a + b for a, b in zip(total.reorder_histogram, s.reorder_histogram)
-        ]
+        for f in _FIELDS:
+            mine, theirs = getattr(total, f), getattr(s, f)
+            if f.startswith("max_"):
+                merged = max(mine, theirs)
+            elif isinstance(mine, list):
+                merged = [a + b for a, b in zip(mine, theirs)]
+            else:
+                merged = mine + theirs
+            setattr(total, f, merged)
     return total
+
+
+_FIELDS = tuple(f.name for f in fields(ConnectionStats))

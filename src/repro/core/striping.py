@@ -76,14 +76,6 @@ class StripingPolicy:
     def active_rails(self) -> list[int]:
         return [r for r in range(len(self.nics)) if r not in self.masked]
 
-    def add_rail(self, nic: Nic) -> int:
-        """Attach a new rail to a live connection; returns its index.
-
-        Subclasses with per-rail state extend it here.
-        """
-        self.nics.append(nic)
-        return len(self.nics) - 1
-
     # -- selection -------------------------------------------------------
 
     def next_rail(self, wire_bytes: int = 0) -> Optional[int]:
@@ -133,15 +125,6 @@ class RoundRobinStriping(StripingPolicy):
         super().__init__(nics)
         self._cursor = 0
         self._assigned_bytes = [0] * len(nics)
-
-    def add_rail(self, nic: Nic) -> int:
-        rail = super().add_rail(nic)
-        # Start the newcomer at the current low-water mark so it neither
-        # starves nor absorbs the whole stream while catching up.
-        self._assigned_bytes.append(
-            min(self._assigned_bytes) if self._assigned_bytes else 0
-        )
-        return rail
 
     def enable_rail(self, rail: int) -> None:
         super().enable_rail(rail)

@@ -17,7 +17,7 @@ machines live here:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Any, Optional
 
 from ..ethernet import Frame
 
@@ -30,13 +30,14 @@ DEFAULT_WINDOW_FRAMES = 256
 class InflightFrame:
     """Book-keeping for one unacknowledged frame.
 
-    ``last_rail`` records the rail the most recent (re)transmission used,
-    so the edge lifecycle control plane can migrate exactly the frames
-    stranded on a dead rail.
+    ``op`` is the sender-side ``Operation`` the frame belongs to: the one
+    record of which operation an ack completes.  ``last_rail`` records the
+    rail the most recent (re)transmission used, so the edge lifecycle
+    control plane can migrate exactly the frames stranded on a dead rail.
     """
 
     frame: Frame
-    op_id: int
+    op: Any
     first_sent_at: int
     last_sent_at: int = 0
     retransmits: int = 0
@@ -96,12 +97,12 @@ class SendWindow:
         self.next_seq += 1
         return seq
 
-    def register(self, frame: Frame, op_id: int, now: int, rail: int = -1) -> None:
-        """Record a sequenced frame as in flight."""
+    def register(self, frame: Frame, op: Any, now: int, rail: int = -1) -> None:
+        """Record a sequenced frame of operation ``op`` as in flight."""
         if not self.can_send:
             raise RuntimeError("window overflow: register() with a full window")
         self.inflight[frame.header.seq] = InflightFrame(
-            frame=frame, op_id=op_id, first_sent_at=now, last_sent_at=now,
+            frame=frame, op=op, first_sent_at=now, last_sent_at=now,
             last_rail=rail,
         )
 
@@ -172,10 +173,6 @@ class ReceiveTracker:
     def cum_ack(self) -> int:
         """Cumulative ack value: every seq < cum_ack has been received."""
         return self.expected
-
-    @property
-    def pending_beyond(self) -> int:
-        return len(self._beyond)
 
     def on_frame(self, seq: int) -> tuple[bool, bool]:
         """Record arrival of sequenced frame ``seq``.

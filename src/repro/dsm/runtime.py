@@ -117,9 +117,8 @@ class DsmRuntime:
         self.nodes = [DsmNode(self, rank) for rank in range(self.n)]
         for node in self.nodes:
             node._wire_peers()
-        recovery = getattr(cluster, "recovery", None)
-        if recovery is not None:
-            self.attach_recovery(recovery)
+        if cluster.recovery is not None:
+            self.attach_recovery(cluster.recovery)
         # Measurement window.
         self._measure_votes = 0
         self.t_start = 0

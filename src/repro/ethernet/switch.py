@@ -204,6 +204,12 @@ class SwitchPort:
 class Switch:
     """A learning, store-and-forward switch."""
 
+    # What a fabric switch (repro.fabric.EcmpSwitch) adds: a classic
+    # learning switch sits in no tier and routes nothing by ECMP.
+    tier = ""
+    ecmp_routed = 0
+    repins = 0
+
     def __init__(
         self, sim: Simulator, params: SwitchParams, name: str = "switch"
     ) -> None:

@@ -55,7 +55,6 @@ class LeafSpineSpec:
     spines: int = 2
     hosts_per_leaf: int = 4
     trunk_speed_bps: Optional[float] = None  # None: the host link speed
-    trunk_propagation_ns: Optional[int] = None  # None: the host link's
     forwarding_latency_ns: Optional[int] = None  # None: the base switch's
 
     def __post_init__(self) -> None:
@@ -96,7 +95,6 @@ class FatTreeSpec:
 
     k: int = 4
     trunk_speed_bps: Optional[float] = None
-    trunk_propagation_ns: Optional[int] = None
     forwarding_latency_ns: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -152,11 +150,7 @@ class Fabric:
 
         self.trunk_link = LinkParams(
             speed_bps=spec.trunk_speed_bps or link_params.speed_bps,
-            propagation_ns=(
-                spec.trunk_propagation_ns
-                if spec.trunk_propagation_ns is not None
-                else link_params.propagation_ns
-            ),
+            propagation_ns=link_params.propagation_ns,
             bit_error_rate=link_params.bit_error_rate,
         )
         if isinstance(spec, LeafSpineSpec):

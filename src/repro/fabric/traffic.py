@@ -302,7 +302,7 @@ class TrafficRun:
             for conn in stack.protocol.connections.values()
         )
         uplinks: dict = {}
-        for fabric in getattr(cluster, "fabrics", []):
+        for fabric in cluster.fabrics:
             uplinks.update(fabric.uplink_bytes())
         return TrafficResult(
             spec_name=self.spec.name,

@@ -46,7 +46,7 @@ def disqualify_reason(fwd):
     # discontinuities by definition.
     recovery = conn.recovery or peer.recovery
     if recovery is not None:
-        for channel in getattr(recovery, "_channels", {}).values():
+        for channel in recovery.channels:
             if channel._ready is not None:
                 return "journal-replay-in-flight"
         return "recovery-active"

@@ -388,10 +388,9 @@ class FlowForwarder:
                 sacct.charge("interrupt", n_tx_irqs * sp.interrupt_ns)
                 stotal += n_tx_irqs * sp.interrupt_ns
         conn.node.protocol_cpu.resource.busy_time += stotal
-        skern = getattr(conn.node, "kernel", None)
-        if skern is not None and (acks or n_tx_irqs):
-            skern.irqs_handled += acks + n_tx_irqs
-            skern.kthread_wakeups += acks
+        skern = conn.node.kernel
+        skern.irqs_handled += acks + n_tx_irqs
+        skern.kthread_wakeups += acks
         # Receiver: per-frame processing, copies, IRQ batches.
         recv_ns = rec.n_frames * m.per_frame_recv_ns + rec.memcpy_total
         irq_ns = rec.n_irqs * m.interrupt_ns
@@ -401,10 +400,9 @@ class FlowForwarder:
         racct.charge("interrupt", irq_ns)
         racct.charge("protocol.wakeup", wake_ns)
         peer.node.protocol_cpu.resource.busy_time += recv_ns + irq_ns + wake_ns
-        rkern = getattr(peer.node, "kernel", None)
-        if rkern is not None:
-            rkern.irqs_handled += rec.n_irqs
-            rkern.kthread_wakeups += rec.n_irqs
+        rkern = peer.node.kernel
+        rkern.irqs_handled += rec.n_irqs
+        rkern.kthread_wakeups += rec.n_irqs
 
     def _count_devices(self, rec: _PlannedOp, acks: int) -> None:
         conn, peer = self.conn, self.peer
@@ -531,7 +529,7 @@ class FastpathManager:
     def fabric_disqualify_reason(self, conn, peer) -> Optional[str]:
         cluster = self.cluster
         config = cluster.config
-        serve = getattr(cluster, "serve", None)
+        serve = cluster.serve
         if serve is not None:
             # Open-loop serving traffic (repro.serve): an armed arrival
             # source guarantees future requests at times the analytic
@@ -542,7 +540,7 @@ class FastpathManager:
                 return "serve-arrivals-armed"
             if serve.active:
                 return "serve-traffic-active"
-        if getattr(cluster, "fabrics", None):
+        if cluster.fabrics:
             # Multi-switch datacenter fabric (repro.fabric): per-hop
             # store-and-forward latency and ECMP path choice are exactly
             # the dynamics the analytic jump cannot reproduce — and

@@ -445,9 +445,8 @@ class MpWorld:
         self.endpoints = [MpEndpoint(self, rank) for rank in range(self.size)]
         for ep in self.endpoints:
             ep._wire()
-        recovery = getattr(cluster, "recovery", None)
-        if recovery is not None:
-            self.attach_recovery(recovery)
+        if cluster.recovery is not None:
+            self.attach_recovery(cluster.recovery)
 
     def attach_recovery(self, recovery) -> None:
         """Propagate node crashes into typed ``PeerCrashed`` failures."""

@@ -37,6 +37,7 @@ from ..core.api import ConnectionHandle
 from ..core.errors import PeerCrashed
 from ..core.handshake import HandshakeError, dial, enable_listener
 from ..core.retransmit import BackoffPolicy
+from ..core.stats import ConnectionStats, merge_stats
 from .journal import ReliableChannel
 
 __all__ = ["RecoveryParams", "NodeRecoveryState", "ClusterRecovery"]
@@ -59,9 +60,6 @@ class RecoveryParams:
     reconnect_backoff: BackoffPolicy = field(
         default_factory=_default_reconnect_backoff
     )
-    # Re-create the edge lifecycle control plane on the reconnected pair
-    # so a *second* crash of the same peer is detected too.
-    reattach_edge_control: bool = True
     # Slack added to the derived reconnect bound: one handshake RTT plus
     # scheduling noise.
     margin_ns: int = 2_000_000
@@ -126,15 +124,13 @@ class ClusterRecovery:
         self.reconnects = 0
         self.reconnects_failed = 0
         self.reconnect_latencies: list[tuple[int, int]] = []  # (at_ns, ns)
-        # Counters salvaged from destroyed connections, so cluster-wide
-        # totals survive the endpoints' destruction.
-        self.stale_frames_rejected_destroyed = 0
-        self.duplicate_msgs_suppressed_destroyed = 0
+        # What destroyed endpoints had counted, merged, so their stale-frame
+        # and duplicate-suppression counts survive them (summarize_cluster).
+        self.destroyed_stats = ConnectionStats()
 
         self._reconnect_watchers: list[Callable[[int, int], None]] = []
         self._reconnect_pair_watchers: list[Callable[[int, int, int], None]] = []
         self._crash_subscribers: list[Callable[[int], None]] = []
-        self._restart_subscribers: list[Callable[[int], None]] = []
         # (node, peer) -> DetectorParams used before the crash, for re-arm.
         self._edge_params: dict[tuple[int, int], Any] = {}
 
@@ -148,9 +144,6 @@ class ClusterRecovery:
 
     # -- wiring ------------------------------------------------------------
 
-    def state(self, node_id: int) -> NodeRecoveryState:
-        return self.nodes[node_id]
-
     def on_connection_created(self, protocol, conn) -> None:
         """Hook from ``MultiEdgeProtocol.create_connection``."""
         conn.recovery = self
@@ -163,9 +156,7 @@ class ClusterRecovery:
             # is the same number.
             conn.peer_incarnation = peer_state.incarnation
         if self.monitor is not None:
-            attach = getattr(self.monitor, "attach_connection", None)
-            if attach is not None:
-                attach(conn)
+            self.monitor.attach_connection(conn)
 
     def watch_manager(self, mgr) -> None:
         """Escalate this lifecycle manager's all-edges-DOWN into PEER_DOWN."""
@@ -181,9 +172,6 @@ class ClusterRecovery:
     def subscribe_crash(self, cb: Callable[[int], None]) -> None:
         """Run ``cb(node_id)`` whenever a node crashes (DSM/MP hooks)."""
         self._crash_subscribers.append(cb)
-
-    def subscribe_restart(self, cb: Callable[[int], None]) -> None:
-        self._restart_subscribers.append(cb)
 
     def add_reconnect_watcher(self, cb: Callable[[int, int], None]) -> None:
         """Run ``cb(now_ns, latency_ns)`` after every successful reconnect."""
@@ -233,13 +221,7 @@ class ClusterRecovery:
         # them keeps driver processes from hanging forever).
         for conn in list(protocol.connections.values()):
             self._teardown_connection(conn, PeerCrashed(conn.conn_id, node_id))
-        # Handshake scratch state is volatile: a reborn node restarts its
-        # dial counter, which is exactly why conn ids can collide across
-        # incarnations and the incarnation check must exist.
-        protocol._pending_dials = {}
-        protocol._dial_counter = 0
-        if hasattr(protocol, "_handshake_rng"):
-            del protocol._handshake_rng
+        protocol.reset_handshake()  # dial scratch state is volatile
         # Sender-side journals are volatile with the node: unacked
         # messages of a crashed sender are lost (fail-stop), and its next
         # incarnation opens a fresh dedup key space.
@@ -269,20 +251,14 @@ class ClusterRecovery:
         for nic in stack.node.nics:
             nic.power_on()
         enable_listener(stack)
-        for cb in self._restart_subscribers:
-            cb(node_id)
 
     # -- peer-down escalation + reconnect ----------------------------------
 
     def _teardown_connection(self, conn, exc: BaseException) -> None:
-        self.stale_frames_rejected_destroyed += conn.stale_frames_rejected
-        self.duplicate_msgs_suppressed_destroyed += conn.duplicate_msgs_suppressed
+        self.destroyed_stats = merge_stats([self.destroyed_stats, conn.stats])
         mon = conn.monitor
         if mon is not None:
-            detach = getattr(mon, "detach_connection", None)
-            if detach is not None:
-                detach(conn)
-            conn.monitor = None
+            mon.detach_connection(conn)
         conn.destroy(exc)
 
     def _on_peer_down(self, mgr) -> None:
@@ -336,10 +312,9 @@ class ClusterRecovery:
                 (handle, peer_handle) if node_id < peer
                 else (peer_handle, handle)
             )
-        if (
-            self.params.reattach_edge_control
-            and (node_id, peer) in self._edge_params
-        ):
+        if (node_id, peer) in self._edge_params:
+            # Re-create the edge lifecycle control plane on the reconnected
+            # pair so a *second* crash of the same peer is detected too.
             self.cluster.enable_edge_control(
                 node_id, peer,
                 detector_params=self._edge_params[(node_id, peer)],

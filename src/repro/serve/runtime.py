@@ -699,7 +699,6 @@ class ServeRuntime:
 def enable_serving(cluster, world, config: ServeConfig) -> ServeRuntime:
     """Attach a serving runtime to ``cluster`` (as ``cluster.serve``)."""
     runtime = ServeRuntime(cluster, world, config)
-    recovery = getattr(cluster, "recovery", None)
-    if recovery is not None:
-        runtime.attach_recovery(recovery)
+    if cluster.recovery is not None:
+        runtime.attach_recovery(cluster.recovery)
     return runtime

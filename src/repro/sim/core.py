@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
+from types import SimpleNamespace
 from typing import Any, Callable, Generator, Iterable, Optional
 
 __all__ = [
@@ -80,6 +81,11 @@ _heappop = heapq.heappop
 
 # Shared argument tuple for the extremely common "resume with None" wake-up.
 _NONE_ARGS = (None,)
+
+_INF = float("inf")
+
+# Why Simulator._run returned.
+_DONE, _BOUND, _DRAINED = range(3)
 
 
 class SimulationError(RuntimeError):
@@ -351,6 +357,10 @@ class Process:
             )
 
 
+# What the run loop stops on when there is no process: never finishes.
+_NEVER = SimpleNamespace(_finished=False)
+
+
 class Simulator:
     """The event loop: a clock plus a two-lane queue of callbacks.
 
@@ -476,7 +486,7 @@ class Simulator:
                 e[3] = None  # gone: its timer must not revive it
             else:
                 live.append(e)
-        # In-place: the run loops hold an alias to this list, so the
+        # In-place: the run loop holds an alias to this list, so the
         # object identity must survive compaction.
         queue[:] = live
         heapq.heapify(queue)
@@ -542,57 +552,65 @@ class Simulator:
 
     # -- execution -------------------------------------------------------
 
-    def run(self, until: Optional[int] = None) -> int:
-        """Run until the queues drain or the clock passes ``until``.
+    def _run(self, bound: float, process: Any) -> int:
+        """The two-lane loop: run until ``process`` finishes, the next event
+        lies beyond ``bound``, or both lanes drain; returns which.
 
-        Returns the number of events processed during this call (skipped
-        cancelled-timer entries do not count).
+        Due heap entries first, then the whole fast lane, then advance time
+        (see the class docstring).  Skipped cancelled entries are not events.
         """
         queue = self._queue
         fast = self._fast
-        if until is not None and until < self.now:
-            # Seed semantics: nothing can run (all pending work is due at or
-            # after `now`), but a non-empty queue still snaps the clock back.
-            if queue or fast:
-                self.now = until
-            return 0
-        bound = float("inf") if until is None else until
+        if fast and self.now > bound and not process._finished:
+            return _BOUND  # the fast lane is due now, already past the bound
         processed = 0
-        while True:
-            if queue and (not fast or queue[0][0] == self.now):
-                entry = queue[0]
-                if entry[2] is None:  # lazily-cancelled timer
-                    self._drop_dead_head()
-                    continue
-                if entry[0] > bound:
-                    self.now = until
-                    break
-                _heappop(queue)
-                self.now = entry[0]
-                entry[2](*entry[3])
-                processed += 1
-            elif fast:
-                # Drain the fast lane completely: every entry is due at the
-                # current time, and no heap entry can become due until the
-                # clock advances (whatever a fast-lane callback schedules or
-                # arms with a positive delay is due later than now).
-                while fast:
-                    cb, args = fast.popleft()
-                    if cb is None:  # cancelled zero-delay timer
-                        self.cancelled_popped += 1
+        try:
+            while not process._finished:
+                if queue and (not fast or queue[0][0] == self.now):
+                    entry = queue[0]
+                    if entry[2] is None:  # lazily-cancelled timer
+                        self._drop_dead_head()
                         continue
-                    cb(*args)
+                    if entry[0] > bound:
+                        return _BOUND
+                    _heappop(queue)
+                    self.now = entry[0]
+                    entry[2](*entry[3])
                     processed += 1
-            else:
-                if until is not None and self.now < until:
-                    self.now = until
-                break
-        self._events_processed += processed
+                elif fast:
+                    # Drain the fast lane completely: every entry is due at
+                    # the current time, and no heap entry can become due
+                    # until the clock advances (whatever a fast-lane callback
+                    # schedules or arms with a positive delay is due later
+                    # than now).
+                    while fast:
+                        cb, args = fast.popleft()
+                        if cb is None:  # cancelled zero-delay timer
+                            self.cancelled_popped += 1
+                            continue
+                        cb(*args)
+                        processed += 1
+                        if process._finished:
+                            break
+                else:
+                    return _DRAINED
+            return _DONE
+        finally:
+            self._events_processed += processed
+
+    def run(self, until: Optional[int] = None) -> int:
+        """Run until the queues drain or the clock passes ``until``.
+
+        The clock ends at ``until`` if it was behind it (it never moves
+        backwards).  Returns the number of events processed during this
+        call (skipped cancelled-timer entries do not count).
+        """
+        processed = self.run_until_time(_INF if until is None else until)
+        if until is not None and self.now < until:
+            self.now = until
         return processed
 
-    def run_until_time(
-        self, until: int, stop: Optional[Callable[[], bool]] = None
-    ) -> int:
+    def run_until_time(self, until: int, process: Optional[Process] = None) -> int:
         """Process every event due at or before ``until`` — and stop.
 
         Unlike :meth:`run`, the clock is **not** snapped to ``until`` when
@@ -603,43 +621,30 @@ class Simulator:
         checkpoint subsystem's witness protocol depends on.  Returns the
         number of events processed.
 
-        ``stop``, if given, is consulted after every executed event; the
-        run pauses as soon as it returns true — the same per-event
-        granularity at which :meth:`run_until_done` stops when its
-        process finishes, so a caller can halt exactly where an
-        uninterrupted ``run_until_done`` sequence would have.
+        With ``process``, the run also pauses right after the event that
+        finishes it — exactly where :meth:`run_until_done` would return.
         """
-        queue = self._queue
-        fast = self._fast
-        processed = 0
-        while True:
-            if stop is not None and stop():
-                break
-            if queue and (not fast or queue[0][0] == self.now):
-                entry = queue[0]
-                if entry[2] is None:  # lazily-cancelled timer
-                    self._drop_dead_head()
-                    continue
-                if entry[0] > until:
-                    break
-                _heappop(queue)
-                self.now = entry[0]
-                entry[2](*entry[3])
-                processed += 1
-            elif fast:
-                while fast:
-                    cb, args = fast.popleft()
-                    if cb is None:  # cancelled zero-delay timer
-                        self.cancelled_popped += 1
-                        continue
-                    cb(*args)
-                    processed += 1
-                    if stop is not None and stop():
-                        break
-            else:
-                break
-        self._events_processed += processed
-        return processed
+        before = self._events_processed
+        self._run(until, _NEVER if process is None else process)
+        return self._events_processed - before
+
+    def run_until_done(self, process: Process, limit: Optional[int] = None) -> Any:
+        """Run until ``process`` finishes and return its result.
+
+        ``limit`` bounds the simulated time; exceeding it raises
+        :class:`SimulationError` (used by tests to catch livelock).
+        """
+        reason = self._run(_INF if limit is None else limit, process)
+        if reason == _BOUND:
+            raise SimulationError(
+                f"time limit {limit} exceeded waiting for {process.name!r}"
+            )
+        if reason == _DRAINED:
+            raise SimulationError(
+                f"deadlock: process {process.name!r} is waiting but "
+                "the event queue is empty"
+            )
+        return process.result
 
     def snapshot_state(self) -> dict:
         """Engine state for :mod:`repro.checkpoint` capture.
@@ -662,61 +667,6 @@ class Simulator:
             "queue": list(self._queue),
             "fast": list(self._fast),
         }
-
-    def run_until_done(self, process: Process, limit: Optional[int] = None) -> Any:
-        """Run until ``process`` finishes and return its result.
-
-        ``limit`` bounds the simulated time; exceeding it raises
-        :class:`SimulationError` (used by tests to catch livelock).
-        """
-        queue = self._queue
-        fast = self._fast
-        if limit is not None and self.now > limit and not process._finished:
-            while queue and queue[0][2] is None:
-                self._drop_dead_head()
-            if not (queue or fast):
-                raise SimulationError(
-                    f"deadlock: process {process.name!r} is waiting but "
-                    "the event queue is empty"
-                )
-            raise SimulationError(
-                f"time limit {limit} exceeded waiting for {process.name!r}"
-            )
-        bound = float("inf") if limit is None else limit
-        processed = 0
-        try:
-            while not process._finished:
-                if queue and (not fast or queue[0][0] == self.now):
-                    entry = queue[0]
-                    if entry[2] is None:
-                        self._drop_dead_head()
-                        continue
-                    if entry[0] > bound:
-                        raise SimulationError(
-                            f"time limit {limit} exceeded waiting for {process.name!r}"
-                        )
-                    _heappop(queue)
-                    self.now = entry[0]
-                    entry[2](*entry[3])
-                    processed += 1
-                elif fast:
-                    while fast:
-                        cb, args = fast.popleft()
-                        if cb is None:
-                            self.cancelled_popped += 1
-                            continue
-                        cb(*args)
-                        processed += 1
-                        if process._finished:
-                            break
-                else:
-                    raise SimulationError(
-                        f"deadlock: process {process.name!r} is waiting but "
-                        "the event queue is empty"
-                    )
-        finally:
-            self._events_processed += processed
-        return process.result
 
     @property
     def events_processed(self) -> int:

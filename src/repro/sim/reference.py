@@ -7,7 +7,7 @@ reasons:
 * the property tests assert that the optimised engine in
   :mod:`repro.sim.core` (same-timestamp FIFO fast lane, lazy-deleted timer
   entries) orders simultaneous events *identically* to this one, and
-* ``benchmarks/bench_engine_speed.py`` measures the optimised engine's
+* ``tests/sim/test_engine_speed.py`` measures the optimised engine's
   events/sec against this engine on the same workload, so the perf
   trajectory is tracked against a fixed reference rather than a moving one.
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, fields as dataclass_fields, replace
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Optional
 
 from ..bench.cluster import Cluster, make_cluster
@@ -38,7 +38,7 @@ from ..control import (
     Repair,
 )
 from ..congestion import CongestionParams
-from ..core import ProtocolParams
+from ..core import ProtocolParams, dial, enable_listener
 from ..ethernet import OpFlags
 from ..host import myri10g_params, tigon3_params
 from ..sim import SimulationError
@@ -57,6 +57,7 @@ __all__ = [
     "run_scenario",
     "shrink_scenario",
     "fingerprint",
+    "FINGERPRINT_FIELDS",
     "run_crash_scenario",
     "run_incarnation_scenario",
     "IncarnationFuzzResult",
@@ -368,9 +369,30 @@ def _build_cluster(sc: Scenario, trace: bool, fastpath: bool = False) -> Cluster
     return cluster
 
 
+# What fingerprint() hashes of each endpoint's ConnectionStats, by name and
+# in this order.  A counter added to ConnectionStats is not hashed, so it
+# moves no pinned fingerprint; changing this tuple is a re-pin (DESIGN.md §9).
+FINGERPRINT_FIELDS = (
+    # send side
+    "ops_submitted", "ops_completed", "data_frames_sent", "data_bytes_sent",
+    "retransmitted_frames", "explicit_acks_sent", "nacks_sent",
+    "piggybacked_acks", "timeout_retransmits", "nack_retransmits",
+    "pump_charged_ns", "pump_stalled_ns",
+    # edge lifecycle
+    "edges_removed", "edges_added", "migrated_frames", "probes_sent",
+    "probes_answered",
+    # receive side
+    "data_frames_received", "data_bytes_received", "duplicate_frames",
+    "out_of_order_frames", "buffered_frames", "max_buffered_frames",
+    "reorder_distance_total", "reorder_events", "reorder_histogram",
+    "explicit_acks_received", "nacks_received", "notifications_delivered",
+)
+
+
 def fingerprint(cluster: Cluster, include_trace: bool = False) -> str:
-    """SHA-256 over final simulation time, per-connection stats, and
-    (optionally) the captured frame trace — the bit-determinism witness."""
+    """SHA-256 over final simulation time, the :data:`FINGERPRINT_FIELDS`
+    of every endpoint's stats plus its sequence state, and (optionally) the
+    captured frame trace — the bit-determinism witness."""
     h = hashlib.sha256()
     h.update(str(cluster.sim.now).encode())
     for stack in cluster.stacks:
@@ -378,8 +400,8 @@ def fingerprint(cluster: Cluster, include_trace: bool = False) -> str:
             conn = stack.protocol.connections[conn_id]
             h.update(f"|{conn_id}@{stack.node_id}".encode())
             s = conn.stats
-            for f in dataclass_fields(s):
-                h.update(f"{f.name}={getattr(s, f.name)};".encode())
+            for name in FINGERPRINT_FIELDS:
+                h.update(f"{name}={getattr(s, name)};".encode())
             h.update(
                 f"next_seq={conn.window.next_seq};"
                 f"expected={conn.tracker.expected};".encode()
@@ -530,12 +552,14 @@ class ScenarioRun:
         events (keepalives, edge monitors) that the uninterrupted run
         suppresses, breaking ``run-to-end == pause+finish`` composition.
         """
-        if self._failure is not None or self.traffic_done:
+        if self._failure is not None:
             return
         try:
-            self.cluster.sim.run_until_time(
-                time_ns, stop=lambda: self.traffic_done
-            )
+            # finish()'s own sequence, bounded: each workload process in turn.
+            for proc in self.procs:
+                self.cluster.sim.run_until_time(time_ns, proc)
+                if not proc._finished:
+                    break
         except InvariantViolation as v:
             self._failure = f"invariant: {v}"
         except SimulationError as e:
@@ -555,9 +579,9 @@ class ScenarioRun:
                 cluster.sim.run()  # drain retransmits, acks, fault timers
                 for stack in cluster.stacks:
                     for conn in stack.protocol.connections.values():
-                        for op in list(conn._frame_op.values()) + [
-                            o for o in conn._pending_reads.values()
-                        ]:
+                        for op in [
+                            rec.op for rec in conn.window.inflight.values()
+                        ] + list(conn._pending_reads.values()):
                             if not op.completed:
                                 raise SimulationError(
                                     f"op {op!r} incomplete after drain"
@@ -667,12 +691,10 @@ def run_incarnation_scenario(seed: int) -> IncarnationFuzzResult:
     their own RNG stream (``multiedge-fuzz-incarnation:<seed>``) so
     existing fingerprints stay byte-identical.
     """
-    from ..bench.cluster import make_cluster as _make
-    from ..core.handshake import dial, enable_listener
 
     rng = random.Random(f"multiedge-fuzz-incarnation:{seed}")
     config = rng.choice(("2L-1G", "2Lu-1G"))
-    cluster = _make(config, nodes=2, seed=seed, synthetic_payloads=True)
+    cluster = make_cluster(config, nodes=2, seed=seed, synthetic_payloads=True)
     recovery = cluster.enable_crash_recovery()
     monitor = InvariantMonitor.attach(cluster, collect=True)
     enable_listener(cluster.stacks[0])
@@ -701,17 +723,14 @@ def run_incarnation_scenario(seed: int) -> IncarnationFuzzResult:
     sim.run_until_done(proc, limit=2_000_000_000)
     sim.run()
     monitor.final_check()
-    stale = recovery.stale_frames_rejected_destroyed
-    dups = recovery.duplicate_msgs_suppressed_destroyed
-    for stack in cluster.stacks:
-        for conn in stack.protocol.connections.values():
-            stale += conn.stale_frames_rejected
-            dups += conn.duplicate_msgs_suppressed
+    from ..analysis.summary import summarize_cluster
+
+    summary = summarize_cluster(cluster)
     return IncarnationFuzzResult(
         seed=seed,
         config=config,
-        stale_frames_rejected=stale,
-        duplicates_suppressed=dups,
+        stale_frames_rejected=summary.stale_frames_rejected,
+        duplicates_suppressed=summary.duplicate_msgs_suppressed,
         violations=tuple(str(v) for v in monitor.violations),
     )
 
@@ -836,7 +855,6 @@ class FabricRun:
     """
 
     def __init__(self, seed: int) -> None:
-        from ..bench.cluster import make_cluster as _make
         from ..fabric import (
             AllToAll,
             ElephantMice,
@@ -857,7 +875,7 @@ class FabricRun:
             )
         else:
             spec = FatTreeSpec(k=sc.k)
-        cluster = self.cluster = _make(
+        cluster = self.cluster = make_cluster(
             "1L-1G",
             nodes=sc.nodes,
             seed=sc.seed,

@@ -132,11 +132,18 @@ class ConnectionMonitor:
         # the stats object); rebase every stats-relative check when the
         # object identity changes.
         self._stats_ref: Any = None
+        # ECN echoes counted by stats objects since retired: echo
+        # conservation compares lifetime totals across the two ends.
+        self._echoes_sent_retired = self._echoes_received_retired = 0
         self._rebase()
 
     # -- rebasing against stats resets ----------------------------------
 
     def _rebase(self) -> None:
+        old = self._stats_ref
+        if old is not None:
+            self._echoes_sent_retired += old.ecn_echoes_sent
+            self._echoes_received_retired += old.ecn_echoes_received
         s = self.conn.stats
         self._stats_ref = s
         self._seq_base = self.conn.window.next_seq - s.data_frames_sent
@@ -147,6 +154,15 @@ class ConnectionMonitor:
         self._wire_nack_base = self.wire_nacks - s.nacks_sent
         self._rx_bytes_base = (
             self._applied_plus_buffered() - s.data_bytes_received
+        )
+
+    def echoes(self) -> tuple[int, int]:
+        """ECN echoes (sent, received) since attach, across stats resets
+        (as of the last :meth:`check`, which is what notices a reset)."""
+        s = self._stats_ref
+        return (
+            self._echoes_sent_retired + s.ecn_echoes_sent,
+            self._echoes_received_retired + s.ecn_echoes_received,
         )
 
     def _applied_plus_buffered(self) -> int:
@@ -254,11 +270,6 @@ class ConnectionMonitor:
                     f"queued seq {seq} neither in flight nor below ack "
                     f"watermark {self.ack_watermark}",
                 )
-
-        # -- seq -> op map --
-        if set(inflight) != set(conn._frame_op):
-            extra = set(conn._frame_op) ^ set(inflight)
-            fail("frame-op-leak", f"inflight/frame_op mismatch on seqs {extra}")
 
         # -- stats vs sequence space --
         if s.data_frames_sent != window.next_seq - self._seq_base:
@@ -491,7 +502,7 @@ class InvariantMonitor:
                 mon.attach_connection(conn)
         for mgr in cluster.control_planes.values():
             mgr.invariant_monitor = mon
-        recovery = getattr(cluster, "recovery", None)
+        recovery = cluster.recovery
         if recovery is not None:
             # Connections created mid-run by the reconnect loop must be
             # monitored too; the recovery layer attaches them on creation.
@@ -618,21 +629,24 @@ class InvariantMonitor:
                     cm.where,
                 )
             # ECN echoes are only ever reflections of marks the peer saw.
-            if cm.conn.ecn_echoes_received > peer.conn.ecn_echoes_sent:
+            received, peer_sent = cm.echoes()[1], peer.echoes()[0]
+            if received > peer_sent:
                 self._violation(
                     "ecn-echo-conservation",
-                    f"echoes received {cm.conn.ecn_echoes_received} > peer "
-                    f"echoes sent {peer.conn.ecn_echoes_sent}",
+                    f"echoes received {received} > peer echoes sent "
+                    f"{peer_sent}",
                     cm.where,
                 )
         if self.cluster is not None:
             ce_marked = sum(
                 sw.ce_marked_total for sw in self.cluster.all_switches
             )
+            # Current counts of live endpoints: a measurement reset or a
+            # crash only lowers this side, so the bound stays sound.
             ce_received = sum(
-                s.protocol.connections[c].ce_frames_received
+                conn.stats.ce_frames_received
                 for s in self.cluster.stacks
-                for c in s.protocol.connections
+                for conn in s.protocol.connections.values()
             )
             if ce_received > ce_marked:
                 self._violation(
@@ -640,16 +654,13 @@ class InvariantMonitor:
                     f"CE frames received {ce_received} > CE marks applied "
                     f"by switches {ce_marked}",
                 )
-        if self.cluster is not None:
             for node in self.cluster.nodes:
                 self._check_node_quiesced(node)
-        recovery = getattr(self.cluster, "recovery", None)
-        if recovery is not None:
-            self._check_journals(recovery)
-        serve = getattr(self.cluster, "serve", None)
-        if serve is not None:
-            for problem in serve.check_invariants():
-                self._violation("serve-invariant", problem, "serve runtime")
+            if self.cluster.recovery is not None:
+                self._check_journals(self.cluster.recovery)
+            if self.cluster.serve is not None:
+                for problem in self.cluster.serve.check_invariants():
+                    self._violation("serve-invariant", problem, "serve runtime")
 
     def _check_journals(self, recovery: Any) -> None:
         """Journal conservation + delivered-implies-logged, per channel."""

@@ -208,7 +208,7 @@ def test_window_excess_inflight_drains_not_clawed_back():
             src_mac=1, dst_mac=2,
             header=MultiEdgeHeader(payload_length=0, seq=seq),
         )
-        window.register(frame, op_id=0, now=0)
+        window.register(frame, op=None, now=0)
     window.cwnd = 2  # controller shrinks below what is already in flight
     assert window.available == 0
     assert not window.can_send

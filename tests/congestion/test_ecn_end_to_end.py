@@ -83,9 +83,9 @@ def test_dctcp_reacts_to_marks_under_monitor():
     all_conns = [
         c for s in cluster.stacks for c in s.protocol.connections.values()
     ]
-    ce_received = sum(c.ce_frames_received for c in all_conns)
-    echoes_sent = sum(c.ecn_echoes_sent for c in all_conns)
-    echoes_received = sum(c.ecn_echoes_received for c in all_conns)
+    ce_received = sum(c.stats.ce_frames_received for c in all_conns)
+    echoes_sent = sum(c.stats.ecn_echoes_sent for c in all_conns)
+    echoes_received = sum(c.stats.ecn_echoes_received for c in all_conns)
     assert 0 < ce_received <= marked
     assert 0 < echoes_received <= echoes_sent
 
@@ -120,7 +120,7 @@ def test_static_controller_echoes_but_never_reacts():
         c for s in cluster.stacks for c in s.protocol.connections.values()
     ]
     assert marked > 0
-    assert sum(c.ecn_echoes_sent for c in all_conns) > 0
+    assert sum(c.stats.ecn_echoes_sent for c in all_conns) > 0
     for conn in senders:
         assert conn.window.cwnd is None  # never clamped
         assert conn.congestion.cwnd_frames == conn.window.size
@@ -147,3 +147,71 @@ def test_inactive_congestion_params_change_nothing():
         congestion_params=CongestionParams(min_cwnd_frames=4, pacing=False),
     )
     assert dataclasses.asdict(base) == dataclasses.asdict(explicit)
+
+
+def _start_marked_incast():
+    cluster = make_cluster(
+        "1L-1G",
+        nodes=SENDERS + 1,
+        protocol=ProtocolParams(in_order_delivery=False, congestion="dctcp"),
+    )
+    cluster.set_ecn_threshold(ECN_THRESHOLD)
+    pairs, procs = [], []
+    for i in range(SENDERS):
+        a, b = cluster.connect(i, SENDERS)
+        src = a.node.memory.alloc(SIZE)
+        dst = b.node.memory.alloc(SIZE)
+
+        def app(a=a, src=src, dst=dst):
+            h = yield from a.rdma_write(src, dst, SIZE)
+            yield from h.wait()
+
+        procs.append(cluster.sim.process(app()))
+        pairs.append((a.conn, b.conn))
+    return cluster, pairs, procs
+
+
+def test_measurement_reset_zeroes_ecn_counters_and_the_monitor_rebases():
+    """The ECN counters live in ConnectionStats, so a measurement reset
+    zeroes them; echo conservation is a lifetime law and must survive a
+    reset taken while an echo is on the wire."""
+    from repro.core import ConnectionStats
+
+    # Probe run: the last instant some echo is still in flight.
+    cluster, pairs, procs = _start_marked_incast()
+    sim = cluster.sim
+    reset_at = None
+    while not all(p.finished for p in procs):
+        sim.run_until_time(sim.next_event_time())
+        for tx, rx in pairs:  # the receiver (rx) echoes, the sender counts them
+            if rx.stats.ecn_echoes_sent > tx.stats.ecn_echoes_received:
+                reset_at = sim.now
+    assert reset_at is not None, "no echo was ever in flight"
+
+    cluster, pairs, procs = _start_marked_incast()
+    monitor = InvariantMonitor.attach(cluster)
+    cluster.sim.run_until_time(reset_at)
+    before = [(rx.stats.ecn_echoes_sent, tx.stats.ecn_echoes_received) for tx, rx in pairs]
+    assert any(sent > received for sent, received in before)
+    for stack in cluster.stacks:
+        for conn in stack.protocol.connections.values():
+            conn.stats = ConnectionStats()
+    for p in procs:
+        cluster.sim.run_until_done(p, limit=60_000_000_000)
+    cluster.sim.run()
+    monitor.final_check()
+    assert monitor.ok, monitor.violations
+
+    # The echo that was on the wire at the reset was counted as sent by a
+    # retired stats object and as received by a fresh one ...
+    assert any(
+        tx.stats.ecn_echoes_received > rx.stats.ecn_echoes_sent for tx, rx in pairs
+    )
+    # ... and the monitor's lifetime totals still balance, and still hold
+    # what the retired objects had counted.
+    for (tx, rx), (sent0, received0) in zip(pairs, before):
+        sent = monitor.conn_monitors[(rx.conn_id, rx.node.node_id)].echoes()[0]
+        received = monitor.conn_monitors[(tx.conn_id, tx.node.node_id)].echoes()[1]
+        assert received <= sent
+        assert sent == sent0 + rx.stats.ecn_echoes_sent
+        assert received == received0 + tx.stats.ecn_echoes_received

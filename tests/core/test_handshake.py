@@ -182,3 +182,60 @@ def test_closed_connection_drops_stray_data_frames():
     proc = cluster.sim.process(app())
     before, conn_b = cluster.sim.run_until_done(proc, limit=60_000_000_000)
     assert conn_b.frames_after_close == before + 1
+
+
+@pytest.mark.parametrize("ftype", ["SYN", "FIN", "SYN_ACK"])
+def test_non_listening_stack_counts_and_drops_handshake_frames(ftype):
+    """A stack that never enabled its listener must not let a SYN / FIN for
+    an *existing* connection id fall through to the data path, where it was
+    taken for sequenced data frame 0 and corrupted the receive window."""
+    from repro.ethernet import Frame, FrameType, MultiEdgeHeader
+
+    cluster = make_cluster("1L-1G", nodes=2)  # no enable_listener()
+    a, b = cluster.connect(0, 1)
+    stray = Frame(
+        src_mac=a.node.nics[0].mac,
+        dst_mac=b.node.nics[0].mac,
+        header=MultiEdgeHeader(
+            frame_type=FrameType[ftype], connection_id=a.conn.conn_id, op_id=0
+        ),
+    )
+    a.node.nics[0].transmit(stray)
+    cluster.sim.run()
+    protocol = cluster.stacks[1].protocol
+    assert protocol.handshake_frames_dropped == 1
+    assert protocol.unknown_connection_frames == 0
+    assert b.conn.tracker.expected == 0 and not b.conn.closed
+    assert b.conn.stats.data_frames_received == 0
+    assert b.conn.stats.explicit_acks_sent == 0
+    assert list(protocol.connections) == [a.conn.conn_id]
+
+    # The connection is unharmed: sequence 0 is still free for real data.
+    payload = bytes(range(64))
+    src = a.node.memory.alloc(64)
+    dst = b.node.memory.alloc(64)
+    a.node.memory.write(src, payload)
+
+    def app():
+        h = yield from a.rdma_write(src, dst, 64)
+        yield from h.wait()
+
+    cluster.sim.run_until_done(cluster.sim.process(app()), limit=10**10)
+    assert b.node.memory.read(dst, 64) == payload
+    assert b.conn.stats.duplicate_frames == 0
+
+
+def test_handshake_state_is_declared_not_invented():
+    cluster = make_cluster("1L-1G", nodes=2)
+    a, _ = cluster.connect(0, 1)
+    protocol = cluster.stacks[0].protocol
+    assert protocol.listening is False and protocol._pending_dials == {}
+    assert protocol._dial_counter == 0 and protocol.handshake_frames_dropped == 0
+    assert (a.conn.fin_sent, a.conn.fin_received, a.conn._fin_event) == (
+        False, False, None,
+    )
+    enable_listener(cluster.stacks[0])
+    enable_listener(cluster.stacks[0])  # idempotent
+    assert protocol.listening is True
+    # No instance attribute shadows the class's frame dispatch.
+    assert "handle_frame" not in vars(protocol)

@@ -1,5 +1,7 @@
 """Unit tests for striping policies and statistics aggregation."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.core import (
@@ -122,3 +124,37 @@ class TestStats:
         m = merge_stats([a, b])
         assert m.data_frames_sent == 15
         assert m.max_buffered_frames == 7
+
+    def test_merge_covers_every_field_by_kind(self):
+        """No name list: every dataclass field merges, by its kind — ``max_*``
+        takes the maximum, the histogram adds element-wise, counters add."""
+        parts = []
+        for k in (1, 2, 3):
+            s = ConnectionStats()
+            for i, f in enumerate(fields(s)):
+                if f.name == "reorder_histogram":
+                    s.reorder_histogram = [k * (b + 1) for b in range(16)]
+                else:
+                    setattr(s, f.name, k * (i + 1))
+            parts.append(s)
+        m = merge_stats(parts)
+        for i, f in enumerate(fields(m)):
+            got = getattr(m, f.name)
+            if f.name == "reorder_histogram":
+                assert got == [6 * (b + 1) for b in range(16)]
+            elif f.name == "max_buffered_frames":
+                assert got == 3 * (i + 1)
+            else:
+                assert got == 6 * (i + 1), f.name
+        # The inputs are left alone, and nothing merged is shared with them.
+        assert parts[0].reorder_histogram == [b + 1 for b in range(16)]
+        assert merge_stats([]) == ConnectionStats()
+        assert merge_stats(parts[:1]) == parts[0]
+        assert merge_stats(parts[:1]).reorder_histogram is not parts[0].reorder_histogram
+
+    def test_moved_counters_are_stats_fields(self):
+        names = {f.name for f in fields(ConnectionStats)}
+        assert {
+            "ce_frames_received", "ecn_echoes_sent", "ecn_echoes_received",
+            "stale_frames_rejected", "duplicate_msgs_suppressed",
+        } <= names

@@ -31,16 +31,16 @@ class TestSendWindow:
         w = SendWindow(2)
         for _ in range(2):
             s = w.allocate_seq()
-            w.register(seq_frame(s), op_id=1, now=0)
+            w.register(seq_frame(s), op=None, now=0)
         assert not w.can_send
         with pytest.raises(RuntimeError):
-            w.register(seq_frame(99), op_id=1, now=0)
+            w.register(seq_frame(99), op=None, now=0)
 
     def test_cumulative_ack_frees_prefix(self):
         w = SendWindow(8)
         for _ in range(5):
             s = w.allocate_seq()
-            w.register(seq_frame(s), op_id=1, now=0)
+            w.register(seq_frame(s), op=None, now=0)
         freed = w.on_ack(3)
         assert sorted(r.frame.header.seq for r in freed) == [0, 1, 2]
         assert w.in_flight_count == 2
@@ -57,7 +57,7 @@ class TestSendWindow:
             w = SendWindow(64)
             for _ in range(rng.randint(0, 64)):
                 s = w.allocate_seq()
-                w.register(seq_frame(s), op_id=1, now=0)
+                w.register(seq_frame(s), op=None, now=0)
             for s in rng.sample(sorted(w.inflight), len(w.inflight) // 4):
                 del w.inflight[s]  # hole left by an out-of-order free
             for s in rng.sample(sorted(w.inflight), len(w.inflight) // 3):
@@ -76,7 +76,7 @@ class TestSendWindow:
     def test_get_for_retransmit(self):
         w = SendWindow(8)
         s = w.allocate_seq()
-        w.register(seq_frame(s), op_id=1, now=0)
+        w.register(seq_frame(s), op=None, now=0)
         rec = w.get_for_retransmit(0)
         assert rec is not None
         w.on_ack(1)
@@ -87,7 +87,7 @@ class TestSendWindow:
         enqueue site does, so repeated queries can't inflate the count."""
         w = SendWindow(8)
         s = w.allocate_seq()
-        w.register(seq_frame(s), op_id=1, now=0)
+        w.register(seq_frame(s), op=None, now=0)
         for _ in range(5):
             rec = w.get_for_retransmit(0)
             assert rec is not None
@@ -99,7 +99,7 @@ class TestSendWindow:
         w = SendWindow(8)
         for _ in range(3):
             s = w.allocate_seq()
-            w.register(seq_frame(s), op_id=1, now=0)
+            w.register(seq_frame(s), op=None, now=0)
         assert w.last_unacked().frame.header.seq == 2
         assert w.oldest_unacked().frame.header.seq == 0
         w.on_ack(3)

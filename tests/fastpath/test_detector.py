@@ -44,13 +44,13 @@ def test_closed_connection_refuses():
 def test_journal_replay_in_flight_refuses():
     _, conn, _ = _pair()
     channel = SimpleNamespace(_ready=object())
-    conn.recovery = SimpleNamespace(_channels={"c": channel})
+    conn.recovery = SimpleNamespace(channels=[channel])
     assert _reason(conn) == "journal-replay-in-flight"
 
 
 def test_recovery_attached_refuses():
     _, conn, peer = _pair()
-    peer.recovery = SimpleNamespace(_channels={})
+    peer.recovery = SimpleNamespace(channels=[])
     assert _reason(conn) == "recovery-active"
 
 
@@ -291,3 +291,40 @@ def test_real_serve_runtime_disqualifies_while_armed():
     cluster.sim.run(until=20_000_000)
     assert not rt.arrivals_armed and not rt.active
     assert _reason(a.conn) is None
+
+
+def test_journal_replay_in_flight_refuses_against_real_recovery():
+    """The same denial from a real ``ClusterRecovery`` whose journaled
+    channel is between losing its connection and finishing the replay —
+    not a stand-in object, which is how a misspelt attribute went unseen."""
+    from repro.control import Crash, DetectorParams, FaultSchedule, Restart
+
+    MS = 1_000_000
+    cluster = make_cluster("2Lu-1G", nodes=3, fastpath=True, synthetic_payloads=True)
+    cluster.connect(0, 1)
+    bystander, _ = cluster.connect(0, 2)
+    cluster.enable_edge_control(0, 1, detector_params=DetectorParams())
+    recovery = cluster.enable_crash_recovery()
+    channel = recovery.channel(0, 1)
+    FaultSchedule(
+        [Crash(at_ns=2 * MS, node=1), Restart(at_ns=2 * MS, node=1, delay_ns=1 * MS)]
+    ).apply(cluster)
+
+    def stream():
+        addr = 0
+        while cluster.sim.now < 12 * MS:
+            yield from channel.send(addr, addr, 2048)
+            addr += 2048
+            yield 50_000
+
+    proc = cluster.sim.process(stream())
+    assert _reason(bystander.conn) == "recovery-active"
+    sim = cluster.sim
+    while channel._ready is None:  # until PEER_DOWN blocks the channel
+        sim.run_until_time(sim.next_event_time())
+    assert recovery.peer_down_events == 1 and recovery.reconnects == 0
+    assert _reason(bystander.conn) == "journal-replay-in-flight"
+    sim.run_until_done(proc, limit=10**10)
+    assert recovery.reconnects == 1 and channel.redeliveries > 0
+    assert channel._ready is None
+    assert _reason(bystander.conn) == "recovery-active"

@@ -211,6 +211,12 @@ def _start(cluster, a, b, src, dst):
     return handles, [cluster.sim.process(receiver()), cluster.sim.process(sender())]
 
 
+def _run_until(sim, pred):
+    """Advance one timestamp at a time until ``pred()`` holds."""
+    while not pred():
+        sim.run_until_time(sim.next_event_time())
+
+
 def _finish(cluster, procs):
     for proc in procs:
         cluster.sim.run_until_done(proc, limit=10**12)
@@ -243,9 +249,9 @@ def test_bump_after_multi_op_plan_rewinds_runs_exactly(config):
     stats = cluster.fastpath.stats
     handles, procs = _start(cluster, a, b, src, dst)
     # Three ops planned, the first already synthesized.
-    cluster.sim.run_until_time(
-        10**12,
-        stop=lambda: len(fwd._pending) >= 3 and stats.ops_synthesized >= 1,
+    _run_until(
+        cluster.sim,
+        lambda: len(fwd._pending) >= 3 and stats.ops_synthesized >= 1,
     )
     _bump_and_check_rewind(cluster, a.conn)
     assert _striping_state(a.conn.striping) == _striping_after_ops(
@@ -259,9 +265,7 @@ def _stall_mid_run(cluster, a):
     """Mask the only rail while the frame path is inside the first run,
     and wait for what is in flight to be acknowledged."""
     conn = a.conn
-    cluster.sim.run_until_time(
-        10**12, stop=lambda: conn.stats.data_frames_sent >= 100
-    )
+    _run_until(cluster.sim, lambda: conn.stats.data_frames_sent >= 100)
     conn.remove_edge(0, migrate=False)
     sent = conn.stats.data_frames_sent
     cluster.sim.run_until_time(cluster.sim.now + 2_000_000)
@@ -284,7 +288,7 @@ def test_bump_after_frame_path_sent_part_of_a_run():
     cluster.enable_fastpath()
     conn, fwd = a.conn, a.conn.fastpath
     conn.add_edge(0)
-    cluster.sim.run_until_time(10**12, stop=lambda: fwd.active)
+    _run_until(cluster.sim, lambda: fwd.active)
     # The jump planned the rest of the partly sent run, and the ops behind it.
     assert len(fwd._pending) == NOPS
     assert fwd._pending[0].n_frames == handles[0]._op.frames_total - sent

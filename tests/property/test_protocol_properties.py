@@ -109,7 +109,7 @@ def test_window_conservation(ops):
             frame = Frame(
                 src_mac=0, dst_mac=1, header=MultiEdgeHeader(seq=seq)
             )
-            w.register(frame, op_id=0, now=0)
+            w.register(frame, op=None, now=0)
             sent_total += 1
         else:
             freed = w.on_ack(ack_to)

@@ -213,7 +213,7 @@ class TestIncarnationGuard:
         cluster, a, b = _two_node_cluster()
         cluster.enable_crash_recovery()
         conn = b.conn
-        before = conn.stale_frames_rejected
+        before = conn.stats.stale_frames_rejected
         header = MultiEdgeHeader(
             frame_type=FrameType.DATA, connection_id=conn.conn_id,
             op_id=99, op_length=64, payload_length=64,
@@ -222,7 +222,7 @@ class TestIncarnationGuard:
         frame.incarnation = conn.peer_incarnation + 1  # from a dead epoch
         # The guard trips before the first yield of the receive generator.
         next(conn.handle_rx_frame(frame, None), None)
-        assert conn.stale_frames_rejected == before + 1
+        assert conn.stats.stale_frames_rejected == before + 1
 
     def test_matching_incarnation_passes_the_guard(self):
         cluster, a, b = _two_node_cluster()
@@ -236,7 +236,7 @@ class TestIncarnationGuard:
 
         proc = cluster.sim.process(app())
         cluster.sim.run_until_done(proc, limit=100 * MS)
-        assert received and b.conn.stale_frames_rejected == 0
+        assert received and b.conn.stats.stale_frames_rejected == 0
 
     def test_receiver_dedup_keyed_on_incarnation(self):
         cluster, a, b = _two_node_cluster()

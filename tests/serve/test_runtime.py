@@ -310,3 +310,36 @@ def test_monitor_reports_serve_invariant_breakage():
     monitor = run.monitor
     monitor.final_check()
     assert any("serve-invariant" in str(v) for v in monitor.violations)
+
+
+def test_reconnected_endpoints_run_the_configured_congestion_controller():
+    """The cluster is built from the finished config, so the passive side
+    of a post-crash reconnect (created by the listener from the stack's own
+    parameters) runs the same controller as the dialing side."""
+    run = ServeRun(
+        config="1L-10G",
+        n_clients=1,
+        n_servers=1,
+        arrival=ArrivalSpec(kind="poisson", rate_rps=20_000, batch=64),
+        server=ServerSpec(queue_cap=256, workers=4, service=("fixed", 5_000)),
+        duration_ns=40 * _MS,
+        seed=16,
+        congestion="dctcp",
+        crash_server=1,
+        crash_ns=10 * _MS,
+        restart_delay_ns=5 * _MS,
+    )
+    cluster = run.cluster
+    assert {s.protocol.params.congestion for s in cluster.stacks} == {"dctcp"}
+    before = {id(c) for s in cluster.stacks for c in s.protocol.connections.values()}
+    r = run.finish()
+    assert r.ok, r.violations
+    assert r.crashes == 1 and r.reconnects >= 1
+    fresh = [
+        c
+        for s in cluster.stacks
+        for c in s.protocol.connections.values()
+        if id(c) not in before
+    ]
+    assert {c.node.node_id for c in fresh} == {0, 1}  # both ends are new
+    assert [c.congestion.name for c in fresh] == ["dctcp", "dctcp"]

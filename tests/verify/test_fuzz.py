@@ -1,11 +1,14 @@
 """Tests for the deterministic fuzz harness (repro.verify.fuzz)."""
 
-from dataclasses import replace
+from dataclasses import dataclass, fields, replace
 
+from repro.core import ConnectionStats
 from repro.verify.fuzz import (
     FAULT_PROFILES,
+    FINGERPRINT_FIELDS,
     WORKLOADS,
     OpSpec,
+    ScenarioRun,
     run_scenario,
     scenario_from_seed,
     shrink_scenario,
@@ -51,7 +54,8 @@ class TestFingerprintRegression:
     # Pinned fingerprints from before the crash-recovery subsystem landed.
     # The no-crash path must stay bit-identical: new crash fuzz streams
     # draw from their own RNGs, frame incarnation stamping is gated on
-    # recovery being enabled, and no ConnectionStats field was added.
+    # recovery being enabled, and the fingerprint hashes the counters named
+    # in FINGERPRINT_FIELDS, not whatever ConnectionStats happens to hold.
     PINNED = {
         0: "9602b13563a225033d17f44a8a7f6a000f1b3aead3b7963aa5c0ca5e7e52a5dd",
         1: "7170900315165228ba1ed4ae8da7bb44c21b88c9ee64e60bb7f938c2b8699302",
@@ -67,6 +71,81 @@ class TestFingerprintRegression:
             assert res.fingerprint == expected, (
                 f"seed {seed} fingerprint drifted: {res.fingerprint}"
             )
+
+
+    def test_fingerprint_names_what_it_hashes(self):
+        names = [f.name for f in fields(ConnectionStats)]
+        assert len(FINGERPRINT_FIELDS) == len(set(FINGERPRINT_FIELDS)) == 29
+        # Today's first 29 fields, in declaration order; the counters that
+        # moved into ConnectionStats later are present but not hashed.
+        assert list(FINGERPRINT_FIELDS) == names[:29]
+        assert set(names[29:]) == {
+            "ce_frames_received", "ecn_echoes_sent", "ecn_echoes_received",
+            "stale_frames_rejected", "duplicate_msgs_suppressed",
+        }
+
+    def test_a_new_counter_moves_no_pin(self, monkeypatch):
+        """Grow the schema by one live counter: the pins do not see it."""
+
+        @dataclass(slots=True)
+        class GrownStats(ConnectionStats):
+            frames_counted_by_a_later_pr: int = 7
+
+        monkeypatch.setattr("repro.core.connection.ConnectionStats", GrownStats)
+        for seed, expected in self.PINNED.items():
+            run = ScenarioRun(scenario_from_seed(seed))
+            conns = [
+                c
+                for s in run.cluster.stacks
+                for c in s.protocol.connections.values()
+            ]
+            assert conns and all(type(c.stats) is GrownStats for c in conns)
+            for k, c in enumerate(conns):
+                c.stats.frames_counted_by_a_later_pr += k
+            res = run.finish()
+            assert res.ok, f"seed {seed}: {res.failure}"
+            assert res.fingerprint == expected
+
+
+class TestScenarioRunPause:
+    """``run_to(T)`` + ``finish()`` is ``finish()``, however the sender
+    processes' completions interleave with the pause."""
+
+    @staticmethod
+    def _finish_order(sc):
+        """[(time, process index)] in completion order, from a probe run."""
+        probe = ScenarioRun(sc, use_monitor=False)
+        order = []
+        for i, proc in enumerate(probe.procs):
+            proc.done.add_callback(
+                lambda _v, i=i: order.append((probe.cluster.sim.now, i))
+            )
+        probe.finish()
+        return order
+
+    def test_senders_finishing_out_of_order(self):
+        checked = 0
+        for seed in range(40):
+            sc = scenario_from_seed(seed)
+            order = self._finish_order(sc)
+            indices = [i for _, i in order]
+            if len(indices) < 2 or indices == sorted(indices):
+                continue  # one sender, or they finish in list order
+            whole = run_scenario(sc)
+            assert whole.ok, whole.failure
+            first, last = order[0][0], order[-1][0]
+            # Before, exactly at, between and after the completions.
+            for pause in (first // 2, first, (first + last) // 2, last, last + 10**6):
+                run = ScenarioRun(sc)
+                run.run_to(pause)
+                assert run.cluster.sim.now <= max(pause, 0)
+                again = ScenarioRun(sc)
+                again.run_to(pause // 3)
+                again.run_to(pause)  # a second pause resumes, never rewinds
+                assert run.finish() == whole, (seed, pause)
+                assert again.finish() == whole, (seed, pause)
+            checked += 1
+        assert checked >= 5
 
 
 class TestShrinker:

@@ -40,11 +40,7 @@ from conftest import record
 from repro.bench.fabric import run_ecmp_evenness, run_fabric_incast
 from repro.fabric import AllToAll, FatTreeSpec, run_traffic
 from repro.bench.cluster import make_cluster
-from repro.verify.fuzz import (
-    run_fabric_scenario,
-    run_scenario,
-    scenario_from_seed,
-)
+from repro.verify.fuzz import run_family
 
 
 # Acceptance floors (ISSUE acceptance criteria).
@@ -119,8 +115,7 @@ def test_fabric_smoke():
     assert points["dctcp"]["ce_marked"] > 0, "ECN never marked a frame"
 
     # ECMP evenness on a 16-round permutation matrix.
-    evenness = run_ecmp_evenness(seed=EVENNESS_SEED)
-    assert evenness.data_intact and evenness.messages_received == evenness.flows
+    evenness = run_ecmp_evenness(seed=EVENNESS_SEED)  # raises on any violation
     ratio = evenness.ecmp_evenness
     assert ratio <= MAX_ECMP_RATIO, (
         f"ECMP spine byte ratio {ratio:.3f} exceeds {MAX_ECMP_RATIO}"
@@ -128,18 +123,16 @@ def test_fabric_smoke():
 
     # Single-switch fingerprints must not drift.
     for seed, expected in PINNED_FINGERPRINTS.items():
-        res = run_scenario(scenario_from_seed(seed))
+        res = run_family("protocol", seed)
         assert res.ok, f"seed {seed}: {res.failure}"
         assert res.fingerprint == expected, (
             f"seed {seed} fingerprint drifted: {res.fingerprint}"
         )
 
     # Randomized fabrics with trunk churn keep the routing invariants.
-    fuzz = [run_fabric_scenario(seed) for seed in range(6)]
+    fuzz = [run_family("fabric", seed) for seed in range(6)]
     for r in fuzz:
-        assert r.ok, (
-            f"fabric fuzz seed {r.scenario.seed}: {r.violations or 'data loss'}"
-        )
+        assert r.ok, f"fabric fuzz seed {r.seed}: {r.failure}"
 
     # Determinism witness: same parameters, same bytes.
     first = run_fabric_incast(senders=8, congestion="dctcp",
@@ -165,13 +158,13 @@ def test_fabric_smoke():
         },
         "fabric_fuzz": [
             {
-                "seed": r.scenario.seed,
+                "seed": r.seed,
                 "topology": r.scenario.topology,
                 "traffic": r.scenario.traffic,
                 "trunk_events": len(r.scenario.trunk_events),
-                "flows": r.flows,
-                "repins": r.repins,
-                "switch_drops": r.switch_drops,
+                "flows": r.result.flows,
+                "repins": r.result.repins,
+                "switch_drops": r.result.switch_drops,
             }
             for r in fuzz
         ],
@@ -192,9 +185,7 @@ def test_fabric_full():
         fabric=FatTreeSpec(k=4),
     )
     r = run_traffic(cluster, AllToAll(bytes_per_flow=8_192), seed=0)
-    assert r.data_intact and r.messages_received == r.flows
-    violations = [v for f in cluster.fabrics for v in f.routing_invariants()]
-    assert violations == [], violations
+    assert not r.violations, r.violations
     report["fat_tree_all_to_all_8"] = {
         "flows": r.flows,
         "goodput_mbps": round(r.goodput_bps / 1e6, 2),
@@ -214,27 +205,21 @@ def test_fabric_full():
     from repro.fabric import Permutation
 
     r2 = run_traffic(cluster2, Permutation(16_000, rounds=4), seed=1)
-    assert r2.data_intact and r2.messages_received == r2.flows
-    violations = [v for f in cluster2.fabrics for v in f.routing_invariants()]
-    assert violations == [], violations
-    repins = sum(sw.repins for sw in fabric.switches)
-    assert repins > 0, "trunk failure never re-pinned a flow"
+    assert not r2.violations, r2.violations
+    assert r2.repins > 0, "trunk failure never re-pinned a flow"
     report["trunk_failure_repin"] = {
         "flows": r2.flows,
-        "repins": repins,
+        "repins": r2.repins,
         "retransmissions": r2.retransmissions,
     }
 
     # Wider fuzz sweep.
-    fuzz = [run_fabric_scenario(seed) for seed in range(6, 26)]
+    fuzz = [run_family("fabric", seed) for seed in range(6, 26)]
     for r3 in fuzz:
-        assert r3.ok, (
-            f"fabric fuzz seed {r3.scenario.seed}: "
-            f"{r3.violations or 'data loss'}"
-        )
+        assert r3.ok, f"fabric fuzz seed {r3.seed}: {r3.failure}"
     report["fabric_fuzz_extended"] = {
-        "seeds": [r3.scenario.seed for r3 in fuzz],
-        "total_repins": sum(r3.repins for r3 in fuzz),
+        "seeds": [r3.seed for r3 in fuzz],
+        "total_repins": sum(r3.result.repins for r3 in fuzz),
     }
 
     record("fabric", report)

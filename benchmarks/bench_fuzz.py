@@ -22,6 +22,7 @@ from conftest import record
 from repro.verify.fuzz import (
     FAULT_PROFILES,
     WORKLOADS,
+    run_family,
     run_scenario,
     scenario_from_seed,
 )
@@ -38,15 +39,14 @@ def test_fuzz_smoke():
     for workload in WORKLOADS:
         for profile in FAULT_PROFILES:
             for k in range(SEEDS_PER_CELL):
-                sc = scenario_from_seed(k, workload, profile)
-                res = run_scenario(sc)
+                res = run_family(
+                    "protocol", k, workload=workload, fault_profile=profile
+                )
                 scenarios += 1
                 checks += res.checks
                 sim_ns += res.elapsed_ns
                 if not res.ok:
-                    failures.append(
-                        f"seed={sc.seed} {workload}/{profile}: {res.failure}"
-                    )
+                    failures.append(f"seed={k} {workload}/{profile}: {res.failure}")
     assert scenarios == len(WORKLOADS) * len(FAULT_PROFILES) * SEEDS_PER_CELL
     assert not failures, "\n".join(failures)
     # Each scenario must actually exercise the monitor, not skip it.
@@ -86,7 +86,7 @@ def test_fuzz_wide():
     """1000 unconstrained seeds (workload and faults drawn from the seed)."""
     failures = []
     for seed in range(1000):
-        res = run_scenario(scenario_from_seed(seed))
+        res = run_family("protocol", seed)
         if not res.ok:
             failures.append(f"seed={seed}: {res.failure}")
     assert not failures, "\n".join(failures)

@@ -38,7 +38,7 @@ from conftest import record
 from repro.bench.serve import ServeRun, run_serve
 from repro.control import SlowNic, SlowNode
 from repro.serve import ArrivalSpec, ServerSpec, TailSpec
-from repro.verify.fuzz import run_gray_scenario
+from repro.verify.fuzz import run_family
 
 
 _MS = 1_000_000
@@ -242,11 +242,11 @@ def test_gray_fuzz_smoke():
     failures = []
     kinds: dict = {}
     for seed in range(FUZZ_SMOKE_SEEDS):
-        res = run_gray_scenario(seed)
-        for k in res.gray_kinds:
+        res = run_family("gray", seed)
+        for k in res.scenario.gray_kinds:
             kinds[k] = kinds.get(k, 0) + 1
         if not res.ok:
-            failures.append((seed, res.gray_kinds, res.result.violations[:2]))
+            failures.append((seed, res.scenario.gray_kinds, res.violations[:2]))
     record(
         "gray",
         {
@@ -265,6 +265,6 @@ def test_gray_fuzz_smoke():
 def test_gray_fuzz_full():
     """The wide grid (1000 seeds)."""
     failures = [
-        s for s in range(1000) if not run_gray_scenario(s).ok
+        s for s in range(1000) if not run_family("gray", s).ok
     ]
     assert not failures, f"gray fuzz failures at seeds {failures[:10]}"

@@ -31,12 +31,21 @@ from ..ethernet import (
 )
 from ..ethernet.link import Cable
 from ..host import HostParams, Node, myri10g_params, tigon3_params
-from ..sim import RngRegistry, Simulator
+from ..sim import RngRegistry, SimulationError, Simulator
 from ..sim.trace import Tracer
 
 __all__ = [
     "ClusterConfig", "Cluster", "CONFIG_NAMES", "named_config", "make_cluster",
+    "DRAIN_HORIZON_NS",
 ]
+
+# Virtual time Cluster.quiesce() gives a finished run to drain.  What is left
+# by then is retransmit, delayed-ack, reconnect-replay and fault-repair
+# timers: the longest drain over the protocol (seeds 0-199), crash (0-59),
+# incarnation (0-49) and fabric (0-39) fuzz families is 5.8 ms (EXPERIMENTS.md,
+# PR 18).  2 s is ~350x that, and still turns a source that re-arms itself
+# forever into an error instead of a run that never returns.
+DRAIN_HORIZON_NS = 2_000_000_000
 
 
 @dataclass
@@ -393,6 +402,38 @@ class Cluster:
             )
         return self.gray_scorer
 
+    # -- ending a run ----------------------------------------------------
+
+    def stop_periodic(self) -> None:
+        """Stop every source the cluster owns that re-arms itself forever:
+        each control plane's heartbeat probes, then the gray scorer."""
+        for mgr in list(self.control_planes.values()):
+            mgr.stop()
+        if self.gray_scorer is not None:
+            self.gray_scorer.stop()
+
+    def quiesce(self) -> None:
+        """End a run whose workload is done: stop the periodic sources, then
+        run what is left (acks, retransmits, fault timers) until both lanes
+        drain, at most :data:`DRAIN_HORIZON_NS`.
+
+        The clock is not snapped: ``sim.now`` stays at the last executed
+        event, as after an unbounded ``Simulator.run()``, so the fingerprint
+        (which hashes it) cannot tell the two apart.  Raises
+        :class:`~repro.sim.SimulationError` naming the earliest callback
+        still scheduled at the horizon.
+        """
+        self.stop_periodic()
+        sim = self.sim
+        sim.run_until_time(sim.now + DRAIN_HORIZON_NS)
+        pending = sim.next_callback()
+        if pending is not None:
+            raise SimulationError(
+                f"not drained {DRAIN_HORIZON_NS} ns after the workload "
+                f"finished: {pending!r} is still scheduled for "
+                f"t={sim.next_event_time()} ns"
+            )
+
     def set_ecn_threshold(self, frames: Optional[int]) -> None:
         """Enable (or disable with None) ECN marking on every switch.
 
@@ -415,12 +456,20 @@ class Cluster:
     # -- cluster-wide statistics -----------------------------------------
 
     def total_frames_dropped(self) -> int:
-        """Frames lost anywhere: switch queues, NIC rings, CRC, outages."""
+        """Frames lost anywhere: switch queues, NIC rings, CRC, powered-off
+        NICs, and link outages or gray drops on host cables and trunks."""
         dropped = sum(sw.dropped_total for sw in self.all_switches)
         for node in self.nodes:
             for nic in node.nics:
                 dropped += nic.counters.rx_dropped_ring_full
                 dropped += nic.counters.rx_dropped_crc
+                dropped += nic.counters.rx_dropped_powered_off
+        cables = list(self._cables.values())
+        for fabric in self.fabrics:
+            cables.extend(fabric.trunks.values())
+        for cable in cables:
+            for link in (cable.ab, cable.ba):
+                dropped += link.frames_lost_outage + link.frames_lost_gray
         return dropped
 
     def total_irqs(self) -> int:

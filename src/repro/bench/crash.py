@@ -28,6 +28,7 @@ from typing import Optional
 from ..control import Crash, DetectorParams, FaultSchedule, Restart
 from ..recovery import RecoveryParams
 from .cluster import make_cluster
+from .run import Run
 
 __all__ = ["CrashResult", "CrashRun", "run_crash"]
 
@@ -53,7 +54,8 @@ class CrashResult:
     pre_crash_goodput_bps: float
     recovered_goodput_bps: float
     exactly_once: bool  # receiver log holds each message exactly once
-    violations: tuple[str, ...] = ()  # invariant monitor findings
+    # Invariant monitor findings, then ``exactly-once`` / ``never-reconnected``.
+    violations: tuple[str, ...] = ()
     timeline: list[tuple[str, int]] = field(default_factory=list)
 
     @property
@@ -72,22 +74,19 @@ class CrashResult:
 
     @property
     def ok(self) -> bool:
-        return (
-            self.exactly_once
-            and not self.violations
-            and self.reconnected_ns is not None
-        )
+        return not self.violations
 
 
-class CrashRun:
-    """A :func:`run_crash` execution split into pausable phases.
+class CrashRun(Run):
+    """Stream journaled messages 0 -> 1, crashing the receiver en route.
 
-    Construction wires the cluster, channel, faults, and stream process
-    without advancing time; :meth:`run_to` executes events up to an exact
-    instant (e.g. inside the crash window); :meth:`finish` completes the
-    run and computes the :class:`CrashResult`.  Used by the checkpoint
-    witness suite — ``run_to(T)`` + ``finish()`` is scheduling-identical
-    to a bare ``finish()``.
+    The stream sends one ``message_bytes`` message every
+    ``message_interval_ns`` until ``run_ns`` of simulated time; node 1 is
+    crashed at ``crash_ns`` and restarted ``restart_delay_ns`` later.
+    Sends issued while the connection is down block until the reconnect
+    replay finishes, then resume at pace.  A pausable
+    :class:`~repro.bench.run.Run`: ``run_to`` can stop inside the crash
+    window, and :meth:`finish` computes the :class:`CrashResult`.
     """
 
     def __init__(
@@ -103,24 +102,6 @@ class CrashRun:
         detector_params: Optional[DetectorParams] = None,
         use_monitor: bool = True,
     ) -> None:
-        self.config = config
-        self.message_bytes = message_bytes
-        self.crash_ns = crash_ns
-        self.restart_delay_ns = restart_delay_ns
-        self.run_ns = run_ns
-        # Rebuild recipe for repro.checkpoint.
-        self.recipe = {
-            "config": config,
-            "message_bytes": message_bytes,
-            "message_interval_ns": message_interval_ns,
-            "crash_ns": crash_ns,
-            "restart_delay_ns": restart_delay_ns,
-            "run_ns": run_ns,
-            "seed": seed,
-            "recovery_params": recovery_params,
-            "detector_params": detector_params,
-            "use_monitor": use_monitor,
-        }
         cluster = self.cluster = make_cluster(
             config, nodes=2, seed=seed, synthetic_payloads=True
         )
@@ -151,34 +132,19 @@ class CrashRun:
 
         self.proc = cluster.sim.process(stream(), name="crash.stream")
 
-    def state(self) -> dict:
-        """Capture root for the checkpoint walker."""
-        return {
-            "cluster": self.cluster,
-            "proc": self.proc,
-            "channel": self.channel,
-            "recovery": self.recovery,
-            "monitor": self.monitor,
-        }
-
-    def run_to(self, time_ns: int) -> None:
-        """Execute every event due at or before ``time_ns``, then pause."""
-        self.cluster.sim.run_until_time(time_ns)
-
     def finish(self) -> CrashResult:
         cluster = self.cluster
-        cluster.sim.run_until_done(self.proc, limit=self.run_ns + 500 * _MS)
-        for mgr in list(cluster.control_planes.values()):
-            mgr.stop()
-        cluster.sim.run()  # drain acks, retransmits, replay tails
+        limit = self.recipe["run_ns"] + 500 * _MS
+        cluster.sim.run_until_done(self.proc, limit=limit)
+        cluster.quiesce()  # drain acks, retransmits, replay tails
         return self._report()
 
     def _report(self) -> CrashResult:
         recovery = self.recovery
         channel = self.channel
         monitor = self.monitor
-        crash_ns = self.crash_ns
-        restart_delay_ns = self.restart_delay_ns
+        crash_ns = self.recipe["crash_ns"]
+        restart_delay_ns = self.recipe["restart_delay_ns"]
         detected_ns = reconnected_ns = None
         if recovery.reconnect_latencies:
             at, latency = recovery.reconnect_latencies[0]
@@ -216,10 +182,17 @@ class CrashRun:
             and len(delivered) == channel.messages_sent
         )
 
-        violations: tuple[str, ...] = ()
+        violations: list[str] = []
         if monitor is not None:
             monitor.final_check()
-            violations = tuple(str(v) for v in monitor.violations)
+            violations = [str(v) for v in monitor.violations]
+        if not exactly_once:
+            violations.append(
+                f"exactly-once: {channel.messages_sent} sent, "
+                f"{len(delivered)} acked, {len(log)} in the receiver's log"
+            )
+        if reconnected_ns is None:
+            violations.append("never-reconnected")
 
         from ..analysis.summary import summarize_cluster
 
@@ -232,8 +205,8 @@ class CrashRun:
             timeline.append(("reconnected", reconnected_ns))
         timeline.sort(key=lambda kv: kv[1])
         return CrashResult(
-            config=self.config,
-            message_bytes=self.message_bytes,
+            config=self.recipe["config"],
+            message_bytes=self.recipe["message_bytes"],
             messages_sent=channel.messages_sent,
             messages_delivered=len(delivered),
             redeliveries=channel.redeliveries,
@@ -247,40 +220,11 @@ class CrashRun:
             pre_crash_goodput_bps=pre,
             recovered_goodput_bps=recovered,
             exactly_once=exactly_once,
-            violations=violations,
+            violations=tuple(violations),
             timeline=timeline,
         )
 
 
-def run_crash(
-    config: str = "2Lu-1G",
-    message_bytes: int = 2048,
-    message_interval_ns: int = 50_000,
-    crash_ns: int = 10 * _MS,
-    restart_delay_ns: int = 5 * _MS,
-    run_ns: int = 60 * _MS,
-    seed: int = 0,
-    recovery_params: Optional[RecoveryParams] = None,
-    detector_params: Optional[DetectorParams] = None,
-    use_monitor: bool = True,
-) -> CrashResult:
-    """Stream journaled messages 0 -> 1, crashing the receiver en route.
-
-    The stream sends one ``message_bytes`` message every
-    ``message_interval_ns`` until ``run_ns`` of simulated time; node 1 is
-    crashed at ``crash_ns`` and restarted ``restart_delay_ns`` later.
-    Sends issued while the connection is down block until the reconnect
-    replay finishes, then resume at pace.
-    """
-    return CrashRun(
-        config=config,
-        message_bytes=message_bytes,
-        message_interval_ns=message_interval_ns,
-        crash_ns=crash_ns,
-        restart_delay_ns=restart_delay_ns,
-        run_ns=run_ns,
-        seed=seed,
-        recovery_params=recovery_params,
-        detector_params=detector_params,
-        use_monitor=use_monitor,
-    ).finish()
+def run_crash(**kwargs) -> CrashResult:
+    """One-shot front door: build a :class:`CrashRun`, run it, report."""
+    return CrashRun(**kwargs).finish()

@@ -80,11 +80,6 @@ def run_ecmp_evenness(
     result = run_traffic(
         cluster, Permutation(bytes_per_flow, rounds=rounds), seed=seed
     )
-    violations = [
-        v for fab in cluster.fabrics for v in fab.routing_invariants()
-    ]
-    if violations:
-        raise AssertionError(
-            "fabric routing invariants violated: " + "; ".join(violations)
-        )
+    if result.violations:
+        raise AssertionError("; ".join(result.violations))
     return result

@@ -157,7 +157,7 @@ def run_incast(
     for proc in procs:
         cluster.sim.run_until_done(proc, limit=limit_ns)
     elapsed = cluster.sim.now
-    cluster.sim.run()  # drain straggling acks / timers
+    cluster.quiesce()  # drain straggling acks / timers
 
     intact = True
     if verify_data:

@@ -8,11 +8,9 @@ a multi-switch fabric, and a mid-run server crash/restart fault, then
 drives the open-loop load to completion and rolls the runtime's
 accounting into one comparable :class:`ServeResult`.
 
-:class:`ServeRun` is the phase-split form (``__init__`` / ``state()`` /
-``run_to(T)`` / ``finish()``) the checkpoint subsystem needs: pausing a
-run mid-spike and finishing must give the identical result to running
-straight through (the witness protocol), and ``state()`` is the capture
-root for the reflective walker.
+:class:`ServeRun` is the pausable form (a :class:`~repro.bench.run.Run`):
+pausing a run mid-spike and finishing must give the identical result to
+running straight through (the checkpoint witness protocol).
 
 Everything is deterministic: same parameters + same seed give the same
 :class:`ServeResult`, byte for byte.
@@ -27,6 +25,7 @@ from ..control import Crash, DetectorParams, FaultSchedule, Restart
 from ..serve import ArrivalSpec, ServeConfig, ServerSpec, TailSpec, enable_serving
 from ..serve.runtime import ServeRuntime
 from .cluster import Cluster, named_config
+from .run import Run
 
 __all__ = ["ServeResult", "ServeRun", "run_serve"]
 
@@ -98,7 +97,7 @@ class ServeResult:
         return (self.shed + self.shed_client) / answered if answered else 0.0
 
 
-class ServeRun:
+class ServeRun(Run):
     """One serving scenario, pausable mid-flight for checkpointing."""
 
     def __init__(
@@ -134,31 +133,6 @@ class ServeRun:
         servers = tuple(range(n_clients, n_nodes))
         self.duration_ns = duration_ns
         self.drain_grace_ns = drain_grace_ns
-        # Rebuild recipe for repro.checkpoint.
-        self.recipe = {
-            "config": config,
-            "n_clients": n_clients,
-            "n_servers": n_servers,
-            "policy": policy,
-            "arrival": arrival,
-            "server": server,
-            "duration_ns": duration_ns,
-            "window_ns": window_ns,
-            "outbox_cap": outbox_cap,
-            "slo": slo,
-            "seed": seed,
-            "congestion": congestion,
-            "ecn_threshold_frames": ecn_threshold_frames,
-            "fabric": fabric,
-            "crash_server": crash_server,
-            "crash_ns": crash_ns,
-            "restart_delay_ns": restart_delay_ns,
-            "use_monitor": use_monitor,
-            "drain_grace_ns": drain_grace_ns,
-            "tail": tail,
-            "faults": faults,
-            "gray_detection": gray_detection,
-        }
         # One merged fault timeline: validation then catches conflicts
         # between the convenience crash knob and explicit gray events.
         fault_events = list(faults)
@@ -221,39 +195,18 @@ class ServeRun:
         if fault_events:
             FaultSchedule(fault_events).apply(cluster)
         self.runtime.start()
-        self._finished = False
-
-    # -- checkpoint protocol ----------------------------------------------
-
-    def state(self) -> dict:
-        """Capture root for the checkpoint walker."""
-        return {
-            "cluster": self.cluster,
-            "world": self.world,
-            "runtime": self.runtime,
-            "recovery": self.recovery,
-            "monitor": self.monitor,
-        }
-
-    def run_to(self, time_ns: int) -> None:
-        """Execute every event due at or before ``time_ns``, then pause."""
-        self.cluster.sim.run_until_time(time_ns)
 
     def finish(self) -> ServeResult:
         cluster = self.cluster
         cluster.sim.run_until_time(self.duration_ns)
-        # Heartbeat probes recur forever; stop them so the drain converges.
-        for mgr in list(cluster.control_planes.values()):
-            mgr.stop()
-        if cluster.gray_scorer is not None:
-            cluster.gray_scorer.stop()
-        # The drain must stay bounded: a peer that crashed close enough to
-        # the end of the run that the detector never escalated PEER_DOWN
-        # leaves survivor-side connections retransmitting into the void
-        # forever (request accounting is still complete — crash replay is
+        # Cluster.quiesce() with two deliberate differences (DESIGN.md): the
+        # horizon is absolute and the clock ends *at* it, and leftovers past
+        # it are tolerated — a peer that crashed too late for the detector to
+        # escalate PEER_DOWN leaves survivors retransmitting into the void
+        # forever (request accounting is still complete: crash replay is
         # driven by the recovery manager, not by detection).
+        cluster.stop_periodic()
         cluster.sim.run(until=self.duration_ns + self.drain_grace_ns)
-        self._finished = True
         return self._report()
 
     def _report(self) -> ServeResult:
@@ -261,19 +214,22 @@ class ServeRun:
 
         rt = self.runtime
         rt.fail_pending()
-        violations = list(rt.check_invariants())
         if self.monitor is not None:
+            # final_check() runs rt.check_invariants() itself and files each
+            # problem as a ``serve-invariant`` violation: read them there.
             self.monitor.final_check()
-            violations.extend(str(v) for v in self.monitor.violations)
+            violations = [str(v) for v in self.monitor.violations]
+        else:
+            violations = rt.check_invariants()
         merged = rt.merged_histogram()
         slo = rt.slo_report(merged)
-        cfg = self.recipe
+        cfg = rt.config
         return ServeResult(
-            config=cfg["config"],
-            policy=cfg["policy"],
-            arrival_kind=cfg["arrival"].kind,
-            clients=cfg["n_clients"],
-            servers=cfg["n_servers"],
+            config=self.cluster.config.name,
+            policy=cfg.policy,
+            arrival_kind=cfg.arrival.kind,
+            clients=len(cfg.clients),
+            servers=len(cfg.servers),
             elapsed_ns=self.cluster.sim.now,
             generated=rt.generated,
             completed=rt.completed,

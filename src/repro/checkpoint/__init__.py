@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..bench.run import Run
 from .state import capture_state, diff_states, state_fingerprint
 
 __all__ = [
@@ -42,7 +43,7 @@ __all__ = [
 
 # Bump when the capture encoding or the Checkpoint layout changes:
 # fingerprints are only comparable between identical format versions.
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class CheckpointMismatch(AssertionError):
@@ -65,15 +66,15 @@ class CheckpointMismatch(AssertionError):
 class Checkpoint:
     """A captured instant of one simulation run.
 
-    ``kind`` + ``recipe`` rebuild the run from scratch; ``time_ns`` is the
-    exact pause instant (the clock is never snapped past the last executed
-    event, so replaying ``run_to(time_ns)`` stops at the same event);
-    ``state``/``fingerprint`` witness the capture.
+    ``run_class(**recipe)`` rebuilds the run from scratch; ``time_ns`` is
+    the exact pause instant (the clock is never snapped past the last
+    executed event, so replaying ``run_to(time_ns)`` stops at the same
+    event); ``state``/``fingerprint`` witness the capture.
     """
 
     format_version: int
-    kind: str  # "fuzz" | "crash" | "fabric" | "serve"
-    recipe: dict
+    run_class: type  # the Run subclass that was checkpointed
+    recipe: dict  # its constructor arguments (Run records them)
     time_ns: int
     fingerprint: str
     state: dict = field(repr=False)
@@ -84,34 +85,15 @@ def _capture(run) -> tuple[dict, str]:
     return st, state_fingerprint(st)
 
 
-def _run_classes() -> dict:
-    """Checkpoint ``kind`` -> the run class whose ``recipe`` rebuilds it."""
-    from ..bench.crash import CrashRun
-    from ..bench.serve import ServeRun
-    from ..verify.fuzz import FabricRun, ScenarioRun
-
-    return {
-        "fuzz": ScenarioRun,
-        "crash": CrashRun,
-        "fabric": FabricRun,
-        "serve": ServeRun,
-    }
-
-
-def take_checkpoint(run) -> Checkpoint:
-    """Snapshot a paused run (:class:`~repro.verify.fuzz.ScenarioRun`,
-    :class:`~repro.bench.crash.CrashRun`,
-    :class:`~repro.verify.fuzz.FabricRun`, or
-    :class:`~repro.bench.serve.ServeRun`)."""
-    for kind, cls in _run_classes().items():
-        if isinstance(run, cls):
-            break
-    else:
-        raise TypeError(f"cannot checkpoint {type(run).__name__}")
+def take_checkpoint(run: Run) -> Checkpoint:
+    """Snapshot a paused :class:`~repro.bench.run.Run` (``ScenarioRun``,
+    ``FabricRun``, ``CrashRun``, ``ServeRun``, or any other subclass)."""
+    if not isinstance(run, Run):
+        raise TypeError(f"cannot checkpoint {type(run).__name__}: not a Run")
     state, fp = _capture(run)
     return Checkpoint(
         format_version=FORMAT_VERSION,
-        kind=kind,
+        run_class=type(run),
         recipe=dict(run.recipe),
         time_ns=run.cluster.sim.now,
         fingerprint=fp,
@@ -135,9 +117,9 @@ def restore(ck: Checkpoint, verify: bool = True, **overrides):
             f"checkpoint format v{ck.format_version} != "
             f"supported v{FORMAT_VERSION}"
         )
-    cls = _run_classes().get(ck.kind)
-    if cls is None:
-        raise ValueError(f"unknown checkpoint kind {ck.kind!r}")
+    cls = ck.run_class
+    if not (isinstance(cls, type) and issubclass(cls, Run)):
+        raise TypeError(f"cannot restore {cls!r}: not a Run subclass")
     if overrides:
         verify = False
     run = cls(**{**ck.recipe, **overrides})

@@ -62,7 +62,7 @@ def _read_msg(fd: int) -> Any:
     header = _read_exact(fd, _LEN.size)
     if header is None:
         return None
-    payload = _read_exact(fd, _LEN.size and _LEN.unpack(header)[0])
+    payload = _read_exact(fd, _LEN.unpack(header)[0])
     if payload is None:
         return None
     return pickle.loads(payload)

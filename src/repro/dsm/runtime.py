@@ -390,7 +390,7 @@ class DsmNode:
         scratch_msg = memory.alloc(MSG_SLOT_BYTES)
         scratch_notices = memory.alloc(NOTICE_SEG_BYTES)
         while True:
-            peer, msg, notices = yield self._out.get()
+            peer, msg, notices = yield self._out
             mb = self._mail[peer]
             conn = self.conns[peer]
             while mb.send_seq - mb.peer_consumed >= SEND_WINDOW:

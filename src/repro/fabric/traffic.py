@@ -183,6 +183,9 @@ class TrafficResult:
     retransmissions: int
     # ECMP load balance over fabric uplinks (empty without a fabric).
     uplink_bytes: dict = None  # (lower switch, upper switch) -> bytes
+    repins: int = 0  # flows ECMP moved off a dead or drained uplink
+    # Routing-invariant findings, then ``data-integrity`` / ``messages-received``.
+    violations: tuple[str, ...] = ()
 
     @property
     def goodput_bps(self) -> float:
@@ -224,13 +227,13 @@ def _flow_payload(flow: Flow) -> bytes:
 
 
 class TrafficRun:
-    """One traffic-matrix execution, pausable for checkpointing.
+    """One traffic-matrix execution on a cluster the caller built.
 
     Construction expands flows and spawns the per-rank programs (no
-    simulated time passes); :meth:`run_to` executes events up to an exact
-    instant; :meth:`finish` completes the run and builds the
-    :class:`TrafficResult`.  ``run_to(T)`` + ``finish()`` is
-    scheduling-identical to a bare ``finish()``.
+    simulated time passes); :meth:`finish` completes the run and builds
+    the :class:`TrafficResult`.  Pausing the cluster's simulator in between
+    (``run_until_time``) is scheduling-neutral, which is how
+    :class:`~repro.verify.fuzz.FabricRun` checkpoints one mid-flight.
     """
 
     def __init__(
@@ -274,25 +277,11 @@ class TrafficRun:
         self.start_ns = cluster.sim.now
         self.procs = self.world.start(program)
 
-    def state(self) -> dict:
-        """Capture root for the checkpoint walker."""
-        return {
-            "cluster": self.cluster,
-            "world": self.world,
-            "procs": self.procs,
-            "received": self.received,
-            "mismatches": self.mismatches,
-        }
-
-    def run_to(self, time_ns: int) -> None:
-        """Execute every event due at or before ``time_ns``, then pause."""
-        self.cluster.sim.run_until_time(time_ns)
-
     def finish(self) -> TrafficResult:
         cluster = self.cluster
         self.world.wait(self.procs, limit_ms=self.limit_ms)
         elapsed = cluster.sim.now - self.start_ns
-        cluster.sim.run()  # drain straggling acks / credits / timers
+        cluster.quiesce()  # drain straggling acks / credits / timers
 
         drops = sum(sw.dropped_total for sw in cluster.all_switches)
         marked = sum(sw.ce_marked_total for sw in cluster.all_switches)
@@ -302,8 +291,21 @@ class TrafficRun:
             for conn in stack.protocol.connections.values()
         )
         uplinks: dict = {}
+        repins = 0
+        violations: list[str] = []
         for fabric in cluster.fabrics:
             uplinks.update(fabric.uplink_bytes())
+            repins += sum(sw.repins for sw in fabric.switches)
+            violations.extend(fabric.routing_invariants())
+        if self.mismatches:
+            violations.append(
+                f"data-integrity: flows {self.mismatches} arrived with the "
+                "wrong payload"
+            )
+        if self.received[0] != len(self.flows):
+            violations.append(
+                f"messages-received {self.received[0]} != flows {len(self.flows)}"
+            )
         return TrafficResult(
             spec_name=self.spec.name,
             flows=len(self.flows),
@@ -315,6 +317,8 @@ class TrafficRun:
             ce_marked=marked,
             retransmissions=retrans,
             uplink_bytes=uplinks,
+            repins=repins,
+            violations=tuple(violations),
         )
 
 

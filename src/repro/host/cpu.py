@@ -98,7 +98,7 @@ class Cpu:
         res = self.resource
         if res.in_use < res.capacity and not res._waiters:
             # Uncontended: claim the core in place (same state transition
-            # acquire() would make at this timestamp, minus the event hop).
+            # try_acquire() would make at this timestamp, minus the hop).
             now = self.sim.now
             res.busy_time += res.in_use * (now - res._busy_since)
             res._busy_since = now

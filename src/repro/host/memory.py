@@ -16,11 +16,17 @@ an allocation gets its zero-filled numpy buffer — whole, so views stay
 contiguous — the first time it is written or viewed.  Reading a range
 that was never backed returns zeros without backing it, so the host
 memory a simulation holds follows what it touched, not what it reserved.
+
+Large allocations are backed by an anonymous private map, not ``np.zeros``:
+``calloc`` is demand-zero only for a fresh chunk and zero-fills a recycled
+one whole, and whether glibc recycles depends on what else is on the heap —
+one run's peak RSS moved 10 MB between processes (DESIGN.md, "Node memory").
 """
 
 from __future__ import annotations
 
 import bisect
+import mmap
 import operator
 from typing import Optional
 
@@ -39,6 +45,9 @@ class VirtualMemory:
     # Leave a guard gap between allocations so off-by-one bugs fault
     # instead of silently touching a neighbouring buffer.
     _GUARD = 4096
+    # Allocations this large get a map of their own; below it a recycled,
+    # zero-filled chunk costs less than rounding up to pages would.
+    _MAP_MIN = 64 * 1024
 
     def __init__(self, base: int = 0x1000_0000) -> None:
         self._next = base
@@ -73,7 +82,14 @@ class VirtualMemory:
 
     def _back(self, i: int) -> np.ndarray:
         """First touch of allocation ``i``: give it its zero-filled buffer."""
-        buf = np.zeros(self._ends[i] - self._starts[i], dtype=np.uint8)
+        size = self._ends[i] - self._starts[i]
+        if size >= self._MAP_MIN:
+            # ACCESS_COPY of no file: MAP_PRIVATE | MAP_ANONYMOUS, so a
+            # forked checkpoint keeps its own copy.
+            pages = mmap.mmap(-1, size, access=mmap.ACCESS_COPY)
+            buf = np.frombuffer(pages, dtype=np.uint8)
+        else:
+            buf = np.zeros(size, dtype=np.uint8)
         self._bufs[i] = buf
         self._resident += buf.size
         return buf

@@ -184,6 +184,9 @@ class Timer:
         if delay is not None:
             self.restart(delay)
 
+    def __repr__(self) -> str:
+        return f"<Timer {self._callback!r}>"
+
     def restart(self, delay: int) -> None:
         """Arm the timer to fire ``delay`` ns from now.
 
@@ -289,6 +292,9 @@ class Process:
         self._resume_cb = resume  # one bound method, reused for every wait
         sim._fast.append((resume, _NONE_ARGS))
         sim.fastlane_hits += 1
+
+    def __repr__(self) -> str:
+        return f"<Process {self.name!r}>"
 
     @property
     def finished(self) -> bool:
@@ -528,6 +534,14 @@ class Simulator:
                 continue
             return head[0]
         return None
+
+    def next_callback(self) -> Optional[Callable[..., None]]:
+        """The callback :meth:`next_event_time` is the due time of (None when
+        idle) — what an error names when a run that should be over is not."""
+        for entry in self._fast:
+            if entry[0] is not None:
+                return entry[0]
+        return None if self.next_event_time() is None else self._queue[0][2]
 
     def at(self, time: int, callback: Callable[..., None], *args: Any) -> None:
         """Run ``callback(*args)`` at absolute simulation time ``time``."""

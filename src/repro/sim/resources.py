@@ -9,37 +9,30 @@ Three primitives cover everything the MultiEdge stack needs:
   ``get``; NIC rings and kernel work queues are Stores.
 * :class:`Gate` — a level-triggered "work available" signal.
 
-Each has one FIFO waiter queue holding two kinds of waiter.  ``acquire()``
-/ ``get()`` / ``wait()`` queue an :class:`Event` the caller may hold, pass
-around or combine with ``any_of``.  A process that yields the primitive
-itself (``yield cpu_resource``) *parks* its bare resume callback there
-instead: no ``Event`` is built, and the grant — immediate or later — resumes
-the process through the same single fast-lane hop a triggered ``Event``
-makes, so both kinds are served in one strict FIFO order at identical
-timestamps.
+Each has one FIFO queue of waiters, and a waiter is a callback taking the
+granted value.  A process waits by yielding the primitive itself (``yield
+cpu_resource``), which *parks* its resume callback there; plain code parks
+any callback with ``park(callback)``.  No ``Event`` is built, and the grant —
+immediate or later — reaches the waiter through one fast-lane hop, in strict
+request order.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, Generator, Optional, Union
+from typing import Any, Callable, Deque, Optional
 
-from .core import Event, SimulationError, Simulator
+from .core import SimulationError, Simulator
 
 __all__ = ["Resource", "Store", "Gate"]
 
-# What a waiter queue holds: an Event from acquire()/get()/wait(), or the
-# resume callback of a parked process (called with the granted value).
-Waiter = Union[Event, Callable[[Any], None]]
+Waiter = Callable[[Any], None]
 
 
 def _grant(sim: Simulator, waiter: Waiter, value: Any) -> None:
-    """Hand ``value`` to a queued waiter: one fast-lane hop either way."""
-    if waiter.__class__ is Event:
-        waiter.trigger(value)
-    else:
-        sim._fast.append((waiter, (value,)))
-        sim.fastlane_hits += 1
+    """Hand ``value`` to a waiter: one fast-lane hop, never a direct call."""
+    sim._fast.append((waiter, (value,)))
+    sim.fastlane_hits += 1
 
 
 class Resource:
@@ -47,13 +40,12 @@ class Resource:
 
     Usage from a process::
 
-        yield cpu            # or: yield cpu.acquire()
+        yield cpu
         ... hold the resource ...
         cpu.release()
 
-    :meth:`acquire` returns an :class:`Event` that triggers when a unit is
-    granted; yielding the resource itself waits the same way without one.
-    Units are granted strictly in request order.
+    Units are granted strictly in request order; :meth:`try_acquire` claims
+    a free one without waiting.
     """
 
     __slots__ = ("_sim", "capacity", "in_use", "_waiters", "busy_time", "_busy_since")
@@ -74,15 +66,6 @@ class Resource:
         self.busy_time += self.in_use * (now - self._busy_since)
         self._busy_since = now
 
-    def acquire(self) -> Event:
-        """Request one unit; the returned event triggers when granted."""
-        ev = Event(self._sim)
-        if self.try_acquire():
-            ev.trigger(self)
-        else:
-            self._waiters.append(ev)
-        return ev
-
     def try_acquire(self) -> bool:
         """Claim a unit in place if one is free and nobody queues for it."""
         if self.in_use < self.capacity and not self._waiters:
@@ -101,7 +84,7 @@ class Resource:
     def release(self) -> None:
         """Return one unit, handing it to the oldest waiter if any."""
         if self.in_use <= 0:
-            raise SimulationError("release() without matching acquire()")
+            raise SimulationError("release() without a unit held")
         if self._waiters:
             # Hand the unit over directly: in_use stays constant.
             _grant(self._sim, self._waiters.popleft(), self)
@@ -132,13 +115,12 @@ class Resource:
 
 
 class Store:
-    """FIFO store of items with blocking ``get`` and optional capacity.
+    """FIFO store of items with optional capacity.
 
     ``put`` is non-blocking; when the store is bounded and full, ``put``
     returns ``False`` and drops the item (matching finite NIC/switch queues,
-    where the caller decides whether a drop is an error).  ``get`` returns an
-    :class:`Event` that triggers with the next item; ``item = yield store``
-    waits for it without one.
+    where the caller decides whether a drop is an error).  ``item = yield
+    store`` waits for the next item; :meth:`try_get` never waits.
     """
 
     __slots__ = ("_sim", "capacity", "_items", "_getters", "drops", "puts")
@@ -166,15 +148,6 @@ class Store:
         self._items.append(item)
         return True
 
-    def get(self) -> Event:
-        """Return an event that triggers with the next item (FIFO)."""
-        ev = Event(self._sim)
-        if self._items:
-            ev.trigger(self._items.popleft())
-        else:
-            self._getters.append(ev)
-        return ev
-
     def park(self, resume: Callable[[Any], None]) -> None:
         """Call ``resume(item)`` with the next item (``yield store``)."""
         if self._items:
@@ -197,7 +170,7 @@ class Store:
 
 
 class Gate:
-    """A level-triggered signal: processes wait until the gate is open.
+    """A level-triggered signal: ``yield gate`` waits until the gate is open.
 
     Unlike :class:`~repro.sim.core.Event` (one-shot), a Gate can open and
     close repeatedly.  Used for "work available" signalling between interrupt
@@ -225,15 +198,6 @@ class Gate:
         """Close the gate; subsequent waits block until reopened."""
         self._open = False
 
-    def wait(self) -> Event:
-        """Return an event that triggers as soon as the gate is open."""
-        ev = Event(self._sim)
-        if self._open:
-            ev.trigger(None)
-        else:
-            self._waiters.append(ev)
-        return ev
-
     def park(self, resume: Callable[[Any], None]) -> None:
         """Call ``resume(None)`` as soon as the gate is open (``yield gate``)."""
         if self._open:
@@ -241,9 +205,3 @@ class Gate:
         else:
             self._waiters.append(resume)
 
-
-def hold(resource: Resource, duration: int) -> Generator[Any, Any, None]:
-    """Convenience process body: acquire, hold for ``duration``, release."""
-    yield resource.acquire()
-    yield duration
-    resource.release()

@@ -1,4 +1,4 @@
-"""Deterministic protocol fuzzing under the invariant monitor.
+"""Deterministic fuzzing under the invariant monitor: six families, one door.
 
 A :class:`Scenario` is a fully declarative description of one randomized
 run: cluster configuration, protocol knobs (window, pump batch, TX ring
@@ -7,7 +7,11 @@ operations), and a :class:`~repro.control.faults.FaultSchedule`.  Scenarios
 are derived from a seed by :func:`scenario_from_seed`, executed by
 :func:`run_scenario` with an :class:`~repro.verify.InvariantMonitor`
 attached, and — when one fails — reduced by :func:`shrink_scenario` to a
-minimal reproducer.
+minimal reproducer.  That is the ``protocol`` family; ``crash``,
+``incarnation``, ``fabric``, ``serve`` and ``gray`` derive other kinds of
+run.  ``run_family(name, seed)`` is the front door to all six and returns a
+:class:`FuzzResult` whose ``ok`` means one thing, ``failure is None``, and
+whose ``violations`` name every clause that did not hold.
 
 Everything is deterministic: the scenario is a pure function of
 ``(seed, workload, fault_profile)``, and the simulation itself is seeded,
@@ -18,7 +22,7 @@ smoke suite (``benchmarks/bench_fuzz.py``).
 Command line::
 
     PYTHONPATH=src python -m repro.verify.fuzz --count 50
-    PYTHONPATH=src python -m repro.verify.fuzz --seed 1234 --trace
+    PYTHONPATH=src python -m repro.verify.fuzz --family serve --seed 97
 """
 
 from __future__ import annotations
@@ -26,9 +30,10 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import Callable, Optional
 
 from ..bench.cluster import Cluster, make_cluster
+from ..bench.run import Run
 from ..control import (
     BitErrorRamp,
     FaultSchedule,
@@ -44,13 +49,13 @@ from ..host import myri10g_params, tigon3_params
 from ..sim import SimulationError
 from .monitor import InvariantMonitor, InvariantViolation
 
-if TYPE_CHECKING:
-    from ..bench.serve import ServeResult
-
 __all__ = [
     "OpSpec",
     "Scenario",
+    "Axes",
     "FuzzResult",
+    "FAMILIES",
+    "run_family",
     "WORKLOADS",
     "FAULT_PROFILES",
     "scenario_from_seed",
@@ -60,12 +65,9 @@ __all__ = [
     "FINGERPRINT_FIELDS",
     "run_crash_scenario",
     "run_incarnation_scenario",
-    "IncarnationFuzzResult",
     "FabricScenario",
-    "FabricFuzzResult",
     "fabric_scenario_from_seed",
     "run_fabric_scenario",
-    "ServeFuzzResult",
     "run_gray_scenario",
     "run_serve_scenario",
 ]
@@ -115,29 +117,52 @@ class Scenario:
     ecn_threshold: Optional[int] = None
     pacing: bool = False
 
-    @property
-    def rails(self) -> int:
-        return 2 if self.config.startswith("2") else 1
+
+@dataclass(frozen=True)
+class Axes:
+    """What a ``crash``, ``incarnation``, ``serve`` or ``gray`` seed drew
+    (the other two families carry their whole scenario instead)."""
+
+    config: str
+    fault_profile: str = "none"  # "none" | "crash"
+    gray_kinds: tuple = ()  # class names of the injected gray events
+    mitigated: bool = False  # a TailSpec was armed
+    detected: bool = False  # the differential gray scorer was armed
 
 
 @dataclass
 class FuzzResult:
-    """Outcome of one scenario run."""
+    """Outcome of one fuzz run, of any family."""
 
-    scenario: Scenario
-    failure: Optional[str]  # None on success
-    fingerprint: str
-    elapsed_ns: int
-    checks: int
+    family: str  # a key of FAMILIES
+    seed: int
+    # Scenario | FabricScenario | Axes; None (and the next two empty) when
+    # the run died before it was built.
+    scenario: object = None
+    fingerprint: str = ""
+    elapsed_ns: int = 0
+    # The error that stopped the run, else its first violation; None = ok.
+    failure: Optional[str] = None
+    checks: int = 0  # invariant-monitor checks executed
+    # The monitor's findings, then the family's named clauses (DESIGN.md).
     violations: tuple[str, ...] = ()
     # Fast-forward jumps taken when the run had fastpath enabled (0 when
     # disabled or never armed); parity harnesses use it to split seeds
     # into exact-identity vs timing-divergence expectations.
     fastpath_jumps: int = 0
+    # The family's own measurements: CrashResult, ClusterSummary
+    # (incarnation), TrafficResult (fabric), ServeResult (serve, gray).
+    result: object = None
 
     @property
     def ok(self) -> bool:
         return self.failure is None
+
+
+def _failure_of(exc: Exception) -> str:
+    """How an error that stopped a run reads in :attr:`FuzzResult.failure`."""
+    kind = "invariant" if isinstance(exc, InvariantViolation) else "simulation"
+    return f"{kind}: {exc}"
 
 
 # ---------------------------------------------------------------------------
@@ -412,21 +437,49 @@ def fingerprint(cluster: Cluster, include_trace: bool = False) -> str:
     return h.hexdigest()
 
 
-class ScenarioRun:
-    """One scenario execution, pausable mid-flight for checkpointing.
+def _verdict(
+    family: str,
+    seed: int,
+    scenario: object,
+    cluster: Cluster,
+    monitor: Optional[InvariantMonitor] = None,
+    violations=None,
+    result: object = None,
+    failure: Optional[str] = None,
+    trace: bool = False,
+) -> FuzzResult:
+    """The one place a finished run's facts become a :class:`FuzzResult`:
+    ``violations`` are the monitor's unless the run's own result lists more,
+    ``failure`` is the error that stopped the run, if one did, and a run
+    that reached its end fails on the first violation."""
+    if violations is None:
+        violations = monitor.violations if monitor is not None else ()
+    violations = tuple(str(v) for v in violations)
+    if failure is None and violations:
+        failure = f"invariant: {violations[0]}"
+    return FuzzResult(
+        family=family,
+        seed=seed,
+        scenario=scenario,
+        failure=failure,
+        fingerprint=fingerprint(cluster, include_trace=trace),
+        elapsed_ns=cluster.sim.now,
+        checks=monitor.checks_run if monitor is not None else 0,
+        violations=violations,
+        fastpath_jumps=(
+            cluster.fastpath.stats.jumps if cluster.fastpath is not None else 0
+        ),
+        result=result,
+    )
 
-    ``run_scenario`` remains the one-shot front door; this class exposes
-    the same execution split into phases so :mod:`repro.checkpoint` can
-    stop the simulation at an exact instant, capture state, and continue:
 
-    * construction wires the cluster, faults, and sender processes (no
-      simulated time passes),
-    * :meth:`run_to` executes every event due at or before a time,
-    * :meth:`finish` runs to completion and returns the
-      :class:`FuzzResult`.
+class ScenarioRun(Run):
+    """One ``protocol`` scenario as a pausable :class:`~repro.bench.run.Run`
+    (:func:`run_scenario` is the one-shot front door).
 
-    The split is scheduling-neutral: ``run_to(T)`` + ``finish()`` executes
-    the exact event sequence of a bare ``finish()``.
+    Construction wires the cluster, faults, and sender processes;
+    :meth:`run_to` pauses no later than the instant the workload ends;
+    :meth:`finish` never raises — a failure lands in the :class:`FuzzResult`.
     """
 
     def __init__(
@@ -439,14 +492,6 @@ class ScenarioRun:
     ) -> None:
         self.sc = sc
         self.trace = trace
-        # Rebuild recipe for repro.checkpoint.
-        self.recipe = {
-            "sc": sc,
-            "use_monitor": use_monitor,
-            "collect": collect,
-            "trace": trace,
-            "fastpath": fastpath,
-        }
         self._failure: Optional[str] = None
         cluster = self.cluster = _build_cluster(sc, trace, fastpath)
         pairs = sorted({(op.src, op.dst) for op in sc.ops})
@@ -457,11 +502,9 @@ class ScenarioRun:
             handles[(i, j)] = a
             handles[(j, i)] = b
 
-        self.managers = []
         if sc.control_plane:
             for i, j in conn_pairs:
-                m1, m2 = cluster.enable_edge_control(i, j)
-                self.managers += [m1, m2]
+                cluster.enable_edge_control(i, j)
 
         self.monitor = (
             InvariantMonitor.attach(cluster, collect=collect)
@@ -522,24 +565,10 @@ class ScenarioRun:
             for src, specs in sorted(by_src.items())
         ]
 
-    def state(self) -> dict:
-        """Capture root for the checkpoint walker: everything live."""
-        return {
-            "cluster": self.cluster,
-            "procs": self.procs,
-            "managers": self.managers,
-            "monitor": self.monitor,
-            "faults": self.faults,
-        }
-
     @property
     def traffic_done(self) -> bool:
-        """True once every workload process has finished.
-
-        Past this instant an uninterrupted :meth:`finish` stops the
-        managers (killing periodic activity like edge monitors) before
-        any later event runs, so a paused run must not advance beyond it.
-        """
+        """True once every workload process has finished (where
+        :meth:`run_to` clamps)."""
         return all(p._finished for p in self.procs)
 
     def run_to(self, time_ns: int) -> None:
@@ -560,10 +589,8 @@ class ScenarioRun:
                 self.cluster.sim.run_until_time(time_ns, proc)
                 if not proc._finished:
                     break
-        except InvariantViolation as v:
-            self._failure = f"invariant: {v}"
-        except SimulationError as e:
-            self._failure = f"simulation: {e}"
+        except (InvariantViolation, SimulationError) as e:
+            self._failure = _failure_of(e)
 
     def finish(self) -> FuzzResult:
         """Run to completion and report; never raises."""
@@ -574,9 +601,7 @@ class ScenarioRun:
             try:
                 for proc in self.procs:
                     cluster.sim.run_until_done(proc, limit=self.sc.limit_ns)
-                for mgr in self.managers:
-                    mgr.stop()
-                cluster.sim.run()  # drain retransmits, acks, fault timers
+                cluster.quiesce()  # drain retransmits, acks, fault timers
                 for stack in cluster.stacks:
                     for conn in stack.protocol.connections.values():
                         for op in [
@@ -588,44 +613,18 @@ class ScenarioRun:
                                 )
                 if monitor is not None:
                     monitor.final_check()
-            except InvariantViolation as v:
-                failure = f"invariant: {v}"
-            except SimulationError as e:
-                failure = f"simulation: {e}"
-        if failure is None and monitor is not None and monitor.violations:
-            failure = f"invariant: {monitor.violations[0]}"
-        return FuzzResult(
-            scenario=self.sc,
-            failure=failure,
-            fingerprint=fingerprint(cluster, include_trace=self.trace),
-            elapsed_ns=cluster.sim.now,
-            checks=monitor.checks_run if monitor is not None else 0,
-            violations=tuple(str(v) for v in monitor.violations)
-            if monitor is not None
-            else (),
-            fastpath_jumps=(
-                cluster.fastpath.stats.jumps
-                if cluster.fastpath is not None
-                else 0
-            ),
+            except (InvariantViolation, SimulationError) as e:
+                failure = _failure_of(e)
+        return _verdict(
+            "protocol", self.sc.seed, self.sc, cluster, monitor,
+            failure=failure, trace=self.trace,
         )
 
 
-def run_scenario(
-    sc: Scenario,
-    use_monitor: bool = True,
-    collect: bool = False,
-    trace: bool = False,
-    fastpath: bool = False,
-) -> FuzzResult:
-    """Execute one scenario; never raises — failures land in the result."""
-    return ScenarioRun(
-        sc,
-        use_monitor=use_monitor,
-        collect=collect,
-        trace=trace,
-        fastpath=fastpath,
-    ).finish()
+def run_scenario(sc: Scenario, **kwargs) -> FuzzResult:
+    """Execute one scenario (arguments as :class:`ScenarioRun`); never
+    raises — failures land in the result."""
+    return ScenarioRun(sc, **kwargs).finish()
 
 
 # ---------------------------------------------------------------------------
@@ -633,25 +632,22 @@ def run_scenario(
 # ---------------------------------------------------------------------------
 
 
-def run_crash_scenario(seed: int):
+def run_crash_scenario(seed: int) -> FuzzResult:
     """One randomized whole-node crash/recovery run (repro.recovery).
 
-    Parameters are drawn from their own RNG stream
-    (``multiedge-fuzz-crash:<seed>``) so the pre-existing scenario
-    derivation — and therefore every existing fingerprint — stays
-    byte-identical.  The run streams journaled messages at a receiver
-    that crashes and reboots mid-stream, with the invariant monitor
-    attached; the returned :class:`~repro.bench.crash.CrashResult` must
-    satisfy ``ok`` (exactly-once, reconnected, zero violations — which
-    includes the no-stale-frame-accepted and journal-conservation
-    checks).
+    The run streams journaled messages at a receiver that crashes and
+    reboots mid-stream, with the invariant monitor attached; its
+    :class:`~repro.bench.crash.CrashResult` (carried as ``result``) must
+    list no violation — which covers the monitor's
+    no-stale-frame-accepted and journal-conservation checks plus the
+    ``exactly-once`` and ``never-reconnected`` clauses.
     """
-    from ..bench.crash import run_crash
+    from ..bench.crash import CrashRun
 
     rng = random.Random(f"multiedge-fuzz-crash:{seed}")
     crash_ns = rng.randint(1 * _MS, 6 * _MS)
     restart_delay_ns = rng.randint(200 * _US, 12 * _MS)
-    return run_crash(
+    run = CrashRun(
         config=rng.choice(_CONFIGS),
         message_bytes=rng.choice((256, 1024, 2048, 4096)),
         message_interval_ns=rng.randint(30 * _US, 200 * _US),
@@ -661,24 +657,14 @@ def run_crash_scenario(seed: int):
         seed=seed,
         use_monitor=True,
     )
+    res = run.finish()
+    axes = Axes(config=res.config, fault_profile="crash")
+    return _verdict(
+        "crash", seed, axes, run.cluster, run.monitor, res.violations, res
+    )
 
 
-@dataclass(frozen=True)
-class IncarnationFuzzResult:
-    """Outcome of one :func:`run_incarnation_scenario` run."""
-
-    seed: int
-    config: str
-    stale_frames_rejected: int
-    duplicates_suppressed: int
-    violations: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def run_incarnation_scenario(seed: int) -> IncarnationFuzzResult:
+def run_incarnation_scenario(seed: int) -> FuzzResult:
     """One randomized incarnation-collision run.
 
     Node 1 dials node 0 and streams writes; mid-flight it crashes,
@@ -687,10 +673,10 @@ def run_incarnation_scenario(seed: int) -> IncarnationFuzzResult:
     dead incarnation still in the fabric then land on the successor
     endpoint and must be rejected by the incarnation guard (witnessed by
     the monitor's ``stale-frame-accepted`` invariant staying silent while
-    ``stale_frames_rejected`` counts the drops).  Parameters come from
-    their own RNG stream (``multiedge-fuzz-incarnation:<seed>``) so
-    existing fingerprints stay byte-identical.
+    ``result.stale_frames_rejected`` — the run's
+    :class:`~repro.analysis.ClusterSummary` — counts the drops).
     """
+    from ..analysis.summary import summarize_cluster
 
     rng = random.Random(f"multiedge-fuzz-incarnation:{seed}")
     config = rng.choice(("2L-1G", "2Lu-1G"))
@@ -721,17 +707,12 @@ def run_incarnation_scenario(seed: int) -> IncarnationFuzzResult:
 
     proc = sim.process(driver(), name="fuzz.incarnation")
     sim.run_until_done(proc, limit=2_000_000_000)
-    sim.run()
+    cluster.quiesce()
     monitor.final_check()
-    from ..analysis.summary import summarize_cluster
-
-    summary = summarize_cluster(cluster)
-    return IncarnationFuzzResult(
-        seed=seed,
-        config=config,
-        stale_frames_rejected=summary.stale_frames_rejected,
-        duplicates_suppressed=summary.duplicate_msgs_suppressed,
-        violations=tuple(str(v) for v in monitor.violations),
+    axes = Axes(config=config, fault_profile="crash")
+    return _verdict(
+        "incarnation", seed, axes, cluster, monitor,
+        result=summarize_cluster(cluster),
     )
 
 
@@ -764,32 +745,9 @@ class FabricScenario:
     trunk_events: tuple[tuple[int, str, str, str, int], ...]
 
 
-@dataclass(frozen=True)
-class FabricFuzzResult:
-    """Outcome of one :func:`run_fabric_scenario` run."""
-
-    scenario: FabricScenario
-    flows: int
-    messages_received: int
-    data_intact: bool
-    switch_drops: int
-    repins: int
-    violations: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.data_intact
-            and self.messages_received == self.flows
-            and not self.violations
-        )
-
-
 def fabric_scenario_from_seed(seed: int) -> FabricScenario:
-    """Derive a fabric scenario from the dedicated RNG stream
-    (``multiedge-fuzz-fabric:<seed>``), so the pre-existing scenario
-    derivation — and every pinned fingerprint — stays byte-identical.
-    """
+    """Derive a fabric scenario from the ``multiedge-fuzz-fabric:<seed>``
+    stream."""
     rng = random.Random(f"multiedge-fuzz-fabric:{seed}")
     traffic = rng.choice(
         ("permutation", "all-to-all", "hotspot", "elephant-mice")
@@ -845,14 +803,10 @@ def fabric_scenario_from_seed(seed: int) -> FabricScenario:
     )
 
 
-class FabricRun:
-    """One fabric fuzz execution, pausable for checkpointing.
-
-    Same phase split as :class:`ScenarioRun`: construction wires the
-    fabric, trunk-churn events, and traffic processes; :meth:`run_to`
-    pauses at an exact instant (e.g. inside a trunk-churn window);
-    :meth:`finish` completes and reports.
-    """
+class FabricRun(Run):
+    """One ``fabric`` scenario as a pausable :class:`~repro.bench.run.Run`:
+    construction wires the fabric, trunk-churn events, and traffic
+    processes, so a pause can land inside a trunk-churn window."""
 
     def __init__(self, seed: int) -> None:
         from ..fabric import (
@@ -865,7 +819,6 @@ class FabricRun:
             TrafficRun,
         )
 
-        self.recipe = {"seed": seed}  # rebuild recipe for repro.checkpoint
         sc = self.sc = fabric_scenario_from_seed(seed)
         if sc.topology == "leaf-spine":
             spec = LeafSpineSpec(
@@ -882,7 +835,7 @@ class FabricRun:
             synthetic_payloads=False,
             fabric=spec,
         )
-        fabric = self.fabric = cluster.fabrics[0]
+        fabric = cluster.fabrics[0]
         for at_ns, kind, a, b, dwell_ns in sc.trunk_events:
             if kind == "drain":
                 cluster.sim.at(at_ns, fabric.set_trunk_enabled, a, b, False)
@@ -906,42 +859,24 @@ class FabricRun:
         }[sc.traffic]()
         self.traffic_run = TrafficRun(cluster, traffic, seed=sc.seed)
 
-    def state(self) -> dict:
-        """Capture root for the checkpoint walker."""
-        return {
-            "cluster": self.cluster,
-            "traffic": self.traffic_run.state(),
-        }
-
-    def run_to(self, time_ns: int) -> None:
-        """Execute every event due at or before ``time_ns``, then pause."""
-        self.cluster.sim.run_until_time(time_ns)
-
-    def finish(self) -> FabricFuzzResult:
-        result = self.traffic_run.finish()
-        cluster = self.cluster
-        violations = [
-            v for fab in cluster.fabrics for v in fab.routing_invariants()
-        ]
-        return FabricFuzzResult(
-            scenario=self.sc,
-            flows=result.flows,
-            messages_received=result.messages_received,
-            data_intact=result.data_intact,
-            switch_drops=result.switch_drops,
-            repins=sum(sw.repins for sw in self.fabric.switches),
-            violations=tuple(violations),
+    def finish(self) -> FuzzResult:
+        res = self.traffic_run.finish()
+        return _verdict(
+            "fabric", self.sc.seed, self.sc, self.cluster,
+            violations=res.violations, result=res,
         )
 
 
-def run_fabric_scenario(seed: int) -> FabricFuzzResult:
+def run_fabric_scenario(seed: int) -> FuzzResult:
     """One randomized multi-switch fabric run with trunk churn.
 
     Builds the scenario's leaf-spine or fat-tree fabric, drives its
     traffic matrix over message passing while trunks drain/fail and
-    recover mid-run, then asserts the fabric's routing invariants
-    (structural acyclicity, ECMP determinism, switch and trunk frame
-    conservation) and end-to-end data integrity.
+    recover mid-run; its :class:`~repro.fabric.TrafficResult` (carried
+    as ``result``) must list no violation of the fabric's routing
+    invariants (structural acyclicity, ECMP determinism, switch and trunk
+    frame conservation) or of end-to-end delivery (``data-integrity``,
+    ``messages-received``).
     """
     return FabricRun(seed).finish()
 
@@ -951,34 +886,35 @@ def run_fabric_scenario(seed: int) -> FabricFuzzResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ServeFuzzResult:
-    """The axes one serve or gray fuzz seed drew, and what the run measured."""
+def _run_serving(family: str, seed: int, **kwargs) -> FuzzResult:
+    """The shared end of ``serve`` and ``gray``: one monitored
+    :class:`~repro.bench.serve.ServeRun`.  Request conservation is among the
+    serve invariants it lists in ``violations``; a run that generated no
+    request proves nothing and is a violation of its own.
+    """
+    from ..bench.serve import ServeRun
 
-    seed: int
-    fault_profile: str  # "none" | "crash"
-    result: ServeResult
-    gray_kinds: tuple = ()  # class names of the injected gray events
-    mitigated: bool = False  # a TailSpec was armed
-    detected: bool = False  # the differential gray scorer was armed
+    run = ServeRun(seed=seed, use_monitor=True, **kwargs)
+    drew = run.recipe
+    axes = Axes(
+        config=drew["config"],
+        fault_profile="none" if drew["crash_server"] is None else "crash",
+        gray_kinds=tuple(type(ev).__name__ for ev in drew["faults"] or ()),
+        mitigated=drew["tail"] is not None,
+        detected=drew["gray_detection"],
+    )
+    res = run.finish()
+    violations = res.violations
+    if not res.generated:
+        violations += ("no-requests-generated",)
+    return _verdict(
+        family, seed, axes, run.cluster, run.monitor, violations, res
+    )
 
-    @property
-    def ok(self) -> bool:
-        """Request conservation (and every other serve invariant) held.
 
-        Conservation itself — ``generated == completed + shed +
-        shed_client + failed`` with nothing left pending — is one of the
-        ``check_invariants`` clauses folded into ``result.violations``.
-        """
-        return self.result.generated > 0 and self.result.ok
-
-
-def run_serve_scenario(seed: int) -> ServeFuzzResult:
+def run_serve_scenario(seed: int) -> FuzzResult:
     """One randomized open-loop serving run (repro.serve).
 
-    Parameters come from their own RNG stream
-    (``multiedge-fuzz-serve:<seed>``) so every pre-existing fuzz
-    derivation — and every pinned fingerprint — stays byte-identical.
     The draw crosses arrival model (Poisson/bursty) x load-balancing
     policy x fault profile (clean or mid-run server crash/restart) x
     overload knobs (queue cap, workers, service-time model, client
@@ -986,7 +922,6 @@ def run_serve_scenario(seed: int) -> ServeFuzzResult:
     conservation: every generated request ends as completed, shed
     (server- or client-side), or failed — across crash replay too.
     """
-    from ..bench.serve import run_serve
     from ..serve import ArrivalSpec, ServerSpec
 
     rng = random.Random(f"multiedge-fuzz-serve:{seed}")
@@ -1021,7 +956,9 @@ def run_serve_scenario(seed: int) -> ServeFuzzResult:
             crash_ns=rng.randint(1 * _MS, duration_ns // 2),
             restart_delay_ns=rng.randint(500 * _US, 3 * _MS),
         )
-    res = run_serve(
+    return _run_serving(
+        "serve",
+        seed,
         config=config,
         n_clients=n_clients,
         n_servers=n_servers,
@@ -1029,11 +966,8 @@ def run_serve_scenario(seed: int) -> ServeFuzzResult:
         arrival=arrival,
         server=server,
         duration_ns=duration_ns,
-        seed=seed,
-        use_monitor=True,
         **kwargs,
     )
-    return ServeFuzzResult(seed=seed, fault_profile=fault_profile, result=res)
 
 
 # ---------------------------------------------------------------------------
@@ -1041,21 +975,17 @@ def run_serve_scenario(seed: int) -> ServeFuzzResult:
 # ---------------------------------------------------------------------------
 
 
-def run_gray_scenario(seed: int) -> ServeFuzzResult:
+def run_gray_scenario(seed: int) -> FuzzResult:
     """One randomized serving run under gray (degraded-mode) faults.
 
-    Parameters come from their own ``multiedge-fuzz-gray:<seed>`` RNG
-    stream, so every pre-existing fuzz derivation — including the pinned
-    serve fingerprints — stays byte-identical.  The draw crosses gray
-    fault kind (slow node / slow NIC / degraded link / intermittent
-    drop / asymmetric partition) x tail-tolerance machinery (off, or
-    hedging + retry budget + breakers + ejection) x differential
-    detection (off/on) x an optional clean-node crash, and asserts the
-    same request-conservation and tail-accounting invariants as the
-    plain serve fuzzer: gray degradation may slow requests down, but
-    every one of them must still be accounted for.
+    The draw crosses gray fault kind (slow node / slow NIC / degraded
+    link / intermittent drop / asymmetric partition) x tail-tolerance
+    machinery (off, or hedging + retry budget + breakers + ejection) x
+    differential detection (off/on) x an optional clean-node crash, and
+    asserts the same request-conservation and tail-accounting invariants
+    as the plain serve fuzzer: gray degradation may slow requests down,
+    but every one of them must still be accounted for.
     """
-    from ..bench.serve import run_serve
     from ..control import (
         AsymmetricPartition,
         DegradedLink,
@@ -1085,8 +1015,7 @@ def run_gray_scenario(seed: int) -> ServeFuzzResult:
         service=rng.choice((("fixed", 20_000), ("exp", 30_000))),
     )
     tail = None
-    mitigated = rng.random() < 0.7
-    if mitigated:
+    if rng.random() < 0.7:
         tail = TailSpec(
             hedge=rng.random() < 0.8,
             retry_budget=rng.choice((0.05, 0.1, 0.2)),
@@ -1146,7 +1075,9 @@ def run_gray_scenario(seed: int) -> ServeFuzzResult:
             crash_ns=rng.randint(_MS, duration_ns // 2),
             restart_delay_ns=rng.randint(500 * _US, 2 * _MS),
         )
-    res = run_serve(
+    return _run_serving(
+        "gray",
+        seed,
         config=config,
         n_clients=n_clients,
         n_servers=n_servers,
@@ -1154,20 +1085,10 @@ def run_gray_scenario(seed: int) -> ServeFuzzResult:
         arrival=arrival,
         server=server,
         duration_ns=duration_ns,
-        seed=seed,
-        use_monitor=True,
         tail=tail,
         faults=faults,
         gray_detection=detected,
         **kwargs,
-    )
-    return ServeFuzzResult(
-        seed=seed,
-        fault_profile="crash" if kwargs else "none",
-        result=res,
-        gray_kinds=tuple(type(ev).__name__ for ev in faults),
-        mitigated=mitigated,
-        detected=detected,
     )
 
 
@@ -1263,34 +1184,68 @@ def shrink_scenario(
 
 
 # ---------------------------------------------------------------------------
-# Command line
+# The front door, and the command line
 # ---------------------------------------------------------------------------
+
+
+def _run_protocol(
+    seed: int,
+    workload: Optional[str] = None,
+    fault_profile: Optional[str] = None,
+) -> FuzzResult:
+    return run_scenario(scenario_from_seed(seed, workload, fault_profile))
+
+
+# Family name -> ``seed -> FuzzResult``.  Each family draws from its own
+# ``multiedge-fuzz[-<family>]:<seed>`` stream, so adding one leaves every
+# existing derivation, and every pinned fingerprint, byte-identical.
+FAMILIES: dict[str, Callable[..., FuzzResult]] = {
+    "protocol": _run_protocol,
+    "crash": run_crash_scenario,
+    "incarnation": run_incarnation_scenario,
+    "fabric": run_fabric_scenario,
+    "serve": run_serve_scenario,
+    "gray": run_gray_scenario,
+}
+
+
+def run_family(name: str, seed: int, **constraints) -> FuzzResult:
+    """Run one seed of one fuzz family; never raises on a failing seed.
+
+    ``constraints`` narrow the ``protocol`` derivation (``workload=``,
+    ``fault_profile=``).  An error that escapes the run — a livelock limit,
+    a drain that did not drain — comes back as ``failure``, so a seed loop
+    sees every bad seed instead of stopping at the first.
+    """
+    family = FAMILIES[name]
+    try:
+        return family(seed, **constraints)
+    except (InvariantViolation, SimulationError) as e:
+        return FuzzResult(name, seed, failure=_failure_of(e))
 
 
 def run_batch(
     count: int,
     base_seed: int = 0,
-    workload: Optional[str] = None,
-    fault_profile: Optional[str] = None,
+    family: str = "protocol",
     shrink: bool = True,
-    verbose: bool = True,
+    **constraints,
 ) -> list[FuzzResult]:
-    """Run ``count`` seeded scenarios; shrink and report any failure."""
+    """Run ``count`` seeds of ``family``; report (and, for ``protocol``,
+    shrink) any failure."""
     results = []
     for k in range(count):
-        sc = scenario_from_seed(base_seed + k, workload, fault_profile)
-        res = run_scenario(sc)
+        res = run_family(family, base_seed + k, **constraints)
         results.append(res)
-        if verbose and (not res.ok or (k + 1) % 25 == 0):
+        if not res.ok or (k + 1) % 25 == 0:
             status = "FAIL" if not res.ok else "ok"
-            print(
-                f"[{k + 1}/{count}] seed={sc.seed} {sc.config} "
-                f"{sc.workload}/{sc.fault_profile} {status}"
-            )
+            print(f"[{k + 1}/{count}] {family} seed={res.seed} {status}")
         if not res.ok:
-            print(f"  failure: {res.failure}")
-            if shrink:
-                small = shrink_scenario(sc)
+            print(f"  drew: {res.scenario!r}\n  failure: {res.failure}")
+            for v in res.violations:
+                print(f"  violation: {v}")
+            if shrink and isinstance(res.scenario, Scenario):
+                small = shrink_scenario(res.scenario)
                 print(f"  minimal reproducer:\n    {small!r}")
     return results
 
@@ -1299,18 +1254,28 @@ def main(argv: Optional[list[str]] = None) -> int:
     import argparse
 
     parser = argparse.ArgumentParser(
-        description="Deterministic MultiEdge protocol fuzzer"
+        description="Deterministic MultiEdge fuzzer (six families)"
     )
+    parser.add_argument("--family", choices=tuple(FAMILIES), default="protocol")
     parser.add_argument("--count", type=int, default=50,
-                        help="number of seeded scenarios to run")
+                        help="number of seeds to run")
     parser.add_argument("--base-seed", type=int, default=0)
     parser.add_argument("--seed", type=int, default=None,
                         help="run exactly one seed (implies --count 1)")
-    parser.add_argument("--workload", choices=WORKLOADS, default=None)
-    parser.add_argument("--faults", choices=FAULT_PROFILES, default=None)
+    parser.add_argument("--workload", choices=WORKLOADS, default=None,
+                        help="protocol family only")
+    parser.add_argument("--faults", choices=FAULT_PROFILES, default=None,
+                        help="protocol family only")
     parser.add_argument("--no-shrink", action="store_true")
     args = parser.parse_args(argv)
 
+    constraints = {}
+    if args.workload is not None:
+        constraints["workload"] = args.workload
+    if args.faults is not None:
+        constraints["fault_profile"] = args.faults
+    if constraints and args.family != "protocol":
+        parser.error("--workload/--faults constrain the protocol family only")
     if args.seed is not None:
         count, base = 1, args.seed
     else:
@@ -1318,14 +1283,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     results = run_batch(
         count,
         base_seed=base,
-        workload=args.workload,
-        fault_profile=args.faults,
+        family=args.family,
         shrink=not args.no_shrink,
+        **constraints,
     )
     failures = [r for r in results if not r.ok]
     checks = sum(r.checks for r in results)
     print(
-        f"{len(results)} scenarios, {checks} invariant checks, "
+        f"{len(results)} {args.family} scenarios, {checks} invariant checks, "
         f"{len(failures)} failures"
     )
     return 1 if failures else 0

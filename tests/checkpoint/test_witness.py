@@ -171,9 +171,45 @@ class TestServeWitness:
             s.pending_batch > 0 for s in run_b.runtime.sources.values()
         ), "no arrival batch pending at the pause instant"
         ck = take_checkpoint(run_b)
-        assert ck.kind == "serve"
+        assert ck.run_class is ServeRun
         res_b = run_b.finish()
         assert res_b == res_a, "pausing changed the serving run"
 
         res_c = restore(ck).finish()  # raises CheckpointMismatch on drift
         assert res_c == res_a, "restore changed the serving run"
+
+
+class TestComposedWitness:
+    """Fabric x serve x gray x crash in one run: nothing but ``ServeRun``
+    arguments, so it pauses, checkpoints and restores like any other."""
+
+    def test_leaf_spine_serving_with_a_crash_and_a_slow_node(self):
+        from repro.bench import leaf_spine_3to1
+        from repro.control import Crash, Restart, SlowNode
+
+        recipe = dict(
+            config="1L-1G",
+            n_clients=2,
+            n_servers=3,
+            policy="least-outstanding",
+            arrival=ArrivalSpec(kind="poisson", rate_rps=30_000, batch=64),
+            server=ServerSpec(queue_cap=64, workers=4, service=("fixed", 20_000)),
+            duration_ns=8_000_000,
+            seed=18,
+            fabric=leaf_spine_3to1(),
+            faults=[
+                Crash(at_ns=2_000_000, node=4),
+                Restart(at_ns=2_000_000, node=4, delay_ns=1_500_000),
+                SlowNode(at_ns=1_000_000, node=2, duration_ns=3_000_000, factor=4.0),
+            ],
+            use_monitor=True,
+        )
+        res_a = ServeRun(**recipe).finish()
+        assert res_a.ok, res_a.violations
+        assert res_a.crashes == 1 and res_a.completed > 100
+
+        run_b = ServeRun(**recipe)
+        run_b.run_to(2_500_000)  # node 4 is down, node 2 is slow
+        ck = take_checkpoint(run_b)
+        assert run_b.finish() == res_a
+        assert restore(ck).finish() == res_a

@@ -1,5 +1,7 @@
 """Unit tests for the virtual memory model."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -223,3 +225,41 @@ def test_write_flattens_non_contiguous_arrays():
     addr = vm.alloc(grid.nbytes)
     vm.write(addr, grid)
     assert vm.read(addr, grid.nbytes) == np.ascontiguousarray(grid).tobytes()
+
+
+def _resident_bytes() -> int:
+    with open("/proc/self/statm") as fh:
+        return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"),
+                    reason="reads the process's resident size from /proc")
+def test_sparse_touch_of_a_large_allocation_stays_sparse_on_a_used_heap():
+    # What a second run in one process sees: glibc has learnt to keep
+    # chunks of this size on its heap and has a freed, never-written one to
+    # recycle, which calloc would zero-fill byte by byte.
+    size = 8 << 20
+    np.ones(2 * size, dtype=np.uint8)  # freed at once: raises the mmap threshold
+    hole = np.zeros(size, dtype=np.uint8)
+    pin = np.ones(1 << 20, dtype=np.uint8)  # keeps the hole off the heap top
+    del hole
+    vm = VirtualMemory()
+    addr = vm.alloc(size)
+    before = _resident_bytes()
+    vm.write(addr + 12345, b"x")
+    assert _resident_bytes() - before < size // 8
+    assert vm.read(addr + 12344, 3) == b"\x00x\x00" and pin[0] == 1
+
+
+def test_large_allocation_is_private_to_a_forked_child():
+    if not hasattr(os, "fork"):
+        pytest.skip("needs os.fork")
+    vm = VirtualMemory()
+    addr = vm.alloc(VirtualMemory._MAP_MIN)
+    vm.write(addr, b"\x07")
+    pid = os.fork()
+    if pid == 0:
+        vm.write(addr, b"\x09")
+        os._exit(0)
+    os.waitpid(pid, 0)
+    assert vm.read(addr, 1) == b"\x07"

@@ -312,6 +312,25 @@ def test_monitor_reports_serve_invariant_breakage():
     assert any("serve-invariant" in str(v) for v in monitor.violations)
 
 
+@pytest.mark.parametrize("use_monitor", [False, True])
+def test_a_serving_problem_is_reported_once(use_monitor):
+    """With a monitor, its final check files the serve invariants itself;
+    ``ServeResult.violations`` must not list them a second time."""
+    run = ServeRun(
+        n_clients=1,
+        n_servers=1,
+        arrival=ArrivalSpec(rate_rps=20_000),
+        duration_ns=2 * _MS,
+        seed=20,
+        use_monitor=use_monitor,
+    )
+    run.runtime.generated += 1  # cook the books
+    res = run.finish()
+    assert not res.ok and len(res.violations) == 2, res.violations
+    for clause in ("request-conservation", "arrival-accounting"):
+        assert sum(clause in v for v in res.violations) == 1, res.violations
+
+
 def test_reconnected_endpoints_run_the_configured_congestion_controller():
     """The cluster is built from the finished config, so the passive side
     of a post-crash reconnect (created by the listener from the stack's own

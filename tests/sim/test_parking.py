@@ -1,16 +1,17 @@
-"""Parking equivalence: ``yield resource`` is ``yield resource.acquire()``.
+"""Parking equivalence: a waiter is a callback, whoever parks it.
 
-A process may wait on a :class:`Resource`, :class:`Gate` or :class:`Store`
-either through the ``Event`` that ``acquire()`` / ``wait()`` / ``get()``
-returns or by yielding the primitive itself, which parks the process's
-resume callback in the same FIFO waiter queue.  Both are granted in strict
-request order through exactly one fast-lane hop, so every timestamp, every
-interleaving with other same-instant work and the engine's own counters are
-the same whichever way each waiter waits.
+A :class:`Resource`, :class:`Gate` or :class:`Store` has one FIFO queue of
+waiters, and a waiter is a callback taking the granted value.  A process
+parks its resume callback by yielding the primitive; plain code (the
+kernel's interrupt chain) parks any callback with ``park(callback)``.  Both
+are granted in strict request order through exactly one fast-lane hop, so
+every timestamp, every interleaving with other same-instant work and the
+engine's own counters are the same whoever waits.
 
-The expected values below were recorded at the parent commit (b9af88d),
-where only the ``Event`` form existed, by running these same scenarios with
-every waiter on ``"event"``.
+The expected values below were recorded at b9af88d, where the only way to
+wait was the ``Event`` that ``acquire()`` / ``wait()`` / ``get()`` returned
+(removed in PR 18, with the rows that mixed ``Event`` and parked waiters):
+matching them is the witness that parking changed no schedule.
 """
 
 import pytest
@@ -18,21 +19,31 @@ import pytest
 from repro.sim import Gate, Resource, Simulator, Store
 
 KINDS = {
-    "all-event": ["event"] * 6,
-    "all-parked": ["park"] * 6,
-    "mixed": ["event", "park", "park", "event", "park", "event"],
-    "mixed-inverse": ["park", "event", "event", "park", "event", "park"],
+    "all-parked": ["yield"] * 6,
+    "all-callback": ["callback"] * 6,
+    "mixed": ["callback", "yield", "yield", "callback", "yield", "callback"],
+    "mixed-inverse": ["yield", "callback", "callback", "yield", "callback", "yield"],
 }
 
 
-def _wait(kind, primitive):
-    """What a process yields to wait on ``primitive`` the ``kind`` way."""
-    if kind == "park":
-        return primitive
-    for name in ("acquire", "wait", "get"):
-        if hasattr(primitive, name):
-            return getattr(primitive, name)()
-    raise AssertionError(primitive)
+def _start(kind, sim, body):
+    """Run generator ``body`` as a process that yields what it waits on, or
+    as plain callbacks that ``park()`` themselves — hop for hop the same."""
+    if kind == "yield":
+        sim.process(body)
+        return
+
+    def step(value=None):
+        try:
+            target = body.send(value)
+        except StopIteration:
+            return
+        if isinstance(target, int):
+            sim.schedule(target, step)
+        else:
+            target.park(step)
+
+    sim.schedule(0, step)
 
 
 def _summary(sim, log):
@@ -93,17 +104,17 @@ def _resource_scenario(kinds):
     def job(i, start, hold):
         yield start
         # Work queued in this instant before and after the wait: the grant
-        # must land between them exactly as a triggered Event's would.
+        # must land between them exactly as a triggered Event's did.
         note(f"same-instant-before:{i}")
         sim.schedule(0, note, f"same-instant-after:{i}")
-        yield _wait(kinds[i], res)
+        yield res
         note(f"granted:{i}")
         yield hold
         res.release()
         note(f"released:{i}")
 
     for i, (start, hold) in enumerate(_RESOURCE_JOBS):
-        sim.process(job(i, start, hold))
+        _start(kinds[i], sim, job(i, start, hold))
     sim.run()
     assert res.in_use == 0 and res.queue_length == 0
     assert res.busy_time == sum(hold for _, hold in _RESOURCE_JOBS)
@@ -162,14 +173,14 @@ def _gate_scenario(kinds):
         if i == 3:
             # The gate is already open here: still one hop, not zero.
             sim.schedule(0, note, "queued-first")
-        yield _wait(kinds[i], gate)
+        yield gate
         note(f"through:{i}")
 
     # 0-2 block until the gate opens at 50; 3 finds it open; 4 arrives after
     # it closed again at 65 and waits for the reopening at 70... which is
     # when it arrives, so it queues first and is released in the same instant.
     for i, start in enumerate([0, 10, 10, 60, 70, 80]):
-        sim.process(waiter(i, start))
+        _start(kinds[i], sim, waiter(i, start))
     sim.schedule(50, gate.open)
     sim.schedule(65, gate.close)
     sim.schedule(70, gate.open)
@@ -216,7 +227,7 @@ def _store_scenario(kinds):
         if i == 3:
             # Items are ready here: still one hop, not zero.
             sim.schedule(0, note, "queued-first")
-        item = yield _wait(kinds[i], store)
+        item = yield store
         note(f"got:{i}:{item}")
 
     def put(*items):
@@ -226,7 +237,7 @@ def _store_scenario(kinds):
     # 0-2 block; "a" and "b" arrive together at 20, "c" at 40; "d" and "e"
     # are stocked at 50 for getters 3 and 4, who arrive at 60; 5 blocks.
     for i, start in enumerate([0, 0, 10, 60, 60, 70]):
-        sim.process(getter(i, start))
+        _start(kinds[i], sim, getter(i, start))
     sim.schedule(20, put, "a", "b")
     sim.schedule(40, put, "c")
     sim.schedule(50, put, "d", "e")

@@ -3,14 +3,18 @@
 import pytest
 
 from repro.sim import Gate, Resource, SimulationError, Simulator, Store
-from repro.sim.resources import hold
+
+
+def hold(resource, duration):
+    yield resource
+    yield duration
+    resource.release()
 
 
 def test_resource_grants_immediately_when_free():
     sim = Simulator()
     res = Resource(sim)
-    ev = res.acquire()
-    assert ev.triggered
+    assert res.try_acquire()
     assert res.in_use == 1
 
 
@@ -20,7 +24,7 @@ def test_resource_fifo_handoff():
     order = []
 
     def worker(tag, duration):
-        yield res.acquire()
+        yield res
         yield duration
         order.append((tag, sim.now))
         res.release()
@@ -38,7 +42,7 @@ def test_resource_capacity_two():
     done = []
 
     def worker(tag):
-        yield res.acquire()
+        yield res
         yield 10
         done.append((tag, sim.now))
         res.release()
@@ -103,8 +107,7 @@ def test_store_put_then_get():
     sim = Simulator()
     store = Store(sim)
     store.put("x")
-    ev = store.get()
-    assert ev.triggered and ev.value == "x"
+    assert store.try_get() == (True, "x")
 
 
 def test_store_get_blocks_until_put():
@@ -113,7 +116,7 @@ def test_store_get_blocks_until_put():
     got = []
 
     def getter():
-        item = yield store.get()
+        item = yield store
         got.append((sim.now, item))
 
     sim.process(getter())
@@ -127,7 +130,7 @@ def test_store_fifo_order():
     store = Store(sim)
     for i in range(5):
         store.put(i)
-    out = [store.get().value for _ in range(5)]
+    out = [store.try_get()[1] for _ in range(5)]
     assert out == [0, 1, 2, 3, 4]
 
 
@@ -146,7 +149,7 @@ def test_store_put_to_waiting_getter_bypasses_capacity():
     store = Store(sim, capacity=1)
 
     def getter():
-        yield store.get()
+        yield store
 
     sim.process(getter())
     sim.run()
@@ -175,8 +178,9 @@ def test_store_invalid_capacity():
 def test_gate_wait_when_open_is_immediate():
     sim = Simulator()
     gate = Gate(sim, open=True)
-    ev = gate.wait()
-    assert ev.triggered
+    woke = []
+    gate.park(woke.append)
+    assert sim.run() == 1 and woke == [None] and sim.now == 0
 
 
 def test_gate_blocks_until_open():
@@ -185,7 +189,7 @@ def test_gate_blocks_until_open():
     woke = []
 
     def waiter():
-        yield gate.wait()
+        yield gate
         woke.append(sim.now)
 
     sim.process(waiter())
@@ -201,7 +205,7 @@ def test_gate_close_reblocks():
     woke = []
 
     def waiter():
-        yield gate.wait()
+        yield gate
         woke.append(sim.now)
 
     sim.process(waiter())
@@ -218,7 +222,7 @@ def test_gate_releases_all_waiters():
     count = []
 
     def waiter():
-        yield gate.wait()
+        yield gate
         count.append(1)
 
     for _ in range(4):

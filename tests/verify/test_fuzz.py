@@ -9,6 +9,7 @@ from repro.verify.fuzz import (
     WORKLOADS,
     OpSpec,
     ScenarioRun,
+    run_family,
     run_scenario,
     scenario_from_seed,
     shrink_scenario,
@@ -66,7 +67,7 @@ class TestFingerprintRegression:
 
     def test_no_crash_fingerprints_unchanged(self):
         for seed, expected in self.PINNED.items():
-            res = run_scenario(scenario_from_seed(seed))
+            res = run_family("protocol", seed)
             assert res.ok, f"seed {seed}: {res.failure}"
             assert res.fingerprint == expected, (
                 f"seed {seed} fingerprint drifted: {res.fingerprint}"
@@ -202,24 +203,16 @@ class TestFabricFuzz:
         assert kinds == {"leaf-spine", "fat-tree"}
 
     def test_scenarios_hold_routing_invariants(self):
-        from repro.verify.fuzz import run_fabric_scenario
-
         for seed in range(4):
-            res = run_fabric_scenario(seed)
-            assert res.ok, (
-                f"seed {seed}: {res.violations or 'data loss'} "
-                f"({res.messages_received}/{res.flows} messages)"
-            )
+            res = run_family("fabric", seed)
+            assert res.ok, f"seed {seed}: {res.failure}"
 
     def test_trunk_churn_seed_repins_and_survives(self):
         """Seed 7 draws a leaf-spine with two trunk events; the run must
         re-pin flows around the churn and still deliver every byte."""
-        from repro.verify.fuzz import fabric_scenario_from_seed, run_fabric_scenario
-
-        sc = fabric_scenario_from_seed(7)
-        assert sc.trunk_events, "seed 7 no longer draws trunk events"
-        res = run_fabric_scenario(7)
-        assert res.ok and res.repins > 0
+        res = run_family("fabric", 7)
+        assert res.scenario.trunk_events, "seed 7 no longer draws trunk events"
+        assert res.ok and res.result.repins > 0
 
 
 class TestServeFuzz:
@@ -235,22 +228,18 @@ class TestServeFuzz:
     }
 
     def test_request_conservation_across_seeds(self):
-        from repro.verify.fuzz import run_serve_scenario
-
         for seed in range(4):
-            run = run_serve_scenario(seed)
+            run = run_family("serve", seed)
             res = run.result
-            assert run.ok, f"seed {seed}: {res.violations}"
+            assert run.ok, f"seed {seed}: {run.failure}"
             assert res.generated == (
                 res.completed + res.shed + res.shed_client + res.failed
             ), f"seed {seed} lost requests"
 
     def test_crash_seed_replays(self):
         """Seed 1 draws a crash profile; the journal must replay."""
-        from repro.verify.fuzz import run_serve_scenario
-
-        run = run_serve_scenario(1)
-        assert run.fault_profile == "crash", (
+        run = run_family("serve", 1)
+        assert run.scenario.fault_profile == "crash", (
             "seed 1 no longer draws a crash profile"
         )
         assert run.ok and run.result.replayed > 0
@@ -259,18 +248,14 @@ class TestServeFuzz:
         """Seeds 31 and 91 crash a server while a bounded client outbox
         toward it holds journaled requests; each must be replayed once,
         or a request ends up both shed at the client and completed."""
-        from repro.verify.fuzz import run_serve_scenario
-
         for seed in (31, 91):
-            run = run_serve_scenario(seed)
-            assert run.fault_profile == "crash"
-            assert run.ok, f"seed {seed}: {run.result.violations}"
+            run = run_family("serve", seed)
+            assert run.scenario.fault_profile == "crash"
+            assert run.ok, f"seed {seed}: {run.failure}"
 
     def test_serve_fingerprints_unchanged(self):
-        from repro.verify.fuzz import run_serve_scenario
-
         for seed, expected in self.PINNED.items():
-            res = run_serve_scenario(seed).result
-            assert res.fingerprint == expected, (
+            res = run_family("serve", seed)
+            assert res.fingerprint == res.result.fingerprint == expected, (
                 f"serve fuzz seed {seed} drifted: {res.fingerprint}"
             )

@@ -27,8 +27,7 @@ let the simulation end) and read ``samples``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 from ..core.connection import Connection
 from ..ethernet import Switch

@@ -16,7 +16,7 @@ from typing import Generator
 import numpy as np
 
 from ..dsm import DsmNode, DsmRuntime, SharedRegion
-from .base import DsmApplication, gather_region_data, init_region_data
+from .base import init_region_data
 from .water_spatial import WaterSpatialApp, _contiguous_runs
 
 __all__ = ["WaterSpatialFlApp"]

@@ -25,13 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..ethernet import (
-    ETH_MIN_PAYLOAD,
-    MULTIEDGE_HEADER_BYTES,
-    Frame,
-    MultiEdgeHeader,
-    max_payload_per_frame,
-)
+from ..ethernet import Frame, MultiEdgeHeader, max_payload_per_frame
 from ..sim import Event
 from .. bench.cluster import Cluster
 

@@ -21,7 +21,7 @@ from functools import partial
 from typing import Callable, Optional
 
 from ..control import DetectorParams, EdgeLifecycleManager, HealthParams
-from ..core import ConnectionHandle, MultiEdgeStack, ProtocolParams, establish
+from ..core import ConnectionHandle, ConnectionStats, MultiEdgeStack, ProtocolParams, establish
 from ..ethernet import (
     LinkParams,
     NicParams,
@@ -299,13 +299,6 @@ class Cluster:
         a, b = self._connections[key]
         return (a, b) if i < j else (b, a)
 
-    def connect_all_pairs(self) -> None:
-        """Pre-establish every pairwise connection (DSM runs need this)."""
-        n = self.config.nodes
-        for i in range(n):
-            for j in range(i + 1, n):
-                self.connect(i, j)
-
     # -- edge lifecycle control plane ------------------------------------
 
     def cable(self, node: int, rail: int) -> Cable:
@@ -402,7 +395,19 @@ class Cluster:
             )
         return self.gray_scorer
 
-    # -- ending a run ----------------------------------------------------
+    # -- starting a measured interval, ending a run ------------------------
+
+    def reset_measurement(self) -> None:
+        """Start a measured interval: zero every node's CPU accounting,
+        every connection's counters and the fast path's statistics, so a
+        warm-up leaves nothing in what is reported."""
+        for stack in self.stacks:
+            stack.node.reset_accounting()
+            for conn in stack.protocol.connections.values():
+                conn.stats = ConnectionStats()
+        if self.fastpath is not None:
+            self.fastpath.stats.reset()
+
 
     def stop_periodic(self) -> None:
         """Stop every source the cluster owns that re-arms itself forever:

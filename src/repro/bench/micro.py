@@ -25,7 +25,6 @@ from typing import Optional
 
 from ..core import ConnectionHandle, merge_stats
 from ..ethernet import OpFlags
-from ..sim import all_of
 from .cluster import Cluster
 
 __all__ = ["MicroResult", "run_ping_pong", "run_one_way", "run_two_way", "run_micro"]
@@ -93,17 +92,6 @@ def _collect(
     )
 
 
-def _reset_measurement(cluster: Cluster) -> None:
-    from ..core.stats import ConnectionStats
-
-    for stack in cluster.stacks:
-        for conn in stack.protocol.connections.values():
-            conn.stats = ConnectionStats()
-        stack.node.reset_accounting()
-    if cluster.fastpath is not None:
-        cluster.fastpath.stats.reset()
-
-
 def run_ping_pong(
     cluster: Cluster,
     size: int,
@@ -124,7 +112,7 @@ def run_ping_pong(
     def node_a():
         for i in range(warmup + iterations):
             if i == warmup:
-                _reset_measurement(cluster)
+                cluster.reset_measurement()
                 state["start"] = cluster.sim.now
             yield from a.rdma_write(src_a, dst_b, size, flags=OpFlags.NOTIFY)
             yield from a.wait_notification()
@@ -192,7 +180,7 @@ def run_one_way(
     def sender():
         # Warmup round.
         yield from _one_way_stream(a, b, size, warmup, src, dst)
-        _reset_measurement(cluster)
+        cluster.reset_measurement()
         state["start"] = cluster.sim.now
         yield from _one_way_stream(a, b, size, iterations, src, dst, issue_times)
 
@@ -236,7 +224,7 @@ def run_two_way(
         # Synchronise measurement start across both directions.
         state["warm"] += 1
         if state["warm"] == 2:
-            _reset_measurement(cluster)
+            cluster.reset_measurement()
             state["start"] = cluster.sim.now
             warm_barrier.trigger()
         else:

@@ -39,7 +39,7 @@ import os
 from typing import Iterable, Optional, Sequence
 
 from .cluster import make_cluster
-from .micro import MicroResult, _collect, _one_way_stream, _reset_measurement
+from .micro import MicroResult, _collect, _one_way_stream
 from .runner import DEFAULT_SIZES, _app_cache, _micro_cache, app_run, micro_point
 
 __all__ = [
@@ -198,7 +198,7 @@ def _measured_point(cluster, a, b, size: int) -> MicroResult:
     state = {"start": 0, "end": 0}
 
     def sender():
-        _reset_measurement(cluster)
+        cluster.reset_measurement()
         state["start"] = cluster.sim.now
         yield from _one_way_stream(a, b, size, iterations, src, dst, issue_times)
 

@@ -7,7 +7,7 @@ output is terminal text, suitable for ``pytest -s`` and CI logs.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Sequence
 
 __all__ = ["Table", "fmt", "check_band", "band_str"]
 

@@ -9,6 +9,7 @@ from .messages import SEQUENCED_TYPES
 from .ordering import FenceDelivery, InOrderDelivery, OrderingManager, RxOpState
 from .protocol import MultiEdgeProtocol
 from .retransmit import BackoffPolicy, RetransmitParams, RetransmitTimer
+from .ring import SlotRing
 from .stats import ConnectionStats, merge_stats
 from .striping import (
     RoundRobinStriping,
@@ -25,6 +26,7 @@ __all__ = [
     "ConnectionHandle",
     "OpHandle",
     "establish",
+    "SlotRing",
     "dial",
     "enable_listener",
     "close_connection",

@@ -30,7 +30,7 @@ arrive and resurrect it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from ..ethernet import Frame, FrameType, OpFlags

@@ -16,7 +16,7 @@ machines live here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 from ..ethernet import Frame

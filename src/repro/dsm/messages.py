@@ -32,8 +32,6 @@ class MsgType(IntEnum):
     LOCK_REL = 3  # a=lock_id, b=notice_count (staged)
     BARRIER_ARRIVE = 4  # a=barrier_id, b=notice_count (staged), c=epoch
     BARRIER_RELEASE = 5  # a=barrier_id, b=notice_count (staged), c=epoch
-    CREDIT = 6  # a=consumed_total
-    APP = 7  # application-defined payload in a..d
 
 
 @dataclass

@@ -13,11 +13,12 @@ page-based shared address space with home-based release consistency:
   barrier releases; notice arrays are bulk-written to a staging ring and
   the control message carries only a count,
 * **control messages** — 128-byte records deposited in per-pair inbox
-  rings with ``NOTIFY | FENCE_BACKWARD``, so a message is only acted on
-  after every earlier operation from that sender (diffs, staged notices)
-  has been applied.  In the 2Lu configuration this is the *only* ordering
-  the DSM requests — data frames flow freely out of order, which is
-  exactly the experiment of the paper's Figure 6.
+  rings (:class:`repro.core.SlotRing`) with ``NOTIFY | FENCE_BACKWARD``,
+  so a message is only acted on after every earlier operation from that
+  sender (diffs, staged notices) has been applied.  In the 2Lu
+  configuration this is the *only* ordering the DSM requests — data frames
+  flow freely out of order, which is exactly the experiment of the paper's
+  Figure 6.
 
 The application-facing API is deliberately explicit (software DSM on a
 simulator has no MMU to trap accesses): programs call
@@ -33,9 +34,7 @@ from typing import Any, Callable, Generator, Optional
 import numpy as np
 
 from ..bench.cluster import Cluster
-from ..core import ConnectionHandle, merge_stats
-from ..core.stats import ConnectionStats
-from ..ethernet import OpFlags
+from ..core import ConnectionHandle, ConnectionStats, SlotRing, merge_stats
 from ..sim import Event, Store
 from .messages import MSG_SLOT_BYTES, Message, MsgType, decode_notices, encode_notices
 from .region import PAGE_SIZE, HomePolicy, PageState, PageTable, SharedRegion
@@ -59,28 +58,6 @@ NOTICE_APPLY_NS = 40
 # fault-ahead without generating the 16-way fetch incast a real
 # fault-driven system never produces.
 FETCH_PIPELINE = 4
-
-
-@dataclass
-class _PeerMailbox:
-    """Sender/receiver state for one directed peer relationship."""
-
-    # Addresses in the *peer's* memory (we write there).
-    peer_inbox_base: int = 0
-    peer_staging_base: int = 0
-    peer_credit_cell: int = 0
-    # Addresses in *our* memory (the peer writes there).
-    my_inbox_base: int = 0
-    my_staging_base: int = 0
-    my_credit_cell: int = 0
-    # RDMA source of our credit updates to the peer, reused for each one.
-    send_credit: int = 0
-    # Flow control.
-    send_seq: int = 0
-    peer_consumed: int = 0
-    recv_seq: int = 0
-    processed: int = 0
-    credit_event: Optional[Event] = None
 
 
 @dataclass
@@ -110,19 +87,30 @@ class DsmRuntime:
         self.cluster = cluster
         self.sim = cluster.sim
         self.n = cluster.config.nodes
-        if self.n > 1:
-            cluster.connect_all_pairs()
         self.regions: dict[int, SharedRegion] = {}
         self._next_region_id = 1
         self.nodes = [DsmNode(self, rank) for rank in range(self.n)]
+        for i in range(self.n):
+            for j in range(i + 1, self.n):
+                self._wire_pair(i, j)
         for node in self.nodes:
-            node._wire_peers()
+            node._start_services()
         if cluster.recovery is not None:
             self.attach_recovery(cluster.recovery)
         # Measurement window.
         self._measure_votes = 0
         self.t_start = 0
         self._node_end: list[int] = [0] * self.n
+
+    def _wire_pair(self, i: int, j: int) -> None:
+        """Connect ``i`` and ``j``: a control-message ring each way, plus a
+        write-notice staging segment per ring slot."""
+        a, b = self.nodes[i], self.nodes[j]
+        here, there = self.cluster.connect(i, j)
+        a._open_mail(j, here)
+        b._open_mail(i, there)
+        SlotRing.link(a._mail[j], b._mail[i])
+        a._peer_staging[j], b._peer_staging[i] = b._staging[i], a._staging[j]
 
     def attach_recovery(self, recovery) -> None:
         """Propagate node crashes into page-cache recovery hooks.
@@ -191,10 +179,7 @@ class DsmRuntime:
         self._measure_votes += 1
         if self._measure_votes == self.n:
             self.t_start = self.sim.now
-            for stack in self.cluster.stacks:
-                stack.node.reset_accounting()
-                for conn in stack.protocol.connections.values():
-                    conn.stats = ConnectionStats()
+            self.cluster.reset_measurement()
             for node in self.nodes:
                 node.stats = DsmNodeStats()
 
@@ -276,7 +261,11 @@ class DsmNode:
         self.page_tables: dict[int, PageTable] = {}
 
         self.conns: dict[int, ConnectionHandle] = {}
-        self._mail: dict[int, _PeerMailbox] = {}
+        self._mail: dict[int, SlotRing] = {}
+        # Write-notice staging, one segment per ring slot: where the peer
+        # stages for us, and where we stage for the peer.
+        self._staging: dict[int, int] = {}
+        self._peer_staging: dict[int, int] = {}
         self._out: Store = Store(self.sim)
 
         # Client-side sync state.
@@ -294,27 +283,20 @@ class DsmNode:
         self._since_barrier: set[tuple[int, int]] = set()
 
     # ------------------------------------------------------------------
-    # Wiring
+    # Services (wired by DsmRuntime._wire_pair)
     # ------------------------------------------------------------------
 
-    def _wire_peers(self) -> None:
-        memory = self.stack.node.memory
-        for peer in range(self.size):
-            if peer == self.rank:
-                continue
-            here, _ = self.runtime.cluster.connect(self.rank, peer)
-            self.conns[peer] = here
-            mb = self._mail.setdefault(peer, _PeerMailbox())
-            mb.my_inbox_base = memory.alloc(INBOX_SLOTS * MSG_SLOT_BYTES)
-            mb.my_staging_base = memory.alloc(INBOX_SLOTS * NOTICE_SEG_BYTES)
-            mb.my_credit_cell = memory.alloc(8)
-            mb.send_credit = memory.alloc(8)
-            # Tell the peer where to write (control-plane setup).
-            peer_node = self.runtime.nodes[peer]
-            peer_mb = peer_node._mail.setdefault(self.rank, _PeerMailbox())
-            peer_mb.peer_inbox_base = mb.my_inbox_base
-            peer_mb.peer_staging_base = mb.my_staging_base
-            peer_mb.peer_credit_cell = mb.my_credit_cell
+    def _open_mail(self, peer: int, conn: ConnectionHandle) -> None:
+        """This node's end of its channel to ``peer``."""
+        self.conns[peer] = conn
+        self._mail[peer] = SlotRing(
+            conn, INBOX_SLOTS, MSG_SLOT_BYTES, SEND_WINDOW, CREDIT_EVERY
+        )
+        self._staging[peer] = conn.node.memory.alloc(
+            INBOX_SLOTS * NOTICE_SEG_BYTES
+        )
+
+    def _start_services(self) -> None:
         if self.size > 1:
             self.sim.process(self._sender(), name=f"dsm.sender{self.rank}")
             for peer in self.conns:
@@ -384,85 +366,60 @@ class DsmNode:
 
     def _sender(self) -> Generator:
         memory = self.stack.node.memory
-        # One message slot and one notice segment serve every send: this
-        # is the node's only sender, and Connection.submit_write copies
-        # the source bytes out when each write is submitted.
-        scratch_msg = memory.alloc(MSG_SLOT_BYTES)
+        # One notice segment serves every send: this is the node's only
+        # sender, and Connection.submit_write copies the source bytes out
+        # when each write is submitted.
         scratch_notices = memory.alloc(NOTICE_SEG_BYTES)
-        while True:
-            peer, msg, notices = yield self._out
-            mb = self._mail[peer]
-            conn = self.conns[peer]
-            while mb.send_seq - mb.peer_consumed >= SEND_WINDOW:
-                mb.credit_event = Event(self.sim)
-                yield mb.credit_event
-            slot = mb.send_seq % INBOX_SLOTS
-            if notices:
-                blob = encode_notices(notices)
-                memory.write(scratch_notices, blob)
-                yield from conn.rdma_write(
-                    scratch_notices,
-                    mb.peer_staging_base + slot * NOTICE_SEG_BYTES,
-                    len(blob),
-                    cpu=self.service_cpu,
-                )
-            memory.write(scratch_msg, msg.encode())
-            yield from conn.rdma_write(
-                scratch_msg,
-                mb.peer_inbox_base + slot * MSG_SLOT_BYTES,
-                MSG_SLOT_BYTES,
-                flags=OpFlags.NOTIFY | OpFlags.FENCE_BACKWARD,
+
+        def stage(slot: int) -> Generator:
+            # Bulk-write the notices of the message being sent (``peer``
+            # and ``notices`` below) to the slot's segment, ahead of the
+            # fence the slot write carries.
+            blob = encode_notices(notices)
+            memory.write(scratch_notices, blob)
+            yield from self.conns[peer].rdma_write(
+                scratch_notices,
+                self._peer_staging[peer] + slot * NOTICE_SEG_BYTES,
+                len(blob),
                 cpu=self.service_cpu,
             )
-            mb.send_seq += 1
+
+        while True:
+            peer, msg, notices = yield self._out
+            yield from self._mail[peer].send(
+                msg.encode(), cpu=self.service_cpu,
+                stage=stage if notices else None,
+            )
             self.stats.messages_sent += 1
 
     def _listener(self, peer: int) -> Generator:
         conn = self.conns[peer]
         memory = self.stack.node.memory
-        mb = self._mail[peer]
+        ring = self._mail[peer]
         cpu = self.service_cpu
         while True:
             note = yield from conn.wait_notification(cpu=cpu)
-            if note.address == mb.my_credit_cell:
-                consumed = int.from_bytes(memory.read(mb.my_credit_cell, 8), "big")
-                mb.peer_consumed = max(mb.peer_consumed, consumed)
-                if mb.credit_event is not None and not mb.credit_event.triggered:
-                    mb.credit_event.trigger()
-                    mb.credit_event = None
+            if ring.absorb_credit(note.address):
                 continue
-            slot = mb.recv_seq % INBOX_SLOTS
-            expected = mb.my_inbox_base + slot * MSG_SLOT_BYTES
-            if note.address != expected:
+            slot = ring.consume(note.address)
+            if slot is None:
                 raise RuntimeError(
-                    f"dsm node {self.rank}: message from {peer} landed at "
-                    f"{note.address:#x}, expected slot {slot} at {expected:#x}"
+                    f"dsm node {self.rank}: write from {peer} landed at "
+                    f"{note.address:#x}, not the next inbox slot"
                 )
-            msg = Message.decode(memory.read(expected, MSG_SLOT_BYTES))
-            mb.recv_seq += 1
-            mb.processed += 1
+            msg = Message.decode(memory.read(note.address, MSG_SLOT_BYTES))
             self.stats.messages_received += 1
             yield from cpu.run(MSG_HANDLE_NS, "dsm")
             notices = []
             if msg.b:
                 blob = memory.read(
-                    mb.my_staging_base + slot * NOTICE_SEG_BYTES, msg.b * 8
+                    self._staging[peer] + slot * NOTICE_SEG_BYTES, msg.b * 8
                 )
                 notices = decode_notices(blob, msg.b)
                 yield from cpu.run(NOTICE_APPLY_NS * msg.b, "dsm")
-            if mb.processed % CREDIT_EVERY == 0:
-                yield from self._send_credit(peer, mb)
+            if ring.credit_due():
+                yield from ring.return_credit()
             self._dispatch(peer, msg, notices)
-
-    def _send_credit(self, peer: int, mb: _PeerMailbox) -> Generator:
-        # Only this peer's listener sends its credits, one at a time.
-        self.stack.node.memory.write(
-            mb.send_credit, mb.recv_seq.to_bytes(8, "big")
-        )
-        yield from self.conns[peer].rdma_write(
-            mb.send_credit, mb.peer_credit_cell, 8, flags=OpFlags.NOTIFY,
-            cpu=self.service_cpu,
-        )
 
     # ------------------------------------------------------------------
     # Message dispatch (manager + client state machines)

@@ -13,7 +13,7 @@ Each node accounts its wall time into the same buckets the paper plots:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["DsmNodeStats", "Breakdown"]
 

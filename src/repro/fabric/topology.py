@@ -24,7 +24,7 @@ backstop against routing storms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from ..ethernet import (

@@ -333,6 +333,8 @@ def run_traffic(
     Flow expansion draws from the dedicated ``fabric-traffic:<seed>``
     stream, so running traffic never perturbs any other subsystem's
     randomness.  Senders run as separate processes from receivers, so
-    eager-ring credit stalls cannot deadlock against unposted receives.
+    eager-ring credit stalls cannot deadlock against unposted receives;
+    a rank's two processes may write one peer's ring at once (the
+    receiver answers rendezvous), and ``SlotRing`` makes them take turns.
     """
     return TrafficRun(cluster, spec, seed=seed, limit_ms=limit_ms).finish()

@@ -28,7 +28,7 @@ from collections import deque
 from typing import Optional
 
 from ..core.connection import Notification, Operation
-from ..ethernet.frame import OpFlags, frame_sizes
+from ..ethernet.frame import frame_sizes
 from .detector import UNSUPPORTED_OP_FLAGS, disqualify_reason
 from .model import PathModel
 from .stats import FastpathStats

@@ -32,12 +32,8 @@ class FastpathStats:
         self.abort_reasons: dict[str, int] = {}
 
     def reset(self) -> None:
-        """Zero every counter in place (measurement-window reset).
-
-        In place because forwarders alias the manager's stats object;
-        benchmarks call this between warmup and measurement alongside the
-        ConnectionStats replacement.
-        """
+        """Zero every counter (``Cluster.reset_measurement()``) — in place,
+        because forwarders alias the manager's stats object."""
         self.__init__()
 
     def deny(self, reason: str) -> None:

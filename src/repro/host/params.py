@@ -19,7 +19,7 @@ single fields.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from ..ethernet import NicParams
 

@@ -10,7 +10,9 @@ built on exactly the same RDMA primitives:
 * **eager protocol** (small messages): the payload is RDMA-written into a
   slot of the receiver's per-peer inbox ring together with a 32-byte
   envelope; the completion notification wakes the receiver's matcher.
-  Slot reuse is governed by credits the receiver returns.
+  The ring, its credits and the turn-taking of its writers are
+  :class:`repro.core.SlotRing`; several processes of one rank may send to
+  the same peer at once.
 * **rendezvous protocol** (large messages): the sender posts a
   request-to-send envelope; when a matching ``recv`` buffer exists, the
   receiver answers clear-to-send with the destination virtual address and
@@ -25,13 +27,13 @@ Matching follows MPI semantics: ``(source, tag)`` with wildcards, FIFO per
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Generator, Optional
 
 from ..bench.cluster import Cluster
-from ..core import ConnectionHandle, PeerCrashed
+from ..core import PeerCrashed, SlotRing
 from ..ethernet import OpFlags
-from ..sim import Event, Simulator, Store
+from ..sim import Event, Simulator
 
 __all__ = ["MpWorld", "MpEndpoint", "MpMessage", "ANY_SOURCE", "ANY_TAG"]
 
@@ -40,6 +42,7 @@ ANY_TAG = -1
 
 SLOT_BYTES = 16_384  # eager ceiling; larger messages rendezvous
 RING_SLOTS = 16
+SEND_WINDOW = RING_SLOTS - 2
 CREDIT_EVERY = 4
 
 # Envelope at the head of every eager slot / control message:
@@ -50,8 +53,6 @@ ENVELOPE_BYTES = _ENVELOPE.size
 KIND_EAGER = 1
 KIND_RTS = 2  # rendezvous request-to-send
 KIND_CTS = 3  # clear-to-send, carries destination address
-KIND_FIN = 4  # rendezvous payload delivered
-KIND_CREDIT = 5
 
 
 @dataclass
@@ -64,26 +65,6 @@ class MpMessage:
 
     def __len__(self) -> int:
         return len(self.data)
-
-
-@dataclass
-class _PeerState:
-    conn: ConnectionHandle
-    # our inbox the peer writes into
-    my_ring_base: int = 0
-    my_credit_cell: int = 0
-    # the peer's inbox we write into
-    peer_ring_base: int = 0
-    peer_credit_cell: int = 0
-    # our send scratch for this peer: RDMA source of one eager slot and of
-    # one credit update (see MpEndpoint._alloc_peer_buffers)
-    send_slot: int = 0
-    send_credit: int = 0
-    send_seq: int = 0
-    peer_consumed: int = 0
-    recv_seq: int = 0
-    processed: int = 0
-    credit_event: Optional[Event] = None
 
 
 @dataclass
@@ -111,12 +92,12 @@ class MpEndpoint:
         self.size = world.size
         self.sim: Simulator = world.cluster.sim
         self.stack = world.cluster.stacks[rank]
-        self._peers: dict[int, _PeerState] = {}
+        self._peers: dict[int, SlotRing] = {}  # wired by MpWorld._wire_pair
         self._unexpected: list[MpMessage] = []
         self._waiting: list[_PendingRecv] = []
-        # Posted receive buffers for rendezvous: (source, tag) matching.
+        # Posted receive buffers of accepted rendezvous transfers.
         self._posted_rdv: list[tuple[int, int, int, int, Event]] = []
-        #   entries: (source, tag, dest_addr, max_size, event)
+        #   entries: (src, msg_id, dest_addr, size, event)
         self._rdv_out: dict[int, _PendingRendezvous] = {}
         # Free rendezvous send scratch as (address, capacity), grow-only.
         self._rdv_scratch: Optional[tuple[int, int]] = None
@@ -126,44 +107,6 @@ class MpEndpoint:
         #   entries: (src, tag, msg_id, size)
         self.stats_sent = 0
         self.stats_received = 0
-
-    # -- wiring ------------------------------------------------------------
-
-    def _alloc_peer_buffers(self, ps: _PeerState) -> None:
-        """Reserve the inbox the peer writes into and our send scratch.
-
-        The scratch is reused for every message to this peer.  That is
-        safe because ``Connection.submit_write`` copies the source bytes
-        out of memory when the operation is submitted, and the next use
-        cannot start before that: slot writes to one peer are serialised
-        by the caller (``send_seq`` only advances after the write is
-        issued, so overlapping ones would already collide on the peer's
-        ring slot), and credits come from the peer's one listener.
-        """
-        memory = self.stack.node.memory
-        ps.my_ring_base = memory.alloc(RING_SLOTS * SLOT_BYTES)
-        ps.my_credit_cell = memory.alloc(8)
-        ps.send_slot = memory.alloc(SLOT_BYTES)
-        ps.send_credit = memory.alloc(8)
-
-    def _wire(self) -> None:
-        for peer in range(self.size):
-            if peer == self.rank:
-                continue
-            here, _ = self.world.cluster.connect(self.rank, peer)
-            ps = self._peers.setdefault(peer, _PeerState(conn=here))
-            ps.conn = here
-            self._alloc_peer_buffers(ps)
-            other = self.world.endpoints[peer]._peers.setdefault(
-                self.rank, _PeerState(conn=None)  # conn fixed when peer wires
-            )
-            other.peer_ring_base = ps.my_ring_base
-            other.peer_credit_cell = ps.my_credit_cell
-        if self.size > 1:
-            for peer in self._peers:
-                self.sim.process(
-                    self._listener(peer), name=f"mp.listen{self.rank}-{peer}"
-                )
 
     # -- send path -----------------------------------------------------------
 
@@ -176,44 +119,24 @@ class MpEndpoint:
         if not isinstance(data, (bytes, bytearray, memoryview)):
             raise TypeError("mp payloads are bytes")
         data = bytes(data)
-        ps = self._peers[dest]
+        ring = self._peers[dest]
         if ENVELOPE_BYTES + len(data) <= SLOT_BYTES:
-            yield from self._send_eager(ps, dest, data, tag)
+            yield from self._send_eager(ring, data, tag)
         else:
-            yield from self._send_rendezvous(ps, dest, data, tag)
+            yield from self._send_rendezvous(ring, dest, data, tag)
         self.stats_sent += 1
 
-    def _slot_write(
-        self, ps: _PeerState, envelope: bytes, payload: bytes = b""
-    ) -> Generator[Any, Any, None]:
-        """Write envelope+payload into the peer's next ring slot."""
-        while ps.send_seq - ps.peer_consumed >= RING_SLOTS - 2:
-            ps.credit_event = Event(self.sim)
-            got = yield ps.credit_event
-            if isinstance(got, PeerCrashed):
-                raise got
-        slot = ps.send_seq % RING_SLOTS
-        blob = envelope + payload
-        self.stack.node.memory.write(ps.send_slot, blob)
-        yield from ps.conn.rdma_write(
-            ps.send_slot,
-            ps.peer_ring_base + slot * SLOT_BYTES,
-            len(blob),
-            flags=OpFlags.NOTIFY | OpFlags.FENCE_BACKWARD,
-        )
-        ps.send_seq += 1
-
     def _send_eager(
-        self, ps: _PeerState, dest: int, data: bytes, tag: int
+        self, ring: SlotRing, data: bytes, tag: int
     ) -> Generator[Any, Any, None]:
         envelope = _ENVELOPE.pack(
             KIND_EAGER, self.rank, tag, self._next_msg_id, len(data), 0
         )
         self._next_msg_id += 1
-        yield from self._slot_write(ps, envelope, data)
+        yield from ring.send(envelope + data)
 
     def _send_rendezvous(
-        self, ps: _PeerState, dest: int, data: bytes, tag: int
+        self, ring: SlotRing, dest: int, data: bytes, tag: int
     ) -> Generator[Any, Any, None]:
         msg_id = self._next_msg_id
         self._next_msg_id += 1
@@ -222,7 +145,7 @@ class MpEndpoint:
         envelope = _ENVELOPE.pack(
             KIND_RTS, self.rank, tag, msg_id, len(data), 0
         )
-        yield from self._slot_write(ps, envelope)
+        yield from ring.send(envelope)
         # CTS handling (in the listener) performs the bulk write; we wait
         # until the payload has been pushed and acknowledged.
         got = yield pending.done
@@ -277,9 +200,8 @@ class MpEndpoint:
         dest = memory.alloc(size)
         fin = Event(self.sim)
         self._posted_rdv.append((src, msg_id, dest, size, fin))
-        ps = self._peers[src]
         envelope = _ENVELOPE.pack(KIND_CTS, self.rank, tag, msg_id, size, dest)
-        yield from self._slot_write(ps, envelope)
+        yield from self._peers[src].send(envelope)
         got = yield fin
         if isinstance(got, PeerCrashed):
             raise got
@@ -288,51 +210,42 @@ class MpEndpoint:
     # -- listener ---------------------------------------------------------------
 
     def _listener(self, peer: int) -> Generator:
-        ps = self._peers[peer]
+        ring = self._peers[peer]
+        conn = ring.conn
         memory = self.stack.node.memory
         cpu = self.stack.node.protocol_cpu
         while True:
-            note = yield from ps.conn.wait_notification(cpu=cpu)
-            if ps.conn.conn.closed:
+            note = yield from conn.wait_notification(cpu=cpu)
+            if conn.conn.closed:
                 # This incarnation died (node crash destroyed the
                 # endpoint); drop the notification and retire.  After a
                 # reconnect, rewire_pair() spawns a fresh listener on
                 # the new endpoints.
                 return
-            if note.address == ps.my_credit_cell:
-                consumed = int.from_bytes(memory.read(ps.my_credit_cell, 8), "big")
-                ps.peer_consumed = max(ps.peer_consumed, consumed)
-                if ps.credit_event is not None and not ps.credit_event.triggered:
-                    ps.credit_event.trigger()
-                    ps.credit_event = None
+            base = note.address
+            if ring.absorb_credit(base):
                 continue
-            # Rendezvous payload landing directly in a posted buffer?
-            handled = False
-            for i, (src, msg_id, dest, size, fin) in enumerate(self._posted_rdv):
-                if note.address == dest and src == peer:
-                    self._posted_rdv.pop(i)
-                    fin.trigger()
-                    handled = True
-                    break
-            if handled:
+            if ring.consume(base) is None:
+                # Not the ring's: a rendezvous payload that landed
+                # directly in a posted buffer.
+                for i, (src, msg_id, dest, size, fin) in enumerate(self._posted_rdv):
+                    if base == dest and src == peer:
+                        self._posted_rdv.pop(i)
+                        fin.trigger()
+                        break
+                else:
+                    raise RuntimeError(
+                        f"mp rank {self.rank}: notification at {base:#x} "
+                        f"matches no ring slot or posted buffer"
+                    )
                 continue
-            # Otherwise: an inbox slot.
-            slot = ps.recv_seq % RING_SLOTS
-            base = ps.my_ring_base + slot * SLOT_BYTES
-            if note.address != base:
-                raise RuntimeError(
-                    f"mp rank {self.rank}: notification at {note.address:#x} "
-                    f"matches no ring slot or posted buffer"
-                )
-            ps.recv_seq += 1
-            ps.processed += 1
             envelope = memory.read(base, ENVELOPE_BYTES)
             kind, src, tag, msg_id, size, addr = _ENVELOPE.unpack(envelope)
-            if ps.processed % CREDIT_EVERY == 0:
+            if ring.credit_due():
                 try:
-                    yield from self._send_credit(ps)
+                    yield from ring.return_credit()
                 except RuntimeError:
-                    if ps.conn.conn.closed:
+                    if conn.conn.closed:
                         return  # crashed mid-credit; listener retires
                     raise
             if kind == KIND_EAGER:
@@ -345,14 +258,14 @@ class MpEndpoint:
                 if pending is None:
                     raise RuntimeError(f"CTS for unknown message {msg_id}")
                 self.sim.process(
-                    self._push_rendezvous(ps, addr, pending),
+                    self._push_rendezvous(ring, addr, pending),
                     name=f"mp.rdv{self.rank}->{peer}",
                 )
             else:
                 raise RuntimeError(f"unknown mp envelope kind {kind}")
 
     def _push_rendezvous(
-        self, ps: _PeerState, dest_addr: int, pending: _PendingRendezvous
+        self, ring: SlotRing, dest_addr: int, pending: _PendingRendezvous
     ) -> Generator:
         memory = self.stack.node.memory
         size = len(pending.data)
@@ -366,7 +279,7 @@ class MpEndpoint:
             scratch = memory.alloc(capacity)
         memory.write(scratch, pending.data)
         cpu = self.stack.node.protocol_cpu
-        h = yield from ps.conn.rdma_write(
+        h = yield from ring.conn.rdma_write(
             scratch, dest_addr, size, flags=OpFlags.NOTIFY, cpu=cpu,
         )
         # Submitted, hence copied out: the scratch is free again.
@@ -374,15 +287,6 @@ class MpEndpoint:
             self._rdv_scratch = (scratch, capacity)
         yield from h.wait()
         pending.done.trigger()
-
-    def _send_credit(self, ps: _PeerState) -> Generator:
-        self.stack.node.memory.write(
-            ps.send_credit, ps.recv_seq.to_bytes(8, "big")
-        )
-        yield from ps.conn.rdma_write(
-            ps.send_credit, ps.peer_credit_cell, 8, flags=OpFlags.NOTIFY,
-            cpu=self.stack.node.protocol_cpu,
-        )
 
     def _deliver(self, msg: MpMessage) -> None:
         for i, waiter in enumerate(self._waiting):
@@ -407,11 +311,7 @@ class MpEndpoint:
         still satisfy them.
         """
         exc = PeerCrashed(-1, peer)
-        ps = self._peers.get(peer)
-        if ps is not None and ps.credit_event is not None:
-            ev, ps.credit_event = ps.credit_event, None
-            if not ev.triggered:
-                ev.trigger(exc)
+        self._peers[peer].fail(exc)
         for waiter in [w for w in self._waiting if w.source == peer]:
             self._waiting.remove(waiter)
             waiter.event.trigger(exc)
@@ -443,8 +343,14 @@ class MpWorld:
         self.cluster = cluster
         self.size = cluster.config.nodes
         self.endpoints = [MpEndpoint(self, rank) for rank in range(self.size)]
+        for i in range(self.size):
+            for j in range(i + 1, self.size):
+                self._wire_pair(i, j)
         for ep in self.endpoints:
-            ep._wire()
+            for peer in ep._peers:
+                ep.sim.process(
+                    ep._listener(peer), name=f"mp.listen{ep.rank}-{peer}"
+                )
         if cluster.recovery is not None:
             self.attach_recovery(cluster.recovery)
 
@@ -458,38 +364,30 @@ class MpWorld:
 
         recovery.subscribe_crash(on_crash)
 
+    def _wire_pair(self, i: int, j: int) -> None:
+        """Build both ends of the ``i``/``j`` eager rings and cross-link them."""
+        ends = [
+            SlotRing(conn, RING_SLOTS, SLOT_BYTES, SEND_WINDOW, CREDIT_EVERY)
+            for conn in self.cluster.connect(i, j)
+        ]
+        self.endpoints[i]._peers[j], self.endpoints[j]._peers[i] = ends
+        SlotRing.link(*ends)
+
     def rewire_pair(self, i: int, j: int) -> None:
         """Rebuild the eager rings between ``i`` and ``j`` after a crash.
 
         A node crash destroys the pair's connection endpoints; once the
         recovery layer has re-dialled and refreshed the cluster's cached
-        handles, the old per-peer state (ring bases, credit cells,
-        sequence counters) refers to a dead incarnation.  This allocates
-        fresh rings on both sides, cross-links them, and spawns new
-        listener processes on the fresh connection.  The old listeners
-        stay parked on the destroyed endpoints' notification queues
-        forever, which is harmless — destroyed connections never notify.
+        handles, the old rings (inboxes, credit cells, sequence counters)
+        refer to a dead incarnation.  This builds fresh rings on both
+        sides and spawns new listener processes on the fresh connection.
+        The old listeners stay parked on the destroyed endpoints'
+        notification queues forever, which is harmless — destroyed
+        connections never notify.
         """
         if i == j:
             raise ValueError("cannot rewire a rank to itself")
-        for rank, peer in ((i, j), (j, i)):
-            ep = self.endpoints[rank]
-            here, _ = self.cluster.connect(rank, peer)
-            ps = _PeerState(conn=here)
-            ep._alloc_peer_buffers(ps)
-            ep._peers[peer] = ps
-        self.endpoints[j]._peers[i].peer_ring_base = (
-            self.endpoints[i]._peers[j].my_ring_base
-        )
-        self.endpoints[j]._peers[i].peer_credit_cell = (
-            self.endpoints[i]._peers[j].my_credit_cell
-        )
-        self.endpoints[i]._peers[j].peer_ring_base = (
-            self.endpoints[j]._peers[i].my_ring_base
-        )
-        self.endpoints[i]._peers[j].peer_credit_cell = (
-            self.endpoints[j]._peers[i].my_credit_cell
-        )
+        self._wire_pair(i, j)
         for rank, peer in ((i, j), (j, i)):
             ep = self.endpoints[rank]
             ep.sim.process(

@@ -9,9 +9,10 @@ cluster + :class:`~repro.mp.MpWorld`:
 * one bounded-queue :class:`~repro.serve.server.ServerLoop` per server
   rank;
 * per-(src, dst) **outboxes** — exactly one sender process per directed
-  pair, because concurrent mp sends to the same peer would race on the
-  eager ring slots.  The process count is fixed at wiring time and
-  independent of request volume: open-loop load at any rate runs on
+  pair, which queues, enforces ``outbox_cap``, is purged on a crash and
+  stamps the dispatch time (not for safety: mp's eager ring serialises
+  concurrent senders itself).  The process count is fixed at wiring time
+  and independent of request volume: open-loop load at any rate runs on
   O(clients x servers) processes.
 
 The runtime is also the measurement plane: per-server mergeable

@@ -20,7 +20,7 @@ def test_message_roundtrip():
 
 
 def test_message_is_slot_sized():
-    assert len(Message(MsgType.CREDIT, 0).encode()) == MSG_SLOT_BYTES
+    assert len(Message(MsgType.LOCK_REQ, 0).encode()) == MSG_SLOT_BYTES
 
 
 def test_all_message_types_roundtrip():

@@ -133,6 +133,19 @@ class TestExecution:
             v for f in cluster.fabrics for v in f.routing_invariants()
         ] == []
 
+    def test_a_rank_sending_while_it_accepts_rendezvous(self):
+        """A rank's sender process and its receiving process (answering
+        clear-to-send) write the same peer's eager ring concurrently; the
+        ring takes turns.  Before it did, seeds 4, 6, 9, 10, 13 and 18 of
+        this matrix died in a listener."""
+        spec = ElephantMice(
+            elephants=12, elephant_bytes=200_000, mice=60, mouse_bytes=8000
+        )
+        for seed in range(20):
+            r = run_traffic(make_cluster("1L-1G", nodes=6, seed=seed), spec, seed=seed)
+            assert r.violations == (), (seed, r.violations)
+            assert r.messages_received == r.flows == 72, seed
+
     def test_hotspot_runs_on_fabric(self):
         r = run_traffic(
             self._cluster(seed=1), Hotspot(targets=1, bytes_per_flow=16384),

@@ -132,3 +132,37 @@ def test_rendezvous_on_lossy_link():
             return msg.data == payload
 
     assert w.run(program, limit_ms=120_000)[1] is True
+
+
+def test_send_loop_overlapping_a_rendezvous_accept_to_the_same_peer():
+    """Two processes of one rank write the same peer's ring at once.
+
+    Rank 0 streams eager messages to rank 1 from one process while its main
+    process accepts a rendezvous *from* rank 1, which sends the
+    clear-to-send through the same ring.  The ring serialises its writers;
+    without that both computed the same slot, the second fill overwrote
+    the shared scratch, and rank 1's listener died with "matches no ring
+    slot or posted buffer".
+    """
+    w = world()
+    eager = [bytes([k + 1]) * 16_000 for k in range(40)]
+    big = b"\x7f" * 100_000
+
+    def program(ep):
+        if ep.rank == 0:
+            def stream():
+                for k, payload in enumerate(eager):
+                    yield from ep.send(1, payload, tag=k)
+
+            tx = ep.sim.process(stream())
+            msg = yield from ep.recv(source=1, tag=99)
+            yield tx
+            return [msg.data]
+        yield from ep.send(0, big, tag=99)
+        got = []
+        for k in range(len(eager)):
+            msg = yield from ep.recv(source=0, tag=k)
+            got.append(msg.data)
+        return got
+
+    assert w.run(program) == [[big], eager]

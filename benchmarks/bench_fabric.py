@@ -38,8 +38,9 @@ import pytest
 from conftest import record
 
 from repro.bench.fabric import run_ecmp_evenness, run_fabric_incast
-from repro.fabric import AllToAll, FatTreeSpec, run_traffic
+from repro.fabric import AllToAll, FatTreeSpec, Permutation, run_traffic
 from repro.bench.cluster import make_cluster
+from repro.control import FaultSchedule, TrunkOutage
 from repro.verify.fuzz import run_family
 
 
@@ -199,11 +200,9 @@ def test_fabric_full():
         "1L-1G", nodes=18, seed=1, synthetic_payloads=False,
         fabric=leaf_spine_3to1(),
     )
-    fabric = cluster2.fabrics[0]
-    cluster2.sim.at(200_000, fabric.fail_trunk, "leaf0.0", "spine0.0",
-                    2_000_000)
-    from repro.fabric import Permutation
-
+    FaultSchedule(
+        [TrunkOutage(200_000, 0, "leaf0.0", "spine0.0", 2_000_000)]
+    ).apply(cluster2)
     r2 = run_traffic(cluster2, Permutation(16_000, rounds=4), seed=1)
     assert not r2.violations, r2.violations
     assert r2.repins > 0, "trunk failure never re-pinned a flow"

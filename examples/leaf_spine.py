@@ -14,6 +14,7 @@ Run:  python examples/leaf_spine.py
 """
 
 from repro.bench.cluster import make_cluster
+from repro.control import FaultSchedule, TrunkOutage
 from repro.fabric import LeafSpineSpec, Permutation, run_traffic
 
 LEAVES = 3
@@ -56,8 +57,10 @@ def main() -> None:
 
     # Fail one trunk mid-run: ECMP re-pins around it, traffic survives.
     cluster2, fabric2 = build()
-    cluster2.sim.at(200_000, fabric2.fail_trunk, "leaf0.0", "spine0.0",
-                    2_000_000)
+    FaultSchedule(
+        [TrunkOutage(at_ns=200_000, rail=0, a="leaf0.0", b="spine0.0",
+                     duration_ns=2_000_000)]
+    ).apply(cluster2)
     r2 = run_traffic(cluster2, Permutation(BYTES_PER_FLOW, rounds=ROUNDS),
                      seed=7)
     repins = sum(sw.repins for sw in fabric2.switches)

@@ -351,10 +351,10 @@ class Cluster:
         """Attach the hybrid-fidelity fast path (idempotent).
 
         Installs a :class:`~repro.fastpath.FastpathManager`: existing and
-        future connections get a flow-level forwarder, and every link,
-        NIC, and switch port gets a discontinuity guard that aborts jumps
-        on faults, ECN marks, queue pressure, or power events.  Returns
-        the manager.
+        future connections get a flow-level forwarder, and every node,
+        link, NIC, and switch port gets a discontinuity guard that aborts
+        jumps on faults, ECN marks, queue pressure, or power events.
+        Returns the manager.
         """
         if self.fastpath is None:
             from ..fastpath import FastpathManager

@@ -18,23 +18,8 @@ concrete for the simulation:
 
 from .adaptive import AdaptiveStriping
 from .detector import DetectorParams, EdgeFailureDetector, EdgeState, EdgeTransition
-from .faults import (
-    AsymmetricPartition,
-    BitErrorRamp,
-    Crash,
-    DegradedLink,
-    FaultEvent,
-    FaultSchedule,
-    FaultScheduleError,
-    Flap,
-    IntermittentDrop,
-    Outage,
-    PermanentFailure,
-    Repair,
-    Restart,
-    SlowNic,
-    SlowNode,
-)
+from . import faults
+from .faults import *  # noqa: F401,F403 - the fault kinds, named once
 from .grayscore import GrayScoreParams, GrayScorer
 from .health import EdgeHealthMonitor, HealthParams
 from .lifecycle import EdgeLifecycleManager
@@ -50,19 +35,5 @@ __all__ = [
     "AdaptiveStriping",
     "GrayScoreParams",
     "GrayScorer",
-    "FaultSchedule",
-    "FaultScheduleError",
-    "FaultEvent",
-    "Outage",
-    "Flap",
-    "BitErrorRamp",
-    "PermanentFailure",
-    "Repair",
-    "Crash",
-    "Restart",
-    "SlowNode",
-    "SlowNic",
-    "DegradedLink",
-    "IntermittentDrop",
-    "AsymmetricPartition",
+    *faults.__all__,
 ]

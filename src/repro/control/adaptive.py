@@ -53,6 +53,12 @@ class AdaptiveStriping(StripingPolicy):
     def score_of(self, rail: int) -> float:
         return self._scores[rail]
 
+    def snapshot(self):
+        return self._cursor, list(self._charged)
+
+    def restore(self, saved) -> None:
+        self._cursor, self._charged = saved[0], list(saved[1])
+
     def next_rail(self, wire_bytes: int = 0) -> Optional[int]:
         nics = self.nics
         masked = self.masked

@@ -2,8 +2,8 @@
 
 Instead of sprinkling ``sim.schedule(t, link.fail_for, d)`` calls through
 every experiment script, a :class:`FaultSchedule` is a list of fault
-*events* — plain dataclasses naming a ``(node, rail)`` edge and a start
-time — applied to a :class:`~repro.bench.cluster.Cluster` before the run:
+*events* — frozen dataclasses naming a target and a start time — applied
+to a :class:`~repro.bench.cluster.Cluster` before the run:
 
 >>> schedule = FaultSchedule([
 ...     Outage(at_ns=2_000_000, node=0, rail=0, duration_ns=5_000_000),
@@ -18,29 +18,29 @@ port does in practice.  *Gray* faults degrade without killing: a node's
 CPU slows (:class:`SlowNode`), a NIC drains its TX ring late
 (:class:`SlowNic`), a link gets noisy and jittery (:class:`DegradedLink`),
 drops frames in bursts (:class:`IntermittentDrop`), or blackholes one
-direction only (:class:`AsymmetricPartition`).  Every event is
-deterministic: the schedule only installs simulator timers, and gray
-randomness (burst loss, jitter) draws from dedicated per-link RNG
-streams that exist only while the fault is active, so same seed + same
-schedule = same run and a schedule without gray events is byte-identical
-to one built before they existed.
+direction only (:class:`AsymmetricPartition`).  *Trunk* faults hit a
+switch-to-switch cable of a :mod:`repro.fabric` fabric.  A kind is one
+class (:class:`FaultEvent` is the whole contract) and the impairment is
+the hit device's own: the timers only call ``Cable``, ``Nic``, ``Node``
+and ``Fabric`` methods.  Every event is deterministic: gray randomness
+(burst loss, jitter) draws from dedicated per-link RNG streams that exist
+only while the fault is active, so same seed + same schedule = same run
+and a schedule without gray events is byte-identical to one built before
+they existed.
 
-Schedules are validated at :meth:`FaultSchedule.apply` time: overlapping
-or contradictory windows on the same target (two gray windows on one
-edge, a Crash inside an impairment window, a double-Crash with no
-Restart between) raise a typed :class:`FaultScheduleError` naming the
-conflicting events instead of silently producing a run whose fault
-timeline means something other than what was written.
+Schedules are validated at :meth:`FaultSchedule.apply` time
+(:meth:`FaultSchedule.validate` lists the conflicts): a contradictory one
+raises a typed :class:`FaultScheduleError` instead of silently producing
+a run whose fault timeline means something other than what was written.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..bench.cluster import Cluster
-    from ..ethernet.link import Cable
 
 __all__ = [
     "Outage",
@@ -55,6 +55,8 @@ __all__ = [
     "DegradedLink",
     "IntermittentDrop",
     "AsymmetricPartition",
+    "TrunkOutage",
+    "TrunkDrain",
     "FaultEvent",
     "FaultSchedule",
     "FaultScheduleError",
@@ -70,17 +72,106 @@ class FaultScheduleError(ValueError):
 
 
 @dataclass(frozen=True)
-class Outage:
-    """Transient outage: the edge drops every frame for ``duration_ns``."""
+class FaultEvent:
+    """What a fault states about itself; the schedule reads nothing else.
+
+    * ``at_ns`` — when it starts.
+    * ``target`` — what it hits: ``("node", n)``, ``("edge", n, rail)`` or
+      ``("trunk", rail, a, b)``; ``node`` is the node whose crash it must
+      not straddle (``None`` for a trunk), and ``locate(cluster)`` finds
+      the target or raises ``ValueError``.
+    * ``window`` — the ``[start, end)`` it stays active for, ``None`` if
+      pointlike; ``exclusive`` when its end restores what its start
+      changed, so a second such window on the target may not overlap it.
+    * ``timers(cluster)`` — the ``(time, callback, *args)`` that carry it
+      out, calling methods of the device it hits.
+    """
 
     at_ns: int
-    node: int
-    rail: int
-    duration_ns: int
+
+    # Un-annotated, so constants of the kind and not dataclass fields.
+    exclusive = False
+    window = None
 
 
 @dataclass(frozen=True)
-class Flap:
+class _Lasting:
+    """Active for ``duration_ns`` (the field after the target's) from ``at_ns``."""
+
+    duration_ns: int
+
+    @property
+    def window(self) -> tuple[int, int]:
+        return (self.at_ns, self.at_ns + self.duration_ns)
+
+
+class _Exclusive(_Lasting):
+    """A gray window or a drain: its end restores, so it excludes another."""
+
+    exclusive = True
+
+    def __post_init__(self) -> None:
+        if self.duration_ns <= 0:
+            raise ValueError("duration_ns must be positive")
+
+    def switch(self, on: tuple, off: tuple) -> list:
+        """The timers of a change made at the start and undone at the end."""
+        start, end = self.window
+        return [(start, *on), (end, *off)]
+
+
+@dataclass(frozen=True)
+class _Slowdown(_Exclusive):
+    """The device runs ``factor`` times slower for the window."""
+
+    factor: float = 4.0
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.factor < 1.0:
+            raise ValueError("factor must be >= 1 (1 = no slowdown)")
+
+
+@dataclass(frozen=True)
+class _NodeFault(FaultEvent):
+    node: int
+
+    @property
+    def target(self) -> tuple:
+        return ("node", self.node)
+
+    def locate(self, cluster: "Cluster"):
+        if not 0 <= self.node < len(cluster.stacks):
+            raise ValueError(f"no node {self.node} in the cluster")
+        return cluster.stacks[self.node].node
+
+
+@dataclass(frozen=True)
+class _EdgeFault(FaultEvent):
+    node: int
+    rail: int
+
+    @property
+    def target(self) -> tuple:
+        return ("edge", self.node, self.rail)
+
+    def locate(self, cluster: "Cluster"):
+        return cluster.cable(self.node, self.rail)
+
+    def nic(self, cluster: "Cluster"):
+        return cluster.stacks[self.node].node.nics[self.rail]
+
+
+@dataclass(frozen=True)
+class Outage(_Lasting, _EdgeFault):
+    """Transient outage: the edge drops every frame for ``duration_ns``."""
+
+    def timers(self, cluster):
+        return [(self.at_ns, self.locate(cluster).fail_for, self.duration_ns)]
+
+
+@dataclass(frozen=True)
+class Flap(_EdgeFault):
     """A flapping edge: ``count`` outages of ``down_ns`` every ``period_ns``.
 
     The k-th outage starts at ``at_ns + k * period_ns``.  ``down_ns`` must
@@ -88,9 +179,6 @@ class Flap:
     disguise — use :class:`PermanentFailure`).
     """
 
-    at_ns: int
-    node: int
-    rail: int
     period_ns: int
     down_ns: int
     count: int
@@ -101,46 +189,59 @@ class Flap:
         if not 0 < self.down_ns <= self.period_ns:
             raise ValueError("need 0 < down_ns <= period_ns")
 
+    @property
+    def window(self) -> tuple[int, int]:
+        last = self.at_ns + (self.count - 1) * self.period_ns
+        return (self.at_ns, last + self.down_ns)
+
+    def timers(self, cluster):
+        cable = self.locate(cluster)
+        return [
+            (self.at_ns + k * self.period_ns, cable.fail_for, self.down_ns)
+            for k in range(self.count)
+        ]
+
 
 @dataclass(frozen=True)
-class BitErrorRamp:
+class BitErrorRamp(_EdgeFault):
     """Raise the edge's bit-error rate at ``at_ns`` (until a Repair).
 
-    The link's shared :class:`~repro.ethernet.LinkParams` is *copied*
-    before mutation so the ramp affects only the targeted edge, never the
-    whole cluster.
+    The override is the link's own, so the ramp affects only the
+    targeted edge, never the cluster's shared
+    :class:`~repro.ethernet.LinkParams`.  While a :class:`DegradedLink`
+    lasts on the same edge, the degradation's rate applies instead.
     """
 
-    at_ns: int
-    node: int
-    rail: int
     bit_error_rate: float
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.bit_error_rate < 1.0:
             raise ValueError("bit_error_rate must be in [0, 1)")
 
+    def timers(self, cluster):
+        cable = self.locate(cluster)
+        return [(self.at_ns, cable.set_bit_error_rate, self.bit_error_rate)]
+
 
 @dataclass(frozen=True)
-class PermanentFailure:
+class PermanentFailure(_EdgeFault):
     """Kill the edge outright (until a Repair, if any)."""
 
-    at_ns: int
-    node: int
-    rail: int
+    def timers(self, cluster):
+        return [(self.at_ns, self.locate(cluster).fail_forever)]
 
 
 @dataclass(frozen=True)
-class Repair:
-    """End any outage and restore the original bit-error rate."""
+class Repair(_EdgeFault):
+    """End any outage and any :class:`BitErrorRamp` on the edge (a gray
+    window runs to its own end)."""
 
-    at_ns: int
-    node: int
-    rail: int
+    def timers(self, cluster):
+        return [(self.at_ns, self.locate(cluster).repair)]
 
 
 @dataclass(frozen=True)
-class Crash:
+class Crash(_NodeFault):
     """Whole-node fail-stop crash at ``at_ns`` (all rails, all state).
 
     Handled by :class:`repro.recovery.ClusterRecovery` (enabled on the
@@ -150,12 +251,12 @@ class Crash:
     :class:`~repro.core.PeerCrashed`.
     """
 
-    at_ns: int
-    node: int
+    def timers(self, cluster):
+        return [(self.at_ns, cluster.enable_crash_recovery().crash, self.node)]
 
 
 @dataclass(frozen=True)
-class Restart:
+class Restart(_NodeFault):
     """Reboot a crashed node ``delay_ns`` after ``at_ns``.
 
     The node comes back as a *new incarnation*: its incarnation number is
@@ -163,17 +264,19 @@ class Restart:
     dead incarnation.  ``delay_ns`` models boot time.
     """
 
-    at_ns: int
-    node: int
     delay_ns: int = 0
 
     def __post_init__(self) -> None:
         if self.delay_ns < 0:
             raise ValueError("delay_ns must be >= 0")
 
+    def timers(self, cluster):
+        restart = cluster.enable_crash_recovery().restart
+        return [(self.at_ns + self.delay_ns, restart, self.node)]
+
 
 @dataclass(frozen=True)
-class SlowNode:
+class SlowNode(_Slowdown, _NodeFault):
     """Gray fault: the node's CPU runs slow for ``duration_ns``.
 
     Service times at the node's :class:`~repro.serve.ServerLoop` stretch
@@ -183,20 +286,13 @@ class SlowNode:
     failure detector fires — this is the canonical gray failure.
     """
 
-    at_ns: int
-    node: int
-    duration_ns: int
-    factor: float = 4.0
-
-    def __post_init__(self) -> None:
-        if self.factor < 1.0:
-            raise ValueError("factor must be >= 1 (1 = no slowdown)")
-        if self.duration_ns <= 0:
-            raise ValueError("duration_ns must be positive")
+    def timers(self, cluster):
+        slow = self.locate(cluster).set_slowdown
+        return self.switch((slow, self.factor), (slow, 1.0))
 
 
 @dataclass(frozen=True)
-class SlowNic:
+class SlowNic(_Slowdown, _EdgeFault):
     """Gray fault: the NIC drains its TX ring ``factor``x slower.
 
     Every frame's serialisation time is stretched, so the ring backs up,
@@ -204,46 +300,41 @@ class SlowNic:
     without a single loss.
     """
 
-    at_ns: int
-    node: int
-    rail: int
-    duration_ns: int
-    factor: float = 4.0
-
-    def __post_init__(self) -> None:
-        if self.factor < 1.0:
-            raise ValueError("factor must be >= 1 (1 = no slowdown)")
-        if self.duration_ns <= 0:
-            raise ValueError("duration_ns must be positive")
+    def timers(self, cluster):
+        throttle = self.nic(cluster).set_tx_throttle
+        return self.switch((throttle, self.factor), (throttle, 1.0))
 
 
 @dataclass(frozen=True)
-class DegradedLink:
+class DegradedLink(_Exclusive, _EdgeFault):
     """Gray fault: elevated bit errors + latency jitter, link stays up.
 
-    Both directions of the edge get a private :class:`LinkParams` copy
-    with ``bit_error_rate`` raised and a uniform ``[0, jitter_ns)`` delay
-    added per frame from the link's dedicated ``.grayjitter`` RNG stream.
+    Both directions of the edge run at ``bit_error_rate`` (when non-zero,
+    and whatever a :class:`BitErrorRamp` says) with a uniform
+    ``[0, jitter_ns)`` delay added per frame from the link's dedicated
+    ``.grayjitter`` RNG stream.
     """
 
-    at_ns: int
-    node: int
-    rail: int
-    duration_ns: int
     bit_error_rate: float = 1e-6
     jitter_ns: int = 0
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if not 0.0 <= self.bit_error_rate < 1.0:
             raise ValueError("bit_error_rate must be in [0, 1)")
         if self.jitter_ns < 0:
             raise ValueError("jitter_ns must be >= 0")
-        if self.duration_ns <= 0:
-            raise ValueError("duration_ns must be positive")
+
+    def timers(self, cluster):
+        cable = self.locate(cluster)
+        return self.switch(
+            (cable.degrade, self.bit_error_rate, self.jitter_ns),
+            (cable.clear_degraded,),
+        )
 
 
 @dataclass(frozen=True)
-class IntermittentDrop:
+class IntermittentDrop(_Exclusive, _EdgeFault):
     """Gray fault: seeded burst loss (a two-state Gilbert model).
 
     While active the link flips between a good state and a loss burst;
@@ -252,24 +343,26 @@ class IntermittentDrop:
     ``.graydrop`` RNG stream, so runs without this fault never touch it.
     """
 
-    at_ns: int
-    node: int
-    rail: int
-    duration_ns: int
     drop_p: float = 0.05
     burst_len: float = 4.0
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if not 0.0 < self.drop_p < 1.0:
             raise ValueError("drop_p must be in (0, 1)")
         if self.burst_len < 1.0:
             raise ValueError("burst_len must be >= 1")
-        if self.duration_ns <= 0:
-            raise ValueError("duration_ns must be positive")
+
+    def timers(self, cluster):
+        cable = self.locate(cluster)
+        return self.switch(
+            (cable.degrade, 0.0, 0, self.drop_p, self.burst_len),
+            (cable.clear_degraded,),
+        )
 
 
 @dataclass(frozen=True)
-class AsymmetricPartition:
+class AsymmetricPartition(_Exclusive, _EdgeFault):
     """Gray fault: blackhole one *direction* of an edge.
 
     ``direction="tx"`` kills frames leaving the node (requests vanish,
@@ -278,41 +371,65 @@ class AsymmetricPartition:
     keeps ARP-style liveness alive while the data path is dead.
     """
 
-    at_ns: int
-    node: int
-    rail: int
-    duration_ns: int
     direction: str = "tx"
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.direction not in ("tx", "rx"):
             raise ValueError('direction must be "tx" or "rx"')
-        if self.duration_ns <= 0:
-            raise ValueError("duration_ns must be positive")
+
+    def timers(self, cluster):
+        cable = self.locate(cluster)
+        link = cable.link_from(self.nic(cluster))
+        if self.direction == "rx":
+            link = cable.ab if link is cable.ba else cable.ba
+        return [(self.at_ns, link.fail_for, self.duration_ns)]
 
 
-FaultEvent = Union[
-    Outage, Flap, BitErrorRamp, PermanentFailure, Repair, Crash, Restart,
-    SlowNode, SlowNic, DegradedLink, IntermittentDrop, AsymmetricPartition,
-]
+@dataclass(frozen=True)
+class _TrunkFault(FaultEvent):
+    """A fault on the trunk between switches ``a`` and ``b`` (either
+    order) of rail ``rail``'s :class:`~repro.fabric.Fabric`."""
 
-# Gray events whose effect spans a [at_ns, at_ns + duration_ns) window on
-# one (node, rail) edge — used by the overlap validator.
-_GRAY_EDGE_EVENTS = (DegradedLink, IntermittentDrop, AsymmetricPartition, SlowNic)
+    rail: int
+    a: str
+    b: str
+
+    node = None
+
+    @property
+    def target(self) -> tuple:
+        return ("trunk", self.rail, *sorted((self.a, self.b)))
+
+    def locate(self, cluster: "Cluster"):
+        if not 0 <= self.rail < len(cluster.fabrics):
+            raise ValueError(f"no fabric on rail {self.rail}")
+        fabric = cluster.fabrics[self.rail]
+        fabric.trunk(self.a, self.b)  # ValueError when there is none
+        return fabric
 
 
-def _window(ev) -> Optional[tuple[int, int]]:
-    """The [start, end) active window of an event, None if pointlike."""
-    if isinstance(ev, Outage):
-        return (ev.at_ns, ev.at_ns + ev.duration_ns)
-    if isinstance(ev, Flap):
-        return (
-            ev.at_ns,
-            ev.at_ns + (ev.count - 1) * ev.period_ns + ev.down_ns,
+@dataclass(frozen=True)
+class TrunkOutage(_Lasting, _TrunkFault):
+    """The trunk cable fails for ``duration_ns``: frames in flight die,
+    ECMP re-pins around it (:meth:`~repro.fabric.Fabric.fail_trunk`)."""
+
+    def timers(self, cluster):
+        fail = self.locate(cluster).fail_trunk
+        return [(self.at_ns, fail, self.a, self.b, self.duration_ns)]
+
+
+@dataclass(frozen=True)
+class TrunkDrain(_Exclusive, _TrunkFault):
+    """The trunk is administratively drained on both ends for
+    ``duration_ns``: frames in flight still arrive, new flows re-pin
+    (:meth:`~repro.fabric.Fabric.set_trunk_enabled`)."""
+
+    def timers(self, cluster):
+        enable = self.locate(cluster).set_trunk_enabled
+        return self.switch(
+            (enable, self.a, self.b, False), (enable, self.a, self.b, True)
         )
-    if isinstance(ev, (SlowNode, *_GRAY_EDGE_EVENTS)):
-        return (ev.at_ns, ev.at_ns + ev.duration_ns)
-    return None
 
 
 class FaultSchedule:
@@ -331,14 +448,13 @@ class FaultSchedule:
 
     def __init__(self, events: Sequence[FaultEvent] = ()) -> None:
         self.events: list[FaultEvent] = list(events)
-        self._applied = False
         # Parallel to self.events once applied: the cancellable queue
         # entries installed for each fault (a Flap installs several).
         self._handles: list[list] = []
-        self._sim = None
+        self._sim = None  # the simulator applied to; None until then
 
     def add(self, event: FaultEvent) -> "FaultSchedule":
-        if self._applied:
+        if self._sim is not None:
             raise RuntimeError("schedule already applied; build a new one")
         self.events.append(event)
         return self
@@ -348,10 +464,10 @@ class FaultSchedule:
 
         Three classes of conflict, each previously accepted silently:
 
-        * two gray windows on the same ``(node, rail)`` edge (or two
-          :class:`SlowNode` windows on the same node) that overlap in
-          time — the second would clobber the first's saved pristine
-          state on expiry;
+        * two :attr:`~FaultEvent.exclusive` windows on one target (two
+          gray windows on an edge or a node, two drains of a trunk) that
+          overlap in time — the first's end would restore the target
+          under the second;
         * a :class:`Crash` inside any impairment window targeting the
           same node — the window's expiry timer would "repair" hardware
           that no longer exists (and the window meant to degrade a live
@@ -367,27 +483,24 @@ class FaultSchedule:
                 f"conflicting fault events: #{i} {a!r} and #{j} {b!r} ({why})"
             )
 
-        # -- overlapping gray windows on one target ------------------------
-        windowed = [
-            (i, ev) for i, ev in events
-            if isinstance(ev, (SlowNode, *_GRAY_EDGE_EVENTS))
-        ]
+        # -- overlapping exclusive windows on one target -------------------
+        windowed = [(i, ev) for i, ev in events if ev.exclusive]
         for k, (i, a) in enumerate(windowed):
-            ka = (a.node, getattr(a, "rail", None))
-            sa, ea = _window(a)
+            sa, ea = a.window
             for j, b in windowed[k + 1:]:
-                if (b.node, getattr(b, "rail", None)) != ka:
-                    continue
-                sb, eb = _window(b)
-                if sa < eb and sb < ea:
-                    clash(i, a, j, b, "overlapping gray windows on one target")
+                sb, eb = b.window
+                if b.target == a.target and sa < eb and sb < ea:
+                    clash(
+                        i, a, j, b,
+                        "overlapping gray windows or drains on one target",
+                    )
 
         # -- a crash inside an impairment window of the same node ----------
         for i, ev in events:
             if not isinstance(ev, Crash):
                 continue
             for j, other in events:
-                win = _window(other)
+                win = other.window
                 if win is None or other.node != ev.node:
                     continue
                 if win[0] <= ev.at_ns < win[1]:
@@ -397,147 +510,41 @@ class FaultSchedule:
                     )
 
         # -- crash/restart ordering per node -------------------------------
-        per_node: dict[int, list] = {}
-        for i, ev in events:
-            if isinstance(ev, Crash):
-                per_node.setdefault(ev.node, []).append((ev.at_ns, 0, i, ev))
-            elif isinstance(ev, Restart):
-                per_node.setdefault(ev.node, []).append(
-                    (ev.at_ns + ev.delay_ns, 1, i, ev)
+        # In effect order (a Restart at at_ns + delay_ns; a Crash first on
+        # a tie), two crashes of one node may not be neighbours.
+        timeline = sorted(
+            (ev.node, ev.at_ns, 0, i, ev) if isinstance(ev, Crash)
+            else (ev.node, ev.at_ns + ev.delay_ns, 1, i, ev)
+            for i, ev in events
+            if isinstance(ev, (Crash, Restart))
+        )
+        for (n1, _, r1, i, a), (n2, _, r2, j, b) in zip(timeline, timeline[1:]):
+            if n1 == n2 and not r1 and not r2:
+                clash(
+                    i, a, j, b,
+                    "second crash with no restart taking effect in between",
                 )
-        for timeline in per_node.values():
-            timeline.sort(key=lambda t: (t[0], t[1]))
-            last_crash = None
-            for _t, _kind, i, ev in timeline:
-                if isinstance(ev, Crash):
-                    if last_crash is not None:
-                        clash(
-                            last_crash[0], last_crash[1], i, ev,
-                            "second crash with no restart taking effect "
-                            "in between",
-                        )
-                    last_crash = (i, ev)
-                else:
-                    last_crash = None
 
     def apply(self, cluster: "Cluster") -> None:
-        """Install every event as simulator timers on ``cluster``."""
-        if self._applied:
+        """Install every event as simulator timers on ``cluster``.
+
+        Nothing is touched before the schedule is known to be consistent
+        and every target to exist; a missing one raises ``ValueError``
+        naming the event, and the schedule can still be corrected.
+        """
+        if self._sim is not None:
             raise RuntimeError("schedule already applied; build a new one")
         self.validate()
-        self._applied = True
+        for i, ev in enumerate(self.events):
+            try:
+                ev.locate(cluster)
+            except ValueError as exc:
+                raise ValueError(f"fault #{i} {ev!r}: {exc}") from None
         sim = self._sim = cluster.sim
-        for ev in self.events:
-            handles: list = []
-            self._handles.append(handles)
-            # Node-scoped events first: they have no rail and no cable.
-            if isinstance(ev, SlowNode):
-                if not 0 <= ev.node < len(cluster.nodes):
-                    raise ValueError(f"no node {ev.node} in the cluster")
-                node = cluster.nodes[ev.node]
-                handles.append(
-                    sim.schedule_cancellable(
-                        ev.at_ns, _slow_node_start, node, ev.factor
-                    )
-                )
-                handles.append(
-                    sim.schedule_cancellable(
-                        ev.at_ns + ev.duration_ns, _slow_node_end, node
-                    )
-                )
-                continue
-            if isinstance(ev, Crash):
-                recovery = cluster.enable_crash_recovery()
-                handles.append(
-                    sim.schedule_cancellable(ev.at_ns, recovery.crash, ev.node)
-                )
-                continue
-            if isinstance(ev, Restart):
-                recovery = cluster.enable_crash_recovery()
-                handles.append(
-                    sim.schedule_cancellable(
-                        ev.at_ns + ev.delay_ns, recovery.restart, ev.node
-                    )
-                )
-                continue
-            cable = cluster.cable(ev.node, ev.rail)
-            if isinstance(ev, Outage):
-                handles.append(
-                    sim.schedule_cancellable(
-                        ev.at_ns, cable.fail_for, ev.duration_ns
-                    )
-                )
-            elif isinstance(ev, Flap):
-                for k in range(ev.count):
-                    handles.append(
-                        sim.schedule_cancellable(
-                            ev.at_ns + k * ev.period_ns,
-                            cable.fail_for,
-                            ev.down_ns,
-                        )
-                    )
-            elif isinstance(ev, BitErrorRamp):
-                handles.append(
-                    sim.schedule_cancellable(
-                        ev.at_ns, _set_ber, cable, ev.bit_error_rate
-                    )
-                )
-            elif isinstance(ev, PermanentFailure):
-                handles.append(
-                    sim.schedule_cancellable(ev.at_ns, cable.fail_forever)
-                )
-            elif isinstance(ev, Repair):
-                handles.append(
-                    sim.schedule_cancellable(ev.at_ns, _repair, cable)
-                )
-            elif isinstance(ev, SlowNic):
-                nic = cluster.nodes[ev.node].nics[ev.rail]
-                handles.append(
-                    sim.schedule_cancellable(
-                        ev.at_ns, _slow_nic_start, nic, ev.factor
-                    )
-                )
-                handles.append(
-                    sim.schedule_cancellable(
-                        ev.at_ns + ev.duration_ns, _slow_nic_end, nic
-                    )
-                )
-            elif isinstance(ev, DegradedLink):
-                handles.append(
-                    sim.schedule_cancellable(
-                        ev.at_ns, _degrade_start, cable,
-                        ev.bit_error_rate, ev.jitter_ns, 0.0, 1.0,
-                    )
-                )
-                handles.append(
-                    sim.schedule_cancellable(
-                        ev.at_ns + ev.duration_ns, _degrade_end, cable
-                    )
-                )
-            elif isinstance(ev, IntermittentDrop):
-                handles.append(
-                    sim.schedule_cancellable(
-                        ev.at_ns, _degrade_start, cable,
-                        0.0, 0, ev.drop_p, ev.burst_len,
-                    )
-                )
-                handles.append(
-                    sim.schedule_cancellable(
-                        ev.at_ns + ev.duration_ns, _degrade_end, cable
-                    )
-                )
-            elif isinstance(ev, AsymmetricPartition):
-                nic = cluster.nodes[ev.node].nics[ev.rail]
-                link = cable.link_from(nic)
-                if ev.direction == "rx":
-                    link = cable.ab if link is cable.ba else cable.ba
-                handles.append(
-                    sim.schedule_cancellable(
-                        ev.at_ns, link.fail_for, ev.duration_ns
-                    )
-                )
-            else:
-                raise TypeError(f"unknown fault event {ev!r}")
+        self._handles = [
+            [sim.schedule_cancellable(*timer) for timer in ev.timers(cluster)]
+            for ev in self.events
+        ]
 
     def cancel_pending(self, index: int) -> None:
         """Withdraw fault ``index`` before any of its timers have fired.
@@ -548,7 +555,7 @@ class FaultSchedule:
         this by only routing candidates through a checkpoint taken before
         the dropped fault's start time.
         """
-        if not self._applied:
+        if self._sim is None:
             raise RuntimeError("schedule not applied yet")
         ev = self.events[index]
         if ev.at_ns <= self._sim.now:
@@ -558,67 +565,3 @@ class FaultSchedule:
             )
         for entry in self._handles[index]:
             self._sim.cancel_scheduled(entry)
-
-
-def _set_ber(cable: "Cable", rate: float) -> None:
-    # LinkParams is shared across the whole cluster; give each direction a
-    # private copy so the ramp stays scoped to this one edge.
-    for link in (cable.ab, cable.ba):
-        if not hasattr(link, "_pristine_params"):
-            link._pristine_params = link.params
-        link.params = replace(link._pristine_params, bit_error_rate=rate)
-
-
-def _repair(cable: "Cable") -> None:
-    cable.repair()
-    for link in (cable.ab, cable.ba):
-        pristine = getattr(link, "_pristine_params", None)
-        if pristine is not None:
-            link.params = pristine
-
-
-# -- gray fault actuators --------------------------------------------------
-
-
-def _slow_node_start(node, factor: float) -> None:
-    node.gray_slow_factor = factor
-    # Extra protocol-CPU cost per pumped frame, billed under its own
-    # accounting tag (see Connection.pump) so pump-CPU conservation holds.
-    node.gray_pump_extra_ns = int(
-        node.params.per_frame_send_ns * (factor - 1.0)
-    )
-
-
-def _slow_node_end(node) -> None:
-    node.gray_slow_factor = 1.0
-    node.gray_pump_extra_ns = 0
-
-
-def _slow_nic_start(nic, factor: float) -> None:
-    nic.set_tx_throttle(factor)
-
-
-def _slow_nic_end(nic) -> None:
-    nic.set_tx_throttle(1.0)
-
-
-def _degrade_start(
-    cable: "Cable", ber: float, jitter_ns: int, drop_p: float, burst_len: float
-) -> None:
-    for link in (cable.ab, cable.ba):
-        if ber > 0.0:
-            if not hasattr(link, "_pristine_params"):
-                link._pristine_params = link.params
-            link.params = replace(link._pristine_params, bit_error_rate=ber)
-            link._gray_ber_raised = True
-        link.degrade(jitter_ns=jitter_ns, drop_p=drop_p, burst_len=burst_len)
-
-
-def _degrade_end(cable: "Cable") -> None:
-    for link in (cable.ab, cable.ba):
-        if getattr(link, "_gray_ber_raised", False):
-            link._gray_ber_raised = False
-            pristine = getattr(link, "_pristine_params", None)
-            if pristine is not None:
-                link.params = pristine
-        link.clear_degraded()

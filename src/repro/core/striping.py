@@ -86,6 +86,15 @@ class StripingPolicy:
         """
         raise NotImplementedError
 
+    def snapshot(self):
+        """What :meth:`next_rail` mutates, for :meth:`restore` to put back
+        (the fast path plans ahead by asking, and rewinds on an abort).
+        A policy whose ``next_rail`` keeps state overrides both."""
+        return None
+
+    def restore(self, saved) -> None:
+        pass
+
     def control_rail(self) -> Optional[int]:
         """Rail for a control frame (explicit ACK / NACK), or None.
 
@@ -142,6 +151,12 @@ class RoundRobinStriping(StripingPolicy):
             self._assigned_bytes[rail] = max(
                 self._assigned_bytes[rail], min(others)
             )
+
+    def snapshot(self):
+        return self._cursor, list(self._assigned_bytes)
+
+    def restore(self, saved) -> None:
+        self._cursor, self._assigned_bytes = saved[0], list(saved[1])
 
     def next_rail(self, wire_bytes: int = 0) -> Optional[int]:
         nics = self.nics

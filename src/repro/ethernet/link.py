@@ -17,7 +17,7 @@ callback and a ``mac`` address.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Protocol
 
 from ..sim import RngRegistry, Simulator
@@ -68,7 +68,12 @@ class Link:
         name: str = "link",
     ) -> None:
         self.sim = sim
-        self.params = params
+        # ``params`` is what the wire does now: the LinkParams it was built
+        # with (shared by the whole cluster) unless a bit-error fault holds
+        # a private copy — see _changed().
+        self.params = self._built = params
+        self._ramp_params: Optional[LinkParams] = None
+        self._gray_params: Optional[LinkParams] = None
         self.rng = rng or RngRegistry(0)
         self.name = name
         self.receiver: Optional[LinkEndpoint] = None
@@ -101,42 +106,67 @@ class Link:
     def fail_for(self, duration_ns: int) -> None:
         """Start a transient outage: frames sent before ``now + duration`` die."""
         self._failed_until = max(self._failed_until, self.sim.now + duration_ns)
-        self._bump_fastpath("link-outage")
+        self._changed("link-outage")
 
     def fail_forever(self) -> None:
         """Permanent failure: every frame dies until :meth:`repair`."""
         self._failed_until = 1 << 62
-        self._bump_fastpath("link-outage")
+        self._changed("link-outage")
 
     def repair(self) -> None:
-        """End any outage immediately (cable replaced / port re-enabled)."""
+        """Cable replaced / port re-enabled: end any outage now and drop
+        the bit-error override.  A gray degradation runs to its own end."""
         self._failed_until = -1
-        self._bump_fastpath("link-repair")
+        self._ramp_params = None
+        self._changed("link-repair")
+
+    def set_bit_error_rate(self, rate: float) -> None:
+        """Override the built-in bit-error rate until :meth:`repair`."""
+        self._ramp_params = replace(self._built, bit_error_rate=rate)
+        self._changed("link-bit-errors")
 
     def degrade(
-        self, jitter_ns: int = 0, drop_p: float = 0.0, burst_len: float = 4.0
+        self, bit_error_rate: float = 0.0, jitter_ns: int = 0,
+        drop_p: float = 0.0, burst_len: float = 4.0,
     ) -> None:
-        """Enter gray-degraded mode: burst loss and/or latency jitter.
+        """Enter gray-degraded mode: bit errors, burst loss, latency jitter.
 
+        A non-zero ``bit_error_rate`` holds while the degradation lasts;
         ``drop_p`` is the long-run loss fraction of a two-state Gilbert
         model with mean burst length ``burst_len``; ``jitter_ns`` adds a
         uniform ``[0, jitter_ns)`` delay per frame.  Replaces any prior
-        impairment on this link.
+        degradation on this link.
         """
         self._gray = _GrayImpairment(jitter_ns, drop_p, burst_len)
-        self._bump_fastpath("link-degrade")
+        self._gray_params = (
+            replace(self._built, bit_error_rate=bit_error_rate)
+            if bit_error_rate > 0.0 else None
+        )
+        self._changed("link-degrade")
 
     def clear_degraded(self) -> None:
         """Leave gray-degraded mode (no-op when not degraded)."""
         if self._gray is not None:
-            self._gray = None
-            self._bump_fastpath("link-degrade-clear")
+            self._gray = self._gray_params = None
+            self._changed("link-degrade-clear")
 
     @property
-    def degraded(self) -> bool:
-        return self._gray is not None
+    def impairment(self) -> Optional[str]:
+        """What other than a clean wire is in effect now (None: nothing) —
+        the level question :mod:`repro.fastpath` asks before it arms."""
+        if self.sim.now < self._failed_until:
+            return "link-down"
+        if self._gray is not None:
+            return "link-degraded"
+        if self.params.bit_error_rate > 0.0:
+            return "lossy-link"
+        return None
 
-    def _bump_fastpath(self, reason: str) -> None:
+    def _changed(self, reason: str) -> None:
+        # Every mutator ends here.  Two bit-error sources, never merged: the
+        # degradation's rate while it lasts, else the override's, else what
+        # the link was built with.  Then the fast-path guard is told.
+        self.params = self._gray_params or self._ramp_params or self._built
         guard = self.fastpath_guard
         if guard is not None:
             guard.bump(reason)
@@ -261,3 +291,18 @@ class Cable:
         """Repair both directions."""
         self.ab.repair()
         self.ba.repair()
+
+    def set_bit_error_rate(self, rate: float) -> None:
+        """Override the bit-error rate of both directions (until repair)."""
+        self.ab.set_bit_error_rate(rate)
+        self.ba.set_bit_error_rate(rate)
+
+    def degrade(self, *impairment) -> None:
+        """Gray-degrade both directions (arguments of :meth:`Link.degrade`)."""
+        self.ab.degrade(*impairment)
+        self.ba.degrade(*impairment)
+
+    def clear_degraded(self) -> None:
+        """End the gray degradation of both directions."""
+        self.ab.clear_degraded()
+        self.ba.clear_degraded()

@@ -195,6 +195,11 @@ class Nic:
         if self.fastpath_guard is not None:
             self.fastpath_guard.bump("nic-tx-throttle")
 
+    @property
+    def impairment(self) -> Optional[str]:
+        """What keeps this NIC from full speed now (see ``Link.impairment``)."""
+        return "nic-throttled" if self.gray_tx_throttle != 1.0 else None
+
     # -- transmit path ---------------------------------------------------
 
     @property

@@ -10,7 +10,8 @@ disqualifying condition found (cheapest checks first).
 The arming predicate, spelled out (see DESIGN.md "Hybrid fidelity"):
 window fully open or cwnd-stable, zero loss (no retransmit queue, no
 receive gaps, nothing in flight), no ECN marks or echoes pending, no
-fence/fault/failover/journal activity on the edge set, an otherwise
+fence/failover/journal activity on the edge set, no fault in effect on a
+node, NIC or link of the path (``impairment is None``), an otherwise
 quiet fabric, and a transfer shape the closed-form model covers.
 """
 

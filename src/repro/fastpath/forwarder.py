@@ -58,24 +58,6 @@ class _PlannedOp:
         self.strip_snapshot = None
 
 
-def _snapshot_striping(striping):
-    cursor = getattr(striping, "_cursor", None)
-    assigned = getattr(striping, "_assigned_bytes", None)
-    if cursor is None and assigned is None:
-        return None
-    return (cursor, list(assigned) if assigned is not None else None)
-
-
-def _restore_striping(striping, snapshot) -> None:
-    if snapshot is None:
-        return
-    cursor, assigned = snapshot
-    if cursor is not None:
-        striping._cursor = cursor
-    if assigned is not None:
-        striping._assigned_bytes[:] = assigned
-
-
 def _count_tx(rail_tx: dict, rail: int, frames: int, wire_bytes: int) -> None:
     tx = rail_tx.get(rail)
     if tx is None:
@@ -189,13 +171,13 @@ class FlowForwarder:
             op = run.op
             if op.kind != Operation.WRITE or op.flags & UNSUPPORTED_OP_FLAGS:
                 if rec is not None:
-                    _restore_striping(striping, rec.strip_snapshot)
+                    striping.restore(rec.strip_snapshot)
                 return False
             if rec is None or rec.op is not op:
                 if rec is not None:
                     self._commit_planned(rec, sim)
                 rec = _PlannedOp(op)
-                rec.strip_snapshot = _snapshot_striping(striping)
+                rec.strip_snapshot = striping.snapshot()
             n = run.count
             plen = run.payload_len
             wire = frame_sizes(plen)[1]
@@ -217,7 +199,7 @@ class FlowForwarder:
                 for _ in range(n):
                     rail = striping.next_rail(plen or 64)
                     if rail is None:
-                        _restore_striping(striping, rec.strip_snapshot)
+                        striping.restore(rec.strip_snapshot)
                         return False
                     tx_cost = tx_busy
                     if self._tx_irq_free_frames > 0:
@@ -465,7 +447,7 @@ class FlowForwarder:
         for rec in self._pending:
             sim.cancel_scheduled(rec.entry)
         if first is not None:
-            _restore_striping(self.conn.striping, first.strip_snapshot)
+            self.conn.striping.restore(first.strip_snapshot)
         self._pending.clear()
         self._planned_runs = 0
         if note:
@@ -509,6 +491,7 @@ class FastpathManager:
             cable.ab.fastpath_guard = self
             cable.ba.fastpath_guard = self
         for node in self.cluster.nodes:
+            node.fastpath_guard = self
             for nic in node.nics:
                 nic.fastpath_guard = self
         for switch in self.cluster.all_switches:
@@ -528,7 +511,6 @@ class FastpathManager:
 
     def fabric_disqualify_reason(self, conn, peer) -> Optional[str]:
         cluster = self.cluster
-        config = cluster.config
         serve = cluster.serve
         if serve is not None:
             # Open-loop serving traffic (repro.serve): an armed arrival
@@ -547,8 +529,18 @@ class FastpathManager:
             # ``cluster.switches`` is empty, so every check below would
             # be looking at the wrong topology anyway.
             return "multi-hop-fabric"
-        if config.link.bit_error_rate > 0.0:
-            return "lossy-link"
+        # Ask every device of the path, data out and acks back, what is in
+        # effect on it *now*: the guard only marks the instant a fault
+        # starts, and a flow must not re-arm while the fault still lasts.
+        devices = [conn.node, peer.node, *conn.nics, *peer.nics]
+        for end in (conn, peer):
+            for rail in range(len(end.nics)):
+                cable = cluster.cable(end.node.node_id, rail)
+                devices += (cable.ab, cable.ba)
+        for device in devices:
+            reason = device.impairment
+            if reason is not None:
+                return reason
         for rail in range(len(conn.nics)):
             switch = cluster.switches[rail]
             if switch.params.ecn_threshold_frames is not None:

@@ -38,12 +38,14 @@ class Node:
         self.rng = rng or RngRegistry(0)
         self.name = name or f"node{node_id}"
 
-        # Gray-fault CPU slowdown (repro.control.SlowNode).  A factor of
-        # 1.0 / extra of 0 keeps every hot path pristine; the extra is the
-        # additional protocol-CPU cost per pumped frame, billed under the
-        # dedicated "gray.slow-node" tag so pump-CPU conservation holds.
+        # Gray-fault CPU slowdown, set by set_slowdown().  A factor of
+        # 1.0 / extra of 0 keeps every hot path pristine; the extra is
+        # billed under the dedicated "gray.slow-node" tag so pump-CPU
+        # conservation holds.
         self.gray_slow_factor = 1.0
         self.gray_pump_extra_ns = 0
+        # Fast-forward discontinuity guard (repro.fastpath).
+        self.fastpath_guard = None
 
         self.accounting = CpuAccounting()
         self.cpus = [
@@ -66,6 +68,24 @@ class Node:
         self.kernel = Kernel(
             sim, self.params, self.cpus, self.nics, name=f"{self.name}.kernel"
         )
+
+    def set_slowdown(self, factor: float) -> None:
+        """Run this node's CPU ``factor`` times slower (1.0 restores it):
+        service times stretch by it and every pumped frame pays
+        ``per_frame_send_ns * (factor - 1)`` extra protocol CPU."""
+        if factor < 1.0:
+            raise ValueError("slowdown factor must be >= 1")
+        if factor == self.gray_slow_factor:
+            return
+        self.gray_slow_factor = factor
+        self.gray_pump_extra_ns = int(self.params.per_frame_send_ns * (factor - 1.0))
+        if self.fastpath_guard is not None:
+            self.fastpath_guard.bump("node-slowdown")
+
+    @property
+    def impairment(self) -> Optional[str]:
+        """What keeps this node from full speed now (see ``Link.impairment``)."""
+        return "node-slowed" if self.gray_slow_factor != 1.0 else None
 
     @property
     def app_cpu(self) -> Cpu:

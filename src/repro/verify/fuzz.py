@@ -41,6 +41,8 @@ from ..control import (
     Outage,
     PermanentFailure,
     Repair,
+    TrunkDrain,
+    TrunkOutage,
 )
 from ..congestion import CongestionParams
 from ..core import ProtocolParams, dial, enable_listener
@@ -835,15 +837,11 @@ class FabricRun(Run):
             synthetic_payloads=False,
             fabric=spec,
         )
-        fabric = cluster.fabrics[0]
-        for at_ns, kind, a, b, dwell_ns in sc.trunk_events:
-            if kind == "drain":
-                cluster.sim.at(at_ns, fabric.set_trunk_enabled, a, b, False)
-                cluster.sim.at(
-                    at_ns + dwell_ns, fabric.set_trunk_enabled, a, b, True
-                )
-            else:
-                cluster.sim.at(at_ns, fabric.fail_trunk, a, b, dwell_ns)
+        kinds = {"drain": TrunkDrain, "fail": TrunkOutage}
+        self.faults = FaultSchedule(
+            [kinds[kind](at, 0, a, b, dwell) for at, kind, a, b, dwell in sc.trunk_events]
+        )
+        self.faults.apply(cluster)
         traffic = {
             "permutation": lambda: Permutation(sc.bytes_per_flow, rounds=2),
             "all-to-all": lambda: AllToAll(sc.bytes_per_flow),

@@ -20,6 +20,8 @@ from repro.control import (
     Restart,
     SlowNic,
     SlowNode,
+    TrunkDrain,
+    TrunkOutage,
 )
 
 MS = 1_000_000
@@ -52,9 +54,36 @@ def test_overlapping_slow_node_windows_rejected():
         sched.validate()
 
 
+def test_overlapping_drains_of_one_trunk_rejected():
+    # The first drain's end would re-enable the trunk under the second;
+    # the switch names may come in either order.
+    sched = FaultSchedule(
+        [
+            TrunkDrain(at_ns=1 * MS, rail=0, a="leaf0.0", b="spine0.0",
+                       duration_ns=4 * MS),
+            TrunkDrain(at_ns=3 * MS, rail=0, a="spine0.0", b="leaf0.0",
+                       duration_ns=4 * MS),
+        ]
+    )
+    with pytest.raises(FaultScheduleError, match="drains on one target"):
+        sched.validate()
+
+
 def test_disjoint_windows_and_distinct_targets_pass():
     FaultSchedule(
         [
+            # One trunk: back-to-back drains, and an outage (which composes
+            # by max) inside one; another trunk and another rail overlap.
+            TrunkDrain(at_ns=1 * MS, rail=0, a="leaf0.0", b="spine0.0",
+                       duration_ns=2 * MS),
+            TrunkDrain(at_ns=3 * MS, rail=0, a="leaf0.0", b="spine0.0",
+                       duration_ns=2 * MS),
+            TrunkOutage(at_ns=1 * MS, rail=0, a="leaf0.0", b="spine0.0",
+                        duration_ns=9 * MS),
+            TrunkDrain(at_ns=1 * MS, rail=0, a="leaf0.0", b="spine0.1",
+                       duration_ns=9 * MS),
+            TrunkDrain(at_ns=1 * MS, rail=1, a="leaf0.0", b="spine0.0",
+                       duration_ns=9 * MS),
             # Same edge, back to back (end is exclusive).
             DegradedLink(at_ns=1 * MS, node=0, rail=0, duration_ns=2 * MS),
             IntermittentDrop(at_ns=3 * MS, node=0, rail=0, duration_ns=2 * MS),

@@ -6,10 +6,10 @@ names it — proving the fast path refuses to arm rather than jumping over a
 discontinuity.
 """
 
-from dataclasses import replace
 from types import SimpleNamespace
 
 from repro.bench.cluster import make_cluster
+from repro.ethernet import LinkParams
 from repro.fastpath import disqualify_reason
 from repro.verify import InvariantMonitor
 
@@ -176,9 +176,42 @@ def test_multi_hop_fabric_refuses():
 
 
 def test_lossy_link_refuses():
-    cluster, conn, _ = _pair()
-    cluster.config.link = replace(cluster.config.link, bit_error_rate=1e-9)
+    # Lossy as built, and lossy by a fault on one direction of one cable:
+    # the detector asks the links, not the cluster's configuration.
+    _, conn, _ = _pair(link=LinkParams(speed_bps=1e9, bit_error_rate=1e-9))
     assert _reason(conn) == "lossy-link"
+    cluster, conn, _ = _pair()
+    cluster.cable(1, 0).ba.set_bit_error_rate(1e-9)
+    assert _reason(conn) == "lossy-link"
+    cluster.cable(1, 0).repair()
+    assert _reason(conn) is None
+
+
+def test_impaired_device_on_the_path_refuses():
+    # Either direction counts: data leaves node 0, acks come back from 1.
+    for impair, restore, reason in (
+        (lambda c: c.cable(0, 0).degrade(0.0, 2_000),
+         lambda c: c.cable(0, 0).clear_degraded(), "link-degraded"),
+        (lambda c: c.cable(1, 0).ab.fail_forever(),
+         lambda c: c.cable(1, 0).repair(), "link-down"),
+        (lambda c: c.nodes[1].nics[0].set_tx_throttle(4.0),
+         lambda c: c.nodes[1].nics[0].set_tx_throttle(1.0), "nic-throttled"),
+        (lambda c: c.nodes[1].set_slowdown(2.0),
+         lambda c: c.nodes[1].set_slowdown(1.0), "node-slowed"),
+    ):
+        cluster, conn, _ = _pair()
+        bumps = cluster.fastpath.stats.guard_bumps
+        impair(cluster)
+        assert _reason(conn) == reason
+        restore(cluster)
+        assert _reason(conn) is None
+        # Every mutator told the guard, both ways.
+        assert cluster.fastpath.stats.guard_bumps >= bumps + 2
+    # A device off the path does not matter.
+    cluster, conn, _ = _pair()
+    cluster.cable(2, 0).fail_forever()
+    cluster.nodes[3].set_slowdown(2.0)
+    assert _reason(conn) is None
 
 
 def test_ecn_enabled_refuses():

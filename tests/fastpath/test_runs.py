@@ -1,12 +1,13 @@
 """Per-run planning: closed-form advance, exact rewind of planned runs."""
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.bench.cluster import make_cluster
+from repro.bench.cluster import make_cluster, named_config
 from repro.ethernet import OpFlags, max_payload_per_frame
 from repro.ethernet.frame import frame_sizes
 from repro.fastpath.forwarder import FlowForwarder
@@ -259,6 +260,36 @@ def test_bump_after_multi_op_plan_rewinds_runs_exactly(config):
     )
     _finish(cluster, procs)
     _check_outcome(cluster, plain[0], handles, b, dst)
+
+
+@pytest.mark.parametrize("striping", ["round_robin", "adaptive"])
+def test_abort_and_replan_charge_the_policy_once(striping):
+    """2Lu-1G, eight 1 MiB writes, a 1 ns blip on an unrelated link at 3 ms.
+    The abort rewinds what ``next_rail`` charged for the cancelled plan, so
+    after the re-plan the deficits hold each planned byte once.  When the
+    forwarder looked the state up by name it missed the adaptive policy's
+    ``_charged``, which then held 16.78 MB for 8.39 MB planned."""
+    size = 1 << 20
+    cluster = make_cluster(
+        "2Lu-1G", nodes=4, synthetic_payloads=True, fastpath=True,
+        protocol=replace(named_config("2Lu-1G").protocol, striping=striping),
+    )
+    a, b = cluster.connect(0, 1)
+    src, dst = a.node.memory.alloc(size), b.node.memory.alloc(size)
+
+    def sender():
+        handles = []
+        for _ in range(8):
+            handles.append((yield from a.rdma_write(src, dst, size)))
+        for h in handles:
+            yield from h.wait()
+
+    cluster.sim.at(3_000_000, cluster.cable(3, 0).ab.fail_for, 1)
+    cluster.sim.run_until_done(cluster.sim.process(sender()), limit=10**12)
+    stats = cluster.fastpath.stats
+    assert (stats.jumps, stats.abort_reasons) == (2, {"link-outage": 1})
+    _cursor, deficits = a.conn.striping.snapshot()
+    assert sum(deficits) == 8 * size
 
 
 def _stall_mid_run(cluster, a):

@@ -38,9 +38,7 @@ class GoBackNConnection(Connection):
         for seq in rewind:
             if seq in queued:
                 continue
-            rec = self.window.inflight[seq]
-            rec.retransmits += 1
-            self._retransmit_q.append(seq)
+            self._queue_retransmit(seq)
             self.stats.nack_retransmits += 1
 
     def _on_coarse_timeout(self) -> None:
@@ -52,8 +50,7 @@ class GoBackNConnection(Connection):
         queued = set(self._retransmit_q)
         for seq in sorted(self.window.inflight):
             if seq not in queued:
-                self.window.inflight[seq].retransmits += 1
-                self._retransmit_q.append(seq)
+                self._queue_retransmit(seq)
         self.sim.process(self._timer_pump())
         self.retransmit_timer.arm()
 

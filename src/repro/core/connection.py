@@ -228,6 +228,12 @@ class Connection:
         self.unsent: Deque[_FragmentRun] = deque()
         self.unsent_frames = 0
         self._retransmit_q: Deque[int] = deque()  # seqs to retransmit
+        # Creation number on this node, and the protocol's table of
+        # connections with queued work that _enqueue and _queue_retransmit
+        # register in (MultiEdgeProtocol.handle_tx_completions).
+        self.order = protocol.connections_created
+        protocol.connections_created += 1
+        self._queued: dict[int, Connection] = protocol.queued
         self.striping = make_striping_policy(self.params.striping, self.nics)
         # Congestion control (repro.congestion).  The fast-path guard _cc
         # is None for the static policy — the same single-attribute-test
@@ -287,11 +293,15 @@ class Connection:
     # Operation submission (runs in the caller's CPU context)
     # ------------------------------------------------------------------
 
-    def _fragment(
-        self, op: Operation, data: Optional[bytes]
-    ) -> list[_FragmentRun]:
-        """``op.length`` bytes bound for ``op.remote_address`` as a run of
-        full-MTU fragments plus at most one tail; O(1) in the frame count."""
+    def _fragment(self, op: Operation) -> list[_FragmentRun]:
+        """``op.length`` bytes copied from ``op.local_address`` (none in
+        synthetic-payload mode) bound for ``op.remote_address``, as a run
+        of full-MTU fragments plus at most one tail; O(1) in frames."""
+        data = (
+            None
+            if self.params.synthetic_payloads
+            else self.node.memory.read(op.local_address, op.length)
+        )
         mtu = max_payload_per_frame()
         full, tail = divmod(op.length, mtu)
         runs = []
@@ -304,8 +314,64 @@ class Connection:
                 )
             )
         op.frames_total = full + (1 if tail else 0)
-        self.unsent_frames += op.frames_total
         return runs
+
+    def _enqueue(
+        self, kind: str, flags: int, local: int, remote: int, length: int,
+        payloads: Optional[list[bytes]] = None, op_id: Optional[int] = None,
+    ) -> Operation:
+        """Make this endpoint's next operation and queue its fragment runs.
+
+        Every run enters ``unsent`` here, so here the connection tells its
+        protocol it has queued work (see ``handle_tx_completions``).  A
+        local operation (no ``op_id``) needs the connection open, draws a
+        fresh op id, and is fenced and counted; a read response keeps the
+        requester's op id.  ``payloads`` are a scatter write's frames.
+        """
+        local_op = op_id is None
+        if local_op:
+            self._check_open()
+            op_id = self.protocol.allocate_op_id()
+        op = Operation(
+            self.sim, op_id, self._next_op_seq, kind, flags, local, remote, length
+        )
+        self._next_op_seq += 1
+        if kind == Operation.READ:
+            op.frames_total = 1
+            runs = [_FragmentRun(op, remote, 0)]
+        elif payloads is not None:
+            op.frames_total = len(payloads)
+            runs = [_FragmentRun(op, remote, len(p), data=p) for p in payloads]
+        else:
+            runs = self._fragment(op)
+        self.unsent_frames += op.frames_total
+        unsent = self.unsent
+        at = None
+        if local_op:
+            if op.forward_fenced:
+                self._forward_fences.append(op)
+            self.stats.ops_submitted += 1
+        elif self._forward_fences:
+            # Responses bypass forward fences (see _fence_blocked), so they
+            # must not queue behind fragments a fence is withholding: slot
+            # them ahead of the first fence-blocked run.
+            barrier = self._forward_fences[0].op_seq
+            for k, queued in enumerate(unsent):
+                if (
+                    queued.op.kind != Operation.READ_RESP
+                    and queued.op.op_seq > barrier
+                ):
+                    at = k
+                    break
+        if at is None:
+            unsent.extend(runs)
+        else:
+            for k, run in enumerate(runs):
+                unsent.insert(at + k, run)
+        self._queued[self.order] = self
+        if self.monitor is not None:
+            self.monitor.on_op_submitted(self, op)
+        return op
 
     def submit_write(
         self,
@@ -322,30 +388,9 @@ class Connection:
         """
         if length <= 0:
             raise ValueError("RDMA operation length must be positive")
-        self._check_open()
-        op = Operation(
-            self.sim,
-            op_id=self.protocol.allocate_op_id(),
-            op_seq=self._next_op_seq,
-            kind=Operation.WRITE,
-            flags=flags,
-            local_address=local_address,
-            remote_address=remote_address,
-            length=length,
+        return self._enqueue(
+            Operation.WRITE, flags, local_address, remote_address, length
         )
-        self._next_op_seq += 1
-        data = (
-            None
-            if self.params.synthetic_payloads
-            else self.node.memory.read(local_address, length)
-        )
-        self.unsent.extend(self._fragment(op, data))
-        if op.forward_fenced:
-            self._forward_fences.append(op)
-        self.stats.ops_submitted += 1
-        if self.monitor is not None:
-            self.monitor.on_op_submitted(self, op)
-        return op
 
     def submit_scatter(
         self,
@@ -362,51 +407,27 @@ class Connection:
         """
         if not segments:
             raise ValueError("scatter operation needs at least one segment")
-        self._check_open()
         mtu = max_payload_per_frame()
-        op = Operation(
-            self.sim,
-            op_id=self.protocol.allocate_op_id(),
-            op_seq=self._next_op_seq,
-            kind=Operation.WRITE,
-            flags=flags | OpFlags.SCATTER,
-            local_address=0,
-            remote_address=segments[0][0],
-            length=0,
-        )
-        self._next_op_seq += 1
+        payloads: list[bytes] = []
         frame_segs: list[tuple[int, bytes]] = []
         frame_bytes = 0
-
-        def emit() -> None:
-            nonlocal frame_segs, frame_bytes
-            payload = encode_scatter_records(frame_segs)
-            self.unsent.append(
-                _FragmentRun(op, segments[0][0], len(payload), data=payload)
-            )
-            self.unsent_frames += 1
-            op.frames_total += 1
-            op.length += len(payload)
-            frame_segs, frame_bytes = [], 0
-
         for addr, data in segments:
             offset = 0
             while offset < len(data):
                 chunk = data[offset : offset + (mtu - SCATTER_RECORD_HEADER)]
                 need = SCATTER_RECORD_HEADER + len(chunk)
                 if frame_bytes + need > mtu and frame_segs:
-                    emit()
+                    payloads.append(encode_scatter_records(frame_segs))
+                    frame_segs, frame_bytes = [], 0
                 frame_segs.append((addr + offset, chunk))
                 frame_bytes += need
                 offset += len(chunk)
         if frame_segs:
-            emit()
-        if op.forward_fenced:
-            self._forward_fences.append(op)
-        self.stats.ops_submitted += 1
-        if self.monitor is not None:
-            self.monitor.on_op_submitted(self, op)
-        return op
+            payloads.append(encode_scatter_records(frame_segs))
+        return self._enqueue(
+            Operation.WRITE, flags | OpFlags.SCATTER, 0, segments[0][0],
+            sum(map(len, payloads)), payloads,
+        )
 
     def submit_read(
         self,
@@ -419,68 +440,20 @@ class Connection:
         response bytes have been applied locally."""
         if length <= 0:
             raise ValueError("RDMA operation length must be positive")
-        self._check_open()
-        op = Operation(
-            self.sim,
-            op_id=self.protocol.allocate_op_id(),
-            op_seq=self._next_op_seq,
-            kind=Operation.READ,
-            flags=flags,
-            local_address=local_address,
-            remote_address=remote_address,
-            length=length,
+        op = self._enqueue(
+            Operation.READ, flags, local_address, remote_address, length
         )
-        self._next_op_seq += 1
-        op.frames_total = 1
-        self.unsent.append(_FragmentRun(op, remote_address, 0))
-        self.unsent_frames += 1
         self._pending_reads[op.op_id] = op
-        if op.forward_fenced:
-            self._forward_fences.append(op)
-        self.stats.ops_submitted += 1
-        if self.monitor is not None:
-            self.monitor.on_op_submitted(self, op)
         return op
 
     def _submit_read_response(self, req_frame: Frame) -> None:
         """Responder side: turn an applied READ_REQ into a data send."""
-        length = req_frame.header.op_length
-        source = req_frame.header.remote_address
-        dest = req_frame.control  # requester's local buffer address
-        op = Operation(
-            self.sim,
-            op_id=req_frame.header.op_id,  # keep the requester's id
-            op_seq=self._next_op_seq,
-            kind=Operation.READ_RESP,
-            flags=0,
-            local_address=source,
-            remote_address=int(dest),
-            length=length,
+        h = req_frame.header
+        # Keep the requester's op id; req_frame.control is its buffer.
+        self._enqueue(
+            Operation.READ_RESP, 0, h.remote_address, int(req_frame.control),
+            h.op_length, op_id=h.op_id,
         )
-        self._next_op_seq += 1
-        data = (
-            None
-            if self.params.synthetic_payloads
-            else self.node.memory.read(source, length)
-        )
-        runs = self._fragment(op, data)
-        # Responses bypass forward fences (see _fence_blocked), so they
-        # must not queue behind fragments a fence is withholding: slot
-        # them ahead of the first fence-blocked run.
-        idx = len(self.unsent)
-        if self._forward_fences:
-            barrier = self._forward_fences[0].op_seq
-            for k, queued in enumerate(self.unsent):
-                if (
-                    queued.op.kind != Operation.READ_RESP
-                    and queued.op.op_seq > barrier
-                ):
-                    idx = k
-                    break
-        for k, run in enumerate(runs):
-            self.unsent.insert(idx + k, run)
-        if self.monitor is not None:
-            self.monitor.on_op_submitted(self, op)
 
     # ------------------------------------------------------------------
     # The pump: move descriptors into NIC rings (CPU-charged)
@@ -612,33 +585,15 @@ class Connection:
         nic = self.nics[rail]
         if op.kind == Operation.READ:
             frame = make_read_req_frame(
-                src_mac=nic.mac,
-                dst_mac=self.peer_macs[rail],
-                connection_id=self.conn_id,
-                seq=seq,
-                ack=cum_ack,
-                op_id=op.op_id,
-                op_seq=op.op_seq,
-                op_flags=op.flags,
-                remote_address=address,
-                op_length=op.length,
+                nic.mac, self.peer_macs[rail], self.conn_id, seq, cum_ack,
+                op.op_id, op.op_seq, op.flags, address, op.length,
             )
             frame.control = op.local_address  # requester's buffer
         else:
             frame = make_data_frame(
-                src_mac=nic.mac,
-                dst_mac=self.peer_macs[rail],
-                connection_id=self.conn_id,
-                seq=seq,
-                ack=cum_ack,
-                op_id=op.op_id,
-                op_seq=op.op_seq,
-                op_flags=op.flags,
-                remote_address=address,
-                op_length=op.length,
-                payload=payload,
-                read_response=op.kind == Operation.READ_RESP,
-                payload_length=plen,
+                nic.mac, self.peer_macs[rail], self.conn_id, seq, cum_ack,
+                op.op_id, op.op_seq, op.flags, address, op.length, payload,
+                op.kind == Operation.READ_RESP, plen,
             )
         if self.ack_policy.echo_pending:
             frame.header.flags |= self._echo()
@@ -886,8 +841,7 @@ class Connection:
             for seq in self.window.inflight_on_rail(rail):
                 if seq in queued:
                     continue
-                self.window.inflight[seq].retransmits += 1
-                self._retransmit_q.append(seq)
+                self._queue_retransmit(seq)
                 migrated += 1
         self.stats.migrated_frames += migrated
         if self.monitor is not None:
@@ -977,6 +931,10 @@ class Connection:
         self.unsent.clear()
         self.unsent_frames = 0
         self._retransmit_q.clear()
+        # Leave the protocol's walk for good: a read response this endpoint
+        # still applies after the crash registers in a table nobody reads.
+        self._queued.pop(self.order, None)
+        self._queued = {}
         self.window.inflight.clear()
         self._pending_reads.clear()
         self._forward_fences.clear()
@@ -1041,6 +999,13 @@ class Connection:
             self._forward_fences.remove(op)
         op.done.trigger(op)
 
+    def _queue_retransmit(self, seq: int) -> None:
+        """Queue in-flight ``seq`` for retransmission; every enqueue of
+        ``_retransmit_q`` goes through here (see :meth:`_enqueue`)."""
+        self.window.inflight[seq].retransmits += 1
+        self._retransmit_q.append(seq)
+        self._queued[self.order] = self
+
     def _process_nack(self, missing: list[int]) -> None:
         queued = set(self._retransmit_q)
         holdoff = self.params.retransmit.nack_holdoff_ns
@@ -1055,8 +1020,7 @@ class Connection:
             # duplicates on an already-congested path.
             if now - rec.last_sent_at < holdoff:
                 continue
-            rec.retransmits += 1
-            self._retransmit_q.append(seq)
+            self._queue_retransmit(seq)
             self.stats.nack_retransmits += 1
             enqueued += 1
         if enqueued:
@@ -1164,9 +1128,8 @@ class Connection:
             # Count at the enqueue site: a timer firing while the seq is
             # still queued enqueues nothing and must not inflate either
             # the per-frame or the connection-level retransmit counter.
-            rec.retransmits += 1
             self.stats.timeout_retransmits += 1
-            self._retransmit_q.append(seq)
+            self._queue_retransmit(seq)
             cc = self._cc
             if cc is not None:
                 cc.on_timeout(self.sim.now)

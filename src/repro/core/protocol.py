@@ -35,6 +35,11 @@ class MultiEdgeProtocol:
         self.node = node
         self.params = params or ProtocolParams()
         self.connections: dict[int, Connection] = {}
+        # Connections that may have something queued, by creation number;
+        # each registers itself (Connection._enqueue) and the TX-completion
+        # walk prunes it once its queues are empty.
+        self.queued: dict[int, Connection] = {}
+        self.connections_created = 0
         self._next_op_id = 1
         self.unknown_connection_frames = 0
         # Crash recovery (repro.recovery): the node's monotonically
@@ -187,9 +192,26 @@ class MultiEdgeProtocol:
         self, nic: Nic, count: int, cpu
     ) -> Generator[Any, Any, None]:
         yield from cpu.run(self.params.tx_complete_ns, "protocol.send")
-        # Freed descriptors may unblock stalled connections.
-        for conn in self.connections.values():
-            if conn.has_send_work():
+        # Freed descriptors may unblock stalled connections.  Only one with
+        # something queued can have send work.  They are visited in creation
+        # order, which is the order of self.connections, and the next one is
+        # chosen only when the previous pump returns: one that gains work
+        # meanwhile is reached if it comes later, as in a walk of the dict,
+        # and a connection created or destroyed meanwhile upsets nothing.
+        queued = self.queued
+        last = -1
+        while True:
+            nxt = None
+            for order in queued:
+                if last < order and (nxt is None or order < nxt):
+                    nxt = order
+            if nxt is None:
+                return
+            last = nxt
+            conn = queued[last]
+            if not (conn.unsent or conn._retransmit_q):
+                del queued[last]
+            elif conn.has_send_work():
                 yield from conn.pump(cpu)
 
     # -- aggregate statistics ----------------------------------------------

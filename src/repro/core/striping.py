@@ -114,6 +114,28 @@ class StripingPolicy:
             return rail
         return None
 
+    def control_rails(self, count: int) -> dict[int, int]:
+        """``{rail: frames}`` for ``count`` back-to-back :meth:`control_rail`
+        calls, leaving the same cursor behind.  Exact while no TX ring
+        changes between those calls: the rails with space then take turns
+        from the cursor on."""
+        n = len(self.nics)
+        cursor = self._control_cursor
+        ready = [
+            rail for rail in (*range(cursor, n), *range(cursor))
+            if rail not in self.masked and self.nics[rail].tx_ring_free > 0
+        ]
+        if not count or not ready:
+            return {}
+        turns = len(ready)
+        rounds, extra = count // turns, count % turns
+        self._control_cursor = (ready[(count - 1) % turns] + 1) % n
+        return {
+            rail: rounds + (k < extra)
+            for k, rail in enumerate(ready)
+            if rounds or k < extra
+        }
+
 
 class RoundRobinStriping(StripingPolicy):
     """The paper's round-robin policy, with byte-deficit correction.
@@ -220,6 +242,10 @@ class SingleRailStriping(StripingPolicy):
     def control_rail(self) -> Optional[int]:
         # Pin control frames to the same rail as the data path.
         return self.next_rail(0)
+
+    def control_rails(self, count: int) -> dict[int, int]:
+        rail = self.next_rail(0)
+        return {rail: count} if count and rail is not None else {}
 
 
 _POLICIES: dict[str, Type[StripingPolicy]] = {

@@ -392,42 +392,36 @@ class FlowForwarder:
         busiest_rail = 0
         busiest = -1
         for rail, (cnt, wbytes) in rec.rail_tx.items():
-            tx = conn.nics[rail].counters
-            tx.tx_frames += cnt
-            tx.tx_bytes += wbytes
+            self._count_rail(conn, peer, rail, cnt, wbytes)
             if m.unmaskable_tx_irq:
+                tx = conn.nics[rail].counters
                 txirqs = cnt // m.tx_completion_batch
                 tx.tx_irqs_raised += txirqs
                 tx.irqs_raised += txirqs
-            peer.nics[rail].counters.rx_frames += cnt
             if cnt > busiest:
                 busiest, busiest_rail = cnt, rail
-            self.manager.note_switch_traffic(
-                rail, conn.node.node_id, peer.node.node_id, cnt, wbytes
-            )
-            link = conn.nics[rail].tx_link
-            if link is not None:
-                link.frames_delivered += cnt
-                link.bytes_delivered += wbytes
         peer.nics[busiest_rail].counters.irqs_raised += rec.n_irqs
-        for _ in range(acks):
-            crail = peer.striping.control_rail()
-            if crail is None:
-                continue
-            atx = peer.nics[crail].counters
-            atx.tx_frames += 1
-            atx.tx_bytes += m.ack_wire_bytes
-            arx = conn.nics[crail].counters
-            arx.rx_frames += 1
-            arx.irqs_raised += 1
-            self.manager.note_switch_traffic(
-                crail, peer.node.node_id, conn.node.node_id, 1,
-                m.ack_wire_bytes,
-            )
-            link = peer.nics[crail].tx_link
+        # Nothing transmits inside this event, so no TX ring changes while
+        # the acks are placed and control_rails() counts them exactly.
+        for crail, cnt in peer.striping.control_rails(acks).items():
+            self._count_rail(peer, conn, crail, cnt, cnt * m.ack_wire_bytes)
+            conn.nics[crail].counters.irqs_raised += cnt
+
+    def _count_rail(self, src, dst, rail: int, frames: int, wbytes: int) -> None:
+        """NIC, switch and link counters of ``frames`` frames (``wbytes``
+        on the wire in all) sent from ``src`` to ``dst`` on ``rail``."""
+        tx = src.nics[rail].counters
+        tx.tx_frames += frames
+        tx.tx_bytes += wbytes
+        dst.nics[rail].counters.rx_frames += frames
+        switch = self.manager.cluster.switches[rail]
+        switch.forwarded += frames
+        port = switch.ports[dst.node.node_id]
+        port.tx_frames += frames
+        for link in (src.nics[rail].tx_link, port.tx_link):
             if link is not None:
-                link.frames_delivered += 1
-                link.bytes_delivered += m.ack_wire_bytes
+                link.frames_delivered += frames
+                link.bytes_delivered += wbytes
 
     # -- abort -------------------------------------------------------------
 
@@ -558,20 +552,6 @@ class FastpathManager:
                 ):
                     return "fabric-busy"
         return None
-
-    # -- synthesized fabric counters --------------------------------------
-
-    def note_switch_traffic(
-        self, rail: int, src_node: int, dst_node: int, frames: int, _wbytes: int
-    ) -> None:
-        switch = self.cluster.switches[rail]
-        switch.forwarded += frames
-        port = switch.ports[dst_node]
-        port.tx_frames += frames
-        link = port.tx_link
-        if link is not None:
-            link.frames_delivered += frames
-            link.bytes_delivered += _wbytes
 
     # -- reporting ---------------------------------------------------------
 

@@ -57,6 +57,26 @@ class TestDivergence:
         assert stats.ff_bytes > 0
 
 
+class TestDeviceCounters:
+    def test_two_rail_one_way_device_counters_pinned(self):
+        """The fingerprint hashes connection stats only; these are the NIC,
+        link and switch counters a jump synthesizes, data out on both rails
+        and acks back on both (counted per rail, not per ack)."""
+        cluster, _ = _one_way("2L-1G", fastpath=True)
+        assert cluster.fastpath.stats.jumps == 1
+        for rail in (0, 1):
+            snd = cluster.nodes[0].nics[rail].counters
+            rcv = cluster.nodes[1].nics[rail].counters
+            assert (snd.tx_frames, snd.rx_frames, snd.irqs_raised) == (4302, 135, 135)
+            assert (rcv.tx_frames, rcv.rx_frames, rcv.irqs_raised) == (135, 4302, 1434)
+            out, back = cluster.cable(0, rail), cluster.cable(1, rail)
+            assert (out.ab.frames_delivered, out.ba.frames_delivered) == (4302, 135)
+            assert (back.ab.frames_delivered, back.ba.frames_delivered) == (135, 4302)
+            assert cluster.switches[rail].forwarded == 4437
+        a, b = cluster.connect(0, 1)
+        assert (a.conn.striping._control_cursor, b.conn.striping._control_cursor) == (0, 0)
+
+
 class TestAbort:
     def test_link_outage_aborts_jump_and_run_completes(self):
         cluster = make_cluster("1L-1G", fastpath=True, synthetic_payloads=True)

@@ -98,3 +98,45 @@ def test_fence_delivery_applies_everything_eventually(order, fenced_ops):
             applied.append(op_seq)
     assert sorted(applied) == list(range(10))
     assert d.buffered == 0
+
+
+class _Ring:
+    """A rail as a striping policy sees it: only its TX ring space."""
+
+    def __init__(self, free):
+        self.tx_ring_free = free
+
+
+@settings(deadline=None)
+@given(
+    st.sampled_from(["round_robin", "shortest_queue", "single_rail", "adaptive"]),
+    st.integers(1, 4),
+    st.data(),
+)
+def test_control_rails_equals_successive_control_rail_calls(name, rails, data):
+    """One control_rails(n) gives the per-rail counts and leaves the cursor
+    that n back-to-back control_rail() calls would, rings held fixed."""
+    import repro.control  # noqa: F401  (registers "adaptive")
+    from repro.core.striping import make_striping_policy
+
+    free = data.draw(st.lists(st.sampled_from([0, 1, 8]), min_size=rails,
+                              max_size=rails))
+    masked = data.draw(st.sets(st.integers(0, rails - 1)))
+    cursor = data.draw(st.integers(0, rails - 1))
+    count = data.draw(st.integers(0, 200))
+
+    def policy():
+        p = make_striping_policy(name, [_Ring(f) for f in free])
+        for rail in masked:
+            p.disable_rail(rail)
+        p._control_cursor = cursor
+        return p
+
+    one_by_one, batched = policy(), policy()
+    expected: dict[int, int] = {}
+    for _ in range(count):
+        rail = one_by_one.control_rail()
+        if rail is not None:
+            expected[rail] = expected.get(rail, 0) + 1
+    assert batched.control_rails(count) == expected
+    assert batched._control_cursor == one_by_one._control_cursor

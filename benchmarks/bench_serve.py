@@ -41,6 +41,7 @@ from conftest import record
 
 from repro.analysis import SloSpec
 from repro.bench.serve import run_serve
+from repro.control import Crash, Restart
 from repro.fabric import LeafSpineSpec
 from repro.serve import POLICIES, ArrivalSpec, ServerSpec
 
@@ -185,9 +186,10 @@ def test_serve_smoke():
         window_ns=5 * _MS,
         slo=SloSpec(p99_ms=1.0),
         seed=11,
-        crash_server=3,
-        crash_ns=12 * _MS,
-        restart_delay_ns=6 * _MS,
+        faults=[
+            Crash(at_ns=12 * _MS, node=3),
+            Restart(at_ns=12 * _MS, node=3, delay_ns=6 * _MS),
+        ],
     )
     assert crash.ok, crash.violations
     assert crash.crashes == 1 and crash.reconnects >= 1
@@ -224,9 +226,10 @@ def test_serve_smoke():
         window_ns=5 * _MS,
         slo=SloSpec(p99_ms=1.0),
         seed=11,
-        crash_server=3,
-        crash_ns=12 * _MS,
-        restart_delay_ns=6 * _MS,
+        faults=[
+            Crash(at_ns=12 * _MS, node=3),
+            Restart(at_ns=12 * _MS, node=3, delay_ns=6 * _MS),
+        ],
     )
     assert dataclasses.asdict(again) == dataclasses.asdict(crash), (
         "identical serving configurations diverged"
@@ -286,9 +289,10 @@ def test_serve_spike_failover_full():
         seed=13,
         # 3 hosts per leaf share 1 spine uplink: 3:1 oversubscription.
         fabric=LeafSpineSpec(leaves=2, spines=1, hosts_per_leaf=3),
-        crash_server=4,
-        crash_ns=15 * _MS,
-        restart_delay_ns=5 * _MS,
+        faults=[
+            Crash(at_ns=15 * _MS, node=4),
+            Restart(at_ns=15 * _MS, node=4, delay_ns=5 * _MS),
+        ],
     )
     assert r.ok, r.violations
     assert r.crashes == 1 and r.reconnects >= 1

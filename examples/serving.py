@@ -22,6 +22,7 @@ Run:  python examples/serving.py
 
 from repro.analysis import SloSpec
 from repro.bench.serve import run_serve
+from repro.control import Crash, Restart
 from repro.serve import ArrivalSpec, ServerSpec
 
 MS = 1_000_000
@@ -51,9 +52,11 @@ def serve(n_servers: int):
         window_ns=5 * MS,
         slo=SloSpec(p99_ms=1.0),
         seed=11,
-        crash_server=2,  # first server rank in both configurations
-        crash_ns=CRASH_NS,
-        restart_delay_ns=RESTART_DELAY_NS,
+        # Node 2 is the first server rank in both configurations.
+        faults=[
+            Crash(at_ns=CRASH_NS, node=2),
+            Restart(at_ns=CRASH_NS, node=2, delay_ns=RESTART_DELAY_NS),
+        ],
     )
 
 

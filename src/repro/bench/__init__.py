@@ -7,12 +7,10 @@ from .failover import FailoverResult, run_failover
 from .incast import IncastResult, run_incast
 from .micro import MicroResult, run_micro, run_one_way, run_ping_pong, run_two_way
 from .report import Table, band_str, check_band, fmt
-from .parallel import parallel_app_runs, parallel_micro_sweep, run_points
 from .runner import (
     DEFAULT_SIZES,
     MICRO_BENCHMARKS,
     app_run,
-    app_speedup_curve,
     micro_point,
     micro_sweep,
 )
@@ -39,11 +37,7 @@ __all__ = [
     "run_two_way",
     "micro_sweep",
     "micro_point",
-    "parallel_micro_sweep",
-    "parallel_app_runs",
-    "run_points",
     "app_run",
-    "app_speedup_curve",
     "DEFAULT_SIZES",
     "MICRO_BENCHMARKS",
     "Table",

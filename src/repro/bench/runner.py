@@ -5,19 +5,11 @@ returns structured results.  Results are cached per-process keyed on the
 experiment parameters, so the three Figure-2 benchmarks (latency,
 throughput, CPU) share one sweep, and pytest-benchmark's timing hooks can
 re-enter without re-simulating.
-
-The caches are plain dicts keyed per *point* — one ``(config, benchmark,
-size, seed)`` micro run or one ``(app, config, nodes, seed)`` application
-run — rather than per sweep, so :mod:`repro.bench.parallel` can compute
-points in worker processes and prime them here; a later serial
-:func:`micro_sweep` call then assembles its tuple entirely from cache.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Optional
 
 from .cluster import make_cluster
 from .micro import MicroResult, run_micro
@@ -30,7 +22,6 @@ __all__ = [
     "micro_sweep",
     "micro_point",
     "app_run",
-    "app_speedup_curve",
     "MICRO_BENCHMARKS",
 ]
 
@@ -38,8 +29,8 @@ MICRO_BENCHMARKS = ("ping-pong", "one-way", "two-way")
 
 DEFAULT_SIZES = (64, 256, 1024, 4096, 16384, 65536, 262144, 1048576)
 
-# Per-point result caches.  Keys are the full argument tuples of
-# micro_point / app_run; repro.bench.parallel primes these directly.
+# Per-point result caches, keyed on the argument tuples of
+# micro_point / app_run.
 _micro_cache: dict[tuple, MicroResult] = {}
 _app_cache: dict[tuple, "AppResult"] = {}
 
@@ -94,16 +85,3 @@ def app_run(
         _app_cache[key] = hit
     return hit
 
-
-def app_speedup_curve(
-    app_name: str,
-    config: str = "1L-1G",
-    node_counts: Sequence[int] = (1, 2, 4, 8, 16),
-    seed: int = 0,
-) -> dict[int, float]:
-    """Speedups versus the 1-node run, per node count."""
-    base = app_run(app_name, config, 1, seed)
-    return {
-        n: app_run(app_name, config, n, seed).speedup_vs(base)
-        for n in node_counts
-    }

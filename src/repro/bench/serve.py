@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
-from ..control import Crash, DetectorParams, FaultSchedule, Restart
+from ..control import Crash, DetectorParams, FaultSchedule
 from ..serve import ArrivalSpec, ServeConfig, ServerSpec, TailSpec, enable_serving
 from ..serve.runtime import ServeRuntime
 from .cluster import Cluster, named_config
@@ -116,9 +116,6 @@ class ServeRun(Run):
         congestion: str = "static",
         ecn_threshold_frames: Optional[int] = None,
         fabric=None,
-        crash_server: Optional[int] = None,
-        crash_ns: int = 0,
-        restart_delay_ns: int = 0,
         use_monitor: bool = False,
         drain_grace_ns: int = 300 * _MS,
         tail: Optional[TailSpec] = None,
@@ -127,25 +124,13 @@ class ServeRun(Run):
     ) -> None:
         arrival = arrival or ArrivalSpec()
         server = server or ServerSpec()
-        faults = tuple(faults or ())
         n_nodes = n_clients + n_servers
         clients = tuple(range(n_clients))
         servers = tuple(range(n_clients, n_nodes))
         self.duration_ns = duration_ns
         self.drain_grace_ns = drain_grace_ns
-        # One merged fault timeline: validation then catches conflicts
-        # between the convenience crash knob and explicit gray events.
-        fault_events = list(faults)
-        if crash_server is not None:
-            fault_events.append(Crash(at_ns=crash_ns, node=crash_server))
-            fault_events.append(
-                Restart(
-                    at_ns=crash_ns,
-                    node=crash_server,
-                    delay_ns=restart_delay_ns,
-                )
-            )
-        has_crash = any(isinstance(ev, Crash) for ev in fault_events)
+        faults = list(faults or ())
+        has_crash = any(isinstance(ev, Crash) for ev in faults)
         cfg = named_config(config, nodes=n_nodes, seed=seed, fabric=fabric)
         cluster = self.cluster = Cluster(
             replace(cfg, protocol=replace(cfg.protocol, congestion=congestion))
@@ -192,8 +177,8 @@ class ServeRun(Run):
             from ..verify.monitor import InvariantMonitor
 
             self.monitor = InvariantMonitor.attach(cluster, collect=True)
-        if fault_events:
-            FaultSchedule(fault_events).apply(cluster)
+        if faults:
+            FaultSchedule(faults).apply(cluster)
         self.runtime.start()
 
     def finish(self) -> ServeResult:

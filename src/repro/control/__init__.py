@@ -10,13 +10,10 @@ concrete for the simulation:
   state machine with bounded detection latency,
 * :mod:`~repro.control.lifecycle` — the manager that masks a dead rail,
   migrates its in-flight frames, and re-stripes on recovery,
-* :mod:`~repro.control.adaptive` — a health-weighted striping policy
-  (registered with the core as ``"adaptive"``),
 * :mod:`~repro.control.faults` — declarative fault schedules for
   experiments.
 """
 
-from .adaptive import AdaptiveStriping
 from .detector import DetectorParams, EdgeFailureDetector, EdgeState, EdgeTransition
 from . import faults
 from .faults import *  # noqa: F401,F403 - the fault kinds, named once
@@ -32,7 +29,6 @@ __all__ = [
     "HealthParams",
     "EdgeHealthMonitor",
     "EdgeLifecycleManager",
-    "AdaptiveStriping",
     "GrayScoreParams",
     "GrayScorer",
     *faults.__all__,

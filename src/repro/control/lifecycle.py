@@ -14,7 +14,7 @@ Every transition is appended to :attr:`history` and recorded through the
 simulation :class:`~repro.sim.Tracer` under category ``"edge.state"`` so
 the Chrome trace exporter can draw per-edge lifecycle spans.  After every
 probe outcome the latest health score is pushed into the striping policy
-when it supports it (the ``"adaptive"`` policy does).
+(only the ``"adaptive"`` policy weighs rails by it).
 """
 
 from __future__ import annotations
@@ -180,11 +180,8 @@ class EdgeLifecycleManager:
         self.peer_down_handler(self)
 
     def _push_score(self, rail: int) -> None:
-        striping = self.conn.striping
-        set_score = getattr(striping, "set_score", None)
-        if set_score is not None:
-            score = self.monitors[rail].score
-            cap = self.gray_cap.get(rail)
-            if cap is not None and cap < score:
-                score = cap
-            set_score(rail, score)
+        score = self.monitors[rail].score
+        cap = self.gray_cap.get(rail)
+        if cap is not None and cap < score:
+            score = cap
+        self.conn.striping.set_score(rail, score)

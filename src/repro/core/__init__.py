@@ -12,12 +12,12 @@ from .retransmit import BackoffPolicy, RetransmitParams, RetransmitTimer
 from .ring import SlotRing
 from .stats import ConnectionStats, merge_stats
 from .striping import (
+    AdaptiveStriping,
     RoundRobinStriping,
     ShortestQueueStriping,
     SingleRailStriping,
     StripingPolicy,
     make_striping_policy,
-    register_striping_policy,
 )
 from .window import ReceiveTracker, SendWindow
 
@@ -52,10 +52,10 @@ __all__ = [
     "RxOpState",
     "StripingPolicy",
     "RoundRobinStriping",
+    "AdaptiveStriping",
     "ShortestQueueStriping",
     "SingleRailStriping",
     "make_striping_policy",
-    "register_striping_policy",
     "ConnectionStats",
     "merge_stats",
     "SEQUENCED_TYPES",

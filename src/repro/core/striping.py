@@ -2,18 +2,18 @@
 
 When a connection spans multiple physical rails, every frame to transmit is
 assigned to one rail by a load-balancing policy.  The paper uses round-robin;
-we also provide two alternatives used by the ablation benchmarks:
+we also provide alternatives used by the ablation benchmarks and the edge
+lifecycle control plane (:mod:`repro.control`):
 
 * :class:`RoundRobinStriping` — the paper's policy: cycle through rails,
   skipping any whose TX ring is full.
+* :class:`AdaptiveStriping` (``"adaptive"``) — the same byte-deficit walk,
+  with each rail's charge divided by the health score the lifecycle
+  manager pushes through :meth:`StripingPolicy.set_score`.
 * :class:`ShortestQueueStriping` — pick the rail with the most TX ring
   space (adaptive; trades reorder for balance under asymmetric load).
 * :class:`SingleRailStriping` — pin everything to rail 0 (degenerate case,
   equals a single-link configuration even when hardware has two rails).
-
-The edge lifecycle control plane (:mod:`repro.control`) adds a fourth,
-health-weighted policy (``"adaptive"``) through
-:func:`register_striping_policy`.
 
 Every policy supports *rail masking*: the control plane disables an edge
 that its failure detector has declared DOWN, and re-enables it once the
@@ -30,20 +30,21 @@ from ..ethernet import Nic
 __all__ = [
     "StripingPolicy",
     "RoundRobinStriping",
+    "AdaptiveStriping",
     "ShortestQueueStriping",
     "SingleRailStriping",
     "make_striping_policy",
-    "register_striping_policy",
 ]
 
 
 class StripingPolicy:
-    """Chooses the rail for the next frame."""
+    """Chooses the rail for the next frame.
 
-    # True when, with one unmasked rail, next_rail() only reads that
-    # rail's TX ring and mutates nothing, so a caller placing a run of
-    # frames may ask once for the whole run.
-    stateless_on_one_rail = False
+    With one unmasked rail every policy's ``next_rail`` reads only that
+    rail's TX ring (and a score that cannot change while a caller plans)
+    and mutates nothing, so a caller placing a run of frames may ask once
+    for the whole run.
+    """
 
     def __init__(self, nics: Sequence[Nic]) -> None:
         if not nics:
@@ -68,6 +69,10 @@ class StripingPolicy:
         if not 0 <= rail < len(self.nics):
             raise ValueError(f"rail {rail} out of range")
         self.masked.discard(rail)
+
+    def set_score(self, rail: int, score: float) -> None:
+        """The lifecycle manager pushes the latest health score of ``rail``.
+        A policy that weighs rails by health overrides this."""
 
     def rail_active(self, rail: int) -> bool:
         return rail not in self.masked
@@ -145,17 +150,20 @@ class RoundRobinStriping(StripingPolicy):
     naive per-frame rotation systematically assigns more *bytes* to one
     rail; the slower rail then accumulates backlog and its frames arrive
     ever later, which shows up as persistent sequence gaps and spurious
-    NACKs.  Tracking cumulative assigned bytes and picking the least-loaded
+    NACKs.  Tracking cumulative charged bytes and picking the least-charged
     rail (round-robin order breaking ties) keeps the rails byte-balanced
     while preserving the paper's policy for the full-frame common case.
-    """
 
-    stateless_on_one_rail = True
+    A frame is charged ``wire_bytes / divisor`` to its rail and a rail at
+    divisor 0 is skipped.  Every divisor stays 1.0 here, so each charge is
+    an integer-valued float and the walk is exact integer arithmetic.
+    """
 
     def __init__(self, nics: Sequence[Nic]) -> None:
         super().__init__(nics)
         self._cursor = 0
-        self._assigned_bytes = [0] * len(nics)
+        self._charged = [0.0] * len(nics)
+        self._divisor = [1.0] * len(nics)
 
     def enable_rail(self, rail: int) -> None:
         super().enable_rail(rail)
@@ -165,52 +173,67 @@ class RoundRobinStriping(StripingPolicy):
         # recovery into a bottleneck swap.  Rejoin at the low-water mark
         # of the rails that stayed active instead.
         others = [
-            b
-            for r, b in enumerate(self._assigned_bytes)
+            c
+            for r, c in enumerate(self._charged)
             if r != rail and r not in self.masked
         ]
         if others:
-            self._assigned_bytes[rail] = max(
-                self._assigned_bytes[rail], min(others)
-            )
+            self._charged[rail] = max(self._charged[rail], min(others))
 
     def snapshot(self):
-        return self._cursor, list(self._assigned_bytes)
+        return self._cursor, list(self._charged)
 
     def restore(self, saved) -> None:
-        self._cursor, self._assigned_bytes = saved[0], list(saved[1])
+        self._cursor, self._charged = saved[0], list(saved[1])
 
     def next_rail(self, wire_bytes: int = 0) -> Optional[int]:
         nics = self.nics
         masked = self.masked
+        divisor = self._divisor
         if len(nics) == 1 and not masked:
             # Byte-deficit and cursor state are unobservable with one rail.
-            return 0 if nics[0].tx_ring_free > 0 else None
+            return 0 if nics[0].tx_ring_free > 0 and divisor[0] else None
         n = len(nics)
+        charged = self._charged
         best: Optional[int] = None
-        best_key: Optional[tuple[int, int]] = None
+        best_charge = 0.0
+        # Probes run in cursor order: a strict ``<`` breaks a tie toward it.
         for probe in range(n):
             rail = (self._cursor + probe) % n
-            if rail in masked or nics[rail].tx_ring_free <= 0:
+            if rail in masked or nics[rail].tx_ring_free <= 0 or not divisor[rail]:
                 continue
-            key = (self._assigned_bytes[rail], probe)
-            if best_key is None or key < best_key:
-                best, best_key = rail, key
+            if best is None or charged[rail] < best_charge:
+                best, best_charge = rail, charged[rail]
         if best is None:
             return None
-        self._assigned_bytes[best] += wire_bytes
+        charged[best] += wire_bytes / divisor[best]
         self._cursor = (best + 1) % n
         # Renormalise counters so they never grow without bound.
-        low = min(self._assigned_bytes)
+        low = min(charged)
         if low > 1 << 30:
-            self._assigned_bytes = [b - low for b in self._assigned_bytes]
+            self._charged = [c - low for c in charged]
         return best
+
+
+class AdaptiveStriping(RoundRobinStriping):
+    """Byte-deficit striping weighted by edge health.
+
+    A rail at score 0.5 is charged bytes at twice the rate, so it receives
+    roughly half the traffic; a rail below score 0.05 gets no fresh traffic
+    even before the failure detector masks it.
+    """
+
+    def set_score(self, rail: int, score: float) -> None:
+        if not 0 <= rail < len(self.nics):
+            raise ValueError(f"rail {rail} out of range")
+        score = max(0.0, min(1.0, score))
+        # The charge stays a division by the score: multiplying by a
+        # stored reciprocal would round differently.
+        self._divisor[rail] = score if score >= 0.05 else 0.0
 
 
 class ShortestQueueStriping(StripingPolicy):
     """Adaptive: send on the rail with the most free TX descriptors."""
-
-    stateless_on_one_rail = True
 
     def next_rail(self, wire_bytes: int = 0) -> Optional[int]:
         best, best_free = None, 0
@@ -227,8 +250,6 @@ class ShortestQueueStriping(StripingPolicy):
 class SingleRailStriping(StripingPolicy):
     """Always rail 0 (baseline).  Falls over to the lowest active rail if
     the control plane masks rail 0."""
-
-    stateless_on_one_rail = True
 
     def next_rail(self, wire_bytes: int = 0) -> Optional[int]:
         masked = self.masked
@@ -250,17 +271,10 @@ class SingleRailStriping(StripingPolicy):
 
 _POLICIES: dict[str, Type[StripingPolicy]] = {
     "round_robin": RoundRobinStriping,
+    "adaptive": AdaptiveStriping,
     "shortest_queue": ShortestQueueStriping,
     "single_rail": SingleRailStriping,
 }
-
-
-def register_striping_policy(name: str, cls: Type[StripingPolicy]) -> None:
-    """Register an out-of-core policy (used by :mod:`repro.control`)."""
-    existing = _POLICIES.get(name)
-    if existing is not None and existing is not cls:
-        raise ValueError(f"striping policy {name!r} already registered")
-    _POLICIES[name] = cls
 
 
 def make_striping_policy(name: str, nics: Sequence[Nic]) -> StripingPolicy:

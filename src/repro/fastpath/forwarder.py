@@ -158,11 +158,7 @@ class FlowForwarder:
             self._rx_cpu_free = now
         # With one unmasked rail every frame of a run takes rail 0 and
         # choosing it mutates nothing, so one call places the whole run.
-        one_rail = (
-            len(conn.nics) == 1
-            and not striping.masked
-            and striping.stateless_on_one_rail
-        )
+        one_rail = len(conn.nics) == 1 and not striping.masked
         tx_busy = m.tx_busy_ns
         tx_busy_irq_free = tx_busy - m.tx_irq_amortized_ns
         rec: Optional[_PlannedOp] = None

@@ -36,11 +36,13 @@ from ..bench.cluster import Cluster, make_cluster
 from ..bench.run import Run
 from ..control import (
     BitErrorRamp,
+    Crash,
     FaultSchedule,
     Flap,
     Outage,
     PermanentFailure,
     Repair,
+    Restart,
     TrunkDrain,
     TrunkOutage,
 )
@@ -894,10 +896,16 @@ def _run_serving(family: str, seed: int, **kwargs) -> FuzzResult:
 
     run = ServeRun(seed=seed, use_monitor=True, **kwargs)
     drew = run.recipe
+    faults = drew["faults"] or ()
     axes = Axes(
         config=drew["config"],
-        fault_profile="none" if drew["crash_server"] is None else "crash",
-        gray_kinds=tuple(type(ev).__name__ for ev in drew["faults"] or ()),
+        fault_profile=(
+            "crash" if any(isinstance(ev, Crash) for ev in faults) else "none"
+        ),
+        gray_kinds=tuple(
+            type(ev).__name__ for ev in faults
+            if not isinstance(ev, (Crash, Restart))
+        ),
         mitigated=drew["tail"] is not None,
         detected=drew["gray_detection"],
     )
@@ -908,6 +916,17 @@ def _run_serving(family: str, seed: int, **kwargs) -> FuzzResult:
     return _verdict(
         family, seed, axes, run.cluster, run.monitor, violations, res
     )
+
+
+def _crash_restart(rng, node: int, at: tuple, delay: tuple) -> list:
+    """A server crash at a drawn instant and its restart a drawn delay
+    later (the node is drawn first, then the instant, then the delay)."""
+    at_ns = rng.randint(*at)
+    delay_ns = rng.randint(*delay)
+    return [
+        Crash(at_ns=at_ns, node=node),
+        Restart(at_ns=at_ns, node=node, delay_ns=delay_ns),
+    ]
 
 
 def run_serve_scenario(seed: int) -> FuzzResult:
@@ -949,10 +968,9 @@ def run_serve_scenario(seed: int) -> FuzzResult:
     kwargs: dict = {"outbox_cap": rng.choice((0, 8, 64))}
     if fault_profile == "crash":
         n_servers = max(n_servers, 2)
-        kwargs.update(
-            crash_server=n_clients + rng.randrange(n_servers),
-            crash_ns=rng.randint(1 * _MS, duration_ns // 2),
-            restart_delay_ns=rng.randint(500 * _US, 3 * _MS),
+        kwargs["faults"] = _crash_restart(
+            rng, n_clients + rng.randrange(n_servers),
+            (1 * _MS, duration_ns // 2), (500 * _US, 3 * _MS),
         )
     return _run_serving(
         "serve",
@@ -1062,16 +1080,14 @@ def run_gray_scenario(seed: int) -> FuzzResult:
                                     duration_ns=dur,
                                     direction=rng.choice(("tx", "rx")))
             )
-    kwargs: dict = {}
     clean_servers = [
         s for s in range(n_clients, n_nodes) if s not in gray_nodes
     ]
     if clean_servers and len(clean_servers) < n_servers and rng.random() < 0.3:
         # A fail-stop crash on a gray-free server, racing the gray window.
-        kwargs.update(
-            crash_server=rng.choice(clean_servers),
-            crash_ns=rng.randint(_MS, duration_ns // 2),
-            restart_delay_ns=rng.randint(500 * _US, 2 * _MS),
+        faults += _crash_restart(
+            rng, rng.choice(clean_servers),
+            (_MS, duration_ns // 2), (500 * _US, 2 * _MS),
         )
     return _run_serving(
         "gray",
@@ -1086,7 +1102,6 @@ def run_gray_scenario(seed: int) -> FuzzResult:
         tail=tail,
         faults=faults,
         gray_detection=detected,
-        **kwargs,
     )
 
 

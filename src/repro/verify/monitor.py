@@ -428,19 +428,19 @@ class ConnectionMonitor:
         for rail in striping.masked:
             if not 0 <= rail < n:
                 fail("mask-range", f"masked rail {rail} out of range 0..{n - 1}")
-        for attr in ("_assigned_bytes", "_charged"):
-            deficits = getattr(striping, attr, None)
-            if deficits:
-                if min(deficits) < 0:
-                    fail(
-                        "deficit-negative",
-                        f"{attr} has negative entry: {deficits}",
-                    )
-                if min(deficits) > _DEFICIT_BOUND:
-                    fail(
-                        "deficit-unbounded",
-                        f"{attr} not renormalised: min {min(deficits)}",
-                    )
+        saved = striping.snapshot()
+        if saved is not None:
+            deficits = saved[1]
+            if min(deficits) < 0:
+                fail(
+                    "deficit-negative",
+                    f"deficit has negative entry: {deficits}",
+                )
+            if min(deficits) > _DEFICIT_BOUND:
+                fail(
+                    "deficit-unbounded",
+                    f"deficit not renormalised: min {min(deficits)}",
+                )
 
         # -- wire conservation --
         wire_data = self.wire_data - self._wire_data_base

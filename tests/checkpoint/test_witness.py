@@ -27,6 +27,7 @@ import pytest
 from repro.bench.crash import CrashRun, run_crash
 from repro.bench.serve import ServeRun
 from repro.checkpoint import restore, take_checkpoint
+from repro.control import Crash, Restart
 from repro.serve import ArrivalSpec, ServerSpec
 from repro.verify.fuzz import (
     FAULT_PROFILES,
@@ -154,9 +155,10 @@ class TestServeWitness:
         duration_ns=30_000_000,
         window_ns=5_000_000,
         seed=14,
-        crash_server=3,
-        crash_ns=8_000_000,
-        restart_delay_ns=4_000_000,
+        faults=[
+            Crash(at_ns=8_000_000, node=3),
+            Restart(at_ns=8_000_000, node=3, delay_ns=4_000_000),
+        ],
     )
 
     def test_checkpoint_inside_crash_window(self):
@@ -185,7 +187,7 @@ class TestComposedWitness:
 
     def test_leaf_spine_serving_with_a_crash_and_a_slow_node(self):
         from repro.bench import leaf_spine_3to1
-        from repro.control import Crash, Restart, SlowNode
+        from repro.control import SlowNode
 
         recipe = dict(
             config="1L-1G",

@@ -4,7 +4,6 @@ import pytest
 
 from repro.bench import make_cluster
 from repro.control import (
-    AdaptiveStriping,
     DetectorParams,
     EdgeState,
     FaultSchedule,
@@ -12,6 +11,7 @@ from repro.control import (
     PermanentFailure,
     Repair,
 )
+from repro.core import AdaptiveStriping
 
 MS = 1_000_000
 
@@ -138,8 +138,8 @@ def test_adaptive_striping_receives_scores():
     assert isinstance(a.conn.striping, AdaptiveStriping)
     ma, mb = cluster.enable_edge_control(0, 1)
     cluster.sim.run(until=5 * MS)
-    assert a.conn.striping.score_of(0) > 0.9
-    assert a.conn.striping.score_of(1) > 0.9
+    assert a.conn.striping._divisor[0] > 0.9
+    assert a.conn.striping._divisor[1] > 0.9
 
 
 def test_adaptive_striping_skips_zero_score_rail():

@@ -106,12 +106,12 @@ class TestControlRailIsolation:
         _, b = c.connect(0, 1)
         conn = b.conn  # receiver side emits the explicit acks
         striping = conn.striping
-        before_bytes = copy.deepcopy(striping._assigned_bytes)
+        before_bytes = copy.deepcopy(striping._charged)
         before_cursor = striping._cursor
         acks_before = conn.stats.explicit_acks_sent
         conn._send_explicit_ack()
         assert conn.stats.explicit_acks_sent == acks_before + 1
-        assert striping._assigned_bytes == before_bytes
+        assert striping._charged == before_bytes
         assert striping._cursor == before_cursor
 
     def test_control_rail_rotates_and_skips_full_rings(self):

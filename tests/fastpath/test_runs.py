@@ -76,14 +76,19 @@ def test_closed_form_advance_equals_per_frame_loop(
 )
 @given(
     config=st.sampled_from(["1L-1G", "1L-10G"]),
+    policy=st.sampled_from(["round_robin", "adaptive"]),
     lengths=st.lists(st.integers(1, 600 * MTU), min_size=1, max_size=3),
     busy=st.tuples(*[st.integers(0, 3_000_000)] * 4),
 )
-def test_planned_ops_equal_per_frame_plan(config, lengths, busy):
+def test_planned_ops_equal_per_frame_plan(config, policy, lengths, busy):
     """``_plan_new`` over real runs — including the split where the free
     TX-completion interrupts run out (1L-10G: 256 frames into the jump) —
-    lands every op event where planning frame by frame does."""
-    cluster = make_cluster(config, fastpath=True, synthetic_payloads=True)
+    lands every op event where planning frame by frame does, under either
+    byte-deficit policy (one rail: both take the run-length branch)."""
+    cluster = make_cluster(
+        config, fastpath=True, synthetic_payloads=True,
+        protocol=replace(named_config(config).protocol, striping=policy),
+    )
     a, _ = cluster.connect(0, 1)
     conn, fwd = a.conn, a.conn.fastpath
     m = fwd.model
@@ -169,7 +174,7 @@ def _queue_state(conn):
 
 
 def _striping_state(striping):
-    return striping._cursor, list(striping._assigned_bytes)
+    return striping._cursor, list(striping._charged)
 
 
 def _striping_after_ops(conn, n_ops):

@@ -9,7 +9,7 @@ crash replay is driven by the recovery manager, not by detection.
 """
 
 from repro.bench.serve import ServeRun
-from repro.control import Crash
+from repro.control import Crash, Restart
 from repro.serve import ArrivalSpec, ServerSpec
 
 MS = 1_000_000
@@ -36,9 +36,10 @@ def test_late_crash_drain_is_bounded():
         server=_SERVER,
         duration_ns=10 * MS,
         seed=6,
-        crash_server=3,
-        crash_ns=8 * MS,
-        restart_delay_ns=1 * MS,
+        faults=[
+            Crash(at_ns=8 * MS, node=3),
+            Restart(at_ns=8 * MS, node=3, delay_ns=1 * MS),
+        ],
         use_monitor=True,
         drain_grace_ns=50 * MS,
     )

@@ -12,6 +12,7 @@ import pytest
 from repro.analysis import SloSpec, summarize_cluster
 from repro.bench.cluster import make_cluster
 from repro.bench.serve import ServeRun, run_serve
+from repro.control import Crash, Restart
 from repro.serve import ArrivalSpec, ServeConfig, ServerSpec
 from repro.serve.runtime import ServeRuntime
 from repro.serve.tail import QuantileTracker
@@ -158,9 +159,10 @@ def test_crash_replays_journal_and_recovers():
         server=ServerSpec(queue_cap=64, workers=4, service=("fixed", 15_000)),
         duration_ns=30 * _MS,
         seed=14,
-        crash_server=3,
-        crash_ns=8 * _MS,
-        restart_delay_ns=4 * _MS,
+        faults=[
+            Crash(at_ns=8 * _MS, node=3),
+            Restart(at_ns=8 * _MS, node=3, delay_ns=4 * _MS),
+        ],
     )
     assert r.ok, r.violations
     assert r.crashes == 1
@@ -200,9 +202,10 @@ def test_crash_with_backed_up_outbox_replays_each_request_once(monkeypatch):
         duration_ns=7_252_214,
         seed=91,
         outbox_cap=64,
-        crash_server=2,
-        crash_ns=crash_ns,
-        restart_delay_ns=1_745_427,
+        faults=[
+            Crash(at_ns=crash_ns, node=2),
+            Restart(at_ns=crash_ns, node=2, delay_ns=1_745_427),
+        ],
     )
     backlog = []
     run.cluster.sim.at(
@@ -268,9 +271,10 @@ def test_single_server_crash_parks_then_drains():
         server=ServerSpec(queue_cap=256, workers=4, service=("fixed", 5_000)),
         duration_ns=40 * _MS,
         seed=16,
-        crash_server=1,
-        crash_ns=10 * _MS,
-        restart_delay_ns=5 * _MS,
+        faults=[
+            Crash(at_ns=10 * _MS, node=1),
+            Restart(at_ns=10 * _MS, node=1, delay_ns=5 * _MS),
+        ],
     )
     assert r.ok, r.violations
     assert r.crashes == 1 and r.reconnects >= 1
@@ -344,9 +348,10 @@ def test_reconnected_endpoints_run_the_configured_congestion_controller():
         duration_ns=40 * _MS,
         seed=16,
         congestion="dctcp",
-        crash_server=1,
-        crash_ns=10 * _MS,
-        restart_delay_ns=5 * _MS,
+        faults=[
+            Crash(at_ns=10 * _MS, node=1),
+            Restart(at_ns=10 * _MS, node=1, delay_ns=5 * _MS),
+        ],
     )
     cluster = run.cluster
     assert {s.protocol.params.congestion for s in cluster.stacks} == {"dctcp"}

@@ -14,6 +14,7 @@ fingerprints".
 
 from repro.bench.cluster import make_cluster
 from repro.bench.serve import run_serve
+from repro.control import Crash, Restart
 from repro.mp import MpWorld
 from repro.serve import ArrivalSpec, ServerSpec
 from repro.verify.fuzz import fingerprint
@@ -52,8 +53,11 @@ SERVING_PINNED = [
         # The crash+replay path, monitor attached.
         dict(
             config="1L-1G", n_clients=2, n_servers=2, policy="round-robin",
-            duration_ns=10 * MS, seed=3, crash_server=2, crash_ns=3 * MS,
-            restart_delay_ns=2 * MS, use_monitor=True,
+            duration_ns=10 * MS, seed=3, use_monitor=True,
+            faults=[
+                Crash(at_ns=3 * MS, node=2),
+                Restart(at_ns=3 * MS, node=2, delay_ns=2 * MS),
+            ],
         ),
         "5913422a195a22efaacb8de33037ba1a9a80f0ebdb8eccaf1ca0139f8a723a38",
     ),

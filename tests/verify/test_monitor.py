@@ -123,7 +123,7 @@ class TestPlantedCorruptions:
         src = c.nodes[0].memory.alloc(8192)
         dst = c.nodes[1].memory.alloc(8192)
         _run_write(c, a, src, dst, 8192)
-        a.conn.striping._assigned_bytes[0] = -5
+        a.conn.striping._charged[0] = -5
         with pytest.raises(InvariantViolation, match="deficit"):
             mon.final_check()
 

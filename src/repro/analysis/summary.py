@@ -50,7 +50,7 @@ class SwitchCounters:
     peak_queue_depth: int
     tx_frames: int
     tx_bytes: int  # bytes this switch's egress links delivered
-    # ECMP counters (zero on classic learning switches).
+    # ECMP counters (zero on one-switch rails).
     ecmp_routed: int = 0
     repins: int = 0
 
@@ -222,10 +222,10 @@ def summarize_cluster(
             ring += nic.counters.rx_dropped_ring_full
             crc += nic.counters.rx_dropped_crc
             pacing_stall += nic.counters.pacing_stall_ns
-    switch_drops = sum(sw.dropped_total for sw in cluster.all_switches)
-    ce_marked = sum(sw.ce_marked_total for sw in cluster.all_switches)
+    switch_drops = sum(sw.dropped_total for sw in cluster.switches)
+    ce_marked = sum(sw.ce_marked_total for sw in cluster.switches)
     switch_counters = []
-    for sw in cluster.all_switches:
+    for sw in cluster.switches:
         q_drops = peak = tx_f = tx_b = 0
         for port in sw.ports:
             q_drops += port.dropped_queue_full

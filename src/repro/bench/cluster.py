@@ -9,8 +9,9 @@ Four configurations are modelled, exactly as named in the paper:
 * ``2Lu-1G`` — like 2L-1G but frames may be delivered out of order when no
   ordering restriction (fence) applies.
 
-A :class:`Cluster` owns the simulator, all nodes/stacks, one switch per
-rail, and a connection cache, so micro-benchmarks and the DSM runtime can
+A :class:`Cluster` owns the simulator, all nodes/stacks, one fabric per
+rail (one switch each unless ``ClusterConfig.fabric`` says otherwise),
+and a connection cache, so micro-benchmarks and the DSM runtime can
 ask for node pairs without re-wiring anything.
 """
 
@@ -22,13 +23,7 @@ from typing import Callable, Optional
 
 from ..control import DetectorParams, EdgeLifecycleManager, HealthParams
 from ..core import ConnectionHandle, ConnectionStats, MultiEdgeStack, ProtocolParams, establish
-from ..ethernet import (
-    LinkParams,
-    NicParams,
-    Switch,
-    SwitchParams,
-    connect_nic_to_switch,
-)
+from ..ethernet import LinkParams, NicParams, Switch, SwitchParams
 from ..ethernet.link import Cable
 from ..host import HostParams, Node, myri10g_params, tigon3_params
 from ..sim import RngRegistry, SimulationError, Simulator
@@ -56,7 +51,7 @@ class ClusterConfig:
     future work: a :class:`~repro.fabric.LeafSpineSpec` or
     :class:`~repro.fabric.FatTreeSpec` builds one ECMP-routed fabric per
     rail (see :mod:`repro.fabric`).  ``None`` — the default — wires
-    every node to one switch per rail.
+    every node to one switch per rail, node *i* on port *i*.
     """
 
     name: str
@@ -199,15 +194,15 @@ class Cluster:
             nodes.append(node)
             self.stacks.append(MultiEdgeStack(node, config.protocol))
 
-        self.switches: list[Switch] = []  # flat per-rail switches
         self.fabrics: list = []  # per-rail repro.fabric.Fabric
         # (node_id, rail) -> the full-duplex cable to that NIC's switch
         # port.  The fault driver and repair paths need both directions.
         self._cables: dict[tuple[int, int], Cable] = {}
-        if config.fabric is not None:
-            self._wire_fabric(nodes)
-        else:
-            self._wire_flat(nodes)
+        self._wire(nodes)
+        # Every switch, rail by rail (one switch per rail: index = rail).
+        self.switches: list[Switch] = [
+            sw for fabric in self.fabrics for sw in fabric.switches
+        ]
 
         self.tracer = Tracer(self.sim)
         self._connections: dict[tuple[int, int], tuple[ConnectionHandle, ConnectionHandle]] = {}
@@ -228,26 +223,10 @@ class Cluster:
         if config.fastpath:
             self.enable_fastpath()
 
-    def _wire_flat(self, nodes) -> None:
-        config = self.config
-        self.switches = [
-            Switch(self.sim, config.switch, name=f"switch{rail}")
-            for rail in range(config.rails)
-        ]
-        for node in nodes:
-            for rail in range(config.rails):
-                self._cables[(node.node_id, rail)] = connect_nic_to_switch(
-                    self.sim,
-                    node.nics[rail],
-                    self.switches[rail],
-                    port_index=node.node_id,
-                    link_params=config.link,
-                    rng=self.rng,
-                )
-
-    def _wire_fabric(self, nodes) -> None:
-        """One ECMP-routed multi-switch fabric per rail (repro.fabric)."""
-        from ..fabric import build_fabric  # lazy: default path stays lean
+    def _wire(self, nodes) -> None:
+        """One fabric per rail (repro.fabric): ``config.fabric``, or one
+        switch when it is None."""
+        from ..fabric import build_fabric  # lazy: repro.fabric imports us
 
         config = self.config
         for rail in range(config.rails):
@@ -269,12 +248,6 @@ class Cluster:
                 )
             fabric.program_routes()
             self.fabrics.append(fabric)
-
-    @property
-    def all_switches(self) -> list[Switch]:
-        if self.fabrics:
-            return [sw for fabric in self.fabrics for sw in fabric.switches]
-        return list(self.switches)
 
     @property
     def nodes(self) -> list[Node]:
@@ -426,7 +399,9 @@ class Cluster:
         event, as after an unbounded ``Simulator.run()``, so the fingerprint
         (which hashes it) cannot tell the two apart.  Raises
         :class:`~repro.sim.SimulationError` naming the earliest callback
-        still scheduled at the horizon.
+        still scheduled at the horizon, or, once drained, the first switch
+        whose ingress frames were not all forwarded or dropped for a
+        counted reason.
         """
         self.stop_periodic()
         sim = self.sim
@@ -438,6 +413,9 @@ class Cluster:
                 f"finished: {pending!r} is still scheduled for "
                 f"t={sim.next_event_time()} ns"
             )
+        lost = [v for sw in self.switches for v in sw.conservation_violations()]
+        if lost:
+            raise SimulationError(f"drained, but switch {lost[0]}")
 
     def set_ecn_threshold(self, frames: Optional[int]) -> None:
         """Enable (or disable with None) ECN marking on every switch.
@@ -445,11 +423,8 @@ class Cluster:
         Must be called before traffic flows; marking starts immediately on
         every output queue whose depth is at or above ``frames``.
         """
-        seen = set()
-        for sw in self.all_switches:
-            if id(sw.params) not in seen:
-                seen.add(id(sw.params))
-                sw.params.ecn_threshold_frames = frames
+        for sw in self.switches:
+            sw.params.ecn_threshold_frames = frames
 
     def enable_frame_tracing(self) -> None:
         """Record every NIC TX/RX completion into :attr:`tracer`."""
@@ -463,7 +438,7 @@ class Cluster:
     def total_frames_dropped(self) -> int:
         """Frames lost anywhere: switch queues, NIC rings, CRC, powered-off
         NICs, and link outages or gray drops on host cables and trunks."""
-        dropped = sum(sw.dropped_total for sw in self.all_switches)
+        dropped = sum(sw.dropped_total for sw in self.switches)
         for node in self.nodes:
             for nic in node.nics:
                 dropped += nic.counters.rx_dropped_ring_full

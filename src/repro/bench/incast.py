@@ -170,7 +170,7 @@ def run_incast(
 
     summary = summarize_cluster(cluster, elapsed)
     paused = sum(
-        port.paused_frames for sw in cluster.all_switches for port in sw.ports
+        port.paused_frames for sw in cluster.switches for port in sw.ports
     )
     t_retrans = n_retrans = 0
     cwnds = []

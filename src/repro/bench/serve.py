@@ -206,6 +206,12 @@ class ServeRun(Run):
             violations = [str(v) for v in self.monitor.violations]
         else:
             violations = rt.check_invariants()
+        pending = rt.pending
+        if pending and self._all_quiet():
+            violations.append(
+                f"requests-stranded: {pending} requests pending at the "
+                "horizon with every server alive and every connection idle"
+            )
         merged = rt.merged_histogram()
         slo = rt.slo_report(merged)
         cfg = rt.config
@@ -224,7 +230,7 @@ class ServeRun(Run):
             replayed=rt.replayed,
             duplicate_responses=rt.duplicate_responses,
             deadline_missed=rt.deadline_missed,
-            pending=rt.pending,
+            pending=pending,
             p50_ns=merged.p50,
             p99_ns=merged.p99,
             p999_ns=merged.p999,
@@ -251,6 +257,16 @@ class ServeRun(Run):
             p99_by_server={s: h.p99 for s, h in rt.hist_by_server.items()},
             violations=tuple(violations),
             fingerprint=fingerprint(self.cluster),
+        )
+
+    def _all_quiet(self) -> bool:
+        """Every server alive, and no connection with send work or frames
+        in flight: nothing left that could still answer a request."""
+        rt = self.runtime
+        return rt.balancer.alive == set(rt.config.servers) and not any(
+            conn.has_send_work() or conn.window.inflight
+            for stack in self.cluster.stacks
+            for conn in stack.protocol.connections.values()
         )
 
 

@@ -257,8 +257,8 @@ class Frame:
         # recovery subsystem stamps it; on the wire it would ride in a
         # reserved header field, so frame sizes are unchanged.
         self.incarnation = 0
-        # Switch hops taken so far; bumped only by fabric (multi-switch)
-        # switches, where it backs the no-forwarding-loop invariant.
+        # Switch hops taken so far; bumped by every switch a frame enters,
+        # where it backs the no-forwarding-loop invariant.
         self.hops = 0
         payload_length = header.payload_length
         if payload is not None and len(payload) != payload_length:

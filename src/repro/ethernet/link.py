@@ -12,7 +12,8 @@ models what the cable itself contributes:
 
 :class:`Cable` bundles the two directions and attaches them to two devices.
 Devices implement the tiny :class:`LinkEndpoint` protocol: an ``on_frame``
-callback and a ``mac`` address.
+callback and a ``mac`` address, or a ``deliver_fold`` that absorbs every
+delivery (a switch port).
 """
 
 from __future__ import annotations
@@ -97,10 +98,10 @@ class Link:
 
     def attach_receiver(self, endpoint: LinkEndpoint) -> None:
         self.receiver = endpoint
-        # Optional fast-path hook: lets the receiver absorb a delivery with
-        # fewer scheduler events when doing so is provably timing-identical
-        # (see SwitchPort.deliver_fold / Nic.deliver_fold).  Bound once here
-        # to keep the per-frame path free of getattr.
+        # Lets the receiver absorb a delivery with fewer scheduler events: a
+        # switch port always does (SwitchPort.deliver_fold), a NIC when it is
+        # provably timing-identical (Nic.deliver_fold).  Bound once here to
+        # keep the per-frame path free of getattr.
         self._fold = getattr(endpoint, "deliver_fold", None)
 
     def fail_for(self, duration_ns: int) -> None:

@@ -1,16 +1,27 @@
 """Store-and-forward Ethernet switch model.
 
 The paper's testbed uses D-Link DGS-1024T (1 GbE) and HP ProCurve 6400cl
-(10 GbE) switches — plain learning switches with finite output buffers.  The
-model captures what matters for an *edge-based* protocol study:
+(10 GbE) switches with finite output buffers.  The model captures what
+matters for an *edge-based* protocol study:
 
 * store-and-forward: a frame is forwarded only after full reception,
 * a forwarding-decision latency,
-* MAC learning with flooding for unknown destinations,
+* forwarding by routes taught at wiring: a destination MAC maps to the
+  output ports that lead to it (:meth:`Switch.learn` for one port,
+  :meth:`Switch.add_route` for an ECMP group, which
+  :class:`repro.fabric.EcmpSwitch` resolves per flow),
 * finite per-output-port queues: congestion (e.g. many-to-one traffic from
   DSM barriers) overflows them and silently drops frames, which the
   MultiEdge edge protocol must detect and retransmit,
 * per-port output serialisation at port speed.
+
+There is no MAC learning and no flooding.  Every NIC is taught to its
+switch when it is cabled and every fabric switch gets its routes before
+the first frame, so the table is full from the start: a learning switch
+would never learn anything or flood.  A frame without a route is dropped
+and counted instead (a flood would storm the physical loops of a
+multi-path fabric), and a per-frame hop budget backs the
+no-forwarding-loop invariant.
 
 The switch core provides *no* ordering, flow control, or reliability — that
 is the whole point of the edge-based design under study.
@@ -102,19 +113,22 @@ class SwitchPort:
             self._wt_cache[wire_bytes] = t
         return t
 
-    def on_frame(self, frame: Frame) -> None:
-        self.switch._ingress(self.index, frame)
-
     def deliver_fold(self, frame: Frame, arrival: int) -> bool:
-        """Fold link arrival + ingress into one scheduled forward.
-
-        Only taken when MAC learning would be a no-op (source already mapped
-        to this port), so skipping the intermediate ``on_frame`` event changes
-        no observable state and no timestamp.
-        """
+        """The only way into a switch: link arrival and ingress folded into
+        one scheduled event.  Counts the ingress and the hop, enforces the
+        hop budget, then schedules the forwarding decision at arrival plus
+        the forwarding latency.  Always absorbs the delivery."""
         sw = self.switch
-        if sw._mac_table.get(frame.src_mac) != self.index:
-            return False
+        sw.ingress_frames += 1
+        frame.hops += 1
+        if frame.hops > sw.max_hops:
+            sw.dropped_loop += 1
+            sw.dropped_total += 1
+            sw.loop_violations.append(
+                f"{sw.name}: {frame!r} exceeded the {sw.max_hops}-hop "
+                f"budget (forwarding loop)"
+            )
+            return True
         sw.sim.at(
             arrival + sw.params.forwarding_latency_ns, sw._forward, self.index, frame
         )
@@ -202,55 +216,91 @@ class SwitchPort:
 
 
 class Switch:
-    """A learning, store-and-forward switch."""
-
-    # What a fabric switch (repro.fabric.EcmpSwitch) adds: a classic
-    # learning switch sits in no tier and routes nothing by ECMP.
-    tier = ""
-    ecmp_routed = 0
-    repins = 0
+    """A store-and-forward switch that forwards by routes."""
 
     def __init__(
-        self, sim: Simulator, params: SwitchParams, name: str = "switch"
+        self,
+        sim: Simulator,
+        params: SwitchParams,
+        name: str = "switch",
+        max_hops: int = 8,
     ) -> None:
         self.sim = sim
         self.params = params
         self.name = name
+        self.max_hops = max_hops
         self.ports = [SwitchPort(self, i) for i in range(params.ports)]
-        self._mac_table: dict[int, int] = {}
+        # dst MAC -> sorted tuple of candidate output ports.
+        self._routes: dict[int, tuple[int, ...]] = {}
+        self.ingress_frames = 0
         self.forwarded = 0
-        self.flooded = 0
         self.dropped_total = 0
+        self.dropped_loop = 0
+        self.dropped_no_route = 0
+        self.dropped_hairpin = 0
         self.ce_marked_total = 0
+        self.loop_violations: list[str] = []
 
     def port(self, index: int) -> SwitchPort:
         return self.ports[index]
 
-    def learn(self, mac: int, port_index: int) -> None:
-        """Pre-populate the MAC table (topology builders use this)."""
-        self._mac_table[mac] = port_index
+    # -- routes ------------------------------------------------------------
 
-    def _ingress(self, port_index: int, frame: Frame) -> None:
-        # Learn the source, then forward after the decision latency.
-        self._mac_table[frame.src_mac] = port_index
-        self.sim.schedule(
-            self.params.forwarding_latency_ns, self._forward, port_index, frame
-        )
+    def learn(self, mac: int, port_index: int) -> None:
+        """Route a directly attached MAC to one port (wiring uses this)."""
+        self._routes[mac] = (port_index,)
+
+    def add_route(self, mac: int, ports: tuple[int, ...]) -> None:
+        """Route a destination MAC to a group of equal-cost ports."""
+        if not ports:
+            raise ValueError(f"{self.name}: empty ECMP group for {mac:#x}")
+        self._routes[mac] = tuple(sorted(ports))
+
+    def route(self, mac: int) -> Optional[tuple[int, ...]]:
+        return self._routes.get(mac)
+
+    # -- forwarding --------------------------------------------------------
 
     def _forward(self, in_port: int, frame: Frame) -> None:
-        dst_port = self._mac_table.get(frame.dst_mac)
-        if dst_port is not None and frame.dst_mac != BROADCAST_MAC:
-            if dst_port != in_port:
-                self.forwarded += 1
-                self.ports[dst_port].enqueue(frame)
+        group = self._routes.get(frame.dst_mac)
+        if group is None or frame.dst_mac == BROADCAST_MAC:
+            # No flooding (see the module docstring).
+            self.dropped_no_route += 1
+            self.dropped_total += 1
+            return
+        dst_port = group[0] if len(group) == 1 else self._pick(frame, group)
+        if dst_port is None:
+            self.dropped_no_route += 1
+            self.dropped_total += 1
+            return
+        if dst_port == in_port:
             # Frames "to" the ingress port are dropped silently, as real
             # switches do for hairpin traffic without reflection enabled.
+            self.dropped_hairpin += 1
             return
-        # Unknown destination (or broadcast): flood.
-        self.flooded += 1
-        for port in self.ports:
-            if port.index != in_port and port.tx_link is not None:
-                port.enqueue(frame)
+        self.forwarded += 1
+        self.ports[dst_port].enqueue(frame)
+
+    # -- invariants --------------------------------------------------------
+
+    def conservation_violations(self) -> list[str]:
+        """Per-switch frame conservation, valid once the run has drained:
+        every ingress frame was forwarded or dropped for a counted reason.
+        """
+        accounted = (
+            self.forwarded
+            + self.dropped_loop
+            + self.dropped_no_route
+            + self.dropped_hairpin
+        )
+        if self.ingress_frames != accounted:
+            return [
+                f"{self.name}: {self.ingress_frames} ingress frames but "
+                f"{accounted} accounted (forwarded {self.forwarded}, loop "
+                f"{self.dropped_loop}, no-route {self.dropped_no_route}, "
+                f"hairpin {self.dropped_hairpin})"
+            ]
+        return []
 
     @property
     def total_queue_depth(self) -> int:

@@ -1,8 +1,8 @@
 """Topology wiring helpers.
 
 Connects NICs to switch ports (or NICs back-to-back) with full-duplex
-cables, assigns MAC addresses, and pre-populates switch MAC tables so that
-experiments do not start with a flood storm.
+cables, assigns MAC addresses, and teaches each switch the route to every
+NIC cabled to it.
 """
 
 from __future__ import annotations

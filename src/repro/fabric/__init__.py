@@ -1,25 +1,21 @@
-"""Datacenter fabric subsystem: multi-switch topologies, ECMP, traffic.
+"""Datacenter fabric subsystem: the switches of every cluster, ECMP, traffic.
 
-Everything before this package ran through a single switch per rail.
-``repro.fabric`` composes the existing :class:`~repro.ethernet.Switch` /
-:class:`~repro.ethernet.Cable` / :class:`~repro.ethernet.Nic` primitives
-into realistic multi-switch fabrics (the SplitSim/SimBricks composition
-argument, see PAPERS.md):
+Every cluster is wired as one :class:`Fabric` per rail: one switch — the
+paper's testbed — when ``ClusterConfig.fabric`` is None, else the
+multi-switch topology its spec names (the paper's §6 future work; the
+SplitSim/SimBricks composition argument, see PAPERS.md):
 
-* :mod:`~repro.fabric.ecmp` — an :class:`EcmpSwitch` with pre-programmed
-  multi-path routes, a seeded deterministic flow hash, automatic hash
-  re-pinning around failed uplinks, and the routing invariants (no
-  forwarding loops, ECMP determinism, trunk conservation);
+* :mod:`~repro.fabric.ecmp` — an :class:`EcmpSwitch` resolves multi-port
+  routes with a seeded deterministic flow hash, re-pins flows around
+  failed uplinks, and witnesses ECMP determinism;
 * :mod:`~repro.fabric.topology` — a graph-theoretic builder for
   leaf-spine and fat-tree fabrics with configurable radix,
   oversubscription, and per-tier link speeds, with BFS shortest-path
-  ECMP route programming;
+  route programming and the routing invariants (no forwarding loops,
+  ECMP determinism, switch and trunk conservation);
 * :mod:`~repro.fabric.traffic` — declarative traffic matrices
   (permutation, all-to-all shuffle, hotspot incast/outcast,
   elephant/mice mixes) that drive :mod:`repro.mp` endpoints.
-
-Select a fabric per cluster via ``ClusterConfig.fabric``; the default
-(``None``) keeps the single-switch wiring byte-identical.
 """
 
 from .ecmp import EcmpSwitch, ecmp_hash

@@ -1,5 +1,8 @@
 """Graph-theoretic fabric builder: leaf-spine and fat-tree topologies.
 
+Every cluster is wired through this builder.  Without a spec it builds
+the paper's testbed (§3): one switch per rail, node *i* on port *i*.
+
 A fabric is built in three steps:
 
 1. **Instantiate switches** per the declarative spec — every switch gets
@@ -116,8 +119,21 @@ class FatTreeSpec:
         return 4 * self.diameter
 
 
+@dataclass(frozen=True)
+class _OneSwitch:
+    """The paper's testbed (§3), one switch per rail: what
+    :func:`build_fabric` builds without a spec, so it is no value of
+    ``ClusterConfig.fabric``."""
+
+    capacity: int  # the switch's ports
+    trunk_speed_bps = None
+    forwarding_latency_ns = None
+    # See LeafSpineSpec.max_hops: 4x the diameter of one switch.
+    max_hops = 4
+
+
 class Fabric:
-    """One rail's multi-switch fabric: switches, trunks, routes."""
+    """One rail's fabric: switches, trunks, routes."""
 
     def __init__(
         self,
@@ -146,7 +162,6 @@ class Fabric:
         # node_id -> (access switch name, access port index).
         self.access: dict[int, tuple[str, int]] = {}
         self.host_macs: dict[int, int] = {}
-        self._routes_programmed = False
 
         self.trunk_link = LinkParams(
             speed_bps=spec.trunk_speed_bps or link_params.speed_bps,
@@ -157,6 +172,8 @@ class Fabric:
             self._build_leaf_spine(spec)
         elif isinstance(spec, FatTreeSpec):
             self._build_fat_tree(spec)
+        elif isinstance(spec, _OneSwitch):
+            self._add_switch(f"switch{rail}", spec.capacity, "")
         else:
             raise TypeError(f"unknown fabric spec {spec!r}")
 
@@ -261,6 +278,8 @@ class Fabric:
             raise ValueError(
                 f"node {node_id} exceeds fabric capacity {spec.capacity}"
             )
+        if isinstance(spec, _OneSwitch):
+            return f"switch{self.rail}", node_id
         if isinstance(spec, LeafSpineSpec):
             leaf = node_id // spec.hosts_per_leaf
             return f"leaf{self.rail}.{leaf}", node_id % spec.hosts_per_leaf
@@ -289,7 +308,6 @@ class Fabric:
         )
         self.access[node_id] = (sw_name, port)
         self.host_macs[node_id] = nic.mac
-        self._routes_programmed = False
         return cable
 
     def _bfs(self, source: str) -> dict[str, int]:
@@ -326,7 +344,6 @@ class Fabric:
                 )
                 if ports:
                     sw.add_route(mac, ports)
-        self._routes_programmed = True
 
     # -- trunk management --------------------------------------------------
 
@@ -369,25 +386,6 @@ class Fabric:
         out: dict[str, list[EcmpSwitch]] = {}
         for sw in self.switches:
             out.setdefault(sw.tier, []).append(sw)
-        return out
-
-    def trunk_utilisation(self) -> list[dict]:
-        """Per-trunk, per-direction frame/byte counters."""
-        out = []
-        for (a, b), cable in sorted(self.trunks.items()):
-            port_a, port_b = self._trunk_ports(a, b)
-            ab = self.by_name[a].port(port_a).tx_link
-            ba = self.by_name[b].port(port_b).tx_link
-            out.append(
-                {
-                    "a": a,
-                    "b": b,
-                    "frames_ab": ab.frames_delivered,
-                    "bytes_ab": ab.bytes_delivered,
-                    "frames_ba": ba.frames_delivered,
-                    "bytes_ba": ba.bytes_delivered,
-                }
-            )
         return out
 
     def uplink_bytes(self) -> dict[tuple[str, str], int]:
@@ -481,13 +479,15 @@ def build_fabric(
     link_params: Optional[LinkParams] = None,
     rng: Optional[RngRegistry] = None,
 ) -> Fabric:
-    """Instantiate a fabric from a spec (hosts attached separately)."""
+    """Instantiate a fabric from a spec (hosts attached separately); a
+    ``None`` spec is one switch with ``switch_params.ports`` ports."""
+    switch_params = switch_params or SwitchParams()
     return Fabric(
         sim,
-        spec,
+        spec or _OneSwitch(switch_params.ports),
         rail=rail,
         seed=seed,
-        switch_params=switch_params or SwitchParams(),
+        switch_params=switch_params,
         link_params=link_params or LinkParams(),
         rng=rng,
     )

@@ -283,8 +283,8 @@ class TrafficRun:
         elapsed = cluster.sim.now - self.start_ns
         cluster.quiesce()  # drain straggling acks / credits / timers
 
-        drops = sum(sw.dropped_total for sw in cluster.all_switches)
-        marked = sum(sw.ce_marked_total for sw in cluster.all_switches)
+        drops = sum(sw.dropped_total for sw in cluster.switches)
+        marked = sum(sw.ce_marked_total for sw in cluster.switches)
         retrans = sum(
             conn.stats.retransmitted_frames
             for stack in cluster.stacks

@@ -411,6 +411,7 @@ class FlowForwarder:
         tx.tx_bytes += wbytes
         dst.nics[rail].counters.rx_frames += frames
         switch = self.manager.cluster.switches[rail]
+        switch.ingress_frames += frames
         switch.forwarded += frames
         port = switch.ports[dst.node.node_id]
         port.tx_frames += frames
@@ -484,7 +485,7 @@ class FastpathManager:
             node.fastpath_guard = self
             for nic in node.nics:
                 nic.fastpath_guard = self
-        for switch in self.cluster.all_switches:
+        for switch in self.cluster.switches:
             for port in switch.ports:
                 port.fastpath_guard = self
 
@@ -512,12 +513,11 @@ class FastpathManager:
                 return "serve-arrivals-armed"
             if serve.active:
                 return "serve-traffic-active"
-        if cluster.fabrics:
+        if cluster.config.fabric is not None:
             # Multi-switch datacenter fabric (repro.fabric): per-hop
             # store-and-forward latency and ECMP path choice are exactly
-            # the dynamics the analytic jump cannot reproduce — and
-            # ``cluster.switches`` is empty, so every check below would
-            # be looking at the wrong topology anyway.
+            # the dynamics the analytic jump cannot reproduce — and the
+            # checks below assume one switch per rail, indexed by rail.
             return "multi-hop-fabric"
         # Ask every device of the path, data out and acks back, what is in
         # effect on it *now*: the guard only marks the instant a fault

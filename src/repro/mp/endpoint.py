@@ -379,14 +379,20 @@ class MpWorld:
         A node crash destroys the pair's connection endpoints; once the
         recovery layer has re-dialled and refreshed the cluster's cached
         handles, the old rings (inboxes, credit cells, sequence counters)
-        refer to a dead incarnation.  This builds fresh rings on both
-        sides and spawns new listener processes on the fresh connection.
-        The old listeners stay parked on the destroyed endpoints'
-        notification queues forever, which is harmless — destroyed
-        connections never notify.
+        refer to a dead incarnation.  A writer parked on one would wait
+        for credit forever — the crash fails no ring of the crashed node
+        itself — and take every later message of its sender with it, so
+        both old rings are retired first: that writer, and any that takes
+        its turn later, raises :class:`~repro.core.PeerCrashed`.  Then
+        fresh rings are built on both sides, with new listener processes
+        on the fresh connection.  The old listeners stay parked on the
+        destroyed endpoints' notification queues; destroyed connections
+        never notify, and nothing waits on them.
         """
         if i == j:
             raise ValueError("cannot rewire a rank to itself")
+        for rank, peer in ((i, j), (j, i)):
+            self.endpoints[rank]._peers[peer].retire(PeerCrashed(-1, peer))
         self._wire_pair(i, j)
         for rank, peer in ((i, j), (j, i)):
             ep = self.endpoints[rank]

@@ -100,10 +100,13 @@ class ServerLoop:
     def on_crash(self) -> None:
         """Volatile state is lost: queued-but-unserved requests vanish.
 
-        The receiver and worker processes themselves survive as parked
-        simulation actors (their transport is gone, so nothing wakes
-        them); after restart + re-wiring they resume with the empty
-        queue — exactly a process restart from the client's view.
+        The receiver and worker processes survive: they wait on the
+        endpoint's receive queue and on this loop's queue, which outlive
+        the transport, so after restart + re-wiring they resume with the
+        empty queue — exactly a process restart from the client's view.
+        A sender parked on a ring of the dead incarnation would not resume;
+        :meth:`~repro.mp.MpWorld.rewire_pair` retires those rings, so it
+        raises and moves on.
         """
         self.queue.clear()
         # Requests that arrived but were never matched also die with the

@@ -639,7 +639,7 @@ class InvariantMonitor:
                 )
         if self.cluster is not None:
             ce_marked = sum(
-                sw.ce_marked_total for sw in self.cluster.all_switches
+                sw.ce_marked_total for sw in self.cluster.switches
             )
             # Current counts of live endpoints: a measurement reset or a
             # crash only lowers this side, so the bound stays sound.

@@ -53,6 +53,15 @@ def test_quiesce_raises_on_a_source_that_keeps_ticking():
     assert cluster.sim.now <= 100 * MS + DRAIN_HORIZON_NS
 
 
+def test_quiesce_raises_on_a_switch_that_lost_a_frame():
+    cluster = make_cluster("1L-1G", nodes=2, synthetic_payloads=True)
+    _finished_workload(cluster)
+    cluster.quiesce()  # every ingress frame forwarded
+    cluster.switches[0].ingress_frames += 1  # one that went nowhere
+    with pytest.raises(SimulationError, match="switch0: .* ingress frames"):
+        cluster.quiesce()
+
+
 def test_bounded_drain_leaves_the_clock_where_an_unbounded_one_does():
     """The fingerprint hashes ``sim.now``: ``quiesce()`` must end on the last
     executed event, as the parent's ``sim.run()`` did (fuzz seeds 0-19)."""
@@ -90,7 +99,7 @@ def test_total_frames_dropped_counts_outage_losses():
     cable = cluster.cable(0, 0)
     lost = cable.ab.frames_lost_outage + cable.ba.frames_lost_outage
     assert lost > 0, "the outage no longer catches a frame in flight"
-    switch_and_nic = sum(sw.dropped_total for sw in cluster.all_switches) + sum(
+    switch_and_nic = sum(sw.dropped_total for sw in cluster.switches) + sum(
         nic.counters.rx_dropped_ring_full + nic.counters.rx_dropped_crc
         for node in cluster.nodes
         for nic in node.nics

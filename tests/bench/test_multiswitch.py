@@ -87,7 +87,7 @@ def test_cross_leaf_transfer_time_pinned():
     assert cluster.sim.now == CROSS_LEAF_8X256K_NS
     spines, leaves = _tiers(cluster)
     assert [sw.forwarded for sw in spines + leaves] == [1488, 1488, 1488]
-    assert sum(sw.dropped_total for sw in cluster.all_switches) == 0
+    assert sum(sw.dropped_total for sw in cluster.switches) == 0
 
 
 def test_cross_leaf_latency_higher_than_same_leaf():

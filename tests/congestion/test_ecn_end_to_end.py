@@ -76,7 +76,7 @@ def test_dctcp_reacts_to_marks_under_monitor():
     )
     assert monitor.ok and monitor.checks_run > 0
 
-    marked = sum(sw.ce_marked_total for sw in cluster.all_switches)
+    marked = sum(sw.ce_marked_total for sw in cluster.switches)
     assert marked > 0, "queue never crossed the ECN threshold"
 
     # Signal path: marks -> receiver CE counts -> echoes -> sender.
@@ -115,7 +115,7 @@ def test_static_controller_echoes_but_never_reacts():
     the window never moves, and every invariant still holds."""
     cluster, monitor, senders, _probes = run_marked_incast("static")
     assert monitor.ok
-    marked = sum(sw.ce_marked_total for sw in cluster.all_switches)
+    marked = sum(sw.ce_marked_total for sw in cluster.switches)
     all_conns = [
         c for s in cluster.stacks for c in s.protocol.connections.values()
     ]

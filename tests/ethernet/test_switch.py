@@ -51,37 +51,6 @@ def test_switch_forwards_to_learned_port():
     assert len(nics[2].poll()[0]) == 1
     assert len(nics[1].poll()[0]) == 0
     assert switch.forwarded == 1
-    assert switch.flooded == 0
-
-
-def test_switch_floods_unknown_destination():
-    sim = Simulator()
-    switch, nics = build_star(sim, 4)
-    unknown = Frame(
-        src_mac=nics[0].mac,
-        dst_mac=0xABCDEF,
-        header=MultiEdgeHeader(payload_length=10),
-        payload=bytes(10),
-    )
-    nics[0].transmit(unknown)
-    sim.run()
-    assert switch.flooded == 1
-    # Every other node sees the frame; the sender does not.
-    assert len(nics[0].poll()[0]) == 0
-    for i in (1, 2, 3):
-        assert len(nics[i].poll()[0]) == 1
-
-
-def test_switch_learns_from_source():
-    sim = Simulator()
-    switch, nics = build_star(sim, 3)
-    # Clear the pre-learned table to exercise dynamic learning.
-    switch._mac_table.clear()
-    nics[0].transmit(frame_between(nics, 0, 1))  # floods, learns nic0
-    sim.run()
-    nics[1].transmit(frame_between(nics, 1, 0))  # unicast back to nic0
-    sim.run()
-    assert switch.forwarded == 1
 
 
 def test_switch_store_and_forward_latency():
@@ -142,9 +111,11 @@ def test_mac_address_unique_per_node_and_rail():
 def test_hairpin_frame_dropped():
     sim = Simulator()
     switch, nics = build_star(sim, 2)
-    # Destination learned on the same port as ingress: dropped silently.
+    # Destination routed to the ingress port: dropped silently.
     f = frame_between(nics, 0, 0)
     nics[0].transmit(f)
     sim.run()
     assert len(nics[0].poll()[0]) == 0
     assert len(nics[1].poll()[0]) == 0
+    assert switch.dropped_hairpin == 1
+    assert switch.conservation_violations() == []

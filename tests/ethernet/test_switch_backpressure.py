@@ -43,8 +43,9 @@ def build_fan_in(switch_params: SwitchParams):
         )
         nic.disable_interrupts()
         nics.append(nic)
-    # Teach the switch the receiver's port so the fan-in unicasts.
+    # Wiring routed every NIC; re-teaching the receiver's port keeps it.
     switch.learn(nics[RECEIVER].mac, RECEIVER)
+    assert switch.route(nics[RECEIVER].mac) == (RECEIVER,)
     return sim, switch, nics
 
 

@@ -180,13 +180,31 @@ class TestClusterIntegration:
                 fabric=LeafSpineSpec(leaves=2, spines=2, hosts_per_leaf=2),
             )
 
-    def test_all_switches_reports_fabric_switches(self):
+    def test_switches_are_every_fabric_switch(self):
         cluster = make_cluster(
             "1L-1G", nodes=4, seed=0, synthetic_payloads=True,
             fabric=LeafSpineSpec(leaves=2, spines=2, hosts_per_leaf=2),
         )
-        names = {sw.name for sw in cluster.all_switches}
+        names = {sw.name for sw in cluster.switches}
         assert names == {"leaf0.0", "leaf0.1", "spine0.0", "spine0.1"}
+
+    @pytest.mark.parametrize("config, rails", [("1L-1G", 1), ("2L-1G", 2)])
+    def test_one_switch_wiring_names(self, config, rails):
+        """The paper's testbed is a one-switch fabric per rail whose names
+        are those of the old flat wiring: cable names are RNG stream
+        names (``.ber``, ``.graydrop``, ``.grayjitter``)."""
+        cluster = make_cluster(config, nodes=3, seed=0)
+        assert [(sw.name, len(sw.ports), sw.tier) for sw in cluster.switches] == [
+            (f"switch{rail}", 3, "") for rail in range(rails)
+        ]
+        for rail, fab in enumerate(cluster.fabrics):
+            assert fab.switches == [cluster.switches[rail]]
+            assert fab.trunks == {}
+            for node in range(3):
+                assert fab.access[node] == (f"switch{rail}", node)
+                name = f"node{node}.nic{rail}<->switch{rail}.p{node}"
+                cable = cluster.cable(node, rail)
+                assert (cable.ab.name, cable.ba.name) == (f"{name}.ab", f"{name}.ba")
 
     def test_trunk_speed_override(self):
         cluster = make_cluster(

@@ -18,6 +18,7 @@ from repro.control import (
 )
 from repro.fabric import LeafSpineSpec
 from repro.serve import ArrivalSpec, TailSpec
+from repro.serve.arrivals import Request
 
 MS = 1_000_000
 
@@ -71,3 +72,32 @@ def test_composed_run_is_ok_and_restores_inside_the_trunk_outage():
     ck = take_checkpoint(run_b)
     assert run_b.finish() == res_a
     assert restore(ck).finish() == res_a
+
+
+def test_reconnect_strands_no_request():
+    """Seed 2: server 5's ring to client 0 is full when 5 crashes, and its
+    outbox drain waits on that ring for credit.  The rewire must retire
+    the old ring so the drain moves on to the new one."""
+    res = ServeRun(**dict(RECIPE, seed=2)).finish()
+    assert res.pending == 0
+    assert res.ok, res.violations
+
+
+def test_stranded_request_is_a_violation():
+    run = ServeRun(
+        n_clients=1, n_servers=1, duration_ns=2 * MS,
+        arrival=ArrivalSpec(kind="poisson", rate_rps=20_000),
+    )
+    assert run.finish().ok
+    # One request held for dispatch that nothing will ever send, counted
+    # as emitted so every accounting invariant still holds.
+    rt = run.runtime
+    rt.holding.append(Request(
+        req_id=-1, client=0, t_arrival=0, req_bytes=64, resp_bytes=64,
+        deadline_ns=0,
+    ))
+    rt.generated += 1
+    rt.sources[0].generated += 1
+    res = run._report()
+    assert not res.ok
+    assert [v.split(":")[0] for v in res.violations] == ["requests-stranded"]

@@ -37,9 +37,8 @@ import json
 import pytest
 from conftest import record
 
-from repro.bench.fabric import run_ecmp_evenness, run_fabric_incast
-from repro.fabric import AllToAll, FatTreeSpec, Permutation, run_traffic
-from repro.bench.cluster import make_cluster
+from repro.bench import make_cluster, run_incast
+from repro.fabric import AllToAll, FatTreeSpec, Permutation, leaf_spine_3to1, run_traffic
 from repro.control import FaultSchedule, TrunkOutage
 from repro.verify.fuzz import run_family
 
@@ -69,9 +68,12 @@ PINNED_FINGERPRINTS = {
 }
 
 
-def _point(congestion: str, ecn: int | None, **kw) -> dict:
-    r = run_fabric_incast(
-        congestion=congestion, ecn_threshold_frames=ecn, **kw
+def _point(congestion: str, ecn: int | None) -> dict:
+    # 16 senders on leaves 0-2 converge on node 16 behind the last leaf:
+    # most frames cross two trunk hops.
+    r = run_incast(
+        config="1L-1G", senders=16, congestion=congestion,
+        ecn_threshold_frames=ecn, fabric=leaf_spine_3to1(),
     )
     assert r.routing_violations == [], r.routing_violations
     return {
@@ -115,8 +117,16 @@ def test_fabric_smoke():
         )
     assert points["dctcp"]["ce_marked"] > 0, "ECN never marked a frame"
 
-    # ECMP evenness on a 16-round permutation matrix.
-    evenness = run_ecmp_evenness(seed=EVENNESS_SEED)  # raises on any violation
+    # ECMP evenness on a 16-round permutation matrix: the max/min spine
+    # byte ratio (1.0 = perfect).
+    cluster = make_cluster(
+        "1L-1G", nodes=18, seed=EVENNESS_SEED, synthetic_payloads=False,
+        fabric=leaf_spine_3to1(),
+    )
+    evenness = run_traffic(
+        cluster, Permutation(16_000, rounds=16), seed=EVENNESS_SEED
+    )
+    assert not evenness.violations, evenness.violations
     ratio = evenness.ecmp_evenness
     assert ratio <= MAX_ECMP_RATIO, (
         f"ECMP spine byte ratio {ratio:.3f} exceeds {MAX_ECMP_RATIO}"
@@ -135,11 +145,14 @@ def test_fabric_smoke():
     for r in fuzz:
         assert r.ok, f"fabric fuzz seed {r.seed}: {r.failure}"
 
-    # Determinism witness: same parameters, same bytes.
-    first = run_fabric_incast(senders=8, congestion="dctcp",
-                              ecn_threshold_frames=ECN_THRESHOLD)
-    second = run_fabric_incast(senders=8, congestion="dctcp",
-                               ecn_threshold_frames=ECN_THRESHOLD)
+    # Determinism witness: same parameters, same bytes.  ECMP hashes the
+    # connection id, which every fresh cluster allocates from 1, so no
+    # earlier run in this process moves a path.
+    witness = dict(
+        config="1L-1G", senders=8, congestion="dctcp",
+        ecn_threshold_frames=ECN_THRESHOLD, fabric=leaf_spine_3to1(),
+    )
+    first, second = run_incast(**witness), run_incast(**witness)
     assert dataclasses.asdict(first) == dataclasses.asdict(second), (
         "identical fabric incast configurations diverged"
     )
@@ -194,8 +207,6 @@ def test_fabric_full():
     }
 
     # A failed trunk mid-incast: flows re-pin and the run still drains.
-    from repro.bench.fabric import leaf_spine_3to1
-
     cluster2 = make_cluster(
         "1L-1G", nodes=18, seed=1, synthetic_payloads=False,
         fabric=leaf_spine_3to1(),

@@ -1,9 +1,9 @@
 """Shared benchmark configuration.
 
 Experiments are deterministic discrete-event simulations: re-running them
-adds no statistical information, so every benchmark uses
-``benchmark.pedantic(..., rounds=1, iterations=1)`` and the runner module
-caches results so related figures share their underlying runs.
+adds no statistical information, so a benchmark that times itself uses
+``benchmark.pedantic(..., rounds=1, iterations=1)``, and figures that share
+runs live in one module that memoises them.
 """
 
 import json
@@ -11,10 +11,6 @@ import subprocess
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-
-# Sweep used by the Figure-2 benchmarks (paper sweeps 64 B .. 1 MB).
-FIG2_SIZES = (64, 1024, 16384, 262144, 1048576)
-FIG2_CONFIGS = ("1L-1G", "2L-1G", "1L-10G")
 
 
 def tree_commit() -> str | None:

@@ -57,7 +57,8 @@ class SwitchCounters:
 
 @dataclass
 class ClusterSummary:
-    """Flat roll-up of every layer's counters."""
+    """Flat roll-up of every layer's counters.  The serving layer reports
+    through :class:`~repro.bench.serve.ServeResult` instead."""
 
     elapsed_ns: int
     # Protocol layer.
@@ -127,25 +128,6 @@ class ClusterSummary:
     # Per-switch roll-up, keyed by switch name (repro.fabric gives every
     # fabric switch a distinct name; classic configs list one per rail).
     switches: list["SwitchCounters"] = field(default_factory=list)
-    # Serving layer (repro.serve; all zero without enable_serving()).
-    requests_generated: int = 0
-    requests_completed: int = 0
-    requests_shed: int = 0  # server-side sheds + client-side outbox rejects
-    requests_failed: int = 0
-    requests_replayed: int = 0
-    deadline_missed: int = 0
-    serve_p50_ns: int = 0
-    serve_p99_ns: int = 0
-    serve_p999_ns: int = 0
-    serve_shed_fraction: float = 0.0
-    # Tail tolerance (repro.serve.tail; all zero with tail=None).
-    hedges_sent: int = 0
-    hedges_won: int = 0
-    retries_shed: int = 0  # shed responses retried on another server
-    retries_denied: int = 0  # extra attempts refused by the retry budget
-    breaker_opens: int = 0
-    ejections: int = 0
-    serve_p99_by_server: dict = field(default_factory=dict)
     # Gray-failure detection (repro.control.grayscore; empty/zero without
     # enable_gray_detection()).  State residency is summed across every
     # watched edge, keyed by lifecycle state name ("up", "degraded", ...).
@@ -323,31 +305,6 @@ def summarize_cluster(
             "gray_degrade_clears": scorer.degrade_clears,
             "gray_flagged_edges": len(scorer.flagged),
         }
-    serve = cluster.serve
-    serve_fields: dict = {}
-    if serve is not None:
-        merged = serve.merged_histogram()
-        serve_fields = {
-            "requests_generated": serve.generated,
-            "requests_completed": serve.completed,
-            "requests_shed": serve.shed + serve.shed_client,
-            "requests_failed": serve.failed,
-            "requests_replayed": serve.replayed,
-            "deadline_missed": serve.deadline_missed,
-            "serve_p50_ns": merged.p50,
-            "serve_p99_ns": merged.p99,
-            "serve_p999_ns": merged.p999,
-            "serve_shed_fraction": serve.shed_fraction,
-            "serve_p99_by_server": {
-                s: h.p99 for s, h in serve.hist_by_server.items()
-            },
-            "hedges_sent": serve.tail.hedges_sent,
-            "hedges_won": serve.tail.hedges_won,
-            "retries_shed": serve.tail.retries_sent,
-            "retries_denied": serve.tail.budget.denied,
-            "breaker_opens": serve.tail.breaker_opens,
-            "ejections": serve.tail.ejections,
-        }
     ff = cluster.fastpath.stats if cluster.fastpath is not None else None
     n = len(cluster.stacks)
     proto_frac = (
@@ -409,7 +366,6 @@ def summarize_cluster(
         edge_state_time_ns=state_time,
         **recovery_fields,
         **gray_fields,
-        **serve_fields,
     )
 
 

@@ -1,19 +1,21 @@
-"""Benchmark harness: cluster builders, micro-benchmarks, runners, reports."""
+"""Benchmark harness: cluster builders, micro-benchmarks, experiments, reports."""
 
+from ..fabric import leaf_spine_3to1
 from .cluster import CONFIG_NAMES, Cluster, ClusterConfig, make_cluster, named_config
 from .crash import CrashResult, run_crash
-from .fabric import leaf_spine_3to1, run_ecmp_evenness, run_fabric_incast
 from .failover import FailoverResult, run_failover
 from .incast import IncastResult, run_incast
-from .micro import MicroResult, run_micro, run_one_way, run_ping_pong, run_two_way
-from .report import Table, band_str, check_band, fmt
-from .runner import (
+from .micro import (
     DEFAULT_SIZES,
     MICRO_BENCHMARKS,
-    app_run,
-    micro_point,
+    MicroResult,
     micro_sweep,
+    run_micro,
+    run_one_way,
+    run_ping_pong,
+    run_two_way,
 )
+from .report import Table, check_band, fmt
 
 __all__ = [
     "Cluster",
@@ -28,20 +30,15 @@ __all__ = [
     "IncastResult",
     "run_incast",
     "leaf_spine_3to1",
-    "run_fabric_incast",
-    "run_ecmp_evenness",
     "MicroResult",
     "run_micro",
     "run_ping_pong",
     "run_one_way",
     "run_two_way",
     "micro_sweep",
-    "micro_point",
-    "app_run",
     "DEFAULT_SIZES",
     "MICRO_BENCHMARKS",
     "Table",
     "fmt",
     "check_band",
-    "band_str",
 ]

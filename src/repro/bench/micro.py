@@ -25,9 +25,22 @@ from typing import Optional
 
 from ..core import ConnectionHandle, merge_stats
 from ..ethernet import OpFlags
-from .cluster import Cluster
+from .cluster import Cluster, make_cluster
 
-__all__ = ["MicroResult", "run_ping_pong", "run_one_way", "run_two_way", "run_micro"]
+__all__ = [
+    "MicroResult",
+    "run_ping_pong",
+    "run_one_way",
+    "run_two_way",
+    "run_micro",
+    "micro_sweep",
+    "MICRO_BENCHMARKS",
+    "DEFAULT_SIZES",
+]
+
+MICRO_BENCHMARKS = ("ping-pong", "one-way", "two-way")
+
+DEFAULT_SIZES = (64, 256, 1024, 4096, 16384, 65536, 262144, 1048576)
 
 
 @dataclass
@@ -63,7 +76,6 @@ def _collect(
     elapsed: int,
     latency_us: float,
     total_payload_bytes: int,
-    directions: int,
 ) -> MicroResult:
     a, b = cluster.stacks[0], cluster.stacks[1]
     stats = merge_stats(
@@ -134,13 +146,17 @@ def run_ping_pong(
         cluster, "ping-pong", size, iterations, elapsed,
         latency_us=one_way_ns / 1000.0,
         total_payload_bytes=payload,
-        directions=2,
     )
+
+
+def _stream_iterations(size: int) -> int:
+    """Default measured writes of a one-/two-way run: about 4 MB worth,
+    between 8 and 512 of them."""
+    return max(8, min(512, 4_000_000 // size))
 
 
 def _one_way_stream(
     handle: ConnectionHandle,
-    peer: ConnectionHandle,
     size: int,
     count: int,
     src: int,
@@ -166,12 +182,11 @@ def run_one_way(
     size: int,
     iterations: Optional[int] = None,
     warmup: int = 4,
-    min_bytes: int = 4_000_000,
 ) -> MicroResult:
     """Back-to-back writes node 0 → node 1."""
     a, b = cluster.connect(0, 1)
     if iterations is None:
-        iterations = max(8, min(512, min_bytes // size))
+        iterations = _stream_iterations(size)
     src = a.node.memory.alloc(size)
     dst = b.node.memory.alloc(size)
     issue_times: list[int] = []
@@ -179,10 +194,10 @@ def run_one_way(
 
     def sender():
         # Warmup round.
-        yield from _one_way_stream(a, b, size, warmup, src, dst)
+        yield from _one_way_stream(a, size, warmup, src, dst)
         cluster.reset_measurement()
         state["start"] = cluster.sim.now
-        yield from _one_way_stream(a, b, size, iterations, src, dst, issue_times)
+        yield from _one_way_stream(a, size, iterations, src, dst, issue_times)
 
     def receiver():
         yield from b.wait_notification()  # warmup notify
@@ -198,7 +213,6 @@ def run_one_way(
         cluster, "one-way", size, iterations, elapsed,
         latency_us=host_overhead_us,
         total_payload_bytes=size * iterations,
-        directions=1,
     )
 
 
@@ -207,12 +221,11 @@ def run_two_way(
     size: int,
     iterations: Optional[int] = None,
     warmup: int = 4,
-    min_bytes: int = 4_000_000,
 ) -> MicroResult:
     """Simultaneous one-way streams in both directions."""
     a, b = cluster.connect(0, 1)
     if iterations is None:
-        iterations = max(8, min(512, min_bytes // size))
+        iterations = _stream_iterations(size)
     src_a, dst_a = a.node.memory.alloc(size), a.node.memory.alloc(size)
     src_b, dst_b = b.node.memory.alloc(size), b.node.memory.alloc(size)
     issue_times: list[int] = []
@@ -220,7 +233,7 @@ def run_two_way(
     warm_barrier = cluster.sim.event()
 
     def stream(handle, src, dst, who):
-        yield from _one_way_stream(handle, None, size, warmup, src, dst)
+        yield from _one_way_stream(handle, size, warmup, src, dst)
         # Synchronise measurement start across both directions.
         state["warm"] += 1
         if state["warm"] == 2:
@@ -230,7 +243,7 @@ def run_two_way(
         else:
             yield warm_barrier
         yield from _one_way_stream(
-            handle, None, size, iterations, src, dst, issue_times
+            handle, size, iterations, src, dst, issue_times
         )
 
     def sink(handle, who):
@@ -250,7 +263,6 @@ def run_two_way(
         cluster, "two-way", size, iterations, elapsed,
         latency_us=host_overhead_us,
         total_payload_bytes=2 * size * iterations,
-        directions=2,
     )
 
 
@@ -270,3 +282,27 @@ def run_micro(benchmark: str, cluster: Cluster, size: int, **kw) -> MicroResult:
             f"unknown micro-benchmark {benchmark!r}; choose from {sorted(_RUNNERS)}"
         ) from None
     return runner(cluster, size, **kw)
+
+
+def micro_sweep(
+    config: str,
+    benchmark: str,
+    sizes: tuple[int, ...] = DEFAULT_SIZES,
+    seed: int = 0,
+) -> tuple[MicroResult, ...]:
+    """One micro-benchmark across transfer sizes, on a fresh two-node
+    cluster each.
+
+    Payloads are length-only (identical results, no byte shuffling).  A
+    point runs 10 iterations at 256 KiB and above, the benchmark's default
+    below.
+    """
+    return tuple(
+        run_micro(
+            benchmark,
+            make_cluster(config, nodes=2, seed=seed, synthetic_payloads=True),
+            size,
+            iterations=10 if size >= 262144 else None,
+        )
+        for size in sizes
+    )

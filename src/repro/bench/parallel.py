@@ -13,8 +13,13 @@ forked child inheriting the exact state (:mod:`repro.checkpoint.fork`)::
 from __future__ import annotations
 
 from .cluster import make_cluster
-from .micro import MicroResult, _collect, _one_way_stream
-from .runner import DEFAULT_SIZES
+from .micro import (
+    DEFAULT_SIZES,
+    MicroResult,
+    _collect,
+    _one_way_stream,
+    _stream_iterations,
+)
 
 __all__ = ["warm_micro_sweep"]
 
@@ -23,9 +28,7 @@ _WARM_LIMIT_NS = 600_000_000_000
 
 def _warm_iterations(size: int) -> int:
     """Measured iteration count shared by the warm and cold twins."""
-    if size >= 262144:
-        return 10
-    return max(8, min(512, 4_000_000 // size))
+    return 10 if size >= 262144 else _stream_iterations(size)
 
 
 def _warm_prefix(config: str, seed: int, warmup: int, warmup_size: int):
@@ -41,7 +44,7 @@ def _warm_prefix(config: str, seed: int, warmup: int, warmup_size: int):
     dst = b.node.memory.alloc(warmup_size)
 
     def sender():
-        yield from _one_way_stream(a, b, warmup_size, warmup, src, dst)
+        yield from _one_way_stream(a, warmup_size, warmup, src, dst)
 
     def receiver():
         yield from b.wait_notification()
@@ -63,7 +66,7 @@ def _measured_point(cluster, a, b, size: int) -> MicroResult:
     def sender():
         cluster.reset_measurement()
         state["start"] = cluster.sim.now
-        yield from _one_way_stream(a, b, size, iterations, src, dst, issue_times)
+        yield from _one_way_stream(a, size, iterations, src, dst, issue_times)
 
     def receiver():
         yield from b.wait_notification()
@@ -78,7 +81,6 @@ def _measured_point(cluster, a, b, size: int) -> MicroResult:
         cluster, "one-way", size, iterations, elapsed,
         latency_us=host_overhead_us,
         total_payload_bytes=size * iterations,
-        directions=1,
     )
 
 
@@ -101,10 +103,9 @@ def warm_micro_sweep(
     which ``tests/checkpoint/test_warm_sweep.py`` asserts; the fork path
     just stops paying for the prefix ``len(sizes)`` times.
 
-    Results are deliberately *not* cached in the ``micro_point`` cache:
-    the warm protocol (fixed-size warmup) differs from ``run_one_way``'s
+    The warm protocol (fixed-size warmup) differs from ``run_one_way``'s
     per-size warmup, so the numbers are comparable within a warm sweep,
-    not with cold :func:`~repro.bench.runner.micro_sweep` points.
+    not with cold :func:`~repro.bench.micro.micro_sweep` points.
     """
     from ..checkpoint.fork import HAVE_FORK, fork_map
 

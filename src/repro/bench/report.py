@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Any, Sequence
 
-__all__ = ["Table", "fmt", "check_band", "band_str"]
+__all__ = ["Table", "fmt", "check_band"]
 
 
 def fmt(value: Any, digits: int = 2) -> str:
@@ -57,10 +57,6 @@ class Table:
 
     def show(self) -> None:
         print("\n" + self.render())
-
-
-def band_str(band: tuple[float, float]) -> str:
-    return f"{fmt(band[0])}..{fmt(band[1])}"
 
 
 def check_band(

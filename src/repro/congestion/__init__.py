@@ -4,14 +4,9 @@ See :mod:`repro.congestion.base` for the controller contract and
 docs/PROTOCOL.md ("Congestion management") for the protocol-level story.
 """
 
-from .base import (
-    CONTROLLER_NAMES,
-    CongestionController,
-    CongestionParams,
-    StaticWindow,
-    make_congestion_controller,
-    register_congestion_controller,
-)
+from typing import Optional, Type
+
+from .base import CongestionController, CongestionParams, StaticWindow
 from .adaptive import AdaptiveController
 from .aimd import AimdController
 from .dctcp import DctcpController
@@ -27,5 +22,26 @@ __all__ = [
     "DctcpController",
     "TokenBucket",
     "make_congestion_controller",
-    "register_congestion_controller",
 ]
+
+_CONTROLLERS: dict[str, Type[CongestionController]] = {
+    "static": StaticWindow,
+    "aimd": AimdController,
+    "dctcp": DctcpController,
+}
+
+CONTROLLER_NAMES = tuple(_CONTROLLERS)
+
+
+def make_congestion_controller(
+    name: str, window, params: Optional[CongestionParams] = None
+) -> CongestionController:
+    """Factory by controller name (used by :class:`ProtocolParams`)."""
+    try:
+        cls = _CONTROLLERS[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown congestion controller {name!r}; "
+            f"choose from {sorted(_CONTROLLERS)}"
+        ) from None
+    return cls(window, params)

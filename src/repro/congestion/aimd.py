@@ -17,7 +17,6 @@ from __future__ import annotations
 from typing import Optional
 
 from .adaptive import AdaptiveController
-from .base import register_congestion_controller
 
 
 class AimdController(AdaptiveController):
@@ -48,5 +47,3 @@ class AimdController(AdaptiveController):
         self._cwnd = float(self.params.min_cwnd_frames)
         self._apply_cwnd()
 
-
-register_congestion_controller("aimd", AimdController)

@@ -29,7 +29,7 @@ Three implementations ship:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Type
+from typing import Optional
 
 from ..ethernet.frame import ETH_MTU, ETH_OVERHEAD_BYTES
 
@@ -37,9 +37,6 @@ __all__ = [
     "CongestionParams",
     "CongestionController",
     "StaticWindow",
-    "make_congestion_controller",
-    "register_congestion_controller",
-    "CONTROLLER_NAMES",
 ]
 
 # Wire bytes of a full-MTU frame; pacing converts cwnd (frames) to bits/s.
@@ -171,37 +168,3 @@ class StaticWindow(CongestionController):
 
     name = "static"
     active = False
-
-
-_CONTROLLERS: dict[str, Type[CongestionController]] = {
-    "static": StaticWindow,
-}
-
-
-def register_congestion_controller(
-    name: str, cls: Type[CongestionController]
-) -> None:
-    """Register a controller class under ``name`` (idempotent per class)."""
-    existing = _CONTROLLERS.get(name)
-    if existing is not None and existing is not cls:
-        raise ValueError(f"congestion controller {name!r} already registered")
-    _CONTROLLERS[name] = cls
-
-
-def make_congestion_controller(
-    name: str, window, params: Optional[CongestionParams] = None
-) -> CongestionController:
-    """Factory by controller name (used by :class:`ProtocolParams`)."""
-    try:
-        cls = _CONTROLLERS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown congestion controller {name!r}; "
-            f"choose from {sorted(_CONTROLLERS)}"
-        ) from None
-    return cls(window, params)
-
-
-def CONTROLLER_NAMES() -> tuple[str, ...]:
-    """Currently registered controller names (import order matters)."""
-    return tuple(sorted(_CONTROLLERS))

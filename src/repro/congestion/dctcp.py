@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .adaptive import AdaptiveController
-from .base import CongestionParams, register_congestion_controller
+from .base import CongestionParams
 
 
 class DctcpController(AdaptiveController):
@@ -76,5 +76,3 @@ class DctcpController(AdaptiveController):
         self._cwnd = float(self.params.min_cwnd_frames)
         self._apply_cwnd()
 
-
-register_congestion_controller("dctcp", DctcpController)

@@ -85,10 +85,10 @@ class ProtocolParams:
     # moved.  Used by the micro-benchmark harness; applications that read
     # back received data must keep this off.
     synthetic_payloads: bool = False
-    # Congestion controller ("static" | "aimd" | "dctcp" | any registered
-    # name).  "static" is the paper's behaviour: the fixed flow-control
-    # window is the only send limit, and every trace is bit-identical to
-    # a build without the congestion subsystem.
+    # Congestion controller ("static" | "aimd" | "dctcp").  "static" is
+    # the paper's behaviour: the fixed flow-control window is the only
+    # send limit, and every trace is bit-identical to a build without the
+    # congestion subsystem.
     congestion: str = "static"
     # Controller tunables; None uses CongestionParams() defaults.
     congestion_params: Optional[CongestionParams] = None

@@ -11,9 +11,9 @@ models what the cable itself contributes:
 * strict FIFO delivery (Ethernet links never reorder).
 
 :class:`Cable` bundles the two directions and attaches them to two devices.
-Devices implement the tiny :class:`LinkEndpoint` protocol: an ``on_frame``
-callback and a ``mac`` address, or a ``deliver_fold`` that absorbs every
-delivery (a switch port).
+Devices implement the tiny :class:`LinkEndpoint` protocol: a ``mac``
+address and a ``deliver_fold`` that takes every delivery at its arrival
+time.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ class LinkEndpoint(Protocol):
 
     mac: int
 
-    def on_frame(self, frame: Frame) -> None:
-        """Called when a frame's last bit arrives."""
+    def deliver_fold(self, frame: Frame, arrival: int) -> None:
+        """Take ``frame``, whose last bit arrives at time ``arrival``."""
 
 
 @dataclass
@@ -57,8 +57,9 @@ class Link:
     """One direction of a cable.
 
     ``deliver(frame)`` is called by the transmitting device at the moment the
-    frame's last bit leaves the device; the link schedules ``on_frame`` at the
-    receiver after the propagation delay, enforcing FIFO arrival.
+    frame's last bit leaves the device; the link hands it to the receiver's
+    ``deliver_fold`` with its arrival time after the propagation delay,
+    enforcing FIFO arrival.
     """
 
     def __init__(
@@ -78,7 +79,6 @@ class Link:
         self.rng = rng or RngRegistry(0)
         self.name = name
         self.receiver: Optional[LinkEndpoint] = None
-        self._fold = None
         self._last_arrival = 0
         self._failed_until = -1
         # Gray impairment (repro.control gray faults): None keeps deliver()
@@ -98,11 +98,6 @@ class Link:
 
     def attach_receiver(self, endpoint: LinkEndpoint) -> None:
         self.receiver = endpoint
-        # Lets the receiver absorb a delivery with fewer scheduler events: a
-        # switch port always does (SwitchPort.deliver_fold), a NIC when it is
-        # provably timing-identical (Nic.deliver_fold).  Bound once here to
-        # keep the per-frame path free of getattr.
-        self._fold = getattr(endpoint, "deliver_fold", None)
 
     def fail_for(self, duration_ns: int) -> None:
         """Start a transient outage: frames sent before ``now + duration`` die."""
@@ -207,10 +202,7 @@ class Link:
         self._last_arrival = arrival
         self.frames_delivered += 1
         self.bytes_delivered += frame.wire_bytes
-        fold = self._fold
-        if fold is not None and fold(frame, arrival):
-            return
-        self.sim.at(arrival, self.receiver.on_frame, frame)
+        self.receiver.deliver_fold(frame, arrival)
 
 
 class _GrayImpairment:

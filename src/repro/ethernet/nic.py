@@ -155,7 +155,7 @@ class Nic:
     # -- wiring ----------------------------------------------------------
 
     def attach_link(self, link: Link) -> None:
-        """Set the outgoing link (the incoming one calls :meth:`on_frame`)."""
+        """Set the outgoing link (the incoming one calls :meth:`deliver_fold`)."""
         self.tx_link = link
 
     def set_pacing_rate(
@@ -315,28 +315,29 @@ class Nic:
         self.sim.schedule(self.params.dma_ns, self._rx_visible, frame,
                           self._power_epoch)
 
-    def deliver_fold(self, frame: Frame, arrival: int) -> bool:
-        """Fold link arrival + RX admission into one scheduled event.
+    def deliver_fold(self, frame: Frame, arrival: int) -> None:
+        """Link delivery: fold arrival + RX admission into one scheduled
+        event where that is exact, else schedule :meth:`on_frame` at
+        ``arrival``.
 
-        Only taken when the RX ring is far from full: the ring can gain at
-        most a handful of frames during one propagation window, so with
-        ``_RX_FOLD_MARGIN`` slack the arrival-time admission check is
-        guaranteed to pass and deciding it early is timing-identical.
-        Corrupted frames and near-full rings use the exact two-step path.
+        The fold is only taken when the RX ring is far from full: the ring
+        can gain at most a handful of frames during one propagation window,
+        so with ``_RX_FOLD_MARGIN`` slack the arrival-time admission check
+        is guaranteed to pass and deciding it early is timing-identical.
+        Powered-off NICs, corrupted frames and near-full rings use the
+        exact two-step path, where :meth:`on_frame` counts any drop.
         """
-        if not self.powered:
-            return False  # fall back to on_frame, which counts the drop
-        if frame.corrupted:
-            return False
         if (
-            len(self._rx_pending) + self._rx_inflight + _RX_FOLD_MARGIN
+            not self.powered
+            or frame.corrupted
+            or len(self._rx_pending) + self._rx_inflight + _RX_FOLD_MARGIN
             >= self.params.rx_ring_frames
         ):
-            return False
+            self.sim.at(arrival, self.on_frame, frame)
+            return
         self._rx_inflight += 1
         self.sim.at(arrival + self.params.dma_ns, self._rx_visible, frame,
                     self._power_epoch)
-        return True
 
     def _rx_visible(self, frame: Frame, epoch: int = 0) -> None:
         if epoch != self._power_epoch:

@@ -113,11 +113,11 @@ class SwitchPort:
             self._wt_cache[wire_bytes] = t
         return t
 
-    def deliver_fold(self, frame: Frame, arrival: int) -> bool:
+    def deliver_fold(self, frame: Frame, arrival: int) -> None:
         """The only way into a switch: link arrival and ingress folded into
         one scheduled event.  Counts the ingress and the hop, enforces the
         hop budget, then schedules the forwarding decision at arrival plus
-        the forwarding latency.  Always absorbs the delivery."""
+        the forwarding latency."""
         sw = self.switch
         sw.ingress_frames += 1
         frame.hops += 1
@@ -128,11 +128,10 @@ class SwitchPort:
                 f"{sw.name}: {frame!r} exceeded the {sw.max_hops}-hop "
                 f"budget (forwarding loop)"
             )
-            return True
+            return
         sw.sim.at(
             arrival + sw.params.forwarding_latency_ns, sw._forward, self.index, frame
         )
-        return True
 
     # -- egress ----------------------------------------------------------
 

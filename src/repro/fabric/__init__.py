@@ -19,7 +19,7 @@ SplitSim/SimBricks composition argument, see PAPERS.md):
 """
 
 from .ecmp import EcmpSwitch, ecmp_hash
-from .topology import Fabric, FatTreeSpec, LeafSpineSpec, build_fabric
+from .topology import Fabric, FatTreeSpec, LeafSpineSpec, build_fabric, leaf_spine_3to1
 from .traffic import (
     AllToAll,
     ElephantMice,
@@ -37,6 +37,7 @@ __all__ = [
     "ecmp_hash",
     "Fabric",
     "LeafSpineSpec",
+    "leaf_spine_3to1",
     "FatTreeSpec",
     "build_fabric",
     "Flow",

@@ -42,7 +42,7 @@ from ..ethernet.nic import Nic
 from ..sim import RngRegistry, Simulator
 from .ecmp import EcmpSwitch
 
-__all__ = ["LeafSpineSpec", "FatTreeSpec", "Fabric", "build_fabric"]
+__all__ = ["LeafSpineSpec", "leaf_spine_3to1", "FatTreeSpec", "Fabric", "build_fabric"]
 
 
 @dataclass(frozen=True)
@@ -85,6 +85,12 @@ class LeafSpineSpec:
     def oversubscription(self, host_speed_bps: float) -> float:
         trunk = self.trunk_speed_bps or host_speed_bps
         return (self.hosts_per_leaf * host_speed_bps) / (self.spines * trunk)
+
+
+def leaf_spine_3to1() -> LeafSpineSpec:
+    """The benchmarks' leaf-spine: 3 leaves of 6 hosts over 2 spine
+    uplinks, 3:1 oversubscribed for cross-leaf traffic at one link speed."""
+    return LeafSpineSpec(leaves=3, spines=2, hosts_per_leaf=6)
 
 
 @dataclass(frozen=True)

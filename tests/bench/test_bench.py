@@ -5,7 +5,6 @@ import pytest
 from repro.bench import (
     CONFIG_NAMES,
     Table,
-    band_str,
     check_band,
     fmt,
     make_cluster,
@@ -128,9 +127,6 @@ class TestReporting:
         assert check_band(5.0, (4.0, 6.0))
         assert not check_band(7.0, (4.0, 6.0))
         assert check_band(6.5, (4.0, 6.0), slack=0.3)
-
-    def test_band_str(self):
-        assert band_str((1.0, 2.0)) == "1.00..2.00"
 
 
 class TestPaperData:

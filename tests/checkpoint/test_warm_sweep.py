@@ -28,10 +28,3 @@ class TestWarmSweep:
         assert tuple(r.size for r in res) == SIZES
         assert all(r.benchmark == "one-way" for r in res)
         assert all(r.throughput_mbps > 0 for r in res)
-
-    def test_warm_results_not_cached_as_micro_points(self):
-        from repro.bench.runner import _micro_cache
-
-        before = dict(_micro_cache)
-        warm_micro_sweep("1L-1G", sizes=SIZES, use_fork=False)
-        assert _micro_cache == before

@@ -9,13 +9,13 @@ against exact expected values.
 import pytest
 
 from repro.congestion import (
+    CONTROLLER_NAMES,
     AimdController,
     CongestionParams,
     DctcpController,
     StaticWindow,
     make_congestion_controller,
 )
-from repro.congestion.base import CONTROLLER_NAMES
 from repro.core.window import SendWindow
 
 US = 1_000
@@ -28,12 +28,11 @@ def make(kind: str, size: int = 64, **kw):
     return window, make_congestion_controller(kind, window, params)
 
 
-# -- registry / params -------------------------------------------------------
+# -- controller table / params -----------------------------------------------
 
 
 def test_registry_names():
-    names = CONTROLLER_NAMES()
-    assert {"static", "aimd", "dctcp"} <= set(names)
+    assert set(CONTROLLER_NAMES) == {"static", "aimd", "dctcp"}
 
 
 def test_unknown_controller_rejected():

@@ -7,24 +7,17 @@ from repro.sim import RngRegistry, Simulator
 
 
 class Sink:
+    """A link endpoint that records each frame with its arrival time."""
+
     mac = 99
 
     def __init__(self):
         self.frames = []
         self.times = []
 
-    def on_frame(self, frame):
+    def deliver_fold(self, frame, arrival):
         self.frames.append(frame)
-
-
-class TimedSink(Sink):
-    def __init__(self, sim):
-        super().__init__()
-        self.sim = sim
-
-    def on_frame(self, frame):
-        super().on_frame(frame)
-        self.times.append(self.sim.now)
+        self.times.append(arrival)
 
 
 def make_frame(n=100):
@@ -39,7 +32,7 @@ def make_frame(n=100):
 def test_link_delivers_after_propagation():
     sim = Simulator()
     link = Link(sim, LinkParams(propagation_ns=700))
-    sink = TimedSink(sim)
+    sink = Sink()
     link.attach_receiver(sink)
     link.deliver(make_frame())
     sim.run()

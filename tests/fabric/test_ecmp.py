@@ -140,7 +140,7 @@ class TestForwarding:
         leaf = fab.by_name["leaf0.0"]
         frame = _frame(fab.host_macs[0], fab.host_macs[2])
         frame.hops = fab.spec.max_hops  # one more ingress goes over budget
-        assert leaf.port(1).deliver_fold(frame, cluster.sim.now)
+        leaf.port(1).deliver_fold(frame, cluster.sim.now)
         assert leaf.dropped_loop == 1
         assert leaf.loop_violations
         assert leaf.conservation_violations() == []

@@ -32,15 +32,9 @@ from conftest import record
 from repro.bench.parallel import warm_micro_sweep
 from repro.checkpoint import restore, take_checkpoint
 from repro.checkpoint.fork import HAVE_FORK
-from repro.checkpoint.shrink import shrink_scenario_checkpointed
+from repro.checkpoint.shrink import CheckpointedShrinker
 from repro.control import Outage, PermanentFailure
-from repro.verify.fuzz import (
-    OpSpec,
-    ScenarioRun,
-    run_scenario,
-    scenario_from_seed,
-    shrink_scenario,
-)
+from repro.verify.fuzz import OpSpec, ScenarioRun, run_scenario, scenario_from_seed, shrink
 
 
 MS = 1_000_000
@@ -166,16 +160,18 @@ def test_warm_sweep_smoke():
 @pytest.mark.skipif(not HAVE_FORK, reason="requires os.fork")
 def test_shrinker_savings_smoke():
     """Fork-from-checkpoint probes reach the cold shrinker's answer faster."""
-    sc = _prefix_heavy_failing_scenario()
-    assert not run_scenario(sc).ok, "scenario must fail for shrinking"
+    res = run_scenario(_prefix_heavy_failing_scenario())
+    assert not res.ok, "scenario must fail for shrinking"
 
     t0 = time.perf_counter()
-    cold_min = shrink_scenario(sc)
+    cold_min = shrink(res)
     cold_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    fast_min, stats = shrink_scenario_checkpointed(sc)
+    with CheckpointedShrinker(res.recipe) as oracle:
+        fast_min = shrink(res, fails=oracle.fails)
     fast_s = time.perf_counter() - t0
+    stats = oracle.stats
 
     assert fast_min == cold_min, "checkpointed shrink found a different minimum"
     assert stats.fast_probes > 0, "fork point never answered a probe"
@@ -183,7 +179,7 @@ def test_shrinker_savings_smoke():
     report = {
         "shrinker": {
             "scenario": "1 MB write, rail killed at 30 ms, 16 decoy outages",
-            "minimal_faults": len(fast_min.faults),
+            "minimal_faults": len(fast_min["sc"].faults),
             "fast_probes": stats.fast_probes,
             "cold_probes": stats.cold_probes,
             "reparks": stats.reparks,

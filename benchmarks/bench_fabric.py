@@ -173,9 +173,9 @@ def test_fabric_smoke():
         "fabric_fuzz": [
             {
                 "seed": r.seed,
-                "topology": r.scenario.topology,
-                "traffic": r.scenario.traffic,
-                "trunk_events": len(r.scenario.trunk_events),
+                "topology": r.recipe["topology"],
+                "traffic": r.recipe["traffic"],
+                "trunk_events": len(r.recipe["faults"]),
                 "flows": r.result.flows,
                 "repins": r.result.repins,
                 "switch_drops": r.result.switch_drops,

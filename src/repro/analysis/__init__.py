@@ -4,7 +4,6 @@ from .latency import LatencyHistogram, SloReport, SloSpec
 from .probes import (
     CwndProbe,
     EdgeScoreProbe,
-    FastForwardProbe,
     InflightProbe,
     MarkedFractionProbe,
     PacingStallProbe,
@@ -33,7 +32,6 @@ __all__ = [
     "CwndProbe",
     "MarkedFractionProbe",
     "PacingStallProbe",
-    "FastForwardProbe",
     "ReconnectLatencyProbe",
     "Sample",
     "ClusterSummary",

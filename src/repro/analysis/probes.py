@@ -16,8 +16,6 @@ kind of analysis:
   frames that arrived CE-marked (receiver-side ECN visibility),
 * :class:`PacingStallProbe` — per-interval nanoseconds a NIC's frames
   spent waiting on the pacing token bucket,
-* :class:`FastForwardProbe` — per-interval fraction of virtual time the
-  hybrid-fidelity fast path simulated analytically (repro.fastpath),
 * :class:`ReconnectLatencyProbe` — detection-to-reconnect latency of each
   crash-recovery reconnect (event-driven, not periodic).
 
@@ -41,7 +39,6 @@ __all__ = [
     "CwndProbe",
     "MarkedFractionProbe",
     "PacingStallProbe",
-    "FastForwardProbe",
     "ReconnectLatencyProbe",
     "Sample",
 ]
@@ -192,37 +189,6 @@ class PacingStallProbe(_Probe):
         delta = stall - self._last_stall
         self._last_stall = stall
         return float(delta)
-
-
-class FastForwardProbe(_Probe):
-    """Cumulative fraction of virtual time covered analytically.
-
-    Samples the :class:`~repro.fastpath.FastpathStats` coverage
-    accumulator of a cluster's fast-forward manager: a sample of 1.0
-    means every nanosecond up to that instant was simulated by
-    closed-form jumps, 0.0 means pure frame-level simulation (or
-    fastpath disabled).  Cumulative rather than per-interval because a
-    jump credits its whole window at the op boundary where it lands —
-    per-interval deltas would alias against the sampling grid.  The
-    probe's own periodic events ride alongside jumps without aborting
-    them.
-    """
-
-    def __init__(self, sim: Simulator, cluster, interval_ns: int = 1_000_000) -> None:
-        manager = cluster.fastpath
-        self._stats = manager.stats if manager is not None else None
-        self._base_ns = self._stats.ff_virtual_ns if self._stats else 0
-        self._start_ns = sim.now
-        super().__init__(sim, interval_ns)
-
-    def _read(self) -> float:
-        if self._stats is None:
-            return 0.0
-        elapsed = self.sim.now - self._start_ns
-        if elapsed <= 0:
-            return 0.0
-        frac = (self._stats.ff_virtual_ns - self._base_ns) / elapsed
-        return frac if frac < 1.0 else 1.0
 
 
 class ReconnectLatencyProbe:

@@ -175,13 +175,6 @@ class ClusterSummary:
             return 0.0
         return 100.0 * self.ff_virtual_ns / self.elapsed_ns
 
-    @property
-    def ff_byte_coverage_pct(self) -> float:
-        """Percent of transferred payload bytes moved analytically."""
-        if self.data_bytes <= 0:
-            return 0.0
-        return 100.0 * self.ff_bytes / self.data_bytes
-
 
 def summarize_cluster(
     cluster: Cluster, elapsed_ns: Optional[int] = None

@@ -65,14 +65,6 @@ class IncastResult:
             return 0.0
         return self.total_bytes * 8 / (self.elapsed_ns / 1e9)
 
-    @property
-    def echo_fraction(self) -> float:
-        """Echoes that actually reached a sender per mark the fabric made
-        (delayed acks coarsen echoes, so this is well below 1 under load)."""
-        return (
-            self.ecn_echoes_received / self.ce_marked if self.ce_marked else 0.0
-        )
-
 
 def run_incast(
     config: str = "1L-1G",

@@ -212,6 +212,8 @@ class ServeRun(Run):
                 f"requests-stranded: {pending} requests pending at the "
                 "horizon with every server alive and every connection idle"
             )
+        if not rt.generated:
+            violations.append("no-requests-generated")  # it proved nothing
         merged = rt.merged_histogram()
         slo = rt.slo_report(merged)
         cfg = rt.config

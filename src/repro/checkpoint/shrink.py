@@ -1,9 +1,9 @@
-"""Checkpoint-accelerated scenario shrinking.
+"""Checkpoint-accelerated shrinking of ``protocol`` recipes.
 
-:func:`~repro.verify.fuzz.shrink_scenario` re-executes every candidate
-from t=0.  Its fault-drop pass — one full run per fault event — is pure
-waste: every candidate is *identical* to the failing scenario until the
-dropped fault's start time.  This module parks a
+:func:`~repro.verify.fuzz.shrink` re-executes every candidate from t=0.
+Its fault-drop pass — one full run per fault event — is pure waste: every
+candidate is *identical* to the failing run until the dropped fault's
+start time.  This module parks a
 :class:`~repro.checkpoint.fork.ForkPoint` just before the first fault
 fires and answers each fault-drop candidate from a forked grandchild that
 merely withdraws the dropped faults' timers
@@ -19,12 +19,16 @@ run's — asserted in ``tests/checkpoint/test_shrink.py``.
 
 Candidates the checkpoint cannot answer (op drops, size halving, knob
 simplification — anything that changes state *before* the fork point)
-fall back to a cold :func:`~repro.verify.fuzz.run_scenario`.
+fall back to a cold run.  Only :class:`~repro.verify.fuzz.ScenarioRun`
+recipes are answered this way: a serving run, for one, enables crash
+recovery and edge control only when its faults list a ``Crash``, so
+withdrawing a pending ``Crash`` from a paused serving run does not give
+the run that was built without it.
 
 The park survives fault-only adoptions: dropping a pending fault leaves
 the pre-fault prefix untouched, so when the shrinker adopts a candidate
 that merely sheds faults, the existing fork point still answers every
-later fault-subset candidate (judged against the *parked* scenario, not
+later fault-subset candidate (judged against the *parked* recipe, not
 the moving base).  Only an adoption that changes something else — an op,
 a size, a knob — invalidates the park; the next eligible probe re-parks
 at the new base.  Without ``os.fork`` every probe is cold and the result
@@ -36,10 +40,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from ..verify.fuzz import Scenario, ScenarioRun, run_scenario, shrink_scenario
+from ..verify.fuzz import ScenarioRun
 from .fork import HAVE_FORK, ForkPoint
 
-__all__ = ["ShrinkStats", "CheckpointedShrinker", "shrink_scenario_checkpointed"]
+__all__ = ["ShrinkStats", "CheckpointedShrinker"]
 
 
 @dataclass
@@ -50,30 +54,25 @@ class ShrinkStats:
     cold_probes: int = 0  # full re-executions from t=0
     reparks: int = 0  # fork points built (incl. the first)
 
-    @property
-    def total_probes(self) -> int:
-        return self.fast_probes + self.cold_probes
 
+def _dropped_fault_indices(base: dict, cand: dict) -> Optional[tuple[int, ...]]:
+    """Indices of the faults of ``base["sc"]`` absent from ``cand["sc"]``.
 
-def _dropped_fault_indices(
-    base: Scenario, cand: Scenario
-) -> Optional[tuple[int, ...]]:
-    """Indices of ``base.faults`` absent from ``cand``.
-
-    Returns None unless ``cand`` equals ``base`` with an (order-preserving)
-    subset of its faults — the only candidate shape a parked fork point
-    can answer.
+    Returns None unless the recipe ``cand`` equals ``base`` with an
+    (order-preserving) subset of its faults — the only candidate shape a
+    parked fork point can answer.
     """
-    if replace(cand, faults=base.faults) != base:
+    have, keep = base["sc"].faults, cand["sc"].faults
+    if {**cand, "sc": replace(cand["sc"], faults=have)} != base:
         return None
     dropped = []
     j = 0
-    for i, f in enumerate(base.faults):
-        if j < len(cand.faults) and cand.faults[j] == f:
+    for i, f in enumerate(have):
+        if j < len(keep) and keep[j] == f:
             j += 1
         else:
             dropped.append(i)
-    if j != len(cand.faults):  # cand has faults base doesn't: not a subset
+    if j != len(keep):  # cand has faults base doesn't: not a subset
         return None
     return tuple(dropped)
 
@@ -86,29 +85,31 @@ def _probe(run: ScenarioRun, dropped: tuple[int, ...]) -> bool:
 
 
 class CheckpointedShrinker:
-    """A ``fails`` oracle for :func:`~repro.verify.fuzz.shrink_scenario`
-    that answers fault-drop candidates from a mid-run checkpoint.
+    """A ``fails`` oracle for :func:`~repro.verify.fuzz.shrink` on a
+    ``protocol`` result that answers fault-drop candidates from a mid-run
+    checkpoint.
 
     Use as a context manager (the parked child holds a live process)::
 
-        with CheckpointedShrinker(sc) as oracle:
-            small = shrink_scenario(sc, fails=oracle.fails)
+        with CheckpointedShrinker(res.recipe) as oracle:
+            small = shrink(res, fails=oracle.fails)
         print(oracle.stats)
     """
 
-    def __init__(self, sc: Scenario) -> None:
+    def __init__(self, recipe: dict) -> None:
         self.stats = ShrinkStats()
-        self._base = sc  # last scenario known to fail
+        self._base = recipe  # last recipe known to fail
         self._fp: Optional[ForkPoint] = None
-        self._parked_at: Optional[Scenario] = None
+        self._parked_at: Optional[dict] = None
 
     # -- fork-point lifecycle -------------------------------------------
 
-    def _park_time(self, sc: Scenario) -> Optional[int]:
-        """Pause instant for ``sc``: just before its earliest fault."""
-        if not HAVE_FORK or not sc.faults:
+    def _park_time(self, recipe: dict) -> Optional[int]:
+        """Pause instant for ``recipe``: just before its earliest fault."""
+        faults = recipe["sc"].faults
+        if not HAVE_FORK or not faults:
             return None
-        t = min(f.at_ns for f in sc.faults) - 1
+        t = min(f.at_ns for f in faults) - 1
         return t if t > 0 else None
 
     def _ensure_parked(self) -> bool:
@@ -126,7 +127,7 @@ class CheckpointedShrinker:
         base = self._base
 
         def setup() -> ScenarioRun:
-            run = ScenarioRun(base)
+            run = ScenarioRun(**base)
             run.run_to(t)
             return run
 
@@ -146,12 +147,13 @@ class CheckpointedShrinker:
 
     # -- the oracle ------------------------------------------------------
 
-    def fails(self, cand: Scenario) -> bool:
-        # Eligibility is judged against the parked scenario when a park
+    def fails(self, cand: dict) -> bool:
+        # Eligibility is judged against the parked recipe when a park
         # exists (a probe cancels the faults the candidate lacks relative
         # to *it*); otherwise against the base we would park at.
         ref = self._parked_at if self._fp is not None else self._base
         dropped = _dropped_fault_indices(ref, cand)
+        failed = None
         if dropped is not None and self._ensure_parked():
             try:
                 failed = self._fp.call(dropped)
@@ -160,10 +162,8 @@ class CheckpointedShrinker:
                 # Parked child died (e.g. probe crashed the fork server):
                 # rebuild lazily next time, answer this one cold.
                 self._unpark()
-                failed = not run_scenario(cand).ok
-                self.stats.cold_probes += 1
-        else:
-            failed = not run_scenario(cand).ok
+        if failed is None:
+            failed = not ScenarioRun(**cand).finish().ok
             self.stats.cold_probes += 1
         if failed:
             # The shrinker adopts failing candidates as its new base.  A
@@ -186,17 +186,3 @@ class CheckpointedShrinker:
     def __exit__(self, *exc) -> None:
         self.close()
 
-
-def shrink_scenario_checkpointed(
-    sc: Scenario, max_runs: int = 200
-) -> tuple[Scenario, ShrinkStats]:
-    """Drop-in for :func:`~repro.verify.fuzz.shrink_scenario` that probes
-    fault-drop candidates from the nearest checkpoint instead of t=0.
-
-    Returns ``(minimal_scenario, stats)``; the scenario is identical to
-    what the cold shrinker produces (same greedy passes, same oracle
-    verdicts — only the probe mechanism differs).
-    """
-    with CheckpointedShrinker(sc) as oracle:
-        small = shrink_scenario(sc, fails=oracle.fails, max_runs=max_runs)
-        return small, oracle.stats

@@ -69,9 +69,6 @@ class SharedRegion:
     # Per-node base virtual address of the region's local backing.
     base: list[int]
 
-    def page_of(self, offset: int) -> int:
-        return offset // PAGE_SIZE
-
     def page_range(self, offset: int, nbytes: int) -> range:
         if nbytes <= 0:
             raise ValueError("access size must be positive")

@@ -598,17 +598,6 @@ class DsmNode:
         self.stats.page_fetch_bytes += len(pages) * PAGE_SIZE
         self.stats.data_wait_ns += self.sim.now - t0
 
-    def ndview(
-        self, region: SharedRegion, offset: int, shape, dtype
-    ) -> np.ndarray:
-        """Typed view of already-faulted local backing (no protocol action)."""
-        nbytes = int(np.prod(shape)) * np.dtype(dtype).itemsize
-        return (
-            self.stack.node.memory.view(region.base[self.rank] + offset, nbytes)
-            .view(dtype)
-            .reshape(shape)
-        )
-
     def compute(self, duration_ns: int) -> Generator:
         """Charge modelled application computation time."""
         if duration_ns > 0:

@@ -1,23 +1,27 @@
 """Deterministic fuzzing under the invariant monitor: six families, one door.
 
-A :class:`Scenario` is a fully declarative description of one randomized
-run: cluster configuration, protocol knobs (window, pump batch, TX ring
-depth, striping policy), a workload (a sequence of :class:`OpSpec` remote
-operations), and a :class:`~repro.control.faults.FaultSchedule`.  Scenarios
-are derived from a seed by :func:`scenario_from_seed`, executed by
-:func:`run_scenario` with an :class:`~repro.verify.InvariantMonitor`
-attached, and — when one fails — reduced by :func:`shrink_scenario` to a
-minimal reproducer.  That is the ``protocol`` family; ``crash``,
-``incarnation``, ``fabric``, ``serve`` and ``gray`` derive other kinds of
-run.  ``run_family(name, seed)`` is the front door to all six and returns a
-:class:`FuzzResult` whose ``ok`` means one thing, ``failure is None``, and
-whose ``violations`` name every clause that did not hold.
+A fuzz family is a derivation ``seed -> recipe`` for one
+:class:`~repro.bench.run.Run` class, and :data:`FAMILIES` maps each name to
+both.  :func:`run_family` draws the recipe, builds ``cls(**recipe)``,
+finishes it and judges it; the :class:`FuzzResult` carries the run's
+recipe, so ``FAMILIES[name].run(**res.recipe)`` is the same run again, and
+:func:`shrink` reduces a failing recipe of any family to a minimal
+reproducer.  ``ok`` means one thing, ``failure is None``, and
+``violations`` name every clause that did not hold.
 
-Everything is deterministic: the scenario is a pure function of
-``(seed, workload, fault_profile)``, and the simulation itself is seeded,
-so the same seed always produces the identical event trace, final stats,
-and :func:`fingerprint`.  That determinism is itself asserted by the CI
-smoke suite (``benchmarks/bench_fuzz.py``).
+The ``protocol`` family's recipe is one :class:`Scenario`: cluster
+configuration, protocol knobs (window, pump batch, TX ring depth, striping
+policy), a workload (a sequence of :class:`OpSpec` remote operations) and
+fault events, drawn by :func:`scenario_from_seed` and run by
+:class:`ScenarioRun` with an :class:`~repro.verify.InvariantMonitor`
+attached.  ``crash``, ``incarnation``, ``fabric``, ``serve`` and ``gray``
+draw the arguments of other runs.
+
+Everything is deterministic: a recipe is a pure function of the seed, and
+the simulation itself is seeded, so the same seed always produces the
+identical event trace, final stats, and :func:`fingerprint`.  That
+determinism is itself asserted by the CI smoke suite
+(``benchmarks/bench_fuzz.py``).
 
 Command line::
 
@@ -28,52 +32,65 @@ Command line::
 from __future__ import annotations
 
 import hashlib
+import inspect
 import random
-from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
+from typing import Callable, NamedTuple, Optional
 
+from ..analysis.summary import summarize_cluster
 from ..bench.cluster import Cluster, make_cluster
+from ..bench.crash import CrashRun
 from ..bench.run import Run
+from ..bench.serve import ServeRun
 from ..control import (
+    AsymmetricPartition,
     BitErrorRamp,
     Crash,
+    DegradedLink,
+    FaultEvent,
     FaultSchedule,
     Flap,
+    IntermittentDrop,
     Outage,
     PermanentFailure,
     Repair,
     Restart,
+    SlowNic,
+    SlowNode,
     TrunkDrain,
     TrunkOutage,
 )
 from ..congestion import CongestionParams
 from ..core import ProtocolParams, dial, enable_listener
 from ..ethernet import OpFlags
+from ..fabric import (
+    AllToAll,
+    ElephantMice,
+    FatTreeSpec,
+    Hotspot,
+    LeafSpineSpec,
+    Permutation,
+    TrafficRun,
+)
 from ..host import myri10g_params, tigon3_params
+from ..serve import ArrivalSpec, ServerSpec, TailSpec
 from ..sim import SimulationError
 from .monitor import InvariantMonitor, InvariantViolation
 
 __all__ = [
     "OpSpec",
     "Scenario",
-    "Axes",
     "FuzzResult",
+    "Family",
     "FAMILIES",
     "run_family",
+    "shrink",
     "WORKLOADS",
     "FAULT_PROFILES",
     "scenario_from_seed",
     "run_scenario",
-    "shrink_scenario",
     "fingerprint",
     "FINGERPRINT_FIELDS",
-    "run_crash_scenario",
-    "run_incarnation_scenario",
-    "FabricScenario",
-    "fabric_scenario_from_seed",
-    "run_fabric_scenario",
-    "run_gray_scenario",
-    "run_serve_scenario",
 ]
 
 WORKLOADS = ("bulk", "small", "scatter", "read", "mixed")
@@ -97,23 +114,26 @@ class OpSpec:
     wait: bool = False  # wait for completion before issuing the next op
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class Scenario:
-    """A fully declarative, replayable fuzz case."""
+    """A fully declarative, replayable fuzz case.
+
+    A field with a default is a knob: :func:`shrink` tries it at its default.
+    """
 
     seed: int
     config: str
-    nodes: int
+    nodes: int = 2
     workload: str
     fault_profile: str
-    striping: Optional[str]
+    striping: Optional[str] = None
     window_frames: int
     pump_batch: int
-    tx_ring_frames: Optional[int]
-    control_plane: bool
+    tx_ring_frames: Optional[int] = None
+    control_plane: bool = False
     ops: tuple[OpSpec, ...]
     faults: tuple[object, ...]
-    limit_ns: int = 2_000_000_000
+    limit_ns: int  # the livelock bound of the run, not a knob
     # Congestion knobs (repro.congestion).  ECN marking is exercised even
     # with the static policy: receivers still echo, senders still count,
     # and the conservation invariants still apply.
@@ -122,27 +142,15 @@ class Scenario:
     pacing: bool = False
 
 
-@dataclass(frozen=True)
-class Axes:
-    """What a ``crash``, ``incarnation``, ``serve`` or ``gray`` seed drew
-    (the other two families carry their whole scenario instead)."""
-
-    config: str
-    fault_profile: str = "none"  # "none" | "crash"
-    gray_kinds: tuple = ()  # class names of the injected gray events
-    mitigated: bool = False  # a TailSpec was armed
-    detected: bool = False  # the differential gray scorer was armed
-
-
 @dataclass
 class FuzzResult:
     """Outcome of one fuzz run, of any family."""
 
     family: str  # a key of FAMILIES
     seed: int
-    # Scenario | FabricScenario | Axes; None (and the next two empty) when
-    # the run died before it was built.
-    scenario: object = None
+    # The run's recipe (Run.recipe): FAMILIES[family].run(**recipe) is the
+    # same run again.
+    recipe: dict
     fingerprint: str = ""
     elapsed_ns: int = 0
     # The error that stopped the run, else its first violation; None = ok.
@@ -360,6 +368,7 @@ def scenario_from_seed(
         control_plane=rails > 1 and rng.random() < 0.5,
         ops=_gen_ops(rng, workload, pairs),
         faults=_gen_faults(rng, fault_profile, nodes, rails),
+        limit_ns=2_000_000_000,
         congestion=congestion,
         ecn_threshold=ecn_threshold,
         pacing=pacing,
@@ -444,7 +453,7 @@ def fingerprint(cluster: Cluster, include_trace: bool = False) -> str:
 def _verdict(
     family: str,
     seed: int,
-    scenario: object,
+    recipe: dict,
     cluster: Cluster,
     monitor: Optional[InvariantMonitor] = None,
     violations=None,
@@ -464,7 +473,7 @@ def _verdict(
     return FuzzResult(
         family=family,
         seed=seed,
-        scenario=scenario,
+        recipe=recipe,
         failure=failure,
         fingerprint=fingerprint(cluster, include_trace=trace),
         elapsed_ns=cluster.sim.now,
@@ -620,7 +629,7 @@ class ScenarioRun(Run):
             except (InvariantViolation, SimulationError) as e:
                 failure = _failure_of(e)
         return _verdict(
-            "protocol", self.sc.seed, self.sc, cluster, monitor,
+            "protocol", self.sc.seed, self.recipe, cluster, monitor,
             failure=failure, trace=self.trace,
         )
 
@@ -632,26 +641,20 @@ def run_scenario(sc: Scenario, **kwargs) -> FuzzResult:
 
 
 # ---------------------------------------------------------------------------
-# Crash fuzzing
+# Crash and incarnation fuzzing (repro.recovery)
 # ---------------------------------------------------------------------------
 
 
-def run_crash_scenario(seed: int) -> FuzzResult:
-    """One randomized whole-node crash/recovery run (repro.recovery).
-
-    The run streams journaled messages at a receiver that crashes and
-    reboots mid-stream, with the invariant monitor attached; its
-    :class:`~repro.bench.crash.CrashResult` (carried as ``result``) must
-    list no violation — which covers the monitor's
-    no-stale-frame-accepted and journal-conservation checks plus the
-    ``exactly-once`` and ``never-reconnected`` clauses.
-    """
-    from ..bench.crash import CrashRun
-
+def _crash(seed: int) -> dict:
+    """A journaled message stream whose receiver crashes and reboots
+    mid-stream (:class:`~repro.bench.crash.CrashRun`, monitor attached).
+    Its result lists the monitor's no-stale-frame-accepted and
+    journal-conservation findings plus the ``exactly-once`` and
+    ``never-reconnected`` clauses."""
     rng = random.Random(f"multiedge-fuzz-crash:{seed}")
     crash_ns = rng.randint(1 * _MS, 6 * _MS)
     restart_delay_ns = rng.randint(200 * _US, 12 * _MS)
-    run = CrashRun(
+    return dict(
         config=rng.choice(_CONFIGS),
         message_bytes=rng.choice((256, 1024, 2048, 4096)),
         message_interval_ns=rng.randint(30 * _US, 200 * _US),
@@ -661,62 +664,78 @@ def run_crash_scenario(seed: int) -> FuzzResult:
         seed=seed,
         use_monitor=True,
     )
-    res = run.finish()
-    axes = Axes(config=res.config, fault_profile="crash")
-    return _verdict(
-        "crash", seed, axes, run.cluster, run.monitor, res.violations, res
-    )
 
 
-def run_incarnation_scenario(seed: int) -> FuzzResult:
-    """One randomized incarnation-collision run.
+class IncarnationRun(Run):
+    """One incarnation-collision run.
 
-    Node 1 dials node 0 and streams writes; mid-flight it crashes,
-    restarts (bumping its incarnation), and — with its dial counter reset
-    by the crash — re-dials the *same* connection id.  Frames from the
-    dead incarnation still in the fabric then land on the successor
-    endpoint and must be rejected by the incarnation guard (witnessed by
-    the monitor's ``stale-frame-accepted`` invariant staying silent while
-    ``result.stale_frames_rejected`` — the run's
+    Node 1 dials node 0 and streams ``n_before`` writes; ``crash_after_ns``
+    later it crashes and restarts (bumping its incarnation), and
+    ``redial_after_ns`` after that — with its dial counter reset by the
+    crash — re-dials the *same* connection id for ``n_after`` more writes.
+    Frames from the dead incarnation still in the fabric then land on the
+    successor endpoint and must be rejected by the incarnation guard
+    (witnessed by the monitor's ``stale-frame-accepted`` invariant staying
+    silent while ``result.stale_frames_rejected`` — the run's
     :class:`~repro.analysis.ClusterSummary` — counts the drops).
     """
-    from ..analysis.summary import summarize_cluster
 
+    def __init__(
+        self,
+        config: str,
+        n_before: int,
+        n_after: int,
+        size: int,
+        crash_after_ns: int,
+        redial_after_ns: int,
+        seed: int,
+    ) -> None:
+        cluster = self.cluster = make_cluster(
+            config, nodes=2, seed=seed, synthetic_payloads=True
+        )
+        recovery = cluster.enable_crash_recovery()
+        self.monitor = InvariantMonitor.attach(cluster, collect=True)
+        enable_listener(cluster.stacks[0])
+
+        def driver():
+            handle = yield from dial(cluster.stacks[1], 0, cluster.config.protocol)
+            for k in range(n_before):
+                yield from handle.rdma_write(k * size, k * size, size)
+            yield crash_after_ns
+            recovery.crash(1)
+            recovery.restart(1)
+            yield redial_after_ns
+            handle2 = yield from dial(cluster.stacks[1], 0, cluster.config.protocol)
+            ops = []
+            for k in range(n_after):
+                oh = yield from handle2.rdma_write(k * size, k * size, size)
+                ops.append(oh)
+            for oh in ops:
+                yield from oh.wait()
+
+        self.proc = cluster.sim.process(driver(), name="fuzz.incarnation")
+
+    def finish(self) -> FuzzResult:
+        cluster = self.cluster
+        cluster.sim.run_until_done(self.proc, limit=2_000_000_000)
+        cluster.quiesce()
+        self.monitor.final_check()
+        return _verdict(
+            "incarnation", self.recipe["seed"], self.recipe, cluster,
+            self.monitor, result=summarize_cluster(cluster),
+        )
+
+
+def _incarnation(seed: int) -> dict:
     rng = random.Random(f"multiedge-fuzz-incarnation:{seed}")
-    config = rng.choice(("2L-1G", "2Lu-1G"))
-    cluster = make_cluster(config, nodes=2, seed=seed, synthetic_payloads=True)
-    recovery = cluster.enable_crash_recovery()
-    monitor = InvariantMonitor.attach(cluster, collect=True)
-    enable_listener(cluster.stacks[0])
-    sim = cluster.sim
-    n_before = rng.randint(8, 30)
-    n_after = rng.randint(2, 10)
-    size = rng.choice((2048, 4096, 8192))
-
-    def driver():
-        handle = yield from dial(cluster.stacks[1], 0, cluster.config.protocol)
-        for k in range(n_before):
-            yield from handle.rdma_write(k * size, k * size, size)
-        yield rng.randint(0, 30_000)
-        recovery.crash(1)
-        recovery.restart(1)
-        yield rng.randint(0, 10_000)
-        handle2 = yield from dial(cluster.stacks[1], 0, cluster.config.protocol)
-        ops = []
-        for k in range(n_after):
-            oh = yield from handle2.rdma_write(k * size, k * size, size)
-            ops.append(oh)
-        for oh in ops:
-            yield from oh.wait()
-
-    proc = sim.process(driver(), name="fuzz.incarnation")
-    sim.run_until_done(proc, limit=2_000_000_000)
-    cluster.quiesce()
-    monitor.final_check()
-    axes = Axes(config=config, fault_profile="crash")
-    return _verdict(
-        "incarnation", seed, axes, cluster, monitor,
-        result=summarize_cluster(cluster),
+    return dict(
+        config=rng.choice(("2L-1G", "2Lu-1G")),
+        n_before=rng.randint(8, 30),
+        n_after=rng.randint(2, 10),
+        size=rng.choice((2048, 4096, 8192)),
+        crash_after_ns=rng.randint(0, 30_000),
+        redial_after_ns=rng.randint(0, 10_000),
+        seed=seed,
     )
 
 
@@ -725,40 +744,83 @@ def run_incarnation_scenario(seed: int) -> FuzzResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FabricScenario:
-    """A declarative multi-switch fabric fuzz case (repro.fabric).
+class FabricRun(Run):
+    """One multi-switch fabric run with trunk churn, pausable so a pause
+    can land inside a trunk-churn window.
 
-    ``trunk_events`` is a tuple of ``(at_ns, kind, a, b, dwell_ns)``
-    tuples: at ``at_ns`` the trunk between switches ``a`` and ``b`` is
-    either administratively drained (``"drain"`` — in-flight frames
-    still arrive) or hard-failed (``"fail"`` — in-flight frames are
-    lost), and restored ``dwell_ns`` later.  Events always leave at
-    least one alternate uplink alive, so ECMP re-pins around them.
+    Builds a leaf-spine (``leaves`` x ``spines``, ``hosts_per_leaf``) or a
+    ``k``-ary fat-tree, drives the ``traffic`` matrix over message passing
+    while the trunk ``faults`` (:class:`~repro.control.TrunkDrain`,
+    :class:`~repro.control.TrunkOutage`) come and go; its
+    :class:`~repro.fabric.TrafficResult` (carried as ``result``) lists any
+    violation of the fabric's routing invariants (structural acyclicity,
+    ECMP determinism, switch and trunk frame conservation) or of
+    end-to-end delivery (``data-integrity``, ``messages-received``).
     """
 
-    seed: int
-    topology: str  # "leaf-spine" | "fat-tree"
-    leaves: int
-    spines: int
-    hosts_per_leaf: int
-    k: int
-    nodes: int
-    traffic: str  # "permutation" | "all-to-all" | "hotspot" | "elephant-mice"
-    bytes_per_flow: int
-    trunk_events: tuple[tuple[int, str, str, str, int], ...]
+    def __init__(
+        self,
+        topology: str,  # "leaf-spine" | "fat-tree"
+        leaves: int,
+        spines: int,
+        hosts_per_leaf: int,
+        k: int,
+        nodes: int,
+        traffic: str,  # "permutation" | "all-to-all" | "hotspot" | "elephant-mice"
+        bytes_per_flow: int,
+        faults: tuple,
+        seed: int,
+    ) -> None:
+        if topology == "leaf-spine":
+            spec = LeafSpineSpec(
+                leaves=leaves, spines=spines, hosts_per_leaf=hosts_per_leaf
+            )
+        else:
+            spec = FatTreeSpec(k=k)
+        cluster = self.cluster = make_cluster(
+            "1L-1G", nodes=nodes, seed=seed, synthetic_payloads=False,
+            fabric=spec,
+        )
+        self.faults = FaultSchedule(list(faults))
+        self.faults.apply(cluster)
+        pattern = {
+            "permutation": lambda: Permutation(bytes_per_flow, rounds=2),
+            "all-to-all": lambda: AllToAll(bytes_per_flow),
+            "hotspot": lambda: Hotspot(targets=1, bytes_per_flow=bytes_per_flow),
+            "elephant-mice": lambda: ElephantMice(
+                elephants=2,
+                elephant_bytes=4 * bytes_per_flow,
+                mice=8,
+                mouse_bytes=max(bytes_per_flow // 8, 64),
+            ),
+        }[traffic]()
+        self.traffic_run = TrafficRun(cluster, pattern, seed=seed)
+
+    def finish(self) -> FuzzResult:
+        res = self.traffic_run.finish()
+        return _verdict(
+            "fabric", self.recipe["seed"], self.recipe, self.cluster,
+            violations=res.violations, result=res,
+        )
 
 
-def fabric_scenario_from_seed(seed: int) -> FabricScenario:
-    """Derive a fabric scenario from the ``multiedge-fuzz-fabric:<seed>``
-    stream."""
+def _trunk_fault(rng, a: str, b: str, uplinks: int) -> FaultEvent:
+    """A drain or a hard failure of trunk ``a`` -- ``b<i>``, restored later
+    (drawn: the instant, the kind, the uplink ``i``, the dwell)."""
+    at_ns = rng.randint(50 * _US, 2 * _MS)
+    kind = rng.choice((TrunkDrain, TrunkOutage))
+    b = f"{b}{rng.randrange(uplinks)}"
+    return kind(at_ns, 0, a, b, rng.randint(100 * _US, 1500 * _US))
+
+
+def _fabric(seed: int) -> dict:
     rng = random.Random(f"multiedge-fuzz-fabric:{seed}")
     traffic = rng.choice(
         ("permutation", "all-to-all", "hotspot", "elephant-mice")
     )
     bytes_per_flow = rng.choice((2_048, 8_192, 16_384))
     leaves = spines = hosts_per_leaf = k = 0
-    events: list[tuple[int, str, str, str, int]] = []
+    faults = []
     if rng.random() < 0.75:
         topology = "leaf-spine"
         leaves = rng.randint(2, 3)
@@ -768,14 +830,8 @@ def fabric_scenario_from_seed(seed: int) -> FabricScenario:
         # Each event targets a distinct leaf, and spines >= 2, so every
         # leaf keeps at least one live uplink throughout.
         for target_leaf in rng.sample(range(leaves), rng.randint(0, 2)):
-            events.append(
-                (
-                    rng.randint(50 * _US, 2 * _MS),
-                    rng.choice(("drain", "fail")),
-                    f"leaf0.{target_leaf}",
-                    f"spine0.{rng.randrange(spines)}",
-                    rng.randint(100 * _US, 1500 * _US),
-                )
+            faults.append(
+                _trunk_fault(rng, f"leaf0.{target_leaf}", "spine0.", spines)
             )
     else:
         topology = "fat-tree"
@@ -784,17 +840,8 @@ def fabric_scenario_from_seed(seed: int) -> FabricScenario:
         if rng.random() < 0.5:
             # One edge-to-aggregation trunk in pod 0; the edge's other
             # aggregation uplink keeps every host reachable.
-            events.append(
-                (
-                    rng.randint(50 * _US, 2 * _MS),
-                    rng.choice(("drain", "fail")),
-                    "edge0.0.0",
-                    f"agg0.0.{rng.randrange(2)}",
-                    rng.randint(100 * _US, 1500 * _US),
-                )
-            )
-    return FabricScenario(
-        seed=seed,
+            faults.append(_trunk_fault(rng, "edge0.0.0", "agg0.0.", 2))
+    return dict(
         topology=topology,
         leaves=leaves,
         spines=spines,
@@ -803,119 +850,14 @@ def fabric_scenario_from_seed(seed: int) -> FabricScenario:
         nodes=nodes,
         traffic=traffic,
         bytes_per_flow=bytes_per_flow,
-        trunk_events=tuple(events),
+        faults=tuple(faults),
+        seed=seed,
     )
-
-
-class FabricRun(Run):
-    """One ``fabric`` scenario as a pausable :class:`~repro.bench.run.Run`:
-    construction wires the fabric, trunk-churn events, and traffic
-    processes, so a pause can land inside a trunk-churn window."""
-
-    def __init__(self, seed: int) -> None:
-        from ..fabric import (
-            AllToAll,
-            ElephantMice,
-            FatTreeSpec,
-            Hotspot,
-            LeafSpineSpec,
-            Permutation,
-            TrafficRun,
-        )
-
-        sc = self.sc = fabric_scenario_from_seed(seed)
-        if sc.topology == "leaf-spine":
-            spec = LeafSpineSpec(
-                leaves=sc.leaves,
-                spines=sc.spines,
-                hosts_per_leaf=sc.hosts_per_leaf,
-            )
-        else:
-            spec = FatTreeSpec(k=sc.k)
-        cluster = self.cluster = make_cluster(
-            "1L-1G",
-            nodes=sc.nodes,
-            seed=sc.seed,
-            synthetic_payloads=False,
-            fabric=spec,
-        )
-        kinds = {"drain": TrunkDrain, "fail": TrunkOutage}
-        self.faults = FaultSchedule(
-            [kinds[kind](at, 0, a, b, dwell) for at, kind, a, b, dwell in sc.trunk_events]
-        )
-        self.faults.apply(cluster)
-        traffic = {
-            "permutation": lambda: Permutation(sc.bytes_per_flow, rounds=2),
-            "all-to-all": lambda: AllToAll(sc.bytes_per_flow),
-            "hotspot": lambda: Hotspot(
-                targets=1, bytes_per_flow=sc.bytes_per_flow
-            ),
-            "elephant-mice": lambda: ElephantMice(
-                elephants=2,
-                elephant_bytes=4 * sc.bytes_per_flow,
-                mice=8,
-                mouse_bytes=max(sc.bytes_per_flow // 8, 64),
-            ),
-        }[sc.traffic]()
-        self.traffic_run = TrafficRun(cluster, traffic, seed=sc.seed)
-
-    def finish(self) -> FuzzResult:
-        res = self.traffic_run.finish()
-        return _verdict(
-            "fabric", self.sc.seed, self.sc, self.cluster,
-            violations=res.violations, result=res,
-        )
-
-
-def run_fabric_scenario(seed: int) -> FuzzResult:
-    """One randomized multi-switch fabric run with trunk churn.
-
-    Builds the scenario's leaf-spine or fat-tree fabric, drives its
-    traffic matrix over message passing while trunks drain/fail and
-    recover mid-run; its :class:`~repro.fabric.TrafficResult` (carried
-    as ``result``) must list no violation of the fabric's routing
-    invariants (structural acyclicity, ECMP determinism, switch and trunk
-    frame conservation) or of end-to-end delivery (``data-integrity``,
-    ``messages-received``).
-    """
-    return FabricRun(seed).finish()
 
 
 # ---------------------------------------------------------------------------
-# Serve fuzzing
+# Serve and gray-failure fuzzing (repro.serve, repro.control gray faults)
 # ---------------------------------------------------------------------------
-
-
-def _run_serving(family: str, seed: int, **kwargs) -> FuzzResult:
-    """The shared end of ``serve`` and ``gray``: one monitored
-    :class:`~repro.bench.serve.ServeRun`.  Request conservation is among the
-    serve invariants it lists in ``violations``; a run that generated no
-    request proves nothing and is a violation of its own.
-    """
-    from ..bench.serve import ServeRun
-
-    run = ServeRun(seed=seed, use_monitor=True, **kwargs)
-    drew = run.recipe
-    faults = drew["faults"] or ()
-    axes = Axes(
-        config=drew["config"],
-        fault_profile=(
-            "crash" if any(isinstance(ev, Crash) for ev in faults) else "none"
-        ),
-        gray_kinds=tuple(
-            type(ev).__name__ for ev in faults
-            if not isinstance(ev, (Crash, Restart))
-        ),
-        mitigated=drew["tail"] is not None,
-        detected=drew["gray_detection"],
-    )
-    res = run.finish()
-    violations = res.violations
-    if not res.generated:
-        violations += ("no-requests-generated",)
-    return _verdict(
-        family, seed, axes, run.cluster, run.monitor, violations, res
-    )
 
 
 def _crash_restart(rng, node: int, at: tuple, delay: tuple) -> list:
@@ -929,18 +871,14 @@ def _crash_restart(rng, node: int, at: tuple, delay: tuple) -> list:
     ]
 
 
-def run_serve_scenario(seed: int) -> FuzzResult:
-    """One randomized open-loop serving run (repro.serve).
-
-    The draw crosses arrival model (Poisson/bursty) x load-balancing
+def _serve(seed: int) -> dict:
+    """An open-loop serving run (:class:`~repro.bench.serve.ServeRun`,
+    monitor attached): arrival model (Poisson/bursty) x load-balancing
     policy x fault profile (clean or mid-run server crash/restart) x
-    overload knobs (queue cap, workers, service-time model, client
-    outbox cap), runs under the invariant monitor, and asserts request
-    conservation: every generated request ends as completed, shed
-    (server- or client-side), or failed — across crash replay too.
-    """
-    from ..serve import ArrivalSpec, ServerSpec
-
+    overload knobs (queue cap, workers, service-time model, client outbox
+    cap).  Its result lists request conservation among the serve
+    invariants: every generated request ends as completed, shed (server-
+    or client-side), or failed — across crash replay too."""
     rng = random.Random(f"multiedge-fuzz-serve:{seed}")
     arrival_kind = rng.choice(("poisson", "bursty"))
     policy = rng.choice(
@@ -965,16 +903,15 @@ def run_serve_scenario(seed: int) -> FuzzResult:
             (("fixed", 20_000), ("exp", 30_000), ("uniform", 5_000, 50_000))
         ),
     )
-    kwargs: dict = {"outbox_cap": rng.choice((0, 8, 64))}
+    recipe: dict = {"outbox_cap": rng.choice((0, 8, 64))}
     if fault_profile == "crash":
         n_servers = max(n_servers, 2)
-        kwargs["faults"] = _crash_restart(
+        recipe["faults"] = _crash_restart(
             rng, n_clients + rng.randrange(n_servers),
             (1 * _MS, duration_ns // 2), (500 * _US, 3 * _MS),
         )
-    return _run_serving(
-        "serve",
-        seed,
+    return dict(
+        recipe,
         config=config,
         n_clients=n_clients,
         n_servers=n_servers,
@@ -982,35 +919,18 @@ def run_serve_scenario(seed: int) -> FuzzResult:
         arrival=arrival,
         server=server,
         duration_ns=duration_ns,
-        **kwargs,
+        seed=seed,
+        use_monitor=True,
     )
 
 
-# ---------------------------------------------------------------------------
-# Gray-failure fuzzing (repro.control gray faults x repro.serve.tail)
-# ---------------------------------------------------------------------------
-
-
-def run_gray_scenario(seed: int) -> FuzzResult:
-    """One randomized serving run under gray (degraded-mode) faults.
-
-    The draw crosses gray fault kind (slow node / slow NIC / degraded
-    link / intermittent drop / asymmetric partition) x tail-tolerance
-    machinery (off, or hedging + retry budget + breakers + ejection) x
-    differential detection (off/on) x an optional clean-node crash, and
-    asserts the same request-conservation and tail-accounting invariants
-    as the plain serve fuzzer: gray degradation may slow requests down,
-    but every one of them must still be accounted for.
-    """
-    from ..control import (
-        AsymmetricPartition,
-        DegradedLink,
-        IntermittentDrop,
-        SlowNic,
-        SlowNode,
-    )
-    from ..serve import ArrivalSpec, ServerSpec, TailSpec
-
+def _gray(seed: int) -> dict:
+    """A serving run under gray (degraded-mode) faults: gray fault kind
+    (slow node / slow NIC / degraded link / intermittent drop / asymmetric
+    partition) x tail-tolerance machinery (off, or hedging + retry budget
+    + breakers + ejection) x differential detection (off/on) x an optional
+    clean-node crash.  Gray degradation may slow requests down, but every
+    one of them must still be accounted for."""
     rng = random.Random(f"multiedge-fuzz-gray:{seed}")
     config = rng.choice(("1L-1G", "1L-10G", "2L-1G"))
     rails = 2 if config.startswith("2") else 1
@@ -1047,39 +967,27 @@ def run_gray_scenario(seed: int) -> FuzzResult:
     for node in gray_nodes:
         at = rng.randint(_MS, duration_ns // 2)
         dur = rng.randint(_MS, 2 * _MS)
-        rail = rng.randrange(rails)
-        kind = rng.choice(
-            ("slow-node", "slow-nic", "degraded", "drop", "partition")
-        )
-        if kind == "slow-node":
-            faults.append(
-                SlowNode(at_ns=at, node=node, duration_ns=dur,
-                         factor=rng.choice((2.0, 4.0, 8.0)))
-            )
-        elif kind == "slow-nic":
-            faults.append(
-                SlowNic(at_ns=at, node=node, rail=rail, duration_ns=dur,
-                        factor=rng.choice((2.0, 4.0)))
-            )
-        elif kind == "degraded":
-            faults.append(
-                DegradedLink(at_ns=at, node=node, rail=rail, duration_ns=dur,
-                             bit_error_rate=rng.choice((1e-7, 1e-6)),
-                             jitter_ns=rng.choice((0, 20_000)))
-            )
-        elif kind == "drop":
-            faults.append(
-                IntermittentDrop(at_ns=at, node=node, rail=rail,
-                                 duration_ns=dur,
-                                 drop_p=rng.choice((0.01, 0.05)),
-                                 burst_len=rng.choice((2.0, 4.0)))
-            )
-        else:
-            faults.append(
-                AsymmetricPartition(at_ns=at, node=node, rail=rail,
-                                    duration_ns=dur,
-                                    direction=rng.choice(("tx", "rx")))
-            )
+        edge = dict(at_ns=at, node=node, rail=rng.randrange(rails), duration_ns=dur)
+        # The kind is drawn first, then what that kind draws of its own.
+        kinds = {
+            "slow-node": lambda: SlowNode(
+                at_ns=at, node=node, duration_ns=dur,
+                factor=rng.choice((2.0, 4.0, 8.0)),
+            ),
+            "slow-nic": lambda: SlowNic(**edge, factor=rng.choice((2.0, 4.0))),
+            "degraded": lambda: DegradedLink(
+                **edge, bit_error_rate=rng.choice((1e-7, 1e-6)),
+                jitter_ns=rng.choice((0, 20_000)),
+            ),
+            "drop": lambda: IntermittentDrop(
+                **edge, drop_p=rng.choice((0.01, 0.05)),
+                burst_len=rng.choice((2.0, 4.0)),
+            ),
+            "partition": lambda: AsymmetricPartition(
+                **edge, direction=rng.choice(("tx", "rx"))
+            ),
+        }
+        faults.append(kinds[rng.choice(tuple(kinds))]())
     clean_servers = [
         s for s in range(n_clients, n_nodes) if s not in gray_nodes
     ]
@@ -1089,9 +997,7 @@ def run_gray_scenario(seed: int) -> FuzzResult:
             rng, rng.choice(clean_servers),
             (_MS, duration_ns // 2), (500 * _US, 2 * _MS),
         )
-    return _run_serving(
-        "gray",
-        seed,
+    return dict(
         config=config,
         n_clients=n_clients,
         n_servers=n_servers,
@@ -1102,124 +1008,57 @@ def run_gray_scenario(seed: int) -> FuzzResult:
         tail=tail,
         faults=faults,
         gray_detection=detected,
+        seed=seed,
+        use_monitor=True,
     )
 
 
 # ---------------------------------------------------------------------------
-# Shrinking
+# The front door
 # ---------------------------------------------------------------------------
 
 
-def shrink_scenario(
-    sc: Scenario,
-    fails: Optional[Callable[[Scenario], bool]] = None,
-    max_runs: int = 200,
-) -> Scenario:
-    """Greedily reduce a failing scenario to a minimal reproducer.
+class Family(NamedTuple):
+    """A fuzz family: one :class:`~repro.bench.run.Run` class and how a seed
+    draws its keyword arguments."""
 
-    Removal passes (ops one at a time, then fault events, then halved
-    sizes, then knob simplification) repeat until a fixpoint or the run
-    budget is exhausted.  Every candidate is re-executed, so the result is
-    guaranteed to still fail.
-    """
-    if fails is None:
-        def fails(s: Scenario) -> bool:
-            return not run_scenario(s).ok
-
-    runs = 0
-
-    def still_fails(candidate: Scenario) -> bool:
-        nonlocal runs
-        if runs >= max_runs:
-            return False
-        runs += 1
-        return fails(candidate)
-
-    if not still_fails(sc):
-        raise ValueError("shrink_scenario: the input scenario does not fail")
-
-    changed = True
-    while changed and runs < max_runs:
-        changed = False
-        # Drop ops one at a time (back to front keeps indices stable).
-        i = len(sc.ops) - 1
-        while i >= 0 and len(sc.ops) > 1:
-            cand = replace(sc, ops=sc.ops[:i] + sc.ops[i + 1:])
-            if still_fails(cand):
-                sc = cand
-                changed = True
-            i -= 1
-        # Drop fault events one at a time.
-        i = len(sc.faults) - 1
-        while i >= 0:
-            cand = replace(sc, faults=sc.faults[:i] + sc.faults[i + 1:])
-            if still_fails(cand):
-                sc = cand
-                changed = True
-            i -= 1
-        # Halve op sizes.
-        if any(op.size > 64 for op in sc.ops):
-            cand = replace(
-                sc,
-                ops=tuple(
-                    replace(op, size=max(64, op.size // 2)) for op in sc.ops
-                ),
-            )
-            if still_fails(cand):
-                sc = cand
-                changed = True
-        # Simplify knobs.  Each candidate must be rebuilt from the
-        # *current* scenario: materializing the whole tuple up front
-        # would resurrect knobs an earlier adoption in this very pass
-        # just simplified, and the pass would oscillate (adopt A, adopt
-        # B-with-A-reverted, re-adopt A, ...) until the run budget was
-        # gone.
-        def _shrink_nodes(s: Scenario) -> Scenario:
-            if s.nodes > 2 and all(
-                op.src < 2 and op.dst < 2 for op in s.ops
-            ):
-                return replace(s, nodes=2)
-            return s
-
-        for simplify in (
-            lambda s: replace(s, control_plane=False),
-            lambda s: replace(s, striping=None),
-            lambda s: replace(s, tx_ring_frames=None),
-            lambda s: replace(s, congestion="static", pacing=False),
-            lambda s: replace(s, ecn_threshold=None),
-            _shrink_nodes,
-        ):
-            simpler = simplify(sc)
-            if simpler != sc and still_fails(simpler):
-                sc = simpler
-                changed = True
-    return sc
+    run: type  # a Run subclass
+    derive: Callable[..., dict]  # seed -> the keyword arguments of ``run``
 
 
-# ---------------------------------------------------------------------------
-# The front door, and the command line
-# ---------------------------------------------------------------------------
-
-
-def _run_protocol(
-    seed: int,
-    workload: Optional[str] = None,
-    fault_profile: Optional[str] = None,
-) -> FuzzResult:
-    return run_scenario(scenario_from_seed(seed, workload, fault_profile))
-
-
-# Family name -> ``seed -> FuzzResult``.  Each family draws from its own
-# ``multiedge-fuzz[-<family>]:<seed>`` stream, so adding one leaves every
-# existing derivation, and every pinned fingerprint, byte-identical.
-FAMILIES: dict[str, Callable[..., FuzzResult]] = {
-    "protocol": _run_protocol,
-    "crash": run_crash_scenario,
-    "incarnation": run_incarnation_scenario,
-    "fabric": run_fabric_scenario,
-    "serve": run_serve_scenario,
-    "gray": run_gray_scenario,
+# Each family draws from its own ``multiedge-fuzz[-<family>]:<seed>``
+# stream, so adding one leaves every existing derivation, and every pinned
+# fingerprint, byte-identical.
+FAMILIES: dict[str, Family] = {
+    "protocol": Family(
+        ScenarioRun, lambda seed, **kw: {"sc": scenario_from_seed(seed, **kw)}
+    ),
+    "crash": Family(CrashRun, _crash),
+    "incarnation": Family(IncarnationRun, _incarnation),
+    "fabric": Family(FabricRun, _fabric),
+    "serve": Family(ServeRun, _serve),
+    "gray": Family(ServeRun, _gray),
 }
+
+
+def _judge(name: str, seed: int, recipe: dict) -> FuzzResult:
+    """Build ``FAMILIES[name].run(**recipe)``, finish it, judge it.
+
+    The fuzzer's own runs judge themselves; a
+    :class:`~repro.bench.crash.CrashResult` or
+    :class:`~repro.bench.serve.ServeResult` is judged by its ``violations``.
+    An error that escapes the run comes back as ``failure``.
+    """
+    run = FAMILIES[name].run(**recipe)
+    try:
+        out = run.finish()
+    except (InvariantViolation, SimulationError) as e:
+        return FuzzResult(name, seed, run.recipe, failure=_failure_of(e))
+    if isinstance(out, FuzzResult):
+        return out
+    return _verdict(
+        name, seed, run.recipe, run.cluster, run.monitor, out.violations, out
+    )
 
 
 def run_family(name: str, seed: int, **constraints) -> FuzzResult:
@@ -1230,22 +1069,133 @@ def run_family(name: str, seed: int, **constraints) -> FuzzResult:
     a drain that did not drain — comes back as ``failure``, so a seed loop
     sees every bad seed instead of stopping at the first.
     """
-    family = FAMILIES[name]
-    try:
-        return family(seed, **constraints)
-    except (InvariantViolation, SimulationError) as e:
-        return FuzzResult(name, seed, failure=_failure_of(e))
+    return _judge(name, seed, FAMILIES[name].derive(seed, **constraints))
+
+
+# ---------------------------------------------------------------------------
+# Shrinking
+# ---------------------------------------------------------------------------
+
+
+def _fields(cls: type, recipe: dict):
+    """``(path, value, default)`` of each entry of a recipe and of each
+    field of an entry that is a dataclass (a :class:`Scenario`, an
+    :class:`~repro.serve.ArrivalSpec`, ...).  ``default`` is the run
+    signature's or the dataclass's, ``MISSING`` where there is none."""
+    params = cls._signature.parameters  # what Run binds a recipe with
+    for key, value in recipe.items():
+        default = params[key].default
+        yield (key,), value, MISSING if default is inspect.Parameter.empty else default
+        if is_dataclass(value):
+            for f in fields(value):
+                yield (key, f.name), vars(value)[f.name], f.default
+
+
+def _put(recipe: dict, path: tuple, value) -> dict:
+    key, *name = path
+    if name:
+        value = replace(recipe[key], **{name[0]: value})
+    return {**recipe, key: value}
+
+
+def _halved(value, name: str = ""):
+    """``value`` with every size (``size``, ``*bytes*``) and duration
+    (``duration_ns``) halved, to a floor of 64.  A fault event is left as
+    it is: faults shrink by being dropped."""
+    if isinstance(value, FaultEvent):
+        return value
+    if isinstance(value, dict):
+        return {k: _halved(v, k) for k, v in value.items()}
+    if is_dataclass(value):
+        return replace(value, **{
+            f.name: _halved(vars(value)[f.name], f.name) for f in fields(value)
+        })
+    if isinstance(value, (tuple, list)):
+        return type(value)(_halved(v) for v in value)
+    if type(value) is int and (
+        name == "size" or "bytes" in name or name == "duration_ns"
+    ):
+        return max(64, value // 2)
+    return value
+
+
+def shrink(
+    res: FuzzResult,
+    fails: Optional[Callable[[dict], bool]] = None,
+    max_runs: int = 200,
+) -> dict:
+    """Greedily reduce a failing result's recipe to a minimal reproducer.
+
+    Three passes repeat until a fixpoint or the run budget is exhausted:
+    drop one element of a sequence of records (``ops``, ``faults``), back
+    to front; halve every size and duration at once; reset each knob to its
+    default.  Each candidate is built from the *current* recipe —
+    materializing a pass's candidates up front would resurrect what an
+    earlier adoption in the same pass just changed, and the pass would
+    oscillate until the budget was gone.  ``fails(recipe)`` judges a
+    candidate (default: build ``FAMILIES[res.family].run(**recipe)`` and
+    run it); one that cannot be built is not a reproducer.
+    """
+    cls = FAMILIES[res.family].run
+    if fails is None:
+        def fails(recipe: dict) -> bool:
+            return not _judge(res.family, res.seed, recipe).ok
+
+    runs = 0
+
+    def still_fails(candidate: dict) -> bool:
+        nonlocal runs
+        if runs >= max_runs:
+            return False
+        runs += 1
+        try:
+            return fails(candidate)
+        except (ValueError, LookupError):
+            # The candidate cannot be built — a fault or an op on a node it
+            # no longer has — so it reproduces nothing.
+            return False
+
+    recipe = res.recipe
+    if not still_fails(recipe):
+        raise ValueError("shrink: the recipe does not fail")
+    changed = True
+
+    def adopt(candidate: dict) -> bool:
+        nonlocal recipe, changed
+        if candidate == recipe or not still_fails(candidate):
+            return False
+        recipe, changed = candidate, True
+        return True
+
+    while changed and runs < max_runs:
+        changed = False
+        for path, seq, _ in list(_fields(cls, recipe)):
+            if isinstance(seq, (tuple, list)) and all(map(is_dataclass, seq)):
+                for i in reversed(range(len(seq))):
+                    if adopt(_put(recipe, path, seq[:i] + seq[i + 1:])):
+                        seq = seq[:i] + seq[i + 1:]
+        adopt(_halved(recipe))
+        for path, _, default in list(_fields(cls, recipe)):
+            if default is not MISSING and (
+                len(path) == 1 or is_dataclass(recipe[path[0]])
+            ):
+                adopt(_put(recipe, path, default))
+    return recipe
+
+
+# ---------------------------------------------------------------------------
+# The command line
+# ---------------------------------------------------------------------------
 
 
 def run_batch(
     count: int,
     base_seed: int = 0,
     family: str = "protocol",
-    shrink: bool = True,
+    shrink_failures: bool = True,
     **constraints,
 ) -> list[FuzzResult]:
-    """Run ``count`` seeds of ``family``; report (and, for ``protocol``,
-    shrink) any failure."""
+    """Run ``count`` seeds of ``family``; report and shrink any failure."""
     results = []
     for k in range(count):
         res = run_family(family, base_seed + k, **constraints)
@@ -1254,12 +1204,11 @@ def run_batch(
             status = "FAIL" if not res.ok else "ok"
             print(f"[{k + 1}/{count}] {family} seed={res.seed} {status}")
         if not res.ok:
-            print(f"  drew: {res.scenario!r}\n  failure: {res.failure}")
+            print(f"  drew: {res.recipe!r}\n  failure: {res.failure}")
             for v in res.violations:
                 print(f"  violation: {v}")
-            if shrink and isinstance(res.scenario, Scenario):
-                small = shrink_scenario(res.scenario)
-                print(f"  minimal reproducer:\n    {small!r}")
+            if shrink_failures:
+                print(f"  minimal reproducer:\n    {shrink(res)!r}")
     return results
 
 
@@ -1297,7 +1246,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         count,
         base_seed=base,
         family=args.family,
-        shrink=not args.no_shrink,
+        shrink_failures=not args.no_shrink,
         **constraints,
     )
     failures = [r for r in results if not r.ok]

@@ -9,7 +9,7 @@ from repro.bench.run import Run
 from repro.bench.serve import ServeRun
 from repro.checkpoint import FORMAT_VERSION, Checkpoint, restore, take_checkpoint
 from repro.serve import ArrivalSpec
-from repro.verify.fuzz import FabricRun, ScenarioRun, scenario_from_seed
+from repro.verify.fuzz import FAMILIES, FabricRun, ScenarioRun, scenario_from_seed
 
 MS = 1_000_000
 
@@ -17,7 +17,7 @@ MS = 1_000_000
 CASES = {
     "scenario": (ScenarioRun, (scenario_from_seed(31, "small", "outage"),),
                  {"collect": True}, 1 * MS),
-    "fabric": (FabricRun, (7,), {}, 1 * MS),
+    "fabric": (FabricRun, (), FAMILIES["fabric"].derive(7), 1 * MS),
     "crash": (CrashRun, ("2L-1G", 1024), {"run_ns": 20 * MS, "seed": 3}, 12 * MS),
     "serve": (ServeRun, ("1L-10G", 1), {"n_servers": 2, "duration_ns": 4 * MS,
                                          "arrival": ArrivalSpec(rate_rps=30_000),
@@ -36,7 +36,7 @@ def test_recipe_is_the_bound_constructor_call(case):
     for name, value in kwargs.items():  # ... keyword ...
         assert run.recipe[name] is value
     untouched = [p for p in params[len(args):] if p.name not in kwargs]
-    assert untouched or cls is FabricRun  # (its one parameter has no default)
+    assert untouched or cls is FabricRun  # (no parameter of it has a default)
     for p in untouched:  # ... and defaults
         assert run.recipe[p.name] == p.default
 
@@ -57,7 +57,7 @@ def test_recipe_rebuilds_the_same_paused_state(case):
 def test_a_new_run_kind_is_checkpointable_by_subclassing():
     class TwoSeeds(FabricRun):
         def __init__(self, seed: int, other: int = 5) -> None:
-            super().__init__(seed)
+            super().__init__(**FAMILIES["fabric"].derive(seed))
             self.other = other
 
     run = TwoSeeds(7, other=6)

@@ -5,18 +5,14 @@ from dataclasses import replace
 import pytest
 
 from repro.checkpoint.fork import HAVE_FORK
-from repro.checkpoint.shrink import (
-    CheckpointedShrinker,
-    _dropped_fault_indices,
-    shrink_scenario_checkpointed,
-)
+from repro.checkpoint.shrink import CheckpointedShrinker, _dropped_fault_indices
 from repro.control import Outage, PermanentFailure
 from repro.verify.fuzz import (
     OpSpec,
     ScenarioRun,
     run_scenario,
     scenario_from_seed,
-    shrink_scenario,
+    shrink,
 )
 
 
@@ -40,20 +36,31 @@ def failing_scenario():
     )
 
 
+def recipe(sc, **kwargs):
+    return ScenarioRun(sc, **kwargs).recipe
+
+
 class TestCandidateMatching:
     def test_fault_subsets_recognised(self):
         sc = failing_scenario()
-        assert _dropped_fault_indices(sc, sc) == ()
-        assert _dropped_fault_indices(sc, replace(sc, faults=sc.faults[1:])) == (0,)
-        assert _dropped_fault_indices(sc, replace(sc, faults=sc.faults[:1])) == (1, 2)
+
+        def dropped(cand):
+            return _dropped_fault_indices(recipe(sc), recipe(cand))
+
+        assert dropped(sc) == ()
+        assert dropped(replace(sc, faults=sc.faults[1:])) == (0,)
+        assert dropped(replace(sc, faults=sc.faults[:1])) == (1, 2)
 
     def test_non_fault_changes_rejected(self):
         sc = failing_scenario()
-        assert _dropped_fault_indices(sc, replace(sc, nodes=3)) is None
-        smaller_op = replace(sc, ops=(replace(sc.ops[0], size=64),))
-        assert _dropped_fault_indices(sc, smaller_op) is None
-        reordered = replace(sc, faults=(sc.faults[1], sc.faults[0]))
-        assert _dropped_fault_indices(sc, reordered) is None
+
+        def dropped(cand, **kwargs):
+            return _dropped_fault_indices(recipe(sc), recipe(cand, **kwargs))
+
+        assert dropped(replace(sc, nodes=3)) is None
+        assert dropped(replace(sc, ops=(replace(sc.ops[0], size=64),))) is None
+        assert dropped(replace(sc, faults=(sc.faults[1], sc.faults[0]))) is None
+        assert dropped(sc, fastpath=True) is None  # a change outside the scenario
 
 
 class TestCancelledFaultEqualsAbsentFault:
@@ -84,20 +91,21 @@ class TestCancelledFaultEqualsAbsentFault:
 @pytest.mark.skipif(not HAVE_FORK, reason="requires os.fork")
 class TestCheckpointedShrink:
     def test_same_minimal_scenario_as_cold_shrinker(self):
-        sc = failing_scenario()
-        cold = shrink_scenario(sc)
-        fast, stats = shrink_scenario_checkpointed(sc)
+        res = run_scenario(failing_scenario())
+        cold = shrink(res)
+        with CheckpointedShrinker(res.recipe) as oracle:
+            fast = shrink(res, fails=oracle.fails)
         assert fast == cold
-        assert len(fast.faults) == 1  # both outages shed, the killer kept
-        assert stats.fast_probes > 0  # the fork point actually answered
+        assert len(fast["sc"].faults) == 1  # both outages shed, the killer kept
+        assert oracle.stats.fast_probes > 0  # the fork point actually answered
 
     def test_oracle_verdicts_match_cold_execution(self):
         sc = failing_scenario()
-        with CheckpointedShrinker(sc) as oracle:
+        with CheckpointedShrinker(recipe(sc)) as oracle:
             for cand in (
                 sc,
                 replace(sc, faults=sc.faults[:1]),
                 replace(sc, faults=sc.faults[1:]),  # drops the real killer
             ):
-                assert oracle.fails(cand) == (not run_scenario(cand).ok)
+                assert oracle.fails(recipe(cand)) == (not run_scenario(cand).ok)
             assert oracle.stats.fast_probes >= 2

@@ -30,11 +30,11 @@ from repro.checkpoint import restore, take_checkpoint
 from repro.control import Crash, Restart
 from repro.serve import ArrivalSpec, ServerSpec
 from repro.verify.fuzz import (
+    FAMILIES,
     FAULT_PROFILES,
     WORKLOADS,
     FabricRun,
     ScenarioRun,
-    fabric_scenario_from_seed,
     run_scenario,
     scenario_from_seed,
 )
@@ -124,12 +124,12 @@ class TestCrashWitness:
 class TestFabricWitness:
     def test_trunk_churn_cell(self):
         """Seed 7: leaf-spine with trunk drain/fail events mid-run."""
-        sc = fabric_scenario_from_seed(7)
-        assert sc.trunk_events
-        res_a = FabricRun(7).finish()
+        recipe = FAMILIES["fabric"].derive(7)
+        assert recipe["faults"]
+        res_a = FabricRun(**recipe).finish()
 
-        run_b = FabricRun(7)
-        run_b.run_to(min(ev[0] for ev in sc.trunk_events) + 1_000)
+        run_b = FabricRun(**recipe)
+        run_b.run_to(min(f.at_ns for f in recipe["faults"]) + 1_000)
         ck = take_checkpoint(run_b)
         assert run_b.finish() == res_a
 

@@ -1,18 +1,22 @@
 """Tests for the deterministic fuzz harness (repro.verify.fuzz)."""
 
 from dataclasses import dataclass, fields, replace
+from functools import cache
 
+from repro.control import Crash, Outage
 from repro.core import ConnectionStats
 from repro.verify.fuzz import (
+    FAMILIES,
     FAULT_PROFILES,
     FINGERPRINT_FIELDS,
     WORKLOADS,
+    FuzzResult,
     OpSpec,
     ScenarioRun,
     run_family,
     run_scenario,
     scenario_from_seed,
-    shrink_scenario,
+    shrink,
 )
 
 
@@ -149,25 +153,47 @@ class TestScenarioRunPause:
         assert checked >= 5
 
 
+def _protocol(sc) -> FuzzResult:
+    """A protocol result to shrink, judged by the test's own oracle."""
+    return FuzzResult("protocol", sc.seed, {"sc": sc})
+
+
 class TestShrinker:
     def test_reduces_to_minimal_failing_case(self):
         sc = scenario_from_seed(5, "small", "chaos")
         assert len(sc.ops) > 3 and len(sc.faults) >= 1
 
-        def fails(s):
-            return len(s.ops) >= 3 and len(s.faults) >= 1
+        def fails(recipe):
+            return len(recipe["sc"].ops) >= 3 and len(recipe["sc"].faults) >= 1
 
-        small = shrink_scenario(sc, fails=fails)
+        small = shrink(_protocol(sc), fails=fails)["sc"]
         assert len(small.ops) == 3 and len(small.faults) == 1
 
     def test_rejects_passing_scenario(self):
         sc = scenario_from_seed(5, "small", "none")
         try:
-            shrink_scenario(sc, fails=lambda s: False)
+            shrink(_protocol(sc), fails=lambda recipe: False)
         except ValueError:
             pass
         else:
             raise AssertionError("expected ValueError for a passing scenario")
+
+    def test_a_candidate_that_cannot_be_built_is_not_a_reproducer(self):
+        """Three nodes, every op 0<->1, an outage on node 2: the two-node
+        knob candidate has no cable for the outage and cannot be built.
+        That candidate is not adopted, and the shrink goes on."""
+        base = scenario_from_seed(5, "small", "none")
+        assert all(op.src < 2 and op.dst < 2 for op in base.ops)
+        outage = Outage(at_ns=300_000, node=2, rail=0, duration_ns=100_000)
+        sc = replace(base, nodes=3, faults=(outage,))
+
+        def fails(recipe):
+            ScenarioRun(**recipe)  # raises for a recipe that cannot be built
+            return outage in recipe["sc"].faults
+
+        small = shrink(_protocol(sc), fails=fails)["sc"]
+        assert small.nodes == 3 and small.faults == (outage,)
+        assert small.ops == () and small.tx_ring_frames is None
 
 
 class TestReadFenceRegression:
@@ -191,15 +217,13 @@ class TestReadFenceRegression:
 
 class TestFabricFuzz:
     def test_scenario_derivation_is_deterministic(self):
-        from repro.verify.fuzz import fabric_scenario_from_seed
-
-        assert fabric_scenario_from_seed(9) == fabric_scenario_from_seed(9)
-        assert fabric_scenario_from_seed(9) != fabric_scenario_from_seed(10)
+        derive = FAMILIES["fabric"].derive
+        assert derive(9) == derive(9)
+        assert derive(9) != derive(10)
 
     def test_scenarios_cover_both_topologies(self):
-        from repro.verify.fuzz import fabric_scenario_from_seed
-
-        kinds = {fabric_scenario_from_seed(s).topology for s in range(16)}
+        derive = FAMILIES["fabric"].derive
+        kinds = {derive(s)["topology"] for s in range(16)}
         assert kinds == {"leaf-spine", "fat-tree"}
 
     def test_scenarios_hold_routing_invariants(self):
@@ -211,8 +235,18 @@ class TestFabricFuzz:
         """Seed 7 draws a leaf-spine with two trunk events; the run must
         re-pin flows around the churn and still deliver every byte."""
         res = run_family("fabric", 7)
-        assert res.scenario.trunk_events, "seed 7 no longer draws trunk events"
+        assert res.recipe["faults"], "seed 7 no longer draws trunk events"
         assert res.ok and res.result.repins > 0
+
+
+@cache
+def _serve(seed: int) -> FuzzResult:
+    """One ``serve`` seed, run once for every test of this module."""
+    return run_family("serve", seed)
+
+
+def _crashes(res: FuzzResult) -> bool:
+    return any(isinstance(ev, Crash) for ev in res.recipe["faults"] or ())
 
 
 class TestServeFuzz:
@@ -229,7 +263,7 @@ class TestServeFuzz:
 
     def test_request_conservation_across_seeds(self):
         for seed in range(4):
-            run = run_family("serve", seed)
+            run = _serve(seed)
             res = run.result
             assert run.ok, f"seed {seed}: {run.failure}"
             assert res.generated == (
@@ -238,10 +272,8 @@ class TestServeFuzz:
 
     def test_crash_seed_replays(self):
         """Seed 1 draws a crash profile; the journal must replay."""
-        run = run_family("serve", 1)
-        assert run.scenario.fault_profile == "crash", (
-            "seed 1 no longer draws a crash profile"
-        )
+        run = _serve(1)
+        assert _crashes(run), "seed 1 no longer draws a crash profile"
         assert run.ok and run.result.replayed > 0
 
     def test_backed_up_outbox_crash_seeds_conserve(self):
@@ -249,13 +281,13 @@ class TestServeFuzz:
         toward it holds journaled requests; each must be replayed once,
         or a request ends up both shed at the client and completed."""
         for seed in (31, 91):
-            run = run_family("serve", seed)
-            assert run.scenario.fault_profile == "crash"
+            run = _serve(seed)
+            assert _crashes(run)
             assert run.ok, f"seed {seed}: {run.failure}"
 
     def test_serve_fingerprints_unchanged(self):
         for seed, expected in self.PINNED.items():
-            res = run_family("serve", seed)
+            res = _serve(seed)
             assert res.fingerprint == res.result.fingerprint == expected, (
                 f"serve fuzz seed {seed} drifted: {res.fingerprint}"
             )

@@ -8,7 +8,7 @@ from repro.bench.serve import ServeRun
 from repro.fabric import TrafficRun
 from repro.sim import SimulationError
 from repro.verify import InvariantMonitor
-from repro.verify.fuzz import FAMILIES, FuzzResult, run_family
+from repro.verify.fuzz import FAMILIES, FuzzResult, run_family, shrink
 
 
 def _before(monkeypatch, cls, method, tamper):
@@ -92,7 +92,7 @@ def test_a_planted_failure_is_not_ok_and_is_named(monkeypatch, case):
     assert any(name in v for v in res.violations), res.violations
     assert res.failure == f"invariant: {res.violations[0]}"  # says why
     # The run itself was untouched: same draw, same bits.
-    assert res.scenario == clean.scenario
+    assert res.recipe == clean.recipe
     if case != "serve":
         assert res.fingerprint == clean.fingerprint
 
@@ -119,4 +119,40 @@ def test_a_simulation_error_comes_back_as_failure(monkeypatch, family):
     res = run_family(family, 1)
     assert isinstance(res, FuzzResult) and not res.ok
     assert res.failure == "simulation: planted: not drained"
-    assert (res.family, res.seed, res.scenario) == (family, 1, None)
+    assert (res.family, res.seed) == (family, 1)
+    drew = FAMILIES[family].derive(1)  # the recipe survives the error
+    assert {key: res.recipe[key] for key in drew} == drew
+
+
+def _records(recipe: dict) -> tuple[int, int]:
+    """(ops, fault events) a recipe lists."""
+    sc = recipe.get("sc")
+    if sc is not None:
+        return len(sc.ops), len(sc.faults)
+    return 0, len(recipe.get("faults") or ())
+
+
+# family -> (seed, derivation constraints): cheap seeds that draw records.
+SHRINK_SEEDS = {
+    "protocol": (0, {"workload": "bulk", "fault_profile": "outage"}),
+    "crash": (0, {}),
+    "incarnation": (0, {}),
+    "fabric": (7, {}),
+    "serve": (1, {}),
+    "gray": (0, {}),
+}
+
+
+@pytest.mark.parametrize("family", SHRINK_SEEDS)
+def test_every_family_shrinks_a_planted_failure(monkeypatch, family):
+    """A planted failure fails every candidate, so the shrinker drops every
+    op and fault event it can reach, and what it returns still fails."""
+    plant, _name = PLANTED[family]
+    plant(monkeypatch)
+    seed, constraints = SHRINK_SEEDS[family]
+    res = run_family(family, seed, **constraints)
+    assert not res.ok
+    ops, faults = _records(res.recipe)
+    small = shrink(res, max_runs=2 + ops + faults)
+    assert FAMILIES[family].run(**small).finish().violations  # still fails
+    assert _records(small) == (0, 0)

@@ -401,7 +401,7 @@ class Cluster:
         :class:`~repro.sim.SimulationError` naming the earliest callback
         still scheduled at the horizon, or, once drained, the first switch
         whose ingress frames were not all forwarded or dropped for a
-        counted reason.
+        counted reason, or the first operation still incomplete.
         """
         self.stop_periodic()
         sim = self.sim
@@ -416,6 +416,12 @@ class Cluster:
         lost = [v for sw in self.switches for v in sw.conservation_violations()]
         if lost:
             raise SimulationError(f"drained, but switch {lost[0]}")
+        for stack in self.stacks:
+            for conn in stack.protocol.connections.values():
+                ops = [rec.op for rec in conn.window.inflight.values()]
+                for op in ops + list(conn._pending_reads.values()):
+                    if not op.completed:
+                        raise SimulationError(f"op {op!r} incomplete after drain")
 
     def set_ecn_threshold(self, frames: Optional[int]) -> None:
         """Enable (or disable with None) ECN marking on every switch.

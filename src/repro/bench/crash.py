@@ -86,7 +86,7 @@ class CrashRun(Run):
     Sends issued while the connection is down block until the reconnect
     replay finishes, then resume at pace.  A pausable
     :class:`~repro.bench.run.Run`: ``run_to`` can stop inside the crash
-    window, and :meth:`finish` computes the :class:`CrashResult`.
+    window, and ``finish()`` reports the :class:`CrashResult`.
     """
 
     def __init__(
@@ -108,7 +108,6 @@ class CrashRun(Run):
         cluster.connect(0, 1)
         cluster.enable_edge_control(0, 1, detector_params=detector_params)
         self.recovery = cluster.enable_crash_recovery(recovery_params)
-        self.monitor = None
         if use_monitor:
             from ..verify.monitor import InvariantMonitor
 
@@ -130,19 +129,12 @@ class CrashRun(Run):
                 addr += message_bytes
                 yield message_interval_ns
 
-        self.proc = cluster.sim.process(stream(), name="crash.stream")
-
-    def finish(self) -> CrashResult:
-        cluster = self.cluster
-        limit = self.recipe["run_ns"] + 500 * _MS
-        cluster.sim.run_until_done(self.proc, limit=limit)
-        cluster.quiesce()  # drain acks, retransmits, replay tails
-        return self._report()
+        self.procs = [cluster.sim.process(stream(), name="crash.stream")]
+        self.limit_ns = run_ns + 500 * _MS
 
     def _report(self) -> CrashResult:
         recovery = self.recovery
         channel = self.channel
-        monitor = self.monitor
         crash_ns = self.recipe["crash_ns"]
         restart_delay_ns = self.recipe["restart_delay_ns"]
         detected_ns = reconnected_ns = None
@@ -182,10 +174,8 @@ class CrashRun(Run):
             and len(delivered) == channel.messages_sent
         )
 
-        violations: list[str] = []
-        if monitor is not None:
-            monitor.final_check()
-            violations = [str(v) for v in monitor.violations]
+        monitor = self.monitor
+        violations = [] if monitor is None else [str(v) for v in monitor.violations]
         if not exactly_once:
             violations.append(
                 f"exactly-once: {channel.messages_sent} sent, "

@@ -98,7 +98,8 @@ class ServeResult:
 
 
 class ServeRun(Run):
-    """One serving scenario, pausable mid-flight for checkpointing."""
+    """One serving scenario, pausable mid-flight for checkpointing.  The
+    open-loop load has no workload process: it ends at ``duration_ns``."""
 
     def __init__(
         self,
@@ -127,7 +128,7 @@ class ServeRun(Run):
         n_nodes = n_clients + n_servers
         clients = tuple(range(n_clients))
         servers = tuple(range(n_clients, n_nodes))
-        self.duration_ns = duration_ns
+        self.limit_ns = duration_ns  # an open-loop workload ends at its horizon
         self.drain_grace_ns = drain_grace_ns
         faults = list(faults or ())
         has_crash = any(isinstance(ev, Crash) for ev in faults)
@@ -138,9 +139,7 @@ class ServeRun(Run):
         if ecn_threshold_frames is not None:
             cluster.set_ecn_threshold(ecn_threshold_frames)
 
-        self.recovery = None
-        if has_crash:
-            self.recovery = cluster.enable_crash_recovery()
+        self.recovery = cluster.enable_crash_recovery() if has_crash else None
         if has_crash or gray_detection:
             # The control plane watches every client<->server edge so a
             # server crash escalates to PEER_DOWN and auto-reconnects
@@ -172,7 +171,6 @@ class ServeRun(Run):
                 tail=tail,
             ),
         )
-        self.monitor = None
         if use_monitor:
             from ..verify.monitor import InvariantMonitor
 
@@ -181,28 +179,22 @@ class ServeRun(Run):
             FaultSchedule(faults).apply(cluster)
         self.runtime.start()
 
-    def finish(self) -> ServeResult:
-        cluster = self.cluster
-        cluster.sim.run_until_time(self.duration_ns)
-        # Cluster.quiesce() with two deliberate differences (DESIGN.md): the
-        # horizon is absolute and the clock ends *at* it, and leftovers past
-        # it are tolerated — a peer that crashed too late for the detector to
-        # escalate PEER_DOWN leaves survivors retransmitting into the void
-        # forever (request accounting is still complete: crash replay is
-        # driven by the recovery manager, not by detection).
-        cluster.stop_periodic()
-        cluster.sim.run(until=self.duration_ns + self.drain_grace_ns)
-        return self._report()
+    def _drain(self) -> None:
+        # Cluster.quiesce, with two deliberate differences (DESIGN.md,
+        # "Ending"): the horizon is absolute and the clock ends *at* it, and
+        # leftovers past it are tolerated (a peer that crashed too late for
+        # PEER_DOWN leaves survivors retransmitting into the void forever).
+        self.cluster.stop_periodic()
+        self.cluster.sim.run(until=self.limit_ns + self.drain_grace_ns)
+        self.runtime.fail_pending()
 
     def _report(self) -> ServeResult:
         from ..verify.fuzz import fingerprint
 
         rt = self.runtime
-        rt.fail_pending()
         if self.monitor is not None:
-            # final_check() runs rt.check_invariants() itself and files each
+            # final_check() ran rt.check_invariants() itself and filed each
             # problem as a ``serve-invariant`` violation: read them there.
-            self.monitor.final_check()
             violations = [str(v) for v in self.monitor.violations]
         else:
             violations = rt.check_invariants()

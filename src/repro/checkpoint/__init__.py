@@ -86,8 +86,7 @@ def _capture(run) -> tuple[dict, str]:
 
 
 def take_checkpoint(run: Run) -> Checkpoint:
-    """Snapshot a paused :class:`~repro.bench.run.Run` (``ScenarioRun``,
-    ``FabricRun``, ``CrashRun``, ``ServeRun``, or any other subclass)."""
+    """Snapshot a paused :class:`~repro.bench.run.Run` of any kind."""
     if not isinstance(run, Run):
         raise TypeError(f"cannot checkpoint {type(run).__name__}: not a Run")
     state, fp = _capture(run)

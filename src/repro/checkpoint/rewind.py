@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..verify.fuzz import FuzzResult, Scenario, ScenarioRun
+from ..verify.fuzz import FuzzResult, Scenario, ScenarioRun, _judge
 from ..verify.monitor import InvariantViolation
 from . import Checkpoint, restore, take_checkpoint
 
@@ -76,21 +76,21 @@ def run_with_rewind(
     sim = run.cluster.sim
     checkpoints = [take_checkpoint(run)]
 
-    t = interval_ns
-    while t < sc.limit_ns:
-        run.run_to(t)
-        if monitor is not None and monitor.violations:
-            break
-        if run._failure is not None:
-            break
-        if not sim._queue and not sim._fast:
-            break  # drained early: nothing left to checkpoint
-        checkpoints.append(take_checkpoint(run))
-        if run.traffic_done:
-            break  # run_to clamps here; further grid points are no-ops
-        t += interval_ns
+    def checkpointed_finish() -> FuzzResult:
+        t = interval_ns
+        while t < sc.limit_ns:
+            run.run_to(t)
+            if monitor is not None and monitor.violations:
+                break
+            if not sim._queue and not sim._fast:
+                break  # drained early: nothing left to checkpoint
+            checkpoints.append(take_checkpoint(run))
+            if run.workload_done:
+                break  # run_to stops here; further grid points are no-ops
+            t += interval_ns
+        return run.finish()
 
-    result = run.finish()
+    result = _judge("protocol", sc.seed, run, checkpointed_finish)
     violation = (
         monitor.violations[0]
         if monitor is not None and monitor.violations
@@ -106,7 +106,10 @@ def run_with_rewind(
     if nearest is None:  # violation before the first grid point
         nearest = checkpoints[0]
     debug_run = restore(nearest, trace=True)
-    debug_run.run_to(violation.time_ns)
+    try:
+        debug_run.run_to(violation.time_ns)
+    except InvariantViolation:
+        pass  # a monitor that does not collect raises what it found, again
     return RewindResult(
         result=result,
         checkpoints=checkpoints,

@@ -40,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from ..verify.fuzz import ScenarioRun
+from ..verify.fuzz import ScenarioRun, _judge, run_scenario
 from .fork import HAVE_FORK, ForkPoint
 
 __all__ = ["ShrinkStats", "CheckpointedShrinker"]
@@ -81,7 +81,7 @@ def _probe(run: ScenarioRun, dropped: tuple[int, ...]) -> bool:
     """Grandchild body: withdraw the dropped faults, finish, report failure."""
     for i in dropped:
         run.faults.cancel_pending(i)
-    return not run.finish().ok
+    return not _judge("protocol", run.sc.seed, run).ok
 
 
 class CheckpointedShrinker:
@@ -163,7 +163,7 @@ class CheckpointedShrinker:
                 # rebuild lazily next time, answer this one cold.
                 self._unpark()
         if failed is None:
-            failed = not ScenarioRun(**cand).finish().ok
+            failed = not run_scenario(**cand).ok
             self.stats.cold_probes += 1
         if failed:
             # The shrinker adopts failing candidates as its new base.  A

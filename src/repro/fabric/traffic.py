@@ -29,6 +29,7 @@ from typing import Union
 import numpy as np
 
 from ..bench.cluster import Cluster
+from ..bench.run import drive
 
 __all__ = [
     "Flow",
@@ -227,14 +228,11 @@ def _flow_payload(flow: Flow) -> bytes:
 
 
 class TrafficRun:
-    """One traffic-matrix execution on a cluster the caller built.
-
-    Construction expands flows and spawns the per-rank programs (no
-    simulated time passes); :meth:`finish` completes the run and builds
-    the :class:`TrafficResult`.  Pausing the cluster's simulator in between
-    (``run_until_time``) is scheduling-neutral, which is how
-    :class:`~repro.verify.fuzz.FabricRun` checkpoints one mid-flight.
-    """
+    """One traffic matrix as a workload on a cluster the caller built:
+    construction expands the flows and spawns the per-rank programs,
+    ``procs``; :meth:`report` reads the run once they were driven to their
+    end (:func:`~repro.bench.run.drive`).  :class:`~repro.verify.fuzz.FabricRun`
+    is this workload as a pausable :class:`~repro.bench.run.Run`."""
 
     def __init__(
         self,
@@ -247,7 +245,7 @@ class TrafficRun:
 
         self.cluster = cluster
         self.spec = spec
-        self.limit_ms = limit_ms
+        self.limit_ns = limit_ms * 1_000_000
         rng = cluster.rng.stream(f"fabric-traffic:{seed}")
         flows = self.flows = expand_flows(spec, cluster.config.nodes, rng)
         by_src: dict[int, list[Flow]] = {}
@@ -277,12 +275,9 @@ class TrafficRun:
         self.start_ns = cluster.sim.now
         self.procs = self.world.start(program)
 
-    def finish(self) -> TrafficResult:
+    def report(self, end_ns: int) -> TrafficResult:
+        """The result of the drained run whose workload ended at ``end_ns``."""
         cluster = self.cluster
-        self.world.wait(self.procs, limit_ms=self.limit_ms)
-        elapsed = cluster.sim.now - self.start_ns
-        cluster.quiesce()  # drain straggling acks / credits / timers
-
         drops = sum(sw.dropped_total for sw in cluster.switches)
         marked = sum(sw.ce_marked_total for sw in cluster.switches)
         retrans = sum(
@@ -310,7 +305,7 @@ class TrafficRun:
             spec_name=self.spec.name,
             flows=len(self.flows),
             total_bytes=sum(f.size_bytes for f in self.flows),
-            elapsed_ns=elapsed,
+            elapsed_ns=end_ns - self.start_ns,
             data_intact=not self.mismatches,
             messages_received=self.received[0],
             switch_drops=drops,
@@ -337,4 +332,5 @@ def run_traffic(
     a rank's two processes may write one peer's ring at once (the
     receiver answers rendezvous), and ``SlotRing`` makes them take turns.
     """
-    return TrafficRun(cluster, spec, seed=seed, limit_ms=limit_ms).finish()
+    run = TrafficRun(cluster, spec, seed=seed, limit_ms=limit_ms)
+    return run.report(drive(cluster, run.procs, run.limit_ns))

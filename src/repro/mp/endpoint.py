@@ -401,25 +401,16 @@ class MpWorld:
             )
 
     def start(self, program) -> list:
-        """Spawn ``program(endpoint)`` on every rank without running.
-
-        Returns the processes; pass them to :meth:`wait` to execute.  The
-        split lets a caller pause the world mid-run (checkpointing) —
-        ``start`` + ``wait`` is exactly :meth:`run`.
-        """
+        """Spawn ``program(endpoint)`` on every rank without running; returns
+        the processes, a pausable run's workload (:class:`~repro.fabric.TrafficRun`)."""
         sim = self.cluster.sim
         return [
             sim.process(program(ep), name=f"mp.rank{ep.rank}")
             for ep in self.endpoints
         ]
 
-    def wait(self, procs: list, limit_ms: int = 600_000) -> list:
-        """Run until every process from :meth:`start` finishes."""
-        sim = self.cluster.sim
-        return [
-            sim.run_until_done(p, limit=limit_ms * 1_000_000) for p in procs
-        ]
-
     def run(self, program, limit_ms: int = 600_000) -> list:
         """Run ``program(endpoint)`` on every rank; returns their results."""
-        return self.wait(self.start(program), limit_ms)
+        sim = self.cluster.sim
+        limit = limit_ms * 1_000_000
+        return [sim.run_until_done(p, limit=limit) for p in self.start(program)]

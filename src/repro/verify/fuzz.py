@@ -171,12 +171,6 @@ class FuzzResult:
         return self.failure is None
 
 
-def _failure_of(exc: Exception) -> str:
-    """How an error that stopped a run reads in :attr:`FuzzResult.failure`."""
-    kind = "invariant" if isinstance(exc, InvariantViolation) else "simulation"
-    return f"{kind}: {exc}"
-
-
 # ---------------------------------------------------------------------------
 # Scenario generation
 # ---------------------------------------------------------------------------
@@ -490,9 +484,8 @@ class ScenarioRun(Run):
     """One ``protocol`` scenario as a pausable :class:`~repro.bench.run.Run`
     (:func:`run_scenario` is the one-shot front door).
 
-    Construction wires the cluster, faults, and sender processes;
-    :meth:`run_to` pauses no later than the instant the workload ends;
-    :meth:`finish` never raises — a failure lands in the :class:`FuzzResult`.
+    Construction wires the cluster, faults, and sender processes; the
+    workload is those processes, bounded by ``sc.limit_ns``.
     """
 
     def __init__(
@@ -505,7 +498,7 @@ class ScenarioRun(Run):
     ) -> None:
         self.sc = sc
         self.trace = trace
-        self._failure: Optional[str] = None
+        self.limit_ns = sc.limit_ns
         cluster = self.cluster = _build_cluster(sc, trace, fastpath)
         pairs = sorted({(op.src, op.dst) for op in sc.ops})
         conn_pairs = sorted({(min(i, j), max(i, j)) for i, j in pairs})
@@ -578,66 +571,17 @@ class ScenarioRun(Run):
             for src, specs in sorted(by_src.items())
         ]
 
-    @property
-    def traffic_done(self) -> bool:
-        """True once every workload process has finished (where
-        :meth:`run_to` clamps)."""
-        return all(p._finished for p in self.procs)
-
-    def run_to(self, time_ns: int) -> None:
-        """Execute every event due at or before ``time_ns``, then pause.
-
-        The pause clamps at the instant the last workload process
-        finishes — exactly where an uninterrupted run's
-        ``run_until_done`` sequence stops before ``finish()`` shuts the
-        managers down.  Running any further would execute periodic
-        events (keepalives, edge monitors) that the uninterrupted run
-        suppresses, breaking ``run-to-end == pause+finish`` composition.
-        """
-        if self._failure is not None:
-            return
-        try:
-            # finish()'s own sequence, bounded: each workload process in turn.
-            for proc in self.procs:
-                self.cluster.sim.run_until_time(time_ns, proc)
-                if not proc._finished:
-                    break
-        except (InvariantViolation, SimulationError) as e:
-            self._failure = _failure_of(e)
-
-    def finish(self) -> FuzzResult:
-        """Run to completion and report; never raises."""
-        cluster = self.cluster
-        monitor = self.monitor
-        failure = self._failure
-        if failure is None:
-            try:
-                for proc in self.procs:
-                    cluster.sim.run_until_done(proc, limit=self.sc.limit_ns)
-                cluster.quiesce()  # drain retransmits, acks, fault timers
-                for stack in cluster.stacks:
-                    for conn in stack.protocol.connections.values():
-                        for op in [
-                            rec.op for rec in conn.window.inflight.values()
-                        ] + list(conn._pending_reads.values()):
-                            if not op.completed:
-                                raise SimulationError(
-                                    f"op {op!r} incomplete after drain"
-                                )
-                if monitor is not None:
-                    monitor.final_check()
-            except (InvariantViolation, SimulationError) as e:
-                failure = _failure_of(e)
+    def _report(self) -> FuzzResult:
         return _verdict(
-            "protocol", self.sc.seed, self.recipe, cluster, monitor,
-            failure=failure, trace=self.trace,
+            "protocol", self.sc.seed, self.recipe, self.cluster, self.monitor,
+            trace=self.trace,
         )
 
 
 def run_scenario(sc: Scenario, **kwargs) -> FuzzResult:
     """Execute one scenario (arguments as :class:`ScenarioRun`); never
     raises — failures land in the result."""
-    return ScenarioRun(sc, **kwargs).finish()
+    return _judge("protocol", sc.seed, ScenarioRun(sc, **kwargs))
 
 
 # ---------------------------------------------------------------------------
@@ -713,16 +657,13 @@ class IncarnationRun(Run):
             for oh in ops:
                 yield from oh.wait()
 
-        self.proc = cluster.sim.process(driver(), name="fuzz.incarnation")
+        self.procs = [cluster.sim.process(driver(), name="fuzz.incarnation")]
+        self.limit_ns = 2_000_000_000
 
-    def finish(self) -> FuzzResult:
-        cluster = self.cluster
-        cluster.sim.run_until_done(self.proc, limit=2_000_000_000)
-        cluster.quiesce()
-        self.monitor.final_check()
+    def _report(self) -> FuzzResult:
         return _verdict(
-            "incarnation", self.recipe["seed"], self.recipe, cluster,
-            self.monitor, result=summarize_cluster(cluster),
+            "incarnation", self.recipe["seed"], self.recipe, self.cluster,
+            self.monitor, result=summarize_cluster(self.cluster),
         )
 
 
@@ -794,10 +735,11 @@ class FabricRun(Run):
                 mouse_bytes=max(bytes_per_flow // 8, 64),
             ),
         }[traffic]()
-        self.traffic_run = TrafficRun(cluster, pattern, seed=seed)
+        traffic = self.traffic = TrafficRun(cluster, pattern, seed=seed)
+        self.procs, self.limit_ns = traffic.procs, traffic.limit_ns
 
-    def finish(self) -> FuzzResult:
-        res = self.traffic_run.finish()
+    def _report(self) -> FuzzResult:
+        res = self.traffic.report(self.end_ns)
         return _verdict(
             "fabric", self.recipe["seed"], self.recipe, self.cluster,
             violations=res.violations, result=res,
@@ -1041,19 +983,21 @@ FAMILIES: dict[str, Family] = {
 }
 
 
-def _judge(name: str, seed: int, recipe: dict) -> FuzzResult:
-    """Build ``FAMILIES[name].run(**recipe)``, finish it, judge it.
-
-    The fuzzer's own runs judge themselves; a
-    :class:`~repro.bench.crash.CrashResult` or
-    :class:`~repro.bench.serve.ServeResult` is judged by its ``violations``.
-    An error that escapes the run comes back as ``failure``.
-    """
-    run = FAMILIES[name].run(**recipe)
+def _judge(name: str, seed: int, run: Run, finish=None) -> FuzzResult:
+    """Finish ``run`` (``finish()``, by default ``run.finish()``) and judge
+    it as a seed of family ``name``: the fuzzer's own runs judge themselves,
+    a :class:`~repro.bench.crash.CrashResult` or
+    :class:`~repro.bench.serve.ServeResult` by its ``violations``.  An error
+    that escapes the run is its ``failure``, judged with the cluster and
+    monitor as the error left them."""
     try:
-        out = run.finish()
+        out = (finish or run.finish)()
     except (InvariantViolation, SimulationError) as e:
-        return FuzzResult(name, seed, run.recipe, failure=_failure_of(e))
+        kind = "invariant" if isinstance(e, InvariantViolation) else "simulation"
+        return _verdict(
+            name, seed, run.recipe, run.cluster, run.monitor,
+            failure=f"{kind}: {e}", trace=run.recipe.get("trace", False),
+        )
     if isinstance(out, FuzzResult):
         return out
     return _verdict(
@@ -1069,7 +1013,8 @@ def run_family(name: str, seed: int, **constraints) -> FuzzResult:
     a drain that did not drain — comes back as ``failure``, so a seed loop
     sees every bad seed instead of stopping at the first.
     """
-    return _judge(name, seed, FAMILIES[name].derive(seed, **constraints))
+    family = FAMILIES[name]
+    return _judge(name, seed, family.run(**family.derive(seed, **constraints)))
 
 
 # ---------------------------------------------------------------------------
@@ -1139,7 +1084,7 @@ def shrink(
     cls = FAMILIES[res.family].run
     if fails is None:
         def fails(recipe: dict) -> bool:
-            return not _judge(res.family, res.seed, recipe).ok
+            return not _judge(res.family, res.seed, cls(**recipe)).ok
 
     runs = 0
 

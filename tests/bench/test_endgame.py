@@ -5,6 +5,7 @@ import pytest
 from repro.bench import make_cluster
 from repro.bench.cluster import DRAIN_HORIZON_NS
 from repro.control import FaultSchedule, Outage
+from repro.core.connection import Operation
 from repro.sim import SimulationError
 from repro.verify.fuzz import ScenarioRun, scenario_from_seed
 
@@ -59,6 +60,20 @@ def test_quiesce_raises_on_a_switch_that_lost_a_frame():
     cluster.quiesce()  # every ingress frame forwarded
     cluster.switches[0].ingress_frames += 1  # one that went nowhere
     with pytest.raises(SimulationError, match="switch0: .* ingress frames"):
+        cluster.quiesce()
+
+
+def test_quiesce_raises_on_an_op_that_never_completes():
+    cluster = make_cluster("1L-1G", nodes=2, synthetic_payloads=True)
+    _finished_workload(cluster)
+    conn = next(iter(cluster.stacks[0].protocol.connections.values()))
+    # A read the peer was never asked for: nothing is scheduled that could
+    # answer it, so the drain itself ends cleanly.
+    stranded = Operation(cluster.sim, 999, 0, Operation.READ, 0, 0, 0, 64)
+    conn._pending_reads[stranded.op_id] = stranded
+    with pytest.raises(
+        SimulationError, match=r"op Op\(read id=999 len=64 pending\) incomplete after drain"
+    ):
         cluster.quiesce()
 
 

@@ -10,6 +10,7 @@ from repro.control import Outage, PermanentFailure
 from repro.verify.fuzz import (
     OpSpec,
     ScenarioRun,
+    _judge,
     run_scenario,
     scenario_from_seed,
     shrink,
@@ -75,7 +76,7 @@ class TestCancelledFaultEqualsAbsentFault:
         run.run_to(100_000)  # before every fault
         run.faults.cancel_pending(1)
         run.faults.cancel_pending(2)
-        res = run.finish()
+        res = _judge("protocol", sc.seed, run)  # finish() raises: it fails
         assert res.fingerprint == cold.fingerprint
         assert res.elapsed_ns == cold.elapsed_ns
         assert res.failure == cold.failure

@@ -24,7 +24,8 @@ import os
 
 import pytest
 
-from repro.bench.crash import CrashRun, run_crash
+from repro.bench.crash import CrashRun
+from repro.bench.incast import IncastRun
 from repro.bench.serve import ServeRun
 from repro.checkpoint import restore, take_checkpoint
 from repro.control import Crash, Restart
@@ -34,12 +35,23 @@ from repro.verify.fuzz import (
     FAULT_PROFILES,
     WORKLOADS,
     FabricRun,
+    IncarnationRun,
     ScenarioRun,
     run_scenario,
     scenario_from_seed,
 )
 
 FULL_GRID = os.environ.get("REPRO_FULL_WITNESS") == "1"
+MS = 1_000_000
+
+_straight_results = {}
+
+
+def _straight(name: str, cls, recipe: dict):
+    """``cls(**recipe)`` run start to finish, once per module."""
+    if name not in _straight_results:
+        _straight_results[name] = cls(**recipe).finish()
+    return _straight_results[name]
 
 
 def _pause_time(sc) -> int:
@@ -111,7 +123,7 @@ class TestFuzzGridWitness:
 class TestCrashWitness:
     def test_checkpoint_inside_crash_window(self):
         """T = 12 ms sits between the crash (10 ms) and restart (15 ms)."""
-        res_a = run_crash()
+        res_a = _straight("crash", CrashRun, {})
 
         run_b = CrashRun()
         run_b.run_to(12_000_000)
@@ -126,7 +138,7 @@ class TestFabricWitness:
         """Seed 7: leaf-spine with trunk drain/fail events mid-run."""
         recipe = FAMILIES["fabric"].derive(7)
         assert recipe["faults"]
-        res_a = FabricRun(**recipe).finish()
+        res_a = _straight("fabric", FabricRun, recipe)
 
         run_b = FabricRun(**recipe)
         run_b.run_to(min(f.at_ns for f in recipe["faults"]) + 1_000)
@@ -163,7 +175,7 @@ class TestServeWitness:
 
     def test_checkpoint_inside_crash_window(self):
         """T = 10 ms sits between the crash (8 ms) and restart (12 ms)."""
-        res_a = ServeRun(**self.RECIPE).finish()
+        res_a = _straight("serve", ServeRun, self.RECIPE)
 
         run_b = ServeRun(**self.RECIPE)
         run_b.run_to(10_000_000)
@@ -215,3 +227,37 @@ class TestComposedWitness:
         ck = take_checkpoint(run_b)
         assert run_b.finish() == res_a
         assert restore(ck).finish() == res_a
+
+
+PAST_THE_END = {
+    # name: (Run class, recipe, pause instants in turn; () = twice the
+    # straight run's elapsed time).  Each lies past the end of the workload.
+    "crash": (CrashRun, {}, (80 * MS,)),  # the stream ends at run_ns, 60 ms
+    "serve": (ServeRun, TestServeWitness.RECIPE, (31 * MS, 60 * MS)),  # horizon 30 ms
+    "fabric": (FabricRun, FAMILIES["fabric"].derive(7), (200 * MS,)),
+    "incarnation": (IncarnationRun, FAMILIES["incarnation"].derive(3), (50 * MS,)),
+    "incast": (
+        IncastRun,
+        dict(senders=4, chunks_per_sender=4, congestion="dctcp",
+             ecn_threshold_frames=8),
+        (),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", PAST_THE_END)
+def test_a_pause_past_the_end_changes_nothing(case):
+    """``run_to`` stops where the workload ends, for every ``Run``: a pause
+    past it runs none of the periodic events (heartbeats, edge monitors)
+    that an uninterrupted run's drain stops first, and a later pause adds
+    nothing."""
+    cls, recipe, pauses = PAST_THE_END[case]
+    straight = _straight(case, cls, recipe)
+    run = cls(**recipe)
+    for pause in pauses or (2 * straight.elapsed_ns,):
+        run.run_to(pause)
+        assert run.workload_done
+    ck = take_checkpoint(run)
+    assert ck.time_ns < pause
+    assert run.finish() == straight, f"{case}: pausing changed the run"
+    assert restore(ck).finish() == straight, f"{case}: restore changed the run"

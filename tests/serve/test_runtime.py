@@ -292,8 +292,9 @@ def test_monitor_reports_serve_invariant_breakage():
         seed=20,
         use_monitor=True,
     )
-    run.cluster.sim.run_until_time(run.duration_ns)
-    run.cluster.sim.run(until=run.duration_ns + 100 * _MS)
+    horizon = run.recipe["duration_ns"]
+    run.cluster.sim.run_until_time(horizon)
+    run.cluster.sim.run(until=horizon + 100 * _MS)
     run.runtime.generated += 5  # cook the books
     monitor = run.monitor
     monitor.final_check()

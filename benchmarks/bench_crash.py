@@ -8,7 +8,7 @@ reboots, recorded to ``BENCH_crash.json`` at the repo root:
   detection, and reconnect-established times for one run;
 * **reconnect latency** — detection to re-established connection, vs the
   parameter-derived bound
-  (:meth:`~repro.recovery.RecoveryParams.reconnect_bound_ns`);
+  (:func:`~repro.recovery.reconnect_bound_ns`);
 * **recovered goodput** — post-reconnect delivery goodput as a fraction
   of the pre-crash baseline (floor: 95%);
 * **exactly-once accounting** — journal redeliveries, receiver-side

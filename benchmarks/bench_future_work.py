@@ -15,6 +15,7 @@ several application domains on one interconnect.  Both are runnable here:
 
 import numpy as np
 
+from repro.analysis import summarize_cluster
 from repro.bench import Table, make_cluster
 from repro.bench.micro import run_one_way
 from repro.fabric import LeafSpineSpec
@@ -185,7 +186,7 @@ def run_experiment():
             (
                 "lossless core" if lossless else "edge-only",
                 4 * size / (elapsed / 1e9) / 1e6,
-                cluster.total_frames_dropped(),
+                summarize_cluster(cluster).frames_dropped,
                 retrans,
             )
         )

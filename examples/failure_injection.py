@@ -18,6 +18,7 @@ completing with correct bytes, plus what the recovery cost was:
 Run:  python examples/failure_injection.py
 """
 
+from repro.analysis import summarize_cluster
 from repro.bench import make_cluster, run_failover
 from repro.control import BitErrorRamp, FaultSchedule, Flap, Outage, Repair
 from repro.ethernet import SwitchParams
@@ -51,7 +52,7 @@ def scenario_bit_errors() -> None:
         Repair(at_ns=10 * MS, node=0, rail=0),
     ]).apply(cluster)
     ok, stats, cl = transfer(cluster)
-    crc = sum(n.counters.rx_dropped_crc for node in cl.nodes for n in node.nics)
+    crc = summarize_cluster(cl).crc_drops
     print(f"bit errors   : data intact={ok}  CRC drops={crc}  "
           f"retransmits={stats.retransmitted_frames}  "
           f"nacks rx={stats.nacks_received}")
@@ -63,10 +64,9 @@ def scenario_outage() -> None:
     FaultSchedule([
         Outage(at_ns=2 * MS, node=0, rail=0, duration_ns=5 * MS),
     ]).apply(cluster)
-    link = cluster.nodes[0].nics[0].tx_link
     ok, stats, cl = transfer(cluster)
     print(f"5ms outage   : data intact={ok}  "
-          f"lost to outage={link.frames_lost_outage}  "
+          f"lost to outage={summarize_cluster(cl).link_outage_losses}  "
           f"timeout retransmits={stats.timeout_retransmits}  "
           f"retransmits={stats.retransmitted_frames}")
 
@@ -78,10 +78,9 @@ def scenario_flapping() -> None:
         Flap(at_ns=1 * MS, node=0, rail=0, period_ns=4 * MS,
              down_ns=1 * MS, count=5),
     ]).apply(cluster)
-    link = cluster.nodes[0].nics[0].tx_link
     ok, stats, cl = transfer(cluster)
     print(f"flapping edge: data intact={ok}  "
-          f"lost to outage={link.frames_lost_outage}  "
+          f"lost to outage={summarize_cluster(cl).link_outage_losses}  "
           f"retransmits={stats.retransmitted_frames}")
 
 
@@ -113,7 +112,7 @@ def scenario_congestion() -> None:
         cluster.stacks[3].node.memory.read(dst, size) == payload
         for dst in dsts
     )
-    dropped = sum(sw.dropped_total for sw in cluster.switches)
+    dropped = summarize_cluster(cluster).switch_drops
     retrans = sum(c.stats.retransmitted_frames for c in conns)
     print(f"incast storm : data intact={ok}  switch drops={dropped}  "
           f"retransmits={retrans}")

@@ -17,7 +17,6 @@ from .summary import (
     RailCounters,
     SwitchCounters,
     ascii_histogram,
-    reorder_histogram,
     summarize_cluster,
 )
 
@@ -38,6 +37,5 @@ __all__ = [
     "RailCounters",
     "SwitchCounters",
     "summarize_cluster",
-    "reorder_histogram",
     "ascii_histogram",
 ]

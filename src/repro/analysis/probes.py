@@ -17,7 +17,8 @@ kind of analysis:
 * :class:`PacingStallProbe` — per-interval nanoseconds a NIC's frames
   spent waiting on the pacing token bucket,
 * :class:`ReconnectLatencyProbe` — detection-to-reconnect latency of each
-  crash-recovery reconnect (event-driven, not periodic).
+  crash-recovery reconnect (read from the recovery coordinator's record,
+  not periodic).
 
 Each periodic probe runs as a simulation process; call :meth:`stop` (or
 let the simulation end) and read ``samples``.
@@ -26,6 +27,7 @@ let the simulation end) and read ``samples``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from ..core.connection import Connection
 from ..ethernet import Switch
@@ -194,25 +196,30 @@ class PacingStallProbe(_Probe):
 class ReconnectLatencyProbe:
     """Detection-to-reconnect latency of each crash-recovery reconnect.
 
-    Unlike the periodic probes, this one is event-driven: it registers a
-    watcher on a :class:`~repro.recovery.ClusterRecovery` and records one
-    sample per successful reconnect, stamped with the reconnect completion
-    time and valued at the detection-to-established latency in
-    nanoseconds.  It exposes the same ``samples``/``values``/``mean``/
-    ``peak`` surface as the periodic probes so plotting code is shared.
+    Unlike the periodic probes, this one samples nothing itself: it reads
+    the ``(completed_ns, latency_ns)`` pairs a
+    :class:`~repro.recovery.ClusterRecovery` records in
+    ``reconnect_latencies`` between the probe's creation and :meth:`stop`,
+    one sample per successful reconnect.  It exposes the same
+    ``samples``/``values``/``mean``/``peak`` surface as the periodic
+    probes so plotting code is shared.
     """
 
     def __init__(self, recovery) -> None:
-        self.samples: list[Sample] = []
-        self._running = True
-        recovery.add_reconnect_watcher(self._on_reconnect)
-
-    def _on_reconnect(self, time_ns: int, latency_ns: int) -> None:
-        if self._running:
-            self.samples.append(Sample(time_ns, float(latency_ns)))
+        self._log = recovery.reconnect_latencies
+        self._start = len(self._log)
+        self._end: Optional[int] = None
 
     def stop(self) -> None:
-        self._running = False
+        if self._end is None:
+            self._end = len(self._log)
+
+    @property
+    def samples(self) -> list[Sample]:
+        return [
+            Sample(at_ns, float(ns))
+            for at_ns, ns in self._log[self._start:self._end]
+        ]
 
     @property
     def values(self) -> list[float]:

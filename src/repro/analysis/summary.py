@@ -18,22 +18,26 @@ __all__ = [
     "RailCounters",
     "SwitchCounters",
     "summarize_cluster",
-    "reorder_histogram",
     "ascii_histogram",
 ]
 
 
 @dataclass
 class RailCounters:
-    """Hardware counters rolled up per rail across every node."""
+    """One rail's hardware counters: every node's NIC on the rail, plus the
+    link losses on the rail's host cables and fabric trunks."""
 
     rail: int
-    tx_frames: int
-    tx_bytes: int
-    rx_frames: int
-    ring_drops: int
-    crc_drops: int
-    irqs: int
+    tx_frames: int = 0
+    tx_bytes: int = 0
+    rx_frames: int = 0
+    ring_drops: int = 0
+    crc_drops: int = 0
+    irqs: int = 0
+    powered_off_drops: int = 0  # frames a powered-off NIC discarded
+    pacing_stall_ns: int = 0
+    outage_losses: int = 0  # frames a failed link swallowed
+    gray_losses: int = 0  # frames a gray-degraded link dropped
 
 
 @dataclass
@@ -53,6 +57,7 @@ class SwitchCounters:
     # ECMP counters (zero on one-switch rails).
     ecmp_routed: int = 0
     repins: int = 0
+    paused_frames: int = 0  # lossless-mode backpressure events
 
 
 @dataclass
@@ -80,6 +85,13 @@ class ClusterSummary:
     crc_drops: int
     # Host layer.
     protocol_cpu_fraction_mean: float
+    # Losses the hardware fields above leave out (frames_dropped adds all).
+    nic_powered_off_drops: int = 0
+    link_outage_losses: int = 0  # host cables and trunks, both directions
+    link_gray_losses: int = 0
+    # Retransmissions by trigger (they add up to ``retransmissions``).
+    timeout_retransmits: int = 0
+    nack_retransmits: int = 0
     # Node memory summed over nodes (repro.host.VirtualMemory): address
     # space reserved by alloc() and the part backed by a buffer, which is
     # what node memory contributes to the process's RSS.
@@ -138,6 +150,32 @@ class ClusterSummary:
     gray_flagged_edges: int = 0  # edges DEGRADED at summary time
 
     @property
+    def frames_dropped(self) -> int:
+        """Frames lost anywhere: switch queues, NIC rings, CRC, powered-off
+        NICs, and link outages or gray drops on host cables and trunks."""
+        return (
+            self.switch_drops + self.nic_ring_drops + self.crc_drops
+            + self.nic_powered_off_drops
+            + self.link_outage_losses + self.link_gray_losses
+        )
+
+    @property
+    def dropped_queue_full(self) -> int:
+        return sum(sc.dropped_queue_full for sc in self.switches)
+
+    @property
+    def paused_frames(self) -> int:
+        return sum(sc.paused_frames for sc in self.switches)
+
+    @property
+    def peak_queue_depth(self) -> int:
+        return max((sc.peak_queue_depth for sc in self.switches), default=0)
+
+    @property
+    def repins(self) -> int:
+        return sum(sc.repins for sc in self.switches)
+
+    @property
     def tier_drops(self) -> dict:
         """Total drops per fabric tier (empty-string tier for classic
         single-switch wiring)."""
@@ -181,31 +219,42 @@ def summarize_cluster(
 ) -> ClusterSummary:
     """Roll up every counter in the cluster into one summary.
 
-    The one place connection counters are summed: result types read the
-    summary instead of walking the connections again.
+    The one place connection, NIC, switch and link counters are summed:
+    results read the summary instead of walking the cluster again.  A
+    read: summaries at any instants, in any order, change nothing.
     """
     stats = merge_stats(
         [s.protocol.total_stats() for s in cluster.stacks]
     )
     elapsed = elapsed_ns if elapsed_ns is not None else cluster.sim.now
-    wire_frames = wire_bytes = irqs = ring = crc = pacing_stall = 0
-    for node in cluster.nodes:
-        for nic in node.nics:
-            wire_frames += nic.counters.tx_frames
-            wire_bytes += nic.counters.tx_bytes
-            irqs += nic.counters.irqs_raised
-            ring += nic.counters.rx_dropped_ring_full
-            crc += nic.counters.rx_dropped_crc
-            pacing_stall += nic.counters.pacing_stall_ns
-    switch_drops = sum(sw.dropped_total for sw in cluster.switches)
-    ce_marked = sum(sw.ce_marked_total for sw in cluster.switches)
+    rails = []
+    for rail, fabric in enumerate(cluster.fabrics):
+        rc = RailCounters(rail)
+        links = list(fabric.trunks.values())
+        for node in cluster.nodes:
+            c = node.nics[rail].counters
+            rc.tx_frames += c.tx_frames
+            rc.tx_bytes += c.tx_bytes
+            rc.rx_frames += c.rx_frames
+            rc.ring_drops += c.rx_dropped_ring_full
+            rc.crc_drops += c.rx_dropped_crc
+            rc.irqs += c.irqs_raised
+            rc.powered_off_drops += c.rx_dropped_powered_off
+            rc.pacing_stall_ns += c.pacing_stall_ns
+            links.append(cluster.cable(node.node_id, rail))
+        for cable in links:
+            for link in (cable.ab, cable.ba):
+                rc.outage_losses += link.frames_lost_outage
+                rc.gray_losses += link.frames_lost_gray
+        rails.append(rc)
     switch_counters = []
     for sw in cluster.switches:
-        q_drops = peak = tx_f = tx_b = 0
+        q_drops = peak = tx_f = tx_b = paused = 0
         for port in sw.ports:
             q_drops += port.dropped_queue_full
             peak = max(peak, port.peak_queue_depth)
             tx_f += port.tx_frames
+            paused += port.paused_frames
             if port.tx_link is not None:
                 tx_b += port.tx_link.bytes_delivered
         switch_counters.append(
@@ -221,6 +270,7 @@ def summarize_cluster(
                 tx_bytes=tx_b,
                 ecmp_routed=sw.ecmp_routed,
                 repins=sw.repins,
+                paused_frames=paused,
             )
         )
     controllers: set[str] = set()
@@ -231,23 +281,6 @@ def summarize_cluster(
             controllers.add(cc.name)
             if cc.active:
                 cwnd_finals.append(cc.cwnd_frames)
-    rails = []
-    for rail in range(cluster.config.rails):
-        tx_f = tx_b = rx_f = ring_d = crc_d = rail_irqs = 0
-        for node in cluster.nodes:
-            c = node.nics[rail].counters
-            tx_f += c.tx_frames
-            tx_b += c.tx_bytes
-            rx_f += c.rx_frames
-            ring_d += c.rx_dropped_ring_full
-            crc_d += c.rx_dropped_crc
-            rail_irqs += c.irqs_raised
-        rails.append(
-            RailCounters(
-                rail=rail, tx_frames=tx_f, tx_bytes=tx_b, rx_frames=rx_f,
-                ring_drops=ring_d, crc_drops=crc_d, irqs=rail_irqs,
-            )
-        )
     # Incarnation-guard and dedup counts outlive their endpoint: a crash
     # destroys connections, and what they had counted is kept by the
     # recovery coordinator.  (Traffic counters describe live endpoints.)
@@ -282,12 +315,11 @@ def summarize_cluster(
         for t in edge_history
         if t.new.value == "up" and t.old.value in ("down", "recovering")
     )
-    # Per-edge state residency (closes each open interval at `elapsed`,
-    # which is a no-op for repeated summaries at the same instant).
+    # Per-edge state residency up to `elapsed`.
     state_time: dict = {}
     for mgr in cluster.control_planes.values():
         for det in mgr.detectors:
-            for st, ns in det.finalize_state_time(elapsed).items():
+            for st, ns in det.state_time(elapsed).items():
                 state_time[st.value] = state_time.get(st.value, 0) + ns
     scorer = cluster.gray_scorer
     gray_fields: dict = {}
@@ -316,13 +348,18 @@ def summarize_cluster(
         out_of_order_fraction=stats.out_of_order_fraction,
         extra_frame_fraction=stats.extra_frame_fraction,
         mean_reorder_distance=stats.mean_reorder_distance,
-        wire_frames=wire_frames,
-        wire_bytes=wire_bytes,
-        irqs=irqs,
-        switch_drops=switch_drops,
-        nic_ring_drops=ring,
-        crc_drops=crc,
+        wire_frames=sum(r.tx_frames for r in rails),
+        wire_bytes=sum(r.tx_bytes for r in rails),
+        irqs=sum(r.irqs for r in rails),
+        switch_drops=sum(sc.dropped_total for sc in switch_counters),
+        nic_ring_drops=sum(r.ring_drops for r in rails),
+        crc_drops=sum(r.crc_drops for r in rails),
         protocol_cpu_fraction_mean=proto_frac,
+        nic_powered_off_drops=sum(r.powered_off_drops for r in rails),
+        link_outage_losses=sum(r.outage_losses for r in rails),
+        link_gray_losses=sum(r.gray_losses for r in rails),
+        timeout_retransmits=stats.timeout_retransmits,
+        nack_retransmits=stats.nack_retransmits,
         memory_reserved_bytes=sum(
             node.memory.allocated_bytes for node in cluster.nodes
         ),
@@ -333,11 +370,11 @@ def summarize_cluster(
         heap_pushes=cluster.sim.heap_pushes,
         fastlane_hits=cluster.sim.fastlane_hits,
         cancelled_popped=cluster.sim.cancelled_popped,
-        ce_marked=ce_marked,
+        ce_marked=sum(sc.ce_marked for sc in switch_counters),
         ce_received=stats.ce_frames_received,
         ecn_echoes_sent=stats.ecn_echoes_sent,
         ecn_echoes_received=stats.ecn_echoes_received,
-        pacing_stall_ns=pacing_stall,
+        pacing_stall_ns=sum(r.pacing_stall_ns for r in rails),
         congestion_controllers=sorted(controllers),
         cwnd_final_mean=(
             sum(cwnd_finals) / len(cwnd_finals) if cwnd_finals else 0.0
@@ -360,12 +397,6 @@ def summarize_cluster(
         **recovery_fields,
         **gray_fields,
     )
-
-
-def reorder_histogram(cluster: Cluster) -> list[int]:
-    """Cluster-wide reorder-distance histogram (buckets 1..15, >=16)."""
-    stats = merge_stats([s.protocol.total_stats() for s in cluster.stacks])
-    return list(stats.reorder_histogram)
 
 
 def ascii_histogram(

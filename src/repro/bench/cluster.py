@@ -336,7 +336,7 @@ class Cluster:
             self.fastpath.attach_all()
         return self.fastpath
 
-    def enable_crash_recovery(self, params=None):
+    def enable_crash_recovery(self):
         """Attach the whole-node crash/recovery coordinator (idempotent).
 
         Returns the cluster's :class:`~repro.recovery.ClusterRecovery`.
@@ -347,7 +347,7 @@ class Cluster:
         if self.recovery is None:
             from ..recovery import ClusterRecovery
 
-            self.recovery = ClusterRecovery(self, params)
+            self.recovery = ClusterRecovery(self)
         return self.recovery
 
     def enable_gray_detection(self, params=None):
@@ -440,28 +440,6 @@ class Cluster:
                 nic.tracer = self.tracer
 
     # -- cluster-wide statistics -----------------------------------------
-
-    def total_frames_dropped(self) -> int:
-        """Frames lost anywhere: switch queues, NIC rings, CRC, powered-off
-        NICs, and link outages or gray drops on host cables and trunks."""
-        dropped = sum(sw.dropped_total for sw in self.switches)
-        for node in self.nodes:
-            for nic in node.nics:
-                dropped += nic.counters.rx_dropped_ring_full
-                dropped += nic.counters.rx_dropped_crc
-                dropped += nic.counters.rx_dropped_powered_off
-        cables = list(self._cables.values())
-        for fabric in self.fabrics:
-            cables.extend(fabric.trunks.values())
-        for cable in cables:
-            for link in (cable.ab, cable.ba):
-                dropped += link.frames_lost_outage + link.frames_lost_gray
-        return dropped
-
-    def total_irqs(self) -> int:
-        return sum(
-            nic.counters.irqs_raised for node in self.nodes for nic in node.nics
-        )
 
     def total_data_frames(self) -> int:
         return sum(

@@ -11,7 +11,7 @@ recovery timeline:
 * when the sender's control plane escalated to PEER_DOWN (detection),
 * when the reconnect dial landed (and the detection-to-reconnect
   latency, vs the parameter-derived bound
-  :meth:`~repro.recovery.RecoveryParams.reconnect_bound_ns`),
+  :func:`~repro.recovery.reconnect_bound_ns`),
 * goodput before the crash and after recovery,
 * exactly-once accounting: every message delivered exactly once at the
   receiver despite journal redelivery across the reconnect.
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..control import Crash, DetectorParams, FaultSchedule, Restart
-from ..recovery import RecoveryParams
+from ..recovery import reconnect_bound_ns
 from .cluster import make_cluster
 from .run import Run
 
@@ -98,7 +98,6 @@ class CrashRun(Run):
         restart_delay_ns: int = 5 * _MS,
         run_ns: int = 60 * _MS,
         seed: int = 0,
-        recovery_params: Optional[RecoveryParams] = None,
         detector_params: Optional[DetectorParams] = None,
         use_monitor: bool = True,
     ) -> None:
@@ -107,7 +106,7 @@ class CrashRun(Run):
         )
         cluster.connect(0, 1)
         cluster.enable_edge_control(0, 1, detector_params=detector_params)
-        self.recovery = cluster.enable_crash_recovery(recovery_params)
+        self.recovery = cluster.enable_crash_recovery()
         if use_monitor:
             from ..verify.monitor import InvariantMonitor
 
@@ -187,7 +186,6 @@ class CrashRun(Run):
         from ..analysis.summary import summarize_cluster
 
         summary = summarize_cluster(self.cluster)
-        params = recovery.params
         timeline = [("crash", crash_ns), ("restart", crash_ns + restart_delay_ns)]
         if detected_ns is not None:
             timeline.append(("detected", detected_ns))
@@ -206,7 +204,7 @@ class CrashRun(Run):
             restart_delay_ns=restart_delay_ns,
             detected_ns=detected_ns,
             reconnected_ns=reconnected_ns,
-            reconnect_bound_ns=params.reconnect_bound_ns(restart_delay_ns),
+            reconnect_bound_ns=reconnect_bound_ns(restart_delay_ns),
             pre_crash_goodput_bps=pre,
             recovered_goodput_bps=recovered,
             exactly_once=exactly_once,

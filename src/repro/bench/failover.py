@@ -93,6 +93,8 @@ def run_failover(
     config's policy (e.g. ``"adaptive"``).  ``repair_ns=None`` leaves the
     rail dead for good.
     """
+    from ..analysis.summary import summarize_cluster
+
     cfg = named_config(config, nodes=2, seed=seed)
     if striping is not None:
         cfg = replace(cfg, protocol=replace(cfg.protocol, striping=striping))
@@ -160,9 +162,6 @@ def run_failover(
     mgr_a.stop()
     _mgr_b.stop()
     probe_frames = a.stats.probes_sent + b.stats.probes_sent
-    wire_frames = sum(
-        nic.counters.tx_frames for node in cluster.nodes for nic in node.nics
-    )
     return FailoverResult(
         config=config,
         chunk_bytes=chunk_bytes,
@@ -176,6 +175,6 @@ def run_failover(
         degraded_goodput_bps=degraded,
         recovered_goodput_bps=recovered,
         probe_frames=probe_frames,
-        wire_frames=wire_frames,
+        wire_frames=summarize_cluster(cluster).wire_frames,
         transitions=list(mgr_a.history),
     )

@@ -150,17 +150,12 @@ class IncastRun(Run):
             for dst, data in self.expected.items()
         )
         summary = summarize_cluster(cluster, self.end_ns)
-        paused = sum(
-            port.paused_frames for sw in cluster.switches for port in sw.ports
-        )
-        t_retrans = n_retrans = 0
-        cwnds = []
-        for stack in cluster.stacks:
-            for conn in stack.protocol.connections.values():
-                t_retrans += conn.stats.timeout_retransmits
-                n_retrans += conn.stats.nack_retransmits
-                if conn.congestion.active and conn.node.node_id != receiver:
-                    cwnds.append(conn.congestion.cwnd_frames)
+        cwnds = [
+            conn.congestion.cwnd_frames
+            for stack in cluster.stacks
+            for conn in stack.protocol.connections.values()
+            if conn.congestion.active and conn.node.node_id != receiver
+        ]
 
         fabric = recipe["fabric"]
         return IncastResult(
@@ -172,12 +167,12 @@ class IncastRun(Run):
             chunks_per_sender=recipe["chunks_per_sender"],
             elapsed_ns=self.end_ns,
             data_intact=intact,
-            dropped_queue_full=sum(sw.dropped_queue_full for sw in summary.switches),
-            paused_frames=paused,
-            peak_queue_depth=max(sw.peak_queue_depth for sw in summary.switches),
+            dropped_queue_full=summary.dropped_queue_full,
+            paused_frames=summary.paused_frames,
+            peak_queue_depth=summary.peak_queue_depth,
             retransmissions=summary.retransmissions,
-            timeout_retransmits=t_retrans,
-            nack_retransmits=n_retrans,
+            timeout_retransmits=summary.timeout_retransmits,
+            nack_retransmits=summary.nack_retransmits,
             ce_marked=summary.ce_marked,
             ce_received=summary.ce_received,
             ecn_echoes_sent=summary.ecn_echoes_sent,

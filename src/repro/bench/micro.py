@@ -77,6 +77,9 @@ def _collect(
     latency_us: float,
     total_payload_bytes: int,
 ) -> MicroResult:
+    from ..analysis.summary import summarize_cluster
+
+    summary = summarize_cluster(cluster, elapsed)
     a, b = cluster.stacks[0], cluster.stacks[1]
     stats = merge_stats(
         [a.protocol.total_stats(), b.protocol.total_stats()]
@@ -98,8 +101,8 @@ def _collect(
         cpu_util_pct=util * 100.0,
         out_of_order_fraction=stats.out_of_order_fraction,
         extra_frame_fraction=stats.extra_frame_fraction,
-        frames_dropped=cluster.total_frames_dropped(),
-        irqs=cluster.total_irqs(),
+        frames_dropped=summary.frames_dropped,
+        irqs=summary.irqs,
         data_frames=stats.data_frames_sent,
     )
 

@@ -54,6 +54,10 @@ class EdgeState(Enum):
         return self.value
 
 
+# The probe-path health score below which an edge is suspect.
+SUSPECT_SCORE = 0.5
+
+
 @dataclass
 class DetectorParams:
     """Detect/confirm windows for the per-edge failure detector.
@@ -67,7 +71,6 @@ class DetectorParams:
     probe_interval_ns: int = 500_000  # heartbeat period per edge
     probe_timeout_ns: int = 4_000_000  # unanswered probe counts as lost
     suspect_after_losses: int = 2  # consecutive losses before SUSPECT
-    suspect_score: float = 0.5  # EWMA score below this is suspect
     confirm_window_ns: int = 1_000_000  # SUSPECT must persist this long
     recovery_probes: int = 2  # successes needed to leave RECOVERING
 
@@ -130,8 +133,8 @@ class EdgeFailureDetector:
         self.down_since: Optional[int] = None
         self.degraded_since: Optional[int] = None
         self.transitions = 0
-        # Per-state residency accounting (ns), for the analysis roll-up;
-        # close the open interval with finalize_state_time() at run end.
+        # Per-state residency accounting (ns) of closed intervals, for the
+        # analysis roll-up; state_time() adds the open one.
         self.state_time_ns: dict[EdgeState, int] = {s: 0 for s in EdgeState}
         self._state_entered_ns = 0
 
@@ -162,11 +165,15 @@ class EdgeFailureDetector:
         if self.on_transition is not None:
             self.on_transition(self.rail, old, new, now, reason)
 
-    def finalize_state_time(self, now: int) -> dict[EdgeState, int]:
-        """Close the open residency interval and return the per-state map."""
-        self.state_time_ns[self.state] += max(0, now - self._state_entered_ns)
-        self._state_entered_ns = now
-        return self.state_time_ns
+    def state_time(self, now: int) -> dict[EdgeState, int]:
+        """Per-state residency up to ``now``, the open interval included.
+
+        A read: the detector is left as it was, so any number of calls at
+        any instants give the same answers.
+        """
+        out = dict(self.state_time_ns)
+        out[self.state] += max(0, now - self._state_entered_ns)
+        return out
 
     # -- probe outcomes (called by the health monitor) --------------------
 
@@ -176,10 +183,10 @@ class EdgeFailureDetector:
         if state is EdgeState.UP or state is EdgeState.DEGRADED:
             # DEGRADED behaves like UP to the probe path: recovery back to
             # UP belongs to the differential scorer, escalation stays here.
-            if score < self.params.suspect_score:
+            if score < SUSPECT_SCORE:
                 self._move(EdgeState.SUSPECT, now, f"score {score:.2f}")
         elif state is EdgeState.SUSPECT:
-            if score >= self.params.suspect_score:
+            if score >= SUSPECT_SCORE:
                 self._move(EdgeState.UP, now, "score recovered")
         elif state is EdgeState.DOWN:
             self._move(EdgeState.RECOVERING, now, "probe answered")
@@ -196,7 +203,7 @@ class EdgeFailureDetector:
         if state is EdgeState.UP or state is EdgeState.DEGRADED:
             if (
                 self.consecutive_losses >= self.params.suspect_after_losses
-                or score < self.params.suspect_score
+                or score < SUSPECT_SCORE
             ):
                 self._move(
                     EdgeState.SUSPECT,

@@ -10,11 +10,10 @@ The :class:`GrayScorer` therefore compares *peers*.  Every
 ``check_interval_ns`` it collects the per-edge EWMAs the health monitors
 already maintain (RTT, probe loss, TX-ring backlog) over the population
 of UP/DEGRADED edges it watches, takes the population median of each,
-and flags edges that deviate from the median by more than the configured
-margins.  An edge flagged ``degrade_after`` consecutive checks enters
-the DEGRADED lifecycle state; one clean for ``recover_after`` checks
-returns to UP.  Hysteresis on both sides keeps a noisy sample from
-flapping the state.
+and flags edges that deviate from the median by more than a margin.  An
+edge flagged ``degrade_after`` consecutive checks enters the DEGRADED
+lifecycle state; one clean for :data:`RECOVER_AFTER` checks returns to UP.
+Hysteresis on both sides keeps a noisy sample from flapping the state.
 
 DEGRADED is deliberately gentle: the rail keeps carrying traffic and its
 probes keep flowing, but the scorer installs a score *cap*
@@ -36,6 +35,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["GrayScoreParams", "GrayScorer"]
 
+# An edge is deviant whose loss or TX-backlog EWMA exceeds the population
+# median by more than these margins.
+LOSS_MARGIN = 0.15
+BACKLOG_MARGIN = 0.25
+# Consecutive clean checks that return a DEGRADED edge to UP.
+RECOVER_AFTER = 2
+
 
 @dataclass
 class GrayScoreParams:
@@ -43,11 +49,8 @@ class GrayScoreParams:
 
     check_interval_ns: int = 1_000_000  # population comparison period
     rtt_factor: float = 2.0  # RTT beyond factor*median is deviant
-    loss_margin: float = 0.15  # loss EWMA beyond median+margin is deviant
-    backlog_margin: float = 0.25  # backlog EWMA beyond median+margin
     min_population: int = 3  # below this, no median is trustworthy
     degrade_after: int = 2  # consecutive deviant checks to mark
-    recover_after: int = 2  # consecutive clean checks to clear
     degraded_score: float = 0.2  # striping score cap while DEGRADED
 
     def __post_init__(self) -> None:
@@ -57,8 +60,8 @@ class GrayScoreParams:
             raise ValueError("rtt_factor must exceed 1.0")
         if self.min_population < 2:
             raise ValueError("min_population must be >= 2")
-        if self.degrade_after < 1 or self.recover_after < 1:
-            raise ValueError("hysteresis counts must be >= 1")
+        if self.degrade_after < 1:
+            raise ValueError("degrade_after must be >= 1")
         if not 0.0 <= self.degraded_score <= 1.0:
             raise ValueError("degraded_score must be in [0, 1]")
 
@@ -149,8 +152,8 @@ class GrayScorer:
             mon = mgr.monitors[rail]
             deviant = (
                 (rtt_med > 0 and mon.rtt_ewma_ns > p.rtt_factor * rtt_med)
-                or mon.loss_ewma > loss_med + p.loss_margin
-                or mon.backlog_ewma > backlog_med + p.backlog_margin
+                or mon.loss_ewma > loss_med + LOSS_MARGIN
+                or mon.backlog_ewma > backlog_med + BACKLOG_MARGIN
             )
             key = (mi, rail)
             if deviant:
@@ -167,7 +170,7 @@ class GrayScorer:
                 streak = self._clean_streak.get(key, 0) + 1
                 self._clean_streak[key] = streak
                 if (
-                    streak >= p.recover_after
+                    streak >= RECOVER_AFTER
                     and mgr.detectors[rail].state is EdgeState.DEGRADED
                 ):
                     self._clear(mgr, rail)

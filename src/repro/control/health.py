@@ -39,11 +39,9 @@ __all__ = ["HealthParams", "EdgeHealthMonitor"]
 
 @dataclass
 class HealthParams:
-    """EWMA smoothing and reference values for edge health scoring."""
+    """EWMA smoothing for edge health scoring."""
 
     alpha: float = 0.3  # EWMA smoothing factor (weight of newest sample)
-    rtt_ref_ns: int = 0  # 0 = learn from the first successful probe
-    min_score: float = 0.0  # floor reported to the striping policy
 
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha <= 1.0:
@@ -70,7 +68,7 @@ class EdgeHealthMonitor:
         self.loss_ewma = 0.0
         self.rtt_ewma_ns = 0.0
         self.backlog_ewma = 0.0
-        self._rtt_ref = float(self.params.rtt_ref_ns)
+        self._rtt_ref = 0.0  # learned from the first successful probe
 
         self.probes_sent = 0
         self.probes_acked = 0
@@ -92,7 +90,7 @@ class EdgeHealthMonitor:
         if self._rtt_ref > 0 and self.rtt_ewma_ns > self._rtt_ref:
             s *= self._rtt_ref / self.rtt_ewma_ns
         s *= 1.0 - self.backlog_ewma / 2.0
-        return max(self.params.min_score, min(1.0, s))
+        return max(0.0, min(1.0, s))
 
     @property
     def detector_score(self) -> float:

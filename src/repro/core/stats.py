@@ -18,6 +18,7 @@ the raw material for the paper's network-level analysis:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from operator import attrgetter
 
 __all__ = ["ConnectionStats", "merge_stats"]
 
@@ -116,20 +117,26 @@ def merge_stats(stats_list: list[ConnectionStats]) -> ConnectionStats:
 
     Driven by the dataclass fields, so a new counter merges without being
     named here: ``max_*`` fields take the maximum, list fields (the
-    histogram) add element-wise, every other counter adds.
+    histogram) add element-wise, every other counter adds.  Each field is
+    merged in one pass over its column of values.
     """
-    total = ConnectionStats()
-    for s in stats_list:
-        for f in _FIELDS:
-            mine, theirs = getattr(total, f), getattr(s, f)
-            if f.startswith("max_"):
-                merged = max(mine, theirs)
-            elif isinstance(mine, list):
-                merged = [a + b for a, b in zip(mine, theirs)]
-            else:
-                merged = mine + theirs
-            setattr(total, f, merged)
-    return total
+    return ConnectionStats(
+        *[
+            merge(column)
+            for merge, column in zip(_MERGES, zip(*map(_ROW, stats_list)))
+        ]
+    )
+
+
+def _add_elementwise(column) -> list:
+    return [sum(bucket) for bucket in zip(*column)]
 
 
 _FIELDS = tuple(f.name for f in fields(ConnectionStats))
+_ROW = attrgetter(*_FIELDS)
+_MERGES = tuple(
+    max if name.startswith("max_")
+    else _add_elementwise if isinstance(value, list)
+    else sum
+    for name, value in zip(_FIELDS, _ROW(ConnectionStats()))
+)

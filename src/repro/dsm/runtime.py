@@ -216,24 +216,18 @@ class DsmRuntime:
         network = merge_stats(
             [s.protocol.total_stats() for s in self.cluster.stacks]
         )
-        proto_frac = (
-            sum(
-                s.node.protocol_cpu_time() / elapsed
-                for s in self.cluster.stacks
-            )
-            / self.n
-            if elapsed > 0
-            else 0.0
-        )
+        from ..analysis.summary import summarize_cluster
+
+        summary = summarize_cluster(self.cluster, elapsed)
         return DsmRunResult(
             nodes=self.n,
             elapsed_ns=elapsed,
             per_node=per_node,
             breakdowns=breakdowns,
             network=network,
-            frames_dropped=self.cluster.total_frames_dropped(),
-            irqs=self.cluster.total_irqs(),
-            protocol_cpu_fraction=proto_frac,
+            frames_dropped=summary.frames_dropped,
+            irqs=summary.irqs,
+            protocol_cpu_fraction=summary.protocol_cpu_fraction_mean,
             returns=returns,
         )
 

@@ -277,20 +277,14 @@ class TrafficRun:
 
     def report(self, end_ns: int) -> TrafficResult:
         """The result of the drained run whose workload ended at ``end_ns``."""
+        from ..analysis.summary import summarize_cluster
+
         cluster = self.cluster
-        drops = sum(sw.dropped_total for sw in cluster.switches)
-        marked = sum(sw.ce_marked_total for sw in cluster.switches)
-        retrans = sum(
-            conn.stats.retransmitted_frames
-            for stack in cluster.stacks
-            for conn in stack.protocol.connections.values()
-        )
+        summary = summarize_cluster(cluster, end_ns)
         uplinks: dict = {}
-        repins = 0
         violations: list[str] = []
         for fabric in cluster.fabrics:
             uplinks.update(fabric.uplink_bytes())
-            repins += sum(sw.repins for sw in fabric.switches)
             violations.extend(fabric.routing_invariants())
         if self.mismatches:
             violations.append(
@@ -308,11 +302,11 @@ class TrafficRun:
             elapsed_ns=end_ns - self.start_ns,
             data_intact=not self.mismatches,
             messages_received=self.received[0],
-            switch_drops=drops,
-            ce_marked=marked,
-            retransmissions=retrans,
+            switch_drops=summary.switch_drops,
+            ce_marked=summary.ce_marked,
+            retransmissions=summary.retransmissions,
             uplink_bytes=uplinks,
-            repins=repins,
+            repins=summary.repins,
             violations=tuple(violations),
         )
 

@@ -24,12 +24,12 @@ default protocol path is bit-identical (fingerprint-verified).
 """
 
 from .journal import JournalEntry, MessageJournal, ReliableChannel
-from .manager import ClusterRecovery, NodeRecoveryState, RecoveryParams
+from .manager import ClusterRecovery, NodeRecoveryState, reconnect_bound_ns
 
 __all__ = [
     "ClusterRecovery",
     "NodeRecoveryState",
-    "RecoveryParams",
+    "reconnect_bound_ns",
     "MessageJournal",
     "JournalEntry",
     "ReliableChannel",

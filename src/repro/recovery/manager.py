@@ -30,7 +30,6 @@ than one connection:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Callable, Generator, Optional
 
 from ..core.api import ConnectionHandle
@@ -40,42 +39,38 @@ from ..core.retransmit import BackoffPolicy
 from ..core.stats import ConnectionStats, merge_stats
 from .journal import ReliableChannel
 
-__all__ = ["RecoveryParams", "NodeRecoveryState", "ClusterRecovery"]
+__all__ = [
+    "RECONNECT_BACKOFF",
+    "reconnect_bound_ns",
+    "NodeRecoveryState",
+    "ClusterRecovery",
+]
+
+# The peer-down reconnect dial's backoff.
+RECONNECT_BACKOFF = BackoffPolicy(
+    base_ns=1_000_000,
+    factor=2,
+    cap_ns=50_000_000,
+    jitter_frac=0.1,
+    max_attempts=16,
+)
+# Slack added to the derived reconnect bound: one handshake RTT plus
+# scheduling noise.
+RECONNECT_MARGIN_NS = 2_000_000
 
 
-def _default_reconnect_backoff() -> BackoffPolicy:
-    return BackoffPolicy(
-        base_ns=1_000_000,
-        factor=2,
-        cap_ns=50_000_000,
-        jitter_frac=0.1,
-        max_attempts=16,
+def reconnect_bound_ns(restart_delay_ns: int = 0) -> int:
+    """Worst-case detection-to-reconnected time.
+
+    The reconnect dial must outlast the peer's remaining boot time
+    (``restart_delay_ns``) and then land one more SYN; the backoff
+    policy's worst-case total bounds the dial itself.
+    """
+    return (
+        restart_delay_ns
+        + RECONNECT_BACKOFF.worst_case_total_ns()
+        + RECONNECT_MARGIN_NS
     )
-
-
-@dataclass
-class RecoveryParams:
-    """Tunables for peer-down escalation and reconnection."""
-
-    reconnect_backoff: BackoffPolicy = field(
-        default_factory=_default_reconnect_backoff
-    )
-    # Slack added to the derived reconnect bound: one handshake RTT plus
-    # scheduling noise.
-    margin_ns: int = 2_000_000
-
-    def reconnect_bound_ns(self, restart_delay_ns: int = 0) -> int:
-        """Worst-case detection-to-reconnected time, from parameters.
-
-        The reconnect dial must outlast the peer's remaining boot time
-        (``restart_delay_ns``) and then land one more SYN; the backoff
-        policy's worst-case total bounds the dial itself.
-        """
-        return (
-            restart_delay_ns
-            + self.reconnect_backoff.worst_case_total_ns()
-            + self.margin_ns
-        )
 
 
 class NodeRecoveryState:
@@ -106,10 +101,9 @@ class NodeRecoveryState:
 class ClusterRecovery:
     """Crash, restart, and reconnect coordination for one cluster."""
 
-    def __init__(self, cluster, params: Optional[RecoveryParams] = None) -> None:
+    def __init__(self, cluster) -> None:
         self.cluster = cluster
         self.sim = cluster.sim
-        self.params = params or RecoveryParams()
         self.nodes: dict[int, NodeRecoveryState] = {
             s.node_id: NodeRecoveryState(s.node_id) for s in cluster.stacks
         }
@@ -128,7 +122,6 @@ class ClusterRecovery:
         # and duplicate-suppression counts survive them (summarize_cluster).
         self.destroyed_stats = ConnectionStats()
 
-        self._reconnect_watchers: list[Callable[[int, int], None]] = []
         self._reconnect_pair_watchers: list[Callable[[int, int, int], None]] = []
         self._crash_subscribers: list[Callable[[int], None]] = []
         # (node, peer) -> DetectorParams used before the crash, for re-arm.
@@ -173,19 +166,14 @@ class ClusterRecovery:
         """Run ``cb(node_id)`` whenever a node crashes (DSM/MP hooks)."""
         self._crash_subscribers.append(cb)
 
-    def add_reconnect_watcher(self, cb: Callable[[int, int], None]) -> None:
-        """Run ``cb(now_ns, latency_ns)`` after every successful reconnect."""
-        self._reconnect_watchers.append(cb)
-
     def add_reconnect_pair_watcher(
         self, cb: Callable[[int, int, int], None]
     ) -> None:
         """Run ``cb(node_id, peer, now_ns)`` after a pair reconnects.
 
-        Unlike :meth:`add_reconnect_watcher` the callback learns *which*
-        pair came back, and runs after the cluster's cached connection
-        handles have been refreshed — so layers that keep per-pair wiring
-        (the mp eager rings, the serving layer) can rebuild on the fresh
+        The callback runs after the cluster's cached connection handles
+        have been refreshed — so layers that keep per-pair wiring (the mp
+        eager rings, the serving layer) can rebuild on the fresh
         endpoints.
         """
         self._reconnect_pair_watchers.append(cb)
@@ -289,7 +277,7 @@ class ClusterRecovery:
                 stack,
                 peer,
                 self.cluster.config.protocol,
-                backoff=self.params.reconnect_backoff,
+                backoff=RECONNECT_BACKOFF,
             )
         except HandshakeError:
             self.reconnects_failed += 1
@@ -300,8 +288,6 @@ class ClusterRecovery:
         latency = self.sim.now - detected_at
         self.reconnects += 1
         self.reconnect_latencies.append((self.sim.now, latency))
-        for watcher in self._reconnect_watchers:
-            watcher(self.sim.now, latency)
         # Refresh the cluster's cached pair with the fresh endpoints.
         peer_stack = self.cluster.stacks[peer]
         peer_conn = peer_stack.protocol.connections.get(handle.conn.conn_id)

@@ -638,21 +638,16 @@ class InvariantMonitor:
                     cm.where,
                 )
         if self.cluster is not None:
-            ce_marked = sum(
-                sw.ce_marked_total for sw in self.cluster.switches
-            )
-            # Current counts of live endpoints: a measurement reset or a
-            # crash only lowers this side, so the bound stays sound.
-            ce_received = sum(
-                conn.stats.ce_frames_received
-                for s in self.cluster.stacks
-                for conn in s.protocol.connections.values()
-            )
-            if ce_received > ce_marked:
+            from ..analysis.summary import summarize_cluster
+
+            # CE frames received are counts of live endpoints: a measurement
+            # reset or a crash only lowers that side, so the bound stays sound.
+            s = summarize_cluster(self.cluster)
+            if s.ce_received > s.ce_marked:
                 self._violation(
                     "ecn-mark-conservation",
-                    f"CE frames received {ce_received} > CE marks applied "
-                    f"by switches {ce_marked}",
+                    f"CE frames received {s.ce_received} > CE marks applied "
+                    f"by switches {s.ce_marked}",
                 )
             for node in self.cluster.nodes:
                 self._check_node_quiesced(node)

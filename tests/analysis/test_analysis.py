@@ -7,17 +7,23 @@ from repro.analysis import (
     QueueProbe,
     ThroughputProbe,
     ascii_histogram,
-    reorder_histogram,
     summarize_cluster,
 )
 from repro.bench import make_cluster
 from repro.bench.micro import run_one_way
+from repro.core import merge_stats
+
+MS = 1_000_000
 
 
 def streamed_cluster(config="1L-1G", size=262144):
     cluster = make_cluster(config, nodes=2)
     run_one_way(cluster, size, iterations=8)
     return cluster
+
+
+def merged_stats(cluster):
+    return merge_stats([s.protocol.total_stats() for s in cluster.stacks])
 
 
 class TestSummary:
@@ -39,13 +45,26 @@ class TestSummary:
         # a smooth stream coalesces at least that well.
         assert s.interrupt_coalescing_factor >= 2
 
+    def test_summary_is_a_read(self):
+        # Residency is counted up to each summary's own instant, so
+        # summaries at any instants, in any order, agree.
+        cluster = make_cluster("2L-1G", nodes=2)
+        cluster.enable_edge_control(0, 1)  # 4 edges
+        cluster.sim.run(until=5 * MS)
+
+        def residency(**kw):
+            return sum(summarize_cluster(cluster, **kw).edge_state_time_ns.values())
+
+        assert residency() == 4 * 5 * MS
+        assert residency(elapsed_ns=2 * MS) == 4 * 2 * MS
+        assert residency() == 4 * 5 * MS
+
     def test_reorder_histogram_single_link_empty(self):
-        cluster = streamed_cluster("1L-1G")
-        assert sum(reorder_histogram(cluster)) == 0
+        hist = merged_stats(streamed_cluster("1L-1G")).reorder_histogram
+        assert sum(hist) == 0
 
     def test_reorder_histogram_two_rails_closely_spaced(self):
-        cluster = streamed_cluster("2Lu-1G")
-        hist = reorder_histogram(cluster)
+        hist = merged_stats(streamed_cluster("2Lu-1G")).reorder_histogram
         assert sum(hist) > 0
         # Paper: "frames arrive out-of-order but closely spaced" — the
         # mass must sit in the small-distance buckets.

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis import summarize_cluster
 from repro.bench import make_cluster
 from repro.bench.cluster import DRAIN_HORIZON_NS
 from repro.control import FaultSchedule, Outage
@@ -119,4 +120,6 @@ def test_total_frames_dropped_counts_outage_losses():
         for node in cluster.nodes
         for nic in node.nics
     )
-    assert cluster.total_frames_dropped() == switch_and_nic + lost
+    summary = summarize_cluster(cluster)
+    assert summary.link_outage_losses == lost
+    assert summary.frames_dropped == switch_and_nic + lost

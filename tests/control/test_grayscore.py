@@ -109,7 +109,7 @@ def test_degraded_caps_score_but_keeps_probing():
     acked_mid = flagged_mgr.monitors[rail].probes_acked
     assert acked_mid > 0
     # Residency accounting: the open DEGRADED interval is visible.
-    t = flagged_mgr.detectors[rail].finalize_state_time(cluster.sim.now)
+    t = flagged_mgr.detectors[rail].state_time(cluster.sim.now)
     assert t[EdgeState.DEGRADED] > 0
     cluster.sim.run_until_time(26 * MS)
     # DEGRADED is not DOWN: probes kept flowing the whole time.

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis import summarize_cluster
 from repro.bench import make_cluster
 from repro.ethernet import SwitchParams
 
@@ -41,7 +42,7 @@ def test_lossy_incast_drops_and_retransmits():
     )
     intact, conns = _incast(cluster)
     assert intact
-    assert cluster.total_frames_dropped() > 0
+    assert summarize_cluster(cluster).frames_dropped > 0
     assert sum(c.stats.retransmitted_frames for c in conns) > 0
 
 
@@ -52,7 +53,8 @@ def test_lossless_incast_never_drops():
     )
     intact, conns = _incast(cluster)
     assert intact
-    assert cluster.total_frames_dropped() == 0
+    s = summarize_cluster(cluster)
+    assert s.frames_dropped == 0
     # The congestion went into fabric buffering instead.  (Deep fabric
     # queues can still provoke *spurious* timeout retransmissions — the
     # classic bufferbloat effect of lossless fabrics — but nothing is
@@ -60,6 +62,7 @@ def test_lossless_incast_never_drops():
     port = cluster.switches[0].port(3)
     assert port.paused_frames > 0
     assert port.peak_queue_depth > 24
+    assert s.paused_frames == port.paused_frames
     dup = sum(
         s.protocol.total_stats().duplicate_frames for s in cluster.stacks
     )

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.analysis import summarize_cluster
 from repro.apps import FftApp, run_app
 from repro.bench import make_cluster, run_micro
 from repro.bench.micro import run_one_way
@@ -41,7 +42,7 @@ class TestAllToAll:
             cluster.sim.run_until_done(p, limit=60_000_000_000)
         for (i, j), (hj, dst, payload) in bufs.items():
             assert hj.node.memory.read(dst, size) == payload, (i, j)
-        assert cluster.total_frames_dropped() == 0
+        assert summarize_cluster(cluster).frames_dropped == 0
 
     def test_incast_congestion_recovers(self):
         """Many-to-one with tiny switch buffers: drops happen, data lands."""
@@ -68,7 +69,9 @@ class TestAllToAll:
             procs.append(cluster.sim.process(app()))
         for p in procs:
             cluster.sim.run_until_done(p, limit=120_000_000_000)
-        assert cluster.total_frames_dropped() > 0, "expected congestion drops"
+        assert summarize_cluster(cluster).frames_dropped > 0, (
+            "expected congestion drops"
+        )
         for hlast, dst, payload in targets:
             assert hlast.node.memory.read(dst, size) == payload
 

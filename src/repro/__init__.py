@@ -42,7 +42,7 @@ from .core import (
 )
 from .dsm import DsmNode, DsmRuntime, SharedRegion
 from .ethernet import LinkParams, NicParams, OpFlags, SwitchParams
-from .host import HostParams, Node
+from .host import Node
 from .sim import Simulator
 
 __version__ = "0.1.0"
@@ -71,7 +71,6 @@ __all__ = [
     "LinkParams",
     "NicParams",
     "SwitchParams",
-    "HostParams",
     "Node",
     "Simulator",
     "__version__",

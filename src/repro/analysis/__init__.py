@@ -6,7 +6,6 @@ from .probes import (
     EdgeScoreProbe,
     InflightProbe,
     MarkedFractionProbe,
-    PacingStallProbe,
     QueueProbe,
     ReconnectLatencyProbe,
     Sample,
@@ -30,7 +29,6 @@ __all__ = [
     "EdgeScoreProbe",
     "CwndProbe",
     "MarkedFractionProbe",
-    "PacingStallProbe",
     "ReconnectLatencyProbe",
     "Sample",
     "ClusterSummary",

@@ -14,8 +14,6 @@ kind of analysis:
   is granting the connection,
 * :class:`MarkedFractionProbe` — per-interval fraction of received data
   frames that arrived CE-marked (receiver-side ECN visibility),
-* :class:`PacingStallProbe` — per-interval nanoseconds a NIC's frames
-  spent waiting on the pacing token bucket,
 * :class:`ReconnectLatencyProbe` — detection-to-reconnect latency of each
   crash-recovery reconnect (read from the recovery coordinator's record,
   not periodic).
@@ -40,7 +38,6 @@ __all__ = [
     "EdgeScoreProbe",
     "CwndProbe",
     "MarkedFractionProbe",
-    "PacingStallProbe",
     "ReconnectLatencyProbe",
     "Sample",
 ]
@@ -176,21 +173,6 @@ class MarkedFractionProbe(_Probe):
         self._last_ce = ce
         self._last_rx = rx
         return d_ce / d_rx if d_rx > 0 else 0.0
-
-
-class PacingStallProbe(_Probe):
-    """Nanoseconds of token-bucket pacing delay accrued per interval."""
-
-    def __init__(self, sim: Simulator, nic, interval_ns: int = 1_000_000) -> None:
-        self._nic = nic
-        self._last_stall = nic.counters.pacing_stall_ns
-        super().__init__(sim, interval_ns)
-
-    def _read(self) -> float:
-        stall = self._nic.counters.pacing_stall_ns
-        delta = stall - self._last_stall
-        self._last_stall = stall
-        return float(delta)
 
 
 class ReconnectLatencyProbe:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from ..core.connection import Connection
 from ..core.protocol import MultiEdgeProtocol
+from ..core.retransmit import NACK_HOLDOFF_NS
 
 __all__ = ["GoBackNConnection", "install_go_back_n"]
 
@@ -25,7 +26,6 @@ class GoBackNConnection(Connection):
             return
         first = min(missing)
         queued = set(self._retransmit_q)
-        holdoff = self.params.retransmit.nack_holdoff_ns
         now = self.sim.now
         rewind = sorted(
             seq for seq in self.window.inflight if seq >= first
@@ -33,7 +33,7 @@ class GoBackNConnection(Connection):
         if not rewind:
             return
         oldest = self.window.inflight[rewind[0]]
-        if now - oldest.last_sent_at < holdoff:
+        if now - oldest.last_sent_at < NACK_HOLDOFF_NS:
             return
         for seq in rewind:
             if seq in queued:

@@ -21,11 +21,11 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, Optional
 
-from ..control import DetectorParams, EdgeLifecycleManager, HealthParams
+from ..control import DetectorParams, EdgeLifecycleManager
 from ..core import ConnectionHandle, ConnectionStats, MultiEdgeStack, ProtocolParams, establish
 from ..ethernet import LinkParams, NicParams, Switch, SwitchParams
 from ..ethernet.link import Cable
-from ..host import HostParams, Node, myri10g_params, tigon3_params
+from ..host import Node, myri10g_params, tigon3_params
 from ..sim import RngRegistry, SimulationError, Simulator
 from ..sim.trace import Tracer
 
@@ -60,7 +60,6 @@ class ClusterConfig:
     nic_factory: Callable[[], NicParams]
     link: LinkParams
     switch: SwitchParams
-    host: HostParams = field(default_factory=HostParams)
     protocol: ProtocolParams = field(default_factory=ProtocolParams)
     seed: int = 0
     # Multi-switch fabric spec (repro.fabric); None = one switch per rail.
@@ -187,7 +186,6 @@ class Cluster:
             node = Node(
                 self.sim,
                 node_id,
-                host_params=config.host,
                 nic_params=[config.nic_factory() for _ in range(config.rails)],
                 rng=self.rng,
             )
@@ -287,7 +285,6 @@ class Cluster:
         i: int,
         j: int,
         detector_params: Optional[DetectorParams] = None,
-        health_params: Optional[HealthParams] = None,
     ) -> tuple[EdgeLifecycleManager, EdgeLifecycleManager]:
         """Run the edge lifecycle control plane on both ends of (i, j).
 
@@ -309,7 +306,6 @@ class Cluster:
                     self.sim,
                     handle.conn,
                     detector_params=detector_params,
-                    health_params=health_params,
                     tracer=self.tracer,
                 )
                 self.control_planes[key] = mgr
@@ -350,7 +346,7 @@ class Cluster:
             self.recovery = ClusterRecovery(self)
         return self.recovery
 
-    def enable_gray_detection(self, params=None):
+    def enable_gray_detection(self):
         """Attach the differential gray scorer (idempotent).
 
         Compares every watched edge's health EWMAs against the population
@@ -363,9 +359,7 @@ class Cluster:
         if self.gray_scorer is None:
             from ..control.grayscore import GrayScorer
 
-            self.gray_scorer = GrayScorer(
-                self.sim, list(self.control_planes.values()), params
-            )
+            self.gray_scorer = GrayScorer(self.sim, list(self.control_planes.values()))
         return self.gray_scorer
 
     # -- starting a measured interval, ending a run ------------------------

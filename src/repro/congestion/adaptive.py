@@ -11,7 +11,15 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .base import FULL_FRAME_WIRE_BYTES, CongestionController, CongestionParams
+from .base import (
+    ADDITIVE_INCREASE_FRAMES,
+    FULL_FRAME_WIRE_BYTES,
+    MD_FACTOR,
+    PACING_HEADROOM,
+    RTT_GAIN,
+    CongestionController,
+    CongestionParams,
+)
 
 
 class AdaptiveController(CongestionController):
@@ -48,13 +56,13 @@ class AdaptiveController(CongestionController):
     def _additive_increase(self, freed: int) -> None:
         # Classic congestion avoidance: +ai/cwnd per acked frame adds
         # ~ai frames per round trip regardless of ack coalescing.
-        self._cwnd += self.params.additive_increase_frames * freed / self._cwnd
+        self._cwnd += ADDITIVE_INCREASE_FRAMES * freed / self._cwnd
 
-    def _cut(self, factor: float, now: int) -> bool:
+    def _cut(self, now: int) -> bool:
         if now - self._last_cut_ns < self._srtt_ns:
             return False
         self._last_cut_ns = now
-        self._cwnd *= factor
+        self._cwnd *= MD_FACTOR
         return True
 
     def cwnd_stable(self, now: int) -> bool:
@@ -70,14 +78,12 @@ class AdaptiveController(CongestionController):
     def _note_rtt(self, rtt_sample_ns: Optional[int]) -> None:
         if rtt_sample_ns is None or rtt_sample_ns <= 0:
             return
-        g = self.params.rtt_gain
-        self._srtt_ns += g * (rtt_sample_ns - self._srtt_ns)
+        self._srtt_ns += RTT_GAIN * (rtt_sample_ns - self._srtt_ns)
 
     # -- pacing -----------------------------------------------------------
 
     def pacing_rate_bps(self) -> Optional[float]:
-        p = self.params
-        if not p.pacing:
+        if not self.params.pacing:
             return None
         return (
             self._cwnd
@@ -85,5 +91,5 @@ class AdaptiveController(CongestionController):
             * 8
             * 1e9
             / self._srtt_ns
-            * p.pacing_headroom
+            * PACING_HEADROOM
         )

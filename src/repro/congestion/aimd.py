@@ -1,8 +1,8 @@
 """TCP-Reno-style AIMD congestion control.
 
-* Additive increase: ``additive_increase_frames`` per round trip,
+* Additive increase: ``ADDITIVE_INCREASE_FRAMES`` (1) per round trip,
   accumulated as ``ai * freed / cwnd`` on every cumulative ack.
-* Multiplicative decrease: ``cwnd *= md_factor`` (default 0.5) on a
+* Multiplicative decrease: ``cwnd *= MD_FACTOR`` (0.5) on a
   NACK-driven loss, at most once per smoothed RTT.
 * Coarse timeout: collapse to ``min_cwnd_frames`` — the retransmission
   timer only fires after NACK recovery has already failed, which signals
@@ -31,13 +31,13 @@ class AimdController(AdaptiveController):
     ) -> None:
         self._note_rtt(rtt_sample_ns)
         if ece:
-            self._cut(self.params.md_factor, now)
+            self._cut(now)
         else:
             self._additive_increase(freed)
         self._apply_cwnd()
 
     def on_loss(self, now: int) -> None:
-        if self._cut(self.params.md_factor, now):
+        if self._cut(now):
             self._apply_cwnd()
 
     def on_timeout(self, now: int) -> None:

@@ -41,6 +41,15 @@ __all__ = [
 
 # Wire bytes of a full-MTU frame; pacing converts cwnd (frames) to bits/s.
 FULL_FRAME_WIRE_BYTES = ETH_MTU + ETH_OVERHEAD_BYTES
+# Additive increase: frames added to cwnd per round trip of acks.
+ADDITIVE_INCREASE_FRAMES = 1.0
+# Multiplicative decrease factor applied on loss (AIMD and DCTCP).
+MD_FACTOR = 0.5
+# SRTT EWMA gain for the pacing-rate estimate.
+RTT_GAIN = 0.125
+# Token-bucket pacing: rate headroom over cwnd/srtt, and burst allowance.
+PACING_HEADROOM = 1.25
+PACING_BURST_FRAMES = 8
 
 
 @dataclass
@@ -51,40 +60,22 @@ class CongestionParams:
     min_cwnd_frames: int = 2
     # Frames the cwnd opens at (None: start fully open at the flow window).
     initial_cwnd_frames: Optional[int] = None
-    # Additive increase: frames added to cwnd per round trip of acks.
-    additive_increase_frames: float = 1.0
-    # AIMD multiplicative decrease factor applied on loss.
-    md_factor: float = 0.5
     # DCTCP: gain of the marked-fraction EWMA (the paper's g = 1/16).
     dctcp_g: float = 1.0 / 16.0
-    # SRTT EWMA gain for the pacing-rate estimate.
-    rtt_gain: float = 0.125
     # Seed RTT before the first sample (pacing only).
     rtt_init_ns: int = 200_000
-    # Token-bucket pacing: enabled, rate headroom, and burst allowance.
+    # Token-bucket pacing (PACING_HEADROOM, PACING_BURST_FRAMES).
     pacing: bool = False
-    pacing_headroom: float = 1.25
-    pacing_burst_frames: int = 8
 
     def __post_init__(self) -> None:
         if self.min_cwnd_frames < 1:
             raise ValueError("min_cwnd_frames must be >= 1")
-        if not 0.0 < self.md_factor < 1.0:
-            raise ValueError("md_factor must be in (0, 1)")
         if not 0.0 < self.dctcp_g <= 1.0:
             raise ValueError("dctcp_g must be in (0, 1]")
-        if self.additive_increase_frames <= 0:
-            raise ValueError("additive_increase_frames must be positive")
-        if self.pacing_burst_frames < 1:
-            raise ValueError("pacing_burst_frames must be >= 1")
         if self.initial_cwnd_frames is not None and self.initial_cwnd_frames < 1:
             raise ValueError("initial_cwnd_frames must be >= 1 (or None)")
-        if not 0.0 < self.rtt_gain <= 1.0:
-            raise ValueError("rtt_gain must be in (0, 1]")
         if self.rtt_init_ns < 1:
             raise ValueError("rtt_init_ns must be >= 1")
-        if self.pacing_headroom < 1.0:
-            raise ValueError("pacing_headroom must be >= 1 (no underpacing)")
 
 
 class CongestionController:

@@ -66,7 +66,7 @@ class DctcpController(AdaptiveController):
             self._apply_cwnd()
 
     def on_loss(self, now: int) -> None:
-        if self._cut(self.params.md_factor, now):
+        if self._cut(now):
             self._apply_cwnd()
 
     def on_timeout(self, now: int) -> None:

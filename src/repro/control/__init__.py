@@ -17,8 +17,8 @@ concrete for the simulation:
 from .detector import DetectorParams, EdgeFailureDetector, EdgeState, EdgeTransition
 from . import faults
 from .faults import *  # noqa: F401,F403 - the fault kinds, named once
-from .grayscore import GrayScoreParams, GrayScorer
-from .health import EdgeHealthMonitor, HealthParams
+from .grayscore import GrayScorer
+from .health import EdgeHealthMonitor
 from .lifecycle import EdgeLifecycleManager
 
 __all__ = [
@@ -26,10 +26,8 @@ __all__ = [
     "EdgeTransition",
     "DetectorParams",
     "EdgeFailureDetector",
-    "HealthParams",
     "EdgeHealthMonitor",
     "EdgeLifecycleManager",
-    "GrayScoreParams",
     "GrayScorer",
     *faults.__all__,
 ]

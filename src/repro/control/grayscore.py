@@ -7,11 +7,11 @@ thresholds cannot catch this: a loaded-but-healthy fabric and a gray rail
 look identical to any single edge's monitor.
 
 The :class:`GrayScorer` therefore compares *peers*.  Every
-``check_interval_ns`` it collects the per-edge EWMAs the health monitors
+:data:`CHECK_INTERVAL_NS` it collects the per-edge EWMAs the health monitors
 already maintain (RTT, probe loss, TX-ring backlog) over the population
 of UP/DEGRADED edges it watches, takes the population median of each,
 and flags edges that deviate from the median by more than a margin.  An
-edge flagged ``degrade_after`` consecutive checks enters the DEGRADED
+edge flagged :data:`DEGRADE_AFTER` consecutive checks enters the DEGRADED
 lifecycle state; one clean for :data:`RECOVER_AFTER` checks returns to UP.
 Hysteresis on both sides keeps a noisy sample from flapping the state.
 
@@ -24,7 +24,6 @@ probe path could ever declare it SUSPECT.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from ..sim import Simulator
@@ -33,37 +32,24 @@ from .detector import EdgeState
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .lifecycle import EdgeLifecycleManager
 
-__all__ = ["GrayScoreParams", "GrayScorer"]
+__all__ = ["GrayScorer"]
 
-# An edge is deviant whose loss or TX-backlog EWMA exceeds the population
-# median by more than these margins.
+# Population comparison period.
+CHECK_INTERVAL_NS = 1_000_000
+# An edge is deviant whose RTT EWMA exceeds RTT_FACTOR times the population
+# median, or whose loss or TX-backlog EWMA exceeds the median by more than
+# these margins.
+RTT_FACTOR = 2.0
 LOSS_MARGIN = 0.15
 BACKLOG_MARGIN = 0.25
-# Consecutive clean checks that return a DEGRADED edge to UP.
+# Below this many comparable edges no median is trustworthy.
+MIN_POPULATION = 3
+# Consecutive deviant checks that mark an edge DEGRADED, and consecutive
+# clean checks that return it to UP.
+DEGRADE_AFTER = 2
 RECOVER_AFTER = 2
-
-
-@dataclass
-class GrayScoreParams:
-    """Margins and hysteresis for differential peer comparison."""
-
-    check_interval_ns: int = 1_000_000  # population comparison period
-    rtt_factor: float = 2.0  # RTT beyond factor*median is deviant
-    min_population: int = 3  # below this, no median is trustworthy
-    degrade_after: int = 2  # consecutive deviant checks to mark
-    degraded_score: float = 0.2  # striping score cap while DEGRADED
-
-    def __post_init__(self) -> None:
-        if self.check_interval_ns <= 0:
-            raise ValueError("check_interval_ns must be positive")
-        if self.rtt_factor <= 1.0:
-            raise ValueError("rtt_factor must exceed 1.0")
-        if self.min_population < 2:
-            raise ValueError("min_population must be >= 2")
-        if self.degrade_after < 1:
-            raise ValueError("degrade_after must be >= 1")
-        if not 0.0 <= self.degraded_score <= 1.0:
-            raise ValueError("degraded_score must be in [0, 1]")
+# Striping score cap while DEGRADED.
+DEGRADED_SCORE = 0.2
 
 
 def _median(values: list[float]) -> float:
@@ -82,11 +68,9 @@ class GrayScorer:
         self,
         sim: Simulator,
         managers: Optional[list["EdgeLifecycleManager"]] = None,
-        params: Optional[GrayScoreParams] = None,
         name: str = "grayscore",
     ) -> None:
         self.sim = sim
-        self.params = params or GrayScoreParams()
         self.managers: list["EdgeLifecycleManager"] = []
         # Hysteresis counters keyed by (manager index, rail); manager
         # index (list position) keeps iteration order deterministic.
@@ -120,9 +104,8 @@ class GrayScorer:
     # -- periodic comparison ----------------------------------------------
 
     def _body(self):
-        interval = self.params.check_interval_ns
         while self._running:
-            yield interval
+            yield CHECK_INTERVAL_NS
             if not self._running:
                 return
             self._check()
@@ -142,16 +125,15 @@ class GrayScorer:
     def _check(self) -> None:
         self.checks += 1
         pop = self._population()
-        if len(pop) < self.params.min_population:
+        if len(pop) < MIN_POPULATION:
             return
         rtt_med = _median([m.monitors[r].rtt_ewma_ns for _, m, r in pop])
         loss_med = _median([m.monitors[r].loss_ewma for _, m, r in pop])
         backlog_med = _median([m.monitors[r].backlog_ewma for _, m, r in pop])
-        p = self.params
         for mi, mgr, rail in pop:
             mon = mgr.monitors[rail]
             deviant = (
-                (rtt_med > 0 and mon.rtt_ewma_ns > p.rtt_factor * rtt_med)
+                (rtt_med > 0 and mon.rtt_ewma_ns > RTT_FACTOR * rtt_med)
                 or mon.loss_ewma > loss_med + LOSS_MARGIN
                 or mon.backlog_ewma > backlog_med + BACKLOG_MARGIN
             )
@@ -161,7 +143,7 @@ class GrayScorer:
                 streak = self._deviant_streak.get(key, 0) + 1
                 self._deviant_streak[key] = streak
                 if (
-                    streak >= p.degrade_after
+                    streak >= DEGRADE_AFTER
                     and mgr.detectors[rail].state is EdgeState.UP
                 ):
                     self._mark(mgr, rail)
@@ -180,7 +162,7 @@ class GrayScorer:
     def _mark(self, mgr: "EdgeLifecycleManager", rail: int) -> None:
         self.degrade_marks += 1
         mgr.detectors[rail].mark_degraded(self.sim.now)
-        mgr.gray_cap[rail] = self.params.degraded_score
+        mgr.gray_cap[rail] = DEGRADED_SCORE
         mgr._push_score(rail)
 
     def _clear(self, mgr: "EdgeLifecycleManager", rail: int) -> None:

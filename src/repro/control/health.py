@@ -24,8 +24,7 @@ not be declared dead by its own success.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from ..core.messages import make_probe_frame
 from ..sim import Simulator
@@ -34,18 +33,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.connection import Connection
     from .detector import EdgeFailureDetector
 
-__all__ = ["HealthParams", "EdgeHealthMonitor"]
+__all__ = ["EdgeHealthMonitor"]
 
-
-@dataclass
-class HealthParams:
-    """EWMA smoothing for edge health scoring."""
-
-    alpha: float = 0.3  # EWMA smoothing factor (weight of newest sample)
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError("alpha must be in (0, 1]")
+# EWMA smoothing factor of every health average (weight of newest sample).
+ALPHA = 0.3
 
 
 class EdgeHealthMonitor:
@@ -57,13 +48,11 @@ class EdgeHealthMonitor:
         connection: "Connection",
         rail: int,
         detector: "EdgeFailureDetector",
-        params: Optional[HealthParams] = None,
     ) -> None:
         self.sim = sim
         self.conn = connection
         self.rail = rail
         self.detector = detector
-        self.params = params or HealthParams()
 
         self.loss_ewma = 0.0
         self.rtt_ewma_ns = 0.0
@@ -104,8 +93,7 @@ class EdgeHealthMonitor:
         return 1.0 - self.loss_ewma
 
     def _ewma(self, current: float, sample: float) -> float:
-        a = self.params.alpha
-        return a * sample + (1.0 - a) * current
+        return ALPHA * sample + (1.0 - ALPHA) * current
 
     # -- probe loop -------------------------------------------------------
 

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Optional
 
 from ..sim import Simulator
 from .detector import DetectorParams, EdgeFailureDetector, EdgeState, EdgeTransition
-from .health import EdgeHealthMonitor, HealthParams
+from .health import EdgeHealthMonitor
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.connection import Connection
@@ -40,7 +40,6 @@ class EdgeLifecycleManager:
         sim: Simulator,
         connection: "Connection",
         detector_params: Optional[DetectorParams] = None,
-        health_params: Optional[HealthParams] = None,
         tracer: Optional["Tracer"] = None,
         auto_failover: bool = True,
     ) -> None:
@@ -67,16 +66,14 @@ class EdgeLifecycleManager:
         # failure detector could ever fire.
         self.gray_cap: dict[int, float] = {}
         for rail in range(len(connection.nics)):
-            self._make_edge(rail, health_params)
+            self._make_edge(rail)
         connection.control_plane = self
 
-    def _make_edge(self, rail: int, health_params: Optional[HealthParams]) -> None:
+    def _make_edge(self, rail: int) -> None:
         detector = EdgeFailureDetector(
             rail, self.detector_params, on_transition=self._on_transition
         )
-        monitor = EdgeHealthMonitor(
-            self.sim, self.conn, rail, detector, params=health_params
-        )
+        monitor = EdgeHealthMonitor(self.sim, self.conn, rail, detector)
         self.detectors.append(detector)
         self.monitors.append(monitor)
 
@@ -97,16 +94,14 @@ class EdgeLifecycleManager:
 
     # -- wiring ------------------------------------------------------------
 
-    def watch_new_rail(
-        self, rail: int, health_params: Optional[HealthParams] = None
-    ) -> None:
+    def watch_new_rail(self, rail: int) -> None:
         """Start monitoring a rail attached after construction."""
         if rail != len(self.detectors):
             raise ValueError(
                 f"rails must be watched in order; expected {len(self.detectors)}, "
                 f"got {rail}"
             )
-        self._make_edge(rail, health_params)
+        self._make_edge(rail)
 
     def stop(self) -> None:
         """Stop all probe loops (end of experiment)."""

@@ -5,12 +5,12 @@ MultiEdge minimises explicit acknowledgement traffic three ways:
 * **piggy-backing** — every outgoing sequenced frame carries the current
   cumulative ack, and doing so counts as having acknowledged;
 * **delayed acks** — an explicit ACK is deferred until ``ack_every_frames``
-  data frames have arrived unacknowledged, or until ``ack_delay_ns`` passes
-  (whichever first);
+  data frames have arrived unacknowledged, or until :data:`ACK_DELAY_NS`
+  passes (whichever first);
 * **NACK scheduling** — a sequence gap does not trigger an immediate NACK
   (with multiple links, gaps are usually just striping reorder and fill in
   microseconds); instead a NACK timer is armed, and fires only if the gap
-  persists for ``nack_delay_ns``.
+  persists for :data:`NACK_DELAY_NS`.
 
 The policy object is pure decision logic; the connection owns the timers
 and the actual frame transmission.
@@ -22,22 +22,25 @@ from dataclasses import dataclass
 
 __all__ = ["AckPolicyParams", "AckPolicy"]
 
+# An explicit ack leaves at most this long after the first unacked frame.
+ACK_DELAY_NS = 400_000
+# A sequence gap must persist this long to be NACKed.
+NACK_DELAY_NS = 400_000
+# Per-sequence NACK repetition floor.
+RENACK_INTERVAL_NS = 600_000
+# Missing sequences named per NACK frame.
+NACK_MAX_ENTRIES = 64
+
 
 @dataclass
 class AckPolicyParams:
     """Tunables for the acknowledgement policy."""
 
     ack_every_frames: int = 32  # explicit ack after this many unacked frames
-    ack_delay_ns: int = 400_000  # ... or this much time
-    nack_delay_ns: int = 400_000  # gap must persist this long to NACK
-    renack_interval_ns: int = 600_000  # per-seq NACK repetition floor
-    nack_max_entries: int = 64  # missing seqs per NACK frame
 
     def __post_init__(self) -> None:
         if self.ack_every_frames < 1:
             raise ValueError("ack_every_frames must be >= 1")
-        if self.ack_delay_ns < 0 or self.nack_delay_ns < 0:
-            raise ValueError("delays must be >= 0")
 
 
 class AckPolicy:

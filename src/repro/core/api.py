@@ -17,6 +17,7 @@ from __future__ import annotations
 from typing import Any, Generator, Optional
 
 from ..host import Node
+from ..host.params import CONTEXT_SWITCH_NS, OP_ISSUE_NS, SYSCALL_NS, memcpy_ns
 from ..sim import SimulationError
 from .connection import Connection, Notification, Operation, ProtocolParams
 from .protocol import MultiEdgeProtocol
@@ -89,14 +90,13 @@ class ConnectionHandle:
         ``cpu`` overrides the issuing CPU (default: the application CPU);
         runtime services pinned to the protocol CPU pass theirs.
         """
-        p = self.node.params
         cpu = cpu or self.node.app_cpu
-        yield from cpu.run(p.syscall_ns + p.op_issue_ns, "app.issue")
-        yield from cpu.run(p.memcpy_ns(copied_bytes), "protocol.send")
+        yield from cpu.run(SYSCALL_NS + OP_ISSUE_NS, "app.issue")
+        yield from cpu.run(memcpy_ns(copied_bytes), "protocol.send")
 
     def _wakeup_cost(self, cpu=None) -> Generator[Any, Any, None]:
         cpu = cpu or self.node.app_cpu
-        yield from cpu.run(self.node.params.context_switch_ns, "app.wakeup")
+        yield from cpu.run(CONTEXT_SWITCH_NS, "app.wakeup")
 
     def rdma_write(
         self,

@@ -40,11 +40,19 @@ from dataclasses import dataclass, field
 from typing import Any, Deque, Generator, Optional
 
 from ..congestion import CongestionParams, make_congestion_controller
-from ..congestion.base import FULL_FRAME_WIRE_BYTES
+from ..congestion.base import FULL_FRAME_WIRE_BYTES, PACING_BURST_FRAMES
 from ..ethernet import ECN_CE, ECN_ECHO, Frame, FrameType, OpFlags, max_payload_per_frame
 from ..host.cpu import Cpu
+from ..host.params import PER_FRAME_RECV_NS, PER_FRAME_SEND_NS, memcpy_ns
 from ..sim import Event, Simulator, Store, Timer
-from .ack import AckPolicy, AckPolicyParams
+from .ack import (
+    ACK_DELAY_NS,
+    NACK_DELAY_NS,
+    NACK_MAX_ENTRIES,
+    RENACK_INTERVAL_NS,
+    AckPolicy,
+    AckPolicyParams,
+)
 from .messages import (
     SCATTER_RECORD_HEADER,
     decode_scatter_records,
@@ -57,7 +65,7 @@ from .messages import (
 )
 from .errors import PeerCrashed, RetransmitExhausted
 from .ordering import FenceDelivery, InOrderDelivery, RxOpState
-from .retransmit import RetransmitParams, RetransmitTimer
+from .retransmit import NACK_HOLDOFF_NS, RetransmitParams, RetransmitTimer
 from .stats import ConnectionStats
 from .striping import make_striping_policy
 from .window import ReceiveTracker, SendWindow
@@ -71,14 +79,11 @@ class ProtocolParams:
 
     window_frames: int = 256
     ack: AckPolicyParams = field(default_factory=AckPolicyParams)
-    retransmit: RetransmitParams = field(default_factory=RetransmitParams)
     # 2L-1G mode: buffer out-of-order frames, apply strictly in seq order.
     in_order_delivery: bool = False
     striping: str = "round_robin"
     # Frames whose CPU cost is charged per pump batch.
     pump_batch: int = 8
-    # Cost of reclaiming a batch of TX descriptors.
-    tx_complete_ns: int = 400
     # Length-only payloads: frames carry no bytes, only header lengths.
     # Every CPU/wire cost is computed from lengths, so timing and results
     # are identical to carrying real bytes; memory contents are simply not
@@ -256,7 +261,7 @@ class Connection:
         self._pending_reads: dict[int, Operation] = {}  # op_id -> read op
         self.retransmit_timer = RetransmitTimer(
             self.sim,
-            self.params.retransmit,
+            RetransmitParams(),
             on_timeout=self._on_coarse_timeout,
             on_dead=self._on_coarse_dead,
         )
@@ -484,14 +489,13 @@ class Connection:
             # ownership of everything queued and will synthesize the whole
             # cascade (including this pump's CPU charges) at op boundaries.
             return
-        per_frame = self.node.params.per_frame_send_ns
         stats = self.stats
         while True:
             n = self._sendable_now()
             if n == 0:
                 return
             batch = min(n, self.params.pump_batch)
-            yield from cpu.run(batch * per_frame, tag)
+            yield from cpu.run(batch * PER_FRAME_SEND_NS, tag)
             gray_extra = self.node.gray_pump_extra_ns
             if gray_extra:
                 # SlowNode gray fault: the core really is this much slower,
@@ -504,7 +508,7 @@ class Connection:
                 if not self._send_one():
                     break
                 sent += 1
-            stats.pump_charged_ns += sent * per_frame
+            stats.pump_charged_ns += sent * PER_FRAME_SEND_NS
             if self.monitor is not None:
                 self.monitor.on_event(self)
             if sent < batch:
@@ -513,7 +517,7 @@ class Connection:
                 # core really was occupied for the full charge, but the
                 # surplus is ring-stall time, not protocol work: reclassify
                 # it so protocol-CPU utilization counts only frames sent.
-                stalled = (batch - sent) * per_frame
+                stalled = (batch - sent) * PER_FRAME_SEND_NS
                 stats.pump_stalled_ns += stalled
                 cpu.accounting.reclassify(tag, "stall.tx_ring", stalled)
                 return
@@ -639,26 +643,24 @@ class Connection:
         # Per-frame protocol cost, charged inline (the open-coded uncontended
         # claim mirrors Cpu.run exactly; the receive path is hot enough that
         # the extra generator hop per frame shows up in wall time).
-        duration = self.node.params.per_frame_recv_ns
-        if duration > 0:
-            sim = self.sim
-            res = cpu.resource
-            if res.in_use < res.capacity and not res._waiters:
-                now = sim.now
-                res.busy_time += res.in_use * (now - res._busy_since)
-                res._busy_since = now
-                res.in_use += 1
-            else:
-                yield res
-            yield duration
-            if res._waiters:
-                res.release()
-            else:
-                now = sim.now
-                res.busy_time += res.in_use * (now - res._busy_since)
-                res._busy_since = now
-                res.in_use -= 1
-            cpu.accounting.charge("protocol.recv", duration)
+        sim = self.sim
+        res = cpu.resource
+        if res.in_use < res.capacity and not res._waiters:
+            now = sim.now
+            res.busy_time += res.in_use * (now - res._busy_since)
+            res._busy_since = now
+            res.in_use += 1
+        else:
+            yield res
+        yield PER_FRAME_RECV_NS
+        if res._waiters:
+            res.release()
+        else:
+            now = sim.now
+            res.busy_time += res.in_use * (now - res._busy_since)
+            res._busy_since = now
+            res.in_use -= 1
+        cpu.accounting.charge("protocol.recv", PER_FRAME_RECV_NS)
 
         ftype = h.frame_type
         if ftype == FrameType.PROBE:
@@ -730,14 +732,14 @@ class Connection:
         h = frame.header
         if h.frame_type == FrameType.READ_REQ:
             # Perform the read: snapshot memory into a response operation.
-            cost = self.node.params.memcpy_ns(h.op_length)
+            cost = memcpy_ns(h.op_length)
             yield from cpu.run(cost, "protocol.recv")
             self._submit_read_response(frame)
             return
         if h.payload_length > 0:
             # Copy-to-user cost is a function of length alone; it is charged
             # whether or not real bytes ride in the frame (synthetic mode).
-            cost = self.node.params.memcpy_ns(h.payload_length)
+            cost = memcpy_ns(h.payload_length)
             if cost > 0:
                 sim = self.sim
                 res = cpu.resource
@@ -804,7 +806,7 @@ class Connection:
         rail = frame.control
         if not isinstance(rail, int) or not 0 <= rail < len(self.nics):
             return
-        yield from cpu.run(self.node.params.per_frame_send_ns, "protocol.send")
+        yield from cpu.run(PER_FRAME_SEND_NS, "protocol.send")
         gray_extra = self.node.gray_pump_extra_ns
         if gray_extra:
             # A slow node answers probes slowly too — that is exactly the
@@ -957,7 +959,7 @@ class Connection:
             return
         rails = self.striping.active_rails
         per_rail = rate / len(rails) if rails else rate
-        burst = self.congestion.params.pacing_burst_frames * FULL_FRAME_WIRE_BYTES
+        burst = PACING_BURST_FRAMES * FULL_FRAME_WIRE_BYTES
         for rail in rails:
             self.nics[rail].set_pacing_rate(per_rail, burst)
 
@@ -1008,7 +1010,6 @@ class Connection:
 
     def _process_nack(self, missing: list[int]) -> None:
         queued = set(self._retransmit_q)
-        holdoff = self.params.retransmit.nack_holdoff_ns
         now = self.sim.now
         enqueued = 0
         for seq in missing:
@@ -1018,7 +1019,7 @@ class Connection:
             # Recently (re)transmitted frames are most likely still queued
             # in a busy rail, not lost: retransmitting them would only add
             # duplicates on an already-congested path.
-            if now - rec.last_sent_at < holdoff:
+            if now - rec.last_sent_at < NACK_HOLDOFF_NS:
                 continue
             self._queue_retransmit(seq)
             self.stats.nack_retransmits += 1
@@ -1057,13 +1058,12 @@ class Connection:
         self._delayed_ack_timer.cancel()
 
     def _send_nack(self) -> None:
-        still_missing = set(self.tracker.missing(self.params.ack.nack_max_entries))
+        still_missing = set(self.tracker.missing(NACK_MAX_ENTRIES))
         now = self.sim.now
-        renack = self.params.ack.renack_interval_ns
         missing = sorted(
             seq
             for seq in (still_missing & self._nack_snapshot)
-            if now - self._nacked_at.get(seq, -(1 << 60)) >= renack
+            if now - self._nacked_at.get(seq, -(1 << 60)) >= RENACK_INTERVAL_NS
         )
         if not missing:
             return
@@ -1088,7 +1088,7 @@ class Connection:
         for seq in missing:
             self._nacked_at[seq] = now
         expected = self.tracker.expected
-        if len(self._nacked_at) > 4 * self.params.ack.nack_max_entries:
+        if len(self._nacked_at) > 4 * NACK_MAX_ENTRIES:
             self._nacked_at = {
                 s: t for s, t in self._nacked_at.items() if s >= expected
             }
@@ -1100,7 +1100,7 @@ class Connection:
     def _arm_delayed_ack(self) -> None:
         timer = self._delayed_ack_timer
         if not timer.active:
-            timer.restart(self.params.ack.ack_delay_ns)
+            timer.restart(ACK_DELAY_NS)
 
     def _delayed_ack_fired(self) -> None:
         if self.ack_policy.needs_delayed_ack(self.tracker.cum_ack):
@@ -1109,10 +1109,8 @@ class Connection:
     def _arm_nack_timer(self) -> None:
         timer = self._nack_timer
         if not timer.active:
-            self._nack_snapshot = set(
-                self.tracker.missing(self.params.ack.nack_max_entries)
-            )
-            timer.restart(self.params.ack.nack_delay_ns)
+            self._nack_snapshot = set(self.tracker.missing(NACK_MAX_ENTRIES))
+            timer.restart(NACK_DELAY_NS)
 
     def _nack_fired(self) -> None:
         if self.tracker.has_gap():
@@ -1143,7 +1141,7 @@ class Connection:
     def _timer_work(self, action) -> Generator[Any, Any, None]:
         """Run a small control-frame action on the protocol CPU."""
         cpu = self.node.protocol_cpu
-        yield from cpu.run(self.node.params.per_frame_send_ns, "protocol.send")
+        yield from cpu.run(PER_FRAME_SEND_NS, "protocol.send")
         action()
 
     def _timer_pump(self) -> Generator[Any, Any, None]:

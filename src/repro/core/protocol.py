@@ -15,12 +15,16 @@ from typing import Any, Generator, Optional
 
 from ..ethernet import Frame, FrameType, MultiEdgeHeader, Nic, mac_address
 from ..host import Node
+from ..host.params import PER_FRAME_RECV_NS
 from .connection import Connection, ProtocolParams
 from .errors import PeerCrashed
 from .messages import make_syn_ack_frame
 from .stats import ConnectionStats, merge_stats
 
 __all__ = ["MultiEdgeProtocol"]
+
+# Protocol CPU to reclaim one batch of freed TX descriptors.
+TX_COMPLETE_NS = 400
 
 # Connection-management frame types are contiguous: one range test.
 _SYN = int(FrameType.SYN)
@@ -121,7 +125,7 @@ class MultiEdgeProtocol:
         if not self.listening:
             self.handshake_frames_dropped += 1
             return
-        yield from cpu.run(self.node.params.per_frame_recv_ns, "protocol.recv")
+        yield from cpu.run(PER_FRAME_RECV_NS, "protocol.recv")
         if h.frame_type == FrameType.SYN:
             self._accept(h)
         elif h.frame_type == FrameType.SYN_ACK:
@@ -191,7 +195,7 @@ class MultiEdgeProtocol:
     def handle_tx_completions(
         self, nic: Nic, count: int, cpu
     ) -> Generator[Any, Any, None]:
-        yield from cpu.run(self.params.tx_complete_ns, "protocol.send")
+        yield from cpu.run(TX_COMPLETE_NS, "protocol.send")
         # Freed descriptors may unblock stalled connections.  Only one with
         # something queued can have send work.  They are visited in creation
         # order, which is the order of self.connections, and the next one is

@@ -74,10 +74,13 @@ class BackoffPolicy:
         return total
 
 
+# A NACK is ignored for a frame (re)sent less than this long ago.
+NACK_HOLDOFF_NS = 500_000
+
+
 @dataclass
 class RetransmitParams:
     coarse_timeout_ns: int = 3_000_000  # 3 ms
-    nack_holdoff_ns: int = 500_000  # ignore NACKs for recently-sent frames
     backoff_factor: int = 2
     max_timeout_ns: int = 48_000_000
     max_retries: int = 20  # after this many silent timeouts, declare dead

@@ -40,7 +40,7 @@ class ConnectionStats:
     nack_retransmits: int = 0
     # CPU-charge conservation: pump() bills its batch up front, then
     # reclassifies the unused remainder when the TX ring stalls the batch.
-    # Invariant: pump_charged_ns == frames actually sent * per_frame_send_ns.
+    # Invariant: pump_charged_ns == frames actually sent * PER_FRAME_SEND_NS.
     pump_charged_ns: int = 0
     pump_stalled_ns: int = 0
 

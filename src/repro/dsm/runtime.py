@@ -35,6 +35,7 @@ import numpy as np
 
 from ..bench.cluster import Cluster
 from ..core import ConnectionHandle, ConnectionStats, SlotRing, merge_stats
+from ..host.params import memcpy_ns
 from ..sim import Event, Store
 from .messages import MSG_SLOT_BYTES, Message, MsgType, decode_notices, encode_notices
 from .region import PAGE_SIZE, HomePolicy, PageState, PageTable, SharedRegion
@@ -528,12 +529,11 @@ class DsmNode:
         yield from self._fetch_pages(region, pt, to_fetch)
         if mode in ("w", "rw"):
             cpu = self.stack.node.app_cpu
-            params = self.stack.node.params
             for page in pages:
                 if pt.state[page] == PageState.DIRTY:
                     continue
                 if not pt.is_home(page):
-                    twin_cost = params.memcpy_ns(PAGE_SIZE)
+                    twin_cost = memcpy_ns(PAGE_SIZE)
                     t1 = self.sim.now
                     yield from cpu.run(twin_cost, "dsm")
                     self.stats.dsm_overhead_ns += self.sim.now - t1
@@ -611,7 +611,6 @@ class DsmNode:
         """
         memory = self.stack.node.memory
         cpu = self.stack.node.app_cpu
-        params = self.stack.node.params
         notices: list[tuple[int, int]] = []
         # home node -> list of (home_address, data) diff segments.
         segments: dict[int, list[tuple[int, bytes]]] = {}
@@ -629,7 +628,7 @@ class DsmNode:
                     region.page_addr(self.rank, page), PAGE_SIZE
                 )
                 t1 = self.sim.now
-                yield from cpu.run(params.memcpy_ns(PAGE_SIZE), "dsm")
+                yield from cpu.run(memcpy_ns(PAGE_SIZE), "dsm")
                 self.stats.dsm_overhead_ns += self.sim.now - t1
                 runs = _diff_runs(twin, current)
                 pt.state[page] = PageState.VALID

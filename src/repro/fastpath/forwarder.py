@@ -29,6 +29,13 @@ from typing import Optional
 
 from ..core.connection import Notification, Operation
 from ..ethernet.frame import frame_sizes
+from ..host.params import (
+    INTERRUPT_NS,
+    KTHREAD_WAKEUP_NS,
+    PER_FRAME_RECV_NS,
+    PER_FRAME_SEND_NS,
+    memcpy_ns,
+)
 from .detector import UNSUPPORTED_OP_FLAGS, disqualify_reason
 from .model import PathModel
 from .stats import FastpathStats
@@ -178,8 +185,8 @@ class FlowForwarder:
             plen = run.payload_len
             wire = frame_sizes(plen)[1]
             wt = m.wire_ns(wire)
-            copy_ns = m.memcpy_ns(plen)
-            rx_cost = m.per_frame_recv_ns + copy_ns + m.irq_amortized_ns
+            copy_ns = memcpy_ns(plen)
+            rx_cost = PER_FRAME_RECV_NS + copy_ns + m.irq_amortized_ns
             if one_rail:
                 if striping.next_rail(plen or 64) is None:
                     return False
@@ -276,7 +283,7 @@ class FlowForwarder:
         cs.data_frames_sent += n
         cs.data_bytes_sent += rec.payload_bytes
         cs.piggybacked_acks += n
-        cs.pump_charged_ns += n * m.per_frame_send_ns
+        cs.pump_charged_ns += n * PER_FRAME_SEND_NS
         conn.ack_policy.on_ack_emitted(conn.tracker.cum_ack, piggybacked=True)
         conn._delayed_ack_timer.cancel()
 
@@ -347,32 +354,29 @@ class FlowForwarder:
         m = self.model
         conn, peer = self.conn, self.peer
         # Sender: pump work plus the ack receive chain.
-        sp = conn.node.params
-        send_ns = rec.n_frames * m.per_frame_send_ns
+        send_ns = rec.n_frames * PER_FRAME_SEND_NS
         sacct = conn.node.accounting
         sacct.charge("protocol.send", send_ns)
         stotal = send_ns
         if acks:
-            sacct.charge("protocol.recv", acks * sp.per_frame_recv_ns)
-            sacct.charge("interrupt", acks * sp.interrupt_ns)
-            sacct.charge("protocol.wakeup", acks * sp.kthread_wakeup_ns)
-            stotal += acks * (
-                sp.per_frame_recv_ns + sp.interrupt_ns + sp.kthread_wakeup_ns
-            )
+            sacct.charge("protocol.recv", acks * PER_FRAME_RECV_NS)
+            sacct.charge("interrupt", acks * INTERRUPT_NS)
+            sacct.charge("protocol.wakeup", acks * KTHREAD_WAKEUP_NS)
+            stotal += acks * (PER_FRAME_RECV_NS + INTERRUPT_NS + KTHREAD_WAKEUP_NS)
         n_tx_irqs = 0
         if m.unmaskable_tx_irq:
             n_tx_irqs = rec.n_frames // m.tx_completion_batch
             if n_tx_irqs:
-                sacct.charge("interrupt", n_tx_irqs * sp.interrupt_ns)
-                stotal += n_tx_irqs * sp.interrupt_ns
+                sacct.charge("interrupt", n_tx_irqs * INTERRUPT_NS)
+                stotal += n_tx_irqs * INTERRUPT_NS
         conn.node.protocol_cpu.resource.busy_time += stotal
         skern = conn.node.kernel
         skern.irqs_handled += acks + n_tx_irqs
         skern.kthread_wakeups += acks
         # Receiver: per-frame processing, copies, IRQ batches.
-        recv_ns = rec.n_frames * m.per_frame_recv_ns + rec.memcpy_total
-        irq_ns = rec.n_irqs * m.interrupt_ns
-        wake_ns = rec.n_irqs * m.kthread_wakeup_ns
+        recv_ns = rec.n_frames * PER_FRAME_RECV_NS + rec.memcpy_total
+        irq_ns = rec.n_irqs * INTERRUPT_NS
+        wake_ns = rec.n_irqs * KTHREAD_WAKEUP_NS
         racct = peer.node.accounting
         racct.charge("protocol.recv", recv_ns)
         racct.charge("interrupt", irq_ns)

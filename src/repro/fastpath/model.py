@@ -3,8 +3,8 @@
 :class:`PathModel` captures the arrival/service-curve parameters of the
 edge set between a sender and a receiver — per-rail link rates, switch
 forwarding latency and egress serialisation, NIC DMA latencies and the
-mean TX scheduling jitter, interrupt-coalescing behaviour, and the
-per-frame CPU costs on both hosts — so the forwarder can advance a flow
+mean TX scheduling jitter and interrupt-coalescing behaviour, plus the
+host costs of :mod:`repro.host.params` — so the forwarder can advance a flow
 frame-by-frame with pure arithmetic instead of scheduler events.
 
 The model is deliberately a *mean-value* model: TX jitter enters as its
@@ -20,6 +20,13 @@ the detector to arm.
 from __future__ import annotations
 
 from ..ethernet.frame import frame_sizes, max_payload_per_frame, wire_time_ns
+from ..host.params import (
+    INTERRUPT_NS,
+    KTHREAD_WAKEUP_NS,
+    PER_FRAME_RECV_NS,
+    PER_FRAME_SEND_NS,
+    memcpy_ns,
+)
 
 __all__ = ["PathModel"]
 
@@ -40,12 +47,6 @@ class PathModel:
         self.jitter_mean_ns = sender_nic.params.tx_jitter_ns // 2
         self.rx_dma_ns = recv_nic.params.dma_ns
 
-        sp = conn.node.params
-        rp = peer.node.params
-        self.per_frame_send_ns = sp.per_frame_send_ns
-        self.per_frame_recv_ns = rp.per_frame_recv_ns
-        self.memcpy_ns = rp.memcpy_ns
-
         # Interrupt coalescing on the receive side: frames per IRQ is the
         # count threshold when full-rate arrivals reach it before the
         # coalesce timer, else whatever the timer window holds.
@@ -59,11 +60,9 @@ class PathModel:
             self.rx_batch = cf
         else:
             self.rx_batch = ct // interarrival + 1
-        interrupt = rp.interrupt_ns
-        wakeup = rp.kthread_wakeup_ns
         # Pipeline-fill latency for a frame that has to wait out the
         # coalesce timer.
-        self.irq_latency_ns = ct + interrupt + wakeup
+        self.irq_latency_ns = ct + INTERRUPT_NS + KTHREAD_WAKEUP_NS
         # Per-frame amortised IRQ handling cost, bounded by the receive
         # kthread's idle slack: if processing a full frame leaves less
         # slack than the IRQ chain costs, the kthread cannot afford to
@@ -71,8 +70,8 @@ class PathModel:
         # masked), so the flow pays at most the slack, not the chain.
         # 1 GbE: slack >> chain, interrupt-driven per coalesce batch.
         # 10 GbE: slack ~ 7%% of the chain, effectively polling.
-        chain = interrupt + wakeup
-        cost_full = rp.per_frame_recv_ns + rp.memcpy_ns(max_payload_per_frame())
+        chain = INTERRUPT_NS + KTHREAD_WAKEUP_NS
+        cost_full = PER_FRAME_RECV_NS + memcpy_ns(max_payload_per_frame())
         slack = max(0, interarrival - cost_full)
         per_batch_amort = chain // self.rx_batch
         self.irq_amortized_ns = min(per_batch_amort, slack)
@@ -83,8 +82,6 @@ class PathModel:
             self.frames_per_irq = self.rx_batch
         else:
             self.frames_per_irq = max(self.rx_batch, chain // max(1, slack))
-        self.interrupt_ns = interrupt
-        self.kthread_wakeup_ns = wakeup
 
         # Sender-side CPU occupancy beyond the pump itself.  NICs whose
         # send-completion interrupts cannot be masked (the Myricom 10-GbE
@@ -96,13 +93,13 @@ class PathModel:
         self.tx_completion_batch = sender_nic.params.tx_completion_batch
         self.unmaskable_tx_irq = sender_nic.params.unmaskable_tx_irq
         if self.unmaskable_tx_irq:
-            self.tx_irq_amortized_ns = sp.interrupt_ns // self.tx_completion_batch
+            self.tx_irq_amortized_ns = INTERRUPT_NS // self.tx_completion_batch
         else:
             self.tx_irq_amortized_ns = 0
         ack_every = peer.ack_policy.params.ack_every_frames
-        self.ack_rx_amortized_ns = sp.per_frame_recv_ns // ack_every
+        self.ack_rx_amortized_ns = PER_FRAME_RECV_NS // ack_every
         self.tx_busy_ns = (
-            sp.per_frame_send_ns
+            PER_FRAME_SEND_NS
             + self.tx_irq_amortized_ns
             + self.ack_rx_amortized_ns
         )
@@ -118,9 +115,9 @@ class PathModel:
             + self.fwd_ns
             + sender_nic.params.dma_ns
             + sender_nic.params.coalesce_timeout_ns
-            + sp.interrupt_ns
-            + sp.kthread_wakeup_ns
-            + sp.per_frame_recv_ns
+            + INTERRUPT_NS
+            + KTHREAD_WAKEUP_NS
+            + PER_FRAME_RECV_NS
         )
 
     def wire_ns(self, wire_bytes: int) -> int:

@@ -4,7 +4,7 @@ from .cpu import Cpu, CpuAccounting
 from .kernel import DriverClient, Kernel
 from .memory import MemoryFault, VirtualMemory
 from .node import Node
-from .params import HostParams, myri10g_params, tigon3_params
+from .params import myri10g_params, tigon3_params
 
 __all__ = [
     "Cpu",
@@ -14,7 +14,6 @@ __all__ = [
     "VirtualMemory",
     "MemoryFault",
     "Node",
-    "HostParams",
     "tigon3_params",
     "myri10g_params",
 ]

@@ -24,7 +24,7 @@ from typing import Any, Generator, Optional, Protocol, Sequence
 from ..ethernet import Frame, Nic
 from ..sim import Gate, Simulator
 from .cpu import Cpu
-from .params import HostParams
+from .params import INTERRUPT_NS, KTHREAD_WAKEUP_NS
 
 __all__ = ["DriverClient", "Kernel"]
 
@@ -50,13 +50,11 @@ class Kernel:
     def __init__(
         self,
         sim: Simulator,
-        params: HostParams,
         cpus: Sequence[Cpu],
         nics: Sequence[Nic],
         name: str = "kernel",
     ) -> None:
         self.sim = sim
-        self.params = params
         self.cpus = list(cpus)
         self.nics = list(nics)
         self.name = name
@@ -95,9 +93,6 @@ class Kernel:
         self.sim.schedule(0, self._irq_enter)
 
     def _irq_enter(self) -> None:
-        if self.params.interrupt_ns <= 0:
-            self._work.open()
-            return
         res = self.protocol_cpu.resource
         if res.try_acquire():
             self._irq_hold(res)
@@ -106,8 +101,7 @@ class Kernel:
             res.park(self._irq_hold)
 
     def _irq_hold(self, _granted: Any) -> None:
-        held = int(self.params.interrupt_ns)
-        self.sim.schedule(held, self._irq_exit, held)
+        self.sim.schedule(INTERRUPT_NS, self._irq_exit, INTERRUPT_NS)
 
     def _irq_exit(self, held: int) -> None:
         cpu = self.protocol_cpu
@@ -126,7 +120,7 @@ class Kernel:
             work.close()
             self.kthread_active = True
             self.kthread_wakeups += 1
-            yield from cpu.run(self.params.kthread_wakeup_ns, "protocol.wakeup")
+            yield from cpu.run(KTHREAD_WAKEUP_NS, "protocol.wakeup")
             nics = self.nics
             client = self.client
             while True:

@@ -15,7 +15,7 @@ from ..sim import RngRegistry, Simulator
 from .cpu import Cpu, CpuAccounting
 from .kernel import Kernel
 from .memory import VirtualMemory
-from .params import HostParams
+from .params import CPUS, PER_FRAME_SEND_NS
 
 __all__ = ["Node"]
 
@@ -27,14 +27,12 @@ class Node:
         self,
         sim: Simulator,
         node_id: int,
-        host_params: Optional[HostParams] = None,
         nic_params: Optional[Sequence[NicParams]] = None,
         rng: Optional[RngRegistry] = None,
         name: str = "",
     ) -> None:
         self.sim = sim
         self.node_id = node_id
-        self.params = host_params or HostParams()
         self.rng = rng or RngRegistry(0)
         self.name = name or f"node{node_id}"
 
@@ -50,7 +48,7 @@ class Node:
         self.accounting = CpuAccounting()
         self.cpus = [
             Cpu(sim, i, self.accounting, name=f"{self.name}.cpu{i}")
-            for i in range(self.params.cpus)
+            for i in range(CPUS)
         ]
         self.memory = VirtualMemory()
 
@@ -65,20 +63,18 @@ class Node:
             )
             for rail, p in enumerate(nic_param_list)
         ]
-        self.kernel = Kernel(
-            sim, self.params, self.cpus, self.nics, name=f"{self.name}.kernel"
-        )
+        self.kernel = Kernel(sim, self.cpus, self.nics, name=f"{self.name}.kernel")
 
     def set_slowdown(self, factor: float) -> None:
         """Run this node's CPU ``factor`` times slower (1.0 restores it):
         service times stretch by it and every pumped frame pays
-        ``per_frame_send_ns * (factor - 1)`` extra protocol CPU."""
+        ``PER_FRAME_SEND_NS * (factor - 1)`` extra protocol CPU."""
         if factor < 1.0:
             raise ValueError("slowdown factor must be >= 1")
         if factor == self.gray_slow_factor:
             return
         self.gray_slow_factor = factor
-        self.gray_pump_extra_ns = int(self.params.per_frame_send_ns * (factor - 1.0))
+        self.gray_pump_extra_ns = int(PER_FRAME_SEND_NS * (factor - 1.0))
         if self.fastpath_guard is not None:
             self.fastpath_guard.bump("node-slowdown")
 

@@ -1,62 +1,54 @@
-"""Calibrated host cost parameters.
+"""Calibrated host costs and the testbed's two NIC models.
 
-The defaults model the paper's testbed nodes: dual Opteron 244 (1.8 GHz),
+The costs model the paper's testbed nodes: dual Opteron 244 (1.8 GHz),
 Tyan S2892, Linux 2.6.12.  They were calibrated so that the micro-benchmark
 endpoints reported in the paper's §4 come out of the simulation:
 
-* ``per_frame_send_ns`` + the user→kernel copy bound the 10-GbE one-way
+* ``PER_FRAME_SEND_NS`` + the user→kernel copy bound the 10-GbE one-way
   sender at ≈1100 MB/s (the paper's "higher-than-expected overhead on the
   sender side"),
-* ``interrupt_ns`` + ``kthread_wakeup_ns`` + NIC coalescing produce the
+* ``INTERRUPT_NS`` + ``KTHREAD_WAKEUP_NS`` + NIC coalescing produce the
   ≈30 µs minimum ping-pong latency and the ping-pong throughput penalty
   (≈710 MB/s on 10 GbE, receiver interrupt-driven instead of polling),
-* ``syscall_ns`` + operation bookkeeping give the ≈2 µs host overhead to
+* ``SYSCALL_NS`` + operation bookkeeping give the ≈2 µs host overhead to
   initiate an operation.
 
-Everything is a plain dataclass so experiments and ablations can override
-single fields.
+Every node of every cluster runs these costs; they are module constants,
+not a per-node setting (DESIGN.md, "Configuration").
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from ..ethernet import NicParams
 
-__all__ = ["HostParams", "tigon3_params", "myri10g_params"]
+__all__ = ["memcpy_ns", "tigon3_params", "myri10g_params"]
+
+CPUS = 2
+# Syscall entry/exit plus operation setup in the protocol layer.
+SYSCALL_NS = 700
+# Host overhead to initiate an RDMA operation from user level (the
+# user-library part; the paper reports ~2 us total with syscall).
+OP_ISSUE_NS = 800
+# Hardware interrupt handler: register reads, masking, kthread signal.
+INTERRUPT_NS = 2_500
+# Waking the protocol kernel thread (schedule latency + context switch).
+KTHREAD_WAKEUP_NS = 5_500
+CONTEXT_SWITCH_NS = 1_500
+# Protocol processing per frame, excluding copies.
+PER_FRAME_SEND_NS = 700
+PER_FRAME_RECV_NS = 650
+# memcpy model: fixed overhead plus per-byte time (~3.2 GB/s streams).
+MEMCPY_BASE_NS = 60
+MEMCPY_NS_PER_KB = 305  # 1024 B / 3.2 GB/s ≈ 305 ns
 
 
-@dataclass
-class HostParams:
-    """Per-node cost model."""
-
-    cpus: int = 2
-    # Syscall entry/exit plus operation setup in the protocol layer.
-    syscall_ns: int = 700
-    # Host overhead to initiate an RDMA operation from user level (the
-    # user-library part; the paper reports ~2 us total with syscall).
-    op_issue_ns: int = 800
-    # Hardware interrupt handler: register reads, masking, kthread signal.
-    interrupt_ns: int = 2_500
-    # Waking the protocol kernel thread (schedule latency + context switch).
-    kthread_wakeup_ns: int = 5_500
-    context_switch_ns: int = 1_500
-    # Protocol processing per frame, excluding copies.
-    per_frame_send_ns: int = 700
-    per_frame_recv_ns: int = 650
-    # memcpy model: fixed overhead plus per-byte time (~3.2 GB/s streams).
-    memcpy_base_ns: int = 60
-    memcpy_ns_per_kb: int = 305  # 1024 B / 3.2 GB/s ≈ 305 ns
-
-    def memcpy_ns(self, nbytes: int) -> int:
-        """Cost of copying ``nbytes`` between user and kernel space."""
-        if nbytes <= 0:
-            return 0
-        return self.memcpy_base_ns + (nbytes * self.memcpy_ns_per_kb) // 1024
-
-    def __post_init__(self) -> None:
-        if self.cpus < 1:
-            raise ValueError("cpus must be >= 1")
+def memcpy_ns(nbytes: int) -> int:
+    """Cost of copying ``nbytes`` between user and kernel space."""
+    if nbytes <= 0:
+        return 0
+    return MEMCPY_BASE_NS + (nbytes * MEMCPY_NS_PER_KB) // 1024
 
 
 def tigon3_params(**overrides) -> NicParams:

@@ -40,7 +40,7 @@ from ..analysis.latency import LatencyHistogram, SloSpec
 from ..sim import Event
 from .arrivals import ArrivalSource, ArrivalSpec, Request
 from .balancer import make_balancer
-from .tail import TailController, TailSpec
+from .tail import MAX_HEDGES, TailController, TailSpec
 from .server import (
     FLAG_SHED,
     TAG_REQ,
@@ -298,7 +298,7 @@ class ServeRuntime:
 
     def _arm_hedge(self, req: Request) -> None:
         tail = self.tail
-        if (req.hedges >= tail.spec.max_hedges
+        if (req.hedges >= MAX_HEDGES
                 or req.attempts >= tail.spec.max_attempts):
             return
         delay = tail.hedge_delay_ns()
@@ -313,7 +313,7 @@ class ServeRuntime:
             return  # answered (or failed) before the hedge delay elapsed
         if req.attempts != attempts_snapshot:
             return  # a replay or retry superseded this timer
-        if (req.hedges >= tail.spec.max_hedges
+        if (req.hedges >= MAX_HEDGES
                 or req.attempts >= tail.spec.max_attempts):
             return
         now = self.sim.now

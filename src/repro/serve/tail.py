@@ -7,9 +7,9 @@ production RPC stacks and all bounded so the cure cannot become the
 disease:
 
 * **Hedged requests** — after a request has been outstanding longer
-  than a tracked latency quantile, a second copy goes to a *different*
-  server; the first response wins and the loser's answer is absorbed by
-  the existing duplicate-response path.
+  than the tracked :data:`HEDGE_QUANTILE` latency, a second copy goes to
+  a *different* server; the first response wins and the loser's answer is
+  absorbed by the existing duplicate-response path.
 * **Retry budget** — a token bucket earns ``retry_budget`` tokens per
   fresh request and every hedge or shed-retry spends one, so retry
   amplification is capped at ``1 + retry_budget`` of fresh load no
@@ -47,6 +47,13 @@ __all__ = [
     "BREAKER_HALF_OPEN",
 ]
 
+# Hedge once a request is outstanding past this latency percentile, with
+# at most MAX_HEDGES extra attempts per request.
+HEDGE_QUANTILE = 95.0
+MAX_HEDGES = 1
+# Smoothing of the per-server latency EWMA behind outlier ejection.
+EJECT_ALPHA = 0.1
+
 BREAKER_CLOSED = "closed"
 BREAKER_OPEN = "open"
 BREAKER_HALF_OPEN = "half-open"
@@ -69,11 +76,9 @@ class TailSpec:
 
     # -- hedging ----------------------------------------------------------
     hedge: bool = True
-    hedge_quantile: float = 95.0  # hedge once latency exceeds this pctile
     hedge_min_delay_ns: int = 100_000  # never hedge faster than this
     hedge_max_delay_ns: int = 20_000_000  # nor slower than this
     hedge_warmup: int = 20  # completions before hedging arms
-    max_hedges: int = 1  # extra attempts per request
     # -- retry budget (shared by hedges and shed-retries) ------------------
     retry_budget: float = 0.1  # tokens earned per fresh request
     retry_burst: int = 10  # bucket depth (initial + cap headroom)
@@ -90,15 +95,10 @@ class TailSpec:
     eject_min_samples: int = 30  # per-server samples before judging
     eject_ns: int = 10_000_000  # ejection duration
     max_eject_fraction: float = 0.5  # never eject more of the pool
-    eject_alpha: float = 0.1  # latency EWMA smoothing
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.hedge_quantile <= 100.0:
-            raise ValueError("hedge_quantile must be in (0, 100]")
         if self.hedge_min_delay_ns > self.hedge_max_delay_ns:
             raise ValueError("hedge_min_delay_ns exceeds hedge_max_delay_ns")
-        if self.max_hedges < 0:
-            raise ValueError("max_hedges must be >= 0")
         if self.retry_budget < 0.0:
             raise ValueError("retry_budget must be >= 0")
         if self.retry_burst < 1:
@@ -113,8 +113,6 @@ class TailSpec:
             raise ValueError("eject_factor must exceed 1.0")
         if not 0.0 <= self.max_eject_fraction < 1.0:
             raise ValueError("max_eject_fraction must be in [0, 1)")
-        if not 0.0 < self.eject_alpha <= 1.0:
-            raise ValueError("eject_alpha must be in (0, 1]")
 
 
 class RetryBudget:
@@ -222,11 +220,10 @@ class OutlierEjector:
         self.ejections = 0
 
     def on_sample(self, server: int, latency_ns: int, now: int) -> None:
-        a = self.spec.eject_alpha
         prev = self.ewma.get(server, 0.0)
         self.ewma[server] = (
             float(latency_ns) if self.samples.get(server, 0) == 0
-            else a * latency_ns + (1.0 - a) * prev
+            else EJECT_ALPHA * latency_ns + (1.0 - EJECT_ALPHA) * prev
         )
         self.samples[server] = self.samples.get(server, 0) + 1
         self._judge(server, now)
@@ -313,7 +310,7 @@ class TailController:
             s: CircuitBreaker(spec) for s in self.servers
         }
         self.ejector = OutlierEjector(spec, self.servers)
-        self.quantiles = QuantileTracker(spec.hedge_quantile)
+        self.quantiles = QuantileTracker(HEDGE_QUANTILE)
         # -- counters ------------------------------------------------------
         self.hedges_sent = 0
         self.hedges_won = 0  # a hedge answered before the primary
@@ -368,7 +365,7 @@ class TailController:
     def hedge_delay_ns(self) -> Optional[int]:
         """Outstanding time after which to hedge; None = not warmed up."""
         spec = self.spec
-        if not spec.hedge or spec.max_hedges < 1:
+        if not spec.hedge:
             return None
         if self.quantiles.total < spec.hedge_warmup:
             return None

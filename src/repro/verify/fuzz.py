@@ -987,16 +987,23 @@ def _judge(name: str, seed: int, run: Run, finish=None) -> FuzzResult:
     """Finish ``run`` (``finish()``, by default ``run.finish()``) and judge
     it as a seed of family ``name``: the fuzzer's own runs judge themselves,
     a :class:`~repro.bench.crash.CrashResult` or
-    :class:`~repro.bench.serve.ServeResult` by its ``violations``.  An error
-    that escapes the run is its ``failure``, judged with the cluster and
-    monitor as the error left them."""
+    :class:`~repro.bench.serve.ServeResult` by its ``violations``.  Any error
+    that escapes the running run is its ``failure`` (``invariant: ...``,
+    ``simulation: ...``, else ``error: <type>: ...``), judged with the
+    cluster and monitor as the error left them.  ``run`` is built before
+    this is called, so an error building it is not caught here."""
     try:
         out = (finish or run.finish)()
-    except (InvariantViolation, SimulationError) as e:
-        kind = "invariant" if isinstance(e, InvariantViolation) else "simulation"
+    except Exception as e:
+        if isinstance(e, InvariantViolation):
+            failure = f"invariant: {e}"
+        elif isinstance(e, SimulationError):
+            failure = f"simulation: {e}"
+        else:
+            failure = f"error: {type(e).__name__}: {e}"
         return _verdict(
             name, seed, run.recipe, run.cluster, run.monitor,
-            failure=f"{kind}: {e}", trace=run.recipe.get("trace", False),
+            failure=failure, trace=run.recipe.get("trace", False),
         )
     if isinstance(out, FuzzResult):
         return out
@@ -1009,9 +1016,11 @@ def run_family(name: str, seed: int, **constraints) -> FuzzResult:
     """Run one seed of one fuzz family; never raises on a failing seed.
 
     ``constraints`` narrow the ``protocol`` derivation (``workload=``,
-    ``fault_profile=``).  An error that escapes the run — a livelock limit,
-    a drain that did not drain — comes back as ``failure``, so a seed loop
-    sees every bad seed instead of stopping at the first.
+    ``fault_profile=``).  Any error that escapes the running run — a
+    livelock limit, a drain that did not drain, a ``KeyError`` in the
+    stack — comes back as ``failure``, so a seed loop sees every bad seed
+    instead of stopping at the first.  It raises only when the derived
+    recipe cannot be built (or ``name`` is not a family).
     """
     family = FAMILIES[name]
     return _judge(name, seed, family.run(**family.derive(seed, **constraints)))

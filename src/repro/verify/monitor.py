@@ -20,7 +20,7 @@ Checked invariants (see docs/PROTOCOL.md "Protocol invariants"):
     still in flight or below the ack watermark (lazily freed),
   * ``data_frames_sent`` equals the sequence numbers consumed,
   * pump CPU conservation: ``pump_charged_ns`` equals frames actually sent
-    times ``per_frame_send_ns`` (the TX-ring stall surplus is reclassified,
+    times ``PER_FRAME_SEND_NS`` (the TX-ring stall surplus is reclassified,
     never silently kept),
   * the seq → operation map matches the in-flight set exactly,
   * per operation: ``frames_acked <= frames_total``; frame conservation
@@ -77,6 +77,7 @@ from typing import TYPE_CHECKING, Any, Optional
 
 from ..control.detector import EdgeState
 from ..ethernet import FrameType
+from ..host.params import PER_FRAME_SEND_NS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..bench.cluster import Cluster
@@ -280,14 +281,13 @@ class ConnectionMonitor:
             )
 
         # -- pump CPU conservation --
-        per_frame = conn.node.params.per_frame_send_ns
-        expect = (s.data_frames_sent + s.retransmitted_frames) * per_frame
+        expect = (s.data_frames_sent + s.retransmitted_frames) * PER_FRAME_SEND_NS
         if s.pump_charged_ns != expect:
             fail(
                 "pump-cpu-conservation",
                 f"pump_charged_ns {s.pump_charged_ns} != "
                 f"(sent {s.data_frames_sent} + retrans "
-                f"{s.retransmitted_frames}) * {per_frame} = {expect}",
+                f"{s.retransmitted_frames}) * {PER_FRAME_SEND_NS} = {expect}",
             )
         if s.pump_stalled_ns < 0:
             fail("pump-stall-negative", f"pump_stalled_ns {s.pump_stalled_ns}")

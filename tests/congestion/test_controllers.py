@@ -44,11 +44,10 @@ def test_unknown_controller_rejected():
     "kw",
     [
         {"min_cwnd_frames": 0},
-        {"additive_increase_frames": 0},
-        {"md_factor": 0.0},
-        {"md_factor": 1.0},
+        {"initial_cwnd_frames": 0},
+        {"dctcp_g": 0.0},
         {"dctcp_g": 1.5},
-        {"pacing_headroom": 0.5},
+        {"rtt_init_ns": 0},
     ],
 )
 def test_params_validation(kw):
@@ -80,7 +79,7 @@ def test_static_is_inert():
 def test_aimd_additive_increase_schedule():
     window, cc = make("aimd", initial_cwnd_frames=16)
     assert window.cwnd == 16
-    # One cwnd's worth of acks adds ~additive_increase_frames (1 frame).
+    # One cwnd's worth of acks adds ~ADDITIVE_INCREASE_FRAMES (1 frame).
     cc.on_ack(16, False, now=0)
     assert window.cwnd == 17
     assert cc._cwnd == pytest.approx(17.0)
@@ -127,7 +126,7 @@ def test_aimd_clamps_to_window_bounds():
 
 
 def test_rtt_ewma_and_karn_filter():
-    _, cc = make("aimd", rtt_init_ns=200 * US, rtt_gain=0.125)
+    _, cc = make("aimd", rtt_init_ns=200 * US)
     cc.on_ack(1, False, now=0, rtt_sample_ns=100 * US)
     assert cc._srtt_ns == pytest.approx(187_500.0)
     # Karn: retransmitted frames yield no sample (None) and change nothing.

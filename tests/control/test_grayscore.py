@@ -8,35 +8,20 @@ The scorer's contract has three parts, each pinned here:
 * **gentleness** — DEGRADED never masks the rail: probes keep flowing,
   no DOWN/SUSPECT transition fires, and only the striping score is
   capped;
-* **caution** — below ``min_population`` comparable edges no median is
+* **caution** — below ``MIN_POPULATION`` comparable edges no median is
   trusted and nothing is ever flagged.
 """
-
-import pytest
 
 from repro.bench import make_cluster
 from repro.control import (
     DetectorParams,
     FaultSchedule,
-    GrayScoreParams,
     SlowNic,
 )
 from repro.control.detector import EdgeFailureDetector, EdgeState
+from repro.control.grayscore import DEGRADED_SCORE
 
 MS = 1_000_000
-
-
-def test_params_validation():
-    with pytest.raises(ValueError):
-        GrayScoreParams(check_interval_ns=0)
-    with pytest.raises(ValueError):
-        GrayScoreParams(rtt_factor=1.0)
-    with pytest.raises(ValueError):
-        GrayScoreParams(min_population=1)
-    with pytest.raises(ValueError):
-        GrayScoreParams(degrade_after=0)
-    with pytest.raises(ValueError):
-        GrayScoreParams(degraded_score=1.5)
 
 
 def _gray_cluster(rails_config="2L-1G", rails=4, traffic_until_ns=40 * MS):
@@ -105,7 +90,7 @@ def test_degraded_caps_score_but_keeps_probing():
     assert scorer.flagged, "mid-window the rail must be DEGRADED"
     flagged_mgr = scorer.managers[scorer.flagged[0][0]]
     rail = scorer.flagged[0][1]
-    assert flagged_mgr.gray_cap[rail] == scorer.params.degraded_score
+    assert flagged_mgr.gray_cap[rail] == DEGRADED_SCORE
     acked_mid = flagged_mgr.monitors[rail].probes_acked
     assert acked_mid > 0
     # Residency accounting: the open DEGRADED interval is visible.
@@ -118,7 +103,7 @@ def test_degraded_caps_score_but_keeps_probing():
 
 def test_small_population_never_flags():
     # One rail -> two comparable edges (one per endpoint), below the
-    # min_population=3 floor: no median is trustworthy, nothing flags.
+    # MIN_POPULATION=3 floor: no median is trustworthy, nothing flags.
     cluster = _gray_cluster(rails=1)
     FaultSchedule(
         [SlowNic(at_ns=2 * MS, node=1, rail=0, duration_ns=30 * MS,

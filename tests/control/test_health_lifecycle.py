@@ -7,7 +7,6 @@ from repro.control import (
     DetectorParams,
     EdgeState,
     FaultSchedule,
-    HealthParams,
     PermanentFailure,
     Repair,
 )
@@ -49,13 +48,6 @@ def test_probes_flow_and_score_healthy():
     assert ma.states == [EdgeState.UP, EdgeState.UP]
     assert a.stats.probes_sent > 0
     assert a.stats.probes_answered > 0
-
-
-def test_health_params_validation():
-    with pytest.raises(ValueError):
-        HealthParams(alpha=0.0)
-    with pytest.raises(ValueError):
-        HealthParams(alpha=1.5)
 
 
 def test_dead_rail_detected_and_masked():

@@ -17,6 +17,7 @@ import copy
 from repro.bench.cluster import make_cluster
 from repro.ethernet import OpFlags
 from repro.host import tigon3_params
+from repro.host.params import PER_FRAME_SEND_NS
 
 
 def _drive(cluster, procs, limit=10**10):
@@ -78,13 +79,12 @@ class TestPumpStallAccounting:
         _drive(c, [_bulk_write(a, src, dst, 256 * 1024)])
 
         stats = a.conn.stats
-        per_frame = c.nodes[0].params.per_frame_send_ns
         assert stats.pump_stalled_ns > 0, "tiny ring should stall the pump"
         acct = c.nodes[0].accounting
         assert acct.total("stall.tx_ring") == stats.pump_stalled_ns
         # Conservation: protocol pump charge covers exactly the frames sent.
         sent = stats.data_frames_sent + stats.retransmitted_frames
-        assert stats.pump_charged_ns == sent * per_frame
+        assert stats.pump_charged_ns == sent * PER_FRAME_SEND_NS
 
     def test_no_stall_without_ring_pressure(self):
         c = make_cluster("1L-1G", nodes=2, seed=1, synthetic_payloads=True)
@@ -93,9 +93,8 @@ class TestPumpStallAccounting:
         dst = c.nodes[1].memory.alloc(64 * 1024)
         _drive(c, [_bulk_write(a, src, dst, 64 * 1024)])
         stats = a.conn.stats
-        per_frame = c.nodes[0].params.per_frame_send_ns
         sent = stats.data_frames_sent + stats.retransmitted_frames
-        assert stats.pump_charged_ns == sent * per_frame
+        assert stats.pump_charged_ns == sent * PER_FRAME_SEND_NS
 
 
 class TestControlRailIsolation:

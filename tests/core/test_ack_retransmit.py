@@ -38,8 +38,6 @@ class TestAckPolicy:
     def test_params_validation(self):
         with pytest.raises(ValueError):
             AckPolicyParams(ack_every_frames=0)
-        with pytest.raises(ValueError):
-            AckPolicyParams(ack_delay_ns=-1)
 
 
 class TestRetransmitTimer:

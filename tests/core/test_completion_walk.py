@@ -11,6 +11,7 @@ alone.
 from repro.baselines import install_go_back_n
 from repro.bench.cluster import make_cluster
 from repro.core.messages import make_read_req_frame
+from repro.core.retransmit import NACK_HOLDOFF_NS
 from repro.core.window import InflightFrame
 from repro.ethernet import mac_address
 
@@ -121,9 +122,8 @@ def test_connection_with_nothing_queued_is_never_asked():
 
 
 def _inflight(conn, seqs):
-    holdoff = conn.params.retransmit.nack_holdoff_ns
     for seq in seqs:
-        conn.window.inflight[seq] = InflightFrame(None, None, 0, -holdoff)
+        conn.window.inflight[seq] = InflightFrame(None, None, 0, -NACK_HOLDOFF_NS)
 
 
 def test_go_back_n_nack_rewind_registers_its_connection():

@@ -11,6 +11,7 @@ from repro.bench.cluster import make_cluster, named_config
 from repro.ethernet import OpFlags, max_payload_per_frame
 from repro.ethernet.frame import frame_sizes
 from repro.fastpath.forwarder import FlowForwarder
+from repro.host.params import PER_FRAME_RECV_NS, memcpy_ns
 
 MTU = max_payload_per_frame()
 
@@ -114,10 +115,10 @@ def test_planned_ops_equal_per_frame_plan(config, policy, lengths, busy):
             if free > 0:
                 tx_cost -= m.tx_irq_amortized_ns
                 free -= 1
-            copy_ns = m.memcpy_ns(plen)
+            copy_ns = memcpy_ns(plen)
             _reference_frame(
                 ref, m, 0, tx_cost, m.wire_ns(wire),
-                m.per_frame_recv_ns + copy_ns + m.irq_amortized_ns,
+                PER_FRAME_RECV_NS + copy_ns + m.irq_amortized_ns,
             )
             wire_total += wire
             copy_total += copy_ns

@@ -1,9 +1,8 @@
 """Unit tests for CPU accounting, kernel dispatch, and node assembly."""
 
-import pytest
-
 from repro.ethernet import Frame, LinkParams, MultiEdgeHeader, connect_back_to_back
-from repro.host import Cpu, CpuAccounting, HostParams, Node
+from repro.host import Cpu, CpuAccounting, Node
+from repro.host.params import MEMCPY_BASE_NS, MEMCPY_NS_PER_KB, memcpy_ns
 from repro.sim import RngRegistry, Simulator
 
 
@@ -72,16 +71,10 @@ def test_node_has_cpus_nics_memory():
     assert node.memory.alloc(10) > 0
 
 
-def test_host_params_validation():
-    with pytest.raises(ValueError):
-        HostParams(cpus=0)
-
-
 def test_memcpy_cost_model():
-    p = HostParams()
-    assert p.memcpy_ns(0) == 0
-    assert p.memcpy_ns(1024) == p.memcpy_base_ns + p.memcpy_ns_per_kb
-    assert p.memcpy_ns(4096) > p.memcpy_ns(1024)
+    assert memcpy_ns(0) == 0
+    assert memcpy_ns(1024) == MEMCPY_BASE_NS + MEMCPY_NS_PER_KB
+    assert memcpy_ns(4096) > memcpy_ns(1024)
 
 
 class RecordingClient:
@@ -203,7 +196,7 @@ def test_interrupts_reenabled_after_drain():
 # -- interrupt handler as callbacks -------------------------------------------
 #
 # The numbers below were recorded at the parent commit (b9af88d), where every
-# interrupt spawned a Process running ``cpu.run(interrupt_ns, "interrupt")``.
+# interrupt spawned a Process running ``cpu.run(INTERRUPT_NS, "interrupt")``.
 
 
 def test_irq_while_kthread_holds_cpu_is_charged_at_the_parents_instants():
@@ -242,21 +235,6 @@ def test_irq_while_kthread_holds_cpu_is_charged_at_the_parents_instants():
     assert (b.kernel.irqs_handled, b.kernel.kthread_wakeups) == (2, 3)
     assert b.protocol_cpu.resource.busy_time == 22_100
     assert b.protocol_cpu.resource.in_use == 0
-
-
-def test_zero_cost_interrupt_still_wakes_the_kthread():
-    sim = Simulator()
-    rng = RngRegistry(0)
-    a = Node(sim, 0, rng=rng, name="a")
-    b = Node(sim, 1, host_params=HostParams(interrupt_ns=0), rng=rng, name="b")
-    connect_back_to_back(sim, a.nics[0], b.nics[0], LinkParams(propagation_ns=100), rng)
-    client = RecordingClient(cost=0)
-    b.kernel.attach_client(client)
-    a.nics[0].transmit(frame_to(b))
-    sim.run()
-    assert len(client.frames) == 1
-    assert b.kernel.irqs_handled == 1 and b.kernel.kthread_wakeups == 1
-    assert "interrupt" not in b.accounting.by_tag
 
 
 def test_pingpong_interrupt_accounting_equals_the_parents():

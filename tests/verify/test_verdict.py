@@ -8,7 +8,7 @@ from repro.bench.serve import ServeRun
 from repro.fabric import TrafficRun
 from repro.sim import SimulationError
 from repro.verify import InvariantMonitor
-from repro.verify.fuzz import FAMILIES, FuzzResult, run_family, shrink
+from repro.verify.fuzz import FAMILIES, FuzzResult, _judge, run_family, shrink
 
 
 def _before(monkeypatch, cls, method, tamper):
@@ -163,3 +163,31 @@ def test_every_family_shrinks_a_planted_failure(monkeypatch, family):
     small = shrink(res, max_runs=2 + ops + faults)
     assert FAMILIES[family].run(**small).finish().violations  # still fails
     assert _records(small) == (0, 0)
+
+
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_an_error_raised_mid_run_is_that_runs_failure_and_shrinks(
+    monkeypatch, family
+):
+    """A ``KeyError`` from deep in the stack is a defect of the run, not a
+    recipe that cannot be built: ``run_family`` reports it as the seed's
+    failure, and ``shrink`` keeps it as a reproducer."""
+    from collections import Counter
+
+    from repro.ethernet import Nic
+
+    deliver = Nic._rx_visible
+    calls = Counter()
+
+    def fifth_frame_breaks(self, *args, **kwargs):
+        calls[self] += 1
+        if calls[self] == 5:
+            raise KeyError("planted")
+        return deliver(self, *args, **kwargs)
+
+    monkeypatch.setattr(Nic, "_rx_visible", fifth_frame_breaks)
+    res = run_family(family, 1)
+    assert not res.ok and res.failure == "error: KeyError: 'planted'"
+    small = shrink(res, max_runs=4)
+    again = _judge(family, 1, FAMILIES[family].run(**small))
+    assert again.failure == "error: KeyError: 'planted'"

@@ -9,7 +9,11 @@ All entry points that cross into the kernel are generators: an application
 process issues ``handle = yield from conn.rdma_write(...)``, which charges
 the syscall, the user→kernel copy, and the inline send-path work to the
 application's CPU — exactly the costs the paper attributes to operation
-initiation (~2 µs host overhead plus copy time).
+initiation (~2 µs host overhead plus copy time).  The user-library work and
+the syscall crossing are application time (``app.issue``; the paper measures
+protocol time *inside* the kernel layer), the copy is protocol time
+(``protocol.send``).  ``cpu=`` overrides the issuing CPU (default: the
+application CPU); runtime services pinned to the protocol CPU pass theirs.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ class OpHandle:
         """
         if not self._op.completed:
             yield self._op.done
-            yield from self._owner._wakeup_cost()
+            yield self._owner.node.app_cpu.hold(CONTEXT_SWITCH_NS, "app.wakeup")
         if self._op.error is not None:
             raise self._op.error
         return self
@@ -81,23 +85,6 @@ class ConnectionHandle:
     def stats(self):
         return self.conn.stats
 
-    def _issue(self, copied_bytes: int, cpu=None):
-        """Charge operation-initiation costs.
-
-        The user-library work and syscall crossing are application time
-        (the paper's instrumentation measures protocol time *inside* the
-        kernel layer); the user→kernel data copy is protocol time.
-        ``cpu`` overrides the issuing CPU (default: the application CPU);
-        runtime services pinned to the protocol CPU pass theirs.
-        """
-        cpu = cpu or self.node.app_cpu
-        yield from cpu.run(SYSCALL_NS + OP_ISSUE_NS, "app.issue")
-        yield from cpu.run(memcpy_ns(copied_bytes), "protocol.send")
-
-    def _wakeup_cost(self, cpu=None) -> Generator[Any, Any, None]:
-        cpu = cpu or self.node.app_cpu
-        yield from cpu.run(CONTEXT_SWITCH_NS, "app.wakeup")
-
     def rdma_write(
         self,
         local_address: int,
@@ -111,7 +98,8 @@ class ConnectionHandle:
         ``yield from`` this from an application process.
         """
         cpu = cpu or self.node.app_cpu
-        yield from self._issue(length, cpu)
+        yield cpu.hold(SYSCALL_NS + OP_ISSUE_NS, "app.issue")
+        yield cpu.hold(memcpy_ns(length), "protocol.send")
         op = self.conn.submit_write(local_address, remote_address, length, flags)
         yield from self.conn.pump(cpu)
         return OpHandle(op, self)
@@ -129,7 +117,8 @@ class ConnectionHandle:
         """
         cpu = cpu or self.node.app_cpu
         total = sum(len(d) for _, d in segments)
-        yield from self._issue(total, cpu)
+        yield cpu.hold(SYSCALL_NS + OP_ISSUE_NS, "app.issue")
+        yield cpu.hold(memcpy_ns(total), "protocol.send")
         op = self.conn.submit_scatter(segments, flags)
         yield from self.conn.pump(cpu)
         return OpHandle(op, self)
@@ -144,7 +133,7 @@ class ConnectionHandle:
     ) -> Generator[Any, Any, OpHandle]:
         """Asynchronous remote memory read into ``local_address``."""
         cpu = cpu or self.node.app_cpu
-        yield from self._issue(0, cpu)
+        yield cpu.hold(SYSCALL_NS + OP_ISSUE_NS, "app.issue")  # nothing to copy
         op = self.conn.submit_read(local_address, remote_address, length, flags)
         yield from self.conn.pump(cpu)
         return OpHandle(op, self)
@@ -152,7 +141,7 @@ class ConnectionHandle:
     def wait_notification(self, cpu=None) -> Generator[Any, Any, Notification]:
         """Block until a completion notification arrives from the peer."""
         note = yield self.conn.notifications
-        yield from self._wakeup_cost(cpu)
+        yield (cpu or self.node.app_cpu).hold(CONTEXT_SWITCH_NS, "app.wakeup")
         return note
 
     def poll_notification(self) -> Optional[Notification]:

@@ -495,13 +495,13 @@ class Connection:
             if n == 0:
                 return
             batch = min(n, self.params.pump_batch)
-            yield from cpu.run(batch * PER_FRAME_SEND_NS, tag)
+            yield cpu.hold(batch * PER_FRAME_SEND_NS, tag)
             gray_extra = self.node.gray_pump_extra_ns
             if gray_extra:
                 # SlowNode gray fault: the core really is this much slower,
                 # but the surplus is billed under its own tag so the
                 # pump-CPU conservation invariant stays exact.
-                yield from cpu.run(batch * gray_extra, "gray.slow-node")
+                yield cpu.hold(batch * gray_extra, "gray.slow-node")
             # Transmit atomically (no yields) — recheck state after the wait.
             sent = 0
             while sent < batch:
@@ -640,27 +640,7 @@ class Connection:
         ):
             self.frames_after_close += 1
             return
-        # Per-frame protocol cost, charged inline (the open-coded uncontended
-        # claim mirrors Cpu.run exactly; the receive path is hot enough that
-        # the extra generator hop per frame shows up in wall time).
-        sim = self.sim
-        res = cpu.resource
-        if res.in_use < res.capacity and not res._waiters:
-            now = sim.now
-            res.busy_time += res.in_use * (now - res._busy_since)
-            res._busy_since = now
-            res.in_use += 1
-        else:
-            yield res
-        yield PER_FRAME_RECV_NS
-        if res._waiters:
-            res.release()
-        else:
-            now = sim.now
-            res.busy_time += res.in_use * (now - res._busy_since)
-            res._busy_since = now
-            res.in_use -= 1
-        cpu.accounting.charge("protocol.recv", PER_FRAME_RECV_NS)
+        yield cpu.hold(PER_FRAME_RECV_NS, "protocol.recv")
 
         ftype = h.frame_type
         if ftype == FrameType.PROBE:
@@ -713,7 +693,13 @@ class Connection:
                 if not apply_now:
                     stats.record_buffered(self.ordering.buffered)
                 for f in apply_now:
-                    yield from self._apply_frame(f, cpu)
+                    # The copy's cost depends on length alone: the read's
+                    # snapshot, or the copy to user space whether or not real
+                    # bytes ride in the frame (synthetic mode).
+                    fh = f.header
+                    n = fh.op_length if fh.frame_type == FrameType.READ_REQ else fh.payload_length
+                    yield cpu.hold(memcpy_ns(n), "protocol.recv")
+                    self._apply_frame(f)
                 for rx_op in completed:
                     self._on_rx_op_complete(rx_op)
 
@@ -728,44 +714,20 @@ class Connection:
         if self.has_send_work():
             yield from self.pump(cpu)
 
-    def _apply_frame(self, frame: Frame, cpu: Cpu) -> Generator[Any, Any, None]:
+    def _apply_frame(self, frame: Frame) -> None:
+        """Apply one in-order frame whose copy cost has been held."""
         h = frame.header
         if h.frame_type == FrameType.READ_REQ:
             # Perform the read: snapshot memory into a response operation.
-            cost = memcpy_ns(h.op_length)
-            yield from cpu.run(cost, "protocol.recv")
             self._submit_read_response(frame)
             return
-        if h.payload_length > 0:
-            # Copy-to-user cost is a function of length alone; it is charged
-            # whether or not real bytes ride in the frame (synthetic mode).
-            cost = memcpy_ns(h.payload_length)
-            if cost > 0:
-                sim = self.sim
-                res = cpu.resource
-                if res.in_use < res.capacity and not res._waiters:
-                    now = sim.now
-                    res.busy_time += res.in_use * (now - res._busy_since)
-                    res._busy_since = now
-                    res.in_use += 1
-                else:
-                    yield res
-                yield cost
-                if res._waiters:
-                    res.release()
-                else:
-                    now = sim.now
-                    res.busy_time += res.in_use * (now - res._busy_since)
-                    res._busy_since = now
-                    res.in_use -= 1
-                cpu.accounting.charge("protocol.recv", cost)
-            payload = frame.payload
-            if payload is not None:
-                if h.flags & OpFlags.SCATTER:
-                    for addr, data in decode_scatter_records(payload):
-                        self.node.memory.write(addr, data)
-                else:
-                    self.node.memory.write(h.remote_address, payload)
+        payload = frame.payload
+        if payload is not None and h.payload_length > 0:
+            if h.flags & OpFlags.SCATTER:
+                for addr, data in decode_scatter_records(payload):
+                    self.node.memory.write(addr, data)
+            else:
+                self.node.memory.write(h.remote_address, payload)
         if h.frame_type == FrameType.READ_RESP:
             op = self._pending_reads.get(h.op_id)
             if op is not None:
@@ -806,12 +768,12 @@ class Connection:
         rail = frame.control
         if not isinstance(rail, int) or not 0 <= rail < len(self.nics):
             return
-        yield from cpu.run(PER_FRAME_SEND_NS, "protocol.send")
+        yield cpu.hold(PER_FRAME_SEND_NS, "protocol.send")
         gray_extra = self.node.gray_pump_extra_ns
         if gray_extra:
             # A slow node answers probes slowly too — that is exactly the
             # RTT inflation the differential gray scorer keys on.
-            yield from cpu.run(gray_extra, "gray.slow-node")
+            yield cpu.hold(gray_extra, "gray.slow-node")
         nic = self.nics[rail]
         probe_ack = make_probe_ack_frame(
             nic.mac, self.peer_macs[rail], self.conn_id, frame
@@ -1140,8 +1102,7 @@ class Connection:
 
     def _timer_work(self, action) -> Generator[Any, Any, None]:
         """Run a small control-frame action on the protocol CPU."""
-        cpu = self.node.protocol_cpu
-        yield from cpu.run(PER_FRAME_SEND_NS, "protocol.send")
+        yield self.node.protocol_cpu.hold(PER_FRAME_SEND_NS, "protocol.send")
         action()
 
     def _timer_pump(self) -> Generator[Any, Any, None]:

@@ -125,7 +125,7 @@ class MultiEdgeProtocol:
         if not self.listening:
             self.handshake_frames_dropped += 1
             return
-        yield from cpu.run(PER_FRAME_RECV_NS, "protocol.recv")
+        yield cpu.hold(PER_FRAME_RECV_NS, "protocol.recv")
         if h.frame_type == FrameType.SYN:
             self._accept(h)
         elif h.frame_type == FrameType.SYN_ACK:
@@ -195,7 +195,7 @@ class MultiEdgeProtocol:
     def handle_tx_completions(
         self, nic: Nic, count: int, cpu
     ) -> Generator[Any, Any, None]:
-        yield from cpu.run(TX_COMPLETE_NS, "protocol.send")
+        yield cpu.hold(TX_COMPLETE_NS, "protocol.send")
         # Freed descriptors may unblock stalled connections.  Only one with
         # something queued can have send work.  They are visited in creation
         # order, which is the order of self.connections, and the next one is

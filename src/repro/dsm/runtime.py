@@ -404,14 +404,14 @@ class DsmNode:
                 )
             msg = Message.decode(memory.read(note.address, MSG_SLOT_BYTES))
             self.stats.messages_received += 1
-            yield from cpu.run(MSG_HANDLE_NS, "dsm")
+            yield cpu.hold(MSG_HANDLE_NS, "dsm")
             notices = []
             if msg.b:
                 blob = memory.read(
                     self._staging[peer] + slot * NOTICE_SEG_BYTES, msg.b * 8
                 )
                 notices = decode_notices(blob, msg.b)
-                yield from cpu.run(NOTICE_APPLY_NS * msg.b, "dsm")
+                yield cpu.hold(NOTICE_APPLY_NS * msg.b, "dsm")
             if ring.credit_due():
                 yield from ring.return_credit()
             self._dispatch(peer, msg, notices)
@@ -533,9 +533,8 @@ class DsmNode:
                 if pt.state[page] == PageState.DIRTY:
                     continue
                 if not pt.is_home(page):
-                    twin_cost = memcpy_ns(PAGE_SIZE)
                     t1 = self.sim.now
-                    yield from cpu.run(twin_cost, "dsm")
+                    yield cpu.hold(memcpy_ns(PAGE_SIZE), "dsm")
                     self.stats.dsm_overhead_ns += self.sim.now - t1
                     pt.twins[page] = memory.view(
                         region.page_addr(self.rank, page), PAGE_SIZE
@@ -595,7 +594,7 @@ class DsmNode:
     def compute(self, duration_ns: int) -> Generator:
         """Charge modelled application computation time."""
         if duration_ns > 0:
-            yield from self.stack.node.app_cpu.run(int(duration_ns), "app.compute")
+            yield self.stack.node.app_cpu.hold(int(duration_ns), "app.compute")
             self.stats.compute_ns += int(duration_ns)
 
     # ------------------------------------------------------------------
@@ -628,7 +627,7 @@ class DsmNode:
                     region.page_addr(self.rank, page), PAGE_SIZE
                 )
                 t1 = self.sim.now
-                yield from cpu.run(memcpy_ns(PAGE_SIZE), "dsm")
+                yield cpu.hold(memcpy_ns(PAGE_SIZE), "dsm")
                 self.stats.dsm_overhead_ns += self.sim.now - t1
                 runs = _diff_runs(twin, current)
                 pt.state[page] = PageState.VALID

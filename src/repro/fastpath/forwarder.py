@@ -354,34 +354,28 @@ class FlowForwarder:
         m = self.model
         conn, peer = self.conn, self.peer
         # Sender: pump work plus the ack receive chain.
-        send_ns = rec.n_frames * PER_FRAME_SEND_NS
-        sacct = conn.node.accounting
-        sacct.charge("protocol.send", send_ns)
-        stotal = send_ns
+        sender = [("protocol.send", rec.n_frames * PER_FRAME_SEND_NS)]
         if acks:
-            sacct.charge("protocol.recv", acks * PER_FRAME_RECV_NS)
-            sacct.charge("interrupt", acks * INTERRUPT_NS)
-            sacct.charge("protocol.wakeup", acks * KTHREAD_WAKEUP_NS)
-            stotal += acks * (PER_FRAME_RECV_NS + INTERRUPT_NS + KTHREAD_WAKEUP_NS)
+            sender += [
+                ("protocol.recv", acks * PER_FRAME_RECV_NS),
+                ("interrupt", acks * INTERRUPT_NS),
+                ("protocol.wakeup", acks * KTHREAD_WAKEUP_NS),
+            ]
         n_tx_irqs = 0
         if m.unmaskable_tx_irq:
             n_tx_irqs = rec.n_frames // m.tx_completion_batch
             if n_tx_irqs:
-                sacct.charge("interrupt", n_tx_irqs * INTERRUPT_NS)
-                stotal += n_tx_irqs * INTERRUPT_NS
-        conn.node.protocol_cpu.resource.busy_time += stotal
+                sender.append(("interrupt", n_tx_irqs * INTERRUPT_NS))
+        conn.node.protocol_cpu.bill(sender)
         skern = conn.node.kernel
         skern.irqs_handled += acks + n_tx_irqs
         skern.kthread_wakeups += acks
         # Receiver: per-frame processing, copies, IRQ batches.
-        recv_ns = rec.n_frames * PER_FRAME_RECV_NS + rec.memcpy_total
-        irq_ns = rec.n_irqs * INTERRUPT_NS
-        wake_ns = rec.n_irqs * KTHREAD_WAKEUP_NS
-        racct = peer.node.accounting
-        racct.charge("protocol.recv", recv_ns)
-        racct.charge("interrupt", irq_ns)
-        racct.charge("protocol.wakeup", wake_ns)
-        peer.node.protocol_cpu.resource.busy_time += recv_ns + irq_ns + wake_ns
+        peer.node.protocol_cpu.bill([
+            ("protocol.recv", rec.n_frames * PER_FRAME_RECV_NS + rec.memcpy_total),
+            ("interrupt", rec.n_irqs * INTERRUPT_NS),
+            ("protocol.wakeup", rec.n_irqs * KTHREAD_WAKEUP_NS),
+        ])
         rkern = peer.node.kernel
         rkern.irqs_handled += rec.n_irqs
         rkern.kthread_wakeups += rec.n_irqs

@@ -1,8 +1,8 @@
 """CPU model with tagged time accounting.
 
 A :class:`Cpu` is a capacity-1 FIFO resource.  Code runs on it by yielding
-from :meth:`run`, which queues for the CPU, holds it for the given duration,
-and charges the time to a *tag* ("app", "protocol.send", "protocol.recv",
+``cpu.hold(ns, tag)``, which queues for the CPU, holds it for ``ns`` and
+charges the time to a *tag* ("app", "protocol.send", "protocol.recv",
 "interrupt", "dsm", ...).  The tag breakdown is how the reproduction gets the
 paper's CPU-utilization figures (2c) and protocol-time fractions (3c, 5c)
 without separate instrumentation.
@@ -11,7 +11,7 @@ without separate instrumentation.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Any, Generator
+from functools import partial
 
 from ..sim import Resource, Simulator
 
@@ -82,38 +82,22 @@ class Cpu:
         self.accounting = accounting
         self.name = name or f"cpu{index}"
         self.resource = Resource(sim, capacity=1)
+        #: ``cpu.hold(ns, tag, then=None)``: occupy this core for ``ns``,
+        #: then charge ``tag`` (:meth:`~repro.sim.resources.Resource.hold`:
+        #: a process yields it, plain code passes ``then``).  A partial, not
+        #: a method: every CPU cost builds one, and this saves a call each.
+        self.hold = partial(self.resource.hold, accounting)
 
-    def run(self, duration: int, tag: str) -> Generator[Any, Any, None]:
-        """Queue for this CPU, occupy it for ``duration`` ns, charge ``tag``.
-
-        Use as ``yield from cpu.run(1000, "protocol.recv")`` inside a
-        simulation process.  Zero-duration runs return immediately without
-        touching the resource.  When the core is idle the grant is taken
-        synchronously, skipping the fast-lane hop; when it is busy the
-        process parks in the resource's waiter queue (no ``Event``).
-        """
-        if duration <= 0:
-            return
-        duration = int(duration)
-        res = self.resource
-        if res.in_use < res.capacity and not res._waiters:
-            # Uncontended: claim the core in place (same state transition
-            # try_acquire() would make at this timestamp, minus the hop).
-            now = self.sim.now
-            res.busy_time += res.in_use * (now - res._busy_since)
-            res._busy_since = now
-            res.in_use += 1
-        else:
-            yield res
-        yield duration
-        if res._waiters:
-            res.release()
-        else:
-            now = self.sim.now
-            res.busy_time += res.in_use * (now - res._busy_since)
-            res._busy_since = now
-            res.in_use -= 1
-        self.accounting.charge(tag, duration)
+    def bill(self, charges: list[tuple[str, int]]) -> None:
+        """Charge time this core spent outside any hold, tag by tag, and
+        count exactly those nanoseconds as busy time (the fast path's
+        synthesized work)."""
+        charge = self.accounting.charge
+        total = 0
+        for tag, ns in charges:
+            charge(tag, ns)
+            total += ns
+        self.resource.add_busy(total)
 
     def utilization(self, elapsed: int | None = None) -> float:
         """Busy fraction of this core (0..1)."""

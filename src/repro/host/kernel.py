@@ -82,9 +82,10 @@ class Kernel:
 
     # -- interrupt path ----------------------------------------------------
 
-    # The low-level handler is three plain callbacks, not a process per
-    # interrupt: enter (one zero-delay hop after the NIC raised it), hold
-    # (granted the protocol CPU after queueing for it), exit.
+    # The low-level handler is plain callbacks, not a process per interrupt:
+    # one zero-delay hop after the NIC raised it, a callback hold on the
+    # protocol CPU (queued behind the kthread when it has the CPU) that
+    # opens the work gate when it is over.
 
     def _on_irq(self, nic: Nic) -> None:
         # Hardware masking is immediate; the handler cost is charged async.
@@ -93,21 +94,7 @@ class Kernel:
         self.sim.schedule(0, self._irq_enter)
 
     def _irq_enter(self) -> None:
-        res = self.protocol_cpu.resource
-        if res.try_acquire():
-            self._irq_hold(res)
-        else:
-            # The kthread holds the CPU: queue behind it like any waiter.
-            res.park(self._irq_hold)
-
-    def _irq_hold(self, _granted: Any) -> None:
-        self.sim.schedule(INTERRUPT_NS, self._irq_exit, INTERRUPT_NS)
-
-    def _irq_exit(self, held: int) -> None:
-        cpu = self.protocol_cpu
-        cpu.resource.release()
-        cpu.accounting.charge("interrupt", held)
-        self._work.open()
+        self.protocol_cpu.hold(INTERRUPT_NS, "interrupt", self._work.open)
 
     # -- protocol kernel thread ---------------------------------------------
 
@@ -120,7 +107,7 @@ class Kernel:
             work.close()
             self.kthread_active = True
             self.kthread_wakeups += 1
-            yield from cpu.run(KTHREAD_WAKEUP_NS, "protocol.wakeup")
+            yield cpu.hold(KTHREAD_WAKEUP_NS, "protocol.wakeup")
             nics = self.nics
             client = self.client
             while True:

@@ -50,6 +50,10 @@ class Node:
             Cpu(sim, i, self.accounting, name=f"{self.name}.cpu{i}")
             for i in range(CPUS)
         ]
+        #: The CPU the application thread runs on, and the one dedicated to
+        #: protocol processing.
+        self.app_cpu = self.cpus[0]
+        self.protocol_cpu = self.cpus[-1]
         self.memory = VirtualMemory()
 
         nic_param_list = list(nic_params or [NicParams()])
@@ -82,16 +86,6 @@ class Node:
     def impairment(self) -> Optional[str]:
         """What keeps this node from full speed now (see ``Link.impairment``)."""
         return "node-slowed" if self.gray_slow_factor != 1.0 else None
-
-    @property
-    def app_cpu(self) -> Cpu:
-        """The CPU the application thread runs on."""
-        return self.cpus[0]
-
-    @property
-    def protocol_cpu(self) -> Cpu:
-        """The CPU dedicated to protocol processing."""
-        return self.cpus[-1]
 
     # -- accounting helpers ----------------------------------------------
 

@@ -13,7 +13,7 @@ from .core import (
     all_of,
     any_of,
 )
-from .resources import Gate, Resource, Store
+from .resources import Gate, Hold, Resource, Store
 from .rng import RngRegistry
 from .trace import TraceRecord, Tracer, export_chrome_trace
 
@@ -24,6 +24,7 @@ __all__ = [
     "Timer",
     "SimulationError",
     "Resource",
+    "Hold",
     "Store",
     "Gate",
     "RngRegistry",

@@ -268,7 +268,9 @@ class Process:
       becomes the result of the ``yield`` expression,
     * a :class:`~repro.sim.resources.Resource`, ``Gate`` or ``Store`` — park
       in its waiter queue until granted a unit / the gate is open / an item
-      arrives (the item becomes the result of the ``yield`` expression).
+      arrives (the item becomes the result of the ``yield`` expression),
+    * a :class:`~repro.sim.resources.Hold` — occupy a resource unit for the
+      hold's duration and charge it (a zero hold continues in place).
 
     When the generator returns, the process's :attr:`done` event triggers
     with the generator's return value.
@@ -306,9 +308,11 @@ class Process:
             raise SimulationError(f"process {self.name!r} has not finished")
         return self.done.value
 
-    def _resume(self, value: Any) -> None:
+    def _resume(self, value: Any = None) -> None:
         try:
             target = self._send(value)
+            while target.__class__ is Hold and not target.ns:
+                target = self._send(None)  # a zero hold: continue in place
         except StopIteration as stop:
             self._finished = True
             self.done.trigger(stop.value)
@@ -320,7 +324,9 @@ class Process:
         # Inline dispatch, most frequent target types first.  Exact type
         # checks keep the common cases off the isinstance slow path.
         cls = target.__class__
-        if cls is int:
+        if cls is Hold:
+            target.then = self._resume_cb  # started when built
+        elif cls is int:
             sim = self._sim
             if target > 0:
                 sim._seq += 1
@@ -740,3 +746,7 @@ def any_of(sim: Simulator, events: Iterable[Event]) -> Event:
     for i, ev in enumerate(events):
         ev.add_callback(make_callback(i))
     return combined
+
+
+# Hold is built on Resource, which is built on this module: import it last.
+from .resources import Hold  # noqa: E402

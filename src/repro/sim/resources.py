@@ -1,30 +1,33 @@
 """Shared-resource primitives built on the event core.
 
-Three primitives cover everything the MultiEdge stack needs:
+Four primitives cover everything the MultiEdge stack needs:
 
 * :class:`Resource` — a counted resource with FIFO queuing; CPUs are modelled
   as capacity-1 resources, and busy-time accounting lives here so that CPU
   utilization figures (paper Figure 2c, 3c) fall out for free.
+* :class:`Hold` — one unit of a Resource occupied for a duration and charged
+  (:meth:`Resource.hold`): every CPU cost in the stack is one.
 * :class:`Store` — an unbounded (or bounded) FIFO of items with blocking
   ``get``; NIC rings and kernel work queues are Stores.
 * :class:`Gate` — a level-triggered "work available" signal.
 
-Each has one FIFO queue of waiters, and a waiter is a callback taking the
-granted value.  A process waits by yielding the primitive itself (``yield
-cpu_resource``), which *parks* its resume callback there; plain code parks
-any callback with ``park(callback)``.  No ``Event`` is built, and the grant —
-immediate or later — reaches the waiter through one fast-lane hop, in strict
-request order.
+Resource, Store and Gate each have one FIFO queue of waiters, and a waiter is
+a callback taking the granted value.  A process waits by yielding the
+primitive itself (``yield cpu_resource``), which *parks* its resume callback
+there; plain code parks any callback with ``park(callback)``.  No ``Event``
+is built, and the grant — immediate or later — reaches the waiter through one
+fast-lane hop, in strict request order.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappush
 from typing import Any, Callable, Deque, Optional
 
 from .core import SimulationError, Simulator
 
-__all__ = ["Resource", "Store", "Gate"]
+__all__ = ["Resource", "Hold", "Store", "Gate"]
 
 Waiter = Callable[[Any], None]
 
@@ -45,7 +48,8 @@ class Resource:
         cpu.release()
 
     Units are granted strictly in request order; :meth:`try_acquire` claims
-    a free one without waiting.
+    a free one without waiting, and :meth:`hold` occupies one for a span
+    and charges it, releasing it by itself.
     """
 
     __slots__ = ("_sim", "capacity", "in_use", "_waiters", "busy_time", "_busy_since")
@@ -65,6 +69,54 @@ class Resource:
         now = self._sim.now
         self.busy_time += self.in_use * (now - self._busy_since)
         self._busy_since = now
+
+    def add_busy(self, ns: int) -> None:
+        """Count ``ns`` unit-nanoseconds of busy time spent outside any
+        hold (work a flow-level model accounts instead of simulating)."""
+        self.busy_time += ns
+
+    def hold(
+        self,
+        accounting: Any,
+        ns: int,
+        tag: str,
+        then: Optional[Callable[[], None]] = None,
+    ) -> Hold:
+        """Start a :class:`Hold` of one unit for ``ns``, charged to ``tag``.
+
+        It claims a free unit in place, or else queues FIFO behind the
+        holder and is granted through the usual one fast-lane hop; its end
+        is scheduled at ``now + ns``, drawing ``sim._seq`` there.  A zero
+        hold touches nothing: ``then()`` runs now, a process goes on.
+        """
+        if ns.__class__ is not int and not isinstance(ns, int):
+            raise TypeError(f"hold duration must be an int, got {type(ns).__name__}")
+        if ns < 0:
+            raise ValueError(f"hold duration must be >= 0, got {ns}")
+        # Filled here rather than by an __init__: a class with a Python
+        # __init__ costs more to build, and every CPU cost builds one.
+        h = Hold()
+        h.resource = self
+        h.accounting = accounting
+        h.ns = ns
+        h.tag = tag
+        h.then = then  # a process that yields the hold sets it
+        if not ns:
+            if then is not None:
+                then()
+        elif self.in_use < self.capacity and not self._waiters:
+            # Free: try_acquire and Hold._granted, inlined.
+            sim = self._sim
+            now = sim.now
+            self.busy_time += self.in_use * (now - self._busy_since)
+            self._busy_since = now
+            self.in_use += 1
+            sim._seq += 1
+            sim.heap_pushes += 1
+            heappush(sim._queue, [now + ns, sim._seq, h._end, ()])
+        else:
+            self._waiters.append(h._granted)
+        return h
 
     def try_acquire(self) -> bool:
         """Claim a unit in place if one is free and nobody queues for it."""
@@ -112,6 +164,33 @@ class Resource:
     @property
     def queue_length(self) -> int:
         return len(self._waiters)
+
+
+class Hold:
+    """A unit of a resource held for ``ns`` (see :meth:`Resource.hold`).
+
+    Its end releases the unit to the oldest waiter, calls
+    ``accounting.charge(tag, ns)``, then ``then()``: the resume of the
+    process that yielded the hold, or the callback plain code passed.
+    """
+
+    __slots__ = ("resource", "accounting", "ns", "tag", "then")
+
+    def _granted(self, _unit: Any) -> None:
+        self.resource._sim.schedule(self.ns, self._end)
+
+    def _end(self) -> None:
+        # Resource.release, inlined.
+        res = self.resource
+        if res._waiters:
+            _grant(res._sim, res._waiters.popleft(), res)
+        else:
+            now = res._sim.now
+            res.busy_time += res.in_use * (now - res._busy_since)
+            res._busy_since = now
+            res.in_use -= 1
+        self.accounting.charge(self.tag, self.ns)
+        self.then()
 
 
 class Store:
@@ -177,30 +256,27 @@ class Gate:
     handlers and the protocol kernel thread.
     """
 
-    __slots__ = ("_sim", "_open", "_waiters")
+    __slots__ = ("_sim", "is_open", "_waiters")
 
     def __init__(self, sim: Simulator, open: bool = False) -> None:
         self._sim = sim
-        self._open = open
+        #: Read it freely; only open() and close() may change it.
+        self.is_open = open
         self._waiters: Deque[Waiter] = deque()
-
-    @property
-    def is_open(self) -> bool:
-        return self._open
 
     def open(self) -> None:
         """Open the gate, releasing all current waiters."""
-        self._open = True
+        self.is_open = True
         while self._waiters:
             _grant(self._sim, self._waiters.popleft(), None)
 
     def close(self) -> None:
         """Close the gate; subsequent waits block until reopened."""
-        self._open = False
+        self.is_open = False
 
     def park(self, resume: Callable[[Any], None]) -> None:
         """Call ``resume(None)`` as soon as the gate is open (``yield gate``)."""
-        if self._open:
+        if self.is_open:
             _grant(self._sim, resume, None)
         else:
             self._waiters.append(resume)

@@ -41,7 +41,7 @@ def _watch(conns, log, during=None):
             log.append(("pumped", k))
             if k in during:
                 during[k]()
-            yield from cpu.run(HOLD_NS, tag)
+            yield cpu.hold(HOLD_NS, tag)
 
         conn.has_send_work = has_send_work
         conn.pump = pump

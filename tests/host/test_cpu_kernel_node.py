@@ -1,5 +1,7 @@
 """Unit tests for CPU accounting, kernel dispatch, and node assembly."""
 
+import pytest
+
 from repro.ethernet import Frame, LinkParams, MultiEdgeHeader, connect_back_to_back
 from repro.host import Cpu, CpuAccounting, Node
 from repro.host.params import MEMCPY_BASE_NS, MEMCPY_NS_PER_KB, memcpy_ns
@@ -12,8 +14,8 @@ def test_cpu_run_charges_tag():
     cpu = Cpu(sim, 0, acc)
 
     def body():
-        yield from cpu.run(1000, "app")
-        yield from cpu.run(500, "protocol.recv")
+        yield cpu.hold(1000, "app")
+        yield cpu.hold(500, "protocol.recv")
 
     proc = sim.process(body())
     sim.run_until_done(proc)
@@ -29,11 +31,37 @@ def test_cpu_run_zero_duration_is_noop():
     cpu = Cpu(sim, 0, acc)
 
     def body():
-        yield from cpu.run(0, "app")
+        yield cpu.hold(0, "app")
         yield 10
 
     sim.run_until_done(sim.process(body()))
     assert acc.total() == 0
+    # Nothing scheduled for it: the start hop and the 10 ns sleep only.
+    assert (sim.now, sim.fastlane_hits, sim.heap_pushes) == (10, 1, 1)
+    assert cpu.resource.busy_time == 0
+
+
+def test_cpu_hold_rejects_a_negative_duration():
+    cpu = Cpu(Simulator(), 0, CpuAccounting())
+    with pytest.raises(ValueError, match=">= 0"):
+        cpu.hold(-1, "app")
+    assert cpu.resource.in_use == 0 and cpu.accounting.total() == 0
+
+
+def test_cpu_hold_rejects_a_duration_that_is_not_an_int():
+    cpu = Cpu(Simulator(), 0, CpuAccounting())
+    with pytest.raises(TypeError, match="float"):
+        cpu.hold(1.5, "app")
+    assert cpu.resource.in_use == 0 and cpu.accounting.total() == 0
+
+
+def test_cpu_bill_charges_each_tag_and_the_same_busy_time():
+    sim = Simulator()
+    acc = CpuAccounting()
+    cpu = Cpu(sim, 0, acc)
+    cpu.bill([("protocol.send", 300), ("interrupt", 200), ("interrupt", 50)])
+    assert dict(acc.by_tag) == {"protocol.send": 300, "interrupt": 250}
+    assert cpu.resource.busy_time == 550 and cpu.resource.in_use == 0
 
 
 def test_cpu_serializes_two_processes():
@@ -43,7 +71,7 @@ def test_cpu_serializes_two_processes():
     ends = []
 
     def body(tag):
-        yield from cpu.run(100, tag)
+        yield cpu.hold(100, tag)
         ends.append(sim.now)
 
     sim.process(body("a"))
@@ -86,11 +114,11 @@ class RecordingClient:
         self.cost = cost
 
     def handle_frame(self, frame, cpu):
-        yield from cpu.run(self.cost, "protocol.recv")
+        yield cpu.hold(self.cost, "protocol.recv")
         self.frames.append(frame)
 
     def handle_tx_completions(self, nic, count, cpu):
-        yield from cpu.run(self.cost, "protocol.send")
+        yield cpu.hold(self.cost, "protocol.send")
         self.completions.append(count)
 
 
@@ -196,7 +224,7 @@ def test_interrupts_reenabled_after_drain():
 # -- interrupt handler as callbacks -------------------------------------------
 #
 # The numbers below were recorded at the parent commit (b9af88d), where every
-# interrupt spawned a Process running ``cpu.run(INTERRUPT_NS, "interrupt")``.
+# interrupt spawned a Process that held the protocol CPU for INTERRUPT_NS.
 
 
 def test_irq_while_kthread_holds_cpu_is_charged_at_the_parents_instants():

@@ -41,12 +41,12 @@ class SlowClient:
         self.batches = []
 
     def handle_frame(self, frame, cpu):
-        yield from cpu.run(self.cost, "protocol.recv")
+        yield cpu.hold(self.cost, "protocol.recv")
         self.frames.append(frame)
 
     def handle_tx_completions(self, nic, count, cpu):
         self.batches.append(count)
-        yield from cpu.run(100, "protocol.send")
+        yield cpu.hold(100, "protocol.send")
 
 
 class TestKernelBatching:

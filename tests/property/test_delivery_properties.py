@@ -104,9 +104,9 @@ def test_in_order_mode_applies_sequentially(sizes):
     applied_seqs = []
     original = b.conn._apply_frame
 
-    def spy(frame, cpu):
+    def spy(frame):
         applied_seqs.append(frame.header.seq)
-        return original(frame, cpu)
+        return original(frame)
 
     b.conn._apply_frame = spy
     srcs = []

@@ -12,11 +12,15 @@ The expected values below were recorded at b9af88d, where the only way to
 wait was the ``Event`` that ``acquire()`` / ``wait()`` / ``get()`` returned
 (removed in PR 18, with the rows that mixed ``Event`` and parked waiters):
 matching them is the witness that parking changed no schedule.
+
+A :class:`Hold` (claim, keep, release, charge in one object) waits in the
+same queue: jobs that hold the unit with one are released at the same
+recorded instants.
 """
 
 import pytest
 
-from repro.sim import Gate, Resource, Simulator, Store
+from repro.sim import Gate, Hold, Resource, Simulator, Store
 
 KINDS = {
     "all-parked": ["yield"] * 6,
@@ -40,6 +44,8 @@ def _start(kind, sim, body):
             return
         if isinstance(target, int):
             sim.schedule(target, step)
+        elif isinstance(target, Hold):
+            target.then = step  # what a process does with a yielded hold
         else:
             target.park(step)
 
@@ -93,37 +99,106 @@ RESOURCE_AT_PARENT = (
 )
 
 
+class _Ledger:
+    """What a hold charges: (instant, tag, ns) per charge."""
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.charges = []
+
+    def charge(self, tag, ns):
+        self.charges.append((self.sim.now, tag, ns))
+
+
 def _resource_scenario(kinds):
     sim = Simulator()
     res = Resource(sim)
+    ledger = _Ledger(sim)
     log = []
 
     def note(what):
         log.append((sim.now, what))
 
-    def job(i, start, hold):
+    def job(i, start, hold, held):
         yield start
         # Work queued in this instant before and after the wait: the grant
         # must land between them exactly as a triggered Event's did.
         note(f"same-instant-before:{i}")
         sim.schedule(0, note, f"same-instant-after:{i}")
-        yield res
-        note(f"granted:{i}")
-        yield hold
-        res.release()
+        if held:
+            # One hold: claim (or queue), keep, release, charge.
+            yield res.hold(ledger, hold, f"job{i}")
+        else:
+            yield res
+            note(f"granted:{i}")
+            yield hold
+            res.release()
         note(f"released:{i}")
 
     for i, (start, hold) in enumerate(_RESOURCE_JOBS):
-        _start(kinds[i], sim, job(i, start, hold))
+        kind, _, held = kinds[i].partition("+")
+        _start(kind, sim, job(i, start, hold, held == "hold"))
     sim.run()
     assert res.in_use == 0 and res.queue_length == 0
     assert res.busy_time == sum(hold for _, hold in _RESOURCE_JOBS)
+    # Each hold charges its own duration when it releases the unit.
+    released = [(t, int(what[9:])) for t, what in log if what.startswith("released:")]
+    assert ledger.charges == [
+        (t, f"job{i}", _RESOURCE_JOBS[i][1]) for t, i in released if kinds[i].endswith("+hold")
+    ]
     return _summary(sim, log)
 
 
 @pytest.mark.parametrize("kinds", KINDS.values(), ids=KINDS.keys())
 def test_resource_waiters_are_granted_fifo_at_the_parents_instants(kinds):
     assert _resource_scenario(kinds) == RESOURCE_AT_PARENT
+
+
+# A job that holds the unit with one Hold — yielded by a process, or driven
+# as plain callbacks — queues in the same FIFO as the jobs that yield the
+# resource, and is released at the parent's instants.  It logs no "granted"
+# (nothing runs at its grant), and an uncontended hold claims the unit in
+# place, so it makes fewer hops than `yield res`.
+HELD_KINDS = {
+    "all-held": ["yield+hold"] * 6,
+    "all-held-callback": ["callback+hold"] * 6,
+    "held-mixed": [
+        "yield+hold", "yield", "callback+hold", "callback", "yield", "yield+hold"
+    ],
+}
+
+
+@pytest.mark.parametrize("kinds", HELD_KINDS.values(), ids=HELD_KINDS.keys())
+def test_holds_are_released_at_the_parents_instants(kinds):
+    log, now, *_ = _resource_scenario(kinds)
+    held = {f"granted:{i}" for i, kind in enumerate(kinds) if kind.endswith("+hold")}
+    expected = [entry for entry in RESOURCE_AT_PARENT[0] if entry[1] not in held]
+    assert (log, now) == (expected, RESOURCE_AT_PARENT[1])
+
+
+def test_a_callback_hold_claims_in_place_or_queues_behind_the_holder():
+    sim = Simulator()
+    res = Resource(sim)
+    ledger = _Ledger(sim)
+    log = []
+
+    def done(what):
+        return lambda: log.append((sim.now, what, res.in_use))
+
+    # Uncontended: claimed in place at once, no hop, the end scheduled.
+    res.hold(ledger, 30, "a", done("a"))
+    assert (res.in_use, sim.fastlane_hits, sim.heap_pushes) == (1, 0, 1)
+    # Contended at 10: queued behind "a", handed the unit when "a" ends
+    # (one hop), ends 20 ns later.
+    sim.schedule(10, res.hold, ledger, 20, "b", done("b"))
+    sim.run()
+    assert log == [(30, "a", 1), (50, "b", 0)]
+    assert ledger.charges == [(30, "a", 30), (50, "b", 20)]
+    assert (res.busy_time, sim.fastlane_hits, sim.heap_pushes) == (50, 1, 3)
+    # A zero hold touches nothing and continues at once.
+    res.hold(ledger, 0, "z", done("z"))
+    assert log[-1] == (50, "z", 0) and len(ledger.charges) == 2
+    assert (sim.fastlane_hits, sim.heap_pushes) == (1, 3)
 
 
 def test_resource_try_acquire_claims_only_a_free_unqueued_unit():

@@ -20,10 +20,10 @@ halves:
   RNG streams — turns into a reproducible mismatch instead of a latent
   heisenbug, which is the point.
 
-Where a true same-process continuation is needed (warm-started sweeps,
-shrinker re-execution), :mod:`repro.checkpoint.fork` snapshots the whole
-interpreter with ``os.fork`` instead — generators and all — and the
-capture half is used to witness that forked and cold runs agree.
+A run is never continued any other way: to replay a failure with
+tracing on, ``restore(ck, trace=True)`` and then ``run.run_to(t)``; to
+reduce one, :func:`repro.verify.fuzz.shrink` rebuilds each candidate
+from its recipe.
 """
 
 from __future__ import annotations
@@ -108,7 +108,7 @@ def restore(ck: Checkpoint, verify: bool = True, **overrides):
     With ``verify=True`` the replayed state is re-captured and compared
     byte for byte; a divergence raises :class:`CheckpointMismatch` listing
     the offending paths.  ``overrides`` tweak the recipe (e.g.
-    ``trace=True`` for a rewind-to-violation debug replay — tracing is
+    ``trace=True`` for a traced replay of a failure — tracing is
     record-only but changes the capture, so it forces ``verify=False``).
     """
     if ck.format_version != FORMAT_VERSION:

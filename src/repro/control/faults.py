@@ -435,22 +435,14 @@ class TrunkDrain(_Exclusive, _TrunkFault):
 class FaultSchedule:
     """An ordered set of fault events, applied once to a cluster.
 
-    Every timer is installed through
-    :meth:`~repro.sim.core.Simulator.schedule_cancellable` and the handles
-    are kept per fault index, so a fault whose start time is still in the
-    future can be withdrawn with :meth:`cancel_pending` — this is how the
-    fuzz shrinker probes "same run minus fault *i*" from a mid-run
-    checkpoint instead of replaying from t=0.  Cancellation shifts the
-    simulator's event sequence counter by a constant, leaving the relative
-    order of all surviving events intact, so a run with a fault cancelled
-    before it fires is scheduling-identical to a run built without it.
+    :meth:`apply` validates the whole schedule, checks that every target
+    exists, and only then installs each fault's timers with
+    :meth:`~repro.sim.core.Simulator.schedule`.  A run with one fault
+    fewer is a run built from a schedule without it.
     """
 
     def __init__(self, events: Sequence[FaultEvent] = ()) -> None:
         self.events: list[FaultEvent] = list(events)
-        # Parallel to self.events once applied: the cancellable queue
-        # entries installed for each fault (a Flap installs several).
-        self._handles: list[list] = []
         self._sim = None  # the simulator applied to; None until then
 
     def add(self, event: FaultEvent) -> "FaultSchedule":
@@ -541,27 +533,6 @@ class FaultSchedule:
             except ValueError as exc:
                 raise ValueError(f"fault #{i} {ev!r}: {exc}") from None
         sim = self._sim = cluster.sim
-        self._handles = [
-            [sim.schedule_cancellable(*timer) for timer in ev.timers(cluster)]
-            for ev in self.events
-        ]
-
-    def cancel_pending(self, index: int) -> None:
-        """Withdraw fault ``index`` before any of its timers have fired.
-
-        Only valid while every timer of the fault is still in the future
-        (``at_ns > sim.now``) — cancelling an already-executed entry would
-        corrupt the queue's dead-entry accounting.  The shrinker guarantees
-        this by only routing candidates through a checkpoint taken before
-        the dropped fault's start time.
-        """
-        if self._sim is None:
-            raise RuntimeError("schedule not applied yet")
-        ev = self.events[index]
-        if ev.at_ns <= self._sim.now:
-            raise ValueError(
-                f"fault {index} starts at {ev.at_ns} <= now={self._sim.now}; "
-                "it may already have fired"
-            )
-        for entry in self._handles[index]:
-            self._sim.cancel_scheduled(entry)
+        for ev in self.events:
+            for timer in ev.timers(cluster):
+                sim.schedule(*timer)

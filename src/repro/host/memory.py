@@ -85,7 +85,7 @@ class VirtualMemory:
         size = self._ends[i] - self._starts[i]
         if size >= self._MAP_MIN:
             # ACCESS_COPY of no file: MAP_PRIVATE | MAP_ANONYMOUS, so a
-            # forked checkpoint keeps its own copy.
+            # process forked from this one writes to its own copy.
             pages = mmap.mmap(-1, size, access=mmap.ACCESS_COPY)
             buf = np.frombuffer(pages, dtype=np.uint8)
         else:

@@ -99,7 +99,7 @@ class InvariantViolation(AssertionError):
         self.detail = detail
         self.where = where
         # Stamped by InvariantMonitor._violation with the simulated time
-        # the check fired; rewind-to-violation seeks back to this instant.
+        # the check fired; a traced replay runs to this instant.
         self.time_ns = 0
         super().__init__(f"[{name}] {detail}" + (f" ({where})" if where else ""))
 
@@ -477,10 +477,6 @@ class InvariantMonitor:
         self.conn_monitors: dict[tuple[int, int], ConnectionMonitor] = {}
         self._mac_to_node: dict[int, int] = {}
         self.cluster: Optional["Cluster"] = None
-        # Called with each InvariantViolation as it is recorded (before any
-        # raise), so external machinery — e.g. a rewind-to-violation
-        # harness — can learn the stamped instant in either collect mode.
-        self.on_violation = None
 
     # -- attachment -------------------------------------------------------
 
@@ -740,7 +736,5 @@ class InvariantMonitor:
         if self.cluster is not None:
             v.time_ns = self.cluster.sim.now
         self.violations.append(v)
-        if self.on_violation is not None:
-            self.on_violation(v)
         if not self.collect:
             raise v

@@ -31,7 +31,6 @@ import pytest
 from conftest import record
 
 from repro.bench.incast import run_incast
-from repro.congestion import CongestionParams
 
 
 # Acceptance floors (ISSUE acceptance criteria).
@@ -155,10 +154,7 @@ def test_congestion_full():
     variants.append(_point(16, "aimd", ECN_THRESHOLD))
     for label, congestion in (("aimd", "aimd"), ("dctcp", "dctcp")):
         variants.append(
-            _point(
-                16, congestion, ECN_THRESHOLD,
-                congestion_params=CongestionParams(pacing=True),
-            )
+            _point(16, congestion, ECN_THRESHOLD, pacing=True)
         )
     report["incast_variants_16"] = variants
     for point in variants:

@@ -6,7 +6,7 @@ configurations, recorded to ``BENCH_failover.json`` at the repo root:
 
 * **detection latency** — simulated ns from cable kill to the sender's
   detector declaring the edge DOWN, vs the configured analytic bound
-  (:attr:`DetectorParams.detect_bound_ns`);
+  (``repro.control.detector.DETECT_BOUND_NS``);
 * **degraded goodput** — steady-state goodput on the surviving rail as a
   fraction of the two-rail baseline (floor: 45%);
 * **recovered goodput** — goodput after the rail is repaired and
@@ -32,14 +32,13 @@ import pytest
 from conftest import record
 
 from repro.bench.failover import run_failover
-from repro.control import DetectorParams
+from repro.control.detector import DETECT_BOUND_NS, PROBE_INTERVAL_NS
 
 
 MS = 1_000_000
 
 # Acceptance floors (ISSUE acceptance criteria).
 MIN_DEGRADED_FRACTION = 0.45
-DETECTOR = DetectorParams()
 
 
 def _point(config: str) -> dict:
@@ -48,7 +47,6 @@ def _point(config: str) -> dict:
         kill_ns=10 * MS,
         repair_ns=60 * MS,
         run_ns=100 * MS,
-        detector_params=DETECTOR,
     )
     assert result.data_intact, f"{config}: corrupted data after failover"
     assert result.detected_ns is not None, f"{config}: failure never detected"
@@ -56,7 +54,7 @@ def _point(config: str) -> dict:
         "config": config,
         "chunks_sent": result.chunks_sent,
         "detect_latency_ns": result.detect_latency_ns,
-        "detect_bound_ns": DETECTOR.detect_bound_ns,
+        "detect_bound_ns": DETECT_BOUND_NS,
         "baseline_goodput_mbps": round(result.baseline_goodput_bps / 1e6, 1),
         "degraded_goodput_mbps": round(result.degraded_goodput_bps / 1e6, 1),
         "degraded_fraction": round(result.degraded_fraction, 3),
@@ -91,12 +89,11 @@ def test_failover_full():
     # Probe overhead: healthy 2-rail run, no faults (kill scheduled after
     # the stream ends, so both rails stay up throughout).
     healthy = run_failover(
-        config="2Lu-1G", kill_ns=200 * MS, repair_ns=None, run_ns=50 * MS,
-        detector_params=DETECTOR,
+        config="2Lu-1G", kill_ns=200 * MS, repair_ns=None, run_ns=50 * MS
     )
     assert healthy.data_intact
     report["probe_overhead"] = {
-        "probe_interval_ns": DETECTOR.probe_interval_ns,
+        "probe_interval_ns": PROBE_INTERVAL_NS,
         "goodput_mbps": round(healthy.baseline_goodput_bps / 1e6, 1),
         "probe_frames": healthy.probe_frames,
         "wire_frames": healthy.wire_frames,

@@ -157,7 +157,7 @@ def test_gray_retry_amplification_smoke():
         server=ServerSpec(queue_cap=4, workers=2, service=("fixed", 100_000)),
         duration_ns=20 * _MS,
         seed=7,
-        tail=TailSpec(retry_budget=0.08, retry_burst=10),
+        tail=TailSpec(retry_budget=0.08),
     )
     res = run.finish()
     assert not res.violations, res.violations

@@ -26,7 +26,6 @@ from .bench import (
     run_micro,
 )
 from .control import (
-    DetectorParams,
     EdgeLifecycleManager,
     EdgeState,
     FaultSchedule,
@@ -62,7 +61,6 @@ __all__ = [
     "establish",
     "EdgeLifecycleManager",
     "EdgeState",
-    "DetectorParams",
     "FaultSchedule",
     "DsmRuntime",
     "DsmNode",

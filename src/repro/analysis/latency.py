@@ -16,9 +16,8 @@ reports through:
   per-node histograms can be combined in any order into one cluster-wide
   tail without shipping raw samples.
 * :class:`SloSpec` / :class:`SloReport` — declarative service-level
-  objectives (``p99 < X ms``, max shed fraction, max deadline-miss
-  fraction) evaluated against a histogram + counters into an attainment
-  report.
+  objectives (``p99 < X ms``, max shed fraction) evaluated against a
+  histogram + counters into an attainment report.
 
 Percentiles use the nearest-rank definition: ``percentile(99)`` is the
 smallest recorded bucket such that at least 99% of all recorded values
@@ -211,7 +210,6 @@ class SloSpec:
         self,
         hist: LatencyHistogram,
         shed_fraction: float = 0.0,
-        deadline_miss_fraction: float = 0.0,
     ) -> "SloReport":
         clauses: dict[str, bool] = {}
         for name, bound_ms, pct in (
@@ -231,7 +229,6 @@ class SloSpec:
             p99_ns=hist.p99,
             p999_ns=hist.p999,
             shed_fraction=shed_fraction,
-            deadline_miss_fraction=deadline_miss_fraction,
         )
 
 
@@ -246,7 +243,6 @@ class SloReport:
     p99_ns: int = 0
     p999_ns: int = 0
     shed_fraction: float = 0.0
-    deadline_miss_fraction: float = 0.0
 
     def to_dict(self) -> dict:
         return {
@@ -256,5 +252,4 @@ class SloReport:
             "p99_ms": round(self.p99_ns / 1e6, 4),
             "p999_ms": round(self.p999_ns / 1e6, 4),
             "shed_fraction": round(self.shed_fraction, 6),
-            "deadline_miss_fraction": round(self.deadline_miss_fraction, 6),
         }

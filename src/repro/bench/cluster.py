@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, Optional
 
-from ..control import DetectorParams, EdgeLifecycleManager
+from ..control import EdgeLifecycleManager
 from ..core import ConnectionHandle, ConnectionStats, MultiEdgeStack, ProtocolParams, establish
 from ..ethernet import LinkParams, NicParams, Switch, SwitchParams
 from ..ethernet.link import Cable
@@ -281,10 +281,7 @@ class Cluster:
             raise ValueError(f"no cable for node {node} rail {rail}") from None
 
     def enable_edge_control(
-        self,
-        i: int,
-        j: int,
-        detector_params: Optional[DetectorParams] = None,
+        self, i: int, j: int
     ) -> tuple[EdgeLifecycleManager, EdgeLifecycleManager]:
         """Run the edge lifecycle control plane on both ends of (i, j).
 
@@ -302,12 +299,7 @@ class Cluster:
             key = (node_id, peer)
             mgr = self.control_planes.get(key)
             if mgr is None:
-                mgr = EdgeLifecycleManager(
-                    self.sim,
-                    handle.conn,
-                    detector_params=detector_params,
-                    tracer=self.tracer,
-                )
+                mgr = EdgeLifecycleManager(self.sim, handle.conn, tracer=self.tracer)
                 self.control_planes[key] = mgr
                 if self.recovery is not None:
                     self.recovery.watch_manager(mgr)
@@ -416,15 +408,6 @@ class Cluster:
                 for op in ops + list(conn._pending_reads.values()):
                     if not op.completed:
                         raise SimulationError(f"op {op!r} incomplete after drain")
-
-    def set_ecn_threshold(self, frames: Optional[int]) -> None:
-        """Enable (or disable with None) ECN marking on every switch.
-
-        Must be called before traffic flows; marking starts immediately on
-        every output queue whose depth is at or above ``frames``.
-        """
-        for sw in self.switches:
-            sw.params.ecn_threshold_frames = frames
 
     def enable_frame_tracing(self) -> None:
         """Record every NIC TX/RX completion into :attr:`tracer`."""

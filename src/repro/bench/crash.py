@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..control import Crash, DetectorParams, FaultSchedule, Restart
+from ..control import Crash, FaultSchedule, Restart
 from ..recovery import reconnect_bound_ns
 from .cluster import make_cluster
 from .run import Run
@@ -98,14 +98,13 @@ class CrashRun(Run):
         restart_delay_ns: int = 5 * _MS,
         run_ns: int = 60 * _MS,
         seed: int = 0,
-        detector_params: Optional[DetectorParams] = None,
         use_monitor: bool = True,
     ) -> None:
         cluster = self.cluster = make_cluster(
             config, nodes=2, seed=seed, synthetic_payloads=True
         )
         cluster.connect(0, 1)
-        cluster.enable_edge_control(0, 1, detector_params=detector_params)
+        cluster.enable_edge_control(0, 1)
         self.recovery = cluster.enable_crash_recovery()
         if use_monitor:
             from ..verify.monitor import InvariantMonitor

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from ..control import (
-    DetectorParams,
     EdgeState,
     EdgeTransition,
     FaultSchedule,
@@ -83,7 +82,6 @@ def run_failover(
     run_ns: int = 100 * _MS,
     dead_rail: int = 0,
     seed: int = 0,
-    detector_params: Optional[DetectorParams] = None,
     striping: Optional[str] = None,
 ) -> FailoverResult:
     """Stream chunks from node 0 to node 1, killing ``dead_rail`` en route.
@@ -100,9 +98,7 @@ def run_failover(
         cfg = replace(cfg, protocol=replace(cfg.protocol, striping=striping))
     cluster = Cluster(cfg)
     a, b = cluster.connect(0, 1)
-    mgr_a, _mgr_b = cluster.enable_edge_control(
-        0, 1, detector_params=detector_params
-    )
+    mgr_a, _mgr_b = cluster.enable_edge_control(0, 1)
 
     events: list = [PermanentFailure(at_ns=kill_ns, node=0, rail=dead_rail)]
     if repair_ns is not None:

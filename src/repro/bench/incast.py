@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from ..congestion import CongestionParams
 from .cluster import Cluster, named_config
 from .run import Run
 
@@ -75,7 +74,8 @@ class IncastRun(Run):
     RDMA writes to its own buffer on the shared receiver; all senders run
     concurrently, so their frames converge on the receiver's switch
     output port.  ``congestion`` selects the controller for every
-    connection; ``ecn_threshold_frames`` arms ECN marking on the fabric.
+    connection and ``pacing`` paces its window; ``ecn_threshold_frames``
+    arms ECN marking on every switch of the fabric.
     ``verify_data=True`` uses real payloads and checks the receiver's
     memory afterwards (slower; benchmarks keep the default synthetic
     frames).  ``fabric`` optionally routes the incast across a
@@ -92,7 +92,7 @@ class IncastRun(Run):
         chunk_bytes: int = 64 * 1024,
         chunks_per_sender: int = 8,
         congestion: str = "static",
-        congestion_params: Optional[CongestionParams] = None,
+        pacing: bool = False,
         ecn_threshold_frames: Optional[int] = None,
         seed: int = 0,
         synthetic_payloads: bool = True,
@@ -109,12 +109,11 @@ class IncastRun(Run):
             config, nodes=senders + 1, seed=seed,
             synthetic_payloads=synthetic_payloads, fabric=fabric,
         )
-        protocol = replace(
-            cfg.protocol, congestion=congestion, congestion_params=congestion_params
+        protocol = replace(cfg.protocol, congestion=congestion, pacing=pacing)
+        switch = replace(cfg.switch, ecn_threshold_frames=ecn_threshold_frames)
+        cluster = self.cluster = Cluster(
+            replace(cfg, protocol=protocol, switch=switch)
         )
-        cluster = self.cluster = Cluster(replace(cfg, protocol=protocol))
-        if ecn_threshold_frames is not None:
-            cluster.set_ecn_threshold(ecn_threshold_frames)
 
         handles = {s: cluster.connect(s, receiver)[0] for s in range(senders)}
         rx_node = cluster.nodes[receiver]

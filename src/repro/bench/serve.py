@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
-from ..control import Crash, DetectorParams, FaultSchedule
+from ..control import Crash, FaultSchedule
 from ..serve import ArrivalSpec, ServeConfig, ServerSpec, TailSpec, enable_serving
 from ..serve.runtime import ServeRuntime
 from .cluster import Cluster, named_config
@@ -50,7 +50,6 @@ class ServeResult:
     failed: int
     replayed: int
     duplicate_responses: int
-    deadline_missed: int
     pending: int
     # Tail latency (merged across per-server histograms), ns.
     p50_ns: int
@@ -134,10 +133,12 @@ class ServeRun(Run):
         has_crash = any(isinstance(ev, Crash) for ev in faults)
         cfg = named_config(config, nodes=n_nodes, seed=seed, fabric=fabric)
         cluster = self.cluster = Cluster(
-            replace(cfg, protocol=replace(cfg.protocol, congestion=congestion))
+            replace(
+                cfg,
+                protocol=replace(cfg.protocol, congestion=congestion),
+                switch=replace(cfg.switch, ecn_threshold_frames=ecn_threshold_frames),
+            )
         )
-        if ecn_threshold_frames is not None:
-            cluster.set_ecn_threshold(ecn_threshold_frames)
 
         self.recovery = cluster.enable_crash_recovery() if has_crash else None
         if has_crash or gray_detection:
@@ -146,9 +147,7 @@ class ServeRun(Run):
             # (and the gray scorer has a population to compare).
             for c in clients:
                 for s in servers:
-                    cluster.enable_edge_control(
-                        c, s, detector_params=DetectorParams()
-                    )
+                    cluster.enable_edge_control(c, s)
         if gray_detection:
             cluster.enable_gray_detection()
 
@@ -223,7 +222,6 @@ class ServeRun(Run):
             failed=rt.failed,
             replayed=rt.replayed,
             duplicate_responses=rt.duplicate_responses,
-            deadline_missed=rt.deadline_missed,
             pending=pending,
             p50_ns=merged.p50,
             p99_ns=merged.p99,

@@ -4,9 +4,9 @@ See :mod:`repro.congestion.base` for the controller contract and
 docs/PROTOCOL.md ("Congestion management") for the protocol-level story.
 """
 
-from typing import Optional, Type
+from typing import Type
 
-from .base import CongestionController, CongestionParams, StaticWindow
+from .base import CongestionController, StaticWindow
 from .adaptive import AdaptiveController
 from .aimd import AimdController
 from .dctcp import DctcpController
@@ -15,7 +15,6 @@ from .pacing import TokenBucket
 __all__ = [
     "CONTROLLER_NAMES",
     "CongestionController",
-    "CongestionParams",
     "StaticWindow",
     "AdaptiveController",
     "AimdController",
@@ -34,7 +33,7 @@ CONTROLLER_NAMES = tuple(_CONTROLLERS)
 
 
 def make_congestion_controller(
-    name: str, window, params: Optional[CongestionParams] = None
+    name: str, window, pacing: bool = False
 ) -> CongestionController:
     """Factory by controller name (used by :class:`ProtocolParams`)."""
     try:
@@ -44,4 +43,4 @@ def make_congestion_controller(
             f"unknown congestion controller {name!r}; "
             f"choose from {sorted(_CONTROLLERS)}"
         ) from None
-    return cls(window, params)
+    return cls(window, pacing)

@@ -2,7 +2,7 @@
 
 Keeps the congestion window as a float (so sub-frame additive increase
 accumulates) and mirrors it into ``window.cwnd`` as an integer clamped to
-``[min_cwnd_frames, window.size]``.  Also maintains a smoothed RTT from
+``[MIN_CWND_FRAMES, window.size]``.  Also maintains a smoothed RTT from
 Karn-filtered ack samples, which feeds the optional pacing rate
 ``cwnd_bytes / srtt * headroom``.
 """
@@ -15,10 +15,11 @@ from .base import (
     ADDITIVE_INCREASE_FRAMES,
     FULL_FRAME_WIRE_BYTES,
     MD_FACTOR,
+    MIN_CWND_FRAMES,
     PACING_HEADROOM,
     RTT_GAIN,
+    RTT_INIT_NS,
     CongestionController,
-    CongestionParams,
 )
 
 
@@ -27,14 +28,11 @@ class AdaptiveController(CongestionController):
 
     active = True
 
-    def __init__(self, window, params: Optional[CongestionParams] = None) -> None:
-        super().__init__(window, params)
-        p = self.params
-        initial = p.initial_cwnd_frames
-        if initial is None:
-            initial = window.size
-        self._cwnd = float(min(max(initial, p.min_cwnd_frames), window.size))
-        self._srtt_ns = float(p.rtt_init_ns)
+    def __init__(self, window, pacing: bool = False) -> None:
+        super().__init__(window, pacing)
+        # The window opens fully, at the flow-control cap.
+        self._cwnd = float(window.size)
+        self._srtt_ns = float(RTT_INIT_NS)
         # Loss/timeout reactions are rate-limited to once per smoothed
         # RTT: every drop in one overfull-queue episode is the same
         # congestion event and must cut the window only once.
@@ -44,8 +42,7 @@ class AdaptiveController(CongestionController):
     # -- window bookkeeping ----------------------------------------------
 
     def _apply_cwnd(self) -> None:
-        p = self.params
-        lo = float(p.min_cwnd_frames)
+        lo = float(MIN_CWND_FRAMES)
         hi = float(self.window.size)
         if self._cwnd < lo:
             self._cwnd = lo
@@ -83,7 +80,7 @@ class AdaptiveController(CongestionController):
     # -- pacing -----------------------------------------------------------
 
     def pacing_rate_bps(self) -> Optional[float]:
-        if not self.params.pacing:
+        if not self.pacing:
             return None
         return (
             self._cwnd

@@ -4,7 +4,7 @@
   accumulated as ``ai * freed / cwnd`` on every cumulative ack.
 * Multiplicative decrease: ``cwnd *= MD_FACTOR`` (0.5) on a
   NACK-driven loss, at most once per smoothed RTT.
-* Coarse timeout: collapse to ``min_cwnd_frames`` — the retransmission
+* Coarse timeout: collapse to ``MIN_CWND_FRAMES`` — the retransmission
   timer only fires after NACK recovery has already failed, which signals
   the fabric is severely oversubscribed.
 
@@ -17,6 +17,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .adaptive import AdaptiveController
+from .base import MIN_CWND_FRAMES
 
 
 class AimdController(AdaptiveController):
@@ -44,6 +45,6 @@ class AimdController(AdaptiveController):
         if now - self._last_cut_ns < self._srtt_ns:
             return
         self._last_cut_ns = now
-        self._cwnd = float(self.params.min_cwnd_frames)
+        self._cwnd = float(MIN_CWND_FRAMES)
         self._apply_cwnd()
 

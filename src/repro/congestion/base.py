@@ -28,13 +28,11 @@ Three implementations ship:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from ..ethernet.frame import ETH_MTU, ETH_OVERHEAD_BYTES
 
 __all__ = [
-    "CongestionParams",
     "CongestionController",
     "StaticWindow",
 ]
@@ -50,32 +48,12 @@ RTT_GAIN = 0.125
 # Token-bucket pacing: rate headroom over cwnd/srtt, and burst allowance.
 PACING_HEADROOM = 1.25
 PACING_BURST_FRAMES = 8
-
-
-@dataclass
-class CongestionParams:
-    """Tunables shared by every controller (see docs/API.md for defaults)."""
-
-    # Floor for the congestion window; cwnd never drops below this.
-    min_cwnd_frames: int = 2
-    # Frames the cwnd opens at (None: start fully open at the flow window).
-    initial_cwnd_frames: Optional[int] = None
-    # DCTCP: gain of the marked-fraction EWMA (the paper's g = 1/16).
-    dctcp_g: float = 1.0 / 16.0
-    # Seed RTT before the first sample (pacing only).
-    rtt_init_ns: int = 200_000
-    # Token-bucket pacing (PACING_HEADROOM, PACING_BURST_FRAMES).
-    pacing: bool = False
-
-    def __post_init__(self) -> None:
-        if self.min_cwnd_frames < 1:
-            raise ValueError("min_cwnd_frames must be >= 1")
-        if not 0.0 < self.dctcp_g <= 1.0:
-            raise ValueError("dctcp_g must be in (0, 1]")
-        if self.initial_cwnd_frames is not None and self.initial_cwnd_frames < 1:
-            raise ValueError("initial_cwnd_frames must be >= 1 (or None)")
-        if self.rtt_init_ns < 1:
-            raise ValueError("rtt_init_ns must be >= 1")
+# Floor for the congestion window; cwnd never drops below this.
+MIN_CWND_FRAMES = 2
+# DCTCP: gain of the marked-fraction EWMA (the paper's g = 1/16).
+DCTCP_G = 1.0 / 16.0
+# Seed RTT before the first sample (pacing only).
+RTT_INIT_NS = 200_000
 
 
 class CongestionController:
@@ -94,9 +72,10 @@ class CongestionController:
     # attribute test at attach time, zero per-event cost).
     active = False
 
-    def __init__(self, window, params: Optional[CongestionParams] = None) -> None:
+    def __init__(self, window, pacing: bool = False) -> None:
         self.window = window
-        self.params = params or CongestionParams()
+        # Token-bucket pacing (PACING_HEADROOM, PACING_BURST_FRAMES).
+        self.pacing = pacing
 
     # -- observability ---------------------------------------------------
 

@@ -6,7 +6,7 @@ Per the DCTCP rule (Alizadeh et al., SIGCOMM 2010):
   delayed acks one echo covers the whole acked batch.
 * Once per congestion window of acknowledged frames the sender computes
   the marked fraction ``F`` and updates ``alpha += g * (F - alpha)``
-  with gain ``g = dctcp_g`` (default 1/16).
+  with gain ``g = DCTCP_G`` (1/16).
 * If any frame in that window was marked, ``cwnd *= (1 - alpha/2)`` —
   a gentle cut proportional to how congested the path really is,
   instead of Reno's blind halving.
@@ -23,14 +23,14 @@ from __future__ import annotations
 from typing import Optional
 
 from .adaptive import AdaptiveController
-from .base import CongestionParams
+from .base import DCTCP_G, MIN_CWND_FRAMES
 
 
 class DctcpController(AdaptiveController):
     name = "dctcp"
 
-    def __init__(self, window, params: Optional[CongestionParams] = None) -> None:
-        super().__init__(window, params)
+    def __init__(self, window, pacing: bool = False) -> None:
+        super().__init__(window, pacing)
         self.alpha = 1.0
         self._win_acked = 0
         self._win_marked = 0
@@ -55,7 +55,7 @@ class DctcpController(AdaptiveController):
         self._additive_increase(freed)
         if self._win_acked >= self._win_size:
             fraction = self._win_marked / self._win_acked
-            self.alpha += self.params.dctcp_g * (fraction - self.alpha)
+            self.alpha += DCTCP_G * (fraction - self.alpha)
             if self._win_marked:
                 self._cwnd *= 1.0 - self.alpha / 2.0
             self._win_acked = 0
@@ -73,6 +73,6 @@ class DctcpController(AdaptiveController):
         if now - self._last_cut_ns < self._srtt_ns:
             return
         self._last_cut_ns = now
-        self._cwnd = float(self.params.min_cwnd_frames)
+        self._cwnd = float(MIN_CWND_FRAMES)
         self._apply_cwnd()
 

@@ -14,7 +14,7 @@ concrete for the simulation:
   experiments.
 """
 
-from .detector import DetectorParams, EdgeFailureDetector, EdgeState, EdgeTransition
+from .detector import EdgeFailureDetector, EdgeState, EdgeTransition
 from . import faults
 from .faults import *  # noqa: F401,F403 - the fault kinds, named once
 from .grayscore import GrayScorer
@@ -24,7 +24,6 @@ from .lifecycle import EdgeLifecycleManager
 __all__ = [
     "EdgeState",
     "EdgeTransition",
-    "DetectorParams",
     "EdgeFailureDetector",
     "EdgeHealthMonitor",
     "EdgeLifecycleManager",

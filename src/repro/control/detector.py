@@ -14,7 +14,7 @@ fed by the health monitor's probe outcomes.  The machine is:
      |      (flag clears)  DEGRADED-+ (losses / low score)       |
      +---------------------+   |                                 |
      ^                                                           |
-     +--(recovery_probes successes)-- RECOVERING <---------------+
+     +--(RECOVERY_PROBES successes)-- RECOVERING <---------------+
                                           |
                                           +--(any loss)--> DOWN
 
@@ -25,8 +25,8 @@ population outliers.  A DEGRADED edge keeps carrying traffic — the
 adaptive striping policy just drains it — and can still escalate to
 SUSPECT/DOWN through the ordinary probe path.
 
-Detection latency is bounded by the parameters alone
-(:attr:`DetectorParams.detect_bound_ns`), which is what the failover
+Detection latency is bounded by the constants alone
+(:data:`DETECT_BOUND_NS`), which is what the failover
 acceptance test asserts against.  The machine is pure bookkeeping — no
 simulator access — so it is unit-testable by driving it with synthetic
 probe outcomes.
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
 
-__all__ = ["EdgeState", "DetectorParams", "EdgeFailureDetector", "EdgeTransition"]
+__all__ = ["EdgeState", "EdgeFailureDetector", "EdgeTransition"]
 
 
 class EdgeState(Enum):
@@ -58,47 +58,27 @@ class EdgeState(Enum):
 SUSPECT_SCORE = 0.5
 
 
-@dataclass
-class DetectorParams:
-    """Detect/confirm windows for the per-edge failure detector.
+# Detect/confirm windows, sized for 1-GbE rails with deep TX rings: a probe
+# stuck behind a full 256-frame ring plus a loaded switch queue can take a
+# few milliseconds legitimately, so the probe timeout must not declare a
+# merely *congested* rail lost.
+PROBE_INTERVAL_NS = 500_000  # heartbeat period per edge
+PROBE_TIMEOUT_NS = 4_000_000  # unanswered probe counts as lost
+SUSPECT_AFTER_LOSSES = 2  # consecutive losses before SUSPECT
+CONFIRM_WINDOW_NS = 1_000_000  # SUSPECT must persist this long
+RECOVERY_PROBES = 2  # successes needed to leave RECOVERING
 
-    Defaults are sized for 1-GbE rails with deep TX rings: a probe stuck
-    behind a full 256-frame ring plus a loaded switch queue can take a few
-    milliseconds legitimately, so ``probe_timeout_ns`` must not declare a
-    merely *congested* rail lost.
-    """
-
-    probe_interval_ns: int = 500_000  # heartbeat period per edge
-    probe_timeout_ns: int = 4_000_000  # unanswered probe counts as lost
-    suspect_after_losses: int = 2  # consecutive losses before SUSPECT
-    confirm_window_ns: int = 1_000_000  # SUSPECT must persist this long
-    recovery_probes: int = 2  # successes needed to leave RECOVERING
-
-    def __post_init__(self) -> None:
-        if self.probe_interval_ns <= 0:
-            raise ValueError("probe_interval_ns must be positive")
-        if self.probe_timeout_ns <= 0:
-            raise ValueError("probe_timeout_ns must be positive")
-        if self.suspect_after_losses < 1:
-            raise ValueError("suspect_after_losses must be >= 1")
-        if self.recovery_probes < 1:
-            raise ValueError("recovery_probes must be >= 1")
-
-    @property
-    def detect_bound_ns(self) -> int:
-        """Worst-case ns from edge death to the DOWN transition.
-
-        ``suspect_after_losses`` probe periods accumulate the losses, the
-        last lost probe surfaces after ``probe_timeout_ns``, the SUSPECT
-        state must age ``confirm_window_ns``, and the confirming loss can
-        lag one further period plus its own timeout-resolution slack.
-        """
-        return (
-            self.suspect_after_losses * self.probe_interval_ns
-            + self.probe_timeout_ns
-            + self.confirm_window_ns
-            + 2 * self.probe_interval_ns
-        )
+# Worst-case ns from edge death to the DOWN transition: SUSPECT_AFTER_LOSSES
+# probe periods accumulate the losses, the last lost probe surfaces after
+# PROBE_TIMEOUT_NS, the SUSPECT state must age CONFIRM_WINDOW_NS, and the
+# confirming loss can lag one further period plus its own timeout-resolution
+# slack.
+DETECT_BOUND_NS = (
+    SUSPECT_AFTER_LOSSES * PROBE_INTERVAL_NS
+    + PROBE_TIMEOUT_NS
+    + CONFIRM_WINDOW_NS
+    + 2 * PROBE_INTERVAL_NS
+)
 
 
 @dataclass(slots=True)
@@ -118,13 +98,11 @@ class EdgeFailureDetector:
     def __init__(
         self,
         rail: int,
-        params: Optional[DetectorParams] = None,
         on_transition: Optional[
             Callable[[int, EdgeState, EdgeState, int, str], None]
         ] = None,
     ) -> None:
         self.rail = rail
-        self.params = params or DetectorParams()
         self.on_transition = on_transition
         self.state = EdgeState.UP
         self.consecutive_losses = 0
@@ -190,11 +168,11 @@ class EdgeFailureDetector:
                 self._move(EdgeState.UP, now, "score recovered")
         elif state is EdgeState.DOWN:
             self._move(EdgeState.RECOVERING, now, "probe answered")
-            if self.recovery_successes >= self.params.recovery_probes:
+            if self.recovery_successes >= RECOVERY_PROBES:
                 self._move(EdgeState.UP, now, "recovery confirmed")
         elif state is EdgeState.RECOVERING:
             self.recovery_successes += 1
-            if self.recovery_successes >= self.params.recovery_probes:
+            if self.recovery_successes >= RECOVERY_PROBES:
                 self._move(EdgeState.UP, now, "recovery confirmed")
 
     def on_probe_loss(self, now: int, score: float) -> None:
@@ -202,7 +180,7 @@ class EdgeFailureDetector:
         state = self.state
         if state is EdgeState.UP or state is EdgeState.DEGRADED:
             if (
-                self.consecutive_losses >= self.params.suspect_after_losses
+                self.consecutive_losses >= SUSPECT_AFTER_LOSSES
                 or score < SUSPECT_SCORE
             ):
                 self._move(
@@ -212,7 +190,7 @@ class EdgeFailureDetector:
                 )
         elif state is EdgeState.SUSPECT:
             since = self.suspect_since if self.suspect_since is not None else now
-            if now - since >= self.params.confirm_window_ns:
+            if now - since >= CONFIRM_WINDOW_NS:
                 self._move(EdgeState.DOWN, now, "confirm window elapsed")
         elif state is EdgeState.RECOVERING:
             self._move(EdgeState.DOWN, now, "loss during recovery")

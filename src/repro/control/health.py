@@ -1,7 +1,7 @@
 """Per-edge health monitoring: heartbeat probes + passive EWMA sampling.
 
 One :class:`EdgeHealthMonitor` per edge of a connection endpoint.  Every
-``probe_interval_ns`` it emits a PROBE frame on its rail (bypassing the
+``PROBE_INTERVAL_NS`` it emits a PROBE frame on its rail (bypassing the
 striping policy — the point is to measure *this* rail, even one the
 control plane has masked).  The peer's :class:`repro.core.Connection`
 echoes a PROBE_ACK on the same rail.  From the echo stream the monitor
@@ -28,10 +28,10 @@ from typing import TYPE_CHECKING
 
 from ..core.messages import make_probe_frame
 from ..sim import Simulator
+from .detector import PROBE_INTERVAL_NS, PROBE_TIMEOUT_NS, EdgeFailureDetector
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.connection import Connection
-    from .detector import EdgeFailureDetector
 
 __all__ = ["EdgeHealthMonitor"]
 
@@ -101,9 +101,8 @@ class EdgeHealthMonitor:
         self._running = False
 
     def _body(self):
-        interval = self.detector.params.probe_interval_ns
         while self._running:
-            yield interval
+            yield PROBE_INTERVAL_NS
             if not self._running:
                 return
             self._send_probe()
@@ -132,7 +131,7 @@ class EdgeHealthMonitor:
         self.probes_sent += 1
         conn.stats.probes_sent += 1
         self._pending[seq] = now
-        self.sim.timer(self.detector.params.probe_timeout_ns, self._timeout, seq)
+        self.sim.timer(PROBE_TIMEOUT_NS, self._timeout, seq)
 
     def _timeout(self, seq: int) -> None:
         if self._pending.pop(seq, None) is None:

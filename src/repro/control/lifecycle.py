@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from ..sim import Simulator
-from .detector import DetectorParams, EdgeFailureDetector, EdgeState, EdgeTransition
+from .detector import EdgeFailureDetector, EdgeState, EdgeTransition
 from .health import EdgeHealthMonitor
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -39,15 +39,11 @@ class EdgeLifecycleManager:
         self,
         sim: Simulator,
         connection: "Connection",
-        detector_params: Optional[DetectorParams] = None,
         tracer: Optional["Tracer"] = None,
-        auto_failover: bool = True,
     ) -> None:
         self.sim = sim
         self.conn = connection
         self.tracer = tracer
-        self.auto_failover = auto_failover
-        self.detector_params = detector_params or DetectorParams()
         self.history: list[EdgeTransition] = []
         self.detectors: list[EdgeFailureDetector] = []
         self.monitors: list[EdgeHealthMonitor] = []
@@ -70,9 +66,7 @@ class EdgeLifecycleManager:
         connection.control_plane = self
 
     def _make_edge(self, rail: int) -> None:
-        detector = EdgeFailureDetector(
-            rail, self.detector_params, on_transition=self._on_transition
-        )
+        detector = EdgeFailureDetector(rail, on_transition=self._on_transition)
         monitor = EdgeHealthMonitor(self.sim, self.conn, rail, detector)
         self.detectors.append(detector)
         self.monitors.append(monitor)
@@ -152,15 +146,14 @@ class EdgeLifecycleManager:
                 {"conn": self.conn.conn_id, "rail": rail, "old": str(old),
                  "new": str(new), "reason": reason},
             )
-        if self.auto_failover:
-            if new is EdgeState.DOWN:
-                self.conn.remove_edge(rail)
-            elif new is EdgeState.UP and old not in (
-                EdgeState.SUSPECT, EdgeState.DEGRADED
-            ):
-                # SUSPECT→UP and DEGRADED→UP never masked the rail, so
-                # there is nothing to undo; DEGRADED only drains weight.
-                self.conn.add_edge(rail)
+        if new is EdgeState.DOWN:
+            self.conn.remove_edge(rail)
+        elif new is EdgeState.UP and old not in (
+            EdgeState.SUSPECT, EdgeState.DEGRADED
+        ):
+            # SUSPECT→UP and DEGRADED→UP never masked the rail, so there is
+            # nothing to undo; DEGRADED only drains weight.
+            self.conn.add_edge(rail)
         if new is EdgeState.DOWN and all(
             d.state is EdgeState.DOWN for d in self.detectors
         ):

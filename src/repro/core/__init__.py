@@ -8,7 +8,7 @@ from .handshake import HandshakeError, close_connection, dial, enable_listener
 from .messages import SEQUENCED_TYPES
 from .ordering import FenceDelivery, InOrderDelivery, OrderingManager, RxOpState
 from .protocol import MultiEdgeProtocol
-from .retransmit import BackoffPolicy, RetransmitParams, RetransmitTimer
+from .retransmit import BackoffPolicy, RetransmitTimer
 from .ring import SlotRing
 from .stats import ConnectionStats, merge_stats
 from .striping import (
@@ -42,7 +42,6 @@ __all__ = [
     "AckPolicy",
     "AckPolicyParams",
     "BackoffPolicy",
-    "RetransmitParams",
     "RetransmitTimer",
     "SendWindow",
     "ReceiveTracker",

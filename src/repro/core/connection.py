@@ -39,7 +39,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Deque, Generator, Optional
 
-from ..congestion import CongestionParams, make_congestion_controller
+from ..congestion import make_congestion_controller
 from ..congestion.base import FULL_FRAME_WIRE_BYTES, PACING_BURST_FRAMES
 from ..ethernet import ECN_CE, ECN_ECHO, Frame, FrameType, OpFlags, max_payload_per_frame
 from ..host.cpu import Cpu
@@ -65,7 +65,7 @@ from .messages import (
 )
 from .errors import PeerCrashed, RetransmitExhausted
 from .ordering import FenceDelivery, InOrderDelivery, RxOpState
-from .retransmit import NACK_HOLDOFF_NS, RetransmitParams, RetransmitTimer
+from .retransmit import NACK_HOLDOFF_NS, RetransmitTimer
 from .stats import ConnectionStats
 from .striping import make_striping_policy
 from .window import ReceiveTracker, SendWindow
@@ -95,8 +95,9 @@ class ProtocolParams:
     # send limit, and every trace is bit-identical to a build without the
     # congestion subsystem.
     congestion: str = "static"
-    # Controller tunables; None uses CongestionParams() defaults.
-    congestion_params: Optional[CongestionParams] = None
+    # Token-bucket pacing of an adaptive controller's window (no effect
+    # under "static").
+    pacing: bool = False
 
     def __post_init__(self) -> None:
         if self.window_frames < 1:
@@ -244,12 +245,10 @@ class Connection:
         # is None for the static policy — the same single-attribute-test
         # pattern as the monitor hooks, so the default costs nothing.
         self.congestion = make_congestion_controller(
-            self.params.congestion, self.window, self.params.congestion_params
+            self.params.congestion, self.window, self.params.pacing
         )
         self._cc = self.congestion if self.congestion.active else None
-        self._pacing_on = (
-            self._cc is not None and self.congestion.params.pacing
-        )
+        self._pacing_on = self._cc is not None and self.congestion.pacing
         # Crash recovery (repro.recovery).  ``recovery`` is None unless the
         # cluster enabled whole-node crash faults; the incarnation pair then
         # fences off frames from dead incarnations of the peer.
@@ -261,7 +260,6 @@ class Connection:
         self._pending_reads: dict[int, Operation] = {}  # op_id -> read op
         self.retransmit_timer = RetransmitTimer(
             self.sim,
-            RetransmitParams(),
             on_timeout=self._on_coarse_timeout,
             on_dead=self._on_coarse_dead,
         )

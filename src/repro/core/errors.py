@@ -6,7 +6,7 @@ stalling when the coarse retransmit timer gave up.  With fail-stop node
 crashes in the model, callers need to distinguish *why* an op died:
 
 * :class:`RetransmitExhausted` — the coarse retransmit timer fired
-  ``max_retries`` consecutive times without ack progress; the peer may be
+  ``MAX_RETRIES`` consecutive times without ack progress; the peer may be
   dead or the path may be black-holed.  The connection state is intact;
   the caller may keep waiting (progress clears the condition) or tear
   the connection down.

@@ -5,7 +5,7 @@ Two recovery mechanisms:
 * **NACK-driven**: the receiver reports persistent sequence gaps; the sender
   retransmits exactly the missing frames (selective repeat).
 * **Coarse timeout**: if no positive-ack progress happens for
-  ``coarse_timeout_ns`` while frames are in flight, the sender retransmits
+  ``COARSE_TIMEOUT_NS`` while frames are in flight, the sender retransmits
   the *last transmitted* frame — enough to provoke the receiver into
   re-sending its cumulative ack (covering the lost-ack case) or a NACK
   (covering lost data), exactly as described in the paper's corner-case
@@ -23,7 +23,7 @@ from typing import Callable, Optional
 
 from ..sim import Simulator, Timer
 
-__all__ = ["BackoffPolicy", "RetransmitParams", "RetransmitTimer"]
+__all__ = ["BackoffPolicy", "RetransmitTimer"]
 
 
 @dataclass
@@ -77,19 +77,12 @@ class BackoffPolicy:
 # A NACK is ignored for a frame (re)sent less than this long ago.
 NACK_HOLDOFF_NS = 500_000
 
-
-@dataclass
-class RetransmitParams:
-    coarse_timeout_ns: int = 3_000_000  # 3 ms
-    backoff_factor: int = 2
-    max_timeout_ns: int = 48_000_000
-    max_retries: int = 20  # after this many silent timeouts, declare dead
-
-    def __post_init__(self) -> None:
-        if self.coarse_timeout_ns <= 0:
-            raise ValueError("coarse_timeout_ns must be positive")
-        if self.backoff_factor < 1:
-            raise ValueError("backoff_factor must be >= 1")
+# The coarse timer: the first timeout, its backoff and cap, and the number
+# of silent timeouts after which the connection is declared dead.
+COARSE_TIMEOUT_NS = 3_000_000
+BACKOFF_FACTOR = 2
+MAX_TIMEOUT_NS = 48_000_000
+MAX_RETRIES = 20
 
 
 class RetransmitTimer:
@@ -98,16 +91,14 @@ class RetransmitTimer:
     def __init__(
         self,
         sim: Simulator,
-        params: RetransmitParams,
         on_timeout: Callable[[], None],
         on_dead: Optional[Callable[[], None]] = None,
     ) -> None:
         self.sim = sim
-        self.params = params
         self.on_timeout = on_timeout
         self.on_dead = on_dead
         self._timer = Timer(sim, None, self._fire)  # one, re-armed for life
-        self._current_timeout = params.coarse_timeout_ns
+        self._current_timeout = COARSE_TIMEOUT_NS
         self._consecutive = 0
         self.timeouts_fired = 0
         self.exhausted = False
@@ -143,7 +134,7 @@ class RetransmitTimer:
     def on_progress(self) -> None:
         """Positive ack progress: reset backoff and restart the clock."""
         self._consecutive = 0
-        self._current_timeout = self.params.coarse_timeout_ns
+        self._current_timeout = COARSE_TIMEOUT_NS
         self.exhausted = False
         self._timer.cancel()
 
@@ -153,13 +144,12 @@ class RetransmitTimer:
     def _fire(self) -> None:
         self.timeouts_fired += 1
         self._consecutive += 1
-        if self._consecutive > self.params.max_retries:
+        if self._consecutive > MAX_RETRIES:
             self.exhausted = True
             if self.on_dead is not None:
                 self.on_dead()
             return
         self._current_timeout = min(
-            self._current_timeout * self.params.backoff_factor,
-            self.params.max_timeout_ns,
+            self._current_timeout * BACKOFF_FACTOR, MAX_TIMEOUT_NS
         )
         self.on_timeout()

@@ -124,8 +124,8 @@ class ClusterRecovery:
 
         self._reconnect_pair_watchers: list[Callable[[int, int, int], None]] = []
         self._crash_subscribers: list[Callable[[int], None]] = []
-        # (node, peer) -> DetectorParams used before the crash, for re-arm.
-        self._edge_params: dict[tuple[int, int], Any] = {}
+        # (node, peer) pairs whose edge control plane is re-armed on reconnect.
+        self._watched_pairs: set[tuple[int, int]] = set()
 
         for stack in cluster.stacks:
             stack.protocol.recovery = self
@@ -155,7 +155,7 @@ class ClusterRecovery:
         """Escalate this lifecycle manager's all-edges-DOWN into PEER_DOWN."""
         node_id = mgr.conn.node.node_id
         peer = mgr.conn.peer_node_id
-        self._edge_params[(node_id, peer)] = mgr.detector_params
+        self._watched_pairs.add((node_id, peer))
         mgr.peer_down_handler = self._on_peer_down
 
     def channel(self, src: int, dst: int) -> ReliableChannel:
@@ -298,13 +298,10 @@ class ClusterRecovery:
                 (handle, peer_handle) if node_id < peer
                 else (peer_handle, handle)
             )
-        if (node_id, peer) in self._edge_params:
+        if (node_id, peer) in self._watched_pairs:
             # Re-create the edge lifecycle control plane on the reconnected
             # pair so a *second* crash of the same peer is detected too.
-            self.cluster.enable_edge_control(
-                node_id, peer,
-                detector_params=self._edge_params[(node_id, peer)],
-            )
+            self.cluster.enable_edge_control(node_id, peer)
         for ch in self.channels:
             if ch.dead is None and ch.src == node_id and ch.dst == peer:
                 ch.rebind(handle)

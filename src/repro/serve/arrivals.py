@@ -19,8 +19,9 @@ Two arrival processes are provided:
 * ``poisson`` — exponential i.i.d. gaps at ``rate_rps``.
 * ``bursty`` — a Markov-modulated on/off process: gaps are exponential
   at ``burst_rate_rps`` during "on" phases and ``rate_rps`` during
-  "off" phases, with exponentially distributed phase durations.  This
-  is the classic MMPP(2) traffic model for flash crowds and spikes.
+  "off" phases, with exponentially distributed phase durations (means
+  :data:`MEAN_ON_NS` and :data:`MEAN_OFF_NS`).  This is the classic
+  MMPP(2) traffic model for flash crowds and spikes.
 
 All randomness (gaps, phase switches, request/response sizes) comes
 from the dedicated ``serve:<seed>`` stream of the cluster's
@@ -35,6 +36,10 @@ from typing import Callable, Optional
 
 __all__ = ["ArrivalSpec", "ArrivalSource", "Request", "draw_size"]
 
+# Mean durations of the bursty process's on and off phases.
+MEAN_ON_NS = 2_000_000
+MEAN_OFF_NS = 2_000_000
+
 
 @dataclass
 class Request:
@@ -45,7 +50,6 @@ class Request:
     t_arrival: int  # sim time the open-loop source emitted it
     req_bytes: int
     resp_bytes: int
-    deadline_ns: int  # 0 = no deadline
     attempts: int = 0  # dispatch attempts (> 1 after replay/hedge/retry)
     # Servers with an attempt currently in flight (one normally; more
     # while a hedge is racing the primary).
@@ -68,11 +72,8 @@ class ArrivalSpec:
     kind: str = "poisson"  # "poisson" | "bursty"
     rate_rps: float = 20_000.0  # base rate, requests per simulated second
     burst_rate_rps: float = 0.0  # on-phase rate for "bursty" (0 -> 4x base)
-    mean_on_ns: int = 2_000_000
-    mean_off_ns: int = 2_000_000
     request_bytes: tuple = ("fixed", 128)
     response_bytes: tuple = ("fixed", 512)
-    deadline_ns: int = 0  # per-request completion deadline; 0 disables
     batch: int = 256  # arrivals pre-drawn per generation event
 
     def __post_init__(self) -> None:
@@ -176,7 +177,7 @@ class ArrivalSource:
         if self._phase_end_ns <= t and self.batches_generated == 0:
             # First batch: start in the off (base-rate) phase.
             self._phase_on = False
-            self._phase_end_ns = t + self.rng.exponential(spec.mean_off_ns)
+            self._phase_end_ns = t + self.rng.exponential(MEAN_OFF_NS)
         times: list[int] = []
         while len(times) < n:
             rate = burst if self._phase_on else spec.rate_rps
@@ -188,7 +189,7 @@ class ArrivalSource:
                 # Memoryless: discard the partial gap at the boundary.
                 t = self._phase_end_ns
                 self._phase_on = not self._phase_on
-                mean = spec.mean_on_ns if self._phase_on else spec.mean_off_ns
+                mean = MEAN_ON_NS if self._phase_on else MEAN_OFF_NS
                 self._phase_end_ns = t + self.rng.exponential(mean)
         return times
 
@@ -223,7 +224,6 @@ class ArrivalSource:
             t_arrival=self.sim.now,
             req_bytes=draw_size(self.rng, spec.request_bytes),
             resp_bytes=draw_size(self.rng, spec.response_bytes),
-            deadline_ns=spec.deadline_ns,
         )
         self._next_req_id += 1
         self.generated += 1

@@ -40,7 +40,7 @@ from ..analysis.latency import LatencyHistogram, SloSpec
 from ..sim import Event
 from .arrivals import ArrivalSource, ArrivalSpec, Request
 from .balancer import make_balancer
-from .tail import MAX_HEDGES, TailController, TailSpec
+from .tail import MAX_ATTEMPTS, MAX_HEDGES, TailController, TailSpec
 from .server import (
     FLAG_SHED,
     TAG_REQ,
@@ -199,7 +199,6 @@ class ServeRuntime:
         self.failed = 0  # typed-failed, never answered
         self.replayed = 0  # re-dispatches after a server crash
         self.duplicate_responses = 0  # replay raced a late response
-        self.deadline_missed = 0
         self.responses_dropped = 0  # server -> dead client (not used yet)
         # -- measurement plane --------------------------------------------
         self.hist_by_server: dict[int, LatencyHistogram] = {
@@ -260,7 +259,7 @@ class ServeRuntime:
     def _on_arrival(self, req: Request) -> None:
         self.generated += 1
         self.tail.on_fresh()
-        self._window(req.t_arrival)["generated"] += 1
+        self._tally(req.t_arrival, "generated")
         self._dispatch(req)
 
     def _dispatch(self, req: Request) -> None:
@@ -274,7 +273,7 @@ class ServeRuntime:
         outbox = self._outbox(req.client, server)
         if self.config.outbox_cap and len(outbox.entries) >= self.config.outbox_cap:
             self.shed_client += 1
-            self._window(self.sim.now)["shed"] += 1
+            self._tally(self.sim.now, "shed")
             return
         self._send_attempt(req, server, outbox)
         self._arm_hedge(req)
@@ -299,7 +298,7 @@ class ServeRuntime:
     def _arm_hedge(self, req: Request) -> None:
         tail = self.tail
         if (req.hedges >= MAX_HEDGES
-                or req.attempts >= tail.spec.max_attempts):
+                or req.attempts >= MAX_ATTEMPTS):
             return
         delay = tail.hedge_delay_ns()
         if delay is None:
@@ -314,7 +313,7 @@ class ServeRuntime:
         if req.attempts != attempts_snapshot:
             return  # a replay or retry superseded this timer
         if (req.hedges >= MAX_HEDGES
-                or req.attempts >= tail.spec.max_attempts):
+                or req.attempts >= MAX_ATTEMPTS):
             return
         now = self.sim.now
         candidates = {
@@ -382,7 +381,6 @@ class ServeRuntime:
         if req.pending_servers:
             self._absorbing[req.req_id] = set(req.pending_servers)
             req.pending_servers.clear()
-        win = self._window(now)
         total = now - req.t_arrival
         queueing = (req.dispatch_ns[server] - req.t_arrival) + (t_start - t_rx)
         service = t_end - t_start
@@ -392,10 +390,7 @@ class ServeRuntime:
         self.hist_queueing.record(queueing)
         self.hist_service.record(service)
         self.hist_network.record(network)
-        win["completed"] += 1
-        win["hist"].record(total)
-        if req.deadline_ns and total > req.deadline_ns:
-            self.deadline_missed += 1
+        self._tally(now, "completed", total)
         self.tail.on_success(server, total, now)
         if req.hedges and server != next(iter(req.dispatch_ns), server):
             # Answered by other than the primary attempt's server.
@@ -412,7 +407,7 @@ class ServeRuntime:
         tail.on_shed(server, now)
         if req.pending_servers:
             return  # a hedge attempt is still racing; let it decide
-        if tail.spec.retry_sheds and req.attempts < tail.spec.max_attempts:
+        if tail.spec.retry_sheds and req.attempts < MAX_ATTEMPTS:
             candidates = {
                 s for s in self.reachable[req.client] if s != server
             }
@@ -428,7 +423,7 @@ class ServeRuntime:
                 return
         self.outstanding.pop(req.req_id, None)
         self.shed += 1
-        self._window(now)["shed"] += 1
+        self._tally(now, "shed")
 
     def _absorb_duplicate(self, req_id: int, server: int) -> None:
         self.duplicate_responses += 1
@@ -509,32 +504,24 @@ class ServeRuntime:
 
     # -- measurement -------------------------------------------------------
 
-    def _window(self, t_ns: int) -> dict:
-        if not self.config.window_ns:
-            return self._scratch_window()
-        idx = (t_ns - self._start_ns) // self.config.window_ns
+    def _tally(self, t_ns: int, key: str, latency_ns: Optional[int] = None) -> None:
+        """Count one event (and a completion's latency) in the attainment
+        window holding ``t_ns``; nothing at all when ``window_ns`` is 0."""
+        window_ns = self.config.window_ns
+        if not window_ns:
+            return
+        idx = (t_ns - self._start_ns) // window_ns
         win = self.windows.get(idx)
         if win is None:
-            win = {
+            win = self.windows[idx] = {
                 "generated": 0,
                 "completed": 0,
                 "shed": 0,
                 "hist": LatencyHistogram(),
             }
-            self.windows[idx] = win
-        return win
-
-    _scratch = None
-
-    def _scratch_window(self) -> dict:
-        if self._scratch is None:
-            self._scratch = {
-                "generated": 0,
-                "completed": 0,
-                "shed": 0,
-                "hist": LatencyHistogram(),
-            }
-        return self._scratch
+        win[key] += 1
+        if latency_ns is not None:
+            win["hist"].record(latency_ns)
 
     def merged_histogram(self) -> LatencyHistogram:
         """Cluster-wide latency tail: per-server histograms merged."""
@@ -545,17 +532,12 @@ class ServeRuntime:
         total = self.completed + self.shed + self.shed_client
         return (self.shed + self.shed_client) / total if total else 0.0
 
-    @property
-    def deadline_miss_fraction(self) -> float:
-        return self.deadline_missed / self.completed if self.completed else 0.0
-
     def slo_report(self, hist: Optional[LatencyHistogram] = None):
         if self.config.slo is None:
             return None
         return self.config.slo.evaluate(
             hist if hist is not None else self.merged_histogram(),
             shed_fraction=self.shed_fraction,
-            deadline_miss_fraction=self.deadline_miss_fraction,
         )
 
     def window_reports(self) -> list[dict]:

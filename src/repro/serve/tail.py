@@ -16,12 +16,12 @@ disease:
   matter how unhealthy the pool gets.
 * **Circuit breakers** — per-server CLOSED / OPEN / HALF_OPEN machines:
   consecutive failures (sheds) open the breaker, dispatch routes around
-  it, and after ``breaker_open_ns`` a limited number of half-open
+  it, and after :data:`BREAKER_OPEN_NS` a limited number of half-open
   probes decide between closing and re-opening.
 * **Outlier ejection** — per-server latency EWMAs compared against the
-  pool median; a server slower than ``eject_factor`` x median is
-  ejected from the candidate pool for ``eject_ns``, with at most
-  ``max_eject_fraction`` of the pool ejected at once.
+  pool median; a server slower than :data:`EJECT_FACTOR` x median is
+  ejected from the candidate pool for :data:`EJECT_NS`, with at most
+  :data:`MAX_EJECT_FRACTION` of the pool ejected at once.
 
 Every filter **fails open**: if breakers + ejection would empty the
 candidate pool, the unfiltered pool is used — tail tolerance must never
@@ -51,8 +51,29 @@ __all__ = [
 # at most MAX_HEDGES extra attempts per request.
 HEDGE_QUANTILE = 95.0
 MAX_HEDGES = 1
+# The hedge delay is clamped to [HEDGE_MIN_DELAY_NS, HEDGE_MAX_DELAY_NS]
+# and arms after HEDGE_WARMUP completions.
+HEDGE_MIN_DELAY_NS = 100_000
+HEDGE_MAX_DELAY_NS = 20_000_000
+HEDGE_WARMUP = 20
+# Retry-budget bucket depth (initial + cap headroom), and total attempts
+# per request, all causes.
+RETRY_BURST = 10
+MAX_ATTEMPTS = 3
+# Consecutive failures that open a breaker, how long OPEN holds, and the
+# probes allowed while HALF_OPEN.
+BREAKER_FAILURES = 5
+BREAKER_OPEN_NS = 5_000_000
+BREAKER_HALF_OPEN_PROBES = 2
 # Smoothing of the per-server latency EWMA behind outlier ejection.
 EJECT_ALPHA = 0.1
+# Slower than EJECT_FACTOR x the pool median, once EJECT_MIN_SAMPLES are
+# in, is an outlier; it is ejected for EJECT_NS, and never more than
+# MAX_EJECT_FRACTION of the pool at once.
+EJECT_FACTOR = 2.0
+EJECT_MIN_SAMPLES = 30
+EJECT_NS = 10_000_000
+MAX_EJECT_FRACTION = 0.5
 
 BREAKER_CLOSED = "closed"
 BREAKER_OPEN = "open"
@@ -72,47 +93,18 @@ LEGAL_BREAKER_TRANSITIONS = frozenset(
 
 @dataclass(frozen=True)
 class TailSpec:
-    """Static tail-tolerance policy for one serving deployment."""
+    """Static tail-tolerance policy for one serving deployment: which
+    mechanisms run, and the retry budget they share."""
 
-    # -- hedging ----------------------------------------------------------
     hedge: bool = True
-    hedge_min_delay_ns: int = 100_000  # never hedge faster than this
-    hedge_max_delay_ns: int = 20_000_000  # nor slower than this
-    hedge_warmup: int = 20  # completions before hedging arms
-    # -- retry budget (shared by hedges and shed-retries) ------------------
     retry_budget: float = 0.1  # tokens earned per fresh request
-    retry_burst: int = 10  # bucket depth (initial + cap headroom)
     retry_sheds: bool = True  # retry shed responses through the budget
-    max_attempts: int = 3  # total attempts per request, all causes
-    # -- circuit breakers --------------------------------------------------
     breaker: bool = True
-    breaker_failures: int = 5  # consecutive failures to open
-    breaker_open_ns: int = 5_000_000  # OPEN holds this long
-    breaker_half_open_probes: int = 2  # probes allowed while HALF_OPEN
-    # -- outlier ejection --------------------------------------------------
     eject: bool = True
-    eject_factor: float = 2.0  # slower than factor*median is an outlier
-    eject_min_samples: int = 30  # per-server samples before judging
-    eject_ns: int = 10_000_000  # ejection duration
-    max_eject_fraction: float = 0.5  # never eject more of the pool
 
     def __post_init__(self) -> None:
-        if self.hedge_min_delay_ns > self.hedge_max_delay_ns:
-            raise ValueError("hedge_min_delay_ns exceeds hedge_max_delay_ns")
         if self.retry_budget < 0.0:
             raise ValueError("retry_budget must be >= 0")
-        if self.retry_burst < 1:
-            raise ValueError("retry_burst must be >= 1")
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        if self.breaker_failures < 1:
-            raise ValueError("breaker_failures must be >= 1")
-        if self.breaker_half_open_probes < 1:
-            raise ValueError("breaker_half_open_probes must be >= 1")
-        if self.eject_factor <= 1.0:
-            raise ValueError("eject_factor must exceed 1.0")
-        if not 0.0 <= self.max_eject_fraction < 1.0:
-            raise ValueError("max_eject_fraction must be in [0, 1)")
 
 
 class RetryBudget:
@@ -149,8 +141,7 @@ class RetryBudget:
 class CircuitBreaker:
     """CLOSED / OPEN / HALF_OPEN failure isolation for one server."""
 
-    def __init__(self, spec: TailSpec) -> None:
-        self.spec = spec
+    def __init__(self) -> None:
         self.state = BREAKER_CLOSED
         self.consecutive_failures = 0
         self.opened_at = 0
@@ -170,7 +161,7 @@ class CircuitBreaker:
             self.opened_at = now
             self.consecutive_failures = 0
         elif new == BREAKER_HALF_OPEN:
-            self.half_open_probes_left = self.spec.breaker_half_open_probes
+            self.half_open_probes_left = BREAKER_HALF_OPEN_PROBES
         elif new == BREAKER_CLOSED:
             self.consecutive_failures = 0
 
@@ -184,7 +175,7 @@ class CircuitBreaker:
         if self.state == BREAKER_CLOSED:
             return True
         if self.state == BREAKER_OPEN:
-            if now - self.opened_at >= self.spec.breaker_open_ns:
+            if now - self.opened_at >= BREAKER_OPEN_NS:
                 self._move(BREAKER_HALF_OPEN, now)
             else:
                 return False
@@ -204,15 +195,14 @@ class CircuitBreaker:
             self._move(BREAKER_OPEN, now)
         elif self.state == BREAKER_CLOSED:
             self.consecutive_failures += 1
-            if self.consecutive_failures >= self.spec.breaker_failures:
+            if self.consecutive_failures >= BREAKER_FAILURES:
                 self._move(BREAKER_OPEN, now)
 
 
 class OutlierEjector:
     """Differential latency comparison across the server pool."""
 
-    def __init__(self, spec: TailSpec, servers) -> None:
-        self.spec = spec
+    def __init__(self, servers) -> None:
         self.servers = tuple(servers)
         self.ewma: dict[int, float] = {s: 0.0 for s in self.servers}
         self.samples: dict[int, int] = {s: 0 for s in self.servers}
@@ -242,15 +232,14 @@ class OutlierEjector:
         return True
 
     def _judge(self, server: int, now: int) -> None:
-        spec = self.spec
-        if self.samples[server] < spec.eject_min_samples:
+        if self.samples[server] < EJECT_MIN_SAMPLES:
             return
         if server in self.ejected_until:
             return
         peers = [
             self.ewma[s]
             for s in self.servers
-            if self.samples[s] >= spec.eject_min_samples
+            if self.samples[s] >= EJECT_MIN_SAMPLES
             and s not in self.ejected_until
         ]
         if len(peers) < 2:
@@ -262,12 +251,12 @@ class OutlierEjector:
             if len(ordered) % 2
             else (ordered[mid - 1] + ordered[mid]) / 2.0
         )
-        if median <= 0.0 or self.ewma[server] <= spec.eject_factor * median:
+        if median <= 0.0 or self.ewma[server] <= EJECT_FACTOR * median:
             return
-        cap = int(spec.max_eject_fraction * len(self.servers))
+        cap = int(MAX_EJECT_FRACTION * len(self.servers))
         if len(self.ejected_until) >= cap:
             return
-        self.ejected_until[server] = now + spec.eject_ns
+        self.ejected_until[server] = now + EJECT_NS
         self.ejections += 1
 
 
@@ -305,11 +294,11 @@ class TailController:
     def __init__(self, spec: TailSpec, servers) -> None:
         self.spec = spec
         self.servers = tuple(servers)
-        self.budget = RetryBudget(spec.retry_budget, spec.retry_burst)
+        self.budget = RetryBudget(spec.retry_budget, RETRY_BURST)
         self.breakers: dict[int, CircuitBreaker] = {
-            s: CircuitBreaker(spec) for s in self.servers
+            s: CircuitBreaker() for s in self.servers
         }
-        self.ejector = OutlierEjector(spec, self.servers)
+        self.ejector = OutlierEjector(self.servers)
         self.quantiles = QuantileTracker(HEDGE_QUANTILE)
         # -- counters ------------------------------------------------------
         self.hedges_sent = 0
@@ -364,15 +353,14 @@ class TailController:
 
     def hedge_delay_ns(self) -> Optional[int]:
         """Outstanding time after which to hedge; None = not warmed up."""
-        spec = self.spec
-        if not spec.hedge:
+        if not self.spec.hedge:
             return None
-        if self.quantiles.total < spec.hedge_warmup:
+        if self.quantiles.total < HEDGE_WARMUP:
             return None
         q = self.quantiles.value()
         if q <= 0:
             return None
-        return max(spec.hedge_min_delay_ns, min(spec.hedge_max_delay_ns, q))
+        return max(HEDGE_MIN_DELAY_NS, min(HEDGE_MAX_DELAY_NS, q))
 
     # -- audits ------------------------------------------------------------
 

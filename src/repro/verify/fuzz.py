@@ -38,7 +38,7 @@ from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from typing import Callable, NamedTuple, Optional
 
 from ..analysis.summary import summarize_cluster
-from ..bench.cluster import Cluster, make_cluster
+from ..bench.cluster import Cluster, make_cluster, named_config
 from ..bench.crash import CrashRun
 from ..bench.run import Run
 from ..bench.serve import ServeRun
@@ -60,7 +60,6 @@ from ..control import (
     TrunkDrain,
     TrunkOutage,
 )
-from ..congestion import CongestionParams
 from ..core import ProtocolParams, dial, enable_listener
 from ..ethernet import OpFlags
 from ..fabric import (
@@ -375,16 +374,13 @@ def scenario_from_seed(
 
 
 def _build_cluster(sc: Scenario, trace: bool, fastpath: bool = False) -> Cluster:
-    congestion_params = None
-    if sc.pacing:
-        congestion_params = CongestionParams(pacing=True)
     protocol = ProtocolParams(
         window_frames=sc.window_frames,
         pump_batch=sc.pump_batch,
         in_order_delivery=(sc.config == "2L-1G"),
         striping=sc.striping or "round_robin",
         congestion=sc.congestion,
-        congestion_params=congestion_params,
+        pacing=sc.pacing,
     )
     overrides: dict = {"protocol": protocol}
     if sc.tx_ring_frames is not None:
@@ -393,9 +389,9 @@ def _build_cluster(sc: Scenario, trace: bool, fastpath: bool = False) -> Cluster
         overrides["nic_factory"] = lambda: base(tx_ring_frames=ring)
     if fastpath:
         overrides["fastpath"] = True
-    cluster = make_cluster(sc.config, nodes=sc.nodes, seed=sc.seed, **overrides)
-    if sc.ecn_threshold is not None:
-        cluster.set_ecn_threshold(sc.ecn_threshold)
+    cfg = named_config(sc.config, nodes=sc.nodes, seed=sc.seed, **overrides)
+    switch = replace(cfg.switch, ecn_threshold_frames=sc.ecn_threshold)
+    cluster = Cluster(replace(cfg, switch=switch))
     if trace:
         cluster.enable_frame_tracing()
     return cluster

@@ -44,7 +44,7 @@ Checked invariants (see docs/PROTOCOL.md "Protocol invariants"):
 
 **Congestion (repro.congestion)**
   * when a controller grants a cwnd, it stays within
-    ``[min_cwnd_frames, window.size]``; the static policy leaves
+    ``[MIN_CWND_FRAMES, window.size]``; the static policy leaves
     ``window.cwnd`` as ``None``,
   * ECN conservation (final): a sender never receives more echoes than
     its peer sent, and the cluster never receives more CE-marked frames
@@ -75,6 +75,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Optional
 
+from ..congestion.base import MIN_CWND_FRAMES
 from ..control.detector import EdgeState
 from ..ethernet import FrameType
 from ..host.params import PER_FRAME_SEND_NS
@@ -403,7 +404,7 @@ class ConnectionMonitor:
         # -- congestion window bounds --
         cc = conn.congestion
         if cc.active:
-            lo = cc.params.min_cwnd_frames
+            lo = MIN_CWND_FRAMES
             cwnd = window.cwnd
             if cwnd is None:
                 fail(

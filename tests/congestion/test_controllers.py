@@ -11,24 +11,30 @@ import pytest
 from repro.congestion import (
     CONTROLLER_NAMES,
     AimdController,
-    CongestionParams,
     DctcpController,
     StaticWindow,
     make_congestion_controller,
 )
+from repro.congestion.base import DCTCP_G, MIN_CWND_FRAMES, RTT_INIT_NS
 from repro.core.window import SendWindow
 
 US = 1_000
 MS = 1_000_000
 
 
-def make(kind: str, size: int = 64, **kw):
-    window = SendWindow(size=size)
-    params = CongestionParams(**kw) if kw else None
-    return window, make_congestion_controller(kind, window, params)
+def make(kind: str, size: int = 64, cwnd: int = 0):
+    """A controller on a ``size``-frame flow window.
+
+    Controllers open fully at the flow window, so a ``cwnd`` below ``size``
+    is had by building on a ``cwnd``-frame window and widening it after.
+    """
+    window = SendWindow(size=cwnd or size)
+    cc = make_congestion_controller(kind, window)
+    window.size = size
+    return window, cc
 
 
-# -- controller table / params -----------------------------------------------
+# -- controller table --------------------------------------------------------
 
 
 def test_registry_names():
@@ -40,19 +46,10 @@ def test_unknown_controller_rejected():
         make("reno")
 
 
-@pytest.mark.parametrize(
-    "kw",
-    [
-        {"min_cwnd_frames": 0},
-        {"initial_cwnd_frames": 0},
-        {"dctcp_g": 0.0},
-        {"dctcp_g": 1.5},
-        {"rtt_init_ns": 0},
-    ],
-)
-def test_params_validation(kw):
-    with pytest.raises(ValueError):
-        CongestionParams(**kw)
+def test_adaptive_controllers_open_fully():
+    for kind in ("aimd", "dctcp"):
+        window, cc = make(kind)
+        assert window.cwnd == cc.cwnd_frames == window.size
 
 
 # -- static (the default) ----------------------------------------------------
@@ -77,27 +74,27 @@ def test_static_is_inert():
 
 
 def test_aimd_additive_increase_schedule():
-    window, cc = make("aimd", initial_cwnd_frames=16)
+    window, cc = make("aimd", cwnd=16)
     assert window.cwnd == 16
     # One cwnd's worth of acks adds ~ADDITIVE_INCREASE_FRAMES (1 frame).
     cc.on_ack(16, False, now=0)
     assert window.cwnd == 17
     assert cc._cwnd == pytest.approx(17.0)
     # Coalesced acks accumulate the same growth as per-frame acks.
-    w2, cc2 = make("aimd", initial_cwnd_frames=16)
+    w2, cc2 = make("aimd", cwnd=16)
     for _ in range(16):
         cc2.on_ack(1, False, now=0)
     assert cc2._cwnd == pytest.approx(17.0, abs=0.05)
 
 
 def test_aimd_ece_cuts_multiplicatively():
-    window, cc = make("aimd", initial_cwnd_frames=32)
+    window, cc = make("aimd", cwnd=32)
     cc.on_ack(1, True, now=1 * MS)
     assert window.cwnd == 16
 
 
 def test_aimd_cut_rate_limited_to_once_per_rtt():
-    window, cc = make("aimd", initial_cwnd_frames=32, rtt_init_ns=200 * US)
+    window, cc = make("aimd", cwnd=32)
     cc.on_loss(now=1 * MS)
     assert window.cwnd == 16
     cc.on_loss(now=1 * MS + 50 * US)  # same congestion event: no cut
@@ -107,7 +104,7 @@ def test_aimd_cut_rate_limited_to_once_per_rtt():
 
 
 def test_aimd_timeout_collapses_to_min():
-    window, cc = make("aimd", initial_cwnd_frames=32, min_cwnd_frames=2)
+    window, cc = make("aimd", cwnd=32)
     cc.on_timeout(now=1 * MS)
     assert window.cwnd == 2
     # Recovery: additive increase climbs back.
@@ -116,17 +113,18 @@ def test_aimd_timeout_collapses_to_min():
 
 
 def test_aimd_clamps_to_window_bounds():
-    window, cc = make("aimd", size=8, initial_cwnd_frames=8)
+    window, cc = make("aimd", size=8)
     for k in range(200):
         cc.on_ack(8, False, now=k)
     assert window.cwnd == 8  # never exceeds the flow-control window
     for k in range(10):
         cc.on_loss(now=(k + 1) * 10 * MS)
-    assert window.cwnd == 2  # never below min_cwnd_frames
+    assert window.cwnd == MIN_CWND_FRAMES == 2  # never below the floor
 
 
 def test_rtt_ewma_and_karn_filter():
-    _, cc = make("aimd", rtt_init_ns=200 * US)
+    _, cc = make("aimd")
+    assert RTT_INIT_NS == 200 * US
     cc.on_ack(1, False, now=0, rtt_sample_ns=100 * US)
     assert cc._srtt_ns == pytest.approx(187_500.0)
     # Karn: retransmitted frames yield no sample (None) and change nothing.
@@ -138,16 +136,17 @@ def test_rtt_ewma_and_karn_filter():
 
 
 def test_dctcp_alpha_decays_without_marks():
-    window, cc = make("dctcp", initial_cwnd_frames=16, dctcp_g=1 / 16)
+    window, cc = make("dctcp", cwnd=16)
     assert cc.alpha == 1.0
     cc.on_ack(16, False, now=0)  # one full window, zero marked
+    assert DCTCP_G == 1 / 16
     assert cc.alpha == pytest.approx(1.0 - 1 / 16)
     # No marks in the window: no cut, growth only.
     assert cc._cwnd > 16.0
 
 
 def test_dctcp_fully_marked_window_halves():
-    window, cc = make("dctcp", initial_cwnd_frames=16, dctcp_g=1 / 16)
+    window, cc = make("dctcp", cwnd=16)
     cc.on_ack(16, True, now=0)  # F = 1, alpha stays 1.0
     assert cc.alpha == pytest.approx(1.0)
     # cwnd grew by ~1 during the window then got cut by 1 - alpha/2 = 0.5.
@@ -156,7 +155,7 @@ def test_dctcp_fully_marked_window_halves():
 
 
 def test_dctcp_partially_marked_window_cuts_proportionally():
-    window, cc = make("dctcp", initial_cwnd_frames=16, dctcp_g=1 / 16)
+    window, cc = make("dctcp", cwnd=16)
     cc.on_ack(8, False, now=0)
     cc.on_ack(8, True, now=0)  # half the window marked: F = 0.5
     expect_alpha = 1.0 + (1 / 16) * (0.5 - 1.0)
@@ -166,7 +165,7 @@ def test_dctcp_partially_marked_window_cuts_proportionally():
 
 
 def test_dctcp_alpha_converges_to_stable_fraction():
-    _, cc = make("dctcp", size=256, initial_cwnd_frames=16, dctcp_g=1 / 16)
+    _, cc = make("dctcp", size=256, cwnd=16)
     # Every 4th acked frame marked, many windows: alpha -> ~0.25.
     for k in range(4000):
         cc.on_ack(1, k % 4 == 0, now=k)
@@ -175,7 +174,7 @@ def test_dctcp_alpha_converges_to_stable_fraction():
 
 
 def test_dctcp_loss_and_timeout_fallbacks():
-    window, cc = make("dctcp", initial_cwnd_frames=32, min_cwnd_frames=2)
+    window, cc = make("dctcp", cwnd=32)
     cc.on_loss(now=1 * MS)
     assert window.cwnd == 16
     cc.on_timeout(now=10 * MS)

@@ -9,9 +9,12 @@ sender, congestion-window reduction, and the analysis-layer roll-ups.
 
 import dataclasses
 
+import pytest
+
 from repro.analysis import CwndProbe, MarkedFractionProbe, summarize_cluster
-from repro.bench import make_cluster, run_incast
-from repro.congestion import CongestionParams
+from repro.bench import Cluster, named_config, run_incast
+from repro.bench.incast import IncastRun
+from repro.bench.serve import ServeRun
 from repro.core import ProtocolParams
 from repro.verify import InvariantMonitor
 
@@ -20,18 +23,20 @@ SIZE = 120_000
 ECN_THRESHOLD = 16
 
 
-def run_marked_incast(congestion: str, params: CongestionParams = None):
-    """4-to-1 incast on a small marking queue; returns (cluster, monitor)."""
-    cluster = make_cluster(
+def _marking_cluster(congestion: str) -> Cluster:
+    """A 1L-1G cluster whose switch marks CE at ECN_THRESHOLD frames."""
+    cfg = named_config(
         "1L-1G",
         nodes=SENDERS + 1,
-        protocol=ProtocolParams(
-            in_order_delivery=False,
-            congestion=congestion,
-            congestion_params=params,
-        ),
+        protocol=ProtocolParams(in_order_delivery=False, congestion=congestion),
     )
-    cluster.set_ecn_threshold(ECN_THRESHOLD)
+    switch = dataclasses.replace(cfg.switch, ecn_threshold_frames=ECN_THRESHOLD)
+    return Cluster(dataclasses.replace(cfg, switch=switch))
+
+
+def run_marked_incast(congestion: str):
+    """4-to-1 incast on a small marking queue; returns (cluster, monitor)."""
+    cluster = _marking_cluster(congestion)
     receiver = SENDERS
     payload = bytes(i % 241 for i in range(SIZE))
     targets = []
@@ -131,31 +136,30 @@ def test_pacing_delays_departures_end_to_end():
         senders=8,
         congestion="dctcp",
         ecn_threshold_frames=32,
-        congestion_params=CongestionParams(pacing=True),
+        pacing=True,
     )
     assert r.pacing_stall_ns > 0, "token bucket never delayed a frame"
     assert r.data_intact
 
 
 def test_inactive_congestion_params_change_nothing():
-    """Passing an explicit params object with the static controller is
-    byte-identical to the all-defaults path."""
+    """Pacing asked of the static controller is byte-identical to the
+    all-defaults path: the static policy has no window to pace."""
     base = run_incast(senders=4, congestion="static")
-    explicit = run_incast(
-        senders=4,
-        congestion="static",
-        congestion_params=CongestionParams(min_cwnd_frames=4, pacing=False),
-    )
+    explicit = run_incast(senders=4, congestion="static", pacing=True)
     assert dataclasses.asdict(base) == dataclasses.asdict(explicit)
 
 
+@pytest.mark.parametrize("run", [IncastRun, ServeRun])
+def test_zero_ecn_threshold_is_rejected_at_build(run):
+    """A threshold of 0 would CE-mark every admitted frame; the switch
+    configuration refuses it before the cluster is built."""
+    with pytest.raises(ValueError, match="ecn_threshold_frames"):
+        run(ecn_threshold_frames=0)
+
+
 def _start_marked_incast():
-    cluster = make_cluster(
-        "1L-1G",
-        nodes=SENDERS + 1,
-        protocol=ProtocolParams(in_order_delivery=False, congestion="dctcp"),
-    )
-    cluster.set_ecn_threshold(ECN_THRESHOLD)
+    cluster = _marking_cluster("dctcp")
     pairs, procs = [], []
     for i in range(SENDERS):
         a, b = cluster.connect(i, SENDERS)

@@ -1,18 +1,24 @@
 """Unit tests for the per-edge failure-detector state machine."""
 
-import pytest
-
-from repro.control import DetectorParams, EdgeFailureDetector, EdgeState
+from repro.control import EdgeFailureDetector, EdgeState
+from repro.control.detector import (
+    CONFIRM_WINDOW_NS,
+    DETECT_BOUND_NS,
+    PROBE_INTERVAL_NS,
+    PROBE_TIMEOUT_NS,
+    RECOVERY_PROBES,
+    SUSPECT_AFTER_LOSSES,
+)
 
 MS = 1_000_000
 
 
-def make(params=None, transitions=None):
+def make(transitions=None):
     cb = None
     if transitions is not None:
         def cb(rail, old, new, now, reason):
             transitions.append((now, old, new, reason))
-    return EdgeFailureDetector(0, params or DetectorParams(), on_transition=cb)
+    return EdgeFailureDetector(0, on_transition=cb)
 
 
 def test_starts_up():
@@ -20,25 +26,14 @@ def test_starts_up():
     assert det.state is EdgeState.UP
 
 
-def test_params_validation():
-    with pytest.raises(ValueError):
-        DetectorParams(probe_interval_ns=0)
-    with pytest.raises(ValueError):
-        DetectorParams(probe_timeout_ns=-1)
-    with pytest.raises(ValueError):
-        DetectorParams(suspect_after_losses=0)
-    with pytest.raises(ValueError):
-        DetectorParams(recovery_probes=0)
-
-
 def test_detect_bound_formula():
-    p = DetectorParams(
-        probe_interval_ns=1 * MS,
-        probe_timeout_ns=4 * MS,
-        suspect_after_losses=3,
-        confirm_window_ns=2 * MS,
+    assert DETECT_BOUND_NS == (
+        SUSPECT_AFTER_LOSSES * PROBE_INTERVAL_NS
+        + PROBE_TIMEOUT_NS
+        + CONFIRM_WINDOW_NS
+        + 2 * PROBE_INTERVAL_NS
     )
-    assert p.detect_bound_ns == 3 * MS + 4 * MS + 2 * MS + 2 * MS
+    assert DETECT_BOUND_NS == 7 * MS
 
 
 def test_single_loss_does_not_suspect():
@@ -90,8 +85,8 @@ def test_suspect_recovers_on_good_score():
 
 
 def test_full_lifecycle_up_down_recovering_up():
-    params = DetectorParams(recovery_probes=2)
-    det = make(params)
+    assert RECOVERY_PROBES == 2
+    det = make()
     det.on_probe_loss(1 * MS, 0.5)
     det.on_probe_loss(2 * MS, 0.3)
     det.on_probe_loss(4 * MS, 0.1)
@@ -103,19 +98,12 @@ def test_full_lifecycle_up_down_recovering_up():
 
 
 def test_loss_during_recovery_goes_back_down():
-    det = make(DetectorParams(recovery_probes=3))
+    det = make()
     det.force_down(1 * MS)
     det.on_probe_success(2 * MS, 0.5)
     assert det.state is EdgeState.RECOVERING
     det.on_probe_loss(3 * MS, 0.4)
     assert det.state is EdgeState.DOWN
-
-
-def test_recovery_probes_one_goes_straight_up():
-    det = make(DetectorParams(recovery_probes=1))
-    det.force_down(1 * MS)
-    det.on_probe_success(2 * MS, 0.5)
-    assert det.state is EdgeState.UP
 
 
 def test_force_down_and_up_are_idempotent():

@@ -8,7 +8,8 @@ re-added — with the whole run bit-deterministic across repeats.
 """
 
 from repro.bench import run_failover
-from repro.control import DetectorParams, EdgeState
+from repro.control import EdgeState
+from repro.control.detector import DETECT_BOUND_NS
 
 MS = 1_000_000
 
@@ -50,7 +51,7 @@ def test_failover_acceptance():
     result = run_once()
 
     # (a) detection within the configured window.
-    bound = DetectorParams().detect_bound_ns
+    bound = DETECT_BOUND_NS
     assert result.detected_ns is not None, "rail death never detected"
     assert result.detect_latency_ns <= bound, (
         f"detected after {result.detect_latency_ns} ns, bound is {bound} ns"

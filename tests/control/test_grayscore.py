@@ -13,11 +13,7 @@ The scorer's contract has three parts, each pinned here:
 """
 
 from repro.bench import make_cluster
-from repro.control import (
-    DetectorParams,
-    FaultSchedule,
-    SlowNic,
-)
+from repro.control import FaultSchedule, SlowNic
 from repro.control.detector import EdgeFailureDetector, EdgeState
 from repro.control.grayscore import DEGRADED_SCORE
 
@@ -35,7 +31,7 @@ def _gray_cluster(rails_config="2L-1G", rails=4, traffic_until_ns=40 * MS):
     """
     cluster = make_cluster(rails_config, nodes=2, seed=7, rails=rails)
     a, b = cluster.connect(0, 1)
-    cluster.enable_edge_control(0, 1, detector_params=DetectorParams())
+    cluster.enable_edge_control(0, 1)
     cluster.enable_gray_detection()
     size = 64_000
     src = b.node.memory.alloc(size)
@@ -133,7 +129,7 @@ def test_stop_halts_checks():
 
 
 def test_mark_degraded_legal_only_from_up():
-    det = EdgeFailureDetector(0, DetectorParams())
+    det = EdgeFailureDetector(0)
     assert det.state is EdgeState.UP
     det.mark_degraded(now=1000)
     assert det.state is EdgeState.DEGRADED

@@ -4,21 +4,21 @@ import pytest
 
 from repro.bench import make_cluster
 from repro.control import (
-    DetectorParams,
     EdgeState,
     FaultSchedule,
     PermanentFailure,
     Repair,
 )
+from repro.control.detector import DETECT_BOUND_NS
 from repro.core import AdaptiveStriping
 
 MS = 1_000_000
 
 
-def two_rail_cluster(**kwargs):
+def two_rail_cluster():
     cluster = make_cluster("2Lu-1G", nodes=2)
     a, b = cluster.connect(0, 1)
-    ma, mb = cluster.enable_edge_control(0, 1, **kwargs)
+    ma, mb = cluster.enable_edge_control(0, 1)
     return cluster, a, b, ma, mb
 
 
@@ -53,7 +53,7 @@ def test_probes_flow_and_score_healthy():
 def test_dead_rail_detected_and_masked():
     cluster, a, b, ma, mb = two_rail_cluster()
     FaultSchedule([PermanentFailure(at_ns=5 * MS, node=0, rail=0)]).apply(cluster)
-    cluster.sim.run(until=5 * MS + ma.detector_params.detect_bound_ns)
+    cluster.sim.run(until=5 * MS + DETECT_BOUND_NS)
     assert ma.edge_state(0) is EdgeState.DOWN
     assert mb.edge_state(0) is EdgeState.DOWN
     assert ma.edge_state(1) is EdgeState.UP
@@ -146,14 +146,6 @@ def test_adaptive_striping_skips_zero_score_rail():
         assert pol.next_rail(1500) == 1
     pol.set_score(0, 1.0)
     assert 0 in {pol.next_rail(1500) for _ in range(4)}
-
-
-def test_detector_params_propagate():
-    params = DetectorParams(probe_interval_ns=250_000, suspect_after_losses=3)
-    cluster, a, b, ma, mb = two_rail_cluster(detector_params=params)
-    assert ma.detector_params.probe_interval_ns == 250_000
-    cluster.sim.run(until=3 * MS)
-    assert ma.monitors[0].probes_sent >= 10  # 250 us cadence
 
 
 def test_watch_new_rail_requires_order():

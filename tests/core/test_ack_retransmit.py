@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.core import AckPolicy, AckPolicyParams, RetransmitParams, RetransmitTimer
+from repro.core import AckPolicy, AckPolicyParams, RetransmitTimer
+from repro.core.retransmit import (
+    BACKOFF_FACTOR,
+    COARSE_TIMEOUT_NS,
+    MAX_RETRIES,
+    MAX_TIMEOUT_NS,
+)
 from repro.sim import Simulator
 
 
@@ -44,23 +50,17 @@ class TestRetransmitTimer:
     def test_fires_after_timeout(self):
         sim = Simulator()
         fired = []
-        t = RetransmitTimer(
-            sim, RetransmitParams(coarse_timeout_ns=1000), fired.append_time
-            if False
-            else (lambda: fired.append(sim.now)),
-        )
+        t = RetransmitTimer(sim, lambda: fired.append(sim.now))
         t.arm()
         sim.run()
-        assert fired == [1000]
+        assert fired == [COARSE_TIMEOUT_NS]
 
     def test_progress_resets(self):
         sim = Simulator()
         fired = []
-        t = RetransmitTimer(
-            sim, RetransmitParams(coarse_timeout_ns=1000), lambda: fired.append(sim.now)
-        )
+        t = RetransmitTimer(sim, lambda: fired.append(sim.now))
         t.arm()
-        sim.schedule(500, t.on_progress)
+        sim.schedule(COARSE_TIMEOUT_NS // 2, t.on_progress)
         sim.run()
         assert fired == []
 
@@ -73,15 +73,12 @@ class TestRetransmitTimer:
             if len(fired) < 3:
                 t.arm()
 
-        t = RetransmitTimer(
-            sim,
-            RetransmitParams(coarse_timeout_ns=1000, backoff_factor=2),
-            on_timeout,
-        )
+        t = RetransmitTimer(sim, on_timeout)
         t.arm()
         sim.run()
-        # 1000, then +2000, then +4000.
-        assert fired == [1000, 3000, 7000]
+        # One timeout, then twice it, then four times it.
+        assert BACKOFF_FACTOR == 2
+        assert fired == [COARSE_TIMEOUT_NS * k for k in (1, 3, 7)]
 
     def test_backoff_capped(self):
         sim = Simulator()
@@ -89,19 +86,18 @@ class TestRetransmitTimer:
 
         def on_timeout():
             fired.append(sim.now)
-            if len(fired) < 4:
+            if len(fired) < 7:
                 t.arm()
 
-        t = RetransmitTimer(
-            sim,
-            RetransmitParams(
-                coarse_timeout_ns=1000, backoff_factor=10, max_timeout_ns=2000
-            ),
-            on_timeout,
-        )
+        t = RetransmitTimer(sim, on_timeout)
         t.arm()
         sim.run()
-        assert fired == [1000, 3000, 5000, 7000]
+        gaps = [b - a for a, b in zip([0] + fired, fired)]
+        assert gaps == [
+            min(COARSE_TIMEOUT_NS * BACKOFF_FACTOR**i, MAX_TIMEOUT_NS)
+            for i in range(7)
+        ]
+        assert gaps[-1] == gaps[-2] == MAX_TIMEOUT_NS
 
     def test_dead_connection_callback(self):
         sim = Simulator()
@@ -110,31 +106,17 @@ class TestRetransmitTimer:
         def on_timeout():
             t.arm()
 
-        t = RetransmitTimer(
-            sim,
-            RetransmitParams(coarse_timeout_ns=100, max_retries=3,
-                             backoff_factor=1),
-            on_timeout,
-            on_dead=lambda: dead.append(sim.now),
-        )
+        t = RetransmitTimer(sim, on_timeout, on_dead=lambda: dead.append(sim.now))
         t.arm()
         sim.run()
         assert len(dead) == 1
-        assert t.timeouts_fired == 4  # 3 retries + the fatal one
+        assert t.timeouts_fired == MAX_RETRIES + 1  # the retries + the fatal one
 
     def test_arm_idempotent(self):
         sim = Simulator()
         fired = []
-        t = RetransmitTimer(
-            sim, RetransmitParams(coarse_timeout_ns=1000), lambda: fired.append(1)
-        )
+        t = RetransmitTimer(sim, lambda: fired.append(1))
         t.arm()
         t.arm()
         sim.run()
         assert fired == [1]
-
-    def test_params_validation(self):
-        with pytest.raises(ValueError):
-            RetransmitParams(coarse_timeout_ns=0)
-        with pytest.raises(ValueError):
-            RetransmitParams(backoff_factor=0)

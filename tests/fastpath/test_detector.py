@@ -6,9 +6,10 @@ names it — proving the fast path refuses to arm rather than jumping over a
 discontinuity.
 """
 
+from dataclasses import replace
 from types import SimpleNamespace
 
-from repro.bench.cluster import make_cluster
+from repro.bench.cluster import make_cluster, named_config
 from repro.ethernet import LinkParams
 from repro.fastpath import disqualify_reason
 from repro.verify import InvariantMonitor
@@ -215,8 +216,8 @@ def test_impaired_device_on_the_path_refuses():
 
 
 def test_ecn_enabled_refuses():
-    cluster, conn, _ = _pair()
-    cluster.set_ecn_threshold(8)
+    switch = replace(named_config("1L-1G").switch, ecn_threshold_frames=8)
+    _, conn, _ = _pair(switch=switch)
     assert _reason(conn) == "ecn-enabled"
 
 
@@ -330,13 +331,13 @@ def test_journal_replay_in_flight_refuses_against_real_recovery():
     """The same denial from a real ``ClusterRecovery`` whose journaled
     channel is between losing its connection and finishing the replay —
     not a stand-in object, which is how a misspelt attribute went unseen."""
-    from repro.control import Crash, DetectorParams, FaultSchedule, Restart
+    from repro.control import Crash, FaultSchedule, Restart
 
     MS = 1_000_000
     cluster = make_cluster("2Lu-1G", nodes=3, fastpath=True, synthetic_payloads=True)
     cluster.connect(0, 1)
     bystander, _ = cluster.connect(0, 2)
-    cluster.enable_edge_control(0, 1, detector_params=DetectorParams())
+    cluster.enable_edge_control(0, 1)
     recovery = cluster.enable_crash_recovery()
     channel = recovery.channel(0, 1)
     FaultSchedule(

@@ -20,8 +20,13 @@ from repro.core import (
     BackoffPolicy,
     PeerCrashed,
     RetransmitExhausted,
-    RetransmitParams,
     RetransmitTimer,
+)
+from repro.core.retransmit import (
+    BACKOFF_FACTOR,
+    COARSE_TIMEOUT_NS,
+    MAX_RETRIES,
+    MAX_TIMEOUT_NS,
 )
 from repro.dsm.region import PageState
 from repro.dsm.runtime import DsmRuntime
@@ -72,14 +77,10 @@ class TestBackoffPolicy:
 
 
 class TestRetransmitTimerEdgeCases:
-    def _timer(self, sim, max_retries=2):
+    def _timer(self, sim):
         fired, dead = [], []
-        params = RetransmitParams(
-            coarse_timeout_ns=1 * MS, backoff_factor=2,
-            max_timeout_ns=4 * MS, max_retries=max_retries,
-        )
         timer = RetransmitTimer(
-            sim, params,
+            sim,
             on_timeout=lambda: (fired.append(sim.now), timer.arm()),
             on_dead=lambda: dead.append(sim.now),
         )
@@ -87,11 +88,11 @@ class TestRetransmitTimerEdgeCases:
 
     def test_exhaustion_fires_on_dead_once_and_stays_down(self):
         sim = Simulator()
-        timer, fired, dead = self._timer(sim, max_retries=2)
+        timer, fired, dead = self._timer(sim)
         timer.arm()
         sim.run()
-        # 2 allowed timeouts, then the third silent one declares dead.
-        assert len(fired) == 2 and len(dead) == 1
+        # MAX_RETRIES allowed timeouts, then the next silent one declares dead.
+        assert len(fired) == MAX_RETRIES and len(dead) == 1
         assert timer.exhausted and not timer.armed
         timer.arm()  # no-op once exhausted
         assert not timer.armed
@@ -100,15 +101,19 @@ class TestRetransmitTimerEdgeCases:
 
     def test_backoff_doubles_up_to_cap(self):
         sim = Simulator()
-        timer, fired, dead = self._timer(sim, max_retries=5)
+        timer, fired, dead = self._timer(sim)
         timer.arm()
         sim.run()
         gaps = [b - a for a, b in zip([0] + fired, fired + dead)]
-        assert gaps == [1 * MS, 2 * MS, 4 * MS, 4 * MS, 4 * MS, 4 * MS]
+        assert gaps == [
+            min(COARSE_TIMEOUT_NS * BACKOFF_FACTOR**i, MAX_TIMEOUT_NS)
+            for i in range(MAX_RETRIES + 1)
+        ]
+        assert gaps[-1] == MAX_TIMEOUT_NS
 
     def test_progress_resets_exhaustion_and_backoff(self):
         sim = Simulator()
-        timer, fired, dead = self._timer(sim, max_retries=2)
+        timer, fired, dead = self._timer(sim)
         timer.arm()
         sim.run()
         assert timer.exhausted
@@ -118,7 +123,7 @@ class TestRetransmitTimerEdgeCases:
         assert timer.armed  # re-armable after fresh ack progress
         t0 = sim.now
         sim.run()
-        assert fired[2] - t0 == 1 * MS  # backoff restarted from base
+        assert fired[MAX_RETRIES] - t0 == COARSE_TIMEOUT_NS  # backoff restarted
 
     def test_cancel_prevents_fire(self):
         sim = Simulator()

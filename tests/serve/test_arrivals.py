@@ -123,8 +123,6 @@ def test_bursty_modulates_rate():
         kind="bursty",
         rate_rps=10_000,
         burst_rate_rps=200_000,
-        mean_on_ns=1 * _MS,
-        mean_off_ns=1 * _MS,
     )
     _, base_reqs = _collect(base, 40 * _MS, seed=21)
     _, burst_reqs = _collect(burst, 40 * _MS, seed=21)

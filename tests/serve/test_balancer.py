@@ -19,8 +19,7 @@ from repro.serve.arrivals import Request
 
 def _req(client=0):
     return Request(
-        req_id=1, client=client, t_arrival=0, req_bytes=64, resp_bytes=64,
-        deadline_ns=0,
+        req_id=1, client=client, t_arrival=0, req_bytes=64, resp_bytes=64
     )
 
 

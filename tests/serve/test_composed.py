@@ -93,8 +93,7 @@ def test_stranded_request_is_a_violation():
     # as emitted so every accounting invariant still holds.
     rt = run.runtime
     rt.holding.append(Request(
-        req_id=-1, client=0, t_arrival=0, req_bytes=64, resp_bytes=64,
-        deadline_ns=0,
+        req_id=-1, client=0, t_arrival=0, req_bytes=64, resp_bytes=64
     ))
     rt.generated += 1
     rt.sources[0].generated += 1

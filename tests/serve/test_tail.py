@@ -15,8 +15,18 @@ from repro.control import SlowNode
 from repro.serve import ArrivalSpec, ServerSpec, TailSpec
 from repro.serve.tail import (
     BREAKER_CLOSED,
+    BREAKER_FAILURES,
     BREAKER_HALF_OPEN,
+    BREAKER_HALF_OPEN_PROBES,
     BREAKER_OPEN,
+    BREAKER_OPEN_NS,
+    EJECT_FACTOR,
+    EJECT_MIN_SAMPLES,
+    EJECT_NS,
+    HEDGE_MAX_DELAY_NS,
+    HEDGE_MIN_DELAY_NS,
+    HEDGE_WARMUP,
+    MAX_EJECT_FRACTION,
     CircuitBreaker,
     OutlierEjector,
     QuantileTracker,
@@ -34,21 +44,7 @@ MS = 1_000_000
 
 def test_spec_validation():
     with pytest.raises(ValueError):
-        TailSpec(hedge_min_delay_ns=2, hedge_max_delay_ns=1)
-    with pytest.raises(ValueError):
         TailSpec(retry_budget=-0.1)
-    with pytest.raises(ValueError):
-        TailSpec(retry_burst=0)
-    with pytest.raises(ValueError):
-        TailSpec(max_attempts=0)
-    with pytest.raises(ValueError):
-        TailSpec(breaker_failures=0)
-    with pytest.raises(ValueError):
-        TailSpec(breaker_half_open_probes=0)
-    with pytest.raises(ValueError):
-        TailSpec(eject_factor=1.0)
-    with pytest.raises(ValueError):
-        TailSpec(max_eject_fraction=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -92,34 +88,34 @@ def test_budget_amplification_bound():
 # ---------------------------------------------------------------------------
 
 
-def _spec(**kw):
-    defaults = dict(breaker_failures=3, breaker_open_ns=5 * MS,
-                    breaker_half_open_probes=2)
-    defaults.update(kw)
-    return TailSpec(**defaults)
+def _open(br):
+    """Fail ``br`` BREAKER_FAILURES times in a row; returns the opening time."""
+    for t in range(1, BREAKER_FAILURES + 1):
+        br.on_failure(t)
+    assert br.state == BREAKER_OPEN
+    return BREAKER_FAILURES
 
 
 def test_breaker_opens_after_consecutive_failures():
-    br = CircuitBreaker(_spec())
-    br.on_failure(1)
-    br.on_failure(2)
+    br = CircuitBreaker()
+    for t in range(1, BREAKER_FAILURES):
+        br.on_failure(t)
     assert br.state == BREAKER_CLOSED
-    br.on_success(3)  # success resets the streak
-    br.on_failure(4)
-    br.on_failure(5)
-    br.on_failure(6)
+    br.on_success(BREAKER_FAILURES)  # success resets the streak
+    for t in range(BREAKER_FAILURES):
+        assert br.state == BREAKER_CLOSED
+        br.on_failure(BREAKER_FAILURES + 1 + t)
     assert br.state == BREAKER_OPEN
     assert br.opens == 1
-    assert not br.allow(6 + 4 * MS)  # still inside the open window
+    assert not br.allow(br.opened_at + BREAKER_OPEN_NS - 1)  # still open
 
 
 def test_breaker_half_open_probe_accounting():
-    br = CircuitBreaker(_spec())
-    for t in (1, 2, 3):
-        br.on_failure(t)
-    t = 3 + 5 * MS
+    br = CircuitBreaker()
+    t = _open(br) + BREAKER_OPEN_NS
     assert br.allow(t)  # open window elapsed -> HALF_OPEN
     assert br.state == BREAKER_HALF_OPEN
+    assert BREAKER_HALF_OPEN_PROBES == 2
     br.note_dispatch(t)
     assert br.allow(t)  # one probe left
     br.note_dispatch(t)
@@ -130,10 +126,8 @@ def test_breaker_half_open_probe_accounting():
 
 
 def test_breaker_half_open_failure_reopens():
-    br = CircuitBreaker(_spec())
-    for t in (1, 2, 3):
-        br.on_failure(t)
-    t = 3 + 5 * MS
+    br = CircuitBreaker()
+    t = _open(br) + BREAKER_OPEN_NS
     assert br.allow(t)
     br.note_dispatch(t)
     br.on_failure(t + 1)
@@ -143,14 +137,13 @@ def test_breaker_half_open_failure_reopens():
 
 
 def test_breaker_transitions_all_legal():
-    br = CircuitBreaker(_spec())
-    for t in (1, 2, 3):
-        br.on_failure(t)
-    br.allow(3 + 5 * MS)
-    br.note_dispatch(3 + 5 * MS)
-    br.on_failure(3 + 5 * MS + 1)
-    br.allow(br.opened_at + 5 * MS)
-    br.on_success(br.opened_at + 5 * MS + 1)
+    br = CircuitBreaker()
+    t = _open(br) + BREAKER_OPEN_NS
+    br.allow(t)
+    br.note_dispatch(t)
+    br.on_failure(t + 1)
+    br.allow(br.opened_at + BREAKER_OPEN_NS)
+    br.on_success(br.opened_at + BREAKER_OPEN_NS + 1)
     from repro.serve.tail import LEGAL_BREAKER_TRANSITIONS
 
     assert len(br.transitions) == 5
@@ -169,45 +162,45 @@ def _feed(ej, server, latency, n, now):
 
 
 def test_ejector_flags_the_slow_server():
-    spec = _spec(eject_min_samples=5, eject_factor=2.0, eject_ns=10 * MS)
-    ej = OutlierEjector(spec, servers=[1, 2, 3, 4])
+    assert EJECT_FACTOR == 2.0
+    ej = OutlierEjector(servers=[1, 2, 3, 4])
     for s in (1, 2, 3):
-        _feed(ej, s, 100_000, 5, now=1 * MS)
-    _feed(ej, 4, 500_000, 5, now=1 * MS)
+        _feed(ej, s, 100_000, EJECT_MIN_SAMPLES, now=1 * MS)
+    _feed(ej, 4, 500_000, EJECT_MIN_SAMPLES - 1, now=1 * MS)
+    assert not ej.is_ejected(4, 1 * MS)  # too few samples to judge yet
+    _feed(ej, 4, 500_000, 1, now=1 * MS)
     assert ej.is_ejected(4, 2 * MS)
     assert not any(ej.is_ejected(s, 2 * MS) for s in (1, 2, 3))
     assert ej.ejections == 1
 
 
 def test_ejector_expiry_forgets_gray_history():
-    spec = _spec(eject_min_samples=3, eject_ns=10 * MS)
-    ej = OutlierEjector(spec, servers=[1, 2, 3, 4])
+    ej = OutlierEjector(servers=[1, 2, 3, 4])
     for s in (1, 2, 3):
-        _feed(ej, s, 100_000, 3, now=0)
-    _feed(ej, 4, 900_000, 3, now=0)
-    assert ej.is_ejected(4, 1)
-    assert not ej.is_ejected(4, 10 * MS)  # expired
+        _feed(ej, s, 100_000, EJECT_MIN_SAMPLES, now=0)
+    _feed(ej, 4, 900_000, EJECT_MIN_SAMPLES, now=0)
+    assert ej.is_ejected(4, EJECT_NS - 1)
+    assert not ej.is_ejected(4, EJECT_NS)  # expired
     # Post-recovery the server is judged fresh, not on the gray EWMA.
     assert ej.samples[4] == 0 and ej.ewma[4] == 0.0
 
 
 def test_ejector_fraction_cap():
-    # max_eject_fraction=0.5 of a 4-pool allows at most 2 ejections.
-    spec = _spec(eject_min_samples=2, max_eject_fraction=0.5)
-    ej = OutlierEjector(spec, servers=[1, 2, 3, 4])
-    _feed(ej, 1, 100_000, 2, now=0)
-    _feed(ej, 2, 100_000, 2, now=0)
-    _feed(ej, 3, 900_000, 2, now=0)
-    _feed(ej, 4, 900_000, 2, now=0)
+    # MAX_EJECT_FRACTION=0.5 of a 4-pool allows at most 2 ejections.
+    assert MAX_EJECT_FRACTION == 0.5
+    ej = OutlierEjector(servers=[1, 2, 3, 4])
+    _feed(ej, 1, 100_000, EJECT_MIN_SAMPLES, now=0)
+    _feed(ej, 2, 100_000, EJECT_MIN_SAMPLES, now=0)
+    _feed(ej, 3, 900_000, EJECT_MIN_SAMPLES, now=0)
+    _feed(ej, 4, 900_000, EJECT_MIN_SAMPLES, now=0)
     ejected = [s for s in (1, 2, 3, 4) if ej.is_ejected(s, 1)]
     assert len(ejected) <= 2
     assert 1 not in ejected and 2 not in ejected
 
 
 def test_ejector_needs_peers():
-    spec = _spec(eject_min_samples=2)
-    ej = OutlierEjector(spec, servers=[1, 2])
-    _feed(ej, 1, 900_000, 5, now=0)  # only one judged server: no median
+    ej = OutlierEjector(servers=[1, 2])
+    _feed(ej, 1, 900_000, EJECT_MIN_SAMPLES + 5, now=0)  # one judged: no median
     assert not ej.is_ejected(1, 1)
 
 
@@ -231,38 +224,36 @@ def test_quantile_tracker_tracks_p95():
 
 
 def test_filter_candidates_fails_open():
-    ctl = TailController(_spec(eject_min_samples=2), servers=[1, 2])
-    for t in (1, 2, 3):
-        ctl.breakers[1].on_failure(t)
-        ctl.breakers[2].on_failure(t)
+    ctl = TailController(TailSpec(), servers=[1, 2])
+    _open(ctl.breakers[1])
+    _open(ctl.breakers[2])
     # Every breaker open: filtering must fall back to the full pool.
-    out = ctl.filter_candidates({1, 2}, now=4)
+    out = ctl.filter_candidates({1, 2}, now=BREAKER_FAILURES + 1)
     assert out == {1, 2}
     assert ctl.fail_open == 1
 
 
 def test_filter_candidates_drops_open_breaker():
-    ctl = TailController(_spec(), servers=[1, 2])
-    for t in (1, 2, 3):
-        ctl.breakers[2].on_failure(t)
-    assert ctl.filter_candidates({1, 2}, now=4) == {1}
+    ctl = TailController(TailSpec(), servers=[1, 2])
+    _open(ctl.breakers[2])
+    assert ctl.filter_candidates({1, 2}, now=BREAKER_FAILURES + 1) == {1}
 
 
 def test_hedge_delay_warmup_and_clamp():
-    spec = _spec(hedge_warmup=10, hedge_min_delay_ns=200_000,
-                 hedge_max_delay_ns=1 * MS)
-    ctl = TailController(spec, servers=[1])
-    assert ctl.hedge_delay_ns() is None  # not warmed up
-    for _ in range(40):
+    ctl = TailController(TailSpec(), servers=[1])
+    for _ in range(HEDGE_WARMUP - 1):
         ctl.on_success(1, 50_000, now=0)
-    assert ctl.hedge_delay_ns() == 200_000  # clamped up to the floor
+    assert ctl.hedge_delay_ns() is None  # not warmed up
+    for _ in range(40 - HEDGE_WARMUP + 1):
+        ctl.on_success(1, 50_000, now=0)
+    assert ctl.hedge_delay_ns() == HEDGE_MIN_DELAY_NS  # clamped up to the floor
     for _ in range(40):
-        ctl.on_success(1, 50 * MS, now=0)
-    assert ctl.hedge_delay_ns() == 1 * MS  # clamped down to the ceiling
+        ctl.on_success(1, 50 * HEDGE_MAX_DELAY_NS, now=0)
+    assert ctl.hedge_delay_ns() == HEDGE_MAX_DELAY_NS  # clamped down to the ceiling
 
 
 def test_hedge_disabled_returns_none():
-    ctl = TailController(_spec(hedge=False), servers=[1])
+    ctl = TailController(TailSpec(hedge=False), servers=[1])
     for _ in range(100):
         ctl.on_success(1, 500_000, now=0)
     assert ctl.hedge_delay_ns() is None

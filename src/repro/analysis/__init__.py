@@ -1,16 +1,6 @@
-"""Measurement probes and cluster-wide summaries."""
+"""Cluster-wide summaries and latency histograms."""
 
 from .latency import LatencyHistogram, SloReport, SloSpec
-from .probes import (
-    CwndProbe,
-    EdgeScoreProbe,
-    InflightProbe,
-    MarkedFractionProbe,
-    QueueProbe,
-    ReconnectLatencyProbe,
-    Sample,
-    ThroughputProbe,
-)
 from .summary import (
     ClusterSummary,
     RailCounters,
@@ -23,14 +13,6 @@ __all__ = [
     "LatencyHistogram",
     "SloSpec",
     "SloReport",
-    "ThroughputProbe",
-    "QueueProbe",
-    "InflightProbe",
-    "EdgeScoreProbe",
-    "CwndProbe",
-    "MarkedFractionProbe",
-    "ReconnectLatencyProbe",
-    "Sample",
     "ClusterSummary",
     "RailCounters",
     "SwitchCounters",

@@ -299,7 +299,7 @@ class Cluster:
             key = (node_id, peer)
             mgr = self.control_planes.get(key)
             if mgr is None:
-                mgr = EdgeLifecycleManager(self.sim, handle.conn, tracer=self.tracer)
+                mgr = EdgeLifecycleManager(self.sim, handle.conn)
                 self.control_planes[key] = mgr
                 if self.recovery is not None:
                     self.recovery.watch_manager(mgr)
@@ -312,9 +312,9 @@ class Cluster:
         """Attach the hybrid-fidelity fast path (idempotent).
 
         Installs a :class:`~repro.fastpath.FastpathManager`: existing and
-        future connections get a flow-level forwarder, and every node,
-        link, NIC, and switch port gets a discontinuity guard that aborts
-        jumps on faults, ECN marks, queue pressure, or power events.
+        future connections get a flow-level forwarder, and as the
+        simulator's ``fastpath_guard`` it aborts jumps on any device's
+        fault, ECN mark, queue pressure or power event.
         Returns the manager.
         """
         if self.fastpath is None:
@@ -412,9 +412,6 @@ class Cluster:
     def enable_frame_tracing(self) -> None:
         """Record every NIC TX/RX completion into :attr:`tracer`."""
         self.tracer.enable("frame.tx", "frame.rx")
-        for node in self.nodes:
-            for nic in node.nics:
-                nic.tracer = self.tracer
 
     # -- cluster-wide statistics -----------------------------------------
 

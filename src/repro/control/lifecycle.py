@@ -10,8 +10,10 @@ escalations route here), and acts on detector transitions:
   migrate its stranded in-flight frames onto the survivors.
 * ``* → UP``     — ``connection.add_edge(rail)``: re-stripe across it.
 
-Every transition is appended to :attr:`history` and recorded through the
-simulation :class:`~repro.sim.Tracer` under category ``"edge.state"`` so
+Every transition is appended to :attr:`history`, checked by the run's
+invariant monitor if one is attached, and recorded through the run's
+:class:`~repro.sim.Tracer` (both reached as ``sim.monitor`` and
+``sim.tracer``) under category ``"edge.state"`` so
 the Chrome trace exporter can draw per-edge lifecycle spans.  After every
 probe outcome the latest health score is pushed into the striping policy
 (only the ``"adaptive"`` policy weighs rails by it).
@@ -19,7 +21,7 @@ probe outcome the latest health score is pushed into the striping policy
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from ..sim import Simulator
 from .detector import EdgeFailureDetector, EdgeState, EdgeTransition
@@ -27,7 +29,6 @@ from .health import EdgeHealthMonitor
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.connection import Connection
-    from ..sim.trace import Tracer
 
 __all__ = ["EdgeLifecycleManager"]
 
@@ -35,21 +36,12 @@ __all__ = ["EdgeLifecycleManager"]
 class EdgeLifecycleManager:
     """Control plane for all edges of one connection endpoint."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        connection: "Connection",
-        tracer: Optional["Tracer"] = None,
-    ) -> None:
+    def __init__(self, sim: Simulator, connection: "Connection") -> None:
         self.sim = sim
         self.conn = connection
-        self.tracer = tracer
         self.history: list[EdgeTransition] = []
         self.detectors: list[EdgeFailureDetector] = []
         self.monitors: list[EdgeHealthMonitor] = []
-        # Opt-in invariant monitor (repro.verify); validates state-machine
-        # transition legality.  None in normal runs.
-        self.invariant_monitor = None
         # Opt-in PEER_DOWN escalation (repro.recovery): called with this
         # manager exactly once when every edge of the peer is DOWN (or the
         # coarse retransmit timer declares the connection dead).  None in
@@ -119,8 +111,9 @@ class EdgeLifecycleManager:
         Nothing to fail over *to*; record the event so experiments can
         distinguish total-fabric death from single-edge failures.
         """
-        if self.tracer is not None and self.tracer.is_enabled("edge.state"):
-            self.tracer.record(
+        tracer = self.sim.tracer
+        if tracer is not None and tracer.is_enabled("edge.state"):
+            tracer.record(
                 "edge.state",
                 {"conn": self.conn.conn_id, "rail": -1, "old": "up",
                  "new": "dead", "reason": "all rails silent"},
@@ -138,10 +131,11 @@ class EdgeLifecycleManager:
             # Any heartbeat-driven edge state change is a discontinuity for
             # the flow-level fast-forward model.
             fastpath.on_discontinuity("edge-transition")
-        if self.invariant_monitor is not None:
-            self.invariant_monitor.on_edge_transition(self, rail, old, new, reason)
-        if self.tracer is not None and self.tracer.is_enabled("edge.state"):
-            self.tracer.record(
+        sim = self.sim
+        if sim.monitor is not None:
+            sim.monitor.on_edge_transition(self, rail, old, new, reason)
+        if sim.tracer is not None and sim.tracer.is_enabled("edge.state"):
+            sim.tracer.record(
                 "edge.state",
                 {"conn": self.conn.conn_id, "rail": rail, "old": str(old),
                  "new": str(new), "reason": reason},

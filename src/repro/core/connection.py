@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from typing import Any, Deque, Generator, Optional
 
 from ..congestion import make_congestion_controller
-from ..congestion.base import FULL_FRAME_WIRE_BYTES, PACING_BURST_FRAMES
+from ..congestion.base import FULL_FRAME_WIRE_BYTES, MIN_CWND_FRAMES, PACING_BURST_FRAMES
 from ..ethernet import ECN_CE, ECN_ECHO, Frame, FrameType, OpFlags, max_payload_per_frame
 from ..host.cpu import Cpu
 from ..host.params import PER_FRAME_RECV_NS, PER_FRAME_SEND_NS, memcpy_ns
@@ -102,6 +102,12 @@ class ProtocolParams:
     def __post_init__(self) -> None:
         if self.window_frames < 1:
             raise ValueError("window_frames must be >= 1")
+        if self.congestion != "static" and self.window_frames < MIN_CWND_FRAMES:
+            # An adaptive cwnd lives in [MIN_CWND_FRAMES, window_frames].
+            raise ValueError(
+                f"window_frames={self.window_frames} is below the cwnd floor "
+                f"{MIN_CWND_FRAMES} of congestion={self.congestion!r}"
+            )
         if self.pump_batch < 1:
             raise ValueError("pump_batch must be >= 1")
 
@@ -243,7 +249,7 @@ class Connection:
         self.striping = make_striping_policy(self.params.striping, self.nics)
         # Congestion control (repro.congestion).  The fast-path guard _cc
         # is None for the static policy — the same single-attribute-test
-        # pattern as the monitor hooks, so the default costs nothing.
+        # pattern as the observer hooks, so the default costs nothing.
         self.congestion = make_congestion_controller(
             self.params.congestion, self.window, self.params.pacing
         )
@@ -266,9 +272,6 @@ class Connection:
         # Edge lifecycle control plane (repro.control); None when the
         # connection runs bare.  Receives probe echoes and dead-peer events.
         self.control_plane: Optional[Any] = None
-        # Opt-in invariant monitor (repro.verify); None in normal runs so
-        # every hook below is a single attribute test.
-        self.monitor: Optional[Any] = None
         # Opt-in flow-level fast-forward (repro.fastpath); None keeps the
         # pump on the exact frame-level path.
         self.fastpath: Optional[Any] = None
@@ -372,8 +375,8 @@ class Connection:
             for k, run in enumerate(runs):
                 unsent.insert(at + k, run)
         self._queued[self.order] = self
-        if self.monitor is not None:
-            self.monitor.on_op_submitted(self, op)
+        if self.sim.monitor is not None:
+            self.sim.monitor.on_op_submitted(self, op)
         return op
 
     def submit_write(
@@ -507,8 +510,8 @@ class Connection:
                     break
                 sent += 1
             stats.pump_charged_ns += sent * PER_FRAME_SEND_NS
-            if self.monitor is not None:
-                self.monitor.on_event(self)
+            if self.sim.monitor is not None:
+                self.sim.monitor.on_event(self)
             if sent < batch:
                 # The batch was billed up front, then the TX rings (or a
                 # state change during the CPU wait) stopped it early.  The
@@ -629,10 +632,10 @@ class Connection:
             # before it can corrupt the resurrected connection's windows.
             self.stats.stale_frames_rejected += 1
             return
-        if self.monitor is not None:
+        if self.sim.monitor is not None:
             # No-stale-frame-accepted invariant: every frame that passes
             # the guard above must match the expected peer incarnation.
-            self.monitor.on_rx_frame(self, frame)
+            self.sim.monitor.on_rx_frame(self, frame)
         if self.closed and h.frame_type in (
             FrameType.DATA, FrameType.READ_REQ, FrameType.READ_RESP
         ):
@@ -706,8 +709,8 @@ class Connection:
                 else:
                     self._arm_delayed_ack()
 
-        if self.monitor is not None:
-            self.monitor.on_event(self)
+        if self.sim.monitor is not None:
+            self.sim.monitor.on_event(self)
         # Acks may have opened the window; new work may be queued.
         if self.has_send_work():
             yield from self.pump(cpu)
@@ -806,8 +809,8 @@ class Connection:
                 self._queue_retransmit(seq)
                 migrated += 1
         self.stats.migrated_frames += migrated
-        if self.monitor is not None:
-            self.monitor.on_event(self)
+        if self.sim.monitor is not None:
+            self.sim.monitor.on_event(self)
         if self.has_send_work():
             self.sim.process(self._timer_pump())
         return migrated
@@ -820,8 +823,8 @@ class Connection:
             return
         self.striping.enable_rail(rail)
         self.stats.edges_added += 1
-        if self.monitor is not None:
-            self.monitor.on_event(self)
+        if self.sim.monitor is not None:
+            self.sim.monitor.on_event(self)
         if self.has_send_work():
             self.sim.process(self._timer_pump())
 
@@ -927,8 +930,8 @@ class Connection:
         freed = self.window.on_ack(cum_ack)
         if ece:
             self.stats.ecn_echoes_received += 1
-        if self.monitor is not None:
-            self.monitor.on_ack(self, cum_ack, freed)
+        if self.sim.monitor is not None:
+            self.sim.monitor.on_ack(self, cum_ack, freed)
         if not freed:
             return
         cc = self._cc
@@ -1095,8 +1098,8 @@ class Connection:
                     self._sync_pacing()
         self.sim.process(self._timer_pump())
         self.retransmit_timer.arm()
-        if self.monitor is not None:
-            self.monitor.on_event(self)
+        if self.sim.monitor is not None:
+            self.sim.monitor.on_event(self)
 
     def _timer_work(self, action) -> Generator[Any, Any, None]:
         """Run a small control-frame action on the protocol CPU."""

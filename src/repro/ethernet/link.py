@@ -86,9 +86,6 @@ class Link:
         # from dedicated ``.graydrop`` / ``.grayjitter`` RNG streams that
         # are created lazily, so un-degraded runs never touch them.
         self._gray: Optional[_GrayImpairment] = None
-        # Fast-forward discontinuity guard (repro.fastpath); a fault or
-        # repair on this link aborts any in-progress flow-level jump.
-        self.fastpath_guard: Optional[object] = None
         # Counters.
         self.frames_delivered = 0
         self.frames_corrupted = 0
@@ -163,7 +160,7 @@ class Link:
         # degradation's rate while it lasts, else the override's, else what
         # the link was built with.  Then the fast-path guard is told.
         self.params = self._gray_params or self._ramp_params or self._built
-        guard = self.fastpath_guard
+        guard = self.sim.fastpath_guard
         if guard is not None:
             guard.bump(reason)
 

@@ -110,17 +110,6 @@ class Nic:
         self.tx_link: Optional[Link] = None
         # Driver hooks: on_irq runs in "hardware interrupt" context.
         self.on_irq: Optional[Callable[["Nic"], None]] = None
-        # Optional trace sink (repro.sim.trace.Tracer).  When attached and
-        # the category is enabled, frame tx/rx land on the timeline the
-        # Chrome exporter renders; otherwise the cost is one None check.
-        self.tracer = None
-        # Optional invariant monitor wire tap (repro.verify); same guarded
-        # single-attribute-test pattern as the tracer.
-        self.monitor = None
-        # Fast-forward discontinuity guard (repro.fastpath); power events
-        # on this NIC abort any in-progress flow-level jump.
-        self.fastpath_guard = None
-
         self.interrupts_enabled = True
         # Optional token-bucket pacer (repro.congestion.pacing.TokenBucket);
         # None (the default) keeps the transmit path byte-identical to the
@@ -192,8 +181,9 @@ class Nic:
         if factor == self.gray_tx_throttle:
             return
         self.gray_tx_throttle = factor
-        if self.fastpath_guard is not None:
-            self.fastpath_guard.bump("nic-tx-throttle")
+        guard = self.sim.fastpath_guard
+        if guard is not None:
+            guard.bump("nic-tx-throttle")
 
     @property
     def impairment(self) -> Optional[str]:
@@ -255,8 +245,9 @@ class Nic:
             tx_time = int(tx_time * self.gray_tx_throttle)
         self._line_free_at = begin + tx_time
         self.sim.at(self._line_free_at, self._tx_done, frame, self._power_epoch)
-        if self.monitor is not None:
-            self.monitor.on_nic_tx(self, frame)
+        monitor = self.sim.monitor
+        if monitor is not None:
+            monitor.on_nic_tx(self, frame)
         return True
 
     def _tx_done(self, frame: Frame, epoch: int = 0) -> None:
@@ -269,8 +260,8 @@ class Nic:
         counters = self.counters
         counters.tx_frames += 1
         counters.tx_bytes += frame.wire_bytes
-        tracer = self.tracer
-        if tracer is not None and tracer.is_enabled("frame.tx"):
+        tracer = self.sim.tracer
+        if tracer is not None and (tracer.everything or "frame.tx" in tracer.enabled):
             h = frame.header
             tracer.record(
                 "frame.tx",
@@ -346,8 +337,8 @@ class Nic:
         self._rx_pending.append(frame)
         self.counters.rx_frames += 1
         self._rx_since_irq += 1
-        tracer = self.tracer
-        if tracer is not None and tracer.is_enabled("frame.rx"):
+        tracer = self.sim.tracer
+        if tracer is not None and (tracer.everything or "frame.rx" in tracer.enabled):
             h = frame.header
             tracer.record(
                 "frame.rx",
@@ -389,8 +380,9 @@ class Nic:
         """
         if not self.powered:
             return
-        if self.fastpath_guard is not None:
-            self.fastpath_guard.bump("nic-power-off")
+        guard = self.sim.fastpath_guard
+        if guard is not None:
+            guard.bump("nic-power-off")
         self.powered = False
         self._power_epoch += 1
         self._rx_pending.clear()
@@ -407,8 +399,9 @@ class Nic:
         """Restart: rings were already cleared at power-off."""
         if self.powered:
             return
-        if self.fastpath_guard is not None:
-            self.fastpath_guard.bump("nic-power-on")
+        guard = self.sim.fastpath_guard
+        if guard is not None:
+            guard.bump("nic-power-on")
         self.powered = True
         self.interrupts_enabled = True
 

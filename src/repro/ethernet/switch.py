@@ -97,9 +97,6 @@ class SwitchPort:
         self.peak_queue_depth = 0
         self.tx_frames = 0
         self.ce_marked = 0
-        # Fast-forward discontinuity guard (repro.fastpath); a CE mark, a
-        # queue drop, or a pause on this port aborts any flow-level jump.
-        self.fastpath_guard = None
 
     def attach_link(self, link: Link, speed_bps: float) -> None:
         self.tx_link = link
@@ -139,8 +136,10 @@ class SwitchPort:
         frame.header.flags |= ECN_CE
         self.ce_marked += 1
         self.switch.ce_marked_total += 1
-        if self.fastpath_guard is not None:
-            self.fastpath_guard.bump("ecn-mark")
+        # A CE mark, a queue drop or a pause aborts any flow-level jump.
+        guard = self.switch.sim.fastpath_guard
+        if guard is not None:
+            guard.bump("ecn-mark")
 
     def enqueue(self, frame: Frame) -> bool:
         params = self.switch.params
@@ -159,13 +158,15 @@ class SwitchPort:
                 self._paused.append(frame)
                 self.paused_frames += 1
                 self._note_depth()
-                if self.fastpath_guard is not None:
-                    self.fastpath_guard.bump("switch-pause")
+                guard = self.switch.sim.fastpath_guard
+                if guard is not None:
+                    guard.bump("switch-pause")
                 return True
             self.dropped_queue_full += 1
             self.switch.dropped_total += 1
-            if self.fastpath_guard is not None:
-                self.fastpath_guard.bump("switch-drop")
+            guard = self.switch.sim.fastpath_guard
+            if guard is not None:
+                guard.bump("switch-drop")
             return False
         if mark:
             self._mark_ce(frame)

@@ -38,7 +38,7 @@ def disqualify_reason(fwd):
     # The invariant monitor checks per-event conservation laws that a
     # closed-form jump satisfies only at op boundaries; monitored runs
     # stay frame-level so every invariant holds at every instant.
-    if conn.monitor is not None or peer.monitor is not None:
+    if conn.sim.monitor is not None:
         return "monitor-attached"
     if conn.closed or peer.closed:
         return "connection-closed"

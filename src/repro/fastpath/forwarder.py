@@ -450,7 +450,8 @@ class FastpathManager:
         self.cluster = cluster
         self.stats = FastpathStats()
         self.forwarders: list[FlowForwarder] = []
-        self._wire_guards()
+        # Every device tells the run's guard of a discontinuity.
+        cluster.sim.fastpath_guard = self
 
     # -- wiring ------------------------------------------------------------
 
@@ -473,19 +474,6 @@ class FastpathManager:
         for stack in self.cluster.stacks:
             for conn in list(stack.protocol.connections.values()):
                 self.attach(conn)
-
-    def _wire_guards(self) -> None:
-        """Point every device-level discontinuity hook at this manager."""
-        for cable in self.cluster._cables.values():
-            cable.ab.fastpath_guard = self
-            cable.ba.fastpath_guard = self
-        for node in self.cluster.nodes:
-            node.fastpath_guard = self
-            for nic in node.nics:
-                nic.fastpath_guard = self
-        for switch in self.cluster.switches:
-            for port in switch.ports:
-                port.fastpath_guard = self
 
     # -- discontinuities ---------------------------------------------------
 

@@ -42,8 +42,6 @@ class Node:
         # conservation holds.
         self.gray_slow_factor = 1.0
         self.gray_pump_extra_ns = 0
-        # Fast-forward discontinuity guard (repro.fastpath).
-        self.fastpath_guard = None
 
         self.accounting = CpuAccounting()
         self.cpus = [
@@ -79,8 +77,9 @@ class Node:
             return
         self.gray_slow_factor = factor
         self.gray_pump_extra_ns = int(PER_FRAME_SEND_NS * (factor - 1.0))
-        if self.fastpath_guard is not None:
-            self.fastpath_guard.bump("node-slowdown")
+        guard = self.sim.fastpath_guard
+        if guard is not None:
+            guard.bump("node-slowdown")
 
     @property
     def impairment(self) -> Optional[str]:

@@ -30,7 +30,7 @@ than one connection:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, Optional
+from typing import Any, Callable, Generator
 
 from ..core.api import ConnectionHandle
 from ..core.errors import PeerCrashed
@@ -108,9 +108,6 @@ class ClusterRecovery:
             s.node_id: NodeRecoveryState(s.node_id) for s in cluster.stacks
         }
         self.channels: list[ReliableChannel] = []
-        # Optional repro.verify.InvariantMonitor; set by its attach() so
-        # connections created mid-run (reconnects) are monitored too.
-        self.monitor: Optional[Any] = None
 
         self.crashes = 0
         self.restarts = 0
@@ -148,8 +145,9 @@ class ClusterRecovery:
             # accept overwrites this with the value from the wire — which
             # is the same number.
             conn.peer_incarnation = peer_state.incarnation
-        if self.monitor is not None:
-            self.monitor.attach_connection(conn)
+        # Connections created mid-run (reconnects) are monitored too.
+        if self.sim.monitor is not None:
+            self.sim.monitor.attach_connection(conn)
 
     def watch_manager(self, mgr) -> None:
         """Escalate this lifecycle manager's all-edges-DOWN into PEER_DOWN."""
@@ -244,9 +242,8 @@ class ClusterRecovery:
 
     def _teardown_connection(self, conn, exc: BaseException) -> None:
         self.destroyed_stats = merge_stats([self.destroyed_stats, conn.stats])
-        mon = conn.monitor
-        if mon is not None:
-            mon.detach_connection(conn)
+        if self.sim.monitor is not None:
+            self.sim.monitor.detach_connection(conn)
         conn.destroy(exc)
 
     def _on_peer_down(self, mgr) -> None:

@@ -399,6 +399,9 @@ class Simulator:
         "heap_compactions",
         "_frame_uids",
         "_conn_ids",
+        "monitor",
+        "tracer",
+        "fastpath_guard",
     )
 
     def __init__(self) -> None:
@@ -418,6 +421,13 @@ class Simulator:
         # interfere, and a checkpoint captures them with everything else.
         self._frame_uids = 0
         self._conn_ids = 0
+        # The run's observers (DESIGN.md, "Observers"): the invariant
+        # monitor, the tracer once a category is on, and the fast-path
+        # guard.  Devices reach them through the sim they hold; the engine
+        # never reads them, and each off hook is one ``is not None`` test.
+        self.monitor = None
+        self.tracer = None
+        self.fastpath_guard = None
 
     def next_frame_uid(self) -> int:
         """Allocate a physical-frame instance id (stamped at NIC TX)."""

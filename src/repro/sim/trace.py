@@ -1,9 +1,10 @@
 """Lightweight event tracing.
 
 A :class:`Tracer` records ``(time, category, payload)`` tuples.  Tracing is
-opt-in per category so the hot path costs a dictionary lookup and a branch
-when disabled.  Benchmarks run with tracing off; debugging and some tests
-run with it on.
+opt-in per category: a tracer sits on its simulator only once a category is
+enabled, so a run that traces nothing pays one ``is not None`` test per
+site, and a frame site tests its category inline.  Benchmarks run with
+tracing off; debugging and some tests run with it on.
 
 Long runs can cap memory with ``max_records``: the tracer becomes a ring
 buffer keeping the most recent records and counting what it dropped.
@@ -34,8 +35,10 @@ class TraceRecord(NamedTuple):
 class Tracer:
     """Selective trace recorder.
 
-    ``enable("frame.tx")`` turns on a category; :meth:`record` is a no-op for
-    disabled categories.  ``enable_all()`` is available for debugging.
+    ``enable("frame.tx")`` turns on a category and installs the tracer as
+    its simulator's ``tracer`` (DESIGN.md, "Observers"); :meth:`record` is a
+    no-op for disabled categories.  ``enable_all()`` is available for
+    debugging.
     ``max_records`` bounds memory: older records are discarded (FIFO) once
     the cap is hit, with :attr:`dropped_records` counting the casualties.
     """
@@ -44,8 +47,9 @@ class Tracer:
         if max_records is not None and max_records < 1:
             raise ValueError("max_records must be >= 1 (or None for unbounded)")
         self._sim = sim
-        self._enabled: set[str] = set()
-        self._all = False
+        # Read inline by the per-frame trace sites, which pay no call.
+        self.enabled: set[str] = set()
+        self.everything = False
         self.max_records = max_records
         self.records: Union[list[TraceRecord], deque[TraceRecord]]
         if max_records is None:
@@ -55,19 +59,21 @@ class Tracer:
         self.dropped_records = 0
 
     def enable(self, *categories: str) -> None:
-        self._enabled.update(categories)
+        self.enabled.update(categories)
+        self._sim.tracer = self
 
     def disable(self, *categories: str) -> None:
-        self._enabled.difference_update(categories)
+        self.enabled.difference_update(categories)
 
     def enable_all(self) -> None:
-        self._all = True
+        self.everything = True
+        self._sim.tracer = self
 
     def is_enabled(self, category: str) -> bool:
-        return self._all or category in self._enabled
+        return self.everything or category in self.enabled
 
     def record(self, category: str, payload: Any = None) -> None:
-        if self._all or category in self._enabled:
+        if self.everything or category in self.enabled:
             records = self.records
             if (
                 self.max_records is not None

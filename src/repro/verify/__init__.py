@@ -5,10 +5,10 @@ counts, CPU charges, striping balance — being exactly right, and simulated
 fidelity rots silently without continuous checking.  This package is the
 standing gate:
 
-* :class:`InvariantMonitor` — an opt-in runtime checker that hooks
-  :class:`~repro.core.connection.Connection`, the NICs, and the edge
-  lifecycle control plane through guarded hook points (a single ``is not
-  None`` test when disabled) and asserts protocol invariants after every
+* :class:`InvariantMonitor` — an opt-in runtime checker installed as the
+  simulator's ``monitor``; connections, NICs and the edge lifecycle
+  control plane reach it through their ``sim`` (a single ``is not None``
+  test when disabled), and it asserts protocol invariants after every
   event.
 * :mod:`repro.verify.fuzz` — a deterministic fuzz harness driving seeded
   random workloads crossed with fault schedules under the monitor, with a

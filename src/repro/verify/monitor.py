@@ -1,13 +1,12 @@
 """Opt-in runtime invariant checker for the MultiEdge protocol.
 
-An :class:`InvariantMonitor` attaches to a cluster (or to individual
-connections) through the guarded hook points the core exposes
-(``Connection.monitor``, ``Nic.monitor``,
-``EdgeLifecycleManager.invariant_monitor``).  When no monitor is attached
-every hook is a single ``is not None`` test, so the disabled overhead is
-unmeasurable; when attached, the full invariant set below is re-checked
-after every protocol event and the first violation raises (or is
-collected, in ``collect`` mode) with enough context to debug.
+An :class:`InvariantMonitor` attaches to a cluster as its simulator's
+``monitor`` slot (DESIGN.md, "Observers"); connections, NICs and lifecycle
+managers reach it through the ``sim`` they hold.  When no monitor is
+attached every hook is a single ``is not None`` test, so the disabled
+overhead is unmeasurable; when attached, the full invariant set below is
+re-checked after every protocol event and the first violation raises (or
+is collected, in ``collect`` mode) with enough context to debug.
 
 Checked invariants (see docs/PROTOCOL.md "Protocol invariants"):
 
@@ -483,27 +482,23 @@ class InvariantMonitor:
 
     @classmethod
     def attach(cls, cluster: "Cluster", collect: bool = False) -> "InvariantMonitor":
-        """Hook every existing connection, NIC, and control plane.
+        """Check every existing connection, NIC and control plane.
 
-        Call after the experiment's connections are established;
-        connections created later need :meth:`attach_connection`.
+        Call after the experiment's connections are established.  The
+        monitor becomes ``cluster.sim.monitor``, so lifecycle managers
+        created later are checked too; a connection created later is
+        checked once :meth:`attach_connection` registers it, which the
+        recovery layer does for every reconnect.
         """
         mon = cls(collect=collect)
         mon.cluster = cluster
         for node in cluster.nodes:
             for nic in node.nics:
                 mon._mac_to_node[nic.mac] = node.node_id
-                nic.monitor = mon
         for stack in cluster.stacks:
             for conn in stack.protocol.connections.values():
                 mon.attach_connection(conn)
-        for mgr in cluster.control_planes.values():
-            mgr.invariant_monitor = mon
-        recovery = cluster.recovery
-        if recovery is not None:
-            # Connections created mid-run by the reconnect loop must be
-            # monitored too; the recovery layer attaches them on creation.
-            recovery.monitor = mon
+        cluster.sim.monitor = mon
         return mon
 
     def attach_connection(self, conn: "Connection") -> ConnectionMonitor:
@@ -512,7 +507,6 @@ class InvariantMonitor:
         if cm is None:
             cm = ConnectionMonitor(self, conn)
             self.conn_monitors[key] = cm
-            conn.monitor = self
         return cm
 
     def detach_connection(self, conn: "Connection") -> None:
@@ -523,22 +517,11 @@ class InvariantMonitor:
         recovery layer detaches it before destruction.
         """
         self.conn_monitors.pop((conn.conn_id, conn.node.node_id), None)
-        if conn.monitor is self:
-            conn.monitor = None
 
     def detach(self) -> None:
-        """Remove every hook installed by :meth:`attach`."""
-        for cm in self.conn_monitors.values():
-            if cm.conn.monitor is self:
-                cm.conn.monitor = None
-        if self.cluster is not None:
-            for node in self.cluster.nodes:
-                for nic in node.nics:
-                    if nic.monitor is self:
-                        nic.monitor = None
-            for mgr in self.cluster.control_planes.values():
-                if mgr.invariant_monitor is self:
-                    mgr.invariant_monitor = None
+        """Stop observing: the run's hooks are off again."""
+        if self.cluster is not None and self.cluster.sim.monitor is self:
+            self.cluster.sim.monitor = None
 
     # -- hook entry points (called from core through guarded hooks) -------
 
@@ -552,6 +535,7 @@ class InvariantMonitor:
         if (
             conn.recovery is not None
             and frame.incarnation != conn.peer_incarnation
+            and (conn.conn_id, conn.node.node_id) in self.conn_monitors
         ):
             self._violation(
                 "stale-frame-accepted",

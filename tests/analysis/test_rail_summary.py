@@ -1,6 +1,6 @@
 """Per-rail counters and edge lifecycle history in the cluster summary."""
 
-from repro.analysis import EdgeScoreProbe, RailCounters, summarize_cluster
+from repro.analysis import RailCounters, summarize_cluster
 from repro.bench import make_cluster
 from repro.control import FaultSchedule, PermanentFailure, Repair
 
@@ -65,10 +65,9 @@ def test_no_control_plane_yields_empty_history():
 def test_edge_score_probe_tracks_failure():
     cluster = make_cluster("2Lu-1G", nodes=2)
     ma, _mb = cluster.enable_edge_control(0, 1)
-    probe = EdgeScoreProbe(cluster.sim, ma, 0)
     FaultSchedule([PermanentFailure(at_ns=10 * MS, node=0, rail=0)]).apply(cluster)
+    # Healthy before the kill, collapsed after it.
+    cluster.sim.run(until=9 * MS)
+    assert ma.edge_score(0) > 0.9
     cluster.sim.run(until=30 * MS)
-    probe.stop()
-    # Healthy at first, collapsing after the kill.
-    assert probe.values[0] > 0.9
-    assert min(probe.values) < 0.1
+    assert ma.edge_score(0) < 0.1

@@ -16,6 +16,7 @@ from repro.congestion import (
     make_congestion_controller,
 )
 from repro.congestion.base import DCTCP_G, MIN_CWND_FRAMES, RTT_INIT_NS
+from repro.core import ProtocolParams
 from repro.core.window import SendWindow
 
 US = 1_000
@@ -44,6 +45,16 @@ def test_registry_names():
 def test_unknown_controller_rejected():
     with pytest.raises(ValueError, match="unknown congestion controller"):
         make("reno")
+
+
+@pytest.mark.parametrize("kind", ["aimd", "dctcp"])
+def test_adaptive_window_below_the_cwnd_floor_is_refused(kind):
+    """An adaptive cwnd lives in [MIN_CWND_FRAMES, window_frames], so a
+    narrower flow window is refused when the configuration is built."""
+    with pytest.raises(ValueError, match="window_frames=1 .*congestion='"):
+        ProtocolParams(window_frames=MIN_CWND_FRAMES - 1, congestion=kind)
+    ProtocolParams(window_frames=MIN_CWND_FRAMES, congestion=kind)
+    ProtocolParams(window_frames=1)  # the static policy has no cwnd
 
 
 def test_adaptive_controllers_open_fully():

@@ -11,7 +11,7 @@ import dataclasses
 
 import pytest
 
-from repro.analysis import CwndProbe, MarkedFractionProbe, summarize_cluster
+from repro.analysis import summarize_cluster
 from repro.bench import Cluster, named_config, run_incast
 from repro.bench.incast import IncastRun
 from repro.bench.serve import ServeRun
@@ -35,13 +35,13 @@ def _marking_cluster(congestion: str) -> Cluster:
 
 
 def run_marked_incast(congestion: str):
-    """4-to-1 incast on a small marking queue; returns (cluster, monitor)."""
+    """4-to-1 incast on a small marking queue; returns (cluster, monitor,
+    sender endpoints)."""
     cluster = _marking_cluster(congestion)
     receiver = SENDERS
     payload = bytes(i % 241 for i in range(SIZE))
     targets = []
     procs = []
-    probes = []
     for i in range(SENDERS):
         a, b = cluster.connect(i, receiver)
         src = a.node.memory.alloc(SIZE)
@@ -60,25 +60,19 @@ def run_marked_incast(congestion: str):
         for stack in cluster.stacks[:SENDERS]
         for conn in stack.protocol.connections.values()
     ]
-    probes.append(CwndProbe(cluster.sim, sender_conns[0]))
-    probes.append(MarkedFractionProbe(cluster.sim, targets[0][0].conn))
     for p in procs:
         cluster.sim.run_until_done(p, limit=60_000_000_000)
-    for probe in probes:
-        probe.stop()  # before run(): a live probe ticks forever
-    cluster.sim.run()
+    cluster.quiesce()
     monitor.final_check()
     intact = all(
         b.node.memory.read(dst, SIZE) == payload for b, dst in targets
     )
     assert intact, "incast corrupted receiver memory"
-    return cluster, monitor, sender_conns, probes
+    return cluster, monitor, sender_conns
 
 
 def test_dctcp_reacts_to_marks_under_monitor():
-    cluster, monitor, senders, (cwnd_probe, mark_probe) = run_marked_incast(
-        "dctcp"
-    )
+    cluster, monitor, senders = run_marked_incast("dctcp")
     assert monitor.ok and monitor.checks_run > 0
 
     marked = sum(sw.ce_marked_total for sw in cluster.switches)
@@ -101,10 +95,6 @@ def test_dctcp_reacts_to_marks_under_monitor():
         assert conn.window.cwnd < conn.window.size
         assert conn.congestion.marked_fraction > 0.0
 
-    # Probes saw the window move and marks arrive.
-    assert min(cwnd_probe.values) < max(cwnd_probe.values)
-    assert max(mark_probe.values) > 0.0
-
     # Analysis roll-up exposes the same counters.
     summary = summarize_cluster(cluster)
     assert summary.ce_marked == marked
@@ -118,7 +108,7 @@ def test_dctcp_reacts_to_marks_under_monitor():
 def test_static_controller_echoes_but_never_reacts():
     """ECN marking with the static policy: the echo plumbing still works,
     the window never moves, and every invariant still holds."""
-    cluster, monitor, senders, _probes = run_marked_incast("static")
+    cluster, monitor, senders = run_marked_incast("static")
     assert monitor.ok
     marked = sum(sw.ce_marked_total for sw in cluster.switches)
     all_conns = [

@@ -5,7 +5,7 @@ backoff policy arithmetic, retransmit-timer exhaustion edge cases, typed
 exceptions surfacing through operation handles, NIC power cycling, the
 incarnation stale-frame guard, receiver-side dedup, reconnect after a
 *second* crash of the same peer, the DSM/MP crash hooks, and the crash
-counters surfaced by ``summarize_cluster`` / ``ReconnectLatencyProbe``.
+counters surfaced by ``summarize_cluster`` / ``reconnect_latencies``.
 """
 
 import random
@@ -13,7 +13,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.analysis import ReconnectLatencyProbe, summarize_cluster
+from repro.analysis import summarize_cluster
 from repro.bench import make_cluster
 from repro.control import Crash, FaultSchedule, Restart
 from repro.core import (
@@ -263,7 +263,6 @@ def _crash_stream(crash_specs, run_ns, config="2Lu-1G"):
     cluster.connect(0, 1)
     cluster.enable_edge_control(0, 1)
     recovery = cluster.enable_crash_recovery()
-    probe = ReconnectLatencyProbe(recovery)
     channel = recovery.channel(0, 1)
     events = []
     for at_ns, delay_ns in crash_specs:
@@ -283,12 +282,12 @@ def _crash_stream(crash_specs, run_ns, config="2Lu-1G"):
     for mgr in list(cluster.control_planes.values()):
         mgr.stop()
     cluster.sim.run()
-    return cluster, recovery, channel, probe
+    return cluster, recovery, channel
 
 
 class TestClusterRecoveryEndToEnd:
     def test_single_crash_exactly_once_with_probe_and_summary(self):
-        cluster, recovery, channel, probe = _crash_stream(
+        cluster, recovery, channel = _crash_stream(
             [(6 * MS, 3 * MS)], run_ns=25 * MS
         )
         assert recovery.crashes == 1 and recovery.restarts == 1
@@ -298,13 +297,13 @@ class TestClusterRecoveryEndToEnd:
         assert len(recovery.nodes[1].delivered) == channel.messages_sent
         assert channel.redeliveries > 0
 
-        assert len(probe.samples) == 1
-        assert probe.mean() > 0 and probe.peak() == probe.samples[0].value
+        [(_at_ns, latency_ns)] = recovery.reconnect_latencies
+        assert latency_ns > 0
 
         summary = summarize_cluster(cluster)
         assert summary.node_crashes == 1 and summary.node_restarts == 1
         assert summary.peer_down_events == 1 and summary.reconnects == 1
-        assert summary.reconnect_latency_max_ns == probe.peak()
+        assert summary.reconnect_latency_max_ns == latency_ns
         assert summary.messages_journaled == channel.messages_sent
         assert summary.messages_redelivered == channel.redeliveries
         assert summary.duplicate_msgs_suppressed >= 0
@@ -312,12 +311,12 @@ class TestClusterRecoveryEndToEnd:
     def test_second_crash_of_same_peer_also_recovers(self):
         # The reconnect re-arms edge control, so crash #2 must be detected
         # and healed exactly like crash #1.
-        cluster, recovery, channel, probe = _crash_stream(
+        cluster, recovery, channel = _crash_stream(
             [(6 * MS, 3 * MS), (25 * MS, 3 * MS)], run_ns=45 * MS
         )
         assert recovery.crashes == 2 and recovery.restarts == 2
         assert recovery.reconnects == 2
-        assert len(probe.samples) == 2
+        assert len(recovery.reconnect_latencies) == 2
         assert all(e.delivered for e in channel.journal.entries)
         assert len(recovery.nodes[1].delivered) == channel.messages_sent
         assert recovery.nodes[1].incarnation == 2

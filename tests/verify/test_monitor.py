@@ -28,19 +28,16 @@ def _small_cluster(config="1L-1G", seed=1):
 class TestOffByDefault:
     def test_no_monitor_unless_attached(self):
         c, a, b, src, dst = _small_cluster()
-        assert a.conn.monitor is None and b.conn.monitor is None
-        for node in c.nodes:
-            for nic in node.nics:
-                assert nic.monitor is None
+        assert c.sim.monitor is None
         _run_write(c, a, src, dst, 4096)  # runs fine without a monitor
 
     def test_attach_wires_everything(self):
         c, a, b, src, dst = _small_cluster()
         mon = InvariantMonitor.attach(c)
-        assert a.conn.monitor is mon and b.conn.monitor is mon
-        for node in c.nodes:
-            for nic in node.nics:
-                assert nic.monitor is mon
+        assert c.sim.monitor is mon
+        assert set(mon.conn_monitors) == {
+            (a.conn.conn_id, 0), (b.conn.conn_id, 1)
+        }
         _run_write(c, a, src, dst, 16 * 1024)
         mon.final_check()
         assert mon.checks_run > 0 and mon.ok
@@ -49,10 +46,26 @@ class TestOffByDefault:
         c, a, b, src, dst = _small_cluster()
         mon = InvariantMonitor.attach(c)
         mon.detach()
-        assert a.conn.monitor is None
-        for node in c.nodes:
-            for nic in node.nics:
-                assert nic.monitor is None
+        assert c.sim.monitor is None
+
+    def test_manager_created_after_attach_is_checked(self):
+        from repro.control.detector import EdgeState
+
+        c = make_cluster("2Lu-1G", nodes=2, seed=1)
+        c.connect(0, 1)
+        mon = InvariantMonitor.attach(c, collect=True)
+        ma, _ = c.enable_edge_control(0, 1)
+        ma._on_transition(0, EdgeState.UP, EdgeState.UP, c.sim.now, "test")
+        assert [v.invariant for v in mon.violations] == ["edge-self-transition"]
+
+    def test_detach_stops_registering_new_connections(self):
+        c, a, b, src, dst = _small_cluster()
+        c.enable_crash_recovery()
+        mon = InvariantMonitor.attach(c)
+        mon.detach()
+        stack = c.stacks[0]
+        stack.protocol.create_connection(99, 1, [nic.mac for nic in c.nodes[1].nics])
+        assert (99, 0) not in mon.conn_monitors
 
 
 class TestCleanRuns:

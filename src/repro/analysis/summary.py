@@ -226,7 +226,10 @@ def summarize_cluster(
     stats = merge_stats(
         [s.protocol.total_stats() for s in cluster.stacks]
     )
-    elapsed = elapsed_ns if elapsed_ns is not None else cluster.sim.now
+    # Rates divide by ``elapsed_ns``, else by the time since the last
+    # reset_measurement(); edge residency (never reset) ends at an instant.
+    residency_end = cluster.sim.now if elapsed_ns is None else elapsed_ns
+    elapsed = residency_end - cluster.measured_since if elapsed_ns is None else elapsed_ns
     rails = []
     for rail, fabric in enumerate(cluster.fabrics):
         rc = RailCounters(rail)
@@ -315,11 +318,11 @@ def summarize_cluster(
         for t in edge_history
         if t.new.value == "up" and t.old.value in ("down", "recovering")
     )
-    # Per-edge state residency up to `elapsed`.
+    # Per-edge state residency up to `residency_end`.
     state_time: dict = {}
     for mgr in cluster.control_planes.values():
         for det in mgr.detectors:
-            for st, ns in det.state_time(elapsed).items():
+            for st, ns in det.state_time(residency_end).items():
                 state_time[st.value] = state_time.get(st.value, 0) + ns
     scorer = cluster.gray_scorer
     gray_fields: dict = {}

@@ -218,6 +218,7 @@ class Cluster:
         self.fastpath = None
         # Serving runtime (repro.serve); None until enable_serving().
         self.serve = None
+        self.measured_since = 0  # the last reset_measurement() instant
         if config.fastpath:
             self.enable_fastpath()
 
@@ -357,16 +358,16 @@ class Cluster:
     # -- starting a measured interval, ending a run ------------------------
 
     def reset_measurement(self) -> None:
-        """Start a measured interval: zero every node's CPU accounting,
-        every connection's counters and the fast path's statistics, so a
-        warm-up leaves nothing in what is reported."""
+        """Start a measured interval at ``measured_since`` (now): zero every
+        node's CPU accounting, every connection's counters and the fast
+        path's statistics, so a warm-up leaves nothing in what is reported."""
+        self.measured_since = self.sim.now
         for stack in self.stacks:
             stack.node.reset_accounting()
             for conn in stack.protocol.connections.values():
                 conn.stats = ConnectionStats()
         if self.fastpath is not None:
             self.fastpath.stats.reset()
-
 
     def stop_periodic(self) -> None:
         """Stop every source the cluster owns that re-arms itself forever:

@@ -122,13 +122,12 @@ def run_ping_pong(
     src_b = b.node.memory.alloc(size)
     dst_a = a.node.memory.alloc(size)
 
-    state = {"start": 0, "rounds": 0}
+    state = {"rounds": 0}
 
     def node_a():
         for i in range(warmup + iterations):
             if i == warmup:
                 cluster.reset_measurement()
-                state["start"] = cluster.sim.now
             yield from a.rdma_write(src_a, dst_b, size, flags=OpFlags.NOTIFY)
             yield from a.wait_notification()
             state["rounds"] += 1
@@ -141,7 +140,7 @@ def run_ping_pong(
     cluster.sim.process(node_b())
     proc = cluster.sim.process(node_a())
     cluster.sim.run_until_done(proc, limit=600_000_000_000)
-    elapsed = cluster.sim.now - state["start"]
+    elapsed = cluster.sim.now - cluster.measured_since
     one_way_ns = elapsed / (2 * iterations)
     # Each direction moves `size` per round trip.
     payload = size * iterations * 2
@@ -193,13 +192,12 @@ def run_one_way(
     src = a.node.memory.alloc(size)
     dst = b.node.memory.alloc(size)
     issue_times: list[int] = []
-    state = {"start": 0, "end": 0}
+    state = {"end": 0}
 
     def sender():
         # Warmup round.
         yield from _one_way_stream(a, size, warmup, src, dst)
         cluster.reset_measurement()
-        state["start"] = cluster.sim.now
         yield from _one_way_stream(a, size, iterations, src, dst, issue_times)
 
     def receiver():
@@ -210,7 +208,7 @@ def run_one_way(
     rproc = cluster.sim.process(receiver())
     cluster.sim.process(sender())
     cluster.sim.run_until_done(rproc, limit=600_000_000_000)
-    elapsed = state["end"] - state["start"]
+    elapsed = state["end"] - cluster.measured_since
     host_overhead_us = (sum(issue_times) / len(issue_times)) / 1000.0
     return _collect(
         cluster, "one-way", size, iterations, elapsed,
@@ -232,7 +230,7 @@ def run_two_way(
     src_a, dst_a = a.node.memory.alloc(size), a.node.memory.alloc(size)
     src_b, dst_b = b.node.memory.alloc(size), b.node.memory.alloc(size)
     issue_times: list[int] = []
-    state = {"start": 0, "end_a": 0, "end_b": 0, "warm": 0}
+    state = {"end_a": 0, "end_b": 0, "warm": 0}
     warm_barrier = cluster.sim.event()
 
     def stream(handle, src, dst, who):
@@ -241,7 +239,6 @@ def run_two_way(
         state["warm"] += 1
         if state["warm"] == 2:
             cluster.reset_measurement()
-            state["start"] = cluster.sim.now
             warm_barrier.trigger()
         else:
             yield warm_barrier
@@ -260,7 +257,7 @@ def run_two_way(
     pb = cluster.sim.process(sink(a, "end_b"))
     cluster.sim.run_until_done(pa, limit=600_000_000_000)
     cluster.sim.run_until_done(pb, limit=600_000_000_000)
-    elapsed = max(state["end_a"], state["end_b"]) - state["start"]
+    elapsed = max(state["end_a"], state["end_b"]) - cluster.measured_since
     host_overhead_us = (sum(issue_times) / len(issue_times)) / 1000.0
     return _collect(
         cluster, "two-way", size, iterations, elapsed,

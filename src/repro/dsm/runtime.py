@@ -100,7 +100,6 @@ class DsmRuntime:
             self.attach_recovery(cluster.recovery)
         # Measurement window.
         self._measure_votes = 0
-        self.t_start = 0
         self._node_end: list[int] = [0] * self.n
 
     def _wire_pair(self, i: int, j: int) -> None:
@@ -179,7 +178,6 @@ class DsmRuntime:
     def _vote_start(self) -> None:
         self._measure_votes += 1
         if self._measure_votes == self.n:
-            self.t_start = self.sim.now
             self.cluster.reset_measurement()
             for node in self.nodes:
                 node.stats = DsmNodeStats()
@@ -204,7 +202,7 @@ class DsmRuntime:
             returns.append(
                 self.sim.run_until_done(proc, limit=limit_ms * 1_000_000)
             )
-        elapsed = max(self._node_end) - self.t_start
+        elapsed = max(self._node_end) - self.cluster.measured_since
         per_node = [node.stats for node in self.nodes]
         breakdowns = [
             Breakdown.from_stats(

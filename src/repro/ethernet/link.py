@@ -158,8 +158,10 @@ class Link:
     def _changed(self, reason: str) -> None:
         # Every mutator ends here.  Two bit-error sources, never merged: the
         # degradation's rate while it lasts, else the override's, else what
-        # the link was built with.  Then the fast-path guard is told.
+        # the link was built with.  Then ECMP pick caches are invalidated
+        # and the fast-path guard is told.
         self.params = self._gray_params or self._ramp_params or self._built
+        self.sim.link_epoch += 1
         guard = self.sim.fastpath_guard
         if guard is not None:
             guard.bump(reason)
@@ -195,7 +197,8 @@ class Link:
             )
         # FIFO: a link can never reorder.  (Guards against misuse where a
         # device forgets serialisation ordering.)
-        arrival = max(arrival, self._last_arrival)
+        if arrival < self._last_arrival:
+            arrival = self._last_arrival
         self._last_arrival = arrival
         self.frames_delivered += 1
         self.bytes_delivered += frame.wire_bytes

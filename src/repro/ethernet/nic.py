@@ -236,7 +236,7 @@ class Nic:
             if depart > ready_at:
                 self.counters.pacing_stall_ns += depart - ready_at
                 ready_at = depart
-        begin = max(ready_at, self._line_free_at)
+        begin = ready_at if ready_at > self._line_free_at else self._line_free_at
         tx_time = self._wt_cache.get(wb)
         if tx_time is None:
             tx_time = wire_time_ns(wb, params.speed_bps)

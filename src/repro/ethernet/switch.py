@@ -102,12 +102,11 @@ class SwitchPort:
         self.tx_link = link
         self.speed_bps = speed_bps
         self._wt_cache.clear()
+        self.switch.sim.link_epoch += 1  # a new member for ECMP picks
 
     def _wire_time(self, wire_bytes: int) -> int:
-        t = self._wt_cache.get(wire_bytes)
-        if t is None:
-            t = wire_time_ns(wire_bytes, self.speed_bps)
-            self._wt_cache[wire_bytes] = t
+        """Fill a miss of ``_wt_cache`` (egress reads the cache in place)."""
+        t = self._wt_cache[wire_bytes] = wire_time_ns(wire_bytes, self.speed_bps)
         return t
 
     def deliver_fold(self, frame: Frame, arrival: int) -> None:
@@ -144,20 +143,20 @@ class SwitchPort:
     def enqueue(self, frame: Frame) -> bool:
         params = self.switch.params
         ecn = params.ecn_threshold_frames
+        queue = self._queue
+        depth = len(queue) + len(self._paused)  # before this frame
         # Instantaneous-threshold CE marking at enqueue (DCTCP-style);
         # only admitted frames carry a mark — drops leave none.
-        mark = (
-            ecn is not None
-            and len(self._queue) + len(self._paused) >= ecn
-        )
-        if len(self._queue) >= params.output_queue_frames:
+        mark = ecn is not None and depth >= ecn
+        if len(queue) >= params.output_queue_frames:
             if params.lossless:
                 # Core-assisted flow control: hold instead of dropping.
                 if mark:
                     self._mark_ce(frame)
                 self._paused.append(frame)
                 self.paused_frames += 1
-                self._note_depth()
+                if depth >= self.peak_queue_depth:
+                    self.peak_queue_depth = depth + 1
                 guard = self.switch.sim.fastpath_guard
                 if guard is not None:
                     guard.bump("switch-pause")
@@ -170,31 +169,16 @@ class SwitchPort:
             return False
         if mark:
             self._mark_ce(frame)
-        self._queue.append(frame)
-        self._note_depth()
-        if not self._tx_running:
-            # Idle port: the queue was empty, so the zero-delay _tx_step hop
-            # would pop this same frame at this timestamp — serialise now.
-            self._tx_running = True
-            self._queue.popleft()
-            self.switch.sim.schedule(
-                self._wire_time(frame.wire_bytes), self._tx_done, frame
-            )
+        if depth >= self.peak_queue_depth:
+            self.peak_queue_depth = depth + 1
+        if self._tx_running:
+            queue.append(frame)
+            return True
+        # Idle port, so the queue is empty: serialise this frame now.
+        self._tx_running = True
+        wt = self._wt_cache.get(frame.wire_bytes) or self._wire_time(frame.wire_bytes)
+        self.switch.sim.schedule(wt, self._tx_done, frame)
         return True
-
-    def _note_depth(self) -> None:
-        depth = len(self._queue) + len(self._paused)
-        if depth > self.peak_queue_depth:
-            self.peak_queue_depth = depth
-
-    def _tx_step(self) -> None:
-        if not self._queue:
-            self._tx_running = False
-            return
-        frame = self._queue.popleft()
-        self.switch.sim.schedule(
-            self._wire_time(frame.wire_bytes), self._tx_done, frame
-        )
 
     def _tx_done(self, frame: Frame) -> None:
         if self.tx_link is None:
@@ -203,12 +187,16 @@ class SwitchPort:
             )
         self.tx_link.deliver(frame)
         self.tx_frames += 1
+        queue = self._queue
         # Lossless mode: admit a paused frame into the freed slot.
-        if self._paused and (
-            len(self._queue) < self.switch.params.output_queue_frames
-        ):
-            self._queue.append(self._paused.popleft())
-        self._tx_step()
+        if self._paused and len(queue) < self.switch.params.output_queue_frames:
+            queue.append(self._paused.popleft())
+        if not queue:
+            self._tx_running = False
+            return
+        frame = queue.popleft()
+        wt = self._wt_cache.get(frame.wire_bytes) or self._wire_time(frame.wire_bytes)
+        self.switch.sim.schedule(wt, self._tx_done, frame)
 
     @property
     def queue_depth(self) -> int:

@@ -16,6 +16,10 @@ transmit link is failed (or that was administratively disabled) is
 excluded from its groups at forwarding time, so the hash *re-pins* the
 flow onto the surviving uplinks deterministically.  When the uplink
 repairs, the flow re-pins back — both transitions are counted.
+
+A flow's pick is cached in its pin record until ``sim.link_epoch`` moves
+or an outage in force at the pick runs out (DESIGN.md, "ECMP pick
+cache"); :meth:`EcmpSwitch.stale_pins` re-derives every cached pick.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ __all__ = ["EcmpSwitch", "ecmp_hash"]
 
 
 _MASK64 = (1 << 64) - 1
+_FOREVER = 1 << 63  # an entry no outage bounds
 
 
 def ecmp_hash(
@@ -73,8 +78,10 @@ class EcmpSwitch(Switch):
         # Administratively drained ports (excluded from ECMP groups
         # without failing the cable — frames already in flight survive).
         self._disabled: set[int] = set()
-        # Determinism witness: flow key -> (alive member set, chosen port).
-        self._pins: dict[tuple[int, int, int, int], tuple[tuple[int, ...], int]] = {}
+        # The pick cache and determinism record: (src_mac, dst_mac, conn_id)
+        # -> (alive members, port, sim.link_epoch, until, hashed), valid
+        # while the epoch is unchanged and ``sim.now < until``.
+        self._pins: dict[tuple[int, int, int], tuple] = {}
         self.ecmp_routed = 0  # frames resolved through a multi-port group
         self.repins = 0  # flow re-pinned because the member set changed
         self.pin_violations: list[str] = []
@@ -85,6 +92,7 @@ class EcmpSwitch(Switch):
             self._disabled.discard(port_index)
         else:
             self._disabled.add(port_index)
+        self.sim.link_epoch += 1
 
     # -- ECMP selection ----------------------------------------------------
 
@@ -94,53 +102,46 @@ class EcmpSwitch(Switch):
         link = self.ports[index].tx_link
         return link is not None and not link.failed
 
-    def alive_members(self, group: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(p for p in group if self._port_alive(p))
+    def _resolve(
+        self, group: tuple[int, ...], src_mac: int, dst_mac: int, conn_id: int
+    ) -> Optional[tuple[tuple[int, ...], int, int]]:
+        """The uncached pick: ``(alive members, port, until)`` or None.
+        ``until`` is when the first down member's outage runs out — the one
+        liveness change no mutator announces."""
+        now, alive, until = self.sim.now, [], _FOREVER
+        for p in group:
+            if self._port_alive(p):
+                alive.append(p)
+            elif (link := self.ports[p].tx_link) is not None and now < link._failed_until:
+                until = min(until, link._failed_until)
+        if not alive:
+            return None
+        h = 0 if len(alive) == 1 else ecmp_hash(self._salt, src_mac, dst_mac, self.rail, conn_id)
+        return tuple(alive), alive[h % len(alive)], until
 
     def preview(
         self, src_mac: int, dst_mac: int, conn_id: int
     ) -> Optional[int]:
         """The port a frame with this flow key would take right now
-        (no counters, no pin recording — for tests and planners)."""
-        group = self._routes.get(dst_mac)
-        if group is None:
-            return None
-        alive = self.alive_members(group)
-        if not alive:
-            return None
-        if len(alive) == 1:
-            return alive[0]
-        h = ecmp_hash(self._salt, src_mac, dst_mac, self.rail, conn_id)
-        return alive[h % len(alive)]
+        (uncached, no counters, no pin recording — for tests and planners)."""
+        pick = self._resolve(self._routes.get(dst_mac, ()), src_mac, dst_mac, conn_id)
+        return None if pick is None else pick[1]
 
     def _pick(self, frame: Frame, group: tuple[int, ...]) -> Optional[int]:
-        alive = self.alive_members(group)
-        if not alive:
-            return None
-        key = (
-            frame.src_mac,
-            frame.dst_mac,
-            self.rail,
-            frame.header.connection_id,
-        )
+        key = (frame.src_mac, frame.dst_mac, frame.header.connection_id)
         prev = self._pins.get(key)
-        if len(alive) == 1:
-            port = alive[0]
-        else:
-            # Recomputed per frame on purpose: comparing the fresh pick
-            # against the recorded pin keeps the ECMP-determinism
-            # invariant a live check rather than a cache read.
-            h = ecmp_hash(
-                self._salt,
-                frame.src_mac,
-                frame.dst_mac,
-                self.rail,
-                frame.header.connection_id,
-            )
-            port = alive[h % len(alive)]
-            self.ecmp_routed += 1
+        sim = self.sim
+        if prev is not None and prev[2] == sim.link_epoch and sim.now < prev[3]:
+            self.ecmp_routed += prev[4]
+            return prev[1]
+        pick = self._resolve(group, *key)
+        if pick is None:
+            return None
+        alive, port, until = pick
+        hashed = len(alive) > 1
+        self.ecmp_routed += hashed
         if prev is not None:
-            prev_alive, prev_port = prev
+            prev_alive, prev_port = prev[:2]
             if prev_alive == alive and prev_port != port:
                 # Same flow, same member set, different port: the hash is
                 # not a pure function of the key — a routing bug.
@@ -150,6 +151,16 @@ class EcmpSwitch(Switch):
                 )
             elif prev_port != port:
                 self.repins += 1
-        if prev is None or prev != (alive, port):
-            self._pins[key] = (alive, port)
+        self._pins[key] = (alive, port, sim.link_epoch, until, hashed)
         return port
+
+    def stale_pins(self) -> list[str]:
+        """ECMP determinism, re-derived from scratch: every cached pick
+        must be the flow hash of its key over its member set."""
+        out = []
+        for (src, dst, conn), (alive, port, *_) in self._pins.items():
+            want = alive[ecmp_hash(self._salt, src, dst, self.rail, conn) % len(alive)]
+            if want != port:
+                out.append(f"{self.name}: flow {(src, dst, conn)} cached on port "
+                           f"{port} but hashes to {want} over {alive}")
+        return out

@@ -27,7 +27,7 @@ backstop against routing storms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from ..ethernet import (
@@ -169,10 +169,8 @@ class Fabric:
         self.access: dict[int, tuple[str, int]] = {}
         self.host_macs: dict[int, int] = {}
 
-        self.trunk_link = LinkParams(
-            speed_bps=spec.trunk_speed_bps or link_params.speed_bps,
-            propagation_ns=link_params.propagation_ns,
-            bit_error_rate=link_params.bit_error_rate,
+        self.trunk_link = replace(
+            link_params, speed_bps=spec.trunk_speed_bps or link_params.speed_bps
         )
         if isinstance(spec, LeafSpineSpec):
             self._build_leaf_spine(spec)
@@ -186,18 +184,10 @@ class Fabric:
     # -- construction ------------------------------------------------------
 
     def _switch_params(self, ports: int) -> SwitchParams:
-        base = self.base_switch
-        return SwitchParams(
-            ports=ports,
-            forwarding_latency_ns=(
-                self.spec.forwarding_latency_ns
-                if self.spec.forwarding_latency_ns is not None
-                else base.forwarding_latency_ns
-            ),
-            output_queue_frames=base.output_queue_frames,
-            lossless=base.lossless,
-            ecn_threshold_frames=base.ecn_threshold_frames,
-        )
+        base, latency = self.base_switch, self.spec.forwarding_latency_ns
+        return replace(base, ports=ports, forwarding_latency_ns=(
+            base.forwarding_latency_ns if latency is None else latency
+        ))
 
     def _add_switch(self, name: str, ports: int, tier: str) -> EcmpSwitch:
         sw = EcmpSwitch(
@@ -451,7 +441,8 @@ class Fabric:
           toward its destination host (:meth:`route_acyclicity_violations`),
           and dynamically, no frame exceeded the hop budget;
         * **ECMP determinism** — a flow key never changed port while its
-          alive member set was unchanged;
+          alive member set was unchanged, and every cached pick is the
+          flow hash of its key over its member set;
         * **switch conservation** — every ingress frame was forwarded or
           dropped for a counted reason;
         * **trunk conservation** — every frame a trunk port serialised
@@ -461,6 +452,7 @@ class Fabric:
         for sw in self.switches:
             violations.extend(sw.loop_violations)
             violations.extend(sw.pin_violations)
+            violations.extend(sw.stale_pins())
             violations.extend(sw.conservation_violations())
         for (a, b), cable in sorted(self.trunks.items()):
             for name, endpoint, link in (

@@ -402,6 +402,7 @@ class Simulator:
         "monitor",
         "tracer",
         "fastpath_guard",
+        "link_epoch",
     )
 
     def __init__(self) -> None:
@@ -428,6 +429,9 @@ class Simulator:
         self.monitor = None
         self.tracer = None
         self.fastpath_guard = None
+        # Device state the engine never reads either: every link mutator,
+        # port drain and re-cabling bumps it (DESIGN.md, "ECMP pick cache").
+        self.link_epoch = 0
 
     def next_frame_uid(self) -> int:
         """Allocate a physical-frame instance id (stamped at NIC TX)."""
@@ -694,6 +698,7 @@ class Simulator:
             "heap_compactions": self.heap_compactions,
             "frame_uids": self._frame_uids,
             "conn_ids": self._conn_ids,
+            "link_epoch": self.link_epoch,
             "queue": list(self._queue),
             "fast": list(self._fast),
         }

@@ -2,7 +2,9 @@
 
 from dataclasses import asdict
 
+from repro.analysis.summary import summarize_cluster
 from repro.bench import make_cluster
+from repro.bench.micro import run_one_way
 from repro.core import ConnectionStats
 from repro.ethernet import OpFlags
 from repro.fastpath.stats import FastpathStats
@@ -34,3 +36,19 @@ def test_reset_zeroes_cpu_accounting_connection_stats_and_fastpath_stats():
             assert asdict(conn.stats) == asdict(ConnectionStats())
     assert all(node.protocol_cpu_time() == 0 for node in nodes)
     assert all(cpu.resource.busy_time == 0 for node in nodes for cpu in node.cpus)
+
+
+def test_rollup_after_a_reset_measures_from_the_reset():
+    # Without an explicit interval the roll-up divides by the time since
+    # the reset, not since 0: the warm-up's bytes are gone, so its time
+    # must go too.  Given the run's own interval it reads the same.
+    cluster = make_cluster("1L-1G", nodes=2)
+    result = run_one_way(cluster, 262144, iterations=8)
+    assert cluster.measured_since > 0
+    assert cluster.sim.now - cluster.measured_since == result.elapsed_ns
+    implied, explicit = (
+        summarize_cluster(cluster), summarize_cluster(cluster, result.elapsed_ns)
+    )
+    assert implied.elapsed_ns == result.elapsed_ns
+    assert implied.goodput_mbps == result.throughput_mbps == explicit.goodput_mbps
+    assert implied.protocol_cpu_fraction_mean == explicit.protocol_cpu_fraction_mean

@@ -1,6 +1,8 @@
 """ECMP switch unit tests: hashing, pinning, re-pinning, accounting."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bench.cluster import make_cluster
 from repro.ethernet.frame import Frame, MultiEdgeHeader
@@ -82,9 +84,11 @@ class TestSelection:
         leaf.set_port_enabled(original, False)
         rerouted = leaf._pick(frame, group)
         assert rerouted != original
+        assert leaf._pick(frame, group) == rerouted  # served from the cache
         assert leaf.repins == 1
         # Restore: the deterministic hash re-pins straight back.
         leaf.set_port_enabled(original, True)
+        assert leaf._pick(frame, group) == original
         assert leaf._pick(frame, group) == original
         assert leaf.repins == 2
         assert leaf.pin_violations == []
@@ -103,6 +107,116 @@ class TestSelection:
         cluster, fab = _fabric_cluster()
         with pytest.raises(ValueError):
             fab.by_name["leaf0.0"].add_route(0x99, ())
+
+
+class TestPickCache:
+    """A flow's pick is cached until sim.link_epoch moves or an outage in
+    force at the pick runs out; a hit leaves the pin record untouched."""
+
+    def _flow(self, fab, conn_id=1):
+        leaf = fab.by_name["leaf0.0"]
+        src, dst = fab.host_macs[0], fab.host_macs[2]
+        key = (src, dst, conn_id)
+        return leaf, _frame(src, dst, conn_id), leaf.route(dst), key
+
+    def test_unchanged_liveness_is_a_hit(self):
+        cluster, fab = _fabric_cluster()
+        leaf, frame, group, key = self._flow(fab)
+        port = leaf._pick(frame, group)
+        entry = leaf._pins[key]
+        for _ in range(3):
+            assert leaf._pick(frame, group) == port
+        assert leaf._pins[key] is entry  # never recomputed
+        assert leaf.ecmp_routed == 4  # still counted per frame
+
+    def test_flow_moves_back_when_a_transient_outage_runs_out(self):
+        cluster, fab = _fabric_cluster()
+        sim = cluster.sim
+        leaf, frame, group, key = self._flow(fab)
+        original = leaf._pick(frame, group)
+        link = leaf.port(original).tx_link
+        link.fail_for(50_000)
+        end = link._failed_until
+        epoch = sim.link_epoch
+        rerouted = leaf._pick(frame, group)
+        assert rerouted != original
+        sim.run(until=end - 1)
+        assert leaf._pick(frame, group) == rerouted
+        sim.run(until=end)  # no mutator runs: the outage just ends
+        assert sim.link_epoch == epoch
+        assert leaf._pick(frame, group) == original
+        assert leaf.repins == 2
+
+    def test_fail_forever_and_repair_invalidate(self):
+        cluster, fab = _fabric_cluster()
+        leaf, frame, group, key = self._flow(fab)
+        original = leaf._pick(frame, group)
+        link = leaf.port(original).tx_link
+        link.fail_forever()
+        rerouted = leaf._pick(frame, group)
+        assert rerouted != original
+        link.repair()
+        assert leaf._pick(frame, group) == original
+        assert leaf.repins == 2
+
+    def test_corrupted_cache_entry_is_reported(self):
+        cluster, fab = _fabric_cluster()
+        leaf, frame, group, key = self._flow(fab)
+        port = leaf._pick(frame, group)
+        assert fab.routing_invariants() == []
+        alive, _, *rest = leaf._pins[key]
+        wrong = next(p for p in alive if p != port)
+        leaf._pins[key] = (alive, wrong, *rest)
+        assert leaf._pick(frame, group) == wrong  # a hit serves it
+        (violation,) = fab.routing_invariants()
+        assert "leaf0.0" in violation and f"cached on port {wrong}" in violation
+
+
+_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["drain", "undrain", "fail_for", "repair", "advance"]),
+        st.integers(0, 5),  # leaf * 3 + uplink
+        st.integers(1, 40_000),  # outage length or clock step, ns
+    ),
+    max_size=25,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ops=_OPS)
+def test_cached_pick_equals_uncached_preview(ops):
+    cluster = make_cluster(
+        "1L-1G", nodes=4, seed=0, synthetic_payloads=True,
+        fabric=LeafSpineSpec(leaves=2, spines=3, hosts_per_leaf=2),
+    )
+    fab, sim = cluster.fabrics[0], cluster.sim
+    macs = fab.host_macs
+    leaves = [fab.by_name["leaf0.0"], fab.by_name["leaf0.1"]]
+    flows = [
+        (leaves[0], macs[s], macs[d], c) for s in (0, 1) for d in (2, 3) for c in (1, 2)
+    ] + [(leaves[1], macs[s], macs[d], c) for s in (2, 3) for d in (0, 1) for c in (1, 2)]
+
+    def check():
+        for leaf, src, dst, conn in flows:
+            got = leaf._pick(_frame(src, dst, conn), leaf.route(dst))
+            assert got == leaf.preview(src, dst, conn)
+
+    check()
+    for op, target, ns in ops:
+        leaf = leaves[target // 3]
+        port = leaf.route(macs[2 if leaf is leaves[0] else 0])[target % 3]
+        if op == "drain":
+            leaf.set_port_enabled(port, False)
+        elif op == "undrain":
+            leaf.set_port_enabled(port, True)
+        elif op == "fail_for":
+            leaf.port(port).tx_link.fail_for(ns)
+        elif op == "repair":
+            leaf.port(port).tx_link.repair()
+        else:
+            sim.run(until=sim.now + ns)
+        check()
+    assert fab.routing_invariants() == []
 
 
 def _flat_cluster():

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..bench.cluster import Cluster
+from ..control.detector import EdgeState
 from ..core import merge_stats
 
 __all__ = [
@@ -222,14 +223,20 @@ def summarize_cluster(
     The one place connection, NIC, switch and link counters are summed:
     results read the summary instead of walking the cluster again.  A
     read: summaries at any instants, in any order, change nothing.
+
+    Connection counters start at the last ``reset_measurement()``; device
+    counters (NIC, switch, link) run from t=0, as switch and trunk
+    conservation and the monitor's ``ecn-mark-conservation`` bound need:
+    results subtract ``cluster.reset_summary`` to drop the warm-up.
     """
     stats = merge_stats(
         [s.protocol.total_stats() for s in cluster.stacks]
     )
     # Rates divide by ``elapsed_ns``, else by the time since the last
-    # reset_measurement(); edge residency (never reset) ends at an instant.
-    residency_end = cluster.sim.now if elapsed_ns is None else elapsed_ns
-    elapsed = residency_end - cluster.measured_since if elapsed_ns is None else elapsed_ns
+    # reset_measurement(); edge residency covers the same interval.
+    start = cluster.measured_since
+    elapsed = cluster.sim.now - start if elapsed_ns is None else elapsed_ns
+    end = start + elapsed
     rails = []
     for rail, fabric in enumerate(cluster.fabrics):
         rc = RailCounters(rail)
@@ -280,10 +287,9 @@ def summarize_cluster(
     cwnd_finals: list[int] = []
     for stack in cluster.stacks:
         for conn in stack.protocol.connections.values():
-            cc = conn.congestion
-            controllers.add(cc.name)
-            if cc.active:
-                cwnd_finals.append(cc.cwnd_frames)
+            controllers.add(conn.params.congestion)
+            if conn.congestion is not None:
+                cwnd_finals.append(conn.congestion.cwnd_frames)
     # Incarnation-guard and dedup counts outlive their endpoint: a crash
     # destroys connections, and what they had counted is kept by the
     # recovery coordinator.  (Traffic counters describe live endpoints.)
@@ -318,12 +324,18 @@ def summarize_cluster(
         for t in edge_history
         if t.new.value == "up" and t.old.value in ("down", "recovering")
     )
-    # Per-edge state residency up to `residency_end`.
-    state_time: dict = {}
-    for mgr in cluster.control_planes.values():
-        for det in mgr.detectors:
-            for st, ns in det.state_time(residency_end).items():
-                state_time[st.value] = state_time.get(st.value, 0) + ns
+    # Per-state edge residency over [start, end], replayed from each
+    # manager's history: an edge is UP from its manager's creation and
+    # stays in its last state until `end`.
+    planes = cluster.control_planes.values()
+    state_time = {st.value: 0 for st in EdgeState} if planes else {}
+    for mgr in planes:
+        entered = {rail: (mgr.created_ns, "up") for rail in range(len(mgr.detectors))}
+        closes = [(t.rail, t.time_ns, t.new.value) for t in mgr.history]
+        for rail, t, new in closes + [(rail, end, "") for rail in entered]:
+            since, state = entered[rail]
+            state_time[state] += max(0, min(t, end) - max(since, start))
+            entered[rail] = (t, new)
     scorer = cluster.gray_scorer
     gray_fields: dict = {}
     if scorer is not None:

@@ -219,6 +219,7 @@ class Cluster:
         # Serving runtime (repro.serve); None until enable_serving().
         self.serve = None
         self.measured_since = 0  # the last reset_measurement() instant
+        self.reset_summary = None  # the roll-up that reset_measurement() took
         if config.fastpath:
             self.enable_fastpath()
 
@@ -360,7 +361,11 @@ class Cluster:
     def reset_measurement(self) -> None:
         """Start a measured interval at ``measured_since`` (now): zero every
         node's CPU accounting, every connection's counters and the fast
-        path's statistics, so a warm-up leaves nothing in what is reported."""
+        path's statistics, so a warm-up leaves nothing in what is reported.
+        Device counters are never zeroed: results subtract the roll-up
+        taken here, :attr:`reset_summary`."""
+        from ..analysis.summary import summarize_cluster  # analysis imports us
+
         self.measured_since = self.sim.now
         for stack in self.stacks:
             stack.node.reset_accounting()
@@ -368,6 +373,7 @@ class Cluster:
                 conn.stats = ConnectionStats()
         if self.fastpath is not None:
             self.fastpath.stats.reset()
+        self.reset_summary = summarize_cluster(self)
 
     def stop_periodic(self) -> None:
         """Stop every source the cluster owns that re-arms itself forever:

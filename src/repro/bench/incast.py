@@ -153,7 +153,7 @@ class IncastRun(Run):
             conn.congestion.cwnd_frames
             for stack in cluster.stacks
             for conn in stack.protocol.connections.values()
-            if conn.congestion.active and conn.node.node_id != receiver
+            if conn.congestion is not None and conn.node.node_id != receiver
         ]
 
         fabric = recipe["fabric"]

@@ -80,6 +80,7 @@ def _collect(
     from ..analysis.summary import summarize_cluster
 
     summary = summarize_cluster(cluster, elapsed)
+    base = cluster.reset_summary  # every runner resets after its warm-up
     a, b = cluster.stacks[0], cluster.stacks[1]
     stats = merge_stats(
         [a.protocol.total_stats(), b.protocol.total_stats()]
@@ -101,8 +102,8 @@ def _collect(
         cpu_util_pct=util * 100.0,
         out_of_order_fraction=stats.out_of_order_fraction,
         extra_frame_fraction=stats.extra_frame_fraction,
-        frames_dropped=summary.frames_dropped,
-        irqs=summary.irqs,
+        frames_dropped=summary.frames_dropped - base.frames_dropped,
+        irqs=summary.irqs - base.irqs,
         data_frames=stats.data_frames_sent,
     )
 

@@ -1,29 +1,25 @@
-"""Congestion-controller interface and the static (paper) policy.
+"""The congestion-controller base class, shared by AIMD and DCTCP.
 
-The paper's sliding-window protocol has *flow control* (a fixed window
-bounds in-flight frames against receiver buffering) but no *congestion
-control*: under many-to-one traffic the switch output queue overflows and
-frames drop with nothing above reacting.  A
-:class:`CongestionController` closes that loop per connection: it owns a
-congestion window (cwnd, in frames) layered under the flow-control window
-(``SendWindow.size`` stays the hard cap), reacts to acknowledgements,
-ECN echoes, NACK-driven losses, and coarse timeouts, and optionally
-exposes a pacing rate the NIC token bucket enforces.
+The paper's protocol has *flow control* (a fixed window bounds in-flight
+frames against receiver buffering) but no *congestion control*: under
+many-to-one traffic the switch queue overflows and nothing reacts.  That
+is the default, ``congestion="static"``, and the connection then has no
+controller (``Connection.congestion`` is None).  A controller owns a
+congestion window (cwnd, frames) under the flow-control window
+(``SendWindow.size`` stays the hard cap), reacts to acks, ECN echoes,
+NACK-driven losses and coarse timeouts, and may expose a pacing rate the
+NIC token bucket enforces.  It sees only a duck-typed window (``size``,
+``cwnd``), so this package does not import :mod:`repro.core`.
 
-Controllers are deliberately decoupled from :mod:`repro.core`: they see a
-duck-typed window object (``size``, ``cwnd``) and receive events from the
-connection, so this package has no import cycle with the protocol core.
-
-Three implementations ship:
-
-* :class:`StaticWindow` — the paper's behaviour: cwnd pinned to the flow
-  window, no reactions.  ``active`` is False, so the connection skips
-  every hot-path hook and the event trace is bit-identical to a build
-  without this subsystem.  This is the default.
-* :class:`~repro.congestion.aimd.AimdController` — TCP-Reno-style
-  additive increase / multiplicative decrease on loss.
-* :class:`~repro.congestion.dctcp.DctcpController` — DCTCP: an EWMA of
-  the ECN-marked fraction scales the decrease.
+The base keeps cwnd as a float (sub-frame additive increase accumulates),
+mirrors it into ``window.cwnd`` clamped to ``[MIN_CWND_FRAMES,
+window.size]``, smooths Karn-filtered RTT samples for the pacing rate
+``cwnd_bytes / srtt * headroom``, and owns the reactions both controllers
+share: a NACK-driven loss halves cwnd and a coarse timeout (NACK recovery
+already failed: the fabric is badly oversubscribed) collapses it to
+``MIN_CWND_FRAMES``, each at most once per smoothed RTT.  Subclasses
+supply :meth:`CongestionController.on_ack`: AIMD (TCP Reno) in
+:mod:`repro.congestion.aimd`, DCTCP in :mod:`repro.congestion.dctcp`.
 """
 
 from __future__ import annotations
@@ -32,10 +28,7 @@ from typing import Optional
 
 from ..ethernet.frame import ETH_MTU, ETH_OVERHEAD_BYTES
 
-__all__ = [
-    "CongestionController",
-    "StaticWindow",
-]
+__all__ = ["CongestionController"]
 
 # Wire bytes of a full-MTU frame; pacing converts cwnd (frames) to bits/s.
 FULL_FRAME_WIRE_BYTES = ETH_MTU + ETH_OVERHEAD_BYTES
@@ -57,40 +50,29 @@ RTT_INIT_NS = 200_000
 
 
 class CongestionController:
-    """Per-connection congestion policy.
-
-    The connection calls :meth:`on_ack` / :meth:`on_loss` /
-    :meth:`on_timeout` from its protocol state machine and applies
-    :meth:`pacing_rate_bps` to its NICs after each event.  Controllers
-    write their window through ``window.cwnd`` (frames); ``None`` means
-    "no congestion limit", which is what the static policy leaves in
-    place so the flow-control arithmetic is untouched.
-    """
-
-    name = "static"
-    # When False the connection skips every hot-path hook (single
-    # attribute test at attach time, zero per-event cost).
-    active = False
+    """Per-connection congestion policy: the connection calls
+    :meth:`on_ack` / :meth:`on_loss` / :meth:`on_timeout` and applies
+    :meth:`pacing_rate_bps` to its NICs after each event."""
 
     def __init__(self, window, pacing: bool = False) -> None:
         self.window = window
         # Token-bucket pacing (PACING_HEADROOM, PACING_BURST_FRAMES).
         self.pacing = pacing
-
-    # -- observability ---------------------------------------------------
+        # The window opens fully, at the flow-control cap.
+        self._cwnd = float(window.size)
+        self._srtt_ns = float(RTT_INIT_NS)
+        # Loss/timeout reactions are rate-limited to once per smoothed
+        # RTT: every drop in one overfull-queue episode is the same
+        # congestion event and must cut the window only once.
+        self._last_cut_ns = -(1 << 62)
+        self._apply_cwnd()
 
     @property
     def cwnd_frames(self) -> int:
-        """Current congestion window in frames (static: the flow window)."""
-        cwnd = self.window.cwnd
-        return self.window.size if cwnd is None else cwnd
+        """Current congestion window in frames."""
+        return self.window.cwnd
 
-    @property
-    def marked_fraction(self) -> float:
-        """Controller's running estimate of the ECN-marked fraction."""
-        return 0.0
-
-    # -- events (no-ops for the static policy) ---------------------------
+    # -- events ------------------------------------------------------------
 
     def on_ack(
         self,
@@ -99,42 +81,71 @@ class CongestionController:
         now: int,
         rtt_sample_ns: Optional[int] = None,
     ) -> None:
-        """``freed`` frames were cumulatively acknowledged.
-
-        ``ece`` is the ECN-echo bit of the acknowledgement: with delayed
-        acks one echo covers the whole freed batch (the standard DCTCP
-        coarsening).  ``rtt_sample_ns`` is a Karn-filtered RTT sample or
-        None when the newest freed frame had been retransmitted.
-        """
+        """``freed`` frames were cumulatively acknowledged; ``ece`` is the
+        ack's ECN echo (one echo covers the whole delayed-ack batch) and
+        ``rtt_sample_ns`` a Karn-filtered RTT sample, or None."""
+        raise NotImplementedError
 
     def on_loss(self, now: int) -> None:
         """A NACK-driven retransmission was enqueued (frame loss signal)."""
+        if self._cut(now):
+            self._apply_cwnd()
 
     def on_timeout(self, now: int) -> None:
         """The coarse retransmission timer fired (severe congestion)."""
+        if now - self._last_cut_ns < self._srtt_ns:
+            return
+        self._last_cut_ns = now
+        self._cwnd = float(MIN_CWND_FRAMES)
+        self._apply_cwnd()
 
-    def pacing_rate_bps(self) -> Optional[float]:
-        """Rate for the NIC token bucket, or None to transmit unpaced."""
-        return None
+    # -- window bookkeeping ----------------------------------------------
 
-    def cwnd_stable(self, now: int) -> bool:
-        """Is the congestion window in analytic steady state?
+    def _apply_cwnd(self) -> None:
+        lo = float(MIN_CWND_FRAMES)
+        hi = float(self.window.size)
+        if self._cwnd < lo:
+            self._cwnd = lo
+        elif self._cwnd > hi:
+            self._cwnd = hi
+        self.window.cwnd = int(self._cwnd)
 
-        The fast-forward detector (:mod:`repro.fastpath`) only arms while
-        this holds: the closed-form transfer model assumes the window
-        neither grows nor gets cut mid-jump.  The static policy imposes
-        no congestion limit, so it is always stable.
-        """
+    def _additive_increase(self, freed: int) -> None:
+        # Classic congestion avoidance: +ai/cwnd per acked frame adds
+        # ~ai frames per round trip regardless of ack coalescing.
+        self._cwnd += ADDITIVE_INCREASE_FRAMES * freed / self._cwnd
+
+    def _cut(self, now: int) -> bool:
+        if now - self._last_cut_ns < self._srtt_ns:
+            return False
+        self._last_cut_ns = now
+        self._cwnd *= MD_FACTOR
         return True
 
+    def cwnd_stable(self, now: int) -> bool:
+        """Is cwnd in analytic steady state?  The fast path
+        (:mod:`repro.fastpath`) only jumps while it is: at the flow-control
+        cap, and no cut within the last few round trips (the controller
+        would still be probing back up)."""
+        return (
+            int(self._cwnd) >= self.window.size
+            and now - self._last_cut_ns >= 4 * self._srtt_ns
+        )
 
-class StaticWindow(CongestionController):
-    """Today's behaviour: the flow-control window is the only limit.
+    def _note_rtt(self, rtt_sample_ns: Optional[int]) -> None:
+        if rtt_sample_ns is None or rtt_sample_ns <= 0:
+            return
+        self._srtt_ns += RTT_GAIN * (rtt_sample_ns - self._srtt_ns)
 
-    Selected by default.  Leaves ``window.cwnd`` at None and reacts to
-    nothing, so every frame trace is bit-identical to the pre-congestion
-    protocol.
-    """
+    # -- pacing -----------------------------------------------------------
 
-    name = "static"
-    active = False
+    def pacing_rate_bps(self) -> float:
+        """Rate for the NIC token bucket (read only when ``pacing``)."""
+        return (
+            self._cwnd
+            * FULL_FRAME_WIRE_BYTES
+            * 8
+            * 1e9
+            / self._srtt_ns
+            * PACING_HEADROOM
+        )

@@ -14,19 +14,18 @@ Per the DCTCP rule (Alizadeh et al., SIGCOMM 2010):
 ``alpha`` starts at 1.0 (the Linux ``dctcp_alpha_on_init`` default) so
 the very first marked window reacts as strongly as Reno; without marks
 alpha decays toward 0 and the controller reduces to pure additive
-increase.  Losses and timeouts keep their Reno-style reactions as a
-safety net for non-ECN drops.
+increase.  Losses and timeouts keep the base class's Reno-style
+reactions as a safety net for non-ECN drops.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from .adaptive import AdaptiveController
-from .base import DCTCP_G, MIN_CWND_FRAMES
+from .base import DCTCP_G, CongestionController
 
 
-class DctcpController(AdaptiveController):
+class DctcpController(CongestionController):
     name = "dctcp"
 
     def __init__(self, window, pacing: bool = False) -> None:
@@ -64,15 +63,3 @@ class DctcpController(AdaptiveController):
             self._win_size = max(int(self._cwnd), 1)
         else:
             self._apply_cwnd()
-
-    def on_loss(self, now: int) -> None:
-        if self._cut(now):
-            self._apply_cwnd()
-
-    def on_timeout(self, now: int) -> None:
-        if now - self._last_cut_ns < self._srtt_ns:
-            return
-        self._last_cut_ns = now
-        self._cwnd = float(MIN_CWND_FRAMES)
-        self._apply_cwnd()
-

@@ -111,17 +111,11 @@ class EdgeFailureDetector:
         self.down_since: Optional[int] = None
         self.degraded_since: Optional[int] = None
         self.transitions = 0
-        # Per-state residency accounting (ns) of closed intervals, for the
-        # analysis roll-up; state_time() adds the open one.
-        self.state_time_ns: dict[EdgeState, int] = {s: 0 for s in EdgeState}
-        self._state_entered_ns = 0
 
     def _move(self, new: EdgeState, now: int, reason: str) -> None:
         old = self.state
         if new is old:
             return
-        self.state_time_ns[old] += max(0, now - self._state_entered_ns)
-        self._state_entered_ns = now
         self.state = new
         self.transitions += 1
         if new is EdgeState.SUSPECT:
@@ -142,16 +136,6 @@ class EdgeFailureDetector:
             self.degraded_since = now
         if self.on_transition is not None:
             self.on_transition(self.rail, old, new, now, reason)
-
-    def state_time(self, now: int) -> dict[EdgeState, int]:
-        """Per-state residency up to ``now``, the open interval included.
-
-        A read: the detector is left as it was, so any number of calls at
-        any instants give the same answers.
-        """
-        out = dict(self.state_time_ns)
-        out[self.state] += max(0, now - self._state_entered_ns)
-        return out
 
     # -- probe outcomes (called by the health monitor) --------------------
 

@@ -121,8 +121,7 @@ class EdgeHealthMonitor:
         frame = make_probe_frame(
             nic.mac, conn.peer_macs[rail], conn.conn_id, rail, seq, now
         )
-        if conn.recovery is not None:
-            frame.incarnation = conn.local_incarnation
+        frame.incarnation = conn.local_incarnation
         if not nic.transmit(frame):
             # Ring full: the rail is saturated, not lost.  Skip the probe;
             # the backlog EWMA already took the hit.

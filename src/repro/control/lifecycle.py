@@ -39,6 +39,9 @@ class EdgeLifecycleManager:
     def __init__(self, sim: Simulator, connection: "Connection") -> None:
         self.sim = sim
         self.conn = connection
+        # Every edge starts UP here; the roll-up replays ``history`` from
+        # this instant to get per-state residency.
+        self.created_ns = sim.now
         self.history: list[EdgeTransition] = []
         self.detectors: list[EdgeFailureDetector] = []
         self.monitors: list[EdgeHealthMonitor] = []

@@ -39,7 +39,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Deque, Generator, Optional
 
-from ..congestion import make_congestion_controller
+from ..congestion import CONTROLLERS
 from ..congestion.base import FULL_FRAME_WIRE_BYTES, MIN_CWND_FRAMES, PACING_BURST_FRAMES
 from ..ethernet import ECN_CE, ECN_ECHO, Frame, FrameType, OpFlags, max_payload_per_frame
 from ..host.cpu import Cpu
@@ -90,10 +90,10 @@ class ProtocolParams:
     # moved.  Used by the micro-benchmark harness; applications that read
     # back received data must keep this off.
     synthetic_payloads: bool = False
-    # Congestion controller ("static" | "aimd" | "dctcp").  "static" is
-    # the paper's behaviour: the fixed flow-control window is the only
-    # send limit, and every trace is bit-identical to a build without the
-    # congestion subsystem.
+    # Congestion controller: "static", or a name in
+    # repro.congestion.CONTROLLERS ("aimd" | "dctcp").  "static" is the
+    # paper's behaviour: no controller, the fixed flow-control window is
+    # the only send limit.
     congestion: str = "static"
     # Token-bucket pacing of an adaptive controller's window (no effect
     # under "static").
@@ -102,6 +102,11 @@ class ProtocolParams:
     def __post_init__(self) -> None:
         if self.window_frames < 1:
             raise ValueError("window_frames must be >= 1")
+        if self.congestion != "static" and self.congestion not in CONTROLLERS:
+            raise ValueError(
+                f"unknown congestion controller {self.congestion!r}; "
+                f"choose from {['static', *CONTROLLERS]}"
+            )
         if self.congestion != "static" and self.window_frames < MIN_CWND_FRAMES:
             # An adaptive cwnd lives in [MIN_CWND_FRAMES, window_frames].
             raise ValueError(
@@ -247,14 +252,12 @@ class Connection:
         protocol.connections_created += 1
         self._queued: dict[int, Connection] = protocol.queued
         self.striping = make_striping_policy(self.params.striping, self.nics)
-        # Congestion control (repro.congestion).  The fast-path guard _cc
-        # is None for the static policy — the same single-attribute-test
-        # pattern as the observer hooks, so the default costs nothing.
-        self.congestion = make_congestion_controller(
-            self.params.congestion, self.window, self.params.pacing
-        )
-        self._cc = self.congestion if self.congestion.active else None
-        self._pacing_on = self._cc is not None and self.congestion.pacing
+        # Congestion control (repro.congestion): None under "static" — the
+        # same single-attribute test as the observer hooks, so the default
+        # costs nothing.
+        cc = CONTROLLERS.get(self.params.congestion)
+        self.congestion = None if cc is None else cc(self.window, self.params.pacing)
+        self._pacing_on = self.congestion is not None and self.congestion.pacing
         # Crash recovery (repro.recovery).  ``recovery`` is None unless the
         # cluster enabled whole-node crash faults; the incarnation pair then
         # fences off frames from dead incarnations of the peer.
@@ -558,8 +561,7 @@ class Connection:
                 self.ack_policy.note_echo_sent()
             rec.last_sent_at = self.sim.now
             rec.last_rail = rail
-            if self.recovery is not None:
-                frame.incarnation = self.local_incarnation
+            frame.incarnation = self.local_incarnation
             self.nics[rail].transmit(frame)
             self.stats.retransmitted_frames += 1
             self.retransmit_timer.arm()
@@ -602,8 +604,7 @@ class Connection:
             )
         if self.ack_policy.echo_pending:
             frame.header.flags |= self._echo()
-        if self.recovery is not None:
-            frame.incarnation = self.local_incarnation
+        frame.incarnation = self.local_incarnation
         window.register(frame, op, self.sim.now, rail=rail)
         nic.transmit(frame)
         stats = self.stats
@@ -627,7 +628,7 @@ class Connection:
 
     def handle_rx_frame(self, frame: Frame, cpu: Cpu) -> Generator[Any, Any, None]:
         h = frame.header
-        if self.recovery is not None and frame.incarnation != self.peer_incarnation:
+        if frame.incarnation != self.peer_incarnation:
             # Frame (or ack) from a dead incarnation of the peer: reject it
             # before it can corrupt the resurrected connection's windows.
             self.stats.stale_frames_rejected += 1
@@ -779,8 +780,7 @@ class Connection:
         probe_ack = make_probe_ack_frame(
             nic.mac, self.peer_macs[rail], self.conn_id, frame
         )
-        if self.recovery is not None:
-            probe_ack.incarnation = self.local_incarnation
+        probe_ack.incarnation = self.local_incarnation
         nic.transmit(probe_ack)
         self.stats.probes_answered += 1
 
@@ -918,8 +918,6 @@ class Connection:
         across the active rails; the NIC clamps each share at line rate.
         """
         rate = self.congestion.pacing_rate_bps()
-        if rate is None:
-            return
         rails = self.striping.active_rails
         per_rail = rate / len(rails) if rails else rate
         burst = PACING_BURST_FRAMES * FULL_FRAME_WIRE_BYTES
@@ -934,7 +932,7 @@ class Connection:
             self.sim.monitor.on_ack(self, cum_ack, freed)
         if not freed:
             return
-        cc = self._cc
+        cc = self.congestion
         if cc is not None:
             # Karn's rule: an RTT sample only from a never-retransmitted
             # frame (the newest of the freed batch).
@@ -988,7 +986,7 @@ class Connection:
             self.stats.nack_retransmits += 1
             enqueued += 1
         if enqueued:
-            cc = self._cc
+            cc = self.congestion
             if cc is not None:
                 cc.on_loss(now)
                 if self._pacing_on:
@@ -1013,8 +1011,7 @@ class Connection:
         frame = make_ack_frame(
             self.nics[rail].mac, self.peer_macs[rail], self.conn_id, cum, ece
         )
-        if self.recovery is not None:
-            frame.incarnation = self.local_incarnation
+        frame.incarnation = self.local_incarnation
         self.nics[rail].transmit(frame)
         self.stats.explicit_acks_sent += 1
         self.ack_policy.on_ack_emitted(cum, piggybacked=False)
@@ -1042,8 +1039,7 @@ class Connection:
             missing,
             ece,
         )
-        if self.recovery is not None:
-            frame.incarnation = self.local_incarnation
+        frame.incarnation = self.local_incarnation
         self.nics[rail].transmit(frame)
         self.stats.nacks_sent += 1
         if ece:
@@ -1091,7 +1087,7 @@ class Connection:
             # the per-frame or the connection-level retransmit counter.
             self.stats.timeout_retransmits += 1
             self._queue_retransmit(seq)
-            cc = self._cc
+            cc = self.congestion
             if cc is not None:
                 cc.on_timeout(self.sim.now)
                 if self._pacing_on:

@@ -53,9 +53,9 @@ class SendWindow:
         self.size = size
         self.next_seq = 0
         # Congestion window (frames), set by a repro.congestion controller.
-        # None — the default, and the only value StaticWindow ever leaves
-        # here — means "no congestion limit": the arithmetic below reduces
-        # exactly to the fixed flow-control window.
+        # None — the static policy, which has no controller — means "no
+        # congestion limit": the arithmetic below reduces exactly to the
+        # fixed flow-control window.
         self.cwnd: Optional[int] = None
         # seq -> InflightFrame; dict preserves insertion (= seq) order.
         self.inflight: dict[int, InflightFrame] = {}

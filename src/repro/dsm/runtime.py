@@ -218,14 +218,17 @@ class DsmRuntime:
         from ..analysis.summary import summarize_cluster
 
         summary = summarize_cluster(self.cluster, elapsed)
+        # Device counters run from t=0; count them from the measured start.
+        base = self.cluster.reset_summary
+        drops, irqs = (base.frames_dropped, base.irqs) if base else (0, 0)
         return DsmRunResult(
             nodes=self.n,
             elapsed_ns=elapsed,
             per_node=per_node,
             breakdowns=breakdowns,
             network=network,
-            frames_dropped=summary.frames_dropped,
-            irqs=summary.irqs,
+            frames_dropped=summary.frames_dropped - drops,
+            irqs=summary.irqs - irqs,
             protocol_cpu_fraction=summary.protocol_cpu_fraction_mean,
             returns=returns,
         )

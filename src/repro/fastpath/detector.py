@@ -91,9 +91,9 @@ def disqualify_reason(fwd):
     if conn.window.limit < 2 * peer.ack_policy.params.ack_every_frames:
         return "window-too-small"
 
-    # Congestion control stable (static policy is always stable); pacing
+    # Congestion control stable (the static policy has no controller); pacing
     # shapes departures in a way the model does not reproduce.
-    cc = conn._cc
+    cc = conn.congestion
     if cc is not None and not cc.cwnd_stable(conn.sim.now):
         return "cwnd-unstable"
     if conn._pacing_on or peer._pacing_on:

@@ -402,7 +402,7 @@ class ConnectionMonitor:
 
         # -- congestion window bounds --
         cc = conn.congestion
-        if cc.active:
+        if cc is not None:
             lo = MIN_CWND_FRAMES
             cwnd = window.cwnd
             if cwnd is None:
@@ -533,8 +533,7 @@ class InvariantMonitor:
     def on_rx_frame(self, conn: "Connection", frame: "Frame") -> None:
         """No-stale-frame-accepted: runs *after* the incarnation guard."""
         if (
-            conn.recovery is not None
-            and frame.incarnation != conn.peer_incarnation
+            frame.incarnation != conn.peer_incarnation
             and (conn.conn_id, conn.node.node_id) in self.conn_monitors
         ):
             self._violation(

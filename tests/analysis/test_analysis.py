@@ -3,6 +3,7 @@
 from repro.analysis import ascii_histogram, summarize_cluster
 from repro.bench import make_cluster
 from repro.bench.micro import run_one_way
+from repro.control import FaultSchedule, PermanentFailure
 from repro.core import merge_stats
 from repro.verify import InvariantMonitor
 
@@ -51,6 +52,28 @@ class TestSummary:
         assert residency() == 4 * 5 * MS
         assert residency(elapsed_ns=2 * MS) == 4 * 2 * MS
         assert residency() == 4 * 5 * MS
+
+    def test_residency_covers_the_measured_interval(self):
+        # Managers made at 4 ms, a reset at 30 ms, rail 0 cut at 31 ms: both
+        # ends of rail 0 turn SUSPECT at 39.5 ms and DOWN at 40.5 ms, after
+        # the interval's 25 ms length but inside [30, 55] ms, which is the
+        # interval residency covers.
+        cluster = make_cluster("2L-1G", nodes=2)
+        cluster.connect(0, 1)
+        cluster.sim.run(until=4 * MS)
+        cluster.enable_edge_control(0, 1)  # 4 edges
+        FaultSchedule([PermanentFailure(at_ns=31 * MS, node=0, rail=0)]).apply(
+            cluster
+        )
+        cluster.sim.run(until=30 * MS)
+        before = summarize_cluster(cluster).edge_state_time_ns
+        assert before["up"] == sum(before.values()) == 4 * 26 * MS
+        cluster.reset_measurement()
+        cluster.sim.run(until=60 * MS)
+        t = summarize_cluster(cluster, elapsed_ns=25 * MS).edge_state_time_ns
+        assert sum(t.values()) == 4 * 25 * MS
+        assert t["suspect"] == 2 * MS
+        assert t["down"] == 2 * (55 * MS - 40_500_000)
 
     def test_reorder_histogram_single_link_empty(self):
         hist = merged_stats(streamed_cluster("1L-1G")).reorder_histogram

@@ -4,7 +4,7 @@ from dataclasses import asdict
 
 from repro.analysis.summary import summarize_cluster
 from repro.bench import make_cluster
-from repro.bench.micro import run_one_way
+from repro.bench.micro import run_one_way, run_ping_pong
 from repro.core import ConnectionStats
 from repro.ethernet import OpFlags
 from repro.fastpath.stats import FastpathStats
@@ -52,3 +52,19 @@ def test_rollup_after_a_reset_measures_from_the_reset():
     assert implied.elapsed_ns == result.elapsed_ns
     assert implied.goodput_mbps == result.throughput_mbps == explicit.goodput_mbps
     assert implied.protocol_cpu_fraction_mean == explicit.protocol_cpu_fraction_mean
+
+
+def test_results_count_device_counters_from_the_reset():
+    # NIC, switch and link counters are never zeroed; a micro result
+    # subtracts the roll-up the reset took, so its interrupts cover the
+    # same interval as its frames.  64 B ping-pong: one data frame and one
+    # interrupt per frame at each end, so exactly 2 (the warm-up's
+    # interrupts made it 2.333).
+    cluster = make_cluster("1L-1G", nodes=2)
+    result = run_ping_pong(cluster, 64)
+    base, whole_run = cluster.reset_summary, summarize_cluster(cluster)
+    assert base.elapsed_ns == 0 and base.data_frames == 0
+    assert 0 < base.irqs < whole_run.irqs
+    assert result.irqs == whole_run.irqs - base.irqs
+    assert result.interrupt_fraction == 2.0
+    assert result.frames_dropped == whole_run.frames_dropped - base.frames_dropped

@@ -8,13 +8,7 @@ against exact expected values.
 
 import pytest
 
-from repro.congestion import (
-    CONTROLLER_NAMES,
-    AimdController,
-    DctcpController,
-    StaticWindow,
-    make_congestion_controller,
-)
+from repro.congestion import CONTROLLERS, AimdController, DctcpController
 from repro.congestion.base import DCTCP_G, MIN_CWND_FRAMES, RTT_INIT_NS
 from repro.core import ProtocolParams
 from repro.core.window import SendWindow
@@ -30,7 +24,7 @@ def make(kind: str, size: int = 64, cwnd: int = 0):
     is had by building on a ``cwnd``-frame window and widening it after.
     """
     window = SendWindow(size=cwnd or size)
-    cc = make_congestion_controller(kind, window)
+    cc = CONTROLLERS[kind](window)
     window.size = size
     return window, cc
 
@@ -39,12 +33,14 @@ def make(kind: str, size: int = 64, cwnd: int = 0):
 
 
 def test_registry_names():
-    assert set(CONTROLLER_NAMES) == {"static", "aimd", "dctcp"}
+    assert CONTROLLERS == {"aimd": AimdController, "dctcp": DctcpController}
 
 
 def test_unknown_controller_rejected():
-    with pytest.raises(ValueError, match="unknown congestion controller"):
-        make("reno")
+    """A name that is neither "static" nor in the table is refused when
+    the configuration is built, not when the first connection is made."""
+    with pytest.raises(ValueError, match="unknown congestion controller 'reno'"):
+        ProtocolParams(congestion="reno")
 
 
 @pytest.mark.parametrize("kind", ["aimd", "dctcp"])
@@ -61,24 +57,6 @@ def test_adaptive_controllers_open_fully():
     for kind in ("aimd", "dctcp"):
         window, cc = make(kind)
         assert window.cwnd == cc.cwnd_frames == window.size
-
-
-# -- static (the default) ----------------------------------------------------
-
-
-def test_static_is_inert():
-    window, cc = make("static")
-    assert isinstance(cc, StaticWindow)
-    assert not cc.active
-    assert cc.cwnd_frames == window.size
-    assert cc.marked_fraction == 0.0
-    cc.on_ack(4, True, now=0)
-    cc.on_loss(now=0)
-    cc.on_timeout(now=0)
-    # The whole point: the window never learns a congestion limit.
-    assert window.cwnd is None
-    assert window.available == window.size
-    assert cc.pacing_rate_bps() is None
 
 
 # -- AIMD --------------------------------------------------------------------

@@ -12,6 +12,7 @@ The scorer's contract has three parts, each pinned here:
   trusted and nothing is ever flagged.
 """
 
+from repro.analysis import summarize_cluster
 from repro.bench import make_cluster
 from repro.control import FaultSchedule, SlowNic
 from repro.control.detector import EdgeFailureDetector, EdgeState
@@ -90,8 +91,7 @@ def test_degraded_caps_score_but_keeps_probing():
     acked_mid = flagged_mgr.monitors[rail].probes_acked
     assert acked_mid > 0
     # Residency accounting: the open DEGRADED interval is visible.
-    t = flagged_mgr.detectors[rail].state_time(cluster.sim.now)
-    assert t[EdgeState.DEGRADED] > 0
+    assert summarize_cluster(cluster).edge_state_time_ns["degraded"] > 0
     cluster.sim.run_until_time(26 * MS)
     # DEGRADED is not DOWN: probes kept flowing the whole time.
     assert flagged_mgr.monitors[rail].probes_acked > acked_mid

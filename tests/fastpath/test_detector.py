@@ -123,7 +123,7 @@ def test_window_too_small_refuses():
 
 def test_cwnd_unstable_refuses():
     _, conn, _ = _pair()
-    conn._cc = SimpleNamespace(cwnd_stable=lambda now: False)
+    conn.congestion = SimpleNamespace(cwnd_stable=lambda now: False)
     assert _reason(conn) == "cwnd-unstable"
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..core import ConnectionHandle, merge_stats
+from ..core import ConnectionHandle
 from ..ethernet import OpFlags
 from .cluster import Cluster, make_cluster
 
@@ -81,12 +81,8 @@ def _collect(
 
     summary = summarize_cluster(cluster, elapsed)
     base = cluster.reset_summary  # every runner resets after its warm-up
-    a, b = cluster.stacks[0], cluster.stacks[1]
-    stats = merge_stats(
-        [a.protocol.total_stats(), b.protocol.total_stats()]
-    )
     util = max(
-        node.protocol_utilization(elapsed) for node in (a.node, b.node)
+        stack.node.protocol_utilization(elapsed) for stack in cluster.stacks[:2]
     )
     throughput = (
         total_payload_bytes / (elapsed / 1e9) / 1e6 if elapsed > 0 else 0.0
@@ -100,11 +96,11 @@ def _collect(
         latency_us=latency_us,
         throughput_mbps=throughput,
         cpu_util_pct=util * 100.0,
-        out_of_order_fraction=stats.out_of_order_fraction,
-        extra_frame_fraction=stats.extra_frame_fraction,
+        out_of_order_fraction=summary.out_of_order_fraction,
+        extra_frame_fraction=summary.extra_frame_fraction,
         frames_dropped=summary.frames_dropped - base.frames_dropped,
         irqs=summary.irqs - base.irqs,
-        data_frames=stats.data_frames_sent,
+        data_frames=summary.data_frames,
     )
 
 

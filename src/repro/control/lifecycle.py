@@ -57,14 +57,11 @@ class EdgeLifecycleManager:
         # failure detector could ever fire.
         self.gray_cap: dict[int, float] = {}
         for rail in range(len(connection.nics)):
-            self._make_edge(rail)
+            detector = EdgeFailureDetector(rail, on_transition=self._on_transition)
+            monitor = EdgeHealthMonitor(sim, connection, rail, detector)
+            self.detectors.append(detector)
+            self.monitors.append(monitor)
         connection.control_plane = self
-
-    def _make_edge(self, rail: int) -> None:
-        detector = EdgeFailureDetector(rail, on_transition=self._on_transition)
-        monitor = EdgeHealthMonitor(self.sim, self.conn, rail, detector)
-        self.detectors.append(detector)
-        self.monitors.append(monitor)
 
     # -- introspection -----------------------------------------------------
 
@@ -82,15 +79,6 @@ class EdgeLifecycleManager:
         return [t for t in self.history if t.rail == rail]
 
     # -- wiring ------------------------------------------------------------
-
-    def watch_new_rail(self, rail: int) -> None:
-        """Start monitoring a rail attached after construction."""
-        if rail != len(self.detectors):
-            raise ValueError(
-                f"rails must be watched in order; expected {len(self.detectors)}, "
-                f"got {rail}"
-            )
-        self._make_edge(rail)
 
     def stop(self) -> None:
         """Stop all probe loops (end of experiment)."""

@@ -1,7 +1,5 @@
 """Health monitors + lifecycle manager against a live two-rail cluster."""
 
-import pytest
-
 from repro.bench import make_cluster
 from repro.control import (
     EdgeState,
@@ -146,12 +144,6 @@ def test_adaptive_striping_skips_zero_score_rail():
         assert pol.next_rail(1500) == 1
     pol.set_score(0, 1.0)
     assert 0 in {pol.next_rail(1500) for _ in range(4)}
-
-
-def test_watch_new_rail_requires_order():
-    cluster, a, b, ma, mb = two_rail_cluster()
-    with pytest.raises(ValueError):
-        ma.watch_new_rail(5)
 
 
 def test_stop_halts_probing():

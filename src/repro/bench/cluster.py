@@ -218,6 +218,10 @@ class Cluster:
         self.fastpath = None
         # Serving runtime (repro.serve); None until enable_serving().
         self.serve = None
+        # The layers built on this cluster (repro.mp, repro.dsm, repro.serve),
+        # in construction order; recovery tells each of a node crash
+        # (on_node_crashed), whichever was built first.
+        self.layers: list = []
         self.measured_since = 0  # the last reset_measurement() instant
         self.reset_summary = None  # the roll-up that reset_measurement() took
         if config.fastpath:
@@ -303,10 +307,6 @@ class Cluster:
             if mgr is None:
                 mgr = EdgeLifecycleManager(self.sim, handle.conn)
                 self.control_planes[key] = mgr
-                if self.recovery is not None:
-                    self.recovery.watch_manager(mgr)
-                if self.gray_scorer is not None:
-                    self.gray_scorer.watch(mgr)
             managers.append(mgr)
         return managers[0], managers[1]
 
@@ -343,17 +343,16 @@ class Cluster:
     def enable_gray_detection(self):
         """Attach the differential gray scorer (idempotent).
 
-        Compares every watched edge's health EWMAs against the population
-        median (:mod:`repro.control.grayscore`); outliers enter the
-        DEGRADED lifecycle state and have their striping score capped.
-        Watches every control plane that exists now, and
-        :meth:`enable_edge_control` adds any attached later, so call
-        order does not matter.
+        Compares the health EWMAs of every edge in :attr:`control_planes`
+        against the population median (:mod:`repro.control.grayscore`);
+        outliers enter the DEGRADED lifecycle state and have their striping
+        score capped.  The population is read at each check, so control
+        planes enabled later, and those a crash removed, count as they are.
         """
         if self.gray_scorer is None:
             from ..control.grayscore import GrayScorer
 
-            self.gray_scorer = GrayScorer(self.sim, list(self.control_planes.values()))
+            self.gray_scorer = GrayScorer(self)
         return self.gray_scorer
 
     # -- starting a measured interval, ending a run ------------------------

@@ -9,7 +9,9 @@ look identical to any single edge's monitor.
 The :class:`GrayScorer` therefore compares *peers*.  Every
 :data:`CHECK_INTERVAL_NS` it collects the per-edge EWMAs the health monitors
 already maintain (RTT, probe loss, TX-ring backlog) over the population
-of UP/DEGRADED edges it watches, takes the population median of each,
+of UP/DEGRADED edges of the cluster's live control planes
+(``cluster.control_planes``, read at each check, so a crashed node's
+planes leave it with them), takes the population median of each,
 and flags edges that deviate from the median by more than a margin.  An
 edge flagged :data:`DEGRADE_AFTER` consecutive checks enters the DEGRADED
 lifecycle state; one clean for :data:`RECOVER_AFTER` checks returns to UP.
@@ -24,9 +26,8 @@ probe path could ever declare it SUSPECT.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
-from ..sim import Simulator
 from .detector import EdgeState
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -62,44 +63,33 @@ def _median(values: list[float]) -> float:
 
 
 class GrayScorer:
-    """Population-median outlier detection over watched edge managers."""
+    """Population-median outlier detection over a cluster's control planes."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        managers: Optional[list["EdgeLifecycleManager"]] = None,
-        name: str = "grayscore",
-    ) -> None:
-        self.sim = sim
-        self.managers: list["EdgeLifecycleManager"] = []
-        # Hysteresis counters keyed by (manager index, rail); manager
-        # index (list position) keeps iteration order deterministic.
-        self._deviant_streak: dict[tuple[int, int], int] = {}
-        self._clean_streak: dict[tuple[int, int], int] = {}
+    def __init__(self, cluster, name: str = "grayscore") -> None:
+        self.cluster = cluster
+        self.sim = cluster.sim
+        # Hysteresis counters keyed by (manager, rail): the fresh manager
+        # of a reconnected pair starts with clean streaks.
+        self._deviant_streak: dict[tuple["EdgeLifecycleManager", int], int] = {}
+        self._clean_streak: dict[tuple["EdgeLifecycleManager", int], int] = {}
         self.checks = 0
         self.degrade_marks = 0
         self.degrade_clears = 0
         self._running = True
-        for mgr in managers or []:
-            self.watch(mgr)
-        sim.process(self._body(), name=name)
-
-    def watch(self, manager: "EdgeLifecycleManager") -> None:
-        """Add a connection endpoint's edges to the compared population."""
-        self.managers.append(manager)
+        self.sim.process(self._body(), name=name)
 
     def stop(self) -> None:
         self._running = False
 
     @property
-    def flagged(self) -> list[tuple[int, int]]:
-        """Currently-DEGRADED (manager index, rail) pairs."""
-        out = []
-        for mi, mgr in enumerate(self.managers):
-            for rail, det in enumerate(mgr.detectors):
-                if det.state is EdgeState.DEGRADED:
-                    out.append((mi, rail))
-        return out
+    def flagged(self) -> list[tuple["EdgeLifecycleManager", int]]:
+        """Currently-DEGRADED (manager, rail) pairs of the live control planes."""
+        return [
+            (mgr, rail)
+            for mgr in self.cluster.control_planes.values()
+            for rail, det in enumerate(mgr.detectors)
+            if det.state is EdgeState.DEGRADED
+        ]
 
     # -- periodic comparison ----------------------------------------------
 
@@ -110,16 +100,16 @@ class GrayScorer:
                 return
             self._check()
 
-    def _population(self) -> list[tuple[int, "EdgeLifecycleManager", int]]:
+    def _population(self) -> list[tuple["EdgeLifecycleManager", int]]:
         """Comparable edges: UP or DEGRADED, with at least one acked probe."""
         pop = []
-        for mi, mgr in enumerate(self.managers):
+        for mgr in self.cluster.control_planes.values():
             for rail, det in enumerate(mgr.detectors):
                 if det.state not in (EdgeState.UP, EdgeState.DEGRADED):
                     continue
                 if mgr.monitors[rail].probes_acked == 0:
                     continue
-                pop.append((mi, mgr, rail))
+                pop.append((mgr, rail))
         return pop
 
     def _check(self) -> None:
@@ -127,17 +117,17 @@ class GrayScorer:
         pop = self._population()
         if len(pop) < MIN_POPULATION:
             return
-        rtt_med = _median([m.monitors[r].rtt_ewma_ns for _, m, r in pop])
-        loss_med = _median([m.monitors[r].loss_ewma for _, m, r in pop])
-        backlog_med = _median([m.monitors[r].backlog_ewma for _, m, r in pop])
-        for mi, mgr, rail in pop:
+        rtt_med = _median([m.monitors[r].rtt_ewma_ns for m, r in pop])
+        loss_med = _median([m.monitors[r].loss_ewma for m, r in pop])
+        backlog_med = _median([m.monitors[r].backlog_ewma for m, r in pop])
+        for mgr, rail in pop:
             mon = mgr.monitors[rail]
             deviant = (
                 (rtt_med > 0 and mon.rtt_ewma_ns > RTT_FACTOR * rtt_med)
                 or mon.loss_ewma > loss_med + LOSS_MARGIN
                 or mon.backlog_ewma > backlog_med + BACKLOG_MARGIN
             )
-            key = (mi, rail)
+            key = (mgr, rail)
             if deviant:
                 self._clean_streak[key] = 0
                 streak = self._deviant_streak.get(key, 0) + 1

@@ -45,11 +45,10 @@ class EdgeLifecycleManager:
         self.history: list[EdgeTransition] = []
         self.detectors: list[EdgeFailureDetector] = []
         self.monitors: list[EdgeHealthMonitor] = []
-        # Opt-in PEER_DOWN escalation (repro.recovery): called with this
-        # manager exactly once when every edge of the peer is DOWN (or the
-        # coarse retransmit timer declares the connection dead).  None in
-        # normal runs — per-edge failover then remains the only response.
-        self.peer_down_handler = None
+        # PEER_DOWN escalates once, when every edge of the peer is DOWN (or
+        # the coarse retransmit timer declares the connection dead), to the
+        # stack's crash recovery (repro.recovery) if there is one; without
+        # it per-edge failover remains the only response.
         self._peer_down_fired = False
         # Per-rail score ceiling imposed by the differential gray scorer
         # (repro.control.grayscore).  Absent rails are uncapped; the cap
@@ -147,10 +146,11 @@ class EdgeLifecycleManager:
             self._fire_peer_down()
 
     def _fire_peer_down(self) -> None:
-        if self._peer_down_fired or self.peer_down_handler is None:
+        recovery = self.conn.protocol.recovery
+        if self._peer_down_fired or recovery is None:
             return
         self._peer_down_fired = True
-        self.peer_down_handler(self)
+        recovery.on_peer_down(self)
 
     def _push_score(self, rail: int) -> None:
         score = self.monitors[rail].score

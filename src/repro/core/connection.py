@@ -258,10 +258,9 @@ class Connection:
         cc = CONTROLLERS.get(self.params.congestion)
         self.congestion = None if cc is None else cc(self.window, self.params.pacing)
         self._pacing_on = self.congestion is not None and self.congestion.pacing
-        # Crash recovery (repro.recovery).  ``recovery`` is None unless the
-        # cluster enabled whole-node crash faults; the incarnation pair then
-        # fences off frames from dead incarnations of the peer.
-        self.recovery: Optional[Any] = None
+        # Crash recovery (repro.recovery, ``protocol.recovery``): the
+        # incarnation pair fences off frames from dead incarnations of the
+        # peer.
         self.local_incarnation = 0
         self.peer_incarnation = 0
         self._next_op_seq = 0
@@ -740,10 +739,11 @@ class Connection:
 
     def _on_rx_op_complete(self, rx_op: RxOpState) -> None:
         rx_op.src_node = self.peer_node_id
+        recovery = self.protocol.recovery
         if (
-            self.recovery is not None
+            recovery is not None
             and rx_op.flags & OpFlags.JOURNALED
-            and not self.recovery.accept_delivery(self, rx_op)
+            and not recovery.accept_delivery(self, rx_op)
         ):
             # Journal replay re-sent a message this node already delivered
             # (same peer incarnation + journal seq): suppress the duplicate.

@@ -96,8 +96,7 @@ class DsmRuntime:
                 self._wire_pair(i, j)
         for node in self.nodes:
             node._start_services()
-        if cluster.recovery is not None:
-            self.attach_recovery(cluster.recovery)
+        cluster.layers.append(self)
         # Measurement window.
         self._measure_votes = 0
         self._node_end: list[int] = [0] * self.n
@@ -112,8 +111,8 @@ class DsmRuntime:
         SlotRing.link(a._mail[j], b._mail[i])
         a._peer_staging[j], b._peer_staging[i] = b._staging[i], a._staging[j]
 
-    def attach_recovery(self, recovery) -> None:
-        """Propagate node crashes into page-cache recovery hooks.
+    def on_node_crashed(self, node_id: int) -> None:
+        """Crash hook (repro.recovery): page-cache recovery.
 
         The crashed node's own page cache (twins, dirty set, cached
         copies) is volatile and dropped; every survivor invalidates its
@@ -121,15 +120,11 @@ class DsmRuntime:
         access refetches instead of trusting a copy that may predate
         diffs lost in the crash.
         """
-
-        def on_crash(node_id: int) -> None:
-            for node in self.nodes:
-                if node.rank == node_id:
-                    node.on_self_crashed()
-                else:
-                    node.on_peer_crashed(node_id)
-
-        recovery.subscribe_crash(on_crash)
+        for node in self.nodes:
+            if node.rank == node_id:
+                node.on_self_crashed()
+            else:
+                node.on_peer_crashed(node_id)
 
     # -- region management -------------------------------------------------
 

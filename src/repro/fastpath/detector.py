@@ -45,7 +45,7 @@ def disqualify_reason(fwd):
 
     # Crash recovery: incarnation stamping and journal replay are
     # discontinuities by definition.
-    recovery = conn.recovery or peer.recovery
+    recovery = conn.protocol.recovery
     if recovery is not None:
         for channel in recovery.channels:
             if channel._ready is not None:

@@ -76,10 +76,6 @@ class Kernel:
     def attach_client(self, client: DriverClient) -> None:
         self.client = client
 
-    def kick(self) -> None:
-        """Wake the protocol thread without an interrupt (send-path nudge)."""
-        self._work.open()
-
     # -- interrupt path ----------------------------------------------------
 
     # The low-level handler is plain callbacks, not a process per interrupt:

@@ -303,7 +303,7 @@ class MpEndpoint:
     def on_peer_crashed(self, peer: int) -> None:
         """Fail every wait that only ``peer`` could satisfy.
 
-        Called by the recovery layer when ``peer`` crashes.  Receives
+        Called through :meth:`MpWorld.on_node_crashed`.  Receives
         posted with ``source == peer``, rendezvous sends targeting the
         peer, and credit waits on its inbox all raise a typed
         :class:`~repro.core.PeerCrashed` instead of hanging forever.
@@ -351,18 +351,14 @@ class MpWorld:
                 ep.sim.process(
                     ep._listener(peer), name=f"mp.listen{ep.rank}-{peer}"
                 )
-        if cluster.recovery is not None:
-            self.attach_recovery(cluster.recovery)
+        cluster.layers.append(self)
 
-    def attach_recovery(self, recovery) -> None:
-        """Propagate node crashes into typed ``PeerCrashed`` failures."""
-
-        def on_crash(node_id: int) -> None:
-            for ep in self.endpoints:
-                if ep.rank != node_id:
-                    ep.on_peer_crashed(node_id)
-
-        recovery.subscribe_crash(on_crash)
+    def on_node_crashed(self, node_id: int) -> None:
+        """Crash hook (repro.recovery): every surviving rank's waits on
+        ``node_id`` fail with a typed ``PeerCrashed``."""
+        for ep in self.endpoints:
+            if ep.rank != node_id:
+                ep.on_peer_crashed(node_id)
 
     def _wire_pair(self, i: int, j: int) -> None:
         """Build both ends of the ``i``/``j`` eager rings and cross-link them."""

@@ -19,18 +19,26 @@ than one connection:
   survives, modelling an application-durable log.
 * **Restart.**  :meth:`restart` bumps the incarnation, powers the NICs
   back on and re-enables the SYN listener.
-* **PEER_DOWN escalation.**  When a watched
+* **PEER_DOWN escalation.**  When an
   :class:`~repro.control.EdgeLifecycleManager` reports every edge of a
-  peer DOWN, the surviving endpoint is torn down and a reconnect loop
-  dials the peer with capped exponential backoff + seeded jitter.  On
-  success the cluster's cached handles are refreshed, edge control is
-  re-armed, and any :class:`~repro.recovery.ReliableChannel` bound to the
-  pair replays its unacked suffix.
+  peer DOWN, it calls :meth:`~ClusterRecovery.on_peer_down` of its
+  stack's ``protocol.recovery``: the surviving endpoint is torn down and
+  a reconnect loop dials the peer with capped exponential backoff +
+  seeded jitter.  On success the cluster's cached handles are refreshed,
+  edge control is re-armed, and any
+  :class:`~repro.recovery.ReliableChannel` bound to the pair replays its
+  unacked suffix.
+
+The layers above the stack are found on the cluster when a crash or a
+reconnect happens, not subscribed when they are built: every entry of
+``cluster.layers`` hears ``on_node_crashed(node)``, and ``cluster.serve``
+hears ``on_pair_reconnected(node, peer)``.  Any build order gives the
+same run.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator
+from typing import Any, Generator
 
 from ..core.api import ConnectionHandle
 from ..core.errors import PeerCrashed
@@ -119,24 +127,16 @@ class ClusterRecovery:
         # and duplicate-suppression counts survive them (summarize_cluster).
         self.destroyed_stats = ConnectionStats()
 
-        self._reconnect_pair_watchers: list[Callable[[int, int, int], None]] = []
-        self._crash_subscribers: list[Callable[[int], None]] = []
-        # (node, peer) pairs whose edge control plane is re-armed on reconnect.
-        self._watched_pairs: set[tuple[int, int]] = set()
-
         for stack in cluster.stacks:
             stack.protocol.recovery = self
             stack.protocol.incarnation = self.nodes[stack.node_id].incarnation
             for conn in list(stack.protocol.connections.values()):
                 self.on_connection_created(stack.protocol, conn)
-        for mgr in list(cluster.control_planes.values()):
-            self.watch_manager(mgr)
 
     # -- wiring ------------------------------------------------------------
 
     def on_connection_created(self, protocol, conn) -> None:
         """Hook from ``MultiEdgeProtocol.create_connection``."""
-        conn.recovery = self
         conn.local_incarnation = protocol.incarnation
         peer_state = self.nodes.get(conn.peer_node_id)
         if peer_state is not None:
@@ -149,32 +149,9 @@ class ClusterRecovery:
         if self.sim.monitor is not None:
             self.sim.monitor.attach_connection(conn)
 
-    def watch_manager(self, mgr) -> None:
-        """Escalate this lifecycle manager's all-edges-DOWN into PEER_DOWN."""
-        node_id = mgr.conn.node.node_id
-        peer = mgr.conn.peer_node_id
-        self._watched_pairs.add((node_id, peer))
-        mgr.peer_down_handler = self._on_peer_down
-
     def channel(self, src: int, dst: int) -> ReliableChannel:
         """Create a journaled exactly-once channel from ``src`` to ``dst``."""
         return ReliableChannel(self, src, dst)  # registers itself
-
-    def subscribe_crash(self, cb: Callable[[int], None]) -> None:
-        """Run ``cb(node_id)`` whenever a node crashes (DSM/MP hooks)."""
-        self._crash_subscribers.append(cb)
-
-    def add_reconnect_pair_watcher(
-        self, cb: Callable[[int, int, int], None]
-    ) -> None:
-        """Run ``cb(node_id, peer, now_ns)`` after a pair reconnects.
-
-        The callback runs after the cluster's cached connection handles
-        have been refreshed — so layers that keep per-pair wiring (the mp
-        eager rings, the serving layer) can rebuild on the fresh
-        endpoints.
-        """
-        self._reconnect_pair_watchers.append(cb)
 
     # -- receiver-side dedup ----------------------------------------------
 
@@ -220,8 +197,8 @@ class ClusterRecovery:
         # NIC rings and in-flight DMA die with the power.
         for nic in stack.node.nics:
             nic.power_off()
-        for cb in self._crash_subscribers:
-            cb(node_id)
+        for layer in self.cluster.layers:
+            layer.on_node_crashed(node_id)
 
     def restart(self, node_id: int) -> None:
         """Bring a crashed node back as a fresh incarnation."""
@@ -246,7 +223,8 @@ class ClusterRecovery:
             self.sim.monitor.detach_connection(conn)
         conn.destroy(exc)
 
-    def _on_peer_down(self, mgr) -> None:
+    def on_peer_down(self, mgr) -> None:
+        """Every edge of ``mgr``'s peer is DOWN (from the lifecycle manager)."""
         conn = mgr.conn
         node_id = conn.node.node_id
         peer = conn.peer_node_id
@@ -295,12 +273,13 @@ class ClusterRecovery:
                 (handle, peer_handle) if node_id < peer
                 else (peer_handle, handle)
             )
-        if (node_id, peer) in self._watched_pairs:
-            # Re-create the edge lifecycle control plane on the reconnected
-            # pair so a *second* crash of the same peer is detected too.
-            self.cluster.enable_edge_control(node_id, peer)
+        # Re-create the edge lifecycle control plane on the reconnected
+        # pair so a *second* crash of the same peer is detected too.
+        self.cluster.enable_edge_control(node_id, peer)
         for ch in self.channels:
             if ch.dead is None and ch.src == node_id and ch.dst == peer:
                 ch.rebind(handle)
-        for watcher in self._reconnect_pair_watchers:
-            watcher(node_id, peer, self.sim.now)
+        # After the cached handles are refreshed, so the serving layer can
+        # rebuild its per-pair rings on the fresh endpoints.
+        if self.cluster.serve is not None:
+            self.cluster.serve.on_pair_reconnected(node_id, peer)

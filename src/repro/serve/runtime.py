@@ -211,6 +211,7 @@ class ServeRuntime:
         self._started = False
         self._start_ns = 0
         cluster.serve = self
+        cluster.layers.append(self)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -230,11 +231,6 @@ class ServeRuntime:
             self.sim.process(
                 self._collector(client), name=f"serve.col{client}"
             )
-
-    def attach_recovery(self, recovery) -> None:
-        """Subscribe the serving layer to crash/reconnect notifications."""
-        recovery.subscribe_crash(self._on_node_crashed)
-        recovery.add_reconnect_pair_watcher(self._on_pair_reconnected)
 
     # -- fastpath / checkpoint visibility ---------------------------------
 
@@ -439,9 +435,9 @@ class ServeRuntime:
         for req in pending:
             self._dispatch(req)
 
-    # -- crash / recovery hooks -------------------------------------------
+    # -- crash / recovery hooks (called by repro.recovery) -----------------
 
-    def _on_node_crashed(self, node_id: int) -> None:
+    def on_node_crashed(self, node_id: int) -> None:
         if node_id not in self.servers:
             return
         self.balancer.mark_down(node_id)
@@ -491,7 +487,7 @@ class ServeRuntime:
         self.replayed += 1
         self._dispatch(req)
 
-    def _on_pair_reconnected(self, node_id: int, peer: int, _now: int) -> None:
+    def on_pair_reconnected(self, node_id: int, peer: int) -> None:
         client, server = (
             (node_id, peer) if peer in self.servers else (peer, node_id)
         )
@@ -681,7 +677,4 @@ class ServeRuntime:
 
 def enable_serving(cluster, world, config: ServeConfig) -> ServeRuntime:
     """Attach a serving runtime to ``cluster`` (as ``cluster.serve``)."""
-    runtime = ServeRuntime(cluster, world, config)
-    if cluster.recovery is not None:
-        runtime.attach_recovery(cluster.recovery)
-    return runtime
+    return ServeRuntime(cluster, world, config)

@@ -44,8 +44,8 @@ class RngRegistry:
         """Exact mid-sequence state of every named stream.
 
         Captures the PCG64 ``bit_generator.state`` dict per stream — not
-        the creation seed — so a restored stream continues byte-identically
-        from where it was, even half-way through its sequence.
+        the creation seed — so a checkpoint's state capture tells two
+        streams apart that share a seed but stand at different draws.
         """
         return {
             "seed": self.seed,
@@ -54,19 +54,6 @@ class RngRegistry:
                 for name, gen in self._streams.items()
             },
         }
-
-    def restore_state(self, state: dict) -> None:
-        """Restore every stream captured by :meth:`snapshot_state`.
-
-        Streams not present in ``state`` are dropped (they did not exist at
-        capture time); streams present are recreated and fast-forwarded by
-        installing the captured bit-generator state directly.
-        """
-        self.seed = int(state["seed"])
-        self._streams = {}
-        for name, bg_state in state["streams"].items():
-            gen = self.stream(name)
-            gen.bit_generator.state = bg_state
 
     def uniform_int(self, name: str, low: int, high: int) -> int:
         """One draw from U{low, ..., high-1} on the named stream."""

@@ -85,8 +85,7 @@ def test_degraded_caps_score_but_keeps_probing():
     cluster.sim.run_until_time(16 * MS)
     scorer = cluster.gray_scorer
     assert scorer.flagged, "mid-window the rail must be DEGRADED"
-    flagged_mgr = scorer.managers[scorer.flagged[0][0]]
-    rail = scorer.flagged[0][1]
+    flagged_mgr, rail = scorer.flagged[0]
     assert flagged_mgr.gray_cap[rail] == DEGRADED_SCORE
     acked_mid = flagged_mgr.monitors[rail].probes_acked
     assert acked_mid > 0

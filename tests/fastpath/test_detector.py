@@ -45,13 +45,13 @@ def test_closed_connection_refuses():
 def test_journal_replay_in_flight_refuses():
     _, conn, _ = _pair()
     channel = SimpleNamespace(_ready=object())
-    conn.recovery = SimpleNamespace(channels=[channel])
+    conn.protocol.recovery = SimpleNamespace(channels=[channel])
     assert _reason(conn) == "journal-replay-in-flight"
 
 
 def test_recovery_attached_refuses():
-    _, conn, peer = _pair()
-    peer.recovery = SimpleNamespace(channels=[])
+    _, conn, _ = _pair()
+    conn.protocol.recovery = SimpleNamespace(channels=[])
     assert _reason(conn) == "recovery-active"
 
 

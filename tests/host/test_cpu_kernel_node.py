@@ -182,17 +182,6 @@ def test_kernel_tx_completions_reach_sender_client():
     assert sum(client_a.completions) == 5
 
 
-def test_kernel_kick_wakes_kthread_without_irq():
-    sim = Simulator()
-    node = Node(sim, 0, name="solo")
-    client = RecordingClient()
-    node.kernel.attach_client(client)
-    before = node.kernel.kthread_wakeups
-    node.kernel.kick()
-    sim.run()
-    assert node.kernel.kthread_wakeups == before + 1
-
-
 def test_node_protocol_cpu_time_and_utilization():
     sim = Simulator()
     a, b = make_wired_pair(sim)
@@ -247,7 +236,7 @@ def test_irq_while_kthread_holds_cpu_is_charged_at_the_parents_instants():
     # when the kthread lets go, and opens the work gate when it is done: a
     # second wake-up follows.  Uncontended it would have been charged at 8 781.
     a.nics[0].transmit(frame_to(b, seq=0))
-    sim.schedule(3_000, b.kernel.kick)
+    sim.schedule(3_000, b.kernel._work.open)
     sim.schedule(40_000, a.nics[0].transmit, frame_to(b, seq=1))
     sim.run()
     assert charges == [

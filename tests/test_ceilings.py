@@ -115,8 +115,8 @@ class Row:
 _COUNTERS = r"dropped_total|irqs_raised|counters\.tx_frames|frames_lost_[a-z]+|ce_marked_total"
 
 ROWS = [
-    Row("src-lines", 43, "src/ shrinks", ("src",), "pass",
-        bound=21443, measure=lines, py=True),
+    Row("src-lines", 44, "src/ shrinks", ("src",), "pass",
+        bound=21378, measure=lines, py=True),
     Row("fuzz-lines", 26, "one shape for the fuzz families: fuzz.py stays small",
         ("src/repro/verify/fuzz.py",), "pass", bound=1313, measure=lines),
     Row("getattr", 25, "no probing for attributes", ("src/repro",),
@@ -236,6 +236,11 @@ ROWS = [
     Row("docs-refs", 43, "every backticked repro.… reference in the docs resolves",
         (*DOCS, "DESIGN.md"), "`repro.analysis.probes` held the periodic probes.",
         r"`(repro(?:\.\w+)+)", measure=unresolved),
+    Row("wiring-names", 44, "opt-in subsystems find each other on the cluster, any build order",
+        CODE, "cluster.recovery.subscribe_crash(world.on_node_crashed)",
+        "subscribe_crash|add_reconnect_pair_watcher|attach_recovery|watch_manager"
+        r"|peer_down_handler|_watched_pairs|_crash_subscribers|_reconnect_pair_watchers"
+        r"|restore_state|kick\(\)", words=True, removed=True),
 ]
 ROWS.append(
     Row("docs-removed-names", 43, "the docs name no removed name", DOCS,

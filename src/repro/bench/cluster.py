@@ -220,7 +220,8 @@ class Cluster:
         self.serve = None
         # The layers built on this cluster (repro.mp, repro.dsm, repro.serve),
         # in construction order; recovery tells each of a node crash
-        # (on_node_crashed), whichever was built first.
+        # (on_node_crashed) and of a reconnected pair (on_pair_reconnected),
+        # whichever was built first.
         self.layers: list = []
         self.measured_since = 0  # the last reset_measurement() instant
         self.reset_summary = None  # the roll-up that reset_measurement() took

@@ -194,7 +194,7 @@ class EdgeFailureDetector:
     # -- external overrides ----------------------------------------------
 
     def force_down(self, now: int, reason: str = "administrative") -> None:
-        """Administrative removal (or a dead-peer escalation)."""
+        """Administrative removal."""
         if self.state is not EdgeState.DOWN:
             self._move(EdgeState.DOWN, now, reason)
 

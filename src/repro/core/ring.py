@@ -73,7 +73,7 @@ class SlotRing:
         self._peer_inbox = self._peer_credit_cell = 0  # set by link()
         self._send_seq = self._peer_consumed = self._recv_seq = 0
         self._credit_event: Optional[Event] = None  # the stalled writer's
-        self._retired: Optional[PeerCrashed] = None  # set by retire()
+        self._failed: Optional[PeerCrashed] = None  # set by fail()
         self._turn = Resource(self._sim)
 
     @staticmethod
@@ -87,19 +87,19 @@ class SlotRing:
         (default: the application CPU).
 
         Takes the writer's turn (FIFO behind a writer already sending),
-        then waits while the peer is ``window`` messages behind; a wait
-        failed with :meth:`fail` raises.  ``stage``, if given, is a
-        generator function run as ``stage(slot)`` once the slot is known and
-        before it is written (the DSM stages the slot's write notices there,
-        ahead of the fence).  The turn passes on when the write has been
-        issued, or on any error.  A retired ring raises at once.
+        then waits while the peer is ``window`` messages behind.  ``stage``,
+        if given, is a generator function run as ``stage(slot)`` once the
+        slot is known and before it is written (the DSM stages the slot's
+        write notices there, ahead of the fence).  The turn passes on when
+        the write has been issued, or on any error.  On a failed ring (see
+        :meth:`fail`) it raises instead of waiting.
         """
         turn = self._turn
         if not turn.try_acquire():
             yield turn
         try:
-            if self._retired is not None:
-                raise self._retired
+            if self._failed is not None:
+                raise self._failed
             while self._send_seq - self._peer_consumed >= self.window:
                 self._credit_event = Event(self._sim)
                 got = yield self._credit_event
@@ -118,14 +118,11 @@ class SlotRing:
             turn.release()
 
     def fail(self, exc: PeerCrashed) -> None:
-        """Make the writer stalled for credit, if any, raise ``exc``."""
-        self._wake(exc)
-
-    def retire(self, exc: PeerCrashed) -> None:
-        """The ring was replaced by a fresh one (a reconnect): the writer
-        stalled for credit and every writer that takes its turn later
-        raise ``exc`` instead of waiting on a dead incarnation."""
-        self._retired = exc
+        """The ring is dead (its peer crashed, or a reconnect replaced it):
+        the writer stalled for credit and every writer that takes its turn
+        later raise ``exc`` instead of waiting for a credit that cannot
+        come.  A failed ring stays failed."""
+        self._failed = exc
         self._wake(exc)
 
     def _wake(self, value: Optional[PeerCrashed] = None) -> None:

@@ -126,6 +126,11 @@ class DsmRuntime:
             else:
                 node.on_peer_crashed(node_id)
 
+    def on_pair_reconnected(self, node_id: int, peer: int) -> None:
+        """Reconnect hook (repro.recovery): nothing.  The DSM does not
+        resume a pair across a restart (DESIGN.md, "Message rings above
+        RDMA"): its rings stay on the dead incarnation."""
+
     # -- region management -------------------------------------------------
 
     def alloc_region(

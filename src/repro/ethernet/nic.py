@@ -433,6 +433,3 @@ class Nic:
         if not self._rx_pending:
             self._rx_since_irq = 0
         return frames, completions
-
-    def has_pending(self) -> bool:
-        return bool(self._rx_pending) or self._tx_completions > 0

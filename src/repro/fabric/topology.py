@@ -373,9 +373,6 @@ class Fabric:
         else:
             cable.fail_for(duration_ns)
 
-    def repair_trunk(self, a: str, b: str) -> None:
-        self.trunk(a, b).repair()
-
     # -- observability -----------------------------------------------------
 
     def tiers(self) -> dict[str, list[EcmpSwitch]]:

@@ -99,13 +99,6 @@ class Node:
             "interrupt", since_epoch
         )
 
-    def cpu_utilization(self, elapsed: int) -> float:
-        """Summed busy fraction over all CPUs (0..cpus), as the paper plots
-        utilization out of 200 % for two CPUs."""
-        if elapsed <= 0:
-            return 0.0
-        return sum(cpu.utilization(elapsed) for cpu in self.cpus)
-
     def protocol_utilization(self, elapsed: int) -> float:
         """Protocol share of total CPU, summed over CPUs (0..cpus)."""
         if elapsed <= 0:

@@ -219,8 +219,8 @@ class MpEndpoint:
             if conn.conn.closed:
                 # This incarnation died (node crash destroyed the
                 # endpoint); drop the notification and retire.  After a
-                # reconnect, rewire_pair() spawns a fresh listener on
-                # the new endpoints.
+                # reconnect, MpWorld.on_pair_reconnected() spawns a fresh
+                # listener on the new endpoints.
                 return
             base = note.address
             if ring.absorb_credit(base):
@@ -355,10 +355,14 @@ class MpWorld:
 
     def on_node_crashed(self, node_id: int) -> None:
         """Crash hook (repro.recovery): every surviving rank's waits on
-        ``node_id`` fail with a typed ``PeerCrashed``."""
+        ``node_id`` fail with a typed ``PeerCrashed``, and the messages that
+        had arrived at ``node_id`` unmatched die with its memory."""
         for ep in self.endpoints:
             if ep.rank != node_id:
                 ep.on_peer_crashed(node_id)
+        crashed = self.endpoints[node_id]
+        crashed._unexpected.clear()
+        crashed._pending_rts.clear()
 
     def _wire_pair(self, i: int, j: int) -> None:
         """Build both ends of the ``i``/``j`` eager rings and cross-link them."""
@@ -369,26 +373,23 @@ class MpWorld:
         self.endpoints[i]._peers[j], self.endpoints[j]._peers[i] = ends
         SlotRing.link(*ends)
 
-    def rewire_pair(self, i: int, j: int) -> None:
-        """Rebuild the eager rings between ``i`` and ``j`` after a crash.
+    def on_pair_reconnected(self, i: int, j: int) -> None:
+        """Reconnect hook (repro.recovery): rebuild the eager rings between
+        ``i`` and ``j`` on the pair's fresh endpoints.
 
-        A node crash destroys the pair's connection endpoints; once the
-        recovery layer has re-dialled and refreshed the cluster's cached
-        handles, the old rings (inboxes, credit cells, sequence counters)
-        refer to a dead incarnation.  A writer parked on one would wait
-        for credit forever — the crash fails no ring of the crashed node
-        itself — and take every later message of its sender with it, so
-        both old rings are retired first: that writer, and any that takes
-        its turn later, raises :class:`~repro.core.PeerCrashed`.  Then
-        fresh rings are built on both sides, with new listener processes
-        on the fresh connection.  The old listeners stay parked on the
-        destroyed endpoints' notification queues; destroyed connections
-        never notify, and nothing waits on them.
+        The old rings (inboxes, credit cells, sequence counters) refer to a
+        dead incarnation.  A writer parked on one would wait for credit
+        forever — the crash fails no ring of the crashed node itself —
+        and take every later message of its sender with it, so both old
+        rings are failed first: that writer, and any that takes its turn
+        later, raises :class:`~repro.core.PeerCrashed`.  Then fresh rings
+        are built on both sides, with new listener processes on the fresh
+        connection.  The old listeners stay parked on the destroyed
+        endpoints' notification queues; destroyed connections never
+        notify, and nothing waits on them.
         """
-        if i == j:
-            raise ValueError("cannot rewire a rank to itself")
         for rank, peer in ((i, j), (j, i)):
-            self.endpoints[rank]._peers[peer].retire(PeerCrashed(-1, peer))
+            self.endpoints[rank]._peers[peer].fail(PeerCrashed(-1, peer))
         self._wire_pair(i, j)
         for rank, peer in ((i, j), (j, i)):
             ep = self.endpoints[rank]

@@ -31,9 +31,9 @@ than one connection:
 
 The layers above the stack are found on the cluster when a crash or a
 reconnect happens, not subscribed when they are built: every entry of
-``cluster.layers`` hears ``on_node_crashed(node)``, and ``cluster.serve``
-hears ``on_pair_reconnected(node, peer)``.  Any build order gives the
-same run.
+``cluster.layers`` hears ``on_node_crashed(node)`` and
+``on_pair_reconnected(node, peer)``, in construction order, and repairs
+its own per-node or per-pair state.  Any build order gives the same run.
 """
 
 from __future__ import annotations
@@ -279,7 +279,7 @@ class ClusterRecovery:
         for ch in self.channels:
             if ch.dead is None and ch.src == node_id and ch.dst == peer:
                 ch.rebind(handle)
-        # After the cached handles are refreshed, so the serving layer can
-        # rebuild its per-pair rings on the fresh endpoints.
-        if self.cluster.serve is not None:
-            self.cluster.serve.on_pair_reconnected(node_id, peer)
+        # After the cached handles are refreshed, so each layer rebuilds
+        # its per-pair state on the fresh endpoints.
+        for layer in self.cluster.layers:
+            layer.on_pair_reconnected(node_id, peer)

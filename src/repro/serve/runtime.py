@@ -488,12 +488,13 @@ class ServeRuntime:
         self._dispatch(req)
 
     def on_pair_reconnected(self, node_id: int, peer: int) -> None:
+        """The server is reachable again.  ``self.world`` was built before
+        this runtime, so its hook has already rebuilt the pair's rings."""
         client, server = (
             (node_id, peer) if peer in self.servers else (peer, node_id)
         )
         if server not in self.servers or client not in self.reachable:
             return
-        self.world.rewire_pair(client, server)
         self.reachable[client].add(server)
         self.balancer.mark_up(server)
         self._drain_holding()

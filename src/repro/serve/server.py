@@ -104,16 +104,11 @@ class ServerLoop:
         endpoint's receive queue and on this loop's queue, which outlive
         the transport, so after restart + re-wiring they resume with the
         empty queue — exactly a process restart from the client's view.
-        A sender parked on a ring of the dead incarnation would not resume;
-        :meth:`~repro.mp.MpWorld.rewire_pair` retires those rings, so it
-        raises and moves on.
+        Message passing's own crash and reconnect hooks drop the requests
+        that had arrived unmatched and fail the dead incarnation's rings,
+        so a sender parked on one raises and moves on.
         """
         self.queue.clear()
-        # Requests that arrived but were never matched also die with the
-        # node's memory.
-        self.ep._unexpected = [
-            m for m in self.ep._unexpected if m.tag != TAG_REQ
-        ]
 
     # -- processes ---------------------------------------------------------
 

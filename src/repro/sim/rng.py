@@ -55,10 +55,6 @@ class RngRegistry:
             },
         }
 
-    def uniform_int(self, name: str, low: int, high: int) -> int:
-        """One draw from U{low, ..., high-1} on the named stream."""
-        return int(self.stream(name).integers(low, high))
-
     def uniform(self, name: str, low: float = 0.0, high: float = 1.0) -> float:
         """One draw from U[low, high) on the named stream."""
         return float(self.stream(name).uniform(low, high))

@@ -164,16 +164,14 @@ def test_failed_credit_wait_raises_and_passes_the_turn_on(geometry):
     crash = PeerCrashed(-1, 1)
     pair.a.fail(crash)
     pair.run()
-    # The stalled writer raised; the next one holds the turn now and waits
-    # for credit itself (the window is still full).
-    assert outcome == {"stalled": crash}
-    assert len(pair.slot_writes) == window
+    # The stalled writer raised and passed the turn on; the next one took
+    # it and raised too, because a failed ring stays failed.
+    assert outcome == {"stalled": crash, "next": crash}
     pair.listen()
     pair.run()
-    assert outcome == {"stalled": crash, "next": "sent"}
-    # The failed message never claimed its slot: no gap, nothing twice.
-    assert pair.received[1] == [message(k) for k in range(window + 1)]
-    assert pair.slot_writes == pair.expected_slot_addresses(window + 1)
+    # The failed messages never claimed a slot: no gap, nothing twice.
+    assert pair.received[1] == [message(k) for k in range(window)]
+    assert pair.slot_writes == pair.expected_slot_addresses(window)
 
 
 def test_three_concurrent_writers_are_served_fifo_each_slot_once(geometry):

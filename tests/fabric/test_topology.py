@@ -157,7 +157,7 @@ class TestTrunkManagement:
         port_l, _ = fab._trunk_ports("leaf0.0", "spine0.0")
         fab.fail_trunk("leaf0.0", "spine0.0")
         assert not leaf._port_alive(port_l)
-        fab.repair_trunk("leaf0.0", "spine0.0")
+        fab.trunk("leaf0.0", "spine0.0").repair()
         assert leaf._port_alive(port_l)
 
     def test_uplink_bytes_keys_point_upward(self):

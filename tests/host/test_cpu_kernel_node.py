@@ -193,7 +193,6 @@ def test_node_protocol_cpu_time_and_utilization():
     elapsed = sim.now
     assert b.protocol_cpu_time() >= 20_000
     assert 0.0 < b.protocol_utilization(elapsed) <= 2.0
-    assert 0.0 < b.cpu_utilization(elapsed) <= 2.0
 
 
 def test_interrupts_reenabled_after_drain():

@@ -3,8 +3,8 @@
 Crash recovery finds the layers above the stack (message passing, DSM,
 serving) and the edge control planes on the cluster when it acts, so a
 layer built before ``enable_crash_recovery()`` -- or before a ``Crash``
-schedule enables recovery lazily -- reacts to a crash exactly as one
-built after it.  The gray scorer likewise compares only the live
+schedule enables recovery lazily -- reacts to a crash, and to the
+reconnect after a restart, exactly as one built after it.  The gray scorer likewise compares only the live
 ``cluster.control_planes``: a crashed node's dead managers never vote.
 """
 
@@ -29,14 +29,18 @@ MS = 1_000_000
 ORDERS = ("recovery-first", "layer-first", "schedule-only")
 
 
-def _build(order, cluster, build, crash_node, crash_ns):
-    """``build(cluster)`` in ``order``, then schedule ``crash_node``'s crash."""
+def _build(order, cluster, build, crash_node, crash_ns, restart_ns=None):
+    """``build(cluster)`` in ``order``, then schedule ``crash_node``'s crash
+    (and its restart ``restart_ns`` later, if given)."""
     if order == "recovery-first":
         cluster.enable_crash_recovery()
     layer = build(cluster)
     if order == "layer-first":
         cluster.enable_crash_recovery()
-    FaultSchedule([Crash(at_ns=crash_ns, node=crash_node)]).apply(cluster)
+    faults = [Crash(at_ns=crash_ns, node=crash_node)]
+    if restart_ns is not None:
+        faults.append(Restart(at_ns=crash_ns, node=crash_node, delay_ns=restart_ns))
+    FaultSchedule(faults).apply(cluster)
     return layer
 
 
@@ -106,6 +110,43 @@ LAYERS = {
 def test_layer_reacts_to_a_crash_in_any_build_order(layer, order):
     outcome, expected = LAYERS[layer]
     assert outcome(order) == expected
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_message_passing_heals_across_a_restart_in_any_build_order(order):
+    """Rank 1 crashes and restarts: sends during the outage raise
+    ``PeerCrashed``, and every send after the reconnect is delivered."""
+    cluster = make_cluster("1L-1G", nodes=2)
+
+    def build(cluster):
+        cluster.enable_edge_control(0, 1)
+        return MpWorld(cluster)
+
+    world = _build(order, cluster, build, crash_node=1, crash_ns=1 * MS,
+                   restart_ns=2 * MS)
+    sim = cluster.sim
+    sent, failed, received = [], [], []
+
+    def sender():
+        for k in range(60):
+            try:
+                yield from world.endpoints[0].send(1, k.to_bytes(32, "big"))
+                sent.append(k)
+            except PeerCrashed:
+                failed.append(k)
+            yield MS // 2
+
+    def receiver():
+        while True:
+            msg = yield from world.endpoints[1].recv(source=0)
+            received.append(int.from_bytes(msg.data, "big"))
+
+    sim.process(sender(), name="sender")
+    sim.process(receiver(), name="receiver")
+    sim.run(until=40 * MS)
+    assert cluster.recovery.reconnects == 1
+    assert failed and len(sent) + len(failed) == 60
+    assert received == sent and sent[-1] == 59
 
 
 @pytest.mark.parametrize("order", ORDERS)

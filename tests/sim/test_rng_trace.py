@@ -27,12 +27,6 @@ def test_stream_is_cached():
     assert reg.stream("s") is reg.stream("s")
 
 
-def test_uniform_int_bounds():
-    reg = RngRegistry(seed=3)
-    draws = [reg.uniform_int("d", 5, 10) for _ in range(100)]
-    assert all(5 <= d < 10 for d in draws)
-
-
 def test_bernoulli_extremes():
     reg = RngRegistry(seed=3)
     assert not reg.bernoulli("p", 0.0)

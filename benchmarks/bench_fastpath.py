@@ -50,7 +50,7 @@ def _run(config: str, fastpath: bool) -> dict:
         "data_frames": result.data_frames,
     }
     if fastpath:
-        stats = cluster.fastpath.stats
+        stats = cluster.layers[0].stats  # the fast path: the one layer built
         out["coverage"] = stats.coverage(
             result.elapsed_ns, SIZE * result.iterations
         )

@@ -36,7 +36,7 @@ import pytest
 from conftest import record
 
 from repro.bench.serve import ServeRun, run_serve
-from repro.control import Crash, Restart, SlowNic, SlowNode
+from repro.control import Crash, GrayScorer, Restart, SlowNic, SlowNode
 from repro.serve import ArrivalSpec, ServerSpec, TailSpec
 from repro.verify.fuzz import run_family
 
@@ -207,7 +207,7 @@ def test_gray_detection_smoke():
     )
     res = run.finish()
     assert not res.violations, res.violations
-    scorer = run.cluster.gray_scorer
+    scorer = run.cluster.layer(GrayScorer)
     assert scorer.degrade_marks >= 1, "the throttled edge was never flagged"
     assert scorer.degrade_clears >= 1, "the flag never cleared after repair"
     assert not scorer.flagged, "no edge should stay DEGRADED at the end"

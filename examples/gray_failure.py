@@ -28,7 +28,7 @@ Run:  python examples/gray_failure.py
 """
 
 from repro.bench.serve import ServeRun, run_serve
-from repro.control import SlowNic, SlowNode
+from repro.control import GrayScorer, SlowNic, SlowNode
 from repro.serve import ArrivalSpec, ServerSpec, TailSpec
 
 MS = 1_000_000
@@ -113,7 +113,7 @@ def detection():
         use_monitor=True,
     )
     res = run.finish()
-    scorer = run.cluster.gray_scorer
+    scorer = run.cluster.layer(GrayScorer)
     transitions = [
         t
         for mgr in run.cluster.control_planes.values()

@@ -141,9 +141,10 @@ class ClusterSummary:
     # Per-switch roll-up, keyed by switch name (repro.fabric gives every
     # fabric switch a distinct name; classic configs list one per rail).
     switches: list["SwitchCounters"] = field(default_factory=list)
-    # Gray-failure detection (repro.control.grayscore; empty/zero without
-    # enable_gray_detection()).  State residency is summed across every
-    # watched edge, keyed by lifecycle state name ("up", "degraded", ...).
+    # Gray-failure detection (repro.control.grayscore).  State residency
+    # is summed across every watched edge, keyed by lifecycle state name
+    # ("up", "degraded", ...); the gray_* counts stay zero without the
+    # GrayScorer layer.
     edge_state_time_ns: dict = field(default_factory=dict)
     gray_checks: int = 0
     gray_degrade_marks: int = 0
@@ -224,8 +225,9 @@ def summarize_cluster(
     results read the summary instead of walking the cluster again.  A
     read: summaries at any instants, in any order, change nothing.
 
-    Connection counters start at the last ``reset_measurement()``; device
-    counters (NIC, switch, link) run from t=0, as switch and trunk
+    Each layer adds its own fields (``Layer.summarize``).  Connection
+    counters start at the last ``reset_measurement()``; device counters
+    (NIC, switch, link) run from t=0, as switch and trunk
     conservation and the monitor's ``ecn-mark-conservation`` bound need:
     results subtract ``cluster.reset_summary`` to drop the warm-up.
     """
@@ -290,30 +292,6 @@ def summarize_cluster(
             controllers.add(conn.params.congestion)
             if conn.congestion is not None:
                 cwnd_finals.append(conn.congestion.cwnd_frames)
-    # Incarnation-guard and dedup counts outlive their endpoint: a crash
-    # destroys connections, and what they had counted is kept by the
-    # recovery coordinator.  (Traffic counters describe live endpoints.)
-    stale_rejected = stats.stale_frames_rejected
-    dup_suppressed = stats.duplicate_msgs_suppressed
-    recovery = cluster.recovery
-    recovery_fields: dict = {}
-    if recovery is not None:
-        stale_rejected += recovery.destroyed_stats.stale_frames_rejected
-        dup_suppressed += recovery.destroyed_stats.duplicate_msgs_suppressed
-        latencies = [ns for _, ns in recovery.reconnect_latencies]
-        recovery_fields = {
-            "node_crashes": recovery.crashes,
-            "node_restarts": recovery.restarts,
-            "peer_down_events": recovery.peer_down_events,
-            "reconnects": recovery.reconnects,
-            "reconnects_failed": recovery.reconnects_failed,
-            "reconnect_latency_mean_ns": (
-                sum(latencies) / len(latencies) if latencies else 0.0
-            ),
-            "reconnect_latency_max_ns": max(latencies, default=0),
-            "messages_journaled": sum(ch.messages_sent for ch in recovery.channels),
-            "messages_redelivered": sum(ch.redeliveries for ch in recovery.channels),
-        }
     edge_history = sorted(
         (t for mgr in cluster.control_planes.values() for t in mgr.history),
         key=lambda t: (t.time_ns, t.rail),
@@ -336,23 +314,13 @@ def summarize_cluster(
             since, state = entered[rail]
             state_time[state] += max(0, min(t, end) - max(since, start))
             entered[rail] = (t, new)
-    scorer = cluster.gray_scorer
-    gray_fields: dict = {}
-    if scorer is not None:
-        gray_fields = {
-            "gray_checks": scorer.checks,
-            "gray_degrade_marks": scorer.degrade_marks,
-            "gray_degrade_clears": scorer.degrade_clears,
-            "gray_flagged_edges": len(scorer.flagged),
-        }
-    ff = cluster.fastpath.stats if cluster.fastpath is not None else None
     n = len(cluster.stacks)
     proto_frac = (
         sum(s.node.protocol_cpu_time() / elapsed for s in cluster.stacks) / n
         if elapsed > 0 and n
         else 0.0
     )
-    return ClusterSummary(
+    fields = dict(
         elapsed_ns=elapsed,
         data_frames=stats.data_frames_sent,
         data_bytes=stats.data_bytes_sent,
@@ -394,24 +362,19 @@ def summarize_cluster(
         cwnd_final_mean=(
             sum(cwnd_finals) / len(cwnd_finals) if cwnd_finals else 0.0
         ),
-        ff_jumps=ff.jumps if ff else 0,
-        ff_aborts=ff.aborts if ff else 0,
-        ff_ops_synthesized=ff.ops_synthesized if ff else 0,
-        ff_virtual_ns=ff.ff_virtual_ns if ff else 0,
-        ff_bytes=ff.ff_bytes if ff else 0,
-        ff_frames=ff.ff_frames if ff else 0,
         rails=rails,
         edge_history=edge_history,
         edges_failed=edges_failed,
         edges_recovered=edges_recovered,
         frames_migrated=stats.migrated_frames,
-        stale_frames_rejected=stale_rejected,
-        duplicate_msgs_suppressed=dup_suppressed,
+        stale_frames_rejected=stats.stale_frames_rejected,
+        duplicate_msgs_suppressed=stats.duplicate_msgs_suppressed,
         switches=switch_counters,
         edge_state_time_ns=state_time,
-        **recovery_fields,
-        **gray_fields,
     )
+    for layer in cluster.layers:
+        layer.summarize(fields)
+    return ClusterSummary(**fields)
 
 
 def ascii_histogram(

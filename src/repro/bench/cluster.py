@@ -22,7 +22,7 @@ from functools import partial
 from typing import Callable, Optional
 
 from ..control import EdgeLifecycleManager
-from ..core import ConnectionHandle, ConnectionStats, MultiEdgeStack, ProtocolParams, establish
+from ..core import ConnectionHandle, ConnectionStats, Layer, MultiEdgeStack, ProtocolParams, establish
 from ..ethernet import LinkParams, NicParams, Switch, SwitchParams
 from ..ethernet.link import Cable
 from ..host import Node, myri10g_params, tigon3_params
@@ -206,27 +206,15 @@ class Cluster:
         self._connections: dict[tuple[int, int], tuple[ConnectionHandle, ConnectionHandle]] = {}
         # (node_id, peer_node_id) -> that endpoint's lifecycle manager.
         self.control_planes: dict[tuple[int, int], EdgeLifecycleManager] = {}
-        # Crash/restart coordinator (repro.recovery); None until a crash
-        # fault or an explicit enable_crash_recovery() asks for it, so the
-        # default path carries zero recovery state.
-        self.recovery = None
-        # Differential gray scorer (repro.control.grayscore); None until
-        # enable_gray_detection() asks for it.
-        self.gray_scorer = None
-        # Flow-level fast-forward manager (repro.fastpath); None keeps
-        # every connection on the exact frame-level path.
-        self.fastpath = None
-        # Serving runtime (repro.serve); None until enable_serving().
-        self.serve = None
-        # The layers built on this cluster (repro.mp, repro.dsm, repro.serve),
-        # in construction order; recovery tells each of a node crash
-        # (on_node_crashed) and of a reconnected pair (on_pair_reconnected),
-        # whichever was built first.
-        self.layers: list = []
+        # The opt-in subsystems (repro.core.Layer) in construction order,
+        # the order their hooks run in; none is built by default.
+        self.layers: list[Layer] = []
         self.measured_since = 0  # the last reset_measurement() instant
         self.reset_summary = None  # the roll-up that reset_measurement() took
         if config.fastpath:
-            self.enable_fastpath()
+            from ..fastpath import FastpathManager  # loaded only when used
+
+            self.layer(FastpathManager)
 
     def _wire(self, nodes) -> None:
         """One fabric per rail (repro.fabric): ``config.fabric``, or one
@@ -271,9 +259,9 @@ class Cluster:
                 self.stacks[key[0]], self.stacks[key[1]], self.config.protocol
             )
             self._connections[key] = (a, b)
-            if self.fastpath is not None:
-                self.fastpath.attach(a.conn)
-                self.fastpath.attach(b.conn)
+            for layer in self.layers:
+                layer.on_connection(a.conn)
+                layer.on_connection(b.conn)
         a, b = self._connections[key]
         return (a, b) if i < j else (b, a)
 
@@ -311,57 +299,22 @@ class Cluster:
             managers.append(mgr)
         return managers[0], managers[1]
 
-    def enable_fastpath(self):
-        """Attach the hybrid-fidelity fast path (idempotent).
-
-        Installs a :class:`~repro.fastpath.FastpathManager`: existing and
-        future connections get a flow-level forwarder, and as the
-        simulator's ``fastpath_guard`` it aborts jumps on any device's
-        fault, ECN mark, queue pressure or power event.
-        Returns the manager.
-        """
-        if self.fastpath is None:
-            from ..fastpath import FastpathManager
-
-            self.fastpath = FastpathManager(self)
-            self.fastpath.attach_all()
-        return self.fastpath
-
-    def enable_crash_recovery(self):
-        """Attach the whole-node crash/recovery coordinator (idempotent).
-
-        Returns the cluster's :class:`~repro.recovery.ClusterRecovery`.
-        Called automatically when a :class:`~repro.control.FaultSchedule`
-        contains :class:`~repro.control.Crash` / \
-        :class:`~repro.control.Restart` events.
-        """
-        if self.recovery is None:
-            from ..recovery import ClusterRecovery
-
-            self.recovery = ClusterRecovery(self)
-        return self.recovery
-
-    def enable_gray_detection(self):
-        """Attach the differential gray scorer (idempotent).
-
-        Compares the health EWMAs of every edge in :attr:`control_planes`
-        against the population median (:mod:`repro.control.grayscore`);
-        outliers enter the DEGRADED lifecycle state and have their striping
-        score capped.  The population is read at each check, so control
-        planes enabled later, and those a crash removed, count as they are.
-        """
-        if self.gray_scorer is None:
-            from ..control.grayscore import GrayScorer
-
-            self.gray_scorer = GrayScorer(self)
-        return self.gray_scorer
+    def layer(self, cls):
+        """The cluster's one layer of type ``cls``, built as ``cls(self)``
+        on first ask: ``cluster.layer(ClusterRecovery)`` turns crash
+        recovery on, and asking again returns the same instance."""
+        for layer in self.layers:
+            if type(layer) is cls:
+                return layer
+        return cls(self)
 
     # -- starting a measured interval, ending a run ------------------------
 
     def reset_measurement(self) -> None:
         """Start a measured interval at ``measured_since`` (now): zero every
-        node's CPU accounting, every connection's counters and the fast
-        path's statistics, so a warm-up leaves nothing in what is reported.
+        node's CPU accounting and every connection's counters, and tell
+        every layer (``on_reset``), so a warm-up leaves nothing in what is
+        reported.
         Device counters are never zeroed: results subtract the roll-up
         taken here, :attr:`reset_summary`."""
         from ..analysis.summary import summarize_cluster  # analysis imports us
@@ -371,17 +324,17 @@ class Cluster:
             stack.node.reset_accounting()
             for conn in stack.protocol.connections.values():
                 conn.stats = ConnectionStats()
-        if self.fastpath is not None:
-            self.fastpath.stats.reset()
+        for layer in self.layers:
+            layer.on_reset()
         self.reset_summary = summarize_cluster(self)
 
     def stop_periodic(self) -> None:
         """Stop every source the cluster owns that re-arms itself forever:
-        each control plane's heartbeat probes, then the gray scorer."""
+        each control plane's heartbeat probes, then every layer's (``stop``)."""
         for mgr in list(self.control_planes.values()):
             mgr.stop()
-        if self.gray_scorer is not None:
-            self.gray_scorer.stop()
+        for layer in self.layers:
+            layer.stop()
 
     def quiesce(self) -> None:
         """End a run whose workload is done: stop the periodic sources, then
@@ -415,10 +368,6 @@ class Cluster:
                 for op in ops + list(conn._pending_reads.values()):
                     if not op.completed:
                         raise SimulationError(f"op {op!r} incomplete after drain")
-
-    def enable_frame_tracing(self) -> None:
-        """Record every NIC TX/RX completion into :attr:`tracer`."""
-        self.tracer.enable("frame.tx", "frame.rx")
 
     # -- cluster-wide statistics -----------------------------------------
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..control import Crash, FaultSchedule, Restart
-from ..recovery import reconnect_bound_ns
+from ..recovery import ClusterRecovery, reconnect_bound_ns
 from .cluster import make_cluster
 from .run import Run
 
@@ -105,7 +105,7 @@ class CrashRun(Run):
         )
         cluster.connect(0, 1)
         cluster.enable_edge_control(0, 1)
-        self.recovery = cluster.enable_crash_recovery()
+        self.recovery = cluster.layer(ClusterRecovery)
         if use_monitor:
             from ..verify.monitor import InvariantMonitor
 

@@ -21,9 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
+from ..analysis.summary import summarize_cluster
 from ..control import Crash, FaultSchedule
-from ..serve import ArrivalSpec, ServeConfig, ServerSpec, TailSpec, enable_serving
-from ..serve.runtime import ServeRuntime
+from ..control.grayscore import GrayScorer
+from ..serve import ArrivalSpec, ServeConfig, ServerSpec, ServeRuntime, TailSpec
 from .cluster import Cluster, named_config
 from .run import Run
 
@@ -140,7 +141,6 @@ class ServeRun(Run):
             )
         )
 
-        self.recovery = cluster.enable_crash_recovery() if has_crash else None
         if has_crash or gray_detection:
             # The control plane watches every client<->server edge so a
             # server crash escalates to PEER_DOWN and auto-reconnects
@@ -149,12 +149,12 @@ class ServeRun(Run):
                 for s in servers:
                     cluster.enable_edge_control(c, s)
         if gray_detection:
-            cluster.enable_gray_detection()
+            cluster.layer(GrayScorer)
 
         from ..mp import MpWorld
 
         self.world = MpWorld(cluster)
-        self.runtime: ServeRuntime = enable_serving(
+        self.runtime = ServeRuntime(
             cluster,
             self.world,
             ServeConfig(
@@ -196,7 +196,7 @@ class ServeRun(Run):
             # problem as a ``serve-invariant`` violation: read them there.
             violations = [str(v) for v in self.monitor.violations]
         else:
-            violations = rt.check_invariants()
+            violations = [detail for _, detail, _ in rt.check_invariants()]
         pending = rt.pending
         if pending and self._all_quiet():
             violations.append(
@@ -208,6 +208,7 @@ class ServeRun(Run):
         merged = rt.merged_histogram()
         slo = rt.slo_report(merged)
         cfg = rt.config
+        summary = summarize_cluster(self.cluster)
         return ServeResult(
             config=self.cluster.config.name,
             policy=cfg.policy,
@@ -238,8 +239,8 @@ class ServeRun(Run):
             slo_attained=None if slo is None else slo.attained,
             slo_clauses={} if slo is None else dict(slo.clauses),
             windows=rt.window_reports(),
-            crashes=self.recovery.crashes if self.recovery else 0,
-            reconnects=self.recovery.reconnects if self.recovery else 0,
+            crashes=summary.node_crashes,
+            reconnects=summary.reconnects,
             hedges_sent=rt.tail.hedges_sent,
             hedges_won=rt.tail.hedges_won,
             retries_sent=rt.tail.retries_sent,

@@ -108,8 +108,6 @@ class EdgeFailureDetector:
         self.consecutive_losses = 0
         self.recovery_successes = 0
         self.suspect_since: Optional[int] = None
-        self.down_since: Optional[int] = None
-        self.degraded_since: Optional[int] = None
         self.transitions = 0
 
     def _move(self, new: EdgeState, now: int, reason: str) -> None:
@@ -120,20 +118,13 @@ class EdgeFailureDetector:
         self.transitions += 1
         if new is EdgeState.SUSPECT:
             self.suspect_since = now
-            self.degraded_since = None
         elif new is EdgeState.DOWN:
-            self.down_since = now
             self.recovery_successes = 0
-            self.degraded_since = None
         elif new is EdgeState.UP:
             self.consecutive_losses = 0
             self.suspect_since = None
-            self.down_since = None
-            self.degraded_since = None
         elif new is EdgeState.RECOVERING:
             self.recovery_successes = 1
-        elif new is EdgeState.DEGRADED:
-            self.degraded_since = now
         if self.on_transition is not None:
             self.on_transition(self.rail, old, new, now, reason)
 

@@ -39,6 +39,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
+from ..recovery import ClusterRecovery
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..bench.cluster import Cluster
 
@@ -244,15 +246,15 @@ class Repair(_EdgeFault):
 class Crash(_NodeFault):
     """Whole-node fail-stop crash at ``at_ns`` (all rails, all state).
 
-    Handled by :class:`repro.recovery.ClusterRecovery` (enabled on the
-    cluster automatically when a schedule contains crash events): every
+    Handled by the cluster's :class:`repro.recovery.ClusterRecovery` layer
+    (built when a schedule with crash events is applied): every
     connection endpoint at the node is destroyed, its NICs lose power and
     their rings, and pending operations fail with
     :class:`~repro.core.PeerCrashed`.
     """
 
     def timers(self, cluster):
-        return [(self.at_ns, cluster.enable_crash_recovery().crash, self.node)]
+        return [(self.at_ns, cluster.layer(ClusterRecovery).crash, self.node)]
 
 
 @dataclass(frozen=True)
@@ -271,7 +273,7 @@ class Restart(_NodeFault):
             raise ValueError("delay_ns must be >= 0")
 
     def timers(self, cluster):
-        restart = cluster.enable_crash_recovery().restart
+        restart = cluster.layer(ClusterRecovery).restart
         return [(self.at_ns + self.delay_ns, restart, self.node)]
 
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from ..core.layer import Layer
 from .detector import EdgeState
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -62,12 +63,12 @@ def _median(values: list[float]) -> float:
     return (ordered[mid - 1] + ordered[mid]) / 2.0
 
 
-class GrayScorer:
-    """Population-median outlier detection over a cluster's control planes."""
+class GrayScorer(Layer):
+    """Population-median outlier detection over a cluster's control planes
+    (a layer: ``cluster.layer(GrayScorer)`` turns it on)."""
 
     def __init__(self, cluster, name: str = "grayscore") -> None:
-        self.cluster = cluster
-        self.sim = cluster.sim
+        super().__init__(cluster)
         # Hysteresis counters keyed by (manager, rail): the fresh manager
         # of a reconnected pair starts with clean streaks.
         self._deviant_streak: dict[tuple["EdgeLifecycleManager", int], int] = {}
@@ -80,6 +81,12 @@ class GrayScorer:
 
     def stop(self) -> None:
         self._running = False
+
+    def summarize(self, fields: dict) -> None:
+        fields.update(
+            gray_checks=self.checks, gray_degrade_marks=self.degrade_marks,
+            gray_degrade_clears=self.degrade_clears, gray_flagged_edges=len(self.flagged),
+        )
 
     @property
     def flagged(self) -> list[tuple["EdgeLifecycleManager", int]]:

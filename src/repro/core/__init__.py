@@ -3,8 +3,9 @@
 from .ack import AckPolicy, AckPolicyParams
 from .api import ConnectionHandle, MultiEdgeStack, OpHandle, establish
 from .connection import Connection, Notification, Operation, ProtocolParams
-from .errors import MultiEdgeError, PeerCrashed, RetransmitExhausted
+from .errors import ConnectionClosed, MultiEdgeError, PeerCrashed, RetransmitExhausted
 from .handshake import HandshakeError, close_connection, dial, enable_listener
+from .layer import Layer
 from .messages import SEQUENCED_TYPES
 from .ordering import FenceDelivery, InOrderDelivery, OrderingManager, RxOpState
 from .protocol import MultiEdgeProtocol
@@ -34,6 +35,8 @@ __all__ = [
     "MultiEdgeError",
     "RetransmitExhausted",
     "PeerCrashed",
+    "ConnectionClosed",
+    "Layer",
     "MultiEdgeProtocol",
     "Connection",
     "Operation",

@@ -63,7 +63,7 @@ from .messages import (
     make_probe_ack_frame,
     make_read_req_frame,
 )
-from .errors import PeerCrashed, RetransmitExhausted
+from .errors import ConnectionClosed, PeerCrashed, RetransmitExhausted
 from .ordering import FenceDelivery, InOrderDelivery, RxOpState
 from .retransmit import NACK_HOLDOFF_NS, RetransmitTimer
 from .stats import ConnectionStats
@@ -621,7 +621,7 @@ class Connection:
 
     def _check_open(self) -> None:
         if self.closed:
-            raise RuntimeError(
+            raise ConnectionClosed(
                 f"connection {self.conn_id} is closed; no new operations"
             )
 

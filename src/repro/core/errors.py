@@ -15,13 +15,14 @@ crashes in the model, callers need to distinguish *why* an op died:
   connection's volatile state is gone; pending ops can never complete on
   this incarnation and the recovery layer (if enabled) will redeliver
   journaled messages on the next one.
+* :class:`ConnectionClosed` — an operation was submitted on a closed one.
 
-Both derive from :class:`MultiEdgeError` so callers can catch the family.
+All derive from :class:`MultiEdgeError` so callers can catch the family.
 """
 
 from __future__ import annotations
 
-__all__ = ["MultiEdgeError", "RetransmitExhausted", "PeerCrashed"]
+__all__ = ["MultiEdgeError", "RetransmitExhausted", "PeerCrashed", "ConnectionClosed"]
 
 
 class MultiEdgeError(RuntimeError):
@@ -47,3 +48,7 @@ class PeerCrashed(MultiEdgeError):
         super().__init__(f"connection {conn_id}: peer node {peer_node} crashed")
         self.conn_id = conn_id
         self.peer_node = peer_node
+
+
+class ConnectionClosed(MultiEdgeError):
+    """An operation was submitted on a closed (or destroyed) connection."""

@@ -73,7 +73,7 @@ class SlotRing:
         self._peer_inbox = self._peer_credit_cell = 0  # set by link()
         self._send_seq = self._peer_consumed = self._recv_seq = 0
         self._credit_event: Optional[Event] = None  # the stalled writer's
-        self._failed: Optional[PeerCrashed] = None  # set by fail()
+        self.failed: Optional[PeerCrashed] = None  # set by fail()
         self._turn = Resource(self._sim)
 
     @staticmethod
@@ -98,8 +98,8 @@ class SlotRing:
         if not turn.try_acquire():
             yield turn
         try:
-            if self._failed is not None:
-                raise self._failed
+            if self.failed is not None:
+                raise self.failed
             while self._send_seq - self._peer_consumed >= self.window:
                 self._credit_event = Event(self._sim)
                 got = yield self._credit_event
@@ -122,7 +122,7 @@ class SlotRing:
         the writer stalled for credit and every writer that takes its turn
         later raise ``exc`` instead of waiting for a credit that cannot
         come.  A failed ring stays failed."""
-        self._failed = exc
+        self.failed = exc
         self._wake(exc)
 
     def _wake(self, value: Optional[PeerCrashed] = None) -> None:

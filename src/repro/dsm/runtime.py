@@ -34,7 +34,7 @@ from typing import Any, Callable, Generator, Optional
 import numpy as np
 
 from ..bench.cluster import Cluster
-from ..core import ConnectionHandle, ConnectionStats, SlotRing, merge_stats
+from ..core import ConnectionHandle, ConnectionStats, Layer, SlotRing, merge_stats
 from ..host.params import memcpy_ns
 from ..sim import Event, Store
 from .messages import MSG_SLOT_BYTES, Message, MsgType, decode_notices, encode_notices
@@ -81,12 +81,13 @@ class DsmRunResult:
         return self.irqs / frames if frames else 0.0
 
 
-class DsmRuntime:
-    """Cluster-wide DSM: regions, nodes, and the run harness."""
+class DsmRuntime(Layer):
+    """Cluster-wide DSM: regions, nodes, and the run harness; a layer.  It
+    has no reconnect hook: its rings stay on the dead incarnation (DESIGN.md,
+    "Message rings above RDMA")."""
 
     def __init__(self, cluster: Cluster) -> None:
-        self.cluster = cluster
-        self.sim = cluster.sim
+        super().__init__(cluster)
         self.n = cluster.config.nodes
         self.regions: dict[int, SharedRegion] = {}
         self._next_region_id = 1
@@ -96,7 +97,6 @@ class DsmRuntime:
                 self._wire_pair(i, j)
         for node in self.nodes:
             node._start_services()
-        cluster.layers.append(self)
         # Measurement window.
         self._measure_votes = 0
         self._node_end: list[int] = [0] * self.n
@@ -125,11 +125,6 @@ class DsmRuntime:
                 node.on_self_crashed()
             else:
                 node.on_peer_crashed(node_id)
-
-    def on_pair_reconnected(self, node_id: int, peer: int) -> None:
-        """Reconnect hook (repro.recovery): nothing.  The DSM does not
-        resume a pair across a restart (DESIGN.md, "Message rings above
-        RDMA"): its rings stay on the dead incarnation."""
 
     # -- region management -------------------------------------------------
 

@@ -13,7 +13,7 @@ Any discontinuity aborts the jump at the boundary and resumes exact
 frame-level simulation.
 
 Enable per cluster with ``ClusterConfig(fastpath=True)`` or
-``Cluster.enable_fastpath()``; coverage statistics surface through
+``cluster.layer(FastpathManager)``; coverage statistics surface through
 :mod:`repro.analysis`.
 """
 

@@ -28,6 +28,7 @@ from collections import deque
 from typing import Optional
 
 from ..core.connection import Notification, Operation
+from ..core.layer import Layer
 from ..ethernet.frame import frame_sizes
 from ..host.params import (
     INTERRUPT_NS,
@@ -443,19 +444,22 @@ class FlowForwarder:
             self.stats.note_abort(reason)
 
 
-class FastpathManager:
-    """Cluster-level owner: forwarders, the guard, and coverage stats."""
+class FastpathManager(Layer):
+    """Cluster-level owner, a layer: forwarders, the guard, coverage stats."""
 
     def __init__(self, cluster) -> None:
-        self.cluster = cluster
+        super().__init__(cluster)
         self.stats = FastpathStats()
         self.forwarders: list[FlowForwarder] = []
         # Every device tells the run's guard of a discontinuity.
         cluster.sim.fastpath_guard = self
+        for stack in cluster.stacks:
+            for conn in list(stack.protocol.connections.values()):
+                self.on_connection(conn)
 
-    # -- wiring ------------------------------------------------------------
+    # -- layer hooks -------------------------------------------------------
 
-    def attach(self, conn) -> None:
+    def on_connection(self, conn) -> None:
         """Put a forwarder on one connection endpoint (idempotent)."""
         existing = conn.fastpath
         if existing is not None and existing.manager is self:
@@ -470,10 +474,15 @@ class FastpathManager:
         conn.fastpath = forwarder
         self.forwarders.append(forwarder)
 
-    def attach_all(self) -> None:
-        for stack in self.cluster.stacks:
-            for conn in list(stack.protocol.connections.values()):
-                self.attach(conn)
+    def on_reset(self) -> None:
+        self.stats.reset()
+
+    def summarize(self, fields: dict) -> None:
+        ff = self.stats
+        fields.update(
+            ff_jumps=ff.jumps, ff_aborts=ff.aborts, ff_ops_synthesized=ff.ops_synthesized,
+            ff_virtual_ns=ff.ff_virtual_ns, ff_bytes=ff.ff_bytes, ff_frames=ff.ff_frames,
+        )
 
     # -- discontinuities ---------------------------------------------------
 
@@ -488,17 +497,11 @@ class FastpathManager:
 
     def fabric_disqualify_reason(self, conn, peer) -> Optional[str]:
         cluster = self.cluster
-        serve = cluster.serve
-        if serve is not None:
-            # Open-loop serving traffic (repro.serve): an armed arrival
-            # source guarantees future requests at times the analytic
-            # model cannot see, and request/response traffic is
-            # bidirectional by construction — the reverse leg would be
-            # jumped over.  Both must refuse fast-forward.
-            if serve.arrivals_armed:
-                return "serve-arrivals-armed"
-            if serve.active:
-                return "serve-traffic-active"
+        # A layer may know of traffic the analytic model cannot see.
+        for layer in cluster.layers:
+            reason = layer.disqualify(conn, peer)
+            if reason is not None:
+                return reason
         if cluster.config.fabric is not None:
             # Multi-switch datacenter fabric (repro.fabric): per-hop
             # store-and-forward latency and ECMP path choice are exactly

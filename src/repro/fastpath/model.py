@@ -104,21 +104,8 @@ class PathModel:
             + self.ack_rx_amortized_ns
         )
 
-        # Return path of one explicit ack (84 wire bytes): serialisation +
-        # two propagation hops + forwarding + DMA + the sender-side
-        # interrupt/kthread/receive processing chain.
-        _, ack_wire = frame_sizes(0)
-        self.ack_wire_bytes = ack_wire
-        self.ack_return_ns = (
-            self.wire_ns(ack_wire) * 2
-            + 2 * self.prop_ns
-            + self.fwd_ns
-            + sender_nic.params.dma_ns
-            + sender_nic.params.coalesce_timeout_ns
-            + INTERRUPT_NS
-            + KTHREAD_WAKEUP_NS
-            + PER_FRAME_RECV_NS
-        )
+        # Wire size of one explicit ack (84 bytes).
+        _, self.ack_wire_bytes = frame_sizes(0)
 
     def wire_ns(self, wire_bytes: int) -> int:
         t = self._wt_cache.get(wire_bytes)

@@ -63,7 +63,6 @@ class Kernel:
         # The protocol thread runs on the last CPU (the dedicated one).
         self.protocol_cpu = self.cpus[-1]
         self._work = Gate(sim)
-        self.kthread_active = False
 
         # Statistics.
         self.irqs_handled = 0
@@ -101,7 +100,6 @@ class Kernel:
             if not work.is_open:
                 yield work
             work.close()
-            self.kthread_active = True
             self.kthread_wakeups += 1
             yield cpu.hold(KTHREAD_WAKEUP_NS, "protocol.wakeup")
             nics = self.nics
@@ -122,6 +120,5 @@ class Kernel:
                         did_work = True
                 if not did_work:
                     break
-            self.kthread_active = False
             for nic in self.nics:
                 nic.enable_interrupts()

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Any, Generator, Optional
 
 from ..bench.cluster import Cluster
-from ..core import PeerCrashed, SlotRing
+from ..core import Layer, MultiEdgeError, PeerCrashed, SlotRing
 from ..ethernet import OpFlags
 from ..sim import Event, Simulator
 
@@ -226,25 +226,26 @@ class MpEndpoint:
             if ring.absorb_credit(base):
                 continue
             if ring.consume(base) is None:
-                # Not the ring's: a rendezvous payload that landed
-                # directly in a posted buffer.
+                # Not the ring's: a rendezvous payload that landed directly
+                # in a posted buffer (on a failed ring, one the crash failed).
                 for i, (src, msg_id, dest, size, fin) in enumerate(self._posted_rdv):
                     if base == dest and src == peer:
                         self._posted_rdv.pop(i)
                         fin.trigger()
                         break
                 else:
-                    raise RuntimeError(
-                        f"mp rank {self.rank}: notification at {base:#x} "
-                        f"matches no ring slot or posted buffer"
-                    )
+                    if ring.failed is None:
+                        raise RuntimeError(
+                            f"mp rank {self.rank}: notification at {base:#x} "
+                            f"matches no ring slot or posted buffer"
+                        )
                 continue
             envelope = memory.read(base, ENVELOPE_BYTES)
             kind, src, tag, msg_id, size, addr = _ENVELOPE.unpack(envelope)
             if ring.credit_due():
                 try:
                     yield from ring.return_credit()
-                except RuntimeError:
+                except MultiEdgeError:
                     if conn.conn.closed:
                         return  # crashed mid-credit; listener retires
                     raise
@@ -252,15 +253,17 @@ class MpEndpoint:
                 data = memory.read(base + ENVELOPE_BYTES, size)
                 self._deliver(MpMessage(source=src, tag=tag, data=data))
             elif kind == KIND_RTS:
-                self._deliver_rts(src, tag, msg_id, size)
+                if ring.failed is None:  # else its sender's memory is gone
+                    self._deliver_rts(src, tag, msg_id, size)
             elif kind == KIND_CTS:
                 pending = self._rdv_out.pop(msg_id, None)
-                if pending is None:
+                if pending is not None:
+                    self.sim.process(
+                        self._push_rendezvous(ring, addr, pending),
+                        name=f"mp.rdv{self.rank}->{peer}",
+                    )
+                elif ring.failed is None:  # else the crash failed that send
                     raise RuntimeError(f"CTS for unknown message {msg_id}")
-                self.sim.process(
-                    self._push_rendezvous(ring, addr, pending),
-                    name=f"mp.rdv{self.rank}->{peer}",
-                )
             else:
                 raise RuntimeError(f"unknown mp envelope kind {kind}")
 
@@ -279,13 +282,17 @@ class MpEndpoint:
             scratch = memory.alloc(capacity)
         memory.write(scratch, pending.data)
         cpu = self.stack.node.protocol_cpu
-        h = yield from ring.conn.rdma_write(
-            scratch, dest_addr, size, flags=OpFlags.NOTIFY, cpu=cpu,
-        )
-        # Submitted, hence copied out: the scratch is free again.
-        if self._rdv_scratch is None or self._rdv_scratch[1] < capacity:
-            self._rdv_scratch = (scratch, capacity)
-        yield from h.wait()
+        try:
+            h = yield from ring.conn.rdma_write(
+                scratch, dest_addr, size, flags=OpFlags.NOTIFY, cpu=cpu,
+            )
+            # Submitted, hence copied out: the scratch is free again.
+            if self._rdv_scratch is None or self._rdv_scratch[1] < capacity:
+                self._rdv_scratch = (scratch, capacity)
+            yield from h.wait()
+        except MultiEdgeError as exc:  # either end crashed mid-transfer
+            pending.done.trigger(exc)
+            return
         pending.done.trigger()
 
     def _deliver(self, msg: MpMessage) -> None:
@@ -308,10 +315,13 @@ class MpEndpoint:
         peer, and credit waits on its inbox all raise a typed
         :class:`~repro.core.PeerCrashed` instead of hanging forever.
         ``ANY_SOURCE`` receives are left alone — a surviving rank may
-        still satisfy them.
+        still satisfy them.  Rendezvous requests from the peer that no
+        receive had matched are dropped: a receive after the restart must
+        not pull the dead incarnation's payload.
         """
         exc = PeerCrashed(-1, peer)
         self._peers[peer].fail(exc)
+        self._pending_rts = [e for e in self._pending_rts if e[0] != peer]
         for waiter in [w for w in self._waiting if w.source == peer]:
             self._waiting.remove(waiter)
             waiter.event.trigger(exc)
@@ -325,6 +335,18 @@ class MpEndpoint:
             if not fin.triggered:
                 fin.trigger(exc)
 
+    def on_self_crashed(self) -> None:
+        """This rank's node crashed: unmatched messages die with its memory,
+        and its rendezvous raise ``PeerCrashed`` instead of completing after
+        the restart.  A posted receive holds no data and stays posted."""
+        waits = [p.done for p in self._rdv_out.values()]
+        waits += [entry[4] for entry in self._posted_rdv]
+        for pending in (self._unexpected, self._pending_rts, self._rdv_out, self._posted_rdv):
+            pending.clear()
+        for event in waits:
+            if not event.triggered:
+                event.trigger(PeerCrashed(-1, self.rank))
+
     def _deliver_rts(self, src: int, tag: int, msg_id: int, size: int) -> None:
         for i, waiter in enumerate(self._waiting):
             if (waiter.source in (ANY_SOURCE, src)) and (
@@ -336,11 +358,12 @@ class MpEndpoint:
         self._pending_rts.append((src, tag, msg_id, size))
 
 
-class MpWorld:
-    """A message-passing world over one simulated cluster."""
+class MpWorld(Layer):
+    """A message-passing world over one simulated cluster; a layer of the
+    cluster from construction on."""
 
     def __init__(self, cluster: Cluster) -> None:
-        self.cluster = cluster
+        super().__init__(cluster)
         self.size = cluster.config.nodes
         self.endpoints = [MpEndpoint(self, rank) for rank in range(self.size)]
         for i in range(self.size):
@@ -351,18 +374,16 @@ class MpWorld:
                 ep.sim.process(
                     ep._listener(peer), name=f"mp.listen{ep.rank}-{peer}"
                 )
-        cluster.layers.append(self)
 
     def on_node_crashed(self, node_id: int) -> None:
         """Crash hook (repro.recovery): every surviving rank's waits on
-        ``node_id`` fail with a typed ``PeerCrashed``, and the messages that
-        had arrived at ``node_id`` unmatched die with its memory."""
+        ``node_id`` fail with a typed ``PeerCrashed`` and its rendezvous
+        requests are dropped; at ``node_id`` itself, unmatched messages die
+        with its memory and its rendezvous transfers fail."""
         for ep in self.endpoints:
             if ep.rank != node_id:
                 ep.on_peer_crashed(node_id)
-        crashed = self.endpoints[node_id]
-        crashed._unexpected.clear()
-        crashed._pending_rts.clear()
+        self.endpoints[node_id].on_self_crashed()
 
     def _wire_pair(self, i: int, j: int) -> None:
         """Build both ends of the ``i``/``j`` eager rings and cross-link them."""

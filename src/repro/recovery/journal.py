@@ -30,6 +30,7 @@ from __future__ import annotations
 from typing import Any, Generator, List, Optional
 
 from ..core.api import ConnectionHandle
+from ..core.errors import MultiEdgeError
 from ..ethernet.frame import OpFlags
 
 __all__ = ["JournalEntry", "MessageJournal", "ReliableChannel"]
@@ -147,7 +148,7 @@ class ReliableChannel:
                     raise self.dead
             try:
                 yield from self._issue(entry, cpu)
-            except RuntimeError:
+            except MultiEdgeError:
                 # The connection was torn down while this send was inside
                 # the submit path (the teardown ran between our readiness
                 # check and the actual submit).  The recovery layer has
@@ -231,7 +232,7 @@ class ReliableChannel:
                 replay = entry.send_count > 0
                 try:
                     yield from self._issue(entry)
-                except RuntimeError:
+                except MultiEdgeError:
                     # The replay target died mid-replay (another crash);
                     # leave _ready set for the next rebind (or fail()).
                     return

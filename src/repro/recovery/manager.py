@@ -29,11 +29,12 @@ than one connection:
   :class:`~repro.recovery.ReliableChannel` bound to the pair replays its
   unacked suffix.
 
-The layers above the stack are found on the cluster when a crash or a
-reconnect happens, not subscribed when they are built: every entry of
-``cluster.layers`` hears ``on_node_crashed(node)`` and
-``on_pair_reconnected(node, peer)``, in construction order, and repairs
-its own per-node or per-pair state.  Any build order gives the same run.
+Recovery is itself a layer (:class:`~repro.core.Layer`).  The other
+layers are found on the cluster when a crash or a reconnect happens, not
+subscribed when they are built: every entry of ``cluster.layers`` hears
+``on_node_crashed(node)`` and ``on_pair_reconnected(node, peer)``, in
+construction order, and repairs its own per-node or per-pair state.  Any
+build order gives the same run.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from typing import Any, Generator
 from ..core.api import ConnectionHandle
 from ..core.errors import PeerCrashed
 from ..core.handshake import HandshakeError, dial, enable_listener
+from ..core.layer import Layer
 from ..core.retransmit import BackoffPolicy
 from ..core.stats import ConnectionStats, merge_stats
 from .journal import ReliableChannel
@@ -84,21 +86,12 @@ def reconnect_bound_ns(restart_delay_ns: int = 0) -> int:
 class NodeRecoveryState:
     """Per-node recovery bookkeeping."""
 
-    __slots__ = (
-        "node_id",
-        "incarnation",
-        "crashed",
-        "crash_count",
-        "restart_count",
-        "delivered",
-    )
+    __slots__ = ("node_id", "incarnation", "crashed", "delivered")
 
     def __init__(self, node_id: int) -> None:
         self.node_id = node_id
         self.incarnation = 0
         self.crashed = False
-        self.crash_count = 0
-        self.restart_count = 0
         # Durable delivery log of this node *as a receiver*:
         # (sender_node, sender_incarnation, op_seq) for every journaled
         # message ever applied.  Survives crashes — redelivered messages
@@ -106,12 +99,12 @@ class NodeRecoveryState:
         self.delivered: set[tuple[int, int, int]] = set()
 
 
-class ClusterRecovery:
-    """Crash, restart, and reconnect coordination for one cluster."""
+class ClusterRecovery(Layer):
+    """Crash, restart, and reconnect coordination for one cluster; a layer
+    that a crash or restart fault's schedule builds when it is applied."""
 
     def __init__(self, cluster) -> None:
-        self.cluster = cluster
-        self.sim = cluster.sim
+        super().__init__(cluster)
         self.nodes: dict[int, NodeRecoveryState] = {
             s.node_id: NodeRecoveryState(s.node_id) for s in cluster.stacks
         }
@@ -149,6 +142,54 @@ class ClusterRecovery:
         if self.sim.monitor is not None:
             self.sim.monitor.attach_connection(conn)
 
+    # -- layer hooks ---------------------------------------------------------
+
+    def summarize(self, fields: dict) -> None:
+        """Recovery's counters, plus the incarnation-guard and dedup counts
+        of destroyed endpoints (traffic counts describe live ones only)."""
+        destroyed = self.destroyed_stats
+        fields["stale_frames_rejected"] += destroyed.stale_frames_rejected
+        fields["duplicate_msgs_suppressed"] += destroyed.duplicate_msgs_suppressed
+        latencies = [ns for _, ns in self.reconnect_latencies]
+        fields.update(
+            node_crashes=self.crashes,
+            node_restarts=self.restarts,
+            peer_down_events=self.peer_down_events,
+            reconnects=self.reconnects,
+            reconnects_failed=self.reconnects_failed,
+            reconnect_latency_mean_ns=(
+                sum(latencies) / len(latencies) if latencies else 0.0
+            ),
+            reconnect_latency_max_ns=max(latencies, default=0),
+            messages_journaled=sum(ch.messages_sent for ch in self.channels),
+            messages_redelivered=sum(ch.redeliveries for ch in self.channels),
+        )
+
+    def check_invariants(self) -> list[tuple[str, str, str]]:
+        """Journal conservation and delivered-implies-logged, per channel."""
+        problems = []
+        for ch in self.channels:
+            where = f"channel {ch.src}->{ch.dst}"
+            entries = ch.journal.entries
+            problems += [
+                ("journal-jseq-gap", f"entry {i} carries jseq {e.jseq}", where)
+                for i, e in enumerate(entries) if e.jseq != i
+            ]
+            delivered = sum(1 for e in entries if e.delivered)
+            if delivered != ch.journal.delivered_count:
+                problems.append(("journal-conservation", (
+                    f"delivered_count {ch.journal.delivered_count} != "
+                    f"{delivered} delivered entries (of {len(entries)})"
+                ), where))
+            if ch.dead is None:  # a crashed sender's journal is fail-stop garbage
+                inc, log = self.nodes[ch.src].incarnation, self.nodes[ch.dst].delivered
+                problems += [
+                    ("journal-delivered-unlogged", f"entry {e.jseq} acked but absent "
+                     "from the receiver's delivery log", where)
+                    for e in entries if e.delivered and (ch.src, inc, e.jseq) not in log
+                ]
+        return problems
+
     def channel(self, src: int, dst: int) -> ReliableChannel:
         """Create a journaled exactly-once channel from ``src`` to ``dst``."""
         return ReliableChannel(self, src, dst)  # registers itself
@@ -172,7 +213,6 @@ class ClusterRecovery:
         if st.crashed:
             return
         st.crashed = True
-        st.crash_count += 1
         self.crashes += 1
         stack = self.cluster.stacks[node_id]
         protocol = stack.protocol
@@ -206,7 +246,6 @@ class ClusterRecovery:
         if not st.crashed:
             return
         st.crashed = False
-        st.restart_count += 1
         st.incarnation += 1
         self.restarts += 1
         stack = self.cluster.stacks[node_id]

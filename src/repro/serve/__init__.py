@@ -30,7 +30,7 @@ from .balancer import (
     leaf_of,
     make_balancer,
 )
-from .runtime import ServeConfig, ServeRuntime, enable_serving
+from .runtime import ServeConfig, ServeRuntime
 from .server import FLAG_SHED, TAG_REQ, TAG_RESP, ServerLoop, ServerSpec
 from .tail import (
     CircuitBreaker,
@@ -62,7 +62,6 @@ __all__ = [
     "ServerLoop",
     "ServeConfig",
     "ServeRuntime",
-    "enable_serving",
     "TAG_REQ",
     "TAG_RESP",
     "FLAG_SHED",

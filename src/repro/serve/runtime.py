@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 from typing import Generator, Optional
 
 from ..analysis.latency import LatencyHistogram, SloSpec
+from ..core import Layer, MultiEdgeError, PeerCrashed
 from ..sim import Event
 from .arrivals import ArrivalSource, ArrivalSpec, Request
 from .balancer import make_balancer
@@ -52,7 +53,7 @@ from .server import (
     unpack_response,
 )
 
-__all__ = ["ServeConfig", "ServeRuntime", "enable_serving"]
+__all__ = ["ServeConfig", "ServeRuntime"]
 
 # Client ranks get disjoint request-id spaces.
 _REQ_ID_STRIDE = 1 << 40
@@ -129,17 +130,16 @@ class _Outbox:
                 req.dispatch_ns[self.dst] = self.sim.now
             try:
                 yield from self.ep.send(self.dst, payload, tag=tag)
-            except RuntimeError:
-                # Typed peer-crash (or destroyed-connection) failure.
+            except MultiEdgeError:
+                # Typed peer-crash (or closed-connection) failure; a response
+                # to a dead client is dropped.
                 if tag == TAG_REQ and req is not None:
                     self.runtime._on_request_send_failed(req, self.dst)
-                else:
-                    self.runtime.responses_dropped += 1
 
 
-class ServeRuntime:
+class ServeRuntime(Layer):
     """Everything :mod:`repro.serve` hangs off one cluster (see module
-    docstring)."""
+    docstring); a layer of the cluster from construction on."""
 
     def __init__(self, cluster, world, config: ServeConfig) -> None:
         if cluster.config.protocol.synthetic_payloads:
@@ -150,10 +150,9 @@ class ServeRuntime:
         for rank in (*config.clients, *config.servers):
             if not 0 <= rank < cluster.config.nodes:
                 raise ValueError(f"rank {rank} outside the cluster")
-        self.cluster = cluster
+        super().__init__(cluster)
         self.world = world
         self.config = config
-        self.sim = cluster.sim
         seed = cluster.config.seed
         self.balancer = make_balancer(
             config.policy, config.servers, cluster=cluster
@@ -199,7 +198,6 @@ class ServeRuntime:
         self.failed = 0  # typed-failed, never answered
         self.replayed = 0  # re-dispatches after a server crash
         self.duplicate_responses = 0  # replay raced a late response
-        self.responses_dropped = 0  # server -> dead client (not used yet)
         # -- measurement plane --------------------------------------------
         self.hist_by_server: dict[int, LatencyHistogram] = {
             s: LatencyHistogram() for s in config.servers
@@ -210,8 +208,6 @@ class ServeRuntime:
         self.windows: dict[int, dict] = {}
         self._started = False
         self._start_ns = 0
-        cluster.serve = self
-        cluster.layers.append(self)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -348,7 +344,10 @@ class ServeRuntime:
     def _collector(self, client: int) -> Generator:
         ep = self.world.endpoints[client]
         while True:
-            msg = yield from ep.recv(tag=TAG_RESP)
+            try:
+                msg = yield from ep.recv(tag=TAG_RESP)
+            except PeerCrashed:
+                continue  # a rendezvous died with this node: receive afresh
             req_id, server, flags, t_rx, t_start, t_end = unpack_response(
                 msg.data
             )
@@ -597,7 +596,18 @@ class ServeRuntime:
     def pending(self) -> int:
         return len(self.outstanding) + len(self.holding)
 
-    def check_invariants(self) -> list[str]:
+    def disqualify(self, conn, peer) -> Optional[str]:
+        """Open-loop serving traffic refuses fast-forward: an armed arrival
+        source guarantees future requests at times the analytic model
+        cannot see, and request/response traffic is bidirectional by
+        construction, so the reverse leg would be jumped over."""
+        if self.arrivals_armed:
+            return "serve-arrivals-armed"
+        if self.active:
+            return "serve-traffic-active"
+        return None
+
+    def check_invariants(self) -> list[tuple[str, str, str]]:
         """Request-conservation checks; empty list = all hold."""
         problems = []
         accounted = (
@@ -673,9 +683,4 @@ class ServeRuntime:
             )
         for issue in tail.illegal_breaker_transitions():
             problems.append(f"breaker-state-machine: {issue}")
-        return problems
-
-
-def enable_serving(cluster, world, config: ServeConfig) -> ServeRuntime:
-    """Attach a serving runtime to ``cluster`` (as ``cluster.serve``)."""
-    return ServeRuntime(cluster, world, config)
+        return [("serve-invariant", p, "serve runtime") for p in problems]

@@ -29,6 +29,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Generator
 
+from ..core import PeerCrashed
 from ..sim import Event
 
 __all__ = [
@@ -105,8 +106,10 @@ class ServerLoop:
         the transport, so after restart + re-wiring they resume with the
         empty queue — exactly a process restart from the client's view.
         Message passing's own crash and reconnect hooks drop the requests
-        that had arrived unmatched and fail the dead incarnation's rings,
-        so a sender parked on one raises and moves on.
+        that had arrived unmatched, fail a rendezvous receive in progress
+        (the receiver then posts a fresh one) and fail the dead
+        incarnation's rings, so a sender parked on one raises and moves
+        on.
         """
         self.queue.clear()
 
@@ -114,7 +117,10 @@ class ServerLoop:
 
     def _receiver(self) -> Generator:
         while True:
-            msg = yield from self.ep.recv(tag=TAG_REQ)
+            try:
+                msg = yield from self.ep.recv(tag=TAG_REQ)
+            except PeerCrashed:
+                continue  # a rendezvous died with this node: receive afresh
             self.received += 1
             req_id, client, _flags, resp_bytes = REQ_HDR.unpack_from(msg.data)
             now = self.sim.now

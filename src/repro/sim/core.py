@@ -95,10 +95,10 @@ class SimulationError(RuntimeError):
 class Event:
     """A one-shot event that processes can wait on.
 
-    An event starts *untriggered*.  Calling :meth:`trigger` (or its alias
-    :meth:`succeed`) records a value and resumes every waiting process at the
-    current simulation time.  Triggering twice is an error; waiting on an
-    already-triggered event resumes the waiter immediately (same timestamp).
+    An event starts *untriggered*.  Calling :meth:`trigger` records a value
+    and resumes every waiting process at the current simulation time.
+    Triggering twice is an error; waiting on an already-triggered event
+    resumes the waiter immediately (same timestamp).
     """
 
     __slots__ = ("_sim", "_waiters", "triggered", "value")
@@ -125,9 +125,6 @@ class Event:
                 fast.append((resume, args))
             sim.fastlane_hits += len(waiters)
             self._waiters = []
-
-    # Alias used by code that reads more naturally with success semantics.
-    succeed = trigger
 
     def add_callback(self, resume: Callable[[Any], None]) -> None:
         """Register ``resume(value)`` to run when the event triggers."""

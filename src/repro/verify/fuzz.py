@@ -72,6 +72,7 @@ from ..fabric import (
     TrafficRun,
 )
 from ..host import myri10g_params, tigon3_params
+from ..recovery import ClusterRecovery
 from ..serve import ArrivalSpec, ServerSpec, TailSpec
 from ..sim import SimulationError
 from .monitor import InvariantMonitor, InvariantViolation
@@ -393,7 +394,7 @@ def _build_cluster(sc: Scenario, trace: bool, fastpath: bool = False) -> Cluster
     switch = replace(cfg.switch, ecn_threshold_frames=sc.ecn_threshold)
     cluster = Cluster(replace(cfg, switch=switch))
     if trace:
-        cluster.enable_frame_tracing()
+        cluster.tracer.enable("frame.tx", "frame.rx")
     return cluster
 
 
@@ -469,9 +470,7 @@ def _verdict(
         elapsed_ns=cluster.sim.now,
         checks=monitor.checks_run if monitor is not None else 0,
         violations=violations,
-        fastpath_jumps=(
-            cluster.fastpath.stats.jumps if cluster.fastpath is not None else 0
-        ),
+        fastpath_jumps=summarize_cluster(cluster).ff_jumps,
         result=result,
     )
 
@@ -633,7 +632,7 @@ class IncarnationRun(Run):
         cluster = self.cluster = make_cluster(
             config, nodes=2, seed=seed, synthetic_payloads=True
         )
-        recovery = cluster.enable_crash_recovery()
+        recovery = cluster.layer(ClusterRecovery)
         self.monitor = InvariantMonitor.attach(cluster, collect=True)
         enable_listener(cluster.stacks[0])
 

@@ -52,14 +52,18 @@ Checked invariants (see docs/PROTOCOL.md "Protocol invariants"):
 **Wire (NIC tap)**
   * sequenced frames transmitted equals ``data_frames_sent +
     retransmitted_frames``; explicit ACK/NACK counts match stats; no
-    unregistered seq ever hits the wire.
+    unregistered seq ever hits the wire,
+  * forward fences hold on the send path: no frame of an operation
+    issued after a still-incomplete forward-fenced operation is sent
+    (read responses are never fenced).
 
 **Crash recovery (repro.recovery)**
   * no stale frame accepted: every frame that passes the receive path's
     incarnation guard carries the negotiated peer incarnation,
-  * journal conservation (final): every journaled message is in exactly
-    one of {pending, delivered}; jseqs are contiguous from 0; every
-    delivered entry appears in the receiver's durable delivery log.
+  * journal conservation (final, ``ClusterRecovery.check_invariants``):
+    every journaled message is in exactly one of {pending, delivered};
+    jseqs are contiguous from 0; every delivered entry appears in the
+    receiver's durable delivery log.
 
 **Final (quiesced end-of-run)**
   * CPU conservation: each node's summed resource busy time equals the
@@ -67,7 +71,9 @@ Checked invariants (see docs/PROTOCOL.md "Protocol invariants"):
   * NIC rings and RX pipelines are empty,
   * cross-endpoint: a receiver never acks beyond what its peer sent,
   * edge lifecycle transitions follow the detector state machine
-    (checked online as they happen).
+    (checked online as they happen),
+  * every layer's own checks (``Layer.check_invariants``), in the order
+    the layers were built.
 """
 
 from __future__ import annotations
@@ -125,7 +131,8 @@ class ConnectionMonitor:
         self.wire_data = 0
         self.wire_acks = 0
         self.wire_nacks = 0
-        self.wire_probes = 0
+        # Op seqs already reported as overtaking a forward fence.
+        self._overtaken: set[int] = set()
         # Monotonicity state.
         self._expected_max = conn.tracker.expected
         self._watermark_max = conn.ordering.watermark
@@ -205,12 +212,16 @@ class ConnectionMonitor:
                     f"seq {frame.header.seq} transmitted but next_seq is "
                     f"{self.conn.window.next_seq}",
                 )
+            fences, op_seq = self.conn._forward_fences, frame.header.op_seq
+            if fences and ftype != FrameType.READ_RESP and op_seq > fences[0].op_seq:
+                if op_seq not in self._overtaken:  # once per operation
+                    self._overtaken.add(op_seq)
+                    self._fail("forward-fence-overtaken", f"op_seq {op_seq} sent "
+                               f"while forward-fenced op_seq {fences[0].op_seq} is incomplete")
         elif ftype == FrameType.ACK:
             self.wire_acks += 1
         elif ftype == FrameType.NACK:
             self.wire_nacks += 1
-        else:
-            self.wire_probes += 1
 
     # -- the invariant set ------------------------------------------------
 
@@ -631,44 +642,9 @@ class InvariantMonitor:
                 )
             for node in self.cluster.nodes:
                 self._check_node_quiesced(node)
-            if self.cluster.recovery is not None:
-                self._check_journals(self.cluster.recovery)
-            if self.cluster.serve is not None:
-                for problem in self.cluster.serve.check_invariants():
-                    self._violation("serve-invariant", problem, "serve runtime")
-
-    def _check_journals(self, recovery: Any) -> None:
-        """Journal conservation + delivered-implies-logged, per channel."""
-        for ch in recovery.channels:
-            where = f"channel {ch.src}->{ch.dst}"
-            entries = ch.journal.entries
-            for i, e in enumerate(entries):
-                if e.jseq != i:
-                    self._violation(
-                        "journal-jseq-gap",
-                        f"entry {i} carries jseq {e.jseq}",
-                        where,
-                    )
-            delivered = sum(1 for e in entries if e.delivered)
-            if delivered != ch.journal.delivered_count:
-                self._violation(
-                    "journal-conservation",
-                    f"delivered_count {ch.journal.delivered_count} != "
-                    f"{delivered} delivered entries (of {len(entries)})",
-                    where,
-                )
-            if ch.dead is not None:
-                continue  # sender crashed: its journal is fail-stop garbage
-            sender_inc = recovery.nodes[ch.src].incarnation
-            log = recovery.nodes[ch.dst].delivered
-            for e in entries:
-                if e.delivered and (ch.src, sender_inc, e.jseq) not in log:
-                    self._violation(
-                        "journal-delivered-unlogged",
-                        f"entry {e.jseq} acked but absent from the "
-                        f"receiver's delivery log",
-                        where,
-                    )
+            for layer in self.cluster.layers:
+                for name, detail, where in layer.check_invariants():
+                    self._violation(name, detail, where)
 
     def _check_node_quiesced(self, node: Any) -> None:
         where = f"node={node.node_id}"

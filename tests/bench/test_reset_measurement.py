@@ -7,6 +7,7 @@ from repro.bench import make_cluster
 from repro.bench.micro import run_one_way, run_ping_pong
 from repro.core import ConnectionStats
 from repro.ethernet import OpFlags
+from repro.fastpath import FastpathManager
 from repro.fastpath.stats import FastpathStats
 
 
@@ -23,14 +24,14 @@ def test_reset_zeroes_cpu_accounting_connection_stats_and_fastpath_stats():
 
     cluster.sim.run_until_done(cluster.sim.process(warm_up()), limit=10**12)
     nodes = [stack.node for stack in cluster.stacks]
-    assert cluster.fastpath.stats.jumps > 0
+    assert cluster.layer(FastpathManager).stats.jumps > 0
     assert a.conn.stats.data_frames_sent > 0
     assert all(node.protocol_cpu_time() > 0 for node in nodes)
     assert any(cpu.resource.busy_time > 0 for node in nodes for cpu in node.cpus)
 
     cluster.reset_measurement()
 
-    assert vars(cluster.fastpath.stats) == vars(FastpathStats())
+    assert vars(cluster.layer(FastpathManager).stats) == vars(FastpathStats())
     for stack in cluster.stacks:
         for conn in stack.protocol.connections.values():
             assert asdict(conn.stats) == asdict(ConnectionStats())

@@ -88,7 +88,7 @@ def test_missing_target_raises_before_anything_is_installed(missing):
     with pytest.raises(ValueError, match=f"fault #1 {type(missing).__name__}"):
         sched.apply(cluster)
     assert cluster.sim.pending_events == before
-    assert cluster.recovery is None
+    assert cluster.layers == []  # not even crash recovery was built
     # Still un-applied: it can be corrected and applied.
     sched.events.pop()
     sched.add(TrunkOutage(at_ns=MS, rail=0, a="spine0.1", b="leaf0.1", duration_ns=MS))

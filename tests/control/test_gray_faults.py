@@ -21,6 +21,7 @@ from repro.control import (
     SlowNic,
     SlowNode,
 )
+from repro.recovery import ClusterRecovery
 from repro.serve import ArrivalSpec, ServerSpec
 
 MS = 1_000_000
@@ -151,12 +152,13 @@ def test_asymmetric_partition_is_one_directional():
 
 def test_crash_events_auto_enable_recovery():
     cluster = make_cluster("1L-1G", nodes=2)
-    assert getattr(cluster, "recovery", None) is None
+    assert cluster.layers == []
     FaultSchedule(
         [Crash(at_ns=2 * MS, node=1),
          Restart(at_ns=2 * MS, node=1, delay_ns=1 * MS)]
     ).apply(cluster)
-    assert cluster.recovery is not None
+    [recovery] = cluster.layers
+    assert isinstance(recovery, ClusterRecovery)
     cluster.sim.run_until_time(5 * MS)
-    assert cluster.recovery.crashes == 1
-    assert cluster.recovery.restarts == 1
+    assert recovery.crashes == 1
+    assert recovery.restarts == 1

@@ -16,7 +16,7 @@ from repro.analysis import summarize_cluster
 from repro.bench import make_cluster
 from repro.control import FaultSchedule, SlowNic
 from repro.control.detector import EdgeFailureDetector, EdgeState
-from repro.control.grayscore import DEGRADED_SCORE
+from repro.control.grayscore import DEGRADED_SCORE, GrayScorer
 
 MS = 1_000_000
 
@@ -33,7 +33,7 @@ def _gray_cluster(rails_config="2L-1G", rails=4, traffic_until_ns=40 * MS):
     cluster = make_cluster(rails_config, nodes=2, seed=7, rails=rails)
     a, b = cluster.connect(0, 1)
     cluster.enable_edge_control(0, 1)
-    cluster.enable_gray_detection()
+    cluster.layer(GrayScorer)
     size = 64_000
     src = b.node.memory.alloc(size)
     dst = a.node.memory.alloc(size)
@@ -54,7 +54,7 @@ def test_throttled_nic_marked_then_cleared():
                  factor=8.0)]
     ).apply(cluster)
     cluster.sim.run_until_time(45 * MS)
-    scorer = cluster.gray_scorer
+    scorer = cluster.layer(GrayScorer)
     assert scorer.degrade_marks >= 1
     assert scorer.degrade_clears >= 1
     assert not scorer.flagged  # everything recovered by the end
@@ -83,7 +83,7 @@ def test_degraded_caps_score_but_keeps_probing():
                  factor=8.0)]
     ).apply(cluster)
     cluster.sim.run_until_time(16 * MS)
-    scorer = cluster.gray_scorer
+    scorer = cluster.layer(GrayScorer)
     assert scorer.flagged, "mid-window the rail must be DEGRADED"
     flagged_mgr, rail = scorer.flagged[0]
     assert flagged_mgr.gray_cap[rail] == DEGRADED_SCORE
@@ -105,7 +105,7 @@ def test_small_population_never_flags():
                  factor=8.0)]
     ).apply(cluster)
     cluster.sim.run_until_time(40 * MS)
-    scorer = cluster.gray_scorer
+    scorer = cluster.layer(GrayScorer)
     assert scorer.checks > 0
     assert scorer.degrade_marks == 0
     assert not scorer.flagged
@@ -114,17 +114,17 @@ def test_small_population_never_flags():
 def test_clean_population_never_flags():
     cluster = _gray_cluster()
     cluster.sim.run_until_time(30 * MS)
-    assert cluster.gray_scorer.checks > 0
-    assert cluster.gray_scorer.degrade_marks == 0
+    assert cluster.layer(GrayScorer).checks > 0
+    assert cluster.layer(GrayScorer).degrade_marks == 0
 
 
 def test_stop_halts_checks():
     cluster = _gray_cluster()
     cluster.sim.run_until_time(5 * MS)
-    cluster.gray_scorer.stop()
-    checks = cluster.gray_scorer.checks
+    cluster.layer(GrayScorer).stop()
+    checks = cluster.layer(GrayScorer).checks
     cluster.sim.run_until_time(15 * MS)
-    assert cluster.gray_scorer.checks == checks
+    assert cluster.layer(GrayScorer).checks == checks
 
 
 def test_mark_degraded_legal_only_from_up():
@@ -145,6 +145,6 @@ def test_mark_degraded_legal_only_from_up():
 
 def test_gray_scorer_is_idempotent_on_cluster():
     cluster = _gray_cluster()
-    first = cluster.gray_scorer
-    cluster.enable_gray_detection()
-    assert cluster.gray_scorer is first
+    [first] = cluster.layers
+    assert cluster.layer(GrayScorer) is first
+    assert cluster.layers == [first]

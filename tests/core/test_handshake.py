@@ -3,7 +3,9 @@
 import pytest
 
 from repro.bench.cluster import make_cluster
-from repro.core import HandshakeError, close_connection, dial, enable_listener
+from repro.core import (
+    ConnectionClosed, HandshakeError, MultiEdgeError, close_connection, dial, enable_listener,
+)
 from repro.core.handshake import _conn_id_for
 from repro.ethernet import LinkParams
 
@@ -137,6 +139,27 @@ def test_close_rejects_new_operations():
     late_proc = cluster.sim.process(late())
     with pytest.raises(Exception, match="closed"):
         cluster.sim.run_until_done(late_proc, limit=10_000_000_000)
+
+
+def test_submit_on_a_closed_connection_raises_connection_closed():
+    """The error is typed: a handler that catches ``MultiEdgeError`` sees
+    it, and a bare ``RuntimeError`` is left to mean a programming error."""
+    cluster = fresh()
+    a, b = cluster.stacks
+    src = a.node.memory.alloc(64)
+    dst = b.node.memory.alloc(64)
+
+    def app():
+        handle = yield from dial(a, 1)
+        yield from close_connection(a, handle)
+        try:
+            yield from handle.rdma_write(src, dst, 64)
+        except ConnectionClosed as exc:
+            return exc
+
+    proc = cluster.sim.process(app())
+    exc = cluster.sim.run_until_done(proc, limit=60_000_000_000)
+    assert isinstance(exc, MultiEdgeError) and "is closed" in str(exc)
 
 
 def test_close_marks_peer_closed_too():

@@ -10,8 +10,11 @@ from dataclasses import replace
 from types import SimpleNamespace
 
 from repro.bench.cluster import make_cluster, named_config
+from repro.core import Layer
 from repro.ethernet import LinkParams
-from repro.fastpath import disqualify_reason
+from repro.fastpath import FastpathManager, disqualify_reason
+from repro.recovery import ClusterRecovery
+from repro.serve import ServeRuntime
 from repro.verify import InvariantMonitor
 
 
@@ -23,6 +26,16 @@ def _pair(config="1L-1G", **overrides):
 
 def _reason(conn):
     return disqualify_reason(conn.fastpath)
+
+
+class _Serving(Layer):
+    """A serving layer that only has its arrival and traffic state."""
+
+    disqualify = ServeRuntime.disqualify
+
+    def __init__(self, cluster, arrivals_armed, active):
+        super().__init__(cluster)
+        self.arrivals_armed, self.active = arrivals_armed, active
 
 
 def test_idle_connection_is_armable():
@@ -201,13 +214,13 @@ def test_impaired_device_on_the_path_refuses():
          lambda c: c.nodes[1].set_slowdown(1.0), "node-slowed"),
     ):
         cluster, conn, _ = _pair()
-        bumps = cluster.fastpath.stats.guard_bumps
+        bumps = cluster.layer(FastpathManager).stats.guard_bumps
         impair(cluster)
         assert _reason(conn) == reason
         restore(cluster)
         assert _reason(conn) is None
         # Every mutator told the guard, both ways.
-        assert cluster.fastpath.stats.guard_bumps >= bumps + 2
+        assert cluster.layer(FastpathManager).stats.guard_bumps >= bumps + 2
     # A device off the path does not matter.
     cluster, conn, _ = _pair()
     cluster.cable(2, 0).fail_forever()
@@ -280,7 +293,7 @@ def test_serve_arrivals_armed_refuses():
     """An armed open-loop arrival source guarantees future traffic the
     analytic jump cannot see — the detector must refuse while it lives."""
     cluster, conn, _ = _pair()
-    cluster.serve = SimpleNamespace(arrivals_armed=True, active=False)
+    _Serving(cluster, arrivals_armed=True, active=False)
     assert _reason(conn) == "serve-arrivals-armed"
 
 
@@ -288,7 +301,7 @@ def test_serve_traffic_active_refuses():
     """Outstanding request/response pairs are bidirectional by
     construction; jumping one leg would skip the other."""
     cluster, conn, _ = _pair()
-    cluster.serve = SimpleNamespace(arrivals_armed=False, active=True)
+    _Serving(cluster, arrivals_armed=False, active=True)
     assert _reason(conn) == "serve-traffic-active"
 
 
@@ -296,19 +309,19 @@ def test_serve_quiesced_rearms():
     """Once the serving layer fully drains, the fast path is eligible
     again — the refusal is load-shaped, not permanent."""
     cluster, conn, _ = _pair()
-    cluster.serve = SimpleNamespace(arrivals_armed=False, active=False)
+    _Serving(cluster, arrivals_armed=False, active=False)
     assert _reason(conn) is None
 
 
 def test_real_serve_runtime_disqualifies_while_armed():
-    """End to end: enable_serving on a fastpath cluster -> disqualified
+    """End to end: a serving layer on a fastpath cluster -> disqualified
     for the whole loaded phase, re-eligible after the drain."""
     from repro.mp import MpWorld
-    from repro.serve import ArrivalSpec, ServeConfig, enable_serving
+    from repro.serve import ArrivalSpec, ServeConfig
 
     cluster = make_cluster("1L-1G", nodes=2, fastpath=True)
     world = MpWorld(cluster)
-    rt = enable_serving(
+    rt = ServeRuntime(
         cluster,
         world,
         ServeConfig(
@@ -338,7 +351,7 @@ def test_journal_replay_in_flight_refuses_against_real_recovery():
     cluster.connect(0, 1)
     bystander, _ = cluster.connect(0, 2)
     cluster.enable_edge_control(0, 1)
-    recovery = cluster.enable_crash_recovery()
+    recovery = cluster.layer(ClusterRecovery)
     channel = recovery.channel(0, 1)
     FaultSchedule(
         [Crash(at_ns=2 * MS, node=1), Restart(at_ns=2 * MS, node=1, delay_ns=1 * MS)]

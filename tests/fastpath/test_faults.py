@@ -20,6 +20,7 @@ from repro.control import (
     SlowNic,
     SlowNode,
 )
+from repro.fastpath import FastpathManager
 
 MS = 1_000_000
 ITERATIONS = 12  # ~107 ms of stream after ~18 ms of warm-up
@@ -46,7 +47,7 @@ def _assert_rearms(cluster, after_ns):
     """Once the fault is over, the next stream on the same cluster jumps."""
     cluster.sim.run_until_time(after_ns)
     run_micro("one-way", cluster, 1 << 20, iterations=2, warmup=1)
-    stats = cluster.fastpath.stats
+    stats = cluster.layer(FastpathManager).stats
     assert stats.jumps >= 1 and stats.ff_frames > 0, stats.to_dict()
 
 
@@ -58,7 +59,7 @@ def test_bit_error_ramp_happens_on_the_fast_path():
     sent = cluster.stacks[0].protocol.total_stats()
     assert _crc_drops(cluster) > 0
     assert sent.retransmitted_frames > 0
-    stats = cluster.fastpath.stats
+    stats = cluster.layer(FastpathManager).stats
     assert stats.ff_frames == 0, stats.to_dict()
     assert stats.denials.get("lossy-link", 0) >= 1, stats.denials
     assert fast.throughput_mbps == pytest.approx(frame.throughput_mbps, rel=0.02)
@@ -81,7 +82,7 @@ def test_nothing_is_synthesised_inside_a_gray_window(fault, reason, tolerance):
     cluster, fast = _one_way(True, [fault])
     window_end = fault.at_ns + fault.duration_ns
     assert cluster.sim.now < window_end
-    stats = cluster.fastpath.stats
+    stats = cluster.layer(FastpathManager).stats
     assert stats.jumps == 0 and stats.ff_frames == 0, stats.to_dict()
     assert stats.denials.get(reason, 0) >= 1, stats.denials
     if tolerance is not None:

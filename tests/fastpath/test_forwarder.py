@@ -5,6 +5,7 @@ import pytest
 from repro.analysis import summarize_cluster
 from repro.bench.cluster import make_cluster
 from repro.bench.micro import run_one_way
+from repro.fastpath import FastpathManager
 from repro.verify.fuzz import fingerprint, run_scenario, scenario_from_seed
 
 
@@ -42,7 +43,7 @@ class TestDivergence:
     def test_one_way_goodput_within_one_percent(self, config):
         _, off = _one_way(config, fastpath=False)
         on_cluster, on = _one_way(config, fastpath=True)
-        stats = on_cluster.fastpath.stats
+        stats = on_cluster.layer(FastpathManager).stats
         assert stats.jumps >= 1, stats.denials
         div = abs(on.throughput_mbps - off.throughput_mbps) / off.throughput_mbps
         assert div < 0.01, f"{config}: {div * 100:.3f}% divergence"
@@ -52,7 +53,7 @@ class TestDivergence:
         cluster, on = _one_way("1L-1G", fastpath=True)
         # Frame/byte totals are exact; notifications must all arrive.
         assert on.data_frames == off.data_frames
-        stats = cluster.fastpath.stats
+        stats = cluster.layer(FastpathManager).stats
         assert stats.ff_frames > 0
         assert stats.ff_bytes > 0
 
@@ -63,7 +64,7 @@ class TestDeviceCounters:
         link and switch counters a jump synthesizes, data out on both rails
         and acks back on both (counted per rail, not per ack)."""
         cluster, _ = _one_way("2L-1G", fastpath=True)
-        assert cluster.fastpath.stats.jumps == 1
+        assert cluster.layer(FastpathManager).stats.jumps == 1
         for rail in (0, 1):
             snd = cluster.nodes[0].nics[rail].counters
             rcv = cluster.nodes[1].nics[rail].counters
@@ -87,7 +88,7 @@ class TestAbort:
         # finish the stream.
         cluster.sim.at(50_000_000, cable.ab.fail_for, 200_000)
         result = run_one_way(cluster, 1 << 20, iterations=8)
-        stats = cluster.fastpath.stats
+        stats = cluster.layer(FastpathManager).stats
         assert "link-outage" in stats.abort_reasons, stats.abort_reasons
         assert result.elapsed_ns > 0  # the notification arrived
 
@@ -140,7 +141,7 @@ class TestCoverage:
 
     def test_manager_coverage_reports_horizon(self):
         cluster, _ = _one_way("1L-1G", fastpath=True)
-        report = cluster.fastpath.coverage()
+        report = cluster.layer(FastpathManager).coverage()
         assert report["jumps"] >= 1
         assert "pending_horizon_ns" in report
 

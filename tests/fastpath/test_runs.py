@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from repro.bench.cluster import make_cluster, named_config
 from repro.ethernet import OpFlags, max_payload_per_frame
 from repro.ethernet.frame import frame_sizes
+from repro.fastpath import FastpathManager
 from repro.fastpath.forwarder import FlowForwarder
 from repro.host.params import PER_FRAME_RECV_NS, memcpy_ns
 
@@ -237,7 +238,7 @@ def _bump_and_check_rewind(cluster, conn):
     cluster.cable(0, 0).ab.fail_for(1)
     assert not fwd._pending and fwd._planned_runs == 0
     assert _queue_state(conn) == before
-    assert cluster.fastpath.stats.abort_reasons == {"link-outage": 1}
+    assert cluster.layer(FastpathManager).stats.abort_reasons == {"link-outage": 1}
 
 
 def _check_outcome(cluster, plain_cluster, handles, b, dst):
@@ -253,7 +254,7 @@ def test_bump_after_multi_op_plan_rewinds_runs_exactly(config):
 
     cluster, a, b, src, dst = _setup(config, fastpath=True)
     fwd = a.conn.fastpath
-    stats = cluster.fastpath.stats
+    stats = cluster.layer(FastpathManager).stats
     handles, procs = _start(cluster, a, b, src, dst)
     # Three ops planned, the first already synthesized.
     _run_until(
@@ -292,7 +293,7 @@ def test_abort_and_replan_charge_the_policy_once(striping):
 
     cluster.sim.at(3_000_000, cluster.cable(3, 0).ab.fail_for, 1)
     cluster.sim.run_until_done(cluster.sim.process(sender()), limit=10**12)
-    stats = cluster.fastpath.stats
+    stats = cluster.layer(FastpathManager).stats
     assert (stats.jumps, stats.abort_reasons) == (2, {"link-outage": 1})
     _cursor, deficits = a.conn.striping.snapshot()
     assert sum(deficits) == 8 * size
@@ -322,7 +323,7 @@ def test_bump_after_frame_path_sent_part_of_a_run():
     cluster, a, b, src, dst = _setup("1L-1G", fastpath=False)
     handles, procs = _start(cluster, a, b, src, dst)
     sent = _stall_mid_run(cluster, a)
-    cluster.enable_fastpath()
+    cluster.layer(FastpathManager)
     conn, fwd = a.conn, a.conn.fastpath
     conn.add_edge(0)
     _run_until(cluster.sim, lambda: fwd.active)

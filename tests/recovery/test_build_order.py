@@ -2,7 +2,7 @@
 
 Crash recovery finds the layers above the stack (message passing, DSM,
 serving) and the edge control planes on the cluster when it acts, so a
-layer built before ``enable_crash_recovery()`` -- or before a ``Crash``
+layer built before ``cluster.layer(ClusterRecovery)`` -- or before a ``Crash``
 schedule enables recovery lazily -- reacts to a crash, and to the
 reconnect after a restart, exactly as one built after it.  The gray scorer likewise compares only the live
 ``cluster.control_planes``: a crashed node's dead managers never vote.
@@ -15,11 +15,13 @@ from repro.bench.serve import ServeRun
 from repro.control import Crash, FaultSchedule, Restart
 from repro.control import grayscore
 from repro.control.detector import EdgeState
+from repro.control.grayscore import GrayScorer
 from repro.core import PeerCrashed
 from repro.dsm.region import PageState
 from repro.dsm.runtime import DsmRuntime
 from repro.mp.endpoint import MpWorld
-from repro.serve import ArrivalSpec, ServeConfig, ServerSpec, enable_serving
+from repro.recovery import ClusterRecovery
+from repro.serve import ArrivalSpec, ServeConfig, ServerSpec, ServeRuntime
 
 MS = 1_000_000
 
@@ -33,10 +35,10 @@ def _build(order, cluster, build, crash_node, crash_ns, restart_ns=None):
     """``build(cluster)`` in ``order``, then schedule ``crash_node``'s crash
     (and its restart ``restart_ns`` later, if given)."""
     if order == "recovery-first":
-        cluster.enable_crash_recovery()
+        cluster.layer(ClusterRecovery)
     layer = build(cluster)
     if order == "layer-first":
-        cluster.enable_crash_recovery()
+        cluster.layer(ClusterRecovery)
     faults = [Crash(at_ns=crash_ns, node=crash_node)]
     if restart_ns is not None:
         faults.append(Restart(at_ns=crash_ns, node=crash_node, delay_ns=restart_ns))
@@ -85,7 +87,7 @@ def _serve_outcome(order):
     )
 
     def build(cluster):
-        return enable_serving(cluster, MpWorld(cluster), config)
+        return ServeRuntime(cluster, MpWorld(cluster), config)
 
     runtime = _build(order, cluster, build, crash_node=1, crash_ns=3 * MS // 2)
     runtime.start()
@@ -144,7 +146,7 @@ def test_message_passing_heals_across_a_restart_in_any_build_order(order):
     sim.process(sender(), name="sender")
     sim.process(receiver(), name="receiver")
     sim.run(until=40 * MS)
-    assert cluster.recovery.reconnects == 1
+    assert cluster.layer(ClusterRecovery).reconnects == 1
     assert failed and len(sent) + len(failed) == 60
     assert received == sent and sent[-1] == 59
 
@@ -157,7 +159,7 @@ def test_edge_control_escalates_peer_down_in_any_build_order(order):
         crash_node=1, crash_ns=2 * MS,
     )
     cluster.sim.run(until=30 * MS)
-    recovery = cluster.recovery
+    recovery = cluster.layer(ClusterRecovery)
     assert recovery.peer_down_events == 1
     # The survivor's plane was torn down with its endpoint, and the
     # reconnect loop is still dialling the dead peer.
@@ -198,4 +200,4 @@ def test_crashed_nodes_managers_leave_the_gray_population(monkeypatch):
     assert all(mgr not in cluster.control_planes.values() for mgr in dead)
     assert [s for s in sizes if s[1] != s[2]] == []
     live = list(cluster.control_planes.values())
-    assert all(mgr in live for mgr, _ in cluster.gray_scorer.flagged)
+    assert all(mgr in live for mgr, _ in cluster.layer(GrayScorer).flagged)

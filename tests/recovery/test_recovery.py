@@ -32,6 +32,7 @@ from repro.dsm.region import PageState
 from repro.dsm.runtime import DsmRuntime
 from repro.ethernet import Frame, FrameType, MultiEdgeHeader
 from repro.mp.endpoint import MpWorld
+from repro.recovery import ClusterRecovery
 from repro.sim import Simulator
 
 MS = 1_000_000
@@ -144,7 +145,7 @@ class TestTypedExceptions:
     def test_peer_crashed_raises_through_handle_wait(self):
         cluster, a, b = _two_node_cluster()
         cluster.enable_edge_control(0, 1)  # PEER_DOWN escalation path
-        recovery = cluster.enable_crash_recovery()
+        recovery = cluster.layer(ClusterRecovery)
         caught = []
 
         def app():
@@ -162,7 +163,7 @@ class TestTypedExceptions:
 
     def test_peer_crashed_raises_through_handle_test(self):
         cluster, a, b = _two_node_cluster()
-        cluster.enable_crash_recovery()
+        cluster.layer(ClusterRecovery)
         handles = []
 
         def app():
@@ -216,7 +217,7 @@ class TestNicPowerCycle:
 class TestIncarnationGuard:
     def test_stale_incarnation_frame_rejected(self):
         cluster, a, b = _two_node_cluster()
-        cluster.enable_crash_recovery()
+        cluster.layer(ClusterRecovery)
         conn = b.conn
         before = conn.stats.stale_frames_rejected
         header = MultiEdgeHeader(
@@ -231,7 +232,7 @@ class TestIncarnationGuard:
 
     def test_matching_incarnation_passes_the_guard(self):
         cluster, a, b = _two_node_cluster()
-        cluster.enable_crash_recovery()
+        cluster.layer(ClusterRecovery)
         received = []
 
         def app():
@@ -245,7 +246,7 @@ class TestIncarnationGuard:
 
     def test_receiver_dedup_keyed_on_incarnation(self):
         cluster, a, b = _two_node_cluster()
-        recovery = cluster.enable_crash_recovery()
+        recovery = cluster.layer(ClusterRecovery)
         conn = SimpleNamespace(
             node=SimpleNamespace(node_id=1), peer_node_id=0,
             peer_incarnation=0,
@@ -262,7 +263,7 @@ def _crash_stream(crash_specs, run_ns, config="2Lu-1G"):
     cluster = make_cluster(config, nodes=2, seed=0, synthetic_payloads=True)
     cluster.connect(0, 1)
     cluster.enable_edge_control(0, 1)
-    recovery = cluster.enable_crash_recovery()
+    recovery = cluster.layer(ClusterRecovery)
     channel = recovery.channel(0, 1)
     events = []
     for at_ns, delay_ns in crash_specs:
@@ -326,7 +327,7 @@ class TestDomainHooks:
     def test_mp_recv_from_crashed_peer_raises(self):
         cluster = make_cluster("1L-1G", nodes=2, synthetic_payloads=True)
         cluster.connect(0, 1)
-        recovery = cluster.enable_crash_recovery()
+        recovery = cluster.layer(ClusterRecovery)
         world = MpWorld(cluster)
         caught = []
 
@@ -343,7 +344,7 @@ class TestDomainHooks:
 
     def test_dsm_invalidates_cached_pages_homed_at_crashed_peer(self):
         cluster = make_cluster("1L-1G", nodes=2, synthetic_payloads=True)
-        recovery = cluster.enable_crash_recovery()
+        recovery = cluster.layer(ClusterRecovery)
         runtime = DsmRuntime(cluster)
         region = runtime.alloc_region("r", 4 * 4096, home="fixed:1")
         pt = runtime.nodes[0].page_tables[region.region_id]

@@ -31,12 +31,11 @@ def test_config_validation():
 
 def test_synthetic_payload_cluster_rejected():
     from repro.mp import MpWorld
-    from repro.serve import enable_serving
 
     cluster = make_cluster("1L-1G", nodes=2, synthetic_payloads=True)
     world = MpWorld(cluster)
     with pytest.raises(ValueError, match="synthetic_payloads"):
-        enable_serving(
+        ServeRuntime(
             cluster, world, ServeConfig(clients=(0,), servers=(1,))
         )
 
@@ -264,6 +263,24 @@ def test_single_server_crash_parks_then_drains():
     assert r.crashes == 1 and r.reconnects >= 1
     assert r.generated == r.completed
     assert r.pending == 0
+
+
+def test_rendezvous_requests_survive_a_server_crash():
+    """Requests of 20-40 KB travel by rendezvous.  Server 1 crashes with
+    some mid-transfer: their rendezvous fail with the crash, the frames its
+    dead incarnation still had in flight are dropped, and every request is
+    answered once it reconnects."""
+    r = run_serve(
+        n_clients=1,
+        n_servers=2,
+        arrival=ArrivalSpec(rate_rps=20_000, request_bytes=("uniform", 20_000, 40_000)),
+        duration_ns=10 * _MS,
+        use_monitor=True,
+        faults=[Crash(at_ns=3 * _MS, node=1), Restart(at_ns=3 * _MS, node=1, delay_ns=2 * _MS)],
+    )
+    assert r.ok, r.violations
+    assert (r.crashes, r.reconnects) == (1, 1)
+    assert r.generated > 0 and r.completed == r.generated
 
 
 def test_monitor_reports_serve_invariant_breakage():

@@ -1,6 +1,6 @@
 """Fingerprint pins for the serving layer, off and on.
 
-* A cluster without :func:`enable_serving` must execute byte-for-byte
+* A cluster without a :class:`~repro.serve.ServeRuntime` must execute byte-for-byte
   the event sequence it did before ``repro.serve`` existed (pins
   captured at the HEAD immediately before the serving PR).
 * A serving run that passes no ``faults=``, ``tail=`` or

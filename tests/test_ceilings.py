@@ -115,8 +115,8 @@ class Row:
 _COUNTERS = r"dropped_total|irqs_raised|counters\.tx_frames|frames_lost_[a-z]+|ce_marked_total"
 
 ROWS = [
-    Row("src-lines", 45, "src/ shrinks", ("src",), "pass",
-        bound=21361, measure=lines, py=True),
+    Row("src-lines", 46, "src/ shrinks", ("src",), "pass",
+        bound=21351, measure=lines, py=True),
     Row("fuzz-lines", 26, "one shape for the fuzz families: fuzz.py stays small",
         ("src/repro/verify/fuzz.py",), "pass", bound=1313, measure=lines),
     Row("getattr", 25, "no probing for attributes", ("src/repro",),
@@ -245,6 +245,10 @@ ROWS = [
         CODE, "world.rewire_pair(client, server)",
         r"\brewire_pair\b|\.retire\(|\brepair_trunk\b|\bcpu_utilization\b|\bhas_pending\b"
         r"|\buniform_int\b", removed=True),
+    Row("layer-slot-names", 46, "every opt-in subsystem is a layer: no named slot, no enable_*",
+        CODE, "recovery = cluster.enable_crash_recovery()",
+        r"\benable_(?:crash_recovery|gray_detection|fastpath|serving)\b|\b_check_journals\b"
+        r"|\w*[Cc]luster\.(?:recovery|gray_scorer|fastpath|serve)\b", removed=True),
 ]
 ROWS.append(
     Row("docs-removed-names", 43, "the docs name no removed name", DOCS,

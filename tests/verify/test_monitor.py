@@ -5,7 +5,10 @@ import types
 import pytest
 
 from repro.bench.cluster import make_cluster
+from repro.core import Connection
+from repro.recovery import ClusterRecovery
 from repro.verify import InvariantMonitor, InvariantViolation
+from repro.verify.fuzz import run_family
 
 
 def _run_write(cluster, handle, src, dst, size):
@@ -60,7 +63,7 @@ class TestOffByDefault:
 
     def test_detach_stops_registering_new_connections(self):
         c, a, b, src, dst = _small_cluster()
-        c.enable_crash_recovery()
+        c.layer(ClusterRecovery)
         mon = InvariantMonitor.attach(c)
         mon.detach()
         stack = c.stacks[0]
@@ -175,6 +178,18 @@ class TestPlantedCorruptions:
             mon.on_edge_transition(
                 mgr, 0, EdgeState.DOWN, EdgeState.SUSPECT, "bogus"
             )
+
+    def test_catches_a_forward_fence_that_never_blocks(self, monkeypatch):
+        """Protocol seeds whose later operations wait on a forward-fenced
+        one: with the fence never blocking, those operations go out before
+        it completes, and the send-side check names it (at least 98 of
+        seeds 0-199 do; these three are the first)."""
+        seeds = (2, 3, 5)
+        assert all(run_family("protocol", seed).ok for seed in seeds)
+        monkeypatch.setattr(Connection, "_fence_blocked", lambda self: False)
+        for seed in seeds:
+            failure = run_family("protocol", seed).failure
+            assert failure and "[forward-fence-overtaken]" in failure, seed
 
     def test_collect_mode_gathers_instead_of_raising(self):
         c, a, b, src, dst = _small_cluster()
